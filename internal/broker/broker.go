@@ -25,9 +25,11 @@
 // Every broker keeps an always-on health ledger — traffic counters, drop
 // accounting by reason, queue-depth gauges, object-store occupancy, and a
 // send→recv latency reservoir — exposed via Broker.Metrics. Stop drains
-// undelivered headers, releases their references, and records any object
-// still live in LeakedAtStop; tests use VerifyDrained to turn refcount
-// discipline into an assertion.
+// undelivered headers and releases their references; from then on Metrics
+// reports every object still live as LeakedAtStop, so a reference a receiver
+// was still holding when Stop ran counts only until it is released, and one
+// nobody will release counts forever. Tests use VerifyDrained to turn
+// refcount discipline into an assertion.
 package broker
 
 import (
@@ -89,6 +91,10 @@ type Broker struct {
 	wg         sync.WaitGroup
 	routerDone chan struct{}
 	stopped    bool
+
+	// materializeHook, when set (by tests, before any traffic), runs inside
+	// Port.materialize while the receiver holds its object-store reference.
+	materializeHook func()
 }
 
 // forwardItem is one cross-machine transfer awaiting its ordered turn on
@@ -643,10 +649,11 @@ func (b *Broker) drainIDQueue(q *queue.Queue[*message.Header]) {
 	}
 }
 
-// Stop shuts the router down, closes all client queues, reclaims the
-// references of undelivered headers, and records any remaining live object
-// (a refcount leak) in the health ledger. It is idempotent and waits for
-// in-flight forwards to finish.
+// Stop shuts the router down, closes all client queues and reclaims the
+// references of undelivered headers. It is idempotent and waits for
+// in-flight forwards to finish — but not for receivers still decoding a
+// message they already popped: their references show as LeakedAtStop in
+// Metrics until they release them.
 func (b *Broker) Stop() {
 	b.mu.Lock()
 	if b.stopped {
@@ -676,7 +683,6 @@ func (b *Broker) Stop() {
 		q.Close()
 		b.drainIDQueue(q)
 	}
-	b.health.leakedAtStop.Store(int64(b.store.Len()))
 }
 
 // Port is a client's attachment to the broker: Send serializes and pushes a
@@ -697,10 +703,10 @@ func (p *Port) Name() string { return p.name }
 // publishes the header to the router. It returns once the message has been
 // handed to the asynchronous channel — not once it is delivered.
 //
-// The marshal buffer is pooled: Pack copies the raw encoding into the framed
-// body that the object store owns, so the pooled buffer is freed as soon as
-// framing is done and the steady-state send path allocates only the framed
-// body.
+// The marshal buffer is pooled, and so is Pack's compression scratch: Pack
+// copies the framed body out at exact size for the object store to own, so
+// the marshal buffer is freed as soon as framing is done and the steady-state
+// send path allocates only the framed body.
 func (p *Port) Send(m *message.Message) error {
 	raw, err := serialize.MarshalPooled(m.Body)
 	if err != nil {
@@ -788,7 +794,9 @@ func (p *Port) TryRecv() (*message.Message, error) {
 // materialize fetches, decompresses, and decodes a delivered header's body.
 // Once the header has been popped from the ID queue this receiver owns the
 // object-store reference, so it is released on every path — including
-// corrupt bodies that fail to unpack or unmarshal.
+// corrupt bodies that fail to unpack or unmarshal. A compressed body is
+// decompressed into a pooled buffer, freed on the same paths: Unmarshal
+// copies everything it returns out of raw.
 func (p *Port) materialize(h *message.Header) (*message.Message, error) {
 	framed, err := p.broker.store.Get(h.ObjectID)
 	if err != nil {
@@ -796,7 +804,12 @@ func (p *Port) materialize(h *message.Header) (*message.Message, error) {
 		return nil, fmt.Errorf("broker recv at %s: %w", p.name, err)
 	}
 	defer p.broker.release(h.ObjectID)
-	raw, err := p.broker.compressor.Unpack(framed)
+	if p.broker.materializeHook != nil {
+		p.broker.materializeHook()
+	}
+	buf := serialize.GetBuf(serialize.UnpackedLen(framed))
+	defer serialize.FreeBuf(buf)
+	raw, err := p.broker.compressor.UnpackInto(buf, framed)
 	if err != nil {
 		p.broker.health.dropRecvError.Add(1)
 		return nil, fmt.Errorf("broker recv at %s: %w", p.name, err)

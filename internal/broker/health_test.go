@@ -272,6 +272,56 @@ func TestStopReclaimsUndelivered(t *testing.T) {
 	}
 }
 
+// TestStopDuringMaterializeIsNotALeak pins the stop-time accounting: a
+// receiver that popped its header before Stop and is still decoding holds
+// one live object, which is reported while it is held and gone once the
+// receiver releases it. (Stop used to freeze the count it saw, so sessions
+// that stop the transport before joining their receivers reported a leak
+// next to an empty store.)
+func TestStopDuringMaterializeIsNotALeak(t *testing.T) {
+	b := New(Config{MachineID: 0})
+	parked, resume := make(chan struct{}), make(chan struct{})
+	b.materializeHook = func() {
+		close(parked)
+		<-resume
+	}
+	s, err := b.Register("s")
+	if err != nil {
+		t.Fatalf("Register: %v", err)
+	}
+	r, err := b.Register("r")
+	if err != nil {
+		t.Fatalf("Register: %v", err)
+	}
+	if err := s.Send(dummyMsg("s", []string{"r"}, make([]byte, 128))); err != nil {
+		t.Fatalf("Send: %v", err)
+	}
+	recvErr := make(chan error, 1)
+	go func() {
+		_, err := r.Recv()
+		recvErr <- err
+	}()
+	<-parked
+
+	leaked := func() int64 {
+		return ClusterHealth{Brokers: []MetricsSnapshot{b.Metrics()}}.TotalLeaked()
+	}
+	if n := leaked(); n != 0 {
+		t.Fatalf("TotalLeaked = %d on a running broker, want 0", n)
+	}
+	b.Stop()
+	if n := leaked(); n != 1 {
+		t.Fatalf("TotalLeaked = %d with a receiver parked inside materialize, want 1", n)
+	}
+	close(resume)
+	if err := <-recvErr; err != nil {
+		t.Fatalf("Recv: %v", err)
+	}
+	if n := leaked(); n != 0 {
+		t.Fatalf("TotalLeaked = %d after the receiver released, want 0; %v", n, b.VerifyDrained())
+	}
+}
+
 // TestUnregisterReclaimsUndelivered: Unregister of a client with queued
 // messages must not leak their bodies.
 func TestUnregisterReclaimsUndelivered(t *testing.T) {

@@ -45,7 +45,6 @@ type health struct {
 	forwardRetried atomic.Int64
 
 	releaseErrors atomic.Int64
-	leakedAtStop  atomic.Int64
 
 	delivery *stats.Histogram // send→recv (header creation → materialize)
 }
@@ -150,8 +149,11 @@ type MetricsSnapshot struct {
 	ShedBytes int64
 	// ReleaseErrors counts failed object-store releases (double releases).
 	ReleaseErrors int64
-	// LeakedAtStop is the number of objects still live when Stop finished
-	// draining — nonzero means the refcount contract was violated.
+	// LeakedAtStop is the number of objects live on a stopped broker at
+	// snapshot time (0 while it runs). Stop has drained every queue, so an
+	// object still live is a reference somebody popped and has not released:
+	// a receiver mid-decode lowers it again, a refcount-contract violation
+	// never does. Read it after joining the receivers.
 	LeakedAtStop int64
 
 	// HeaderQueueDepth, IDQueueDepths, and ForwarderDepths are live
@@ -200,7 +202,6 @@ func (b *Broker) Metrics() MetricsSnapshot {
 		},
 		ShedBytes:        h.shedBytes.Load(),
 		ReleaseErrors:    h.releaseErrors.Load(),
-		LeakedAtStop:     h.leakedAtStop.Load(),
 		HeaderQueueDepth: b.headerQ.Len(),
 		Store:            b.store.Stats(),
 		Delivery: LatencySummary{
@@ -211,6 +212,9 @@ func (b *Broker) Metrics() MetricsSnapshot {
 		},
 	}
 	b.mu.Lock()
+	if b.stopped {
+		snap.LeakedAtStop = int64(snap.Store.Objects)
+	}
 	snap.IDQueueDepths = make(map[string]int, len(b.idQueues))
 	for name, q := range b.idQueues {
 		snap.IDQueueDepths[name] = q.Len()

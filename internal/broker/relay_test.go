@@ -3,6 +3,7 @@ package broker
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"xingtian/internal/message"
 	"xingtian/internal/netsim"
@@ -37,6 +38,21 @@ func treeCluster(t *testing.T, n, fanout int) (*Cluster, *Port, []*Port) {
 	return c, learner, explorers
 }
 
+// forwardedBy returns b's BodiesForwarded once it has reached want. A
+// forwarder counts a transfer (and releases its reference) after Forward
+// returns, which can be after the far side has already received the body.
+func forwardedBy(t *testing.T, b *Broker, want int64) int64 {
+	t.Helper()
+	deadline := time.Now().Add(time.Second)
+	for {
+		fwd := b.Metrics().BodiesForwarded
+		if fwd >= want || time.Now().After(deadline) {
+			return fwd
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestRelayTreeDeliversToAllLeaves: a weights broadcast wider than the relay
 // fanout reaches every explorer exactly once, with root egress cut to the
 // number of relay groups and the refcount ledger balanced everywhere.
@@ -66,9 +82,8 @@ func TestRelayTreeDeliversToAllLeaves(t *testing.T) {
 		}
 	}
 	// Root sent ⌈√9⌉ = 3 frames instead of 9.
-	root := c.Broker(0).Metrics()
-	if root.BodiesForwarded != 3 {
-		t.Fatalf("root forwarded %d frames, want 3 relay groups", root.BodiesForwarded)
+	if fwd := forwardedBy(t, c.Broker(0), 3); fwd != 3 {
+		t.Fatalf("root forwarded %d frames, want 3 relay groups", fwd)
 	}
 	// Some interior machine re-forwarded the frame onward.
 	var relayed, relayExpired, privDrops int64
@@ -85,9 +100,7 @@ func TestRelayTreeDeliversToAllLeaves(t *testing.T) {
 		t.Fatalf("relayExpired=%d privileged drops=%d; tree must lose nothing", relayExpired, privDrops)
 	}
 	for i := 0; i <= n; i++ {
-		if err := c.Broker(i).VerifyDrained(); err != nil {
-			t.Fatalf("machine %d refcount leak: %v", i, err)
-		}
+		waitDrained(t, c.Broker(i))
 	}
 }
 
@@ -106,9 +119,8 @@ func TestRelayStarBelowFanout(t *testing.T) {
 			t.Fatalf("explorer-%d Recv: %v", i, err)
 		}
 	}
-	root := c.Broker(0).Metrics()
-	if root.BodiesForwarded != n {
-		t.Fatalf("root forwarded %d, want %d (star)", root.BodiesForwarded, n)
+	if fwd := forwardedBy(t, c.Broker(0), n); fwd != n {
+		t.Fatalf("root forwarded %d, want %d (star)", fwd, n)
 	}
 	for i := 0; i <= n; i++ {
 		if r := c.Broker(i).Metrics().BodiesRelayed; r != 0 {
@@ -135,7 +147,7 @@ func TestRelayIgnoresDroppableTraffic(t *testing.T) {
 			t.Fatalf("explorer-%d Recv: %v", i, err)
 		}
 	}
-	if fwd := c.Broker(0).Metrics().BodiesForwarded; fwd != n {
+	if fwd := forwardedBy(t, c.Broker(0), n); fwd != n {
 		t.Fatalf("droppable broadcast forwarded %d frames, want star %d", fwd, n)
 	}
 }

@@ -7,7 +7,8 @@ import (
 )
 
 // FuzzLZ4RoundTrip checks Compress→Decompress is the identity for arbitrary
-// inputs and that compressed output respects CompressBound.
+// inputs, that compressed output respects CompressBound, and that the
+// byte-at-a-time oracle decodes the block to the same bytes.
 func FuzzLZ4RoundTrip(f *testing.F) {
 	f.Add([]byte(nil))
 	f.Add([]byte("a"))
@@ -30,12 +31,15 @@ func FuzzLZ4RoundTrip(f *testing.F) {
 		if n != len(src) || !bytes.Equal(dst, src) {
 			t.Fatalf("round trip mismatch: n=%d want %d", n, len(src))
 		}
+		checkAgainstOracle(t, comp, len(src))
 	})
 }
 
 // FuzzLZ4DecompressCorrupt feeds arbitrary bytes to Decompress with varying
 // dst sizes: it must return an error or a full decode, never panic, overread,
-// or report success with a short output.
+// or report success with a short output — and must agree with the oracle on
+// the outcome. The seeds include overlapping matches at offsets 1, 2, 3 and
+// 7, each ending exactly at len(dst).
 func FuzzLZ4DecompressCorrupt(f *testing.F) {
 	f.Add([]byte(nil), uint16(0))
 	f.Add([]byte{0x10, 'a', 0x00, 0x00}, uint16(64))
@@ -43,11 +47,15 @@ func FuzzLZ4DecompressCorrupt(f *testing.F) {
 	f.Add([]byte{0xF0, 0x05}, uint16(64))
 	f.Add(Compress(nil, []byte("seed corpus seed corpus seed corpus")), uint16(35))
 	f.Add(Compress(nil, bytes.Repeat([]byte{7}, 300)), uint16(300))
+	for _, offset := range []int{1, 2, 3, 7} {
+		f.Add(emitSequence(nil, []byte("0123456"), offset, 50), uint16(57))
+	}
 	f.Fuzz(func(t *testing.T, garbage []byte, dstSize uint16) {
 		dst := make([]byte, int(dstSize)%8192)
 		n, err := Decompress(dst, garbage)
 		if err == nil && n != len(dst) {
 			t.Fatalf("Decompress reported success with %d of %d bytes written", n, len(dst))
 		}
+		checkAgainstOracle(t, garbage, len(dst))
 	})
 }

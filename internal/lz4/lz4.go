@@ -14,6 +14,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
+	"sync"
 )
 
 var (
@@ -34,13 +36,21 @@ const (
 	tokenMaxL   = 15 // literal-length nibble saturation
 	tokenMaxM   = 15 // match-length nibble saturation
 	hashPrime   = 2654435761
-	skipTrigger = 6 // compression speed/ratio trade-off (like reference impl)
+	skipTrigger = 6  // compression speed/ratio trade-off (like reference impl)
+	shortMatch  = 16 // matches up to this long are copied by an inlined loop
 )
 
 // CompressBound returns the maximum compressed size for an input of length n.
 func CompressBound(n int) int {
 	return n + n/255 + 16
 }
+
+// hashTable maps each 4-byte hash to position+1 of a recent occurrence.
+type hashTable [1 << hashLog]int32
+
+// tablePool recycles the 256 KB hash table, which would otherwise be a fresh
+// heap allocation per call (it is too large for the stack).
+var tablePool = sync.Pool{New: func() any { return new(hashTable) }}
 
 // Compress appends the LZ4 block encoding of src to dst and returns the
 // extended buffer. Compressing empty input yields an empty block.
@@ -51,9 +61,17 @@ func Compress(dst, src []byte) []byte {
 	if len(src) < mfLimit+1 {
 		return emitFinalLiterals(dst, src)
 	}
+	table := tablePool.Get().(*hashTable)
+	*table = hashTable{}
+	dst = compressBlock(dst, src, table)
+	tablePool.Put(table)
+	return dst
+}
 
-	var table [1 << hashLog]int32 // position+1 of a recent occurrence of each 4-byte hash
-	anchor := 0                   // start of pending literals
+// compressBlock is Compress for inputs long enough to hold a match, with a
+// zeroed table.
+func compressBlock(dst, src []byte, table *hashTable) []byte {
+	anchor := 0 // start of pending literals
 	pos := 0
 	limit := len(src) - mfLimit // last position a match may start at
 
@@ -85,17 +103,22 @@ func Compress(dst, src []byte) []byte {
 			pos--
 		}
 
-		// Extend forwards; the match may not run into the last-literals zone.
+		// Extend forwards eight bytes at a time; the match may not run into
+		// the last-literals zone. The first differing byte of two
+		// little-endian words is the lowest set bit of their XOR.
 		matchLen := minMatch
 		maxLen := len(src) - lastLits - pos
+		for matchLen+8 <= maxLen {
+			x := binary.LittleEndian.Uint64(src[matchPos+matchLen:]) ^ binary.LittleEndian.Uint64(src[pos+matchLen:])
+			if x != 0 {
+				matchLen += bits.TrailingZeros64(x) >> 3
+				maxLen = matchLen // found the end: skip the byte tail
+				break
+			}
+			matchLen += 8
+		}
 		for matchLen < maxLen && src[matchPos+matchLen] == src[pos+matchLen] {
 			matchLen++
-		}
-		if matchLen < minMatch {
-			// Cannot happen given the 4-byte hash check, but keep the
-			// invariant explicit for safety.
-			pos++
-			continue
 		}
 
 		dst = emitSequence(dst, src[anchor:pos], pos-matchPos, matchLen)
@@ -224,14 +247,30 @@ func Decompress(dst, src []byte) (int, error) {
 			matchLen += n
 			si += used
 		}
-		if di+matchLen > len(dst) {
+		end := di + matchLen
+		if end > len(dst) {
 			return 0, fmt.Errorf("match run: %w", ErrDstTooSmall)
 		}
-		// Overlapping copy must proceed byte-forward.
-		for i := 0; i < matchLen; i++ {
-			dst[di+i] = dst[di-offset+i]
+		// A match may overlap its own output (offset < matchLen repeats the
+		// last offset bytes), which is what a byte-forward copy produces.
+		m := di - offset
+		switch {
+		case matchLen <= shortMatch:
+			// Not worth a memmove call; sparse-delta blocks are all these.
+			for ; di < end; di++ {
+				dst[di] = dst[di-offset]
+			}
+		case offset >= matchLen:
+			copy(dst[di:end], dst[m:di])
+		default:
+			// Overlapping: seed one period, then double the copied region.
+			// Every source stays behind its destination and the distance
+			// between them stays a multiple of the period.
+			for n := copy(dst[di:end], dst[m:di]); n < matchLen; {
+				n += copy(dst[di+n:end], dst[m:di+n])
+			}
 		}
-		di += matchLen
+		di = end
 	}
 	if di != len(dst) {
 		return 0, fmt.Errorf("block decoded %d of %d bytes: %w", di, len(dst), ErrCorrupt)

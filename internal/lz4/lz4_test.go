@@ -2,12 +2,175 @@ package lz4
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"math/rand"
+	"os"
 	"strings"
 	"testing"
 	"testing/quick"
 )
+
+// decompressOracle is the decoder this package shipped before matches were
+// copied with copy: one byte per iteration, so an overlapping match needs no
+// special case. It is the reference the word-wise Decompress is checked
+// against — same bytes on success, same error class on failure.
+func decompressOracle(dst, src []byte) (int, error) {
+	di, si := 0, 0
+	for si < len(src) {
+		token := src[si]
+		si++
+
+		litLen := int(token >> 4)
+		if litLen == tokenMaxL {
+			n, used, err := readLength(src[si:])
+			if err != nil {
+				return 0, err
+			}
+			litLen += n
+			si += used
+		}
+		if si+litLen > len(src) {
+			return 0, fmt.Errorf("literal run past input end: %w", ErrCorrupt)
+		}
+		if di+litLen > len(dst) {
+			return 0, fmt.Errorf("literal run: %w", ErrDstTooSmall)
+		}
+		copy(dst[di:], src[si:si+litLen])
+		si += litLen
+		di += litLen
+
+		if si == len(src) {
+			if di != len(dst) {
+				return 0, fmt.Errorf("block decoded %d of %d bytes: %w", di, len(dst), ErrCorrupt)
+			}
+			return di, nil
+		}
+
+		if si+2 > len(src) {
+			return 0, fmt.Errorf("truncated offset: %w", ErrCorrupt)
+		}
+		offset := int(binary.LittleEndian.Uint16(src[si:]))
+		si += 2
+		if offset == 0 || offset > di {
+			return 0, fmt.Errorf("offset %d at output %d: %w", offset, di, ErrCorrupt)
+		}
+		matchLen := int(token&0x0F) + minMatch
+		if token&0x0F == tokenMaxM {
+			n, used, err := readLength(src[si:])
+			if err != nil {
+				return 0, err
+			}
+			matchLen += n
+			si += used
+		}
+		if di+matchLen > len(dst) {
+			return 0, fmt.Errorf("match run: %w", ErrDstTooSmall)
+		}
+		for i := 0; i < matchLen; i++ {
+			dst[di+i] = dst[di-offset+i]
+		}
+		di += matchLen
+	}
+	if di != len(dst) {
+		return 0, fmt.Errorf("block decoded %d of %d bytes: %w", di, len(dst), ErrCorrupt)
+	}
+	return di, nil
+}
+
+// errClass folds an error to the sentinel callers can test for.
+func errClass(err error) error {
+	switch {
+	case err == nil:
+		return nil
+	case errors.Is(err, ErrCorrupt):
+		return ErrCorrupt
+	case errors.Is(err, ErrDstTooSmall):
+		return ErrDstTooSmall
+	default:
+		return err
+	}
+}
+
+// checkAgainstOracle decodes block into dstLen bytes with both decoders and
+// fails unless they agree on the byte count, the error class and, when the
+// decode succeeds, every output byte.
+func checkAgainstOracle(t *testing.T, block []byte, dstLen int) {
+	t.Helper()
+	got, want := make([]byte, dstLen), make([]byte, dstLen)
+	n, err := Decompress(got, block)
+	wantN, wantErr := decompressOracle(want, block)
+	if n != wantN || errClass(err) != errClass(wantErr) {
+		t.Fatalf("Decompress = (%d, %v), oracle = (%d, %v)", n, err, wantN, wantErr)
+	}
+	if err == nil && !bytes.Equal(got, want) {
+		t.Fatalf("Decompress output differs from the oracle's (%d bytes)", dstLen)
+	}
+}
+
+// TestDecompressOverlapMatchesOracle covers every copy strategy of the
+// decoder: offsets below, at and above the inlined-loop and doubling
+// boundaries, with matches shorter than, equal to and far longer than the
+// offset.
+func TestDecompressOverlapMatchesOracle(t *testing.T) {
+	lits := []byte("abcdefghijklmnopqrstuvwxyz0123456789")
+	for _, offset := range []int{1, 2, 3, 4, 7, 8, 15, 16, 17, 31, len(lits)} {
+		for _, matchLen := range []int{4, 5, 15, 16, 17, 18, 19, 33, 64, 255, 1000, 70000} {
+			// literals, one match, final literals
+			block := emitFinalLiterals(emitSequence(nil, lits, offset, matchLen), []byte("tail!"))
+			checkAgainstOracle(t, block, len(lits)+matchLen+5)
+		}
+	}
+}
+
+// TestDecompressMatchEndsAtDst: a block may end on a match whose last byte
+// is dst's last byte (no trailing literals); one byte less of dst is
+// ErrDstTooSmall, one more is a short decode.
+func TestDecompressMatchEndsAtDst(t *testing.T) {
+	lits := []byte("0123456789")
+	for _, offset := range []int{1, 2, 3, 7, 10} {
+		for _, matchLen := range []int{4, 16, 17, 40, 300} {
+			block := emitSequence(nil, lits, offset, matchLen)
+			full := len(lits) + matchLen
+			for _, dstLen := range []int{full - 1, full, full + 1} {
+				checkAgainstOracle(t, block, dstLen)
+			}
+			dst := make([]byte, full)
+			if n, err := Decompress(dst, block); err != nil || n != full {
+				t.Fatalf("offset %d len %d: Decompress = (%d, %v), want (%d, nil)", offset, matchLen, n, err, full)
+			}
+		}
+	}
+}
+
+// TestGoldenBlock pins the format in both directions against a block the
+// byte-at-a-time compressor produced from breakoutLike(8): the decoder must
+// still read it, and the compressor must still emit it byte for byte — the
+// word-wise match extension changes speed, not the parse, so wire sizes and
+// anything already stored stay valid.
+func TestGoldenBlock(t *testing.T) {
+	text, err := os.ReadFile("testdata/breakout8.lz4.hex")
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := hex.DecodeString(strings.Join(strings.Fields(string(text)), ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := breakoutLike(8)
+	dst := make([]byte, len(src))
+	if n, err := Decompress(dst, golden); err != nil || n != len(src) {
+		t.Fatalf("Decompress(golden) = (%d, %v), want (%d, nil)", n, err, len(src))
+	}
+	if !bytes.Equal(dst, src) {
+		t.Fatal("golden block decodes to different bytes than breakoutLike(8)")
+	}
+	if comp := Compress(nil, src); !bytes.Equal(comp, golden) {
+		t.Fatalf("Compress(breakoutLike(8)) = %d bytes, differs from the %d-byte golden block", len(comp), len(golden))
+	}
+}
 
 func roundTrip(t *testing.T, src []byte) []byte {
 	t.Helper()
@@ -265,6 +428,34 @@ func BenchmarkDecompress1MB(b *testing.B) {
 			src[i+j] = byte(v)
 		}
 	}
+	comp := Compress(nil, src)
+	dst := make([]byte, len(src))
+	b.SetBytes(int64(len(src)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Decompress(dst, comp); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCompressFrames and BenchmarkDecompressFrames run the codec over
+// the message shape that pays for it: an 80-step frame rollout, ~2.26 MB of
+// mostly long matches.
+func BenchmarkCompressFrames(b *testing.B) {
+	src := breakoutLike(80)
+	buf := make([]byte, 0, CompressBound(len(src)))
+	b.SetBytes(int64(len(src)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = Compress(buf[:0], src)
+	}
+}
+
+func BenchmarkDecompressFrames(b *testing.B) {
+	src := breakoutLike(80)
 	comp := Compress(nil, src)
 	dst := make([]byte, len(src))
 	b.SetBytes(int64(len(src)))

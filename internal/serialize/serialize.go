@@ -78,13 +78,16 @@ func MarshalPooled(body any) ([]byte, error) {
 	return out, nil
 }
 
-// SizeHint estimates body's encoded size (an upper bound for fixed-layout
-// payloads, the documented estimate for rollouts) so marshal buffers start
-// close to their final capacity.
+// SizeHint bounds body's encoded size from above (closely: within a few
+// dozen bytes per rollout step) so a pooled marshal buffer never has to grow:
+// growing copies the encoding so far and abandons the pooled buffer.
 func SizeHint(body any) int {
 	switch b := body.(type) {
 	case *rollout.Batch:
-		return 64 + b.SizeBytes()
+		// SizeBytes counts payload bytes and the fixed per-step scalars;
+		// length prefixes and observation framing add at most 29 bytes a
+		// step and 22 for the bootstrap observation.
+		return 64 + b.SizeBytes() + 32*len(b.Steps)
 	case *message.WeightsPayload:
 		return 16 + 4*len(b.Data)
 	case *message.WeightsDeltaPayload:
@@ -215,18 +218,24 @@ func (r *reader) byte() byte {
 	return b
 }
 
-func (r *reader) bytes() []byte {
+// bytes reads a length-prefixed field into a copy of its own; an empty field
+// reads as nil.
+func (r *reader) bytes() []byte { return append([]byte(nil), r.view()...) }
+
+// view reads a length-prefixed field without copying: the result aliases the
+// payload, so it must not outlive the call that was handed the payload.
+func (r *reader) view() []byte {
 	n := int(r.u32())
 	if r.err != nil || n < 0 || r.pos+n > len(r.data) {
 		r.fail()
 		return nil
 	}
-	out := append([]byte(nil), r.data[r.pos:r.pos+n]...)
+	out := r.data[r.pos : r.pos+n]
 	r.pos += n
 	return out
 }
 
-func (r *reader) str() string { return string(r.bytes()) }
+func (r *reader) str() string { return string(r.view()) }
 
 func (r *reader) f32s() []float32 {
 	n := int(r.u32())
@@ -284,6 +293,9 @@ func putObs(dst []byte, o env.Obs) []byte {
 	return dst
 }
 
+// obs decodes one observation. Its Frame is a view into the payload:
+// unmarshalRollout moves every frame of a body into one allocation of their
+// exact total size once it knows that size.
 func (r *reader) obs() env.Obs {
 	switch r.byte() {
 	case obsBoth:
@@ -291,7 +303,7 @@ func (r *reader) obs() env.Obs {
 		o.FrameH = int(r.u32())
 		o.FrameW = int(r.u32())
 		o.FrameN = int(r.u32())
-		o.Frame = r.bytes()
+		o.Frame = r.view()
 		o.Vec = r.f32s()
 		return o
 	case obsFrame:
@@ -299,7 +311,7 @@ func (r *reader) obs() env.Obs {
 		o.FrameH = int(r.u32())
 		o.FrameW = int(r.u32())
 		o.FrameN = int(r.u32())
-		o.Frame = r.bytes()
+		o.Frame = r.view()
 		return o
 	case obsVec:
 		return env.Obs{Vec: r.f32s()}
@@ -365,6 +377,29 @@ func unmarshalRollout(data []byte) (*rollout.Batch, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
+
+	// Copy the frames out of the payload into one backing array (81
+	// allocations of 28 KB each for an Atari rollout otherwise). Each frame
+	// is capacity-capped so appending to one reallocates instead of running
+	// into its neighbour, and a zero-length frame stays nil, which is how
+	// putObs tells "no frame" apart.
+	total := len(b.BootstrapObs.Frame)
+	for i := range b.Steps {
+		total += len(b.Steps[i].Obs.Frame)
+	}
+	arena := make([]byte, total)
+	own := func(frame *[]byte) {
+		n := copy(arena, *frame)
+		if n == 0 {
+			*frame = nil
+			return
+		}
+		*frame, arena = arena[:n:n], arena[n:]
+	}
+	for i := range b.Steps {
+		own(&b.Steps[i].Obs.Frame)
+	}
+	own(&b.BootstrapObs.Frame)
 	return b, nil
 }
 
@@ -533,19 +568,29 @@ const (
 	frameLZ4 byte = 1
 )
 
+// lz4FrameHeader is the flag byte plus the 8-byte raw length that precede
+// the LZ4 block of a compressed frame.
+const lz4FrameHeader = 9
+
 // Pack frames raw bytes for the object store, compressing when raw meets the
 // threshold and compression actually shrinks it. It returns the framed body
-// and whether compression was applied.
+// and whether compression was applied. The result is a fresh allocation of
+// exactly its length (the store keeps it and accounts for it by length); the
+// worst-case-sized compression scratch is pooled and never escapes.
 func (c Compressor) Pack(raw []byte) ([]byte, bool) {
 	PlaneDelay(len(raw), c.PackNsPerKB)
 	if c.Threshold > 0 && len(raw) >= c.Threshold {
-		comp := make([]byte, 0, lz4.CompressBound(len(raw))+9)
-		comp = append(comp, frameLZ4)
-		comp = binary.LittleEndian.AppendUint64(comp, uint64(len(raw)))
-		comp = lz4.Compress(comp, raw)
-		if len(comp) < len(raw)+9 {
-			return comp, true
+		scratch := GetBuf(lz4FrameHeader + lz4.CompressBound(len(raw)))
+		scratch = append(scratch, frameLZ4)
+		scratch = binary.LittleEndian.AppendUint64(scratch, uint64(len(raw)))
+		scratch = lz4.Compress(scratch, raw)
+		if len(scratch) < len(raw)+lz4FrameHeader {
+			out := make([]byte, len(scratch))
+			copy(out, scratch)
+			FreeBuf(scratch)
+			return out, true
 		}
+		FreeBuf(scratch)
 	}
 	out := make([]byte, 0, len(raw)+1)
 	out = append(out, frameRaw)
@@ -553,9 +598,18 @@ func (c Compressor) Pack(raw []byte) ([]byte, bool) {
 }
 
 // Unpack reverses Pack on behalf of a compressor, charging the same
-// emulation work as Pack did.
+// emulation work as Pack did. A decompressed result is the caller's to keep.
 func (c Compressor) Unpack(framed []byte) ([]byte, error) {
-	raw, err := Unpack(framed)
+	return c.UnpackInto(nil, framed)
+}
+
+// UnpackInto is Unpack for callers that bring the decompression buffer: a
+// compressed frame is decoded into buf's capacity when that holds
+// UnpackedLen(framed) bytes (into a fresh allocation when it does not); a raw
+// frame is returned in place and buf is not touched. The result is valid
+// only as long as both buf and framed are.
+func (c Compressor) UnpackInto(buf, framed []byte) ([]byte, error) {
+	raw, err := unpackInto(buf, framed)
 	if err != nil {
 		return nil, err
 	}
@@ -565,6 +619,36 @@ func (c Compressor) Unpack(framed []byte) ([]byte, error) {
 
 // Unpack reverses Pack, returning the original serialized body.
 func Unpack(framed []byte) ([]byte, error) {
+	return unpackInto(nil, framed)
+}
+
+// UnpackedLen reports the buffer capacity UnpackInto needs to decode framed
+// without allocating: the raw length of a compressed frame, 0 for a raw frame
+// and for a malformed one (which UnpackInto then rejects).
+func UnpackedLen(framed []byte) int {
+	if len(framed) == 0 || framed[0] != frameLZ4 {
+		return 0
+	}
+	rawLen, err := lz4FrameRawLen(framed)
+	if err != nil {
+		return 0
+	}
+	return int(rawLen)
+}
+
+// lz4FrameRawLen reads the raw length a compressed frame declares.
+func lz4FrameRawLen(framed []byte) (uint64, error) {
+	if len(framed) < lz4FrameHeader {
+		return 0, fmt.Errorf("truncated lz4 frame: %w", ErrBadPayload)
+	}
+	rawLen := binary.LittleEndian.Uint64(framed[1:lz4FrameHeader])
+	if rawLen > 1<<32 {
+		return 0, fmt.Errorf("implausible frame size %d: %w", rawLen, ErrBadPayload)
+	}
+	return rawLen, nil
+}
+
+func unpackInto(buf, framed []byte) ([]byte, error) {
 	if len(framed) == 0 {
 		return nil, fmt.Errorf("empty frame: %w", ErrBadPayload)
 	}
@@ -572,15 +656,17 @@ func Unpack(framed []byte) ([]byte, error) {
 	case frameRaw:
 		return framed[1:], nil
 	case frameLZ4:
-		if len(framed) < 9 {
-			return nil, fmt.Errorf("truncated lz4 frame: %w", ErrBadPayload)
+		rawLen, err := lz4FrameRawLen(framed)
+		if err != nil {
+			return nil, err
 		}
-		rawLen := binary.LittleEndian.Uint64(framed[1:9])
-		if rawLen > 1<<32 {
-			return nil, fmt.Errorf("implausible frame size %d: %w", rawLen, ErrBadPayload)
+		var out []byte
+		if uint64(cap(buf)) >= rawLen {
+			out = buf[:rawLen]
+		} else {
+			out = make([]byte, rawLen)
 		}
-		out := make([]byte, rawLen)
-		n, err := lz4.Decompress(out, framed[9:])
+		n, err := lz4.Decompress(out, framed[lz4FrameHeader:])
 		if err != nil {
 			return nil, fmt.Errorf("lz4 frame: %w", err)
 		}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -451,5 +452,240 @@ func BenchmarkMarshalWeightsPooled(b *testing.B) {
 			b.Fatal(err)
 		}
 		FreeBuf(out)
+	}
+}
+
+// breakoutBatch plays Breakout under a uniformly random policy and returns
+// an 80-step rollout of 4×84×84 frame stacks: ~2.27 MB encoded, the shape
+// that crosses the LZ4 threshold in production.
+func breakoutBatch(tb testing.TB) *rollout.Batch {
+	tb.Helper()
+	e, err := env.Make("Breakout", 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	obs, err := e.Reset()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	b := &rollout.Batch{ExplorerID: 1, WeightsVersion: 7}
+	// The opening screen is nearly empty; cut the rollout after it fills.
+	for i := 0; i < 400+80; i++ {
+		action := rng.Intn(e.NumActions())
+		next, reward, done, err := e.Step(action)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if i >= 400 {
+			b.Steps = append(b.Steps, rollout.Step{
+				Obs: obs, Action: int32(action), Reward: float32(reward), Done: done,
+				Value: rng.Float32(), LogProb: -rng.Float32(),
+				Logits: []float32{rng.Float32(), rng.Float32(), rng.Float32(), rng.Float32()},
+			})
+		}
+		if obs = next; done {
+			if obs, err = e.Reset(); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	b.BootstrapObs = obs
+	return b
+}
+
+// TestPackExactCapacity: the object store keeps what Pack returns and
+// budgets it by length, so a 28 KB compressed frame must not pin the
+// worst-case-sized buffer it was compressed into.
+func TestPackExactCapacity(t *testing.T) {
+	c := NewCompressor()
+	compressible := bytes.Repeat([]byte("rollout"), 400_000)
+	rng := rand.New(rand.NewSource(6))
+	incompressible := make([]byte, 2<<20)
+	rng.Read(incompressible)
+	for _, raw := range [][]byte{compressible, incompressible, make([]byte, 1000)} {
+		framed, compressed := c.Pack(raw)
+		if cap(framed) != len(framed) {
+			t.Fatalf("Pack(%d bytes, compressed=%v): cap %d != len %d", len(raw), compressed, cap(framed), len(framed))
+		}
+	}
+}
+
+// TestUnpackIntoUsesBuffer: a buffer of UnpackedLen bytes receives the
+// decompressed body; a short one is left alone and the result is fresh; a raw
+// frame needs no buffer at all.
+func TestUnpackIntoUsesBuffer(t *testing.T) {
+	c := NewCompressor()
+	raw := bytes.Repeat([]byte("rollout"), 200_000)
+	framed, compressed := c.Pack(raw)
+	if !compressed {
+		t.Fatal("body not compressed")
+	}
+	if n := UnpackedLen(framed); n != len(raw) {
+		t.Fatalf("UnpackedLen = %d, want %d", n, len(raw))
+	}
+	buf := make([]byte, 0, len(raw))
+	out, err := c.UnpackInto(buf, framed)
+	if err != nil || !bytes.Equal(out, raw) {
+		t.Fatalf("UnpackInto: err=%v, equal=%v", err, bytes.Equal(out, raw))
+	}
+	if &out[0] != &buf[:1][0] {
+		t.Fatal("UnpackInto allocated although the buffer was large enough")
+	}
+	small := make([]byte, 0, 16)
+	out, err = c.UnpackInto(small, framed)
+	if err != nil || !bytes.Equal(out, raw) {
+		t.Fatalf("UnpackInto(short buffer): err=%v, equal=%v", err, bytes.Equal(out, raw))
+	}
+
+	rawFramed, _ := c.Pack([]byte("tiny"))
+	if n := UnpackedLen(rawFramed); n != 0 {
+		t.Fatalf("UnpackedLen(raw frame) = %d, want 0", n)
+	}
+	if n := UnpackedLen([]byte{frameLZ4, 1, 2}); n != 0 {
+		t.Fatalf("UnpackedLen(truncated) = %d, want 0", n)
+	}
+	if out, err := c.UnpackInto(nil, rawFramed); err != nil || string(out) != "tiny" {
+		t.Fatalf("UnpackInto(raw frame) = %q, %v", out, err)
+	}
+}
+
+// TestUnmarshalRolloutFramesIsolated: decoded frames share one backing
+// array, so each must be capped at its own length — growing one may not
+// write into the next — and a zero-length frame must stay nil, or the
+// re-marshalled body would change shape.
+func TestUnmarshalRolloutFramesIsolated(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	in := sampleBatch(rng, 4, true)
+	in.Steps[2].Obs.Frame = []byte{} // encodes as a zero-length frame
+	data, err := Marshal(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Unmarshal(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := got.(*rollout.Batch)
+	if out.Steps[2].Obs.Frame != nil {
+		t.Fatalf("zero-length frame decoded to %v, want nil", out.Steps[2].Obs.Frame)
+	}
+	if out.BootstrapObs.Frame != nil {
+		t.Fatal("vector bootstrap observation grew a frame")
+	}
+	for _, i := range []int{0, 1, 3} {
+		f := out.Steps[i].Obs.Frame
+		if !bytes.Equal(f, in.Steps[i].Obs.Frame) {
+			t.Fatalf("step %d frame differs", i)
+		}
+		if cap(f) != len(f) {
+			t.Fatalf("step %d frame: cap %d != len %d", i, cap(f), len(f))
+		}
+	}
+	neighbour := append([]byte(nil), out.Steps[1].Obs.Frame...)
+	grown := append(out.Steps[0].Obs.Frame, 0xEE, 0xEE, 0xEE)
+	if &grown[0] == &out.Steps[0].Obs.Frame[0] {
+		t.Fatal("append to a decoded frame did not reallocate")
+	}
+	if !bytes.Equal(out.Steps[1].Obs.Frame, neighbour) {
+		t.Fatal("append to one decoded frame overwrote the next")
+	}
+}
+
+// TestSizeHintBoundsRollouts: a marshal buffer sized by SizeHint must never
+// grow, or the pooled buffer is abandoned for a copy mid-marshal.
+func TestSizeHintBoundsRollouts(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	both := sampleBatch(rng, 7, true)
+	for i := range both.Steps {
+		both.Steps[i].Obs.Vec = []float32{1, 2}
+		both.Steps[i].ActionVec = []float32{3}
+	}
+	both.BootstrapObs = both.Steps[0].Obs
+	for _, b := range []*rollout.Batch{sampleBatch(rng, 40, false), sampleBatch(rng, 80, true), both, {}} {
+		data, err := Marshal(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hint := SizeHint(b); len(data) > hint || hint > len(data)+64+32*len(b.Steps) {
+			t.Fatalf("SizeHint = %d for a %d-byte, %d-step encoding", hint, len(data), len(b.Steps))
+		}
+	}
+}
+
+// TestBufPoolFitsRequests: a fresh buffer has at most a sixteenth to spare,
+// and a pooled buffer that is too short for a request is replaced, never
+// returned.
+func TestBufPoolFitsRequests(t *testing.T) {
+	runtime.GC() // two collections empty every sync.Pool, so the
+	runtime.GC() // capacities below are those of fresh buffers
+	for _, hint := range []int{1, 100, minBufCap, minBufCap + 1, 1_200_009, 2_270_000, maxPooledCap} {
+		b := GetBuf(hint)
+		if cap(b) < hint || len(b) != 0 {
+			t.Fatalf("GetBuf(%d): len %d cap %d", hint, len(b), cap(b))
+		}
+		if hint >= minBufCap && cap(b) > hint+hint/16 {
+			t.Fatalf("GetBuf(%d) rounded up to %d, more than a sixteenth", hint, cap(b))
+		}
+	}
+	if b := GetBuf(0); b != nil {
+		t.Fatalf("GetBuf(0) = cap %d, want nil", cap(b))
+	}
+	for i := 0; i < 8; i++ {
+		FreeBuf(make([]byte, 0, minBufCap))
+	}
+	for i := 0; i < 8; i++ {
+		if b := GetBuf(1 << 20); cap(b) < 1<<20 {
+			t.Fatalf("GetBuf(1 MB) answered with a pooled %d-byte buffer", cap(b))
+		}
+	}
+}
+
+// TestBufPoolMixedSizesSteadyState: the fabric's 100-byte frame headers and
+// the channel's 2 MB bodies go through the same pool; alternating between
+// them must settle at zero allocations — the short buffers are weeded out,
+// not popped, re-filed and allocated around for ever.
+func TestBufPoolMixedSizesSteadyState(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
+	}
+	cycle := func() {
+		small := GetBuf(100)
+		large := GetBuf(2 << 20)
+		FreeBuf(small)
+		FreeBuf(large)
+		large = GetBuf(2 << 20)
+		small = GetBuf(100)
+		FreeBuf(large)
+		FreeBuf(small)
+	}
+	for i := 0; i < 4; i++ {
+		cycle() // converge: every buffer in circulation now fits 2 MB
+	}
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("mixed-size GetBuf/FreeBuf allocates %.0f times per cycle in steady state, want 0", allocs)
+	}
+}
+
+// BenchmarkPackUnpackRollout is the channel's byte path for one Atari
+// rollout as Port.Send and Port.Recv run it: frame into the store's copy,
+// unframe into a pooled buffer.
+func BenchmarkPackUnpackRollout(b *testing.B) {
+	raw, err := Marshal(breakoutBatch(b))
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := NewCompressor()
+	b.SetBytes(int64(len(raw)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		framed, _ := c.Pack(raw)
+		buf := GetBuf(UnpackedLen(framed))
+		out, err := c.UnpackInto(buf, framed)
+		if err != nil || len(out) != len(raw) {
+			b.Fatalf("UnpackInto: %d bytes, %v", len(out), err)
+		}
+		FreeBuf(buf)
 	}
 }
