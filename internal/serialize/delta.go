@@ -31,8 +31,25 @@ const deltaLZ4MinBytes = 128
 // sparsity comes from. The encoder picks sparse or dense layout by encoded
 // size. base and cur must have equal length.
 func EncodeDelta(base, cur []float32, baseVersion, version int64, quantBits int) (*message.WeightsDeltaPayload, error) {
+	return EncodeDeltaInto(base, cur, nil, baseVersion, version, quantBits)
+}
+
+// EncodeDeltaInto is EncodeDelta that also writes into recon, when recon is
+// non-nil, the vector ApplyDelta(base, d) returns — bit for bit, without
+// allocating it. recon must have len(base) and share no memory with base or
+// cur. The planner's canonical chain step is this one call.
+//
+// The int8 path is two sweeps over (base, cur): the largest |Δ|, then the
+// quantization, which skips the divide and the round for every |Δ| below
+// half a step (the common case: most of a chain step's Δs are the previous
+// step's rounding residue). The reconstruction copies base and applies the
+// payload exactly as ApplyDelta does.
+func EncodeDeltaInto(base, cur, recon []float32, baseVersion, version int64, quantBits int) (*message.WeightsDeltaPayload, error) {
 	if len(base) != len(cur) {
 		return nil, fmt.Errorf("serialize: delta over mismatched vectors (%d vs %d): %w", len(base), len(cur), ErrBadPayload)
+	}
+	if recon != nil && len(recon) != len(cur) {
+		return nil, fmt.Errorf("serialize: %d-param reconstruction buffer for a %d-param delta: %w", len(recon), len(cur), ErrBadPayload)
 	}
 	d := &message.WeightsDeltaPayload{
 		Version:     version,
@@ -41,75 +58,151 @@ func EncodeDelta(base, cur []float32, baseVersion, version int64, quantBits int)
 	}
 	switch quantBits {
 	case QuantInt8:
-		maxAbs := float32(0)
-		for i := range cur {
-			if a := abs32(cur[i] - base[i]); a > maxAbs {
-				maxAbs = a
-			}
-		}
-		if maxAbs == 0 {
-			return d, nil // nothing changed: pure version bump
-		}
-		scale := maxAbs / 127
-		d.Scale = scale
-		idx := make([]uint32, 0, len(cur)/8)
-		q := make([]int8, 0, len(cur)/8)
-		for i := range cur {
-			step := int32(math.RoundToEven(float64((cur[i] - base[i]) / scale)))
-			if step == 0 {
-				continue
-			}
-			if step > 127 {
-				step = 127
-			} else if step < -127 {
-				step = -127
-			}
-			idx = append(idx, uint32(i))
-			q = append(q, int8(step))
-		}
-		if len(q) == 0 {
-			d.Scale = 0
-			return d, nil
-		}
-		// Dense layout wins once more than half the entries are non-zero
-		// (sparse pays ≥1 varint byte per 1-byte entry).
-		if len(q) > len(cur)/2 {
-			dq := make([]int8, len(cur))
-			for j, i := range idx {
-				dq[i] = q[j]
-			}
-			d.Q = dq
-		} else {
-			d.Indices = idx
-			d.Q = q
-		}
-		return d, nil
+		encodeInt8(d, base, cur)
 	case QuantNone:
-		idx := make([]uint32, 0, len(cur)/8)
-		vals := make([]float32, 0, len(cur)/8)
-		for i := range cur {
-			if cur[i] != base[i] {
-				idx = append(idx, uint32(i))
-				vals = append(vals, cur[i]-base[i])
-			}
-		}
-		if len(vals) == 0 {
-			return d, nil
-		}
-		// Sparse entries cost ~5 bytes vs 4 dense; dense wins above 4/5.
-		if len(vals) > len(cur)*4/5 {
-			dv := make([]float32, len(cur))
-			for j, i := range idx {
-				dv[i] = vals[j]
-			}
-			d.Values = dv
-		} else {
-			d.Indices = idx
-			d.Values = vals
-		}
-		return d, nil
+		encodeExact(d, base, cur)
 	default:
 		return nil, fmt.Errorf("serialize: unsupported quantBits %d: %w", quantBits, ErrBadPayload)
+	}
+	if recon != nil {
+		copy(recon, base)
+		if err := applyDeltaTo(recon, d); err != nil {
+			return nil, err // unreachable: d was built for this shape
+		}
+	}
+	return d, nil
+}
+
+// float32 bit patterns: a non-negative float orders like its bits, and every
+// NaN's magnitude bits lie above +Inf's.
+const (
+	signBit uint32 = 1 << 31
+	infBits uint32 = 0x7f800000
+)
+
+func encodeInt8(d *message.WeightsDeltaPayload, base, cur []float32) {
+	maxAbs := maxAbsDelta(base, cur)
+	if maxAbs == 0 {
+		return // nothing changed: pure version bump
+	}
+	scale := maxAbs / 127
+	d.Scale = scale
+	// |Δ| < half (both float32) implies |Δ| ≤ scale/2 exactly, so the float32
+	// quotient is at most ½ and rounds to even 0: skipping it is exact, for a
+	// subnormal scale too. NaN magnitudes are never below half.
+	half := math.Float32bits(scale / 2)
+	idx := make([]uint32, 0, len(cur)/8)
+	q := make([]int8, 0, len(cur)/8)
+	base = base[:len(cur)]
+	for i := 0; ; i++ {
+		if i = nextAtLeast(base, cur, i, half); i == len(cur) {
+			break
+		}
+		step := int32(math.RoundToEven(float64((cur[i] - base[i]) / scale)))
+		if step == 0 {
+			continue
+		}
+		if step > 127 {
+			step = 127
+		} else if step < -127 {
+			step = -127
+		}
+		idx = append(idx, uint32(i))
+		q = append(q, int8(step))
+	}
+	if len(q) == 0 {
+		d.Scale = 0
+		return
+	}
+	// Dense layout wins once more than half the entries are non-zero
+	// (sparse pays ≥1 varint byte per 1-byte entry).
+	if len(q) > len(cur)/2 {
+		dq := make([]int8, len(cur))
+		for j, i := range idx {
+			dq[i] = q[j]
+		}
+		d.Q = dq
+	} else {
+		d.Indices = idx
+		d.Q = q
+	}
+}
+
+// nextAtLeast returns the first index from i on whose |cur−base| magnitude
+// bits are at least half, or len(cur). It is the quantize sweep's hot loop,
+// kept apart from the appends so its state stays in registers.
+func nextAtLeast(base, cur []float32, i int, half uint32) int {
+	base = base[:len(cur)]
+	for ; i+4 <= len(cur); i += 4 {
+		c, b := cur[i:i+4:i+4], base[i:i+4:i+4]
+		a0 := math.Float32bits(c[0]-b[0]) &^ signBit
+		a1 := math.Float32bits(c[1]-b[1]) &^ signBit
+		a2 := math.Float32bits(c[2]-b[2]) &^ signBit
+		a3 := math.Float32bits(c[3]-b[3]) &^ signBit
+		if max(a0, a1, a2, a3) >= half {
+			break
+		}
+	}
+	for ; i < len(cur); i++ {
+		if math.Float32bits(cur[i]-base[i])&^signBit >= half {
+			return i
+		}
+	}
+	return i
+}
+
+// maxAbsDelta returns the largest |cur[i]−base[i]|, NaNs ignored. The sweep
+// compares magnitude bits, so it has no data-dependent branch; a NaN shows up
+// as a maximum above +Inf and costs one more, filtering sweep.
+func maxAbsDelta(base, cur []float32) float32 {
+	base = base[:len(cur)]
+	var m0, m1, m2, m3 uint32
+	i := 0
+	for ; i+4 <= len(cur); i += 4 {
+		c, b := cur[i:i+4:i+4], base[i:i+4:i+4]
+		m0 = max(m0, math.Float32bits(c[0]-b[0])&^signBit)
+		m1 = max(m1, math.Float32bits(c[1]-b[1])&^signBit)
+		m2 = max(m2, math.Float32bits(c[2]-b[2])&^signBit)
+		m3 = max(m3, math.Float32bits(c[3]-b[3])&^signBit)
+	}
+	for ; i < len(cur); i++ {
+		m0 = max(m0, math.Float32bits(cur[i]-base[i])&^signBit)
+	}
+	m := max(m0, m1, m2, m3)
+	if m > infBits {
+		m = 0
+		for i, c := range cur {
+			if a := math.Float32bits(c-base[i]) &^ signBit; a <= infBits {
+				m = max(m, a)
+			}
+		}
+	}
+	return math.Float32frombits(m)
+}
+
+func encodeExact(d *message.WeightsDeltaPayload, base, cur []float32) {
+	idx := make([]uint32, 0, len(cur)/8)
+	vals := make([]float32, 0, len(cur)/8)
+	base = base[:len(cur)]
+	for i, c := range cur {
+		if c != base[i] {
+			idx = append(idx, uint32(i))
+			vals = append(vals, c-base[i])
+		}
+	}
+	if len(vals) == 0 {
+		return
+	}
+	// Sparse entries cost ~5 bytes vs 4 dense; dense wins above 4/5.
+	if len(vals) > len(cur)*4/5 {
+		dv := make([]float32, len(cur))
+		for j, i := range idx {
+			dv[i] = vals[j]
+		}
+		d.Values = dv
+	} else {
+		d.Indices = idx
+		d.Values = vals
 	}
 }
 
@@ -122,31 +215,41 @@ func ApplyDelta(base []float32, d *message.WeightsDeltaPayload) ([]float32, erro
 		return nil, fmt.Errorf("serialize: delta for %d params applied to %d: %w", d.NumParams, len(base), ErrBadPayload)
 	}
 	out := append([]float32(nil), base...)
+	if err := applyDeltaTo(out, d); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// applyDeltaTo advances out by d in place: the sparse layout touches only
+// its entries, the dense layout adds every entry (zeros too, so −0 becomes
+// +0 exactly as on every destination).
+func applyDeltaTo(out []float32, d *message.WeightsDeltaPayload) error {
 	switch {
 	case d.Entries() == 0:
 		// Pure version bump.
 	case d.Indices != nil:
 		if len(d.Indices) != d.Entries() {
-			return nil, fmt.Errorf("serialize: %d indices for %d entries: %w", len(d.Indices), d.Entries(), ErrBadPayload)
+			return fmt.Errorf("serialize: %d indices for %d entries: %w", len(d.Indices), d.Entries(), ErrBadPayload)
 		}
 		if d.Scale > 0 {
 			for j, i := range d.Indices {
 				if int(i) >= len(out) {
-					return nil, fmt.Errorf("serialize: delta index %d out of range: %w", i, ErrBadPayload)
+					return fmt.Errorf("serialize: delta index %d out of range: %w", i, ErrBadPayload)
 				}
 				out[i] += d.Scale * float32(d.Q[j])
 			}
 		} else {
 			for j, i := range d.Indices {
 				if int(i) >= len(out) {
-					return nil, fmt.Errorf("serialize: delta index %d out of range: %w", i, ErrBadPayload)
+					return fmt.Errorf("serialize: delta index %d out of range: %w", i, ErrBadPayload)
 				}
 				out[i] += d.Values[j]
 			}
 		}
 	default: // dense
 		if d.Entries() != len(out) {
-			return nil, fmt.Errorf("serialize: dense delta has %d entries for %d params: %w", d.Entries(), len(out), ErrBadPayload)
+			return fmt.Errorf("serialize: dense delta has %d entries for %d params: %w", d.Entries(), len(out), ErrBadPayload)
 		}
 		if d.Scale > 0 {
 			for i, q := range d.Q {
@@ -158,7 +261,7 @@ func ApplyDelta(base []float32, d *message.WeightsDeltaPayload) ([]float32, erro
 			}
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // RelDeltaNorm returns ‖cur−base‖₂ / max(‖base‖₂, ε): the relative movement
@@ -177,13 +280,6 @@ func RelDeltaNorm(base, cur []float32) float64 {
 		den = 1e-12
 	}
 	return math.Sqrt(num / den)
-}
-
-func abs32(v float32) float32 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }
 
 // Wire encoding -----------------------------------------------------------------

@@ -2,6 +2,7 @@ package serialize
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -10,6 +11,7 @@ import (
 	"testing/quick"
 
 	"xingtian/internal/env"
+	"xingtian/internal/lz4"
 	"xingtian/internal/message"
 	"xingtian/internal/rollout"
 )
@@ -687,5 +689,69 @@ func BenchmarkPackUnpackRollout(b *testing.B) {
 			b.Fatalf("UnpackInto: %d bytes, %v", len(out), err)
 		}
 		FreeBuf(buf)
+	}
+}
+
+// denseWeightsBody marshals a 300 k-parameter weight snapshot: the 1.2 MB
+// body a weight-plane resync sends, above the LZ4 threshold and
+// incompressible.
+func denseWeightsBody(tb testing.TB) []byte {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(1))
+	w := &message.WeightsPayload{Version: 1, Data: make([]float32, 300_000)}
+	for i := range w.Data {
+		w.Data[i] = float32(rng.NormFloat64() * 0.1)
+	}
+	raw, err := Marshal(w)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return raw
+}
+
+// TestPackProbeDecidesOnTheHead: above the threshold, Pack compresses a body
+// only when its first packProbeBytes shrink. A compressible head yields the
+// frame that compressing the whole body gives, byte for byte; an
+// incompressible head — a dense weight snapshot, or noise ahead of a
+// compressible tail — is framed raw.
+func TestPackProbeDecidesOnTheHead(t *testing.T) {
+	c := NewCompressor()
+	frames, err := Marshal(breakoutBatch(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := binary.LittleEndian.AppendUint64([]byte{frameLZ4}, uint64(len(frames)))
+	want = lz4.Compress(want, frames)
+	if framed, compressed := c.Pack(frames); !compressed || !bytes.Equal(framed, want) {
+		t.Fatalf("frame rollout: compressed=%v, %d bytes; want the whole-body LZ4 frame of %d bytes", compressed, len(framed), len(want))
+	}
+
+	noise := make([]byte, packProbeBytes)
+	rand.New(rand.NewSource(9)).Read(noise)
+	noisyHead := append(noise, make([]byte, 2<<20)...)
+	for name, raw := range map[string][]byte{"dense weights": denseWeightsBody(t), "noisy head": noisyHead} {
+		framed, compressed := c.Pack(raw)
+		if compressed || len(framed) != len(raw)+1 {
+			t.Fatalf("%s: compressed=%v, %d framed bytes for %d raw; want a raw frame", name, compressed, len(framed), len(raw))
+		}
+		if out, err := Unpack(framed); err != nil || !bytes.Equal(out, raw) {
+			t.Fatalf("%s: raw frame round trip: %v", name, err)
+		}
+	}
+}
+
+// packSink keeps BenchmarkPackDenseWeights' result live.
+var packSink []byte
+
+// BenchmarkPackDenseWeights frames a dense weight snapshot, the body of every
+// weight-plane resync.
+func BenchmarkPackDenseWeights(b *testing.B) {
+	raw := denseWeightsBody(b)
+	c := NewCompressor()
+	b.SetBytes(int64(len(raw)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		packSink, _ = c.Pack(raw)
 	}
 }

@@ -70,21 +70,33 @@ type Stats struct {
 	// quarantined, so the committed aggregate was recomputed over the
 	// survivors and re-planned out of cadence.
 	Corrections int64
-	// EMANorm is the current adaptive-threshold EMA of relative delta norms.
-	EMANorm float64
+}
+
+// ringEntry is one canonical reconstruction a destination may still hold.
+// A skipped version's entry shares its predecessor's vec.
+type ringEntry struct {
+	version int64
+	vec     []float32
+	live    bool // prune's mark
 }
 
 // Planner plans weight broadcasts. Safe for concurrent use.
+//
+// Ring vectors are planner-private: no Outbound body aliases one (a dense
+// body is a copy, a delta body owns its entries), so a vector prune drops —
+// and no surviving entry shares — becomes the next version's reconstruction
+// buffer instead of garbage.
 type Planner struct {
 	cfg Config
 
 	mu        sync.Mutex
-	ring      map[int64][]float32 // canonical reconstructions by version
-	lastSent  map[string]int64    // per-destination version last planned
-	prevAcked map[string]int64    // per-destination high-water acked version
-	stale     map[string]bool     // NACKed or restart-suspected destinations
-	lastVer   int64               // version of the newest ring entry
-	prevChain int64               // base version the newest chain delta applies to
+	ring      []ringEntry      // canonical reconstructions still needed
+	spare     []float32        // one dropped ring vector, reused by the next version
+	lastSent  map[string]int64 // per-destination version last planned
+	prevAcked map[string]int64 // per-destination high-water acked version
+	stale     map[string]bool  // NACKed or restart-suspected destinations
+	lastVer   int64            // version of the newest ring entry
+	prevChain int64            // base version the newest chain delta applies to
 	emaNorm   float64
 	stats     Stats
 }
@@ -96,7 +108,6 @@ func New(cfg Config) *Planner {
 	}
 	return &Planner{
 		cfg:       cfg,
-		ring:      make(map[int64][]float32),
 		lastSent:  make(map[string]int64),
 		prevAcked: make(map[string]int64),
 		stale:     make(map[string]bool),
@@ -127,15 +138,14 @@ func (p *Planner) NoteCorrection() {
 func (p *Planner) Stats() Stats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	s := p.stats
-	s.EMANorm = p.emaNorm
-	return s
+	return p.stats
 }
 
 // Plan maps a broadcast of cur@version to dsts into grouped messages.
 // acked carries the last weights version observed on each destination's
 // rollouts (may be nil). The returned groups cover every destination
-// exactly once.
+// exactly once. Plan keeps no reference to cur, and the returned bodies are
+// the caller's: the planner never writes to them again.
 func (p *Planner) Plan(cur []float32, version int64, dsts []string, acked map[string]int64) []Outbound {
 	if len(dsts) == 0 {
 		return nil
@@ -165,13 +175,13 @@ func (p *Planner) Plan(cur []float32, version int64, dsts []string, acked map[st
 		}
 	}
 
-	recon, chainDelta, _ := p.advanceChain(cur, version)
+	recon, chainDelta := p.advanceChain(cur, version)
 
 	var denseDsts []string
 	deltaByBase := make(map[int64][]string)
 	for _, d := range dsts {
 		base, sentBefore := p.lastSent[d]
-		_, haveBase := p.ring[base]
+		_, haveBase := p.lookup(base)
 		ackedV, haveAck := acked[d]
 		switch {
 		case p.stale[d] || !sentBefore || !haveBase:
@@ -205,7 +215,8 @@ func (p *Planner) Plan(cur []float32, version int64, dsts []string, acked map[st
 			body = &message.WeightsDeltaPayload{Version: version, BaseVersion: base, NumParams: int32(len(recon))}
 		default:
 			// Straggler base: exact delta onto the canonical target.
-			exact, err := serialize.EncodeDelta(p.ring[base], recon, base, version, serialize.QuantNone)
+			baseVec, _ := p.lookup(base)
+			exact, err := serialize.EncodeDelta(baseVec, recon, base, version, serialize.QuantNone)
 			if err != nil {
 				// Shape changed under us — dense is always safe.
 				out = append(out, Outbound{
@@ -239,59 +250,53 @@ func (p *Planner) Plan(cur []float32, version int64, dsts []string, acked map[st
 }
 
 // advanceChain extends the canonical reconstruction chain to version and
-// returns the canonical vector, the chain delta from the previous broadcast
-// version (nil when this is the first broadcast or shapes changed), and
-// whether the adaptive threshold skipped the update.
-func (p *Planner) advanceChain(cur []float32, version int64) (recon []float32, chainDelta *message.WeightsDeltaPayload, skipped bool) {
-	if r, ok := p.ring[version]; ok && p.lastVer == version {
+// returns the canonical vector and the chain delta from the previous
+// broadcast version (nil when this is the first broadcast or shapes
+// changed). An update the adaptive threshold skips is an empty chain delta.
+func (p *Planner) advanceChain(cur []float32, version int64) (recon []float32, chainDelta *message.WeightsDeltaPayload) {
+	if r, ok := p.lookup(version); ok && p.lastVer == version {
 		// Re-broadcast of an already-planned version (learner warm-up).
-		return r, nil, false
+		return r, nil
 	}
-	prev, havePrev := p.ring[p.lastVer]
+	prev, havePrev := p.lookup(p.lastVer)
 	if !havePrev || len(prev) != len(cur) {
-		recon = append([]float32(nil), cur...)
-		p.ring[version] = recon
+		recon = p.vector(len(cur))
+		copy(recon, cur)
+		p.store(version, recon)
 		p.lastVer = version
-		return recon, nil, false
+		return recon, nil
 	}
 
-	relNorm := serialize.RelDeltaNorm(prev, cur)
-	if p.cfg.SkipFactor > 0 && p.emaNorm > 0 && relNorm < p.cfg.SkipFactor*p.emaNorm {
-		// Below threshold: canonical weights stay put, version advances.
-		recon = prev
-		p.ring[version] = recon
-		chainDelta = &message.WeightsDeltaPayload{
-			Version: version, BaseVersion: p.lastVer, NumParams: int32(len(cur)),
+	if p.cfg.SkipFactor > 0 {
+		relNorm := serialize.RelDeltaNorm(prev, cur)
+		if p.emaNorm > 0 && relNorm < p.cfg.SkipFactor*p.emaNorm {
+			// Below threshold: canonical weights stay put, version advances.
+			p.store(version, prev)
+			chainDelta = &message.WeightsDeltaPayload{
+				Version: version, BaseVersion: p.lastVer, NumParams: int32(len(cur)),
+			}
+			p.prevChain = p.lastVer
+			p.lastVer = version
+			return prev, chainDelta
 		}
-		p.prevChain = p.lastVer
-		p.lastVer = version
-		return recon, chainDelta, true
-	}
-	if relNorm > 0 {
-		if p.emaNorm == 0 {
-			p.emaNorm = relNorm
-		} else {
-			p.emaNorm = (1-emaAlpha)*p.emaNorm + emaAlpha*relNorm
+		if relNorm > 0 {
+			if p.emaNorm == 0 {
+				p.emaNorm = relNorm
+			} else {
+				p.emaNorm = (1-emaAlpha)*p.emaNorm + emaAlpha*relNorm
+			}
 		}
 	}
 
-	d, err := serialize.EncodeDelta(prev, cur, p.lastVer, version, p.cfg.QuantBits)
+	recon = p.vector(len(cur))
+	d, err := serialize.EncodeDeltaInto(prev, cur, recon, p.lastVer, version, p.cfg.QuantBits)
 	if err != nil {
-		recon = append([]float32(nil), cur...)
-		p.ring[version] = recon
-		p.prevChain = p.lastVer
-		p.lastVer = version
-		return recon, nil, false
+		copy(recon, cur)
 	}
-	recon, err = serialize.ApplyDelta(prev, d)
-	if err != nil {
-		recon = append([]float32(nil), cur...)
-		d = nil
-	}
-	p.ring[version] = recon
+	p.store(version, recon)
 	p.prevChain = p.lastVer
 	p.lastVer = version
-	return recon, d, false
+	return recon, d
 }
 
 // prevChainBase returns the base version the chain delta for version was
@@ -303,15 +308,82 @@ func (p *Planner) prevChainBase(version int64) int64 {
 	return -1
 }
 
-// prune drops ring entries no destination can still need.
-func (p *Planner) prune(version int64) {
-	needed := map[int64]bool{version: true, p.lastVer: true}
-	for _, v := range p.lastSent {
-		needed[v] = true
-	}
-	for v := range p.ring {
-		if !needed[v] {
-			delete(p.ring, v)
+// lookup returns the ring's reconstruction for version.
+func (p *Planner) lookup(version int64) ([]float32, bool) {
+	for _, e := range p.ring {
+		if e.version == version {
+			return e.vec, true
 		}
 	}
+	return nil, false
+}
+
+// store files vec as version's reconstruction.
+func (p *Planner) store(version int64, vec []float32) {
+	for i := range p.ring {
+		if p.ring[i].version == version {
+			p.ring[i].vec = vec
+			return
+		}
+	}
+	p.ring = append(p.ring, ringEntry{version: version, vec: vec})
+}
+
+// vector returns an n-parameter buffer for a new reconstruction: the spare
+// when it is large enough, a fresh one otherwise.
+func (p *Planner) vector(n int) []float32 {
+	if cap(p.spare) >= n {
+		v := p.spare[:n]
+		p.spare = nil
+		return v
+	}
+	return make([]float32, n)
+}
+
+// prune drops ring entries no destination can still need. One dropped
+// vector that no surviving entry shares is kept as the spare.
+func (p *Planner) prune(version int64) {
+	for i := range p.ring {
+		p.ring[i].live = p.needed(p.ring[i].version, version)
+	}
+	for _, e := range p.ring {
+		if !e.live && p.spare == nil && !p.liveShares(e.vec) {
+			p.spare = e.vec
+		}
+	}
+	kept := p.ring[:0]
+	for _, e := range p.ring {
+		if e.live {
+			kept = append(kept, e)
+		}
+	}
+	clear(p.ring[len(kept):])
+	p.ring = kept
+}
+
+// needed reports whether a destination may still hold v, or v is the
+// version being broadcast.
+func (p *Planner) needed(v, version int64) bool {
+	if v == version || v == p.lastVer {
+		return true
+	}
+	for _, sent := range p.lastSent {
+		if sent == v {
+			return true
+		}
+	}
+	return false
+}
+
+// liveShares reports whether a live ring entry uses vec's backing array.
+func (p *Planner) liveShares(vec []float32) bool {
+	if len(vec) == 0 {
+		return true // nothing worth recycling
+	}
+	for _, e := range p.ring {
+		if e.live && len(e.vec) > 0 && &e.vec[0] == &vec[0] {
+			return true
+		}
+	}
+	return false
 }

@@ -1,7 +1,11 @@
 package weightplane
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
+	"sort"
+	"sync"
 	"testing"
 
 	"xingtian/internal/message"
@@ -267,4 +271,125 @@ func TestPlannerDisabledIsDenseStar(t *testing.T) {
 	if len(outs) != 1 || outs[0].Type != message.TypeWeights || len(outs[0].Dsts) != 2 {
 		t.Fatalf("disabled planner produced %+v", outs)
 	}
+}
+
+// TestPlannerRecyclingMatchesReference: over 500 versions, with skipped
+// versions aliasing ring entries, a straggler three versions behind, a NACK
+// every 10th version and an ack regression, the recycling planner emits the
+// same messages as the reference planner, which never reuses a vector. The
+// learner's vector is updated in place between broadcasts, as the learners
+// do; every dense body handed out is scribbled over, and every body is read
+// by another goroutine while the next broadcast is planned, as the
+// asynchronous sender does — so a ring vector that leaks into a body fails
+// the comparison, and under -race the race detector.
+func TestPlannerRecyclingMatchesReference(t *testing.T) {
+	cfg := Config{Enabled: true, QuantBits: serialize.QuantInt8, SkipFactor: 0.5}
+	p, ref := New(cfg), newRefPlanner(cfg)
+	rng := rand.New(rand.NewSource(8))
+	w := step(rng, make([]float32, 2000), 1)
+	all := []string{"a", "b", "c", "straggler"}
+	acked := map[string]int64{}
+	var sender sync.WaitGroup
+	defer sender.Wait()
+	var exact int
+	for v := int64(1); v <= 500; v++ {
+		if v%3 == 0 { // negligible: the adaptive threshold skips it
+			w[rng.Intn(len(w))] += 1e-7
+		} else {
+			for i := range w {
+				if rng.Float64() < 0.05 {
+					w[i] += float32(rng.NormFloat64() * 0.02)
+				}
+			}
+		}
+		dsts := all[:3]
+		if v%4 == 0 {
+			dsts = all // the straggler last heard version v-4
+		}
+		if v%10 == 0 {
+			p.MarkStale("b")
+			ref.MarkStale("b")
+		}
+		acked["a"], acked["c"] = v-1, v-1
+		if v == 250 {
+			acked["a"] = v - 5 // a silent restart
+		}
+		got := p.Plan(w, v, dsts, acked)
+		want := ref.Plan(w, v, dsts, acked)
+		sameOutbounds(t, v, got, want)
+		for _, o := range got {
+			switch b := o.Body.(type) {
+			case *message.WeightsPayload:
+				for i := range b.Data {
+					b.Data[i] = float32(math.NaN())
+				}
+			case *message.WeightsDeltaPayload:
+				if b.Values != nil {
+					exact++
+				}
+			}
+		}
+		sender.Wait()
+		sender.Add(1)
+		go func(outs []Outbound) {
+			defer sender.Done()
+			for _, o := range outs {
+				if _, err := serialize.Marshal(o.Body); err != nil {
+					t.Errorf("marshal: %v", err)
+				}
+			}
+		}(got)
+	}
+	s := p.Stats()
+	if s.Empty == 0 || s.Dense == 0 || s.Delta == 0 || exact == 0 {
+		t.Fatalf("stats %+v with %d straggler deltas: want skips, dense resyncs, chain and straggler deltas", s, exact)
+	}
+	if rs := ref.stats; s != rs {
+		t.Fatalf("stats %+v, reference %+v", s, rs)
+	}
+}
+
+// sameOutbounds compares two plans group by group, float bodies by bits. The
+// order of groups is not part of the contract.
+func sameOutbounds(t *testing.T, v int64, got, want []Outbound) {
+	t.Helper()
+	byDst := func(outs []Outbound) []Outbound {
+		outs = append([]Outbound(nil), outs...)
+		sort.Slice(outs, func(i, j int) bool { return outs[i].Dsts[0] < outs[j].Dsts[0] })
+		return outs
+	}
+	got, want = byDst(got), byDst(want)
+	if len(got) != len(want) {
+		t.Fatalf("version %d: %d groups, reference %d", v, len(got), len(want))
+	}
+	for k := range got {
+		g, w := got[k], want[k]
+		if g.Type != w.Type || g.BaseVersion != w.BaseVersion || !reflect.DeepEqual(g.Dsts, w.Dsts) {
+			t.Fatalf("version %d: group %v %d %v, reference %v %d %v", v, g.Type, g.BaseVersion, g.Dsts, w.Type, w.BaseVersion, w.Dsts)
+		}
+		if !reflect.DeepEqual(bodyBits(g.Body), bodyBits(w.Body)) {
+			t.Fatalf("version %d: %v body to %v differs from the reference", v, g.Type, g.Dsts)
+		}
+	}
+}
+
+// bodyBits is a weights body with its floats replaced by their bit patterns.
+func bodyBits(body any) any {
+	bits := func(v []float32) []uint32 {
+		if v == nil {
+			return nil
+		}
+		out := make([]uint32, len(v))
+		for i, x := range v {
+			out[i] = math.Float32bits(x)
+		}
+		return out
+	}
+	switch b := body.(type) {
+	case *message.WeightsPayload:
+		return []any{b.Version, bits(b.Data)}
+	case *message.WeightsDeltaPayload:
+		return []any{b.Version, b.BaseVersion, b.NumParams, math.Float32bits(b.Scale), b.Indices, b.Q, bits(b.Values)}
+	}
+	return body
 }
