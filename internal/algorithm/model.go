@@ -7,6 +7,7 @@ package algorithm
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"xingtian/internal/env"
@@ -87,33 +88,41 @@ type weightMirror struct {
 	flat    []float32
 }
 
+// mirrorInvalid is the version of a mirror whose vector no longer matches
+// the agent's weights: no delta's base, so every delta is refused (and
+// NACKed) until a dense snapshot re-seeds it.
+const mirrorInvalid = math.MinInt64
+
 // setDense records a full snapshot as the new base.
 func (m *weightMirror) setDense(w *message.WeightsPayload) {
 	m.flat = append(m.flat[:0], w.Data...)
 	m.version = w.Version
 }
 
-// applyDelta advances the mirror by one delta, installing the reconstructed
-// vector via install before committing (empty version bumps skip the
-// install). On any error the mirror is left unchanged, so the caller can
-// NACK and keep sampling on its current weights.
+// applyDelta advances the mirror by one delta in place, then installs the
+// advanced vector via install (empty version bumps skip the install). A
+// delta that does not apply leaves the mirror unchanged; an install that
+// fails leaves it ahead of the agent, so it is invalidated. Either way the
+// caller can NACK and keep sampling on its current weights.
 func (m *weightMirror) applyDelta(d *message.WeightsDeltaPayload, install func([]float32) error) error {
 	if m.flat == nil {
 		return fmt.Errorf("no weights applied yet, delta base %d unavailable", d.BaseVersion)
 	}
+	if m.version == mirrorInvalid {
+		return fmt.Errorf("mirror invalidated by a failed install, delta base %d unavailable", d.BaseVersion)
+	}
 	if m.version != d.BaseVersion {
 		return fmt.Errorf("mirror at version %d, delta expects base %d", m.version, d.BaseVersion)
 	}
-	next, err := serialize.ApplyDelta(m.flat, d)
-	if err != nil {
+	if _, err := serialize.ApplyDelta(m.flat, d); err != nil {
 		return err
 	}
 	if d.Entries() > 0 && install != nil {
-		if err := install(next); err != nil {
+		if err := install(m.flat); err != nil {
+			m.version = mirrorInvalid
 			return err
 		}
 	}
-	m.flat = next
 	m.version = d.Version
 	return nil
 }
@@ -128,11 +137,13 @@ func actorCriticWeights(policy, value *nn.Network) []float32 {
 	return append(out, vw...)
 }
 
-// setActorCriticWeights splits a combined payload back into the two nets.
+// setActorCriticWeights splits a combined payload back into the two nets. A
+// payload of the wrong length writes neither, so an agent is never left on
+// half-installed weights.
 func setActorCriticWeights(policy, value *nn.Network, w []float32) error {
-	np := policy.NumParams()
-	if len(w) < np {
-		return nn.ErrWeightSize
+	np, nv := policy.NumParams(), value.NumParams()
+	if len(w) != np+nv {
+		return fmt.Errorf("%w: got %d, actor-critic has %d+%d params", nn.ErrWeightSize, len(w), np, nv)
 	}
 	if err := policy.SetFlatWeights(w[:np]); err != nil {
 		return err

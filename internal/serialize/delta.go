@@ -35,9 +35,9 @@ func EncodeDelta(base, cur []float32, baseVersion, version int64, quantBits int)
 }
 
 // EncodeDeltaInto is EncodeDelta that also writes into recon, when recon is
-// non-nil, the vector ApplyDelta(base, d) returns — bit for bit, without
-// allocating it. recon must have len(base) and share no memory with base or
-// cur. The planner's canonical chain step is this one call.
+// non-nil, the vector ApplyDelta(base, d) leaves in a copy of base — bit for
+// bit, without allocating it. recon must have len(base) and share no memory
+// with base or cur. The planner's canonical chain step is this one call.
 //
 // The int8 path is two sweeps over (base, cur): the largest |Δ|, then the
 // quantization, which skips the divide and the round for every |Δ| below
@@ -66,9 +66,7 @@ func EncodeDeltaInto(base, cur, recon []float32, baseVersion, version int64, qua
 	}
 	if recon != nil {
 		copy(recon, base)
-		if err := applyDeltaTo(recon, d); err != nil {
-			return nil, err // unreachable: d was built for this shape
-		}
+		addDelta(recon, d) // d was built for this shape: nothing to check
 	}
 	return d, nil
 }
@@ -206,25 +204,28 @@ func encodeExact(d *message.WeightsDeltaPayload, base, cur []float32) {
 	}
 }
 
-// ApplyDelta returns base advanced by d. It never mutates base; callers that
-// chain deltas keep the returned slice as the next base. Version bookkeeping
-// (d.BaseVersion matching the caller's current version) is the caller's
-// responsibility — this function validates shape only.
+// ApplyDelta advances base by d in place and returns it, so a destination
+// chains deltas on its own vector without allocating. The whole payload is
+// validated before the first write: on an error base is left bit-identical
+// and the result is nil. Callers that still need the old vector apply to a
+// copy. Version bookkeeping (d.BaseVersion matching the caller's current
+// version) is the caller's responsibility — this function validates shape
+// only.
 func ApplyDelta(base []float32, d *message.WeightsDeltaPayload) ([]float32, error) {
-	if int(d.NumParams) != len(base) {
-		return nil, fmt.Errorf("serialize: delta for %d params applied to %d: %w", d.NumParams, len(base), ErrBadPayload)
-	}
-	out := append([]float32(nil), base...)
-	if err := applyDeltaTo(out, d); err != nil {
+	if err := checkDelta(len(base), d); err != nil {
 		return nil, err
 	}
-	return out, nil
+	addDelta(base, d)
+	return base, nil
 }
 
-// applyDeltaTo advances out by d in place: the sparse layout touches only
-// its entries, the dense layout adds every entry (zeros too, so −0 becomes
-// +0 exactly as on every destination).
-func applyDeltaTo(out []float32, d *message.WeightsDeltaPayload) error {
+// checkDelta accepts d for an n-parameter vector when its parameter count
+// matches and its entries fit: a sparse layout needs one index per entry,
+// every one below n; a dense layout needs n entries.
+func checkDelta(n int, d *message.WeightsDeltaPayload) error {
+	if int(d.NumParams) != n {
+		return fmt.Errorf("serialize: delta for %d params applied to %d: %w", d.NumParams, n, ErrBadPayload)
+	}
 	switch {
 	case d.Entries() == 0:
 		// Pure version bump.
@@ -232,25 +233,39 @@ func applyDeltaTo(out []float32, d *message.WeightsDeltaPayload) error {
 		if len(d.Indices) != d.Entries() {
 			return fmt.Errorf("serialize: %d indices for %d entries: %w", len(d.Indices), d.Entries(), ErrBadPayload)
 		}
+		var hi uint32
+		for _, i := range d.Indices {
+			hi = max(hi, i)
+		}
+		if uint64(hi) >= uint64(n) {
+			return fmt.Errorf("serialize: delta index %d out of range: %w", hi, ErrBadPayload)
+		}
+	default: // dense
+		if d.Entries() != n {
+			return fmt.Errorf("serialize: dense delta has %d entries for %d params: %w", d.Entries(), n, ErrBadPayload)
+		}
+	}
+	return nil
+}
+
+// addDelta advances out in place by a payload checkDelta accepts for it: the
+// sparse layout touches only its entries, the dense layout adds every entry
+// (zeros too, so −0 becomes +0 exactly as on every destination).
+func addDelta(out []float32, d *message.WeightsDeltaPayload) {
+	switch {
+	case d.Entries() == 0:
+		// Pure version bump.
+	case d.Indices != nil:
 		if d.Scale > 0 {
 			for j, i := range d.Indices {
-				if int(i) >= len(out) {
-					return fmt.Errorf("serialize: delta index %d out of range: %w", i, ErrBadPayload)
-				}
 				out[i] += d.Scale * float32(d.Q[j])
 			}
 		} else {
 			for j, i := range d.Indices {
-				if int(i) >= len(out) {
-					return fmt.Errorf("serialize: delta index %d out of range: %w", i, ErrBadPayload)
-				}
 				out[i] += d.Values[j]
 			}
 		}
 	default: // dense
-		if d.Entries() != len(out) {
-			return fmt.Errorf("serialize: dense delta has %d entries for %d params: %w", d.Entries(), len(out), ErrBadPayload)
-		}
 		if d.Scale > 0 {
 			for i, q := range d.Q {
 				out[i] += d.Scale * float32(q)
@@ -261,7 +276,6 @@ func applyDeltaTo(out []float32, d *message.WeightsDeltaPayload) error {
 			}
 		}
 	}
-	return nil
 }
 
 // RelDeltaNorm returns ‖cur−base‖₂ / max(‖base‖₂, ε): the relative movement
@@ -346,6 +360,10 @@ func appendWeightsDelta(out []byte, d *message.WeightsDeltaPayload) []byte {
 	return putBytes(out, block)
 }
 
+// unmarshalWeightsDelta reads the entry block as a view of data, or
+// decompresses it into pooled scratch freed before it returns; either way
+// the payload's entries are copied out, so nothing it returns aliases data
+// or the pool.
 func unmarshalWeightsDelta(data []byte) (*message.WeightsDeltaPayload, error) {
 	r := &reader{data: data}
 	d := &message.WeightsDeltaPayload{
@@ -358,19 +376,26 @@ func unmarshalWeightsDelta(data []byte) (*message.WeightsDeltaPayload, error) {
 	var block []byte
 	if flags&deltaFlagLZ4 != 0 {
 		rawLen := int(r.u32())
-		comp := r.bytes()
+		comp := r.view()
 		if r.err != nil {
 			return nil, r.err
 		}
-		if rawLen < 0 || rawLen > 4+9*int(uint32(d.NumParams)) {
+		// An LZ4 sequence decodes to fewer than 255 bytes per byte it takes
+		// (a match-length byte adds at most 255), so a larger rawLen could
+		// only fail to decompress: refuse it before allocating for it.
+		if rawLen < 0 || rawLen > 4+9*int(uint32(d.NumParams)) || rawLen > 255*len(comp) {
 			return nil, fmt.Errorf("implausible delta block size %d: %w", rawLen, ErrBadPayload)
 		}
-		block = make([]byte, rawLen)
+		scratch := GetBuf(rawLen)
+		defer FreeBuf(scratch)
+		// Decompress fills all rawLen bytes or fails, so no stale pool
+		// contents survive into the block.
+		block = scratch[:rawLen]
 		if _, err := lz4.Decompress(block, comp); err != nil {
 			return nil, fmt.Errorf("delta block: %w", err)
 		}
 	} else {
-		block = r.bytes()
+		block = r.view()
 		if r.err != nil {
 			return nil, r.err
 		}
@@ -383,6 +408,11 @@ func unmarshalWeightsDelta(data []byte) (*message.WeightsDeltaPayload, error) {
 	}
 	if entries < 0 || entries > int(uint32(d.NumParams)) || d.NumParams < 0 {
 		return nil, fmt.Errorf("delta entry count %d for %d params: %w", entries, d.NumParams, ErrBadPayload)
+	}
+	// Every entry takes at least one byte of the block: a larger count is a
+	// truncated block, refused before anything is allocated for it.
+	if entries > len(block)-br.pos {
+		return nil, fmt.Errorf("truncated delta entries: %w", ErrBadPayload)
 	}
 	if flags&deltaFlagSparse != 0 {
 		d.Indices = make([]uint32, entries)
@@ -412,10 +442,12 @@ func unmarshalWeightsDelta(data []byte) (*message.WeightsDeltaPayload, error) {
 		if br.pos+entries > len(block) {
 			return nil, fmt.Errorf("truncated delta entries: %w", ErrBadPayload)
 		}
-		d.Q = make([]int8, entries)
-		for j := 0; j < entries; j++ {
-			d.Q[j] = int8(block[br.pos+j])
+		src := block[br.pos : br.pos+entries]
+		q := make([]int8, len(src))
+		for j, b := range src {
+			q[j] = int8(b)
 		}
+		d.Q = q
 		br.pos += entries
 	} else {
 		d.Scale = 0

@@ -3,10 +3,13 @@ package serialize
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -20,6 +23,10 @@ func randVec(rng *rand.Rand, n int) []float32 {
 	}
 	return v
 }
+
+// cloneVec copies v: ApplyDelta advances its argument in place, so a test
+// that still needs base applies to a clone of it.
+func cloneVec(v []float32) []float32 { return append([]float32(nil), v...) }
 
 // perturb returns base with a fraction of entries nudged, mimicking one
 // optimizer step's worth of parameter movement.
@@ -91,7 +98,7 @@ func TestDeltaEmptyVersionBump(t *testing.T) {
 	if d.Entries() != 0 {
 		t.Fatalf("identical vectors produced %d entries", d.Entries())
 	}
-	got, err := ApplyDelta(base, d)
+	got, err := ApplyDelta(cloneVec(base), d)
 	if err != nil {
 		t.Fatalf("ApplyDelta: %v", err)
 	}
@@ -148,11 +155,11 @@ func TestDeltaWireRoundTrip(t *testing.T) {
 			t.Fatalf("%s: Unmarshal returned %T", tc.name, back)
 		}
 		// The wire form must reconstruct the identical vector.
-		want, err := ApplyDelta(base, d)
+		want, err := ApplyDelta(cloneVec(base), d)
 		if err != nil {
 			t.Fatalf("%s: ApplyDelta(sent): %v", tc.name, err)
 		}
-		got, err := ApplyDelta(base, d2)
+		got, err := ApplyDelta(cloneVec(base), d2)
 		if err != nil {
 			t.Fatalf("%s: ApplyDelta(received): %v", tc.name, err)
 		}
@@ -215,8 +222,8 @@ func TestPropertyDeltaRoundTrip(t *testing.T) {
 			return false
 		}
 		d2 := back.(*message.WeightsDeltaPayload)
-		want, err1 := ApplyDelta(base, d)
-		got, err2 := ApplyDelta(base, d2)
+		want, err1 := ApplyDelta(cloneVec(base), d)
+		got, err2 := ApplyDelta(cloneVec(base), d2)
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -249,7 +256,9 @@ func TestRelDeltaNorm(t *testing.T) {
 
 // FuzzDeltaApply: arbitrary bytes through the delta unmarshaller either fail
 // cleanly or produce a payload that applies within bounds — never a panic or
-// an out-of-range write.
+// an out-of-range write. ApplyDelta fails exactly when the oracle does and
+// then leaves its vector bit-identical; when it succeeds it matches the
+// oracle bit for bit.
 func FuzzDeltaApply(f *testing.F) {
 	rng := rand.New(rand.NewSource(5))
 	base := randVec(rng, 64)
@@ -276,8 +285,178 @@ func FuzzDeltaApply(f *testing.F) {
 			return
 		}
 		vec := make([]float32, int(uint32(d.NumParams))%4096)
-		_, _ = ApplyDelta(vec, d)
+		for i := range vec {
+			vec[i] = float32(i%7) - 3
+			if i%11 == 0 {
+				vec[i] = float32(math.Copysign(0, -1))
+			}
+		}
+		before := cloneVec(vec)
+		want, wantErr := applyDeltaOracle(before, d)
+		got, err := ApplyDelta(vec, d)
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("ApplyDelta error %v, oracle error %v", err, wantErr)
+		}
+		if err != nil {
+			want = before
+		} else if len(vec) > 0 && &got[0] != &vec[0] {
+			t.Fatal("ApplyDelta did not advance its argument in place")
+		}
+		if !slices.Equal(float32Bits(vec), float32Bits(want)) {
+			t.Fatalf("vector after ApplyDelta (error %v) differs from the oracle's", err)
+		}
 	})
+}
+
+// deltaKind is one payload kind encoded over its own base vector.
+type deltaKind struct {
+	name string
+	base []float32
+	d    *message.WeightsDeltaPayload
+}
+
+// deltaKinds encodes one delta of each payload kind — sparse int8, dense
+// int8, sparse exact, dense exact and empty — over fresh n-parameter vectors
+// whose first parameter is −0.
+func deltaKinds(t *testing.T, n int) []deltaKind {
+	t.Helper()
+	rng := rand.New(rand.NewSource(11))
+	var out []deltaKind
+	for _, tc := range []struct {
+		name  string
+		frac  float64
+		quant int
+		dense bool
+	}{
+		{"sparse-int8", 0.05, QuantInt8, false},
+		{"dense-int8", 0.95, QuantInt8, true},
+		{"sparse-exact", 0.05, QuantNone, false},
+		{"dense-exact", 0.95, QuantNone, true},
+		{"empty", 0, QuantInt8, false},
+	} {
+		base := randVec(rng, n)
+		base[0] = float32(math.Copysign(0, -1))
+		d, err := EncodeDelta(base, perturb(rng, base, tc.frac, 0.02), 1, 2, tc.quant)
+		if err != nil {
+			t.Fatalf("%s: EncodeDelta: %v", tc.name, err)
+		}
+		if (d.Entries() == 0) != (tc.frac == 0) || (d.Indices == nil && d.Entries() > 0) != tc.dense {
+			t.Fatalf("%s: encoded %d entries, sparse=%v", tc.name, d.Entries(), d.Indices != nil)
+		}
+		out = append(out, deltaKind{tc.name, base, d})
+	}
+	return out
+}
+
+// TestApplyDeltaInPlace pins ApplyDelta's contract on every payload kind: the
+// result is base itself, advanced without allocating, bit-identical to the
+// copy-then-apply oracle.
+func TestApplyDeltaInPlace(t *testing.T) {
+	for _, k := range deltaKinds(t, 400) {
+		want, err := applyDeltaOracle(k.base, k.d)
+		if err != nil {
+			t.Fatalf("%s: oracle: %v", k.name, err)
+		}
+		got, err := ApplyDelta(k.base, k.d)
+		if err != nil {
+			t.Fatalf("%s: ApplyDelta: %v", k.name, err)
+		}
+		if len(got) != len(k.base) || &got[0] != &k.base[0] {
+			t.Fatalf("%s: result does not share base's backing array", k.name)
+		}
+		if !reflect.DeepEqual(float32Bits(got), float32Bits(want)) {
+			t.Fatalf("%s: in-place result differs from the oracle", k.name)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { _, _ = ApplyDelta(k.base, k.d) }); allocs != 0 {
+			t.Fatalf("%s: ApplyDelta allocates %.0f times, want 0", k.name, allocs)
+		}
+	}
+}
+
+// TestApplyDeltaErrorLeavesBaseUntouched: every malformed payload is refused
+// before the first write — including one whose only bad index is its last.
+func TestApplyDeltaErrorLeavesBaseUntouched(t *testing.T) {
+	kinds := deltaKinds(t, 400)
+	sparse, dense := kinds[0], kinds[1]
+	for _, tc := range []struct {
+		name string
+		kind deltaKind
+		bad  func(d *message.WeightsDeltaPayload)
+	}{
+		{"last index out of range", sparse, func(d *message.WeightsDeltaPayload) {
+			d.Indices = append([]uint32(nil), d.Indices...)
+			d.Indices[len(d.Indices)-1] = uint32(d.NumParams)
+		}},
+		{"index count differs from entries", sparse, func(d *message.WeightsDeltaPayload) {
+			d.Indices = d.Indices[:len(d.Indices)-1]
+		}},
+		{"dense entries differ from params", dense, func(d *message.WeightsDeltaPayload) {
+			d.Q = d.Q[:len(d.Q)-1]
+		}},
+		{"NumParams differs from len(base)", sparse, func(d *message.WeightsDeltaPayload) {
+			d.NumParams++
+		}},
+	} {
+		d := *tc.kind.d
+		tc.bad(&d)
+		before := float32Bits(tc.kind.base)
+		got, err := ApplyDelta(tc.kind.base, &d)
+		if !errors.Is(err, ErrBadPayload) || got != nil {
+			t.Fatalf("%s: ApplyDelta = %d params, %v; want nil, ErrBadPayload", tc.name, len(got), err)
+		}
+		if !reflect.DeepEqual(float32Bits(tc.kind.base), before) {
+			t.Fatalf("%s: a refused delta modified base", tc.name)
+		}
+	}
+}
+
+// TestDeltaDecodeBoundsAllocation: a few bytes that declare a huge entry
+// count, or a huge LZ4 block, are refused before the decoder allocates for
+// them; a block compressed as far as LZ4 goes still decodes.
+func TestDeltaDecodeBoundsAllocation(t *testing.T) {
+	header := func(flags byte) []byte {
+		out := append([]byte{tagWeightsDelta}, make([]byte, 16)...) // versions
+		out = binary.LittleEndian.AppendUint32(out, 1<<30)          // NumParams
+		out = binary.LittleEndian.AppendUint32(out, 0)              // Scale
+		return append(out, flags)
+	}
+	hugeCount := putBytes(header(deltaFlagSparse), binary.LittleEndian.AppendUint32(nil, 1<<30))
+	hugeBlock := binary.LittleEndian.AppendUint32(header(deltaFlagSparse|deltaFlagLZ4), 1<<30)
+	hugeBlock = putBytes(hugeBlock, make([]byte, 16))
+	for name, raw := range map[string][]byte{"entry count": hugeCount, "lz4 block": hugeBlock} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Unmarshal(raw)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrBadPayload) {
+			t.Fatalf("%s: Unmarshal = %v, want ErrBadPayload", name, err)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+			t.Fatalf("%s: refusing a %d-byte payload allocated %d bytes", name, len(raw), n)
+		}
+	}
+
+	// Every other parameter moved by the same exact amount: the entry block
+	// is a constant stride, about as compressible as blocks get.
+	d := &message.WeightsDeltaPayload{Version: 2, BaseVersion: 1, NumParams: 40_000}
+	for i := uint32(0); i < 40_000; i += 2 {
+		d.Indices = append(d.Indices, i)
+		d.Values = append(d.Values, 0.5)
+	}
+	raw, err := Marshal(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if raw[25]&deltaFlagLZ4 == 0 {
+		t.Fatal("constant-stride delta was not LZ4-compressed")
+	}
+	back, err := Unmarshal(raw)
+	if err != nil {
+		t.Fatalf("Unmarshal of a compressed delta: %v", err)
+	}
+	if !reflect.DeepEqual(back, d) {
+		t.Fatal("compressed delta did not round-trip")
+	}
 }
 
 // floatBytes and bytesFloats convert between a vector and the fuzzer's bytes,
@@ -337,7 +516,7 @@ func checkKernel(t *testing.T, label string, base, cur []float32, quant int) []f
 	if err != nil {
 		t.Fatalf("oracle apply: %v", err)
 	}
-	applied, err := ApplyDelta(base, got)
+	applied, err := ApplyDelta(cloneVec(base), got)
 	if err != nil {
 		t.Fatalf("ApplyDelta: %v", err)
 	}
@@ -545,4 +724,65 @@ func abs32(v float32) float32 {
 		return -v
 	}
 	return v
+}
+
+// deltaChain builds the downlink-weights workload's deltas: a 300 k-parameter
+// vector and the five int8 chain deltas that follow it, 1 % of the
+// parameters nudged by up to ±0.01 per version.
+func deltaChain(tb testing.TB) (base []float32, deltas []*message.WeightsDeltaPayload) {
+	tb.Helper()
+	const params = 300_000
+	rng := rand.New(rand.NewSource(1))
+	cur := make([]float32, params)
+	for i := range cur {
+		cur[i] = float32(rng.NormFloat64() * 0.1)
+	}
+	base = cloneVec(cur)
+	recon, next := cloneVec(cur), make([]float32, params)
+	for v := int64(1); v <= 5; v++ {
+		for n := 0; n < params/100; n++ {
+			cur[rng.Intn(params)] += (rng.Float32()*2 - 1) * 0.01
+		}
+		d, err := EncodeDeltaInto(recon, cur, next, v-1, v, QuantInt8)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		deltas = append(deltas, d)
+		recon, next = next, recon
+	}
+	return base, deltas
+}
+
+// BenchmarkApplyDelta advances a destination's vector along the chain, one
+// delta per iteration, as a weight mirror does.
+func BenchmarkApplyDelta(b *testing.B) {
+	vec, deltas := deltaChain(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ApplyDelta(vec, deltas[i%len(deltas)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkUnmarshalWeightsDelta decodes the chain's wire bodies, one per
+// iteration, as a destination's materialize does.
+func BenchmarkUnmarshalWeightsDelta(b *testing.B) {
+	_, deltas := deltaChain(b)
+	raws := make([][]byte, len(deltas))
+	for i, d := range deltas {
+		raw, err := Marshal(d)
+		if err != nil {
+			b.Fatal(err)
+		}
+		raws[i] = raw
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Unmarshal(raws[i%len(raws)]); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -218,10 +218,6 @@ func (r *reader) byte() byte {
 	return b
 }
 
-// bytes reads a length-prefixed field into a copy of its own; an empty field
-// reads as nil.
-func (r *reader) bytes() []byte { return append([]byte(nil), r.view()...) }
-
 // view reads a length-prefixed field without copying: the result aliases the
 // payload, so it must not outlive the call that was handed the payload.
 func (r *reader) view() []byte {

@@ -199,7 +199,8 @@ func (p *refPlanner) advanceChain(cur []float32, version int64) (recon []float32
 		p.lastVer = version
 		return recon, nil, false
 	}
-	recon, err = serialize.ApplyDelta(prev, d)
+	// ApplyDelta advances its argument in place; prev stays in the ring.
+	recon, err = serialize.ApplyDelta(append([]float32(nil), prev...), d)
 	if err != nil {
 		recon = append([]float32(nil), cur...)
 		d = nil
