@@ -184,3 +184,33 @@ func TestInjectRemoteBudgetRefusal(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// BenchmarkBackpressureShed measures the overload path of DESIGN.md §5f:
+// a bounded broker whose receiver never drains. After a short warmup the
+// destination queue sits at ShedQueueDepth and the store hovers at its high
+// watermark, so every droppable send exercises the shed machinery — a
+// drop-oldest PopIf that releases the evicted reference, or a store-budget
+// refusal at admission — rather than the regular admit path. Its allocs/op
+// is the per-shed allocation cost.
+func BenchmarkBackpressureShed(b *testing.B) {
+	br := New(Config{MachineID: 0, StoreBudget: 64 << 10, ShedQueueDepth: 8})
+	defer br.Stop()
+	s, err := br.Register("s")
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := br.Register("r"); err != nil {
+		b.Fatal(err)
+	}
+	payload := make([]byte, 8<<10)
+	b.SetBytes(int64(len(payload)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := message.New(message.TypeDummy, "s", []string{"r"},
+			&message.DummyPayload{Data: payload})
+		if err := s.Send(m); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -465,8 +465,7 @@ func TestPropertyShardStatsSumToGlobal(t *testing.T) {
 
 // BenchmarkPutGetReleaseParallel is the contended lifecycle: every
 // goroutine runs the broadcast hot path (put, get, pin, release, release)
-// against one shared store. cmd/xt-bench sweeps this against the frozen
-// single-mutex baseline at 1..8 goroutines.
+// against one shared store; -cpu 1,2,4,8 sweeps the goroutine count.
 func BenchmarkPutGetReleaseParallel(b *testing.B) {
 	s := New()
 	payload := make([]byte, 4096)

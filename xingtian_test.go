@@ -86,6 +86,10 @@ func TestPublicAPIDDPGPendulum(t *testing.T) {
 	cfg := xingtian.DefaultDDPGConfig()
 	cfg.TrainStart = 100
 	cfg.BatchSize = 16
+	// Each train consumes BatchSize sampled transitions; requiring as many
+	// fresh inserts per train makes 800 consumed imply ≥ 800 generated, i.e.
+	// ≥ 4 finished 200-step episodes, however far the learner runs ahead.
+	cfg.TrainEvery = cfg.BatchSize
 
 	algF := func(seed int64) (xingtian.Algorithm, error) {
 		return xingtian.NewDDPG(spec, cfg, seed), nil
