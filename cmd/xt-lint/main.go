@@ -11,35 +11,22 @@
 // Flags:
 //
 //	-list             list analyzers and exit
-//	-json             emit a machine-readable report (version, elapsed_ms,
-//	                  cache hits/misses, findings) instead of plain lines
-//	-baseline FILE    drop findings recorded in FILE (a previous -json
-//	                  report or a bare JSON findings array); new findings
-//	                  still fail the run
-//	-cache DIR        summary cache directory (default: the user cache dir
-//	                  under xt-lint); unchanged packages skip re-analysis
-//	-nocache          disable the summary cache
 //
-// Exit status: 0 clean (or fully baselined), 1 findings, 2 usage/load error.
+// Exit status: 0 clean, 1 findings, 2 usage/load error.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"xingtian/internal/lint"
 )
 
 func main() {
 	listOnly := flag.Bool("list", false, "list analyzers and exit")
-	jsonOut := flag.Bool("json", false, "emit a JSON report instead of plain findings")
-	baseline := flag.String("baseline", "", "baseline `file` of known findings to suppress")
-	cacheDir := flag.String("cache", "", "summary cache `directory` (default: user cache dir)")
-	noCache := flag.Bool("nocache", false, "disable the summary cache")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: xt-lint [-list] [-json] [-baseline file] [-cache dir|-nocache] [packages]\n\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: xt-lint [-list] [packages]\n\n")
 		fmt.Fprintf(flag.CommandLine.Output(), "Runs the channel-invariant analyzers over the given package patterns\n")
 		fmt.Fprintf(flag.CommandLine.Output(), "(default ./...) and exits 1 on any finding.\n\n")
 		flag.PrintDefaults()
@@ -62,55 +49,15 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-
-	var cache *lint.Cache
-	if !*noCache {
-		dir := *cacheDir
-		if dir == "" {
-			dir, err = lint.DefaultCacheDir()
-			if err != nil {
-				dir = "" // no user cache dir: run uncached rather than fail
-			}
-		}
-		if dir != "" {
-			cache = lint.NewCache(dir)
-		}
-	}
-
-	start := time.Now()
-	mod, stats, err := lint.LoadModule(wd, flag.Args(), cache)
+	passes, err := lint.Load(wd, flag.Args())
 	if err != nil {
 		fail(err)
 	}
-	findings := mod.Run()
+	findings := lint.Run(passes)
 	lint.RelativizeFindings(findings, wd)
 
-	if *baseline != "" {
-		base, err := lint.LoadBaseline(*baseline)
-		if err != nil {
-			fail(err)
-		}
-		findings = lint.ApplyBaseline(findings, base)
-	}
-
-	if *jsonOut {
-		rep := &lint.Report{
-			Version:     lint.SuiteVersion,
-			ElapsedMS:   time.Since(start).Milliseconds(),
-			Packages:    stats.Packages,
-			CacheHits:   stats.CacheHits,
-			CacheMisses: stats.CacheMisses,
-			Findings:    findings,
-		}
-		data, err := rep.MarshalIndentJSON()
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(string(data))
-	} else {
-		for _, f := range findings {
-			fmt.Println(f)
-		}
+	for _, f := range findings {
+		fmt.Println(f)
 	}
 	if len(findings) > 0 {
 		fmt.Fprintf(os.Stderr, "xt-lint: %d finding(s)\n", len(findings))

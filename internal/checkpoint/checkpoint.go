@@ -15,6 +15,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -48,27 +49,30 @@ func Save(path string, s State) error {
 		buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(w))
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
-
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".ckpt-*")
-	if err != nil {
-		return fmt.Errorf("checkpoint save: %w", err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(buf); err != nil {
-		_ = tmp.Close()
-		_ = os.Remove(tmpName)
-		return fmt.Errorf("checkpoint save: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		_ = os.Remove(tmpName)
-		return fmt.Errorf("checkpoint save: %w", err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		_ = os.Remove(tmpName)
+	if err := writeAtomic(path, buf); err != nil {
 		return fmt.Errorf("checkpoint save: %w", err)
 	}
 	return nil
+}
+
+// writeAtomic writes buf to a temp file beside path and renames it over
+// path, so a crash mid-write never leaves a truncated file at path.
+func writeAtomic(path string, buf []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".ckpt-*")
+	if err != nil {
+		return err
+	}
+	_, err = tmp.Write(buf)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		_ = os.Remove(tmp.Name())
+	}
+	return err
 }
 
 // SaveRotating writes the state as the next member of a rotation set:
@@ -77,6 +81,12 @@ func Save(path string, s State) error {
 // as 1. Each member is written with Save's atomic temp-file + rename, so a
 // crash mid-save leaves every older member intact.
 func SaveRotating(path string, s State, keep int) error {
+	return saveRotating(path, keep, func(member string) error { return Save(member, s) })
+}
+
+// saveRotating writes the next member of path's rotation set with save, then
+// prunes all but the newest keep members.
+func saveRotating(path string, keep int, save func(member string) error) error {
 	if keep < 1 {
 		keep = 1
 	}
@@ -88,12 +98,12 @@ func SaveRotating(path string, s State, keep int) error {
 	if len(members) > 0 {
 		next = members[len(members)-1] + 1
 	}
-	if err := Save(fmt.Sprintf("%s.%d", path, next), s); err != nil {
+	if err := save(memberPath(path, next)); err != nil {
 		return err
 	}
 	members = append(members, next)
 	for len(members) > keep {
-		_ = os.Remove(fmt.Sprintf("%s.%d", path, members[0]))
+		_ = os.Remove(memberPath(path, members[0]))
 		members = members[1:]
 	}
 	return nil
@@ -105,20 +115,41 @@ func SaveRotating(path string, s State, keep int) error {
 // must not block restoring from an older good one. ErrNoCheckpoint means
 // nothing restorable exists.
 func LoadLatest(path string) (State, error) {
-	members, err := rotationMembers(path)
-	if err != nil {
-		return State{}, fmt.Errorf("checkpoint load: %w", err)
-	}
-	for i := len(members) - 1; i >= 0; i-- {
-		if s, err := Load(fmt.Sprintf("%s.%d", path, members[i])); err == nil {
-			return s, nil
-		}
-	}
-	if s, err := Load(path); err == nil {
-		return s, nil
-	}
-	return State{}, fmt.Errorf("%s: %w", path, ErrNoCheckpoint)
+	var s State
+	err := loadNewest(path, func(file string) (err error) {
+		s, err = Load(file)
+		return err
+	})
+	return s, err
 }
+
+// loadNewest calls load on path's rotation members newest-first, then on the
+// bare path, and stops at the first success. A concurrent rotating save can
+// prune every member of one listing before it is read, so when nothing loads
+// the members are listed again; ErrNoCheckpoint is returned only once two
+// consecutive listings are equal.
+func loadNewest(path string, load func(file string) error) error {
+	members, err := rotationMembers(path)
+	for err == nil {
+		for i := len(members) - 1; i >= 0; i-- {
+			if load(memberPath(path, members[i])) == nil {
+				return nil
+			}
+		}
+		if load(path) == nil {
+			return nil
+		}
+		var again []int
+		if again, err = rotationMembers(path); err == nil && slices.Equal(again, members) {
+			return fmt.Errorf("%s: %w", path, ErrNoCheckpoint)
+		}
+		members = again
+	}
+	return fmt.Errorf("checkpoint load: %w", err)
+}
+
+// memberPath names rotation member n of path.
+func memberPath(path string, n int) string { return fmt.Sprintf("%s.%d", path, n) }
 
 // rotationMembers lists the numeric suffixes of path's rotation set in
 // ascending order.

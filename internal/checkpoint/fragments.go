@@ -6,7 +6,6 @@ import (
 	"hash/crc32"
 	"math"
 	"os"
-	"path/filepath"
 )
 
 // fragMagic identifies fragment-set checkpoint files.
@@ -40,24 +39,7 @@ func SaveFragments(path string, states []FragmentState) error {
 		}
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
-
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".ckpt-*")
-	if err != nil {
-		return fmt.Errorf("checkpoint save fragments: %w", err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(buf); err != nil {
-		_ = tmp.Close()
-		_ = os.Remove(tmpName)
-		return fmt.Errorf("checkpoint save fragments: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		_ = os.Remove(tmpName)
-		return fmt.Errorf("checkpoint save fragments: %w", err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		_ = os.Remove(tmpName)
+	if err := writeAtomic(path, buf); err != nil {
 		return fmt.Errorf("checkpoint save fragments: %w", err)
 	}
 	return nil
@@ -67,26 +49,7 @@ func SaveFragments(path string, states []FragmentState) error {
 // rotation set (path.N ascending, newest largest), pruning members beyond
 // keep — the fragment-set counterpart of SaveRotating.
 func SaveFragmentsRotating(path string, states []FragmentState, keep int) error {
-	if keep < 1 {
-		keep = 1
-	}
-	members, err := rotationMembers(path)
-	if err != nil {
-		return fmt.Errorf("checkpoint rotate fragments: %w", err)
-	}
-	next := 1
-	if len(members) > 0 {
-		next = members[len(members)-1] + 1
-	}
-	if err := SaveFragments(fmt.Sprintf("%s.%d", path, next), states); err != nil {
-		return err
-	}
-	members = append(members, next)
-	for len(members) > keep {
-		_ = os.Remove(fmt.Sprintf("%s.%d", path, members[0]))
-		members = members[1:]
-	}
-	return nil
+	return saveRotating(path, keep, func(member string) error { return SaveFragments(member, states) })
 }
 
 // LoadFragments reads and validates one fragment-set checkpoint file.
@@ -147,17 +110,10 @@ func LoadFragments(path string) ([]FragmentState, error) {
 // at path: rotation members newest-first, then the bare path. Corrupt
 // members are skipped; ErrNoCheckpoint means nothing restorable exists.
 func LoadLatestFragments(path string) ([]FragmentState, error) {
-	members, err := rotationMembers(path)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint load fragments: %w", err)
-	}
-	for i := len(members) - 1; i >= 0; i-- {
-		if states, err := LoadFragments(fmt.Sprintf("%s.%d", path, members[i])); err == nil {
-			return states, nil
-		}
-	}
-	if states, err := LoadFragments(path); err == nil {
-		return states, nil
-	}
-	return nil, fmt.Errorf("%s: %w", path, ErrNoCheckpoint)
+	var states []FragmentState
+	err := loadNewest(path, func(file string) (err error) {
+		states, err = LoadFragments(file)
+		return err
+	})
+	return states, err
 }

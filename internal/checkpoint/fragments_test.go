@@ -153,69 +153,101 @@ func TestLoadLatestFragmentsMissing(t *testing.T) {
 // concurrent LoadLatestFragments must never observe a torn fragment set —
 // every successful load returns a complete, internally consistent snapshot
 // from some finished rotation member (all fragments from the same save, the
-// broadcaster's version matching its weights).
+// broadcaster's version matching its weights) — and must never report
+// ErrNoCheckpoint because the saver pruned every member it listed. The
+// single-state SaveRotating/LoadLatest pair shares the rotation code and is
+// held to the same contract.
 func TestFragmentsLoadRacingSave(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "frag.ckpt")
-	seed := []FragmentState{
-		{Name: "broadcaster", State: State{Version: 1, Weights: []float32{1, 1}}},
-		{Name: "sampler", State: State{Version: 1}},
-	}
-	if err := SaveFragmentsRotating(path, seed, 3); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name string
+		save func(path string, v int64) error
+		// load fails on a missing or inconsistent snapshot.
+		load func(path string) error
+	}{
+		{"fragments", saveFragmentsVersion, loadFragmentsConsistent},
+		{"single", func(path string, v int64) error {
+			return SaveRotating(path, State{Version: v, Weights: []float32{float32(v), float32(v)}}, 3)
+		}, func(path string) error {
+			s, err := LoadLatest(path)
+			if err == nil && (len(s.Weights) != 2 || s.Weights[0] != float32(s.Version)) {
+				err = fmt.Errorf("v%d carries weights %v", s.Version, s.Weights)
+			}
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "racing.ckpt")
+			if err := tc.save(path, 1); err != nil {
+				t.Fatal(err)
+			}
 
-	stop := make(chan struct{})
-	saverDone := make(chan error, 1)
-	go func() {
-		var err error
-		for v := int64(2); ; v++ {
-			select {
-			case <-stop:
-				saverDone <- err
-				return
-			default:
-			}
-			states := []FragmentState{
-				{Name: "broadcaster", State: State{Version: v, Weights: []float32{float32(v), float32(v)}}},
-				{Name: "sampler", State: State{Version: v}},
-			}
-			if serr := SaveFragmentsRotating(path, states, 3); serr != nil && err == nil {
-				err = serr
-			}
-		}
-	}()
+			stop := make(chan struct{})
+			saverDone := make(chan error, 1)
+			go func() {
+				var err error
+				for v := int64(2); ; v++ {
+					select {
+					case <-stop:
+						saverDone <- err
+						return
+					default:
+					}
+					if serr := tc.save(path, v); serr != nil && err == nil {
+						err = serr
+					}
+				}
+			}()
 
-	for i := 0; i < 200; i++ {
-		got, err := LoadLatestFragments(path)
-		if err != nil {
-			t.Fatalf("load %d: %v", i, err)
-		}
-		if len(got) != 2 {
-			t.Fatalf("load %d: %d fragments, want 2 (torn set)", i, len(got))
-		}
-		byName := map[string]State{}
-		for _, fs := range got {
-			byName[fs.Name] = fs.State
-		}
-		b, ok := byName["broadcaster"]
-		if !ok {
-			t.Fatalf("load %d: broadcaster missing: %+v", i, got)
-		}
-		s, ok := byName["sampler"]
-		if !ok {
-			t.Fatalf("load %d: sampler missing: %+v", i, got)
-		}
-		// Same-save consistency: both fragments carry the save's version,
-		// and the broadcaster's weights encode it too.
-		if b.Version != s.Version {
-			t.Fatalf("load %d: torn set — broadcaster v%d, sampler v%d", i, b.Version, s.Version)
-		}
-		if len(b.Weights) != 2 || b.Weights[0] != float32(b.Version) {
-			t.Fatalf("load %d: broadcaster v%d carries weights %v", i, b.Version, b.Weights)
-		}
+			for i := 0; i < 200; i++ {
+				if err := tc.load(path); err != nil {
+					t.Fatalf("load %d: %v", i, err)
+				}
+			}
+			close(stop)
+			if err := <-saverDone; err != nil {
+				t.Fatalf("saver: %v", err)
+			}
+		})
 	}
-	close(stop)
-	if err := <-saverDone; err != nil {
-		t.Fatalf("saver: %v", err)
+}
+
+// saveFragmentsVersion saves rotation member v of a two-fragment set.
+func saveFragmentsVersion(path string, v int64) error {
+	return SaveFragmentsRotating(path, []FragmentState{
+		{Name: "broadcaster", State: State{Version: v, Weights: []float32{float32(v), float32(v)}}},
+		{Name: "sampler", State: State{Version: v}},
+	}, 3)
+}
+
+// loadFragmentsConsistent loads the newest fragment set and checks it is one
+// save's complete output.
+func loadFragmentsConsistent(path string) error {
+	got, err := LoadLatestFragments(path)
+	if err != nil {
+		return err
 	}
+	if len(got) != 2 {
+		return fmt.Errorf("%d fragments, want 2 (torn set)", len(got))
+	}
+	byName := map[string]State{}
+	for _, fs := range got {
+		byName[fs.Name] = fs.State
+	}
+	b, ok := byName["broadcaster"]
+	if !ok {
+		return fmt.Errorf("broadcaster missing: %+v", got)
+	}
+	s, ok := byName["sampler"]
+	if !ok {
+		return fmt.Errorf("sampler missing: %+v", got)
+	}
+	// Same-save consistency: both fragments carry the save's version, and
+	// the broadcaster's weights encode it too.
+	if b.Version != s.Version {
+		return fmt.Errorf("torn set — broadcaster v%d, sampler v%d", b.Version, s.Version)
+	}
+	if len(b.Weights) != 2 || b.Weights[0] != float32(b.Version) {
+		return fmt.Errorf("broadcaster v%d carries weights %v", b.Version, b.Weights)
+	}
+	return nil
 }

@@ -64,9 +64,6 @@ type Config struct {
 	Transport Transport
 	// SeriesBucket sets the throughput series resolution (default 1s).
 	SeriesBucket time.Duration
-	// TargetReturn stops the run once the mean episode return across
-	// explorers reaches this value (0 = disabled).
-	TargetReturn float64
 	// CheckpointPath, when set, periodically saves the learner's DNN
 	// parameters (every CheckpointEvery training sessions; default 100).
 	CheckpointPath  string
@@ -118,7 +115,7 @@ type Config struct {
 	// Topology selects how the training loop's dataflow fragments are
 	// replicated and placed. The zero value keeps the fused legacy loop
 	// (single Learner on machine 0 — the seed's behavior, bit for bit); a
-	// fragmented topology (Learners >= 1, Fused false) runs the sample,
+	// fragmented topology (Learners >= 1) runs the sample,
 	// learn, and broadcast fragments as separate processes per the
 	// topology's placement, with the bounded-staleness rule on the
 	// sample→learn edge.
@@ -1041,8 +1038,8 @@ func (s *Session) ControllerStats() map[string]message.StatsPayload {
 	return out
 }
 
-// Wait blocks until the learner reaches its goal, the optional wall-clock
-// limit expires, or the optional target return is reached.
+// Wait blocks until the learner reaches its goal or the optional wall-clock
+// limit expires.
 func (s *Session) Wait() {
 	var timeout <-chan time.Time
 	if s.cfg.MaxDuration > 0 {
@@ -1070,12 +1067,6 @@ func (s *Session) Wait() {
 				time.Since(lastMetrics) >= s.cfg.MetricsEvery {
 				lastMetrics = time.Now()
 				fmt.Fprintf(s.cfg.MetricsWriter, "channel: %s\n", s.ChannelHealth().Summary())
-			}
-			if s.cfg.TargetReturn > 0 {
-				_, mean := s.aggregateEpisodes()
-				if mean >= s.cfg.TargetReturn {
-					return
-				}
 			}
 		}
 	}

@@ -40,49 +40,41 @@ func quickDDPGFactories(t *testing.T) (core.AlgorithmFactory, core.AgentFactory)
 	return algF, agF
 }
 
-// TestFragmentFusedCompatTopology: the zero-value and FusedTopology configs
-// must keep the legacy single-Learner loop — same code path as the seed, so
-// compatibility is bit-for-bit by construction.
+// TestFragmentFusedCompatTopology: the zero-value Topology must keep the
+// legacy single-Learner loop — same code path as the seed, so compatibility
+// is bit-for-bit by construction.
 func TestFragmentFusedCompatTopology(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		topo core.Topology
-	}{
-		{"zero-value", core.Topology{}},
-		{"explicit-fused", core.FusedTopology()},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			algF, agF := quickDQNFactories(t)
-			s, err := core.NewSession(core.Config{
-				NumExplorers: 2,
-				RolloutLen:   50,
-				MaxSteps:     1000,
-				MaxDuration:  30 * time.Second,
-				Topology:     tc.topo,
-			}, algF, agF, 1)
-			if err != nil {
-				t.Fatalf("NewSession: %v", err)
-			}
-			if s.Learner() == nil {
-				t.Fatal("fused topology must run the legacy Learner")
-			}
-			if sampler, _, _ := s.Fragments(); sampler != nil {
-				t.Fatal("fused topology must not build the fragment runtime")
-			}
-			s.Start()
-			s.Wait()
-			rep := s.Stop()
-			if err := s.Err(); err != nil {
-				t.Fatalf("session error: %v", err)
-			}
-			if rep.StepsConsumed < 1000 {
-				t.Fatalf("StepsConsumed = %d, want >= 1000", rep.StepsConsumed)
-			}
-			if rep.Fragments != nil {
-				t.Fatal("fused run must not report fragment measurements")
-			}
-		})
-	}
+	t.Run("zero-value", func(t *testing.T) {
+		algF, agF := quickDQNFactories(t)
+		s, err := core.NewSession(core.Config{
+			NumExplorers: 2,
+			RolloutLen:   50,
+			MaxSteps:     1000,
+			MaxDuration:  30 * time.Second,
+			Topology:     core.Topology{},
+		}, algF, agF, 1)
+		if err != nil {
+			t.Fatalf("NewSession: %v", err)
+		}
+		if s.Learner() == nil {
+			t.Fatal("fused topology must run the legacy Learner")
+		}
+		if sampler, _, _ := s.Fragments(); sampler != nil {
+			t.Fatal("fused topology must not build the fragment runtime")
+		}
+		s.Start()
+		s.Wait()
+		rep := s.Stop()
+		if err := s.Err(); err != nil {
+			t.Fatalf("session error: %v", err)
+		}
+		if rep.StepsConsumed < 1000 {
+			t.Fatalf("StepsConsumed = %d, want >= 1000", rep.StepsConsumed)
+		}
+		if rep.Fragments != nil {
+			t.Fatal("fused run must not report fragment measurements")
+		}
+	})
 }
 
 // TestFragmentRuntimeAllAlgorithms: all four zoo algorithms must run
@@ -321,7 +313,7 @@ type fragTopologyCase struct {
 }
 
 var fragTopologyCases = []fragTopologyCase{
-	{name: "fused-1m", machines: 1, explorers: 2, maxSteps: 1500, topo: core.FusedTopology()},
+	{name: "fused-1m", machines: 1, explorers: 2, maxSteps: 1500, topo: core.Topology{}},
 	{name: "impala-2l", machines: 1, explorers: 4, maxSteps: 3000, topo: core.ReplicatedTopology(2)},
 	{name: "grid-4m", machines: 4, grid: true, explorers: 4, maxSteps: 2000, topo: core.Topology{
 		Learners:         2,

@@ -2,36 +2,6 @@ package core
 
 import "fmt"
 
-// FragmentKind identifies one of the four dataflow-fragment types the
-// training loop decomposes into (the MSRL fragment model): rollout fragments
-// (explorers), the replay/sample fragment, learn fragments, and the
-// broadcast fragment.
-type FragmentKind uint8
-
-// Fragment kinds.
-const (
-	FragRollout FragmentKind = iota + 1
-	FragSample
-	FragLearn
-	FragBroadcast
-)
-
-// String returns a human-readable fragment-kind name.
-func (k FragmentKind) String() string {
-	switch k {
-	case FragRollout:
-		return "rollout"
-	case FragSample:
-		return "sample"
-	case FragLearn:
-		return "learn"
-	case FragBroadcast:
-		return "broadcast"
-	default:
-		return "unknown"
-	}
-}
-
 // SampleName is the canonical client name of the replay/sample fragment.
 const SampleName = "sampler"
 
@@ -57,12 +27,8 @@ const StalenessUnbounded = -1
 type Topology struct {
 	// Learners replicates the learn fragment. 0 keeps the fused legacy
 	// loop; 1 runs a single learn fragment on the fragment runtime; values
-	// > 1 replicate it (Fused must be false).
+	// > 1 replicate it.
 	Learners int
-	// Fused runs the compatibility topology regardless of the other fields
-	// (except Learners, which must be <= 1): sample+learn+broadcast fused
-	// in the legacy Learner. A zero-value Topology is treated as fused.
-	Fused bool
 	// SampleMachine places the replay/sample fragment (default machine 0).
 	SampleMachine int
 	// BroadcastMachine places the broadcast fragment (default machine 0).
@@ -75,7 +41,7 @@ type Topology struct {
 	// the broadcast fragment's committed version c satisfies c-v <=
 	// MaxStaleness. 0 is strict assignment order (only rollouts from the
 	// current weights reach a learn fragment); StalenessUnbounded (-1, or
-	// any negative value) disables the filter. Ignored when Fused.
+	// any negative value) disables the filter. Ignored when fused.
 	MaxStaleness int
 	// SyncEvery makes the broadcast fragment echo the aggregated weights
 	// back to the learn replicas every SyncEvery aggregations (0 = every
@@ -85,10 +51,6 @@ type Topology struct {
 	SyncEvery int
 }
 
-// FusedTopology returns the compatibility topology: the seed's single-
-// learner loop, bit-for-bit.
-func FusedTopology() Topology { return Topology{Learners: 1, Fused: true} }
-
 // ReplicatedTopology returns a fragment topology with n learn replicas on
 // machine 0 and an unbounded staleness edge — the multi-learner scaling
 // configuration.
@@ -97,11 +59,11 @@ func ReplicatedTopology(n int) Topology {
 }
 
 // fragmented reports whether the topology runs the fragment runtime (as
-// opposed to the fused legacy loop). A zero-value Topology (Fused false,
-// Learners 0) is fused: callers opt into the fragment runtime by naming a
-// replica count, e.g. Topology{Learners: 1} or ReplicatedTopology(n).
+// opposed to the fused legacy loop). A zero-value Topology (Learners 0) is
+// fused: callers opt into the fragment runtime by naming a replica count,
+// e.g. Topology{Learners: 1} or ReplicatedTopology(n).
 func (t Topology) fragmented() bool {
-	return !t.Fused && t.Learners >= 1
+	return t.Learners >= 1
 }
 
 // normalized fills defaults and validates the topology against the
@@ -109,9 +71,6 @@ func (t Topology) fragmented() bool {
 func (t Topology) normalized(machines int) (Topology, error) {
 	if t.Learners < 1 {
 		t.Learners = 1
-	}
-	if t.Fused && t.Learners > 1 {
-		return t, fmt.Errorf("core: fused topology cannot replicate the learn fragment (%d learners)", t.Learners)
 	}
 	if t.LearnMachines == nil {
 		t.LearnMachines = make([]int, t.Learners)

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"xingtian/internal/broker"
 	"xingtian/internal/core"
 	"xingtian/internal/fabric"
 	"xingtian/internal/faultinject"
@@ -61,7 +62,7 @@ func (c *rebroadcastAlgorithm) TryTrain() (core.TrainResult, bool, error) {
 	return core.TrainResult{StepsConsumed: len(b.Steps), Broadcast: true}, true, nil
 }
 
-// TestChaosTwoMachineTraining runs a real two-machine TCP deployment to a
+// TestChaosTwoMachineTraining runs a real two-machine TCP deployment past a
 // step target while the injector kills links every K writes and crashes each
 // explorer once mid-training. Supervision must restart the explorers, the
 // fabric must redial and retry, the target must be reached, and both object
@@ -104,16 +105,34 @@ func TestChaosTwoMachineTraining(t *testing.T) {
 		Machines:            2,
 		Transport:           grid,
 		RolloutLen:          20,
-		MaxSteps:            maxSteps,
-		MaxDuration:         30 * time.Second,
 		MaxExplorerRestarts: 3,
 		RestartBackoff:      2 * time.Millisecond,
 	}, algF, agF, 1)
 	if err != nil {
 		t.Fatalf("NewSession: %v", err)
 	}
+	// The run ends on the behaviour under test, not on a step count: the
+	// local explorer alone can deliver every step before the remote link
+	// reaches its 40th write. So training runs unbounded (MaxSteps 0) until
+	// the target is consumed, the injector has reset a connection, and the
+	// wire has reconnected; the remote explorer keeps writing until then.
+	wireReconnects := func(h broker.ClusterHealth) int64 {
+		var n int64
+		for _, w := range h.Wire {
+			n += w.Reconnects
+		}
+		return n
+	}
 	s.Start()
-	s.Wait()
+	deadline := time.Now().Add(30 * time.Second)
+	for s.Learner().StepsConsumed() < maxSteps || inj.Stats().ConnResets < 1 || wireReconnects(s.ChannelHealth()) < 1 {
+		if time.Now().After(deadline) {
+			s.Stop()
+			t.Fatalf("chaos run stalled: %d of %d steps, injector %+v, wire %+v",
+				s.Learner().StepsConsumed(), maxSteps, inj.Stats(), s.ChannelHealth().Wire)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 	rep := s.Stop()
 	if err := s.Err(); err != nil {
 		t.Fatalf("session error after chaos run: %v", err)

@@ -20,13 +20,11 @@ import (
 // listPackage is the subset of `go list -json` output the driver consumes.
 type listPackage struct {
 	ImportPath string
-	Name       string
 	Dir        string
 	GoFiles    []string
 	Standard   bool
 	DepOnly    bool
 	Export     string
-	Deps       []string
 	Module     *struct {
 		Path string
 		Main bool
@@ -43,35 +41,9 @@ type listPackage struct {
 // package metadata plus export-data files, go/parser and go/types do the
 // rest.
 func Load(dir string, patterns []string) ([]*Pass, error) {
-	m, _, err := LoadModule(dir, patterns, nil)
-	if err != nil {
-		return nil, err
-	}
-	return m.Passes, nil
-}
-
-// LoadStats summarizes one LoadModule resolution for the JSON report.
-type LoadStats struct {
-	// Packages is the number of module packages matched by the patterns.
-	Packages int `json:"packages"`
-	// CacheHits counts packages restored from the summary cache without
-	// parsing or type-checking.
-	CacheHits int `json:"cache_hits"`
-	// CacheMisses counts packages analyzed fresh (cache disabled counts
-	// everything here).
-	CacheMisses int `json:"cache_misses"`
-}
-
-// LoadModule resolves patterns like Load but returns a ready-to-Run Module.
-// With a non-nil cache, packages whose key (suite version + own sources +
-// dependency export data) hits a stored entry are restored as PkgFacts —
-// their per-package findings replay verbatim and their summaries still feed
-// the module analyzers — and only the rest are parsed and type-checked.
-// Fresh results are written back to the cache by Module.Run.
-func LoadModule(dir string, patterns []string, cache *Cache) (*Module, *LoadStats, error) {
 	targets, exports, err := listTargets(dir, patterns)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	fset := token.NewFileSet()
@@ -83,40 +55,15 @@ func LoadModule(dir string, patterns []string, cache *Cache) (*Module, *LoadStat
 		return os.Open(file)
 	})
 
-	stats := &LoadStats{}
-	var passes []*Pass
-	var restored []*PkgFacts
-	keyOf := make(map[*Pass]string)
+	passes := make([]*Pass, 0, len(targets))
 	for _, t := range targets {
-		stats.Packages++
-		key := ""
-		if cache != nil {
-			key = cache.key(t, exports)
-		}
-		if key != "" {
-			if f, ok := cache.lookup(key); ok && f.ImportPath == t.ImportPath {
-				restored = append(restored, f)
-				stats.CacheHits++
-				continue
-			}
-		}
-		stats.CacheMisses++
 		pass, err := checkPackage(fset, imp, t)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		passes = append(passes, pass)
-		if key != "" {
-			keyOf[pass] = key
-		}
 	}
-
-	m := NewModule(passes)
-	for _, f := range restored {
-		m.AddFacts(f)
-	}
-	m.cache, m.cacheKeys = cache, keyOf
-	return m, stats, nil
+	return passes, nil
 }
 
 // listTargets runs `go list -deps -export -json`, returning the module

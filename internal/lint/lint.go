@@ -29,9 +29,8 @@
 //     result is never discarded, and a function shedding via queue PopIf
 //     increments a drop/shed counter.
 //
-// Three work module-wide over per-function summaries (module.go,
-// summary.go), so they see through package boundaries and survive the
-// summary cache (cache.go):
+// These look across package boundaries, most of them through per-function
+// summaries (module.go, summary.go):
 //
 //   - refbalance (interprocedural part): a Get whose reference is released
 //     by a callee — possibly in another package — is balanced without a
@@ -65,16 +64,15 @@ import (
 	"go/types"
 )
 
-// Finding is one analyzer report. The shape is JSON-stable: it appears in
-// the -json report, in baseline files, and in cached PkgFacts.
+// Finding is one analyzer report.
 type Finding struct {
 	// Pos locates the finding.
-	Pos token.Position `json:"pos"`
+	Pos token.Position
 	// Analyzer is the name of the analyzer that produced the finding (or
 	// "directive" for malformed //lint: comments).
-	Analyzer string `json:"analyzer"`
+	Analyzer string
 	// Message describes the violation.
-	Message string `json:"message"`
+	Message string
 }
 
 // String renders the finding in the canonical `file:line: [analyzer] message`
@@ -144,12 +142,9 @@ type Pass struct {
 	// mod is the module run this pass belongs to; analyzers reach the
 	// cross-package summaries through it.
 	mod *Module
-	// facts are the pass's collected serializable facts (summaries, metric
-	// decls/uses) — the module analyzers' input and the cache's payload.
+	// facts are the pass's collected facts (summaries, metric decls/uses) —
+	// the module analyzers' input.
 	facts *PkgFacts
-	// final holds the pass's surviving per-package findings after
-	// suppression, for cache write-back.
-	final []Finding
 
 	findings []Finding
 	current  string // name of the analyzer currently running

@@ -30,38 +30,37 @@ import (
 //
 // Rules 1 and 4 are per-package (the Total method and the conversion body
 // live with the struct); rules 2 and 3 need the module-wide field-use index
-// carried by PkgFacts, so they run as a module analyzer and work across the
-// summary cache.
+// carried by PkgFacts, so they run as a module analyzer.
 
 // TaxonomyField is one integer field of a Total()-bearing struct.
 type TaxonomyField struct {
 	// Struct is the owning type as pkg.Name.
-	Struct string `json:"struct"`
+	Struct string
 	// Field is the field name.
-	Field string `json:"field"`
+	Field string
 	// Pos is the field declaration site.
-	Pos token.Position `json:"pos"`
+	Pos token.Position
 	// InTotal records whether Total() reads the field.
-	InTotal bool `json:"in_total"`
+	InTotal bool
 }
 
 // CounterField is one atomic (rule 3) or plain metric (reserved) counter
 // field of a broker/fabric struct.
 type CounterField struct {
-	Struct string         `json:"struct"`
-	Field  string         `json:"field"`
-	Pos    token.Position `json:"pos"`
+	Struct string
+	Field  string
+	Pos    token.Position
 }
 
 // FieldUse aggregates how one pkg.Struct.Field is touched in one package.
 type FieldUse struct {
 	// Field is the pkg.Struct.Field key.
-	Field string `json:"field"`
+	Field string
 	// Writes counts plain assignments, composite-literal bindings, and
 	// atomic mutations (Add/Store/Swap/CompareAndSwap).
-	Writes int `json:"writes,omitempty"`
+	Writes int
 	// Reads counts plain reads and atomic Loads.
-	Reads int `json:"reads,omitempty"`
+	Reads int
 }
 
 // metricPackages are the packages whose counter structs rules 2–4 govern.
@@ -451,19 +450,13 @@ func runMetricdrift(m *Module) {
 	writes := make(map[string]int)
 	var taxonomies []TaxonomyField
 	var counters []CounterField
-	collect := func(f *PkgFacts) {
-		for _, u := range f.FieldUses {
+	for _, p := range m.Passes {
+		for _, u := range p.facts.FieldUses {
 			reads[u.Field] += u.Reads
 			writes[u.Field] += u.Writes
 		}
-		taxonomies = append(taxonomies, f.Taxonomies...)
-		counters = append(counters, f.Counters...)
-	}
-	for _, p := range m.Passes {
-		collect(p.facts)
-	}
-	for _, f := range m.facts {
-		collect(f)
+		taxonomies = append(taxonomies, p.facts.Taxonomies...)
+		counters = append(counters, p.facts.Counters...)
 	}
 
 	sort.Slice(taxonomies, func(i, j int) bool { return posBefore(taxonomies[i].Pos, taxonomies[j].Pos) })

@@ -15,44 +15,32 @@ import (
 // property of the union of every function's locking behaviour. Module ties
 // the per-package Passes together:
 //
-//   - it computes a serializable FuncSummary for every function in the
-//     module (refs released per parameter, locks acquired, lock state at
-//     each call site) and fixpoints the transitive parts, so refbalance can
-//     see through documented hand-offs without //lint:owns escapes;
+//   - it computes a FuncSummary for every function in the module (refs
+//     released per parameter, locks acquired, lock state at each call site)
+//     and fixpoints the transitive parts, so refbalance can see through
+//     documented hand-offs without //lint:owns escapes;
 //   - it runs the module-scope analyzers (lockorder, metricdrift) over the
-//     merged facts of all packages, fresh or cache-restored;
+//     merged facts of all packages;
 //   - it applies //lint:ignore suppression uniformly, including to module
-//     findings that land in a package restored from the summary cache.
+//     findings, which can land in any package.
 //
-// Everything a module analyzer consumes is carried by PkgFacts, which is
-// JSON-serializable by construction: that is what lets the summary cache
-// (cache.go) skip parsing and type-checking entirely for unchanged packages
-// while the module-wide analyses stay exact.
+// Everything a module analyzer consumes is carried by PkgFacts, which holds
+// positions rather than AST nodes, so the module-wide analyses never need
+// another package's syntax tree or type information.
 
-// Module aggregates the per-package passes and cached facts of one lint run.
+// Module aggregates the per-package passes of one lint run.
 type Module struct {
-	// Passes are the freshly parsed and type-checked packages.
+	// Passes are the parsed and type-checked packages.
 	Passes []*Pass
-	// facts holds the PkgFacts of cache-restored packages (AddFacts) —
-	// packages whose sources and dependency export data are unchanged since
-	// a previous run.
-	facts []*PkgFacts
 
 	// sums indexes every known function summary by funcKey.
 	sums map[string]*FuncSummary
 
 	findings []Finding // module-analyzer findings, position-addressed
 	current  string    // module analyzer currently running
-
-	// cache and cacheKeys are set by LoadModule when a summary cache is in
-	// use: after Run, each fresh pass's facts (with its surviving findings)
-	// are stored back under its key.
-	cache     *Cache
-	cacheKeys map[*Pass]string
 }
 
-// NewModule wires passes into a module run. Facts for cache-restored
-// packages are attached afterwards with AddFacts.
+// NewModule wires passes into a module run.
 func NewModule(passes []*Pass) *Module {
 	m := &Module{Passes: passes, sums: make(map[string]*FuncSummary)}
 	for _, p := range passes {
@@ -61,15 +49,8 @@ func NewModule(passes []*Pass) *Module {
 	return m
 }
 
-// AddFacts attaches the restored facts of a package that did not need
-// re-analysis. Its per-package findings are replayed verbatim; its summaries
-// and metric facts feed the module analyzers.
-func (m *Module) AddFacts(f *PkgFacts) {
-	m.facts = append(m.facts, f)
-}
-
 // reportf records a module-analyzer finding at an absolute position.
-// Module analyzers work on serialized facts, which carry token.Position
+// Module analyzers work on facts, which carry token.Position
 // rather than token.Pos, so reporting bypasses the FileSet.
 func (m *Module) reportf(pos token.Position, format string, args ...any) {
 	m.findings = append(m.findings, Finding{
@@ -103,7 +84,7 @@ func (m *Module) allSummaries() []*FuncSummary {
 
 // Run executes the full suite — directive validation, fact collection, the
 // per-package analyzers, and the module analyzers — and returns all
-// surviving findings (fresh and cache-restored) in deterministic order.
+// surviving findings in deterministic order.
 func (m *Module) Run() []Finding {
 	// Directives first: fact collection and suppression both read them.
 	for _, p := range m.Passes {
@@ -111,8 +92,8 @@ func (m *Module) Run() []Finding {
 		validateDirectives(p)
 	}
 
-	// Collect per-package facts (lock behaviour, metric decls and uses,
-	// directive records) and fixpoint the interprocedural summaries.
+	// Collect per-package facts (lock behaviour, metric decls and uses) and
+	// fixpoint the interprocedural summaries.
 	for _, p := range m.Passes {
 		p.facts = collectFacts(p)
 	}
@@ -141,65 +122,25 @@ func (m *Module) Run() []Finding {
 
 	// Suppression. Per-package findings answer to their own directives;
 	// module findings can land in any package, so they answer to the union
-	// of fresh and cache-restored directives.
+	// of every package's directives.
 	var all []Finding
+	var directives []directive
 	for _, p := range m.Passes {
-		p.final = suppress(p.findings, p.directives)
-		all = append(all, p.final...)
+		all = append(all, suppress(p.findings, p.directives)...)
+		directives = append(directives, p.directives...)
 	}
-	if m.cache != nil {
-		for _, p := range m.Passes {
-			if key := m.cacheKeys[p]; key != "" {
-				facts := *p.facts
-				facts.Findings = p.final
-				m.cache.store(key, &facts)
-			}
-		}
-	}
-	all = append(all, suppress(m.findings, m.allDirectives())...)
-	for _, f := range m.facts {
-		all = append(all, f.Findings...)
-	}
+	all = append(all, suppress(m.findings, directives)...)
 	sortFindings(all)
 	return all
 }
 
-// indexSummaries merges cache-restored and freshly collected summaries into
-// the module index. Fresh facts win on key collision (a package both cached
-// and re-analyzed should never happen, but the fresh view is the true one).
+// indexSummaries merges every package's summaries into the module index.
 func (m *Module) indexSummaries() {
-	for _, f := range m.facts {
-		for _, s := range f.Summaries {
-			m.sums[s.Key] = s
-		}
-	}
 	for _, p := range m.Passes {
 		for _, s := range p.facts.Summaries {
 			m.sums[s.Key] = s
 		}
 	}
-}
-
-// allDirectives merges the parsed directives of fresh passes with the
-// directive records restored from the cache.
-func (m *Module) allDirectives() []directive {
-	var out []directive
-	for _, p := range m.Passes {
-		out = append(out, p.directives...)
-	}
-	for _, f := range m.facts {
-		for _, r := range f.Directives {
-			out = append(out, directive{
-				file:      r.File,
-				line:      r.Line,
-				verb:      r.Verb,
-				analyzer:  r.Analyzer,
-				reason:    r.Reason,
-				malformed: r.Malformed,
-			})
-		}
-	}
-	return out
 }
 
 // sortFindings orders findings by file, line, analyzer — the report order
@@ -223,54 +164,32 @@ func sortFindings(fs []Finding) {
 // Per-package fact collection.
 
 // PkgFacts is everything the module analyzers need to know about one
-// package, decoupled from its AST and type information. The shape is
-// JSON-serializable so the summary cache can restore it without re-parsing.
+// package, decoupled from its AST and type information: every position is a
+// token.Position, so a module analyzer can report into any package.
 type PkgFacts struct {
 	// ImportPath identifies the package.
-	ImportPath string `json:"import_path"`
+	ImportPath string
 	// Summaries are the per-function interprocedural summaries.
-	Summaries []*FuncSummary `json:"summaries,omitempty"`
+	Summaries []*FuncSummary
 	// Taxonomies describe integer fields of structs with a Total() method.
-	Taxonomies []TaxonomyField `json:"taxonomies,omitempty"`
+	Taxonomies []TaxonomyField
 	// Counters describe atomic counter fields of broker/fabric structs.
-	Counters []CounterField `json:"counters,omitempty"`
+	Counters []CounterField
 	// MetricInts describe plain integer fields of broker/fabric structs
 	// whose name marks them as metrics snapshots.
-	MetricInts []CounterField `json:"metric_ints,omitempty"`
+	MetricInts []CounterField
 	// FieldUses aggregate reads and writes of the fields above, keyed by
 	// pkg.Struct.Field.
-	FieldUses []FieldUse `json:"field_uses,omitempty"`
-	// Directives are the package's //lint: comments, kept so module
-	// findings in a cache-restored package can still be suppressed.
-	Directives []DirectiveRec `json:"directives,omitempty"`
-	// Findings are the package's surviving per-package findings (filled in
-	// by the driver at cache-store time, replayed on restore).
-	Findings []Finding `json:"findings,omitempty"`
+	FieldUses []FieldUse
 }
 
-// DirectiveRec is the serializable form of a parsed //lint: directive.
-type DirectiveRec struct {
-	File      string `json:"file"`
-	Line      int    `json:"line"`
-	Verb      string `json:"verb"`
-	Analyzer  string `json:"analyzer,omitempty"`
-	Reason    string `json:"reason,omitempty"`
-	Malformed bool   `json:"malformed,omitempty"`
-}
-
-// collectFacts computes the serializable facts of one fresh pass: function
-// summaries (lock behaviour filled in here, release behaviour fixpointed
-// afterwards), metric declarations and field uses, and directive records.
+// collectFacts computes the facts of one pass: function summaries (lock
+// behaviour filled in here, release behaviour fixpointed afterwards) and
+// metric declarations and field uses.
 func collectFacts(p *Pass) *PkgFacts {
 	f := &PkgFacts{ImportPath: p.Pkg.Path()}
 	f.Summaries = collectSummaries(p)
 	collectMetricFacts(p, f)
-	for _, d := range p.directives {
-		f.Directives = append(f.Directives, DirectiveRec{
-			File: d.file, Line: d.line, Verb: d.verb,
-			Analyzer: d.analyzer, Reason: d.reason, Malformed: d.malformed,
-		})
-	}
 	return f
 }
 
@@ -304,7 +223,7 @@ func declKey(p *Pass, decl *ast.FuncDecl) string {
 	return funcKey(obj)
 }
 
-// position converts a token.Pos to its serializable form.
+// position converts a token.Pos to the token.Position facts carry.
 func (p *Pass) position(pos token.Pos) token.Position {
 	return p.Fset.Position(pos)
 }

@@ -1,100 +1,12 @@
 package lint
 
 import (
-	"encoding/json"
-	"fmt"
-	"os"
 	"path/filepath"
 	"strings"
 )
 
-// Report is the machine-readable result of one xt-lint run (the -json
-// output). CI archives it per matrix leg and compares elapsed_ms against the
-// committed baseline to catch lint-time regressions.
-type Report struct {
-	// Version is the suite version that produced the report.
-	Version string `json:"version"`
-	// ElapsedMS is the wall-clock duration of the run in milliseconds.
-	ElapsedMS int64 `json:"elapsed_ms"`
-	// Packages / CacheHits / CacheMisses describe the load phase.
-	Packages    int `json:"packages"`
-	CacheHits   int `json:"cache_hits"`
-	CacheMisses int `json:"cache_misses"`
-	// Findings are the surviving findings after suppression and baseline
-	// filtering, in report order. Always non-nil so the JSON carries [].
-	Findings []Finding `json:"findings"`
-}
-
-// MarshalIndentJSON renders the report, normalizing a nil finding slice to
-// [] so consumers can index "findings" unconditionally. The CLI and the
-// tests share this exact encoding.
-func (r *Report) MarshalIndentJSON() ([]byte, error) {
-	if r.Findings == nil {
-		r.Findings = []Finding{}
-	}
-	return json.MarshalIndent(r, "", "  ")
-}
-
-// LoadBaseline reads a baseline file and returns its finding multiset. Both
-// accepted shapes key by (file, analyzer, message):
-//
-//   - a full Report (the -json output of a previous run), or
-//   - a bare JSON array of findings.
-//
-// Line numbers are deliberately not part of the identity: edits above a
-// baselined finding must not resurrect it.
-func LoadBaseline(path string) (map[string]int, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var rep Report
-	if err := json.Unmarshal(data, &rep); err == nil && (rep.Version != "" || rep.Findings != nil) {
-		return baselineSet(rep.Findings), nil
-	}
-	var fs []Finding
-	if err := json.Unmarshal(data, &fs); err != nil {
-		return nil, fmt.Errorf("baseline %s: neither a report nor a findings array: %w", path, err)
-	}
-	return baselineSet(fs), nil
-}
-
-func baselineSet(fs []Finding) map[string]int {
-	m := make(map[string]int, len(fs))
-	for _, f := range fs {
-		m[baselineKey(f)]++
-	}
-	return m
-}
-
-func baselineKey(f Finding) string {
-	return f.Pos.Filename + "\x00" + f.Analyzer + "\x00" + f.Message
-}
-
-// ApplyBaseline drops findings covered by the baseline multiset; each
-// baseline entry absorbs at most its count of matching findings, so a
-// baselined bug that multiplies still surfaces the new instances.
-func ApplyBaseline(findings []Finding, base map[string]int) []Finding {
-	if len(base) == 0 {
-		return findings
-	}
-	left := make(map[string]int, len(base))
-	for k, v := range base {
-		left[k] = v
-	}
-	out := findings[:0:0]
-	for _, f := range findings {
-		if k := baselineKey(f); left[k] > 0 {
-			left[k]--
-			continue
-		}
-		out = append(out, f)
-	}
-	return out
-}
-
 // RelativizeFindings rewrites absolute finding paths relative to root (the
-// module directory) so reports and baselines are machine-independent. Paths
+// module directory) so the printed report is machine-independent. Paths
 // outside root are left untouched.
 func RelativizeFindings(findings []Finding, root string) {
 	for i := range findings {

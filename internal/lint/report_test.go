@@ -2,9 +2,7 @@ package lint
 
 import (
 	"go/token"
-	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -13,72 +11,6 @@ func bf(file string, line int, analyzer, message string) Finding {
 		Pos:      token.Position{Filename: file, Line: line},
 		Analyzer: analyzer,
 		Message:  message,
-	}
-}
-
-// TestBaselineRoundTrip: a -json report written to disk works as a baseline
-// file, matching by (file, analyzer, message) with multiset semantics and
-// ignoring line numbers.
-func TestBaselineRoundTrip(t *testing.T) {
-	rep := &Report{
-		Version: SuiteVersion,
-		Findings: []Finding{
-			bf("pkg/a.go", 10, "lockhold", "blocking time.Sleep while holding s.mu (locked at line 9)"),
-			bf("pkg/b.go", 20, "refbalance", "objectstore Get(id) is not released on the path to the return (line 25); release it or mark the hand-off with //lint:owns"),
-			bf("pkg/b.go", 30, "refbalance", "objectstore Get(id) is not released on the path to the return (line 25); release it or mark the hand-off with //lint:owns"),
-		},
-	}
-	data, err := rep.MarshalIndentJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	base, err := LoadBaseline(path)
-	if err != nil {
-		t.Fatalf("LoadBaseline: %v", err)
-	}
-
-	current := []Finding{
-		// Same finding, shifted line: still baselined.
-		bf("pkg/a.go", 14, "lockhold", "blocking time.Sleep while holding s.mu (locked at line 9)"),
-		// Two baselined instances plus one NEW third instance: the multiset
-		// absorbs two, the third survives.
-		bf("pkg/b.go", 20, "refbalance", "objectstore Get(id) is not released on the path to the return (line 25); release it or mark the hand-off with //lint:owns"),
-		bf("pkg/b.go", 30, "refbalance", "objectstore Get(id) is not released on the path to the return (line 25); release it or mark the hand-off with //lint:owns"),
-		bf("pkg/b.go", 40, "refbalance", "objectstore Get(id) is not released on the path to the return (line 25); release it or mark the hand-off with //lint:owns"),
-		// Different analyzer on a baselined line: new.
-		bf("pkg/a.go", 10, "headershare", "header h escapes into a goroutine"),
-	}
-	left := ApplyBaseline(current, base)
-	if len(left) != 2 {
-		t.Fatalf("ApplyBaseline left %d findings, want 2: %v", len(left), left)
-	}
-	if left[0].Pos.Line != 40 || left[0].Analyzer != "refbalance" {
-		t.Errorf("surviving finding 0 = %s, want the third refbalance instance", left[0])
-	}
-	if left[1].Analyzer != "headershare" {
-		t.Errorf("surviving finding 1 = %s, want the headershare finding", left[1])
-	}
-}
-
-// TestBaselineBareArray: a plain JSON findings array (no report wrapper) is
-// accepted as a baseline.
-func TestBaselineBareArray(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "base.json")
-	content := `[{"pos":{"Filename":"x.go","Line":3},"analyzer":"goleak","message":"m"}]`
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	base, err := LoadBaseline(path)
-	if err != nil {
-		t.Fatalf("LoadBaseline: %v", err)
-	}
-	left := ApplyBaseline([]Finding{bf("x.go", 99, "goleak", "m")}, base)
-	if len(left) != 0 {
-		t.Errorf("bare-array baseline did not absorb the finding: %v", left)
 	}
 }
 
@@ -96,19 +28,5 @@ func TestRelativizeFindings(t *testing.T) {
 	}
 	if want := string(filepath.Separator) + filepath.Join("usr", "lib", "other.go"); fs[1].Pos.Filename != want {
 		t.Errorf("foreign path = %q, want %q (untouched)", fs[1].Pos.Filename, want)
-	}
-}
-
-// TestReportJSONShape pins the field names CI's jq queries depend on.
-func TestReportJSONShape(t *testing.T) {
-	rep := &Report{Version: SuiteVersion, ElapsedMS: 42, Packages: 3, CacheHits: 2, CacheMisses: 1}
-	data, err := rep.MarshalIndentJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{`"version"`, `"elapsed_ms"`, `"packages"`, `"cache_hits"`, `"cache_misses"`, `"findings": []`} {
-		if !strings.Contains(string(data), key) {
-			t.Errorf("report JSON missing %s:\n%s", key, data)
-		}
 	}
 }

@@ -22,39 +22,39 @@ import (
 //     locks held. lockorder closes these over the call graph to find
 //     module-wide ordering cycles.
 //
-// The whole struct is JSON-serializable (positions are token.Position) so
-// the summary cache can persist it per package.
+// Positions are token.Position, so a summary outlives the pass that
+// computed it and module analyzers can report at any of its sites.
 type FuncSummary struct {
 	// Key is the module-unique function name (see funcKey).
-	Key string `json:"key"`
+	Key string
 	// ReleasesParams lists parameter indices released on all exit paths.
-	ReleasesParams []int `json:"releases_params,omitempty"`
+	ReleasesParams []int
 	// FreesParams lists []byte parameter indices freed (serialize.FreeBuf)
 	// on all exit paths.
-	FreesParams []int `json:"frees_params,omitempty"`
+	FreesParams []int
 	// Acquires are the lock classes this function locks directly.
-	Acquires []LockSite `json:"acquires,omitempty"`
+	Acquires []LockSite
 	// LockEdges are direct nested acquisitions: To locked while From held.
-	LockEdges []LockEdge `json:"lock_edges,omitempty"`
+	LockEdges []LockEdge
 	// Calls are resolved call sites, with the lock classes held at each.
-	Calls []LockCall `json:"calls,omitempty"`
+	Calls []LockCall
 }
 
 // LockSite is one direct lock acquisition.
 type LockSite struct {
 	// Class identifies the lock (pkg.Type.field for mutex fields,
 	// pkg.var for package-level mutexes, pkg.func.var for locals).
-	Class string `json:"class"`
+	Class string
 	// Pos is where the Lock call appears.
-	Pos token.Position `json:"pos"`
+	Pos token.Position
 }
 
 // LockEdge is a direct ordering constraint: To was locked at Pos while From
 // was already held in the same function.
 type LockEdge struct {
-	From string         `json:"from"`
-	To   string         `json:"to"`
-	Pos  token.Position `json:"pos"`
+	From string
+	To   string
+	Pos  token.Position
 }
 
 // LockCall is a resolved call site annotated with the lock classes held
@@ -62,11 +62,11 @@ type LockEdge struct {
 // call-graph edges the transitive acquire closure walks through.
 type LockCall struct {
 	// Callee is the funcKey of the invoked function.
-	Callee string `json:"callee"`
+	Callee string
 	// Held are the lock classes held at the call, sorted.
-	Held []string `json:"held,omitempty"`
+	Held []string
 	// Pos is the call position.
-	Pos token.Position `json:"pos"`
+	Pos token.Position
 }
 
 // releasesParam reports whether the summary releases (buf=false) or frees
