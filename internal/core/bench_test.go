@@ -67,6 +67,24 @@ func runFragmentsIMPALA(b *testing.B, topo core.Topology) time.Duration {
 	return time.Since(start)
 }
 
+// BenchmarkBroadcastAggregate times one push → aggregate → echo round trip
+// through local ports: 2 learn replicas of the IMPALA CartPole 64×64
+// actor-critic (9 155 parameters) that the train-impala-grid benchmark
+// workload runs. Both replicas push before the timer starts, so every timed
+// push takes the 2-replica mean.
+func BenchmarkBroadcastAggregate(b *testing.B) {
+	spec := algorithm.SpecFor(env.NewCartPole(0))
+	w := algorithm.NewIMPALA(spec, algorithm.DefaultIMPALAConfig(), 1).Weights().Data
+	rig := newAggRig(b, 2, w)
+	rig.push(b, 0, w)
+	rig.push(b, 1, w)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rig.push(b, i%2, w)
+	}
+}
+
 // BenchmarkFragmentsIMPALA2v1 measures the learn-fragment replication win:
 // the same device-time-bound IMPALA deployment run fused (the seed's single
 // learner) and as a 2-replica fragment topology, reporting the duration

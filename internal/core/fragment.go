@@ -27,6 +27,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -746,10 +748,11 @@ type BroadcastFragment struct {
 	version atomic.Int64
 	aggs    atomic.Int64
 
-	// Replica state is touched only by the recv loop.
-	replica    map[string][]float32
-	replicaVer map[string]int64
-	agg        []float32
+	// Replica state is touched only by the recv loop: each contributing
+	// replica's latest push, sorted by name so the mean always sums in the
+	// same order.
+	replicas []replicaPush
+	agg      []float32
 
 	// Failover plumbing (§5i). hbTimeout > 0 arms the deadline detector: a
 	// replica whose weight pushes and heartbeats both fall silent for the
@@ -774,6 +777,27 @@ type BroadcastFragment struct {
 	wg      sync.WaitGroup
 	mu      sync.Mutex
 	lastErr error
+}
+
+// replicaPush is one replica's latest contribution to the aggregate.
+type replicaPush struct {
+	name    string
+	version int64
+	data    []float32
+}
+
+// mean writes the element-wise mean of the replicas' vectors into dst. Each
+// element sums from +0 in slice order, so a fixed replica order gives
+// bit-identical results; every vector must be at least len(dst) long.
+func mean(dst []float32, replicas []replicaPush) {
+	n := float32(len(replicas))
+	for i := range dst {
+		var sum float32
+		for _, r := range replicas {
+			sum += r.data[i]
+		}
+		dst[i] = sum / n
+	}
 }
 
 // BroadcastConfig parameterizes the broadcast fragment.
@@ -816,8 +840,6 @@ func NewBroadcastFragment(port *broker.Port, cfg BroadcastConfig) *BroadcastFrag
 		ckptPath:    cfg.CheckpointPath,
 		ckptEvery:   every,
 		ckptKeep:    cfg.CheckpointKeep,
-		replica:     make(map[string][]float32),
-		replicaVer:  make(map[string]int64),
 		agg:         append([]float32(nil), cfg.InitialWeights...),
 		lastSeen:    make(map[string]time.Time),
 		suspected:   make(map[string]bool),
@@ -986,14 +1008,19 @@ func (b *BroadcastFragment) loop() {
 }
 
 // aggregate folds one replica push into the committed model: the aggregate
-// is the element-wise mean of every replica's latest weights (lazy
-// aggregation — replicas contribute at their own pace), the global version
-// advances, and the new model is distributed. It returns false when the
+// is the element-wise mean of every replica's latest weights, summed in
+// replica-name order (lazy aggregation — replicas contribute at their own
+// pace), the global version advances, and the new model is distributed. A
+// lone replica's push is copied, not summed. It returns false when the
 // channel is torn down.
 func (b *BroadcastFragment) aggregate(src string, w *message.WeightsPayload) bool {
-	b.replica[src] = w.Data
-	b.replicaVer[src] = w.Version
-	if len(b.replica) == 1 {
+	i, found := b.findReplica(src)
+	if !found {
+		b.replicas = slices.Insert(b.replicas, i, replicaPush{name: src})
+	}
+	b.replicas[i].version = w.Version
+	b.replicas[i].data = w.Data
+	if len(b.replicas) == 1 {
 		b.agg = append(b.agg[:0], w.Data...)
 	} else {
 		if len(b.agg) != len(w.Data) {
@@ -1001,13 +1028,7 @@ func (b *BroadcastFragment) aggregate(src string, w *message.WeightsPayload) boo
 				src, len(w.Data), len(b.agg)))
 			return false
 		}
-		for i := range b.agg {
-			var sum float32
-			for _, rw := range b.replica {
-				sum += rw[i]
-			}
-			b.agg[i] = sum / float32(len(b.replica))
-		}
+		mean(b.agg, b.replicas)
 	}
 	b.version.Add(1)
 	n := b.aggs.Add(1)
@@ -1034,6 +1055,14 @@ func (b *BroadcastFragment) aggregate(src string, w *message.WeightsPayload) boo
 		}
 	}
 	return true
+}
+
+// findReplica returns the index of name's latest push, or the index that
+// keeps b.replicas sorted if name has not pushed.
+func (b *BroadcastFragment) findReplica(name string) (int, bool) {
+	return slices.BinarySearchFunc(b.replicas, name, func(r replicaPush, name string) int {
+		return strings.Compare(r.name, name)
+	})
 }
 
 // broadcast plans and sends the committed model to every explorer through
@@ -1069,19 +1098,13 @@ func (b *BroadcastFragment) retireReplica(peer string) bool {
 		return true
 	}
 	b.quarantines.Add(1)
-	if _, contributed := b.replica[peer]; !contributed {
+	i, contributed := b.findReplica(peer)
+	if !contributed {
 		return true // never pushed: the aggregate already excludes it
 	}
-	delete(b.replica, peer)
-	delete(b.replicaVer, peer)
-	if len(b.replica) > 0 {
-		for i := range b.agg {
-			var sum float32
-			for _, rw := range b.replica {
-				sum += rw[i]
-			}
-			b.agg[i] = sum / float32(len(b.replica))
-		}
+	b.replicas = slices.Delete(b.replicas, i, i+1)
+	if len(b.replicas) > 0 {
+		mean(b.agg, b.replicas)
 	}
 	// With zero survivors the last committed aggregate stands — it is the
 	// checkpointable state a respawned replica restores from.
@@ -1151,10 +1174,11 @@ func (b *BroadcastFragment) saveCheckpoint() error {
 		State: checkpoint.State{Version: b.version.Load()},
 	}}
 	for _, name := range b.learnDsts {
-		if w, ok := b.replica[name]; ok {
+		if i, ok := b.findReplica(name); ok {
+			r := b.replicas[i]
 			states = append(states, checkpoint.FragmentState{
 				Name:  name,
-				State: checkpoint.State{Version: b.replicaVer[name], Weights: append([]float32(nil), w...)},
+				State: checkpoint.State{Version: r.version, Weights: append([]float32(nil), r.data...)},
 			})
 		}
 	}
