@@ -113,8 +113,8 @@ type Config struct {
 	// it doubles per consecutive restart (default 10ms).
 	RestartBackoff time.Duration
 	// Topology selects how the training loop's dataflow fragments are
-	// replicated and placed. The zero value keeps the fused legacy loop
-	// (single Learner on machine 0 — the seed's behavior, bit for bit); a
+	// replicated and placed. The zero value keeps the fused loop (one
+	// learner on machine 0 that plans its own broadcasts); a
 	// fragmented topology (Learners >= 1) runs the sample,
 	// learn, and broadcast fragments as separate processes per the
 	// topology's placement, with the bounded-staleness rule on the
@@ -160,6 +160,16 @@ type Config struct {
 	MetricsEvery time.Duration
 	// MetricsWriter receives the periodic channel-health summaries.
 	MetricsWriter io.Writer
+}
+
+// weightPlane is the weight-plane configuration every broadcast planner
+// (the fused learner's or the broadcast fragment's) is built with.
+func (c Config) weightPlane() weightplane.Config {
+	return weightplane.Config{
+		Enabled:    c.WeightDelta,
+		QuantBits:  c.WeightQuantBits,
+		SkipFactor: c.WeightSkipFactor,
+	}
 }
 
 // Report summarizes a completed run — the measurements behind Figs. 6–11.
@@ -250,8 +260,8 @@ func (sl *explorerSlot) current() *Explorer {
 type Session struct {
 	cfg       Config
 	transport Transport
-	learner   *Learner     // fused topology only
-	frags     *fragRuntime // fragmented topology only
+	learner   *LearnFragment // fused topology only
+	frags     *fragRuntime   // fragmented topology only
 	slots     []*explorerSlot
 	ctrlPort  *broker.Port
 	agF       AgentFactory
@@ -360,23 +370,7 @@ func NewSession(cfg Config, algF AlgorithmFactory, agF AgentFactory, seed int64)
 			transport.Stop()
 			return nil, err
 		}
-		ids := make([]int32, cfg.NumExplorers)
-		for i := range ids {
-			ids[i] = int32(i)
-		}
-		s.learner = NewLearner(alg, learnerPort, LearnerConfig{
-			Explorers:       ids,
-			MaxSteps:        cfg.MaxSteps,
-			SeriesBucket:    cfg.SeriesBucket,
-			CheckpointPath:  cfg.CheckpointPath,
-			CheckpointEvery: cfg.CheckpointEvery,
-			CheckpointKeep:  cfg.CheckpointKeep,
-			WeightPlane: weightplane.Config{
-				Enabled:    cfg.WeightDelta,
-				QuantBits:  cfg.WeightQuantBits,
-				SkipFactor: cfg.WeightSkipFactor,
-			},
-		})
+		s.learner = newFusedLearner(alg, learnerPort, cfg)
 	}
 
 	ctrlPort, err := transport.Register(0, ControllerName)
@@ -562,16 +556,12 @@ func (s *Session) buildFragments(topo Topology, algF AlgorithmFactory) error {
 		explorerNames[i] = ExplorerName(int32(i))
 	}
 	caster := NewBroadcastFragment(castPort, BroadcastConfig{
-		Explorers:      explorerNames,
-		Learners:       learnNames,
-		SyncEvery:      topo.SyncEvery,
-		InitialVersion: initVersion,
-		InitialWeights: initWeights,
-		WeightPlane: weightplane.Config{
-			Enabled:    s.cfg.WeightDelta,
-			QuantBits:  s.cfg.WeightQuantBits,
-			SkipFactor: s.cfg.WeightSkipFactor,
-		},
+		Explorers:       explorerNames,
+		Learners:        learnNames,
+		SyncEvery:       topo.SyncEvery,
+		InitialVersion:  initVersion,
+		InitialWeights:  initWeights,
+		WeightPlane:     s.cfg.weightPlane(),
 		CheckpointPath:  s.cfg.CheckpointPath,
 		CheckpointEvery: s.cfg.CheckpointEvery,
 		CheckpointKeep:  s.cfg.CheckpointKeep,
@@ -669,7 +659,7 @@ func (s *Session) Start() {
 		go s.machineFailoverLoop()
 	}
 	if s.frags == nil {
-		s.learner.broadcastWeights(nil)
+		s.learner.publish(nil)
 	}
 }
 
@@ -1257,9 +1247,10 @@ func (s *Session) ChannelHealth() broker.ClusterHealth {
 	return h
 }
 
-// Learner exposes the learner for inspection in tests and experiments. It
-// is nil under a fragmented topology — use Fragments instead.
-func (s *Session) Learner() *Learner { return s.learner }
+// Learner exposes the fused topology's learn loop for inspection in tests
+// and experiments. It is nil under a fragmented topology — use Fragments
+// instead.
+func (s *Session) Learner() *LearnFragment { return s.learner }
 
 // Fragments exposes the fragment runtime's pieces for inspection in tests
 // and experiments (sampler, learn replicas, broadcaster). All nil for a

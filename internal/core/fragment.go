@@ -399,18 +399,37 @@ func (s *SampleFragment) Committed() int64 { return s.committed.Load() }
 // Join waits for the sampler's loop after the broker has been stopped.
 func (s *SampleFragment) Join() { s.wg.Wait() }
 
-// LearnFragment is one learn replica: an Algorithm instance training on
-// whatever the sampler dispatches to it, pushing post-train weights to the
-// broadcast fragment, and installing the aggregate echoes it receives.
+// LearnFragment is the learner process of Fig. 2(a): the trainer thread
+// consumes rollouts from the local receive buffer and trains whenever the
+// algorithm is ready, while the receiver thread keeps that buffer filled as
+// messages arrive, so rollout transmission overlaps training. As a learn
+// replica it trains on whatever the sampler dispatches, pushes post-train
+// weights to the broadcast fragment, and installs the aggregate echoes it
+// receives. The fused topology runs one as the whole learner: it plans the
+// per-explorer weight broadcast itself and a sender thread pushes it out.
 type LearnFragment struct {
-	idx          int
+	name         string
 	alg          Algorithm
 	port         *broker.Port
 	recvBuf      *buffer.Buffer
 	numExplorers int
 
-	// WaitHist, TransHist, and Series mirror the legacy learner's
-	// measurement hooks; the session merges them across replicas.
+	// Fused-learner state (newFusedLearner); all zero for a replica, which
+	// makes each a no-op. plane and explorers plan the broadcast, sendBuf
+	// stages it for the sender thread, ckpt* save single-state checkpoints
+	// every ckptEvery sessions, and the loop stops itself at maxSteps.
+	plane     *weightplane.Planner
+	explorers []int32
+	sendBuf   *buffer.Buffer
+	ckptPath  string
+	ckptEvery int64
+	ckptKeep  int
+	maxSteps  int64
+
+	// WaitHist, TransHist, and Series are the evaluation figures' hooks:
+	// trainer waits for rollouts (Fig 8(c)), message creation → receive
+	// buffer latency, and steps consumed per wall-time bucket. The session
+	// merges them across replicas.
 	WaitHist  *stats.Histogram
 	TransHist *stats.Histogram
 	Series    *stats.Series
@@ -457,7 +476,7 @@ func NewLearnFragment(idx int, alg Algorithm, port *broker.Port, numExplorers in
 		bucket = time.Second
 	}
 	return &LearnFragment{
-		idx:          idx,
+		name:         LearnName(idx),
 		alg:          alg,
 		port:         port,
 		recvBuf:      buffer.New(),
@@ -469,6 +488,26 @@ func NewLearnFragment(idx int, alg Algorithm, port *broker.Port, numExplorers in
 		failed:       make(chan struct{}),
 		recvDone:     make(chan struct{}),
 	}
+}
+
+// newFusedLearner builds the fused topology's learner: one learn loop named
+// LearnerName that broadcasts to every explorer through its own weight
+// plane, checkpoints its algorithm, and stops at cfg.MaxSteps.
+func newFusedLearner(alg Algorithm, port *broker.Port, cfg Config) *LearnFragment {
+	l := NewLearnFragment(0, alg, port, cfg.NumExplorers, cfg.SeriesBucket)
+	l.name = LearnerName
+	l.plane = weightplane.New(cfg.weightPlane())
+	l.explorers = make([]int32, cfg.NumExplorers)
+	for i := range l.explorers {
+		l.explorers[i] = int32(i)
+	}
+	l.sendBuf = buffer.New()
+	l.ckptPath, l.ckptEvery, l.ckptKeep = cfg.CheckpointPath, cfg.CheckpointEvery, cfg.CheckpointKeep
+	if l.ckptEvery <= 0 {
+		l.ckptEvery = 100
+	}
+	l.maxSteps = cfg.MaxSteps
+	return l
 }
 
 // SetFailover stamps the replica's incarnation epoch and arms the heartbeat
@@ -493,12 +532,16 @@ func (l *LearnFragment) SetStalenessObserver(fn func(rolloutVer, dispatchVer int
 	l.observeStaleness = fn
 }
 
-// Start launches the replica's receiver and trainer threads, plus the
-// heartbeat thread when failover armed one.
+// Start launches the receiver and trainer threads, plus the fused learner's
+// sender thread and the heartbeat thread when failover armed one.
 func (l *LearnFragment) Start() {
 	l.wg.Add(2)
 	go l.receiverLoop()
 	go l.trainerLoop()
+	if l.sendBuf != nil {
+		l.wg.Add(1)
+		go l.senderLoop()
+	}
 	if l.hbEvery > 0 {
 		l.wg.Add(1)
 		go l.heartbeatLoop()
@@ -529,9 +572,9 @@ func (l *LearnFragment) heartbeatLoop() {
 			continue
 		}
 		lastSeen = act
-		m := message.New(message.TypeControl, LearnName(l.idx), []string{SampleName, BroadcastName}, &message.ControlPayload{
+		m := message.New(message.TypeControl, l.name, []string{SampleName, BroadcastName}, &message.ControlPayload{
 			Kind:          message.ControlHeartbeat,
-			Peer:          LearnName(l.idx),
+			Peer:          l.name,
 			LastRolloutID: l.lastRollout.Load(),
 		})
 		m.Header.Round = l.epoch
@@ -541,7 +584,25 @@ func (l *LearnFragment) heartbeatLoop() {
 			// real cause instead of a deadline-detector quarantine of a
 			// replica that merely stopped beating.
 			if !errors.Is(err, queue.ErrClosed) {
-				l.fail(fmt.Errorf("learn fragment %d heartbeat: %w", l.idx, err))
+				l.fail(fmt.Errorf("%s heartbeat: %w", l.name, err))
+			}
+			return
+		}
+	}
+}
+
+// senderLoop pushes the fused learner's staged weight broadcasts out the
+// moment the trainer stages them.
+func (l *LearnFragment) senderLoop() {
+	defer l.wg.Done()
+	for {
+		m, err := l.sendBuf.Next()
+		if err != nil {
+			return
+		}
+		if err := l.port.Send(m); err != nil {
+			if !errors.Is(err, queue.ErrClosed) {
+				l.fail(fmt.Errorf("%s send: %w", l.name, err))
 			}
 			return
 		}
@@ -566,11 +627,15 @@ func (l *LearnFragment) receiverLoop() {
 	}
 }
 
-// trainerLoop mirrors the legacy trainer thread: ingest what has arrived,
-// train when the algorithm is ready, push the result to the broadcast
-// fragment, and block only when there is truly nothing to do.
+// trainerLoop is the trainer thread: ingest what has arrived, train when
+// the algorithm is ready, publish the result, and block only when there is
+// truly nothing to do — the time spent in that block is the paper's
+// "XingTian Actual Wait".
 func (l *LearnFragment) trainerLoop() {
 	defer l.wg.Done()
+	if l.sendBuf != nil {
+		defer l.sendBuf.Close()
+	}
 	for {
 		select {
 		case <-l.stopped:
@@ -583,17 +648,17 @@ func (l *LearnFragment) trainerLoop() {
 
 		res, ok, err := l.alg.TryTrain()
 		if err != nil {
-			l.fail(fmt.Errorf("learn fragment %d train: %w", l.idx, err))
+			l.fail(fmt.Errorf("%s train: %w", l.name, err))
 			return
 		}
 		if !ok {
-			// Warm-up credit refresh, as in the fused loop: explorers spend
-			// credit per rollout and refill on weights-class messages, so a
-			// replica that cannot train yet must nudge the broadcast
-			// fragment into re-broadcasting or the deployment can wedge
-			// with every explorer out of credit.
+			// Warm-up credit refresh: explorers spend credit per rollout and
+			// refill on weights-class messages, so a learner that cannot
+			// train yet (e.g. DQN below TrainStart) must keep re-issuing its
+			// current weights or the deployment can wedge with every
+			// explorer out of credit.
 			if l.rolloutsSinceUpdate.Load() >= int64(l.numExplorers) {
-				if !l.pushWeights() {
+				if !l.publish(nil) {
 					return
 				}
 			}
@@ -613,24 +678,36 @@ func (l *LearnFragment) trainerLoop() {
 			continue
 		}
 
-		l.trainIters.Add(1)
-		l.stepsConsumed.Add(int64(res.StepsConsumed))
+		iters := l.trainIters.Add(1)
+		consumed := l.stepsConsumed.Add(int64(res.StepsConsumed))
 		l.Series.Add(float64(res.StepsConsumed))
 		if res.Broadcast {
-			if !l.pushWeights() {
+			if !l.publish(res.Targets) {
 				return
 			}
 		}
+		if l.ckptPath != "" && iters%l.ckptEvery == 0 {
+			if err := l.saveCheckpoint(); err != nil {
+				l.fail(fmt.Errorf("%s checkpoint: %w", l.name, err))
+				return
+			}
+		}
+		if l.maxSteps > 0 && consumed >= l.maxSteps {
+			l.stopOne.Do(func() { close(l.stopped) })
+			return
+		}
 	}
 }
+
+// drainCap bounds how many messages one trainer cycle ingests before it
+// must attempt to train again — otherwise a producer that stays ahead of
+// PrepareData would starve training entirely.
+const drainCap = 16
 
 func (l *LearnFragment) drainNonBlocking() int {
 	n := 0
 	for n < drainCap {
 		m, err := l.recvBuf.TryNext()
-		if errors.Is(err, queue.ErrEmpty) || errors.Is(err, queue.ErrClosed) {
-			return n
-		}
 		if err != nil {
 			return n
 		}
@@ -659,7 +736,7 @@ func (l *LearnFragment) ingest(m *message.Message) bool {
 		// on its own parameters.
 		if r, okR := l.alg.(WeightsRestorer); okR {
 			if err := r.RestoreWeights(body.Version, body.Data); err != nil {
-				l.fail(fmt.Errorf("learn fragment %d install aggregate: %w", l.idx, err))
+				l.fail(fmt.Errorf("%s install aggregate: %w", l.name, err))
 				return false
 			}
 		}
@@ -673,26 +750,66 @@ func (l *LearnFragment) ingest(m *message.Message) bool {
 			// blocked: its recvBuf is closed, so the Put fails and the
 			// receiver exits. A live incarnation's buffer accepts the Put and
 			// the nudge is ignored here.
+		case message.ControlWeightsResync:
+			// Explorer NACK to the fused learner: its next broadcast must be
+			// a dense snapshot.
+			l.plane.MarkStale(m.Header.Src)
 		}
 	}
 	return true
 }
 
-// pushWeights sends the replica's current parameters to the broadcast
-// fragment. It returns false when the channel is torn down.
-func (l *LearnFragment) pushWeights() bool {
+// publish hands the algorithm's current weights on and returns false when
+// the channel is torn down. A replica pushes them to the broadcast fragment
+// inline. The fused learner plans the broadcast to targets (nil = every
+// explorer) through its weight plane — dense snapshot, delta against the
+// base each group last got, or a pure version bump — and stages it for the
+// sender thread.
+func (l *LearnFragment) publish(targets []int32) bool {
 	w := l.alg.Weights()
-	m := message.New(message.TypeWeights, LearnName(l.idx), []string{BroadcastName}, w)
-	m.Header.WeightsVersion = w.Version
-	m.Header.Round = l.epoch
-	if err := l.port.Send(m); err != nil {
-		if !errors.Is(err, queue.ErrClosed) {
-			l.fail(fmt.Errorf("learn fragment %d push: %w", l.idx, err))
+	if l.plane == nil {
+		m := message.New(message.TypeWeights, l.name, []string{BroadcastName}, w)
+		m.Header.WeightsVersion = w.Version
+		m.Header.Round = l.epoch
+		if err := l.port.Send(m); err != nil {
+			if !errors.Is(err, queue.ErrClosed) {
+				l.fail(fmt.Errorf("%s push: %w", l.name, err))
+			}
+			return false
 		}
-		return false
+		l.rolloutsSinceUpdate.Store(0)
+		return true
+	}
+	if targets == nil {
+		targets = l.explorers
+	}
+	if len(targets) == 0 {
+		return true
+	}
+	dst := make([]string, len(targets))
+	for i, id := range targets {
+		dst[i] = ExplorerName(id)
+	}
+	for _, o := range l.plane.Plan(w.Data, w.Version, dst, l.port.AckedWeights()) {
+		m := message.New(o.Type, l.name, o.Dsts, o.Body)
+		m.Header.WeightsVersion = w.Version
+		m.Header.BaseVersion = o.BaseVersion
+		_ = l.sendBuf.Put(m)
 	}
 	l.rolloutsSinceUpdate.Store(0)
 	return true
+}
+
+// saveCheckpoint persists the fused learner's DNN parameters (the paper's
+// §4.2 fault tolerance): one overwritten file, or a rotation set of
+// ckptKeep members.
+func (l *LearnFragment) saveCheckpoint() error {
+	w := l.alg.Weights()
+	st := checkpoint.State{Version: w.Version, Weights: w.Data}
+	if l.ckptKeep > 0 {
+		return checkpoint.SaveRotating(l.ckptPath, st, l.ckptKeep)
+	}
+	return checkpoint.Save(l.ckptPath, st)
 }
 
 func (l *LearnFragment) fail(err error) {
@@ -705,29 +822,43 @@ func (l *LearnFragment) fail(err error) {
 	l.stopOne.Do(func() { close(l.stopped) })
 }
 
-// Err returns the first error the replica hit, if any.
+// Err returns the first error the learn loop hit, if any.
 func (l *LearnFragment) Err() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.lastErr
 }
 
-// StepsConsumed reports rollout steps this replica trained on.
+// StepsConsumed reports rollout steps this learn loop trained on.
 func (l *LearnFragment) StepsConsumed() int64 { return l.stepsConsumed.Load() }
 
-// TrainIters reports completed training sessions on this replica.
+// TrainIters reports completed training sessions.
 func (l *LearnFragment) TrainIters() int64 { return l.trainIters.Load() }
 
-// Algorithm exposes the replica's algorithm for tests and experiments.
+// Algorithm exposes the learn loop's algorithm (e.g. for PBT weight export).
 func (l *LearnFragment) Algorithm() Algorithm { return l.alg }
 
-// Stop signals the replica's threads to finish.
+// Done returns a channel closed when the learn loop finishes: step limit
+// reached, shutdown command, Stop, or error.
+func (l *LearnFragment) Done() <-chan struct{} { return l.stopped }
+
+// PlaneStats snapshots the fused learner's weight-plane counters; a
+// replica's broadcasts are planned by the broadcast fragment, so its stats
+// are zero.
+func (l *LearnFragment) PlaneStats() weightplane.Stats {
+	if l.plane == nil {
+		return weightplane.Stats{}
+	}
+	return l.plane.Stats()
+}
+
+// Stop signals the learn loop's threads to finish.
 func (l *LearnFragment) Stop() {
 	l.stopOne.Do(func() { close(l.stopped) })
 	l.recvBuf.Close()
 }
 
-// Join waits for the replica's threads after Stop and broker shutdown.
+// Join waits for the learn loop's threads after Stop and broker shutdown.
 func (l *LearnFragment) Join() { l.wg.Wait() }
 
 // BroadcastFragment aggregates replica weights into the committed model and

@@ -32,7 +32,6 @@ import (
 
 	"xingtian/internal/checkpoint"
 	"xingtian/internal/message"
-	"xingtian/internal/weightplane"
 )
 
 // coordinatorMachine hosts the controller, the learner-or-fragment control
@@ -372,16 +371,12 @@ func (s *Session) rebuildBroadcaster(dead int) error {
 		explorers[i] = ExplorerName(int32(i))
 	}
 	next := NewBroadcastFragment(port, BroadcastConfig{
-		Explorers:      explorers,
-		Learners:       s.learnNames(),
-		SyncEvery:      f.topo.SyncEvery,
-		InitialVersion: version,
-		InitialWeights: weights,
-		WeightPlane: weightplane.Config{
-			Enabled:    s.cfg.WeightDelta,
-			QuantBits:  s.cfg.WeightQuantBits,
-			SkipFactor: s.cfg.WeightSkipFactor,
-		},
+		Explorers:       explorers,
+		Learners:        s.learnNames(),
+		SyncEvery:       f.topo.SyncEvery,
+		InitialVersion:  version,
+		InitialWeights:  weights,
+		WeightPlane:     s.cfg.weightPlane(),
 		CheckpointPath:  s.cfg.CheckpointPath,
 		CheckpointEvery: s.cfg.CheckpointEvery,
 		CheckpointKeep:  s.cfg.CheckpointKeep,

@@ -8,14 +8,27 @@ import (
 	"time"
 
 	"xingtian/internal/core"
+	"xingtian/internal/rollout"
 )
 
-// restartableAgentFactory fails the first incarnation of each slot after a
-// few rollouts and hands out healthy agents afterwards — the crash-then-
-// recover shape supervision exists for.
-func restartableAgentFactory(failFirstAfter int) core.AgentFactory {
+// restartableAgentFactory fails the first incarnation of each of the slots
+// after a few rollouts and hands out healthy agents afterwards — the
+// crash-then-recover shape supervision exists for. The healthy agents hold
+// their first rollout until every slot has one: a replacement rolls out
+// only after its restart is counted, so the step target cannot be reached
+// while another slot's restart still waits out its backoff.
+func restartableAgentFactory(failFirstAfter, slots int) core.AgentFactory {
 	var mu sync.Mutex
 	built := map[int32]int{}
+	healthy := 0
+	ready := make(chan struct{})
+	arrive := func() {
+		mu.Lock()
+		defer mu.Unlock()
+		if healthy++; healthy == slots {
+			close(ready)
+		}
+	}
 	return func(id int32, seed int64) (core.Agent, error) {
 		mu.Lock()
 		n := built[id]
@@ -24,8 +37,29 @@ func restartableAgentFactory(failFirstAfter int) core.AgentFactory {
 		if n == 0 {
 			return &faultyAgent{failAfter: failFirstAfter}, nil
 		}
-		return &faultyAgent{failAfter: 1 << 30}, nil
+		return &gatedAgent{faultyAgent: faultyAgent{failAfter: 1 << 30}, arrive: arrive, ready: ready}, nil
 	}
+}
+
+// gatedAgent is a faultyAgent whose first rollout waits for ready.
+type gatedAgent struct {
+	faultyAgent
+	once   sync.Once
+	arrive func()
+	ready  <-chan struct{}
+}
+
+func (a *gatedAgent) Rollout(n int) (*rollout.Batch, error) {
+	a.once.Do(func() {
+		a.arrive()
+		select {
+		case <-a.ready:
+		case <-time.After(5 * time.Second):
+			// A slot that never restarted fails the assertions instead of
+			// wedging this explorer's Stop.
+		}
+	})
+	return a.faultyAgent.Rollout(n)
 }
 
 func TestExplorerRestartReachesStepTarget(t *testing.T) {
@@ -37,7 +71,7 @@ func TestExplorerRestartReachesStepTarget(t *testing.T) {
 		MaxDuration:         10 * time.Second,
 		MaxExplorerRestarts: 3,
 		RestartBackoff:      time.Millisecond,
-	}, algF, restartableAgentFactory(2), 7)
+	}, algF, restartableAgentFactory(2, 2), 7)
 	if err != nil {
 		t.Fatalf("Run: %v (restarts should have absorbed the agent errors)", err)
 	}

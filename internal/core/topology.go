@@ -17,16 +17,16 @@ const StalenessUnbounded = -1
 
 // Topology describes how the training loop's fragments are replicated and
 // placed. The zero value is the fused compatibility topology: the
-// replay/sample, learn, and broadcast fragments run fused inside the single
-// legacy Learner on machine 0, reproducing the seed's
-// explorer→broker→learner loop bit for bit. Any non-fused topology runs the
+// replay/sample, learn, and broadcast fragments run fused inside one learn
+// loop on machine 0 that plans its own broadcasts, reproducing the seed's
+// explorer→broker→learner loop. Any non-fused topology runs the
 // fragment runtime instead: explorers ship rollouts to the sample fragment,
 // which dispatches them round-robin to N learn replicas under a bounded-
 // staleness rule, and a broadcast fragment aggregates replica weights and
 // plans the broadcasts back to every explorer.
 type Topology struct {
-	// Learners replicates the learn fragment. 0 keeps the fused legacy
-	// loop; 1 runs a single learn fragment on the fragment runtime; values
+	// Learners replicates the learn fragment. 0 keeps the fused loop; 1
+	// runs a single learn fragment on the fragment runtime; values
 	// > 1 replicate it.
 	Learners int
 	// SampleMachine places the replay/sample fragment (default machine 0).
@@ -59,7 +59,7 @@ func ReplicatedTopology(n int) Topology {
 }
 
 // fragmented reports whether the topology runs the fragment runtime (as
-// opposed to the fused legacy loop). A zero-value Topology (Learners 0) is
+// opposed to the fused loop). A zero-value Topology (Learners 0) is
 // fused: callers opt into the fragment runtime by naming a replica count,
 // e.g. Topology{Learners: 1} or ReplicatedTopology(n).
 func (t Topology) fragmented() bool {

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"xingtian/internal/env"
@@ -450,22 +451,33 @@ func unmarshalStats(data []byte) (*message.StatsPayload, error) {
 
 // Control ------------------------------------------------------------------------
 
+// appendControl writes the payload's maps in ascending key order, so equal
+// payloads marshal to equal bytes.
 func appendControl(out []byte, c *message.ControlPayload) []byte {
 	out = append(out, tagControl, byte(c.Kind))
 	out = putU32(out, uint32(len(c.Hyperparams)))
-	for k, v := range c.Hyperparams {
+	for _, k := range sortedKeys(c.Hyperparams) {
 		out = putString(out, k)
-		out = putF64(out, v)
+		out = putF64(out, c.Hyperparams[k])
 	}
 	out = putU32(out, uint32(len(c.Acked)))
-	for k, v := range c.Acked {
+	for _, k := range sortedKeys(c.Acked) {
 		out = putString(out, k)
-		out = putU64(out, uint64(v))
+		out = putU64(out, uint64(c.Acked[k]))
 	}
 	out = putString(out, c.Peer)
 	out = putU64(out, c.LastRolloutID)
 	out = putU64(out, uint64(int64(c.Machine)))
 	return out
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 func unmarshalControl(data []byte) (*message.ControlPayload, error) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -153,6 +154,39 @@ func TestControlRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(in3, got) {
 		t.Fatalf("lease renew round trip = %+v", got)
+	}
+}
+
+// TestControlMarshalIsCanonical: equal control payloads marshal to equal
+// bytes whatever order their maps were filled in, so no byte-level
+// comparison, checksum or replay depends on map iteration order.
+func TestControlMarshalIsCanonical(t *testing.T) {
+	const keys = 16
+	build := func(order []int) *message.ControlPayload {
+		c := &message.ControlPayload{
+			Kind:        message.ControlAckSnapshot,
+			Hyperparams: make(map[string]float64, keys),
+			Acked:       make(map[string]int64, keys),
+		}
+		for _, i := range order {
+			c.Hyperparams[fmt.Sprintf("h%02d", i)] = float64(i) / 8
+			c.Acked[fmt.Sprintf("explorer-%d", i)] = int64(100 + i)
+		}
+		return c
+	}
+	rng := rand.New(rand.NewSource(1))
+	want, err := Marshal(build(rng.Perm(keys)))
+	if err != nil {
+		t.Fatalf("Marshal: %v", err)
+	}
+	for trial := 0; trial < 50; trial++ {
+		got, err := Marshal(build(rng.Perm(keys)))
+		if err != nil {
+			t.Fatalf("Marshal: %v", err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("trial %d: equal payloads marshalled to different bytes", trial)
+		}
 	}
 }
 

@@ -16,6 +16,7 @@
 package weightplane
 
 import (
+	"slices"
 	"sync"
 
 	"xingtian/internal/message"
@@ -144,8 +145,9 @@ func (p *Planner) Stats() Stats {
 // Plan maps a broadcast of cur@version to dsts into grouped messages.
 // acked carries the last weights version observed on each destination's
 // rollouts (may be nil). The returned groups cover every destination
-// exactly once. Plan keeps no reference to cur, and the returned bodies are
-// the caller's: the planner never writes to them again.
+// exactly once: the dense group first, then one group per delta base in
+// ascending base version. Plan keeps no reference to cur, and the returned
+// bodies are the caller's: the planner never writes to them again.
 func (p *Planner) Plan(cur []float32, version int64, dsts []string, acked map[string]int64) []Outbound {
 	if len(dsts) == 0 {
 		return nil
@@ -205,7 +207,13 @@ func (p *Planner) Plan(cur []float32, version int64, dsts []string, acked map[st
 			delete(p.stale, d)
 		}
 	}
-	for base, group := range deltaByBase {
+	bases := make([]int64, 0, len(deltaByBase))
+	for base := range deltaByBase {
+		bases = append(bases, base)
+	}
+	slices.Sort(bases)
+	for _, base := range bases {
+		group := deltaByBase[base]
 		var body *message.WeightsDeltaPayload
 		switch {
 		case base == p.prevChainBase(version) && chainDelta != nil:

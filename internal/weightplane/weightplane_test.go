@@ -349,8 +349,45 @@ func TestPlannerRecyclingMatchesReference(t *testing.T) {
 	}
 }
 
-// sameOutbounds compares two plans group by group, float bodies by bits. The
-// order of groups is not part of the contract.
+// TestPlanGroupOrderIsDeterministic: fresh planners fed identical inputs
+// plan identical group orders — the delta groups in ascending base version —
+// rather than a map's iteration order. Three pairs of destinations last
+// heard versions 1, 2 and 3, so the final broadcast has three delta bases.
+func TestPlanGroupOrderIsDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	ws := [][]float32{step(rng, make([]float32, 300), 1)}
+	for v := 1; v < 4; v++ {
+		ws = append(ws, step(rng, ws[v-1], 0.1))
+	}
+	all := []string{"e0", "e1", "e2", "e3", "e4", "e5"}
+	rounds := [][]string{all, all[:4], all[:2], all}
+	plan := func() (bases []int64, dsts [][]string) {
+		p := New(Config{Enabled: true, QuantBits: serialize.QuantInt8})
+		var outs []Outbound
+		for i, d := range rounds {
+			outs = p.Plan(ws[i], int64(i+1), d, nil)
+		}
+		for _, o := range outs {
+			bases = append(bases, o.BaseVersion)
+			dsts = append(dsts, o.Dsts)
+		}
+		return bases, dsts
+	}
+	wantBases, wantDsts := plan()
+	if !reflect.DeepEqual(wantBases, []int64{1, 2, 3}) {
+		t.Fatalf("delta bases %v, want [1 2 3]", wantBases)
+	}
+	for trial := 0; trial < 50; trial++ {
+		bases, dsts := plan()
+		if !reflect.DeepEqual(bases, wantBases) || !reflect.DeepEqual(dsts, wantDsts) {
+			t.Fatalf("trial %d: groups %v %v, first planner %v %v", trial, bases, dsts, wantBases, wantDsts)
+		}
+	}
+}
+
+// sameOutbounds compares two plans group by group, float bodies by bits.
+// The reference plans its delta groups in map order, so groups are matched
+// by destination.
 func sameOutbounds(t *testing.T, v int64, got, want []Outbound) {
 	t.Helper()
 	byDst := func(outs []Outbound) []Outbound {
