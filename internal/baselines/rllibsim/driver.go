@@ -97,7 +97,7 @@ func RunAlgorithm(cfg AlgoConfig, algF core.AlgorithmFactory, agF core.AgentFact
 					return nil, err
 				}
 				framed, _ := comp.Pack(raw)
-				serialize.PlaneDelay(len(framed), comp.PackNsPerKB) // object-store marshal
+				serialize.PlaneDelay(serialize.FramedLogicalLen(framed), comp.PackNsPerKB) // object-store marshal
 				return storeCopy(framed), nil
 			case "set_weights":
 				raw, err := comp.Unpack(storeCopy(payload))
@@ -210,7 +210,7 @@ func (d *driver) pull(a *actor) (*rollout.Batch, error) {
 		return nil, err
 	}
 	local := storeCopy(framed)
-	serialize.PlaneDelay(len(local), d.comp.PackNsPerKB/8) // object-store fetch
+	serialize.PlaneDelay(serialize.FramedLogicalLen(local), d.comp.PackNsPerKB/8) // object-store fetch
 	raw, err := d.comp.Unpack(local)
 	if err != nil {
 		return nil, err
@@ -303,7 +303,7 @@ func (d *driver) runRoundRobin() error {
 		}
 		// Serial driver-side slice: store fetch + deserialize.
 		local := storeCopy(p.framed)
-		serialize.PlaneDelay(len(local), d.comp.PackNsPerKB/8)
+		serialize.PlaneDelay(serialize.FramedLogicalLen(local), d.comp.PackNsPerKB/8)
 		raw, err := d.comp.Unpack(local)
 		if err != nil {
 			return err
@@ -364,7 +364,7 @@ func (d *driver) runPPO() error {
 				return errs[i]
 			}
 			local := storeCopy(framedResponses[i])
-			serialize.PlaneDelay(len(local), d.comp.PackNsPerKB/8)
+			serialize.PlaneDelay(serialize.FramedLogicalLen(local), d.comp.PackNsPerKB/8)
 			raw, err := d.comp.Unpack(local)
 			if err != nil {
 				return err

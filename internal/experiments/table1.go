@@ -95,7 +95,8 @@ func RunTable1(s Settings, w io.Writer) error {
 }
 
 // makeAtariBatches collects fragments×steps of random-policy BeamRider
-// experience and returns the batches plus their total serialized size.
+// experience and returns the batches plus their total serialized size, at
+// the logical length (every frame stack whole) that the paper's rollouts have.
 func makeAtariBatches(fragments, steps int) ([]*rollout.Batch, float64, error) {
 	spec, err := expSpec("BeamRider")
 	if err != nil {
@@ -119,7 +120,7 @@ func makeAtariBatches(fragments, steps int) ([]*rollout.Batch, float64, error) {
 		if err != nil {
 			return nil, 0, err
 		}
-		totalBytes += len(raw)
+		totalBytes += serialize.LogicalLen(raw)
 		batches = append(batches, b)
 	}
 	return batches, float64(totalBytes) / 1024, nil

@@ -3,6 +3,7 @@ package fabric
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"xingtian/internal/message"
 )
@@ -54,16 +55,27 @@ func TestGridRelayTreeOverTCP(t *testing.T) {
 	}
 
 	// 4 remote machines, fanout 2 → 2 relay groups at the root; at least one
-	// spans two machines, so some interior broker relayed onward.
+	// spans two machines, so some interior broker relayed onward. A broker
+	// counts a forward once Forward has returned, which can be after the
+	// leaves received the body, so wait for the counts to reach their target
+	// before checking that they stop there.
+	var relayed, expired int64
+	count := func() {
+		relayed, expired = 0, 0
+		for i := 0; i < n; i++ {
+			snap := g.Broker(i).Metrics()
+			relayed += snap.BodiesRelayed
+			expired += snap.Drops.RelayExpired
+		}
+	}
+	waitFor(t, 5*time.Second, "the root's forwards and the relays to be counted", func() bool {
+		count()
+		return g.Broker(0).Metrics().BodiesForwarded >= 2 && relayed >= 2
+	})
+	count()
 	root := g.Broker(0).Metrics()
 	if root.BodiesForwarded != 2 {
 		t.Fatalf("root forwarded %d frames, want 2 relay groups", root.BodiesForwarded)
-	}
-	var relayed, expired int64
-	for i := 0; i < n; i++ {
-		snap := g.Broker(i).Metrics()
-		relayed += snap.BodiesRelayed
-		expired += snap.Drops.RelayExpired
 	}
 	if relayed != 2 {
 		t.Fatalf("relayed bodies = %d, want 2 (4 leaves via 2 relays)", relayed)

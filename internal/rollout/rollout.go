@@ -38,8 +38,10 @@ type Batch struct {
 // NumSteps returns the number of rollout steps in the batch.
 func (b *Batch) NumSteps() int { return len(b.Steps) }
 
-// SizeBytes estimates the wire size of the batch: observation payloads plus
-// fixed per-step fields and behavior logits.
+// SizeBytes estimates the logical size of the batch — observation payloads,
+// every frame stack whole, plus fixed per-step fields and behavior logits. A
+// rollout whose frame stacks shift goes on the wire smaller (see
+// serialize.LogicalLen).
 func (b *Batch) SizeBytes() int {
 	total := 16 // header fields
 	for i := range b.Steps {

@@ -8,18 +8,19 @@
 //
 // # One pool, converging upward
 //
-// One sync.Pool serves 100-byte fabric frame headers and 2.3 MB rollout
-// bodies alike, and any buffer at least as large as the request answers it.
+// One sync.Pool serves 100-byte fabric frame headers and the 2.3 MB marshal
+// buffers of frame rollouts alike, and any buffer at least as large as the
+// request answers it.
 // A popped buffer that is too short is dropped — not put back — and replaced
 // by one that fits, so the pool converges on buffers that fit every size in
 // circulation, as many of them as are ever held at once. (Putting the short
 // buffer back, as this pool once did, made every large request pop it, re-file
 // it and allocate afresh, and the pool grew until the next GC.) Fresh
 // capacities are rounded up to a sixteenth of their power of two, not to the
-// power of two itself: near-equal requests (a 2.27 MB body and its 2.28 MB
-// worst-case compression scratch) become interchangeable for at most 1/16
-// extra memory, where power-of-two rounding would hand a 2 MB buffer to every
-// 1.2 MB weights body.
+// power of two itself: near-equal requests (a 1.20 MB dense weights body and
+// its 1.21 MB worst-case compression scratch) become interchangeable for at
+// most 1/16 extra memory, where power-of-two rounding would hand a 2 MB
+// buffer to every 1.2 MB weights body.
 //
 // Segregating the pool by size class was measured and rejected (DESIGN.md
 // §5d): under a collector that runs 150 times a second, sync.Pool only keeps

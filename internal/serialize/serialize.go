@@ -10,6 +10,7 @@
 package serialize
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -34,6 +35,9 @@ const (
 	tagControl
 	tagDummy
 	tagWeightsDelta
+	// tagRolloutShifted is a rollout with at least one shifted frame stack
+	// (see appendRollout). Its tag is followed by its logical length.
+	tagRolloutShifted
 )
 
 // Marshal encodes a message body into a freshly allocated byte slice.
@@ -80,14 +84,17 @@ func MarshalPooled(body any) ([]byte, error) {
 }
 
 // SizeHint bounds body's encoded size from above (closely: within a few
-// dozen bytes per rollout step) so a pooled marshal buffer never has to grow:
-// growing copies the encoding so far and abandons the pooled buffer.
+// dozen bytes per rollout step, for a rollout whose frame stacks are written
+// whole) so a pooled marshal buffer never has to grow: growing copies the
+// encoding so far and abandons the pooled buffer.
 func SizeHint(body any) int {
 	switch b := body.(type) {
 	case *rollout.Batch:
 		// SizeBytes counts payload bytes and the fixed per-step scalars;
 		// length prefixes and observation framing add at most 29 bytes a
-		// step and 22 for the bootstrap observation.
+		// step and 22 for the bootstrap observation. That bounds the
+		// logical length with 41 bytes to spare, and a shifted encoding
+		// exceeds its logical length by at most its 8-byte header.
 		return 64 + b.SizeBytes() + 32*len(b.Steps)
 	case *message.WeightsPayload:
 		return 16 + 4*len(b.Data)
@@ -124,7 +131,9 @@ func Unmarshal(data []byte) (any, error) {
 	}
 	switch data[0] {
 	case tagRollout:
-		return unmarshalRollout(data[1:])
+		return unmarshalRollout(data[1:], false)
+	case tagRolloutShifted:
+		return unmarshalRollout(data[1:], true)
 	case tagWeights:
 		return unmarshalWeights(data[1:])
 	case tagWeightsDelta:
@@ -251,9 +260,25 @@ func (r *reader) f32s() []float32 {
 	return out
 }
 
+// flag reads a byte that must be 0 or 1.
+func (r *reader) flag() bool {
+	b := r.byte()
+	if b > 1 {
+		r.invalid("flag byte %d", b)
+	}
+	return b == 1
+}
+
 func (r *reader) fail() {
 	if r.err == nil {
 		r.err = fmt.Errorf("truncated payload at offset %d: %w", r.pos, ErrBadPayload)
+	}
+}
+
+// invalid records a value no encoder writes.
+func (r *reader) invalid(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf("%s at offset %d: %w", fmt.Sprintf(format, args...), r.pos, ErrBadPayload)
 	}
 }
 
@@ -264,69 +289,123 @@ const (
 	obsVec   byte = 1
 	obsFrame byte = 2
 	obsBoth  byte = 3
+	// obsShifted, or'd onto obsFrame or obsBoth inside a shifted rollout,
+	// marks a frame stack that shifts the previous observation's (shifts):
+	// only its newest frame follows its geometry.
+	obsShifted byte = 4
 )
 
-func putObs(dst []byte, o env.Obs) []byte {
-	switch {
-	case o.Frame != nil && o.Vec != nil:
-		dst = append(dst, obsBoth)
-		dst = putU32(dst, uint32(o.FrameH))
-		dst = putU32(dst, uint32(o.FrameW))
-		dst = putU32(dst, uint32(o.FrameN))
-		dst = putBytes(dst, o.Frame)
-		dst = putF32s(dst, o.Vec)
-	case o.Frame != nil:
-		dst = append(dst, obsFrame)
-		dst = putU32(dst, uint32(o.FrameH))
-		dst = putU32(dst, uint32(o.FrameW))
-		dst = putU32(dst, uint32(o.FrameN))
-		dst = putBytes(dst, o.Frame)
-	case o.Vec != nil:
-		dst = append(dst, obsVec)
-		dst = putF32s(dst, o.Vec)
-	default:
-		dst = append(dst, obsNone)
+// maxShiftFrames is the deepest frame stack the codec shifts. A shifted
+// stack decodes to at most this many times the one frame it carries, so a
+// rollout's decoded frames never exceed maxShiftFrames times the frame bytes
+// its payload holds, whatever its header claims.
+const maxShiftFrames = 16
+
+// shifts reports whether o's frame stack is prev's shifted by one frame: the
+// same geometry, N ≥ 2 whole H×W frames, and o's first N−1 frames equal to
+// prev's last N−1. Stacks are ordered oldest first, so o's newest frame is
+// its last.
+func shifts(prev, o *env.Obs) bool {
+	n, k := len(o.Frame), o.FrameN
+	if k < 2 || k > maxShiftFrames || n == 0 || n%k != 0 || o.FrameH*o.FrameW != n/k {
+		return false
 	}
-	return dst
+	hw := n / k
+	return prev.FrameH == o.FrameH && prev.FrameW == o.FrameW && prev.FrameN == k &&
+		len(prev.Frame) == n && bytes.Equal(o.Frame[:n-hw], prev.Frame[hw:])
 }
 
-// obs decodes one observation. Its Frame is a view into the payload:
-// unmarshalRollout moves every frame of a body into one allocation of their
-// exact total size once it knows that size.
-func (r *reader) obs() env.Obs {
-	switch r.byte() {
-	case obsBoth:
-		o := env.Obs{}
-		o.FrameH = int(r.u32())
-		o.FrameW = int(r.u32())
-		o.FrameN = int(r.u32())
-		o.Frame = r.view()
-		o.Vec = r.f32s()
-		return o
-	case obsFrame:
-		o := env.Obs{}
-		o.FrameH = int(r.u32())
-		o.FrameW = int(r.u32())
-		o.FrameN = int(r.u32())
-		o.Frame = r.view()
-		return o
-	case obsVec:
-		return env.Obs{Vec: r.f32s()}
-	default:
-		return env.Obs{}
+// putObs appends o. A frame stack that shifts prev's (prev may be nil) is
+// written as its newest frame alone, under an obsShifted kind; putObs
+// reports how many stack bytes that left out.
+func putObs(dst []byte, o, prev *env.Obs) ([]byte, int) {
+	if o.Frame == nil {
+		if o.Vec == nil {
+			return append(dst, obsNone), 0
+		}
+		return putF32s(append(dst, obsVec), o.Vec), 0
 	}
+	kind, frame, elided := obsFrame, o.Frame, 0
+	if o.Vec != nil {
+		kind = obsBoth
+	}
+	if prev != nil && shifts(prev, o) {
+		kind |= obsShifted
+		elided = len(frame) - len(frame)/o.FrameN
+		frame = frame[elided:]
+	}
+	dst = append(dst, kind)
+	dst = putU32(dst, uint32(o.FrameH))
+	dst = putU32(dst, uint32(o.FrameW))
+	dst = putU32(dst, uint32(o.FrameN))
+	dst = putBytes(dst, frame)
+	if o.Vec != nil {
+		dst = putF32s(dst, o.Vec)
+	}
+	return dst, elided
+}
+
+// obs decodes one observation, and whether it is a shifted stack, which
+// only a shifted rollout may hold. Its Frame is a view into the payload — of
+// the newest frame alone for a shifted stack: unmarshalRollout rebuilds every
+// stack into one allocation once it knows their total size. A Vec that was
+// sent is never nil, even when empty, so it re-marshals as it came.
+func (r *reader) obs(shiftedRollout bool) (o env.Obs, shifted bool) {
+	kind := r.byte()
+	if shiftedRollout && (kind == obsFrame|obsShifted || kind == obsBoth|obsShifted) {
+		kind, shifted = kind&^obsShifted, true
+	}
+	switch kind {
+	case obsNone:
+	case obsVec:
+		o.Vec = r.vec()
+	case obsFrame, obsBoth:
+		o.FrameH = int(r.u32())
+		o.FrameW = int(r.u32())
+		o.FrameN = int(r.u32())
+		o.Frame = r.view()
+		if kind == obsBoth {
+			o.Vec = r.vec()
+		}
+	default:
+		r.invalid("observation kind %d", kind)
+	}
+	return o, shifted
+}
+
+// vec reads an observation vector that was sent: non-nil even when empty.
+func (r *reader) vec() []float32 {
+	if v := r.f32s(); v != nil {
+		return v
+	}
+	return []float32{}
 }
 
 // Rollout batch ----------------------------------------------------------------
 
+// shiftHeader is what a shifted rollout adds to its encoding: the logical
+// length after its tag.
+const shiftHeader = 8
+
+// appendRollout appends b. An arcade observation stacks the last N frames,
+// so it repeats N−1 frames of the observation before it: such a stack is
+// written as its newest frame alone (putObs). The first one retags the
+// rollout tagRolloutShifted and puts its logical length — its length with
+// every stack written whole (LogicalLen) — after the tag. A rollout with no
+// shifted stack, every vector rollout among them, keeps the tagRollout
+// encoding: no header, no obsShifted kind.
 func appendRollout(out []byte, b *rollout.Batch) []byte {
+	start := len(out)
 	out = append(out, tagRollout)
 	out = putU32(out, uint32(b.ExplorerID))
 	out = putU64(out, uint64(b.WeightsVersion))
 	out = putU32(out, uint32(len(b.Steps)))
+	var prev *env.Obs
+	elided := 0
 	for i := range b.Steps {
 		s := &b.Steps[i]
-		out = putObs(out, s.Obs)
+		out, elided = putRolloutObs(out, start, &s.Obs, prev, elided)
+		prev = &s.Obs
 		out = putU32(out, uint32(s.Action))
 		out = putF32s(out, s.ActionVec)
 		out = putF32(out, s.Reward)
@@ -339,12 +418,42 @@ func appendRollout(out []byte, b *rollout.Batch) []byte {
 		out = putF32(out, s.LogProb)
 		out = putF32s(out, s.Logits)
 	}
-	out = putObs(out, b.BootstrapObs)
+	out, elided = putRolloutObs(out, start, &b.BootstrapObs, prev, elided)
+	if elided > 0 {
+		binary.LittleEndian.PutUint64(out[start+1:], uint64(len(out)-start-shiftHeader+elided))
+	}
 	return out
 }
 
-func unmarshalRollout(data []byte) (*rollout.Batch, error) {
+// putRolloutObs is putObs inside the rollout whose tag is out[start] and
+// whose stacks so far left out elided bytes. The first shifted stack retags
+// the rollout and makes room for the logical length after the tag.
+func putRolloutObs(out []byte, start int, o, prev *env.Obs, elided int) ([]byte, int) {
+	out, n := putObs(out, o, prev)
+	if n > 0 && elided == 0 {
+		out[start] = tagRolloutShifted
+		var logical [shiftHeader]byte
+		out = slices.Insert(out, start+1, logical[:]...)
+	}
+	return out, elided + n
+}
+
+// minStepBytes is the shortest encoding of a rollout step: an empty
+// observation, no action vector or logits, and the fixed scalars.
+const minStepBytes = 1 + 4 + 4 + 4 + 1 + 4 + 4 + 4
+
+// unmarshalRollout decodes a rollout body after its tag. It accepts only what
+// appendRollout writes, so a decoded body re-marshals to the same bytes.
+// Every decoded stack is sized before the one allocation that holds them
+// all: a shifted stack must have a predecessor of its geometry and carry
+// exactly one H×W frame (checkShift), which bounds that allocation by
+// maxShiftFrames times the payload.
+func unmarshalRollout(data []byte, shifted bool) (*rollout.Batch, error) {
 	r := &reader{data: data}
+	var logical uint64
+	if shifted {
+		logical = r.u64()
+	}
 	b := &rollout.Batch{
 		ExplorerID:     int32(r.u32()),
 		WeightsVersion: int64(r.u64()),
@@ -353,51 +462,109 @@ func unmarshalRollout(data []byte) (*rollout.Batch, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	if n < 0 || n > len(data) { // each step takes >1 byte; cheap sanity bound
+	if n < 0 || n > len(data)/minStepBytes {
 		return nil, fmt.Errorf("rollout step count %d: %w", n, ErrBadPayload)
 	}
 	if n > 0 {
 		b.Steps = make([]rollout.Step, n)
 	}
+	// Observation i is step i's, and observation n the bootstrap one.
+	at := func(i int) *env.Obs {
+		if i == n {
+			return &b.BootstrapObs
+		}
+		return &b.Steps[i].Obs
+	}
+	var isShifted []bool
+	if shifted {
+		isShifted = make([]bool, n+1)
+	}
+	var sh bool
 	for i := 0; i < n; i++ {
 		s := &b.Steps[i]
-		s.Obs = r.obs()
+		if s.Obs, sh = r.obs(shifted); sh {
+			isShifted[i] = true
+		}
 		s.Action = int32(r.u32())
 		s.ActionVec = r.f32s()
 		s.Reward = r.f32()
-		s.Done = r.byte() == 1
+		s.Done = r.flag()
 		s.Value = r.f32()
 		s.LogProb = r.f32()
 		s.Logits = r.f32s()
 	}
-	b.BootstrapObs = r.obs()
+	if b.BootstrapObs, sh = r.obs(shifted); sh {
+		isShifted[n] = true
+	}
+	if r.err == nil && r.pos != len(data) {
+		r.invalid("%d trailing bytes", len(data)-r.pos)
+	}
 	if r.err != nil {
 		return nil, r.err
 	}
 
-	// Copy the frames out of the payload into one backing array (81
-	// allocations of 28 KB each for an Atari rollout otherwise). Each frame
-	// is capacity-capped so appending to one reallocates instead of running
-	// into its neighbour, and a zero-length frame stays nil, which is how
-	// putObs tells "no frame" apart.
-	total := len(b.BootstrapObs.Frame)
-	for i := range b.Steps {
-		total += len(b.Steps[i].Obs.Frame)
-	}
-	arena := make([]byte, total)
-	own := func(frame *[]byte) {
-		n := copy(arena, *frame)
-		if n == 0 {
-			*frame = nil
-			return
+	total, elided, prevLen := 0, 0, 0
+	for i := 0; i <= n; i++ {
+		o := at(i)
+		size := len(o.Frame)
+		if shifted && isShifted[i] {
+			if i == 0 {
+				return nil, fmt.Errorf("first frame stack is shifted: %w", ErrBadPayload)
+			}
+			if err := checkShift(at(i-1), prevLen, o); err != nil {
+				return nil, fmt.Errorf("frame stack %d: %w", i, err)
+			}
+			size = prevLen
+			elided += size - len(o.Frame)
 		}
-		*frame, arena = arena[:n:n], arena[n:]
+		total += size
+		prevLen = size
 	}
-	for i := range b.Steps {
-		own(&b.Steps[i].Obs.Frame)
+	if shifted && (elided == 0 || logical != uint64(len(data)+1-shiftHeader+elided)) {
+		return nil, fmt.Errorf("shifted rollout of logical length %d, %d bytes elided: %w", logical, elided, ErrBadPayload)
 	}
-	own(&b.BootstrapObs.Frame)
+
+	// Rebuild the stacks, oldest first, into one backing array (81
+	// allocations of 28 KB each for an Atari rollout otherwise): a shifted
+	// stack is its predecessor's newest N−1 frames, copied from the array,
+	// then the frame it carried. Each stack is capacity-capped so appending
+	// to one reallocates instead of running into its neighbour, and a
+	// zero-length frame stays a non-nil empty one.
+	arena := make([]byte, total)
+	for i := 0; i <= n; i++ {
+		o := at(i)
+		switch {
+		case shifted && isShifted[i]:
+			p := at(i - 1)
+			kept := copy(arena, p.Frame[len(o.Frame):])
+			copy(arena[kept:], o.Frame)
+			size := len(p.Frame)
+			o.Frame, arena = arena[:size:size], arena[size:]
+		case o.Frame != nil:
+			size := copy(arena, o.Frame)
+			o.Frame, arena = arena[:size:size], arena[size:]
+			if i > 0 && shifts(at(i-1), o) {
+				return nil, fmt.Errorf("frame stack %d is sent whole but shifts its predecessor: %w", i, ErrBadPayload)
+			}
+		}
+	}
 	return b, nil
+}
+
+// checkShift vets shifted stack o, whose Frame is the newest frame it
+// carries, against its predecessor p, whose stack decodes to pLen bytes.
+func checkShift(p *env.Obs, pLen int, o *env.Obs) error {
+	hw := len(o.Frame)
+	switch {
+	case o.FrameN < 2 || o.FrameN > maxShiftFrames:
+		return fmt.Errorf("shifted stack of %d frames: %w", o.FrameN, ErrBadPayload)
+	case hw == 0 || o.FrameH*o.FrameW != hw: // H, W < 2^32: the product cannot wrap to hw
+		return fmt.Errorf("shifted stack carries %d bytes, not one %d×%d frame: %w", hw, o.FrameH, o.FrameW, ErrBadPayload)
+	case p.FrameH != o.FrameH || p.FrameW != o.FrameW || p.FrameN != o.FrameN || pLen != hw*o.FrameN:
+		return fmt.Errorf("shifted %d×%d×%d stack follows a %d×%d×%d stack of %d bytes: %w",
+			o.FrameN, o.FrameH, o.FrameW, p.FrameN, p.FrameH, p.FrameW, pLen, ErrBadPayload)
+	}
+	return nil
 }
 
 // Weights ------------------------------------------------------------------------
@@ -585,15 +752,43 @@ const lz4FrameHeader = 9
 // raw for the price of compressing 64 KiB instead of all of it.
 const packProbeBytes = 64 << 10
 
-// Pack frames raw bytes for the object store, compressing when raw meets the
-// threshold and compression actually shrinks it — first its head, then the
-// whole. It returns the framed body and whether compression was applied. The
-// result is a fresh allocation of exactly its length (the store keeps it and
-// accounts for it by length); the worst-case-sized compression scratch, which
-// the probe borrows too, is pooled and never escapes.
+// LogicalLen is the length raw, a body Marshal encoded, would have with
+// every frame stack written whole: what a shifted rollout records after its
+// tag, and len(raw) for every other body. Pack and UnpackInto judge the
+// compression threshold and charge PlaneDelay on it, so shipping each frame
+// once changes neither the paper's compression decision nor the emulated
+// serialization cost. A recorded length beyond maxShiftFrames times raw's,
+// which no valid body has, counts as len(raw); Unmarshal refuses such a body.
+func LogicalLen(raw []byte) int {
+	if len(raw) > 1+shiftHeader && raw[0] == tagRolloutShifted {
+		if n := binary.LittleEndian.Uint64(raw[1:]); n <= maxShiftFrames*uint64(len(raw)) {
+			return int(n)
+		}
+	}
+	return len(raw)
+}
+
+// FramedLogicalLen is LogicalLen for a frame Pack returned: the flag byte
+// plus the body's logical length for a raw frame, and a compressed frame's
+// own length.
+func FramedLogicalLen(framed []byte) int {
+	if len(framed) > 0 && framed[0] == frameRaw {
+		return 1 + LogicalLen(framed[1:])
+	}
+	return len(framed)
+}
+
+// Pack frames raw bytes for the object store, compressing when raw's logical
+// length (LogicalLen) meets the threshold and compression actually shrinks
+// it — first its head, then the whole. It returns the framed body and whether
+// compression was applied. The result is a fresh allocation of exactly its
+// length (the store keeps it and accounts for it by length); the
+// worst-case-sized compression scratch, which the probe borrows too, is
+// pooled and never escapes.
 func (c Compressor) Pack(raw []byte) ([]byte, bool) {
-	PlaneDelay(len(raw), c.PackNsPerKB)
-	if c.Threshold > 0 && len(raw) >= c.Threshold {
+	logical := LogicalLen(raw)
+	PlaneDelay(logical, c.PackNsPerKB)
+	if c.Threshold > 0 && logical >= c.Threshold {
 		scratch := GetBuf(lz4FrameHeader + lz4.CompressBound(len(raw)))
 		if len(raw) <= packProbeBytes || len(lz4.Compress(scratch, raw[:packProbeBytes])) < packProbeBytes {
 			scratch = append(scratch, frameLZ4)
@@ -629,7 +824,7 @@ func (c Compressor) UnpackInto(buf, framed []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	PlaneDelay(len(raw), c.unpackNsPerKB())
+	PlaneDelay(LogicalLen(raw), c.unpackNsPerKB())
 	return raw, nil
 }
 

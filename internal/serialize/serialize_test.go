@@ -5,9 +5,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -41,6 +43,94 @@ func sampleBatch(rng *rand.Rand, steps int, frames bool) *rollout.Batch {
 	return b
 }
 
+// stackedBatch plays a frame-stacking environment the way the arcade games
+// stack: each observation holds the last n 6×7 frames, oldest first, so it
+// shifts the one before; after every step listed in resets the stack starts
+// over as n copies of a fresh frame. withVec adds the feature vector the
+// arcade games send beside their frames.
+func stackedBatch(rng *rand.Rand, steps, n int, withVec bool, resets ...int) *rollout.Batch {
+	const h, w = 6, 7
+	var frames [][]byte
+	frame := func() []byte {
+		f := make([]byte, h*w)
+		rng.Read(f)
+		return f
+	}
+	restart := func() {
+		f := frame()
+		frames = frames[:0]
+		for i := 0; i < n; i++ {
+			frames = append(frames, f)
+		}
+	}
+	obs := func() env.Obs {
+		o := env.Obs{Frame: bytes.Join(frames, nil), FrameH: h, FrameW: w, FrameN: n}
+		if withVec {
+			o.Vec = []float32{rng.Float32(), rng.Float32()}
+		}
+		return o
+	}
+	restart()
+	b := &rollout.Batch{ExplorerID: 2, WeightsVersion: 9}
+	for i := 0; i < steps; i++ {
+		done := slices.Contains(resets, i)
+		b.Steps = append(b.Steps, rollout.Step{
+			Obs: obs(), Action: int32(i % 3), Reward: float32(i), Done: done,
+			Logits: []float32{rng.Float32(), rng.Float32()},
+		})
+		if done {
+			restart()
+		} else {
+			frames = append(frames[1:], frame())
+		}
+	}
+	b.BootstrapObs = obs()
+	return b
+}
+
+// unshiftedLen is the length of b's encoding with every stack written
+// whole: a one-frame stack never shifts, and FrameN is a fixed-width field.
+func unshiftedLen(t *testing.T, b *rollout.Batch) int {
+	t.Helper()
+	whole := *b
+	whole.Steps = slices.Clone(b.Steps)
+	for i := range whole.Steps {
+		whole.Steps[i].Obs.FrameN = 1
+	}
+	whole.BootstrapObs.FrameN = 1
+	raw, err := Marshal(&whole)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(raw)
+}
+
+// encodingPin is the length and CRC32C of a rollout's encoding as it was
+// before frame stacks were shifted; a rollout with no shifted stack must
+// still encode to exactly those bytes.
+type encodingPin struct {
+	seed   int64
+	steps  int
+	frames bool
+	len    int
+	crc    uint32
+}
+
+func checkPins(t *testing.T, pins []encodingPin) {
+	t.Helper()
+	table := crc32.MakeTable(crc32.Castagnoli)
+	for _, p := range pins {
+		raw, err := Marshal(sampleBatch(rand.New(rand.NewSource(p.seed)), p.steps, p.frames))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := crc32.Checksum(raw, table); len(raw) != p.len || got != p.crc {
+			t.Fatalf("sampleBatch(seed %d, %d steps, frames %v) encodes to %d bytes, crc %#08x; want %d, %#08x",
+				p.seed, p.steps, p.frames, len(raw), got, p.len, p.crc)
+		}
+	}
+}
+
 func TestRolloutRoundTripVec(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	in := sampleBatch(rng, 20, false)
@@ -59,26 +149,61 @@ func TestRolloutRoundTripVec(t *testing.T) {
 	if !reflect.DeepEqual(in, out) {
 		t.Fatal("rollout batch round trip mismatch")
 	}
+	checkPins(t, []encodingPin{
+		{seed: 1, steps: 20, len: 1278, crc: 0x4d0ab1da},
+		{seed: 12, steps: 40, len: 2518, crc: 0x37e7f68b},
+	})
 }
 
+// TestRolloutRoundTripFrames: frame rollouts survive marshal/unmarshal
+// whether their stacks are random, shift, restart after a reset or cannot
+// shift; every stack that shifts its predecessor — the bootstrap
+// observation's included — is sent as one frame, and the header records the
+// length the body has with every stack whole.
 func TestRolloutRoundTripFrames(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	in := sampleBatch(rng, 5, true)
-	data, err := Marshal(in)
-	if err != nil {
-		t.Fatalf("Marshal: %v", err)
+	const frame = 6 * 7
+	for _, tc := range []struct {
+		name    string
+		in      *rollout.Batch
+		shifted int // stacks sent as one frame
+		n       int // frames per stack
+	}{
+		{"random stacks", sampleBatch(rng, 5, true), 0, 2},
+		{"frame only", stackedBatch(rng, 10, 4, false), 10, 4},
+		{"frame and vector", stackedBatch(rng, 10, 4, true), 10, 4},
+		{"reset mid-rollout", stackedBatch(rng, 10, 4, true, 3, 6), 8, 4},
+		{"one-frame stacks", stackedBatch(rng, 10, 1, true), 0, 1},
+		{"bootstrap shifts the first step", stackedBatch(rng, 1, 4, false), 1, 4},
+	} {
+		data, err := Marshal(tc.in)
+		if err != nil {
+			t.Fatalf("%s: Marshal: %v", tc.name, err)
+		}
+		got, err := Unmarshal(data)
+		if err != nil {
+			t.Fatalf("%s: Unmarshal: %v", tc.name, err)
+		}
+		if !reflect.DeepEqual(tc.in, got) {
+			t.Fatalf("%s: round trip mismatch", tc.name)
+		}
+		whole, elided := unshiftedLen(t, tc.in), tc.shifted*(tc.n-1)*frame
+		wantTag, wantLen := tagRollout, whole
+		if tc.shifted > 0 {
+			wantTag, wantLen = tagRolloutShifted, whole-elided+shiftHeader
+		}
+		if data[0] != wantTag || len(data) != wantLen || LogicalLen(data) != whole {
+			t.Fatalf("%s: tag %d, %d bytes, logical %d; want tag %d, %d bytes, logical %d",
+				tc.name, data[0], len(data), LogicalLen(data), wantTag, wantLen, whole)
+		}
+		if framed, _ := (Compressor{}).Pack(data); FramedLogicalLen(framed) != 1+whole {
+			t.Fatalf("%s: raw frame's logical length %d, want %d", tc.name, FramedLogicalLen(framed), 1+whole)
+		}
 	}
-	got, err := Unmarshal(data)
-	if err != nil {
-		t.Fatalf("Unmarshal: %v", err)
-	}
-	out := got.(*rollout.Batch)
-	if !reflect.DeepEqual(in, out) {
-		t.Fatal("frame batch round trip mismatch")
-	}
-	if len(data) < 5*84*84*2 {
-		t.Fatalf("serialized size %d smaller than raw frames; frames must dominate", len(data))
-	}
+	checkPins(t, []encodingPin{
+		{seed: 2, steps: 5, frames: true, len: 70888, crc: 0xd8cb5566},
+		{seed: 13, steps: 8, frames: true, len: 113398, crc: 0x242081dc},
+	})
 }
 
 func TestWeightsRoundTrip(t *testing.T) {
@@ -588,43 +713,67 @@ func TestUnpackIntoUsesBuffer(t *testing.T) {
 
 // TestUnmarshalRolloutFramesIsolated: decoded frames share one backing
 // array, so each must be capped at its own length — growing one may not
-// write into the next — and a zero-length frame must stay nil, or the
-// re-marshalled body would change shape.
+// write into the next, and writing into one may not change another — and a
+// zero-length frame must stay a non-nil empty one, or the re-marshalled body
+// would change shape. Shifted stacks are rebuilt from their predecessors in
+// that same array and must be just as separate.
 func TestUnmarshalRolloutFramesIsolated(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	in := sampleBatch(rng, 4, true)
-	in.Steps[2].Obs.Frame = []byte{} // encodes as a zero-length frame
-	data, err := Marshal(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Unmarshal(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := got.(*rollout.Batch)
-	if out.Steps[2].Obs.Frame != nil {
-		t.Fatalf("zero-length frame decoded to %v, want nil", out.Steps[2].Obs.Frame)
-	}
-	if out.BootstrapObs.Frame != nil {
-		t.Fatal("vector bootstrap observation grew a frame")
-	}
-	for _, i := range []int{0, 1, 3} {
-		f := out.Steps[i].Obs.Frame
-		if !bytes.Equal(f, in.Steps[i].Obs.Frame) {
-			t.Fatalf("step %d frame differs", i)
+	random := sampleBatch(rng, 4, true)
+	random.Steps[2].Obs.Frame = []byte{} // encodes as a zero-length frame
+	for name, in := range map[string]*rollout.Batch{
+		"random stacks":  random,
+		"shifted stacks": stackedBatch(rng, 6, 4, true),
+	} {
+		data, err := Marshal(in)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if cap(f) != len(f) {
-			t.Fatalf("step %d frame: cap %d != len %d", i, cap(f), len(f))
+		got, err := Unmarshal(data)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	neighbour := append([]byte(nil), out.Steps[1].Obs.Frame...)
-	grown := append(out.Steps[0].Obs.Frame, 0xEE, 0xEE, 0xEE)
-	if &grown[0] == &out.Steps[0].Obs.Frame[0] {
-		t.Fatal("append to a decoded frame did not reallocate")
-	}
-	if !bytes.Equal(out.Steps[1].Obs.Frame, neighbour) {
-		t.Fatal("append to one decoded frame overwrote the next")
+		out := got.(*rollout.Batch)
+		if again, err := Marshal(out); err != nil || !bytes.Equal(again, data) {
+			t.Fatalf("%s: decoded body re-marshals differently (%v)", name, err)
+		}
+		frames := [][]byte{out.BootstrapObs.Frame}
+		for i := range out.Steps {
+			frames = append(frames, out.Steps[i].Obs.Frame)
+		}
+		for i, f := range frames {
+			if cap(f) != len(f) {
+				t.Fatalf("%s: frame %d: cap %d != len %d", name, i, cap(f), len(f))
+			}
+		}
+		if name == "random stacks" {
+			if f := out.Steps[2].Obs.Frame; f == nil || len(f) != 0 {
+				t.Fatalf("zero-length frame decoded to %v (nil %v), want an empty frame", f, f == nil)
+			}
+			if out.BootstrapObs.Frame != nil {
+				t.Fatal("vector bootstrap observation grew a frame")
+			}
+		}
+		snapshot := make([][]byte, len(frames))
+		for i, f := range frames {
+			snapshot[i] = bytes.Clone(f)
+		}
+		for i, f := range frames {
+			if len(f) == 0 {
+				continue
+			}
+			f[0], f[len(f)-1] = ^f[0], ^f[len(f)-1]
+			grown := append(f, 0xEE, 0xEE, 0xEE)
+			if &grown[0] == &f[0] {
+				t.Fatalf("%s: append to decoded frame %d did not reallocate", name, i)
+			}
+			for j, g := range frames {
+				if j != i && !bytes.Equal(g, snapshot[j]) {
+					t.Fatalf("%s: writing decoded frame %d changed frame %d", name, i, j)
+				}
+			}
+			f[0], f[len(f)-1] = ^f[0], ^f[len(f)-1]
+		}
 	}
 }
 
@@ -754,6 +903,11 @@ func TestPackProbeDecidesOnTheHead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The threshold is judged on the length the rollout had before its
+	// stacks were shifted, so the paper's 1 MB rule still compresses it.
+	if n := LogicalLen(frames); n != 2_302_158 || len(frames) >= c.Threshold {
+		t.Fatalf("frame rollout: %d bytes, logical %d; want under the threshold, logical 2302158", len(frames), n)
+	}
 	want := binary.LittleEndian.AppendUint64([]byte{frameLZ4}, uint64(len(frames)))
 	want = lz4.Compress(want, frames)
 	if framed, compressed := c.Pack(frames); !compressed || !bytes.Equal(framed, want) {
@@ -788,4 +942,124 @@ func BenchmarkPackDenseWeights(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		packSink, _ = c.Pack(raw)
 	}
+}
+
+// shiftedBody hand-encodes a shifted rollout of steps frame-only steps: the
+// first sends first whole as an n×h×w stack, every later one claims to shift
+// it and carries carried bytes. The logical length is left 0.
+func shiftedBody(h, w, n, steps int, first []byte, carried int) []byte {
+	out := append([]byte{tagRolloutShifted}, make([]byte, shiftHeader)...)
+	out = putU32(out, 1)
+	out = putU64(out, 1)
+	out = putU32(out, uint32(steps))
+	for i := 0; i < steps; i++ {
+		kind, frame := obsFrame, first
+		if i > 0 {
+			kind, frame = obsFrame|obsShifted, make([]byte, carried)
+		}
+		out = append(out, kind)
+		out = putU32(out, uint32(h))
+		out = putU32(out, uint32(w))
+		out = putU32(out, uint32(n))
+		out = putBytes(out, frame)
+		out = append(out, make([]byte, minStepBytes-1)...) // zero scalars, no action vector, no logits
+	}
+	return append(out, obsNone)
+}
+
+// TestRolloutDecodeBoundsAllocation: a shifted stack takes its length from
+// its predecessor, so a small payload could claim a vast decoded rollout. A
+// shift without a predecessor, one that does not carry exactly one H×W frame,
+// one whose predecessor has another length, and one deeper than
+// maxShiftFrames are refused before the frames are allocated; the deepest
+// stacks that are accepted decode within maxShiftFrames times the payload.
+func TestRolloutDecodeBoundsAllocation(t *testing.T) {
+	noPredecessor, err := Marshal(stackedBatch(rand.New(rand.NewSource(1)), 12, 4, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	noPredecessor[1+shiftHeader+16] |= obsShifted // the first step's kind
+	for name, raw := range map[string][]byte{
+		"no predecessor":             noPredecessor,
+		"carried frame not H×W":      shiftedBody(6, 7, 4, 8, make([]byte, 4*6*7), 6*7+1),
+		"predecessor length":         shiftedBody(6, 7, 4, 8, make([]byte, 3*6*7), 6*7),
+		"deeper than maxShiftFrames": shiftedBody(1, 1, 1<<20, 10_000, make([]byte, 1<<20), 1), // 10 GB decoded
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Unmarshal(raw)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrBadPayload) {
+			t.Fatalf("%s: Unmarshal = %v, want ErrBadPayload", name, err)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > uint64(8*len(raw)+4096) {
+			t.Fatalf("%s: refusing a %d-byte payload allocated %d bytes", name, len(raw), n)
+		}
+	}
+
+	const h, w, steps = 64, 64, 64
+	raw := shiftedBody(h, w, maxShiftFrames, steps, make([]byte, maxShiftFrames*h*w), h*w)
+	elided := (steps - 1) * (maxShiftFrames - 1) * h * w
+	binary.LittleEndian.PutUint64(raw[1:], uint64(len(raw)-shiftHeader+elided))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	body, err := Unmarshal(raw)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatalf("deepest accepted stacks: %v", err)
+	}
+	if got := body.(*rollout.Batch).Steps[steps-1].Obs.Frame; len(got) != maxShiftFrames*h*w {
+		t.Fatalf("last stack decoded to %d bytes, want %d", len(got), maxShiftFrames*h*w)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > uint64((maxShiftFrames+1)*len(raw)) {
+		t.Fatalf("decoding a %d-byte payload allocated %d bytes, over %d times the payload", len(raw), n, maxShiftFrames+1)
+	}
+}
+
+// FuzzUnmarshalRollout: arbitrary rollout bodies either fail with
+// ErrBadPayload or decode to a rollout that re-marshals to exactly the bytes
+// it came from — never a panic, and never a body the encoder would write
+// differently.
+func FuzzUnmarshalRollout(f *testing.F) {
+	rng := rand.New(rand.NewSource(3))
+	var seeds [][]byte
+	for _, b := range []*rollout.Batch{
+		breakoutBatch(f),
+		sampleBatch(rng, 6, false),
+		stackedBatch(rng, 8, 4, true, 3),
+	} {
+		raw, err := Marshal(b)
+		if err != nil {
+			f.Fatal(err)
+		}
+		seeds = append(seeds, raw)
+	}
+	small := seeds[2]
+	flipped := bytes.Clone(small)
+	flipped[len(flipped)/2] ^= 0x10
+	seeds = append(seeds, small[:len(small)/2], small[:len(small)-1], flipped)
+	for _, raw := range seeds {
+		f.Add(raw[0] == tagRolloutShifted, raw[1:])
+	}
+	f.Fuzz(func(t *testing.T, shifted bool, body []byte) {
+		tag := tagRollout
+		if shifted {
+			tag = tagRolloutShifted
+		}
+		data := append([]byte{tag}, body...)
+		b, err := Unmarshal(data)
+		if err != nil {
+			if !errors.Is(err, ErrBadPayload) {
+				t.Fatalf("Unmarshal error %v is not ErrBadPayload", err)
+			}
+			return
+		}
+		again, err := Marshal(b)
+		if err != nil {
+			t.Fatalf("re-marshal: %v", err)
+		}
+		if !bytes.Equal(again, data) {
+			t.Fatalf("%d-byte body decodes to a rollout that re-marshals to %d other bytes", len(data), len(again))
+		}
+	})
 }
