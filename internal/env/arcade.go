@@ -27,7 +27,9 @@ type Arcade struct {
 	steps     int
 	fallClock int
 	done      bool
-	frames    [][]byte // rolling stack of the last frameStack rendered frames
+	// strip holds the episode's rendered frames, oldest first; the last
+	// frameStack of them are the current observation's stack (see obs).
+	strip []byte
 }
 
 var _ Env = (*Arcade)(nil)
@@ -53,6 +55,11 @@ const (
 	cellPx     = 4
 	framePx    = gridW * cellPx // 84
 	frameStack = 4
+	frameBytes = framePx * framePx
+	stackBytes = frameStack * frameBytes
+	// stripFrames is how many frames one strip holds before the next frame
+	// starts a new one.
+	stripFrames = 64
 )
 
 // arcadeConfigs mirrors the relative score scales of the four Atari games
@@ -97,10 +104,11 @@ func (a *Arcade) Reset() (Obs, error) {
 	a.steps = 0
 	a.fallClock = 0
 	a.done = false
-	a.frames = a.frames[:0]
+	// The opening stack is frameStack copies of the first frame.
+	a.strip = make([]byte, 0, stripFrames*frameBytes)
 	f := a.render()
-	for i := 0; i < frameStack; i++ {
-		a.frames = append(a.frames, f)
+	for i := 1; i < frameStack; i++ {
+		copy(a.nextFrame(), f)
 	}
 	return a.obs(), nil
 }
@@ -185,13 +193,14 @@ func (a *Arcade) Step(action int) (Obs, float64, bool, error) {
 	}
 
 	a.done = a.lives <= 0 || a.steps >= a.cfg.maxSteps
-	a.pushFrame(a.render())
+	a.render()
 	return a.obs(), reward, a.done, nil
 }
 
-// render draws the grid into an 84×84 grayscale frame.
+// render draws the grid into the strip's next 84×84 grayscale frame and
+// returns that frame.
 func (a *Arcade) render() []byte {
-	f := make([]byte, framePx*framePx)
+	f := a.nextFrame()
 	drawCell := func(x, y int, v byte) {
 		for dy := 0; dy < cellPx; dy++ {
 			row := (y*cellPx + dy) * framePx
@@ -212,11 +221,18 @@ func (a *Arcade) render() []byte {
 	return f
 }
 
-func (a *Arcade) pushFrame(f []byte) {
-	a.frames = append(a.frames, f)
-	if len(a.frames) > frameStack {
-		a.frames = a.frames[len(a.frames)-frameStack:]
+// nextFrame extends the strip by one zeroed frame and returns it. A full
+// strip is replaced by a new one that starts with a copy of its last
+// frameStack−1 frames, so the stack that ends with the new frame is still one
+// window; the old strip lives on as long as a stack that views it.
+func (a *Arcade) nextFrame() []byte {
+	n := len(a.strip)
+	if n == cap(a.strip) {
+		a.strip = append(make([]byte, 0, stripFrames*frameBytes), a.strip[n-stackBytes+frameBytes:]...)
+		n = len(a.strip)
 	}
+	a.strip = a.strip[:n+frameBytes]
+	return a.strip[n:]
 }
 
 // compactDim is the length of the arcade games' compact state features:
@@ -247,11 +263,12 @@ func (a *Arcade) compactFeatures() []float32 {
 	return out
 }
 
+// obs returns the current observation. Its frame stack is the strip's last
+// frameStack frames, capacity-capped, so consecutive stacks share the frames
+// they have in common and appending to one reallocates.
 func (a *Arcade) obs() Obs {
-	frame := make([]byte, 0, frameStack*framePx*framePx)
-	for _, f := range a.frames {
-		frame = append(frame, f...)
-	}
+	n := len(a.strip)
+	frame := a.strip[n-stackBytes : n : n]
 	// The frame stack is the transmission payload (real Atari size); the
 	// compact vector is the model input, derived from the same state the
 	// frame renders — so agents avoid re-deriving features from pixels on

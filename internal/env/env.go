@@ -23,6 +23,13 @@ var ErrDone = errors.New("env: episode done; call Reset")
 // (the model input).
 type Obs struct {
 	// Frame is a raw byte frame stack for arcade environments, nil otherwise.
+	// It is read-only: consecutive stacks are windows onto one strip of
+	// frames and share the frames they have in common (the arcade games and
+	// a decoded rollout both lay them out so), so a caller that writes must
+	// Clone first. A retained stack keeps the storage it views alive: an
+	// arcade strip of at most 64 frames, or every frame of the decoded
+	// rollout it came in. Its capacity equals its length, so appending to it
+	// reallocates.
 	Frame []byte
 	// FrameH, FrameW, FrameN describe Frame's geometry when it is set.
 	FrameH, FrameW, FrameN int
@@ -67,7 +74,8 @@ func (o Obs) PooledFeatures(pool int) []float32 {
 	return out
 }
 
-// Clone returns a deep copy of the observation.
+// Clone returns a deep copy of the observation, whose Frame the caller may
+// write.
 func (o Obs) Clone() Obs {
 	c := o
 	if o.Frame != nil {

@@ -1,7 +1,9 @@
 package env
 
 import (
+	"bytes"
 	"errors"
+	"hash/crc32"
 	"math"
 	"testing"
 	"testing/quick"
@@ -298,6 +300,66 @@ func TestObsClone(t *testing.T) {
 	c.Frame[0] = 99
 	if obs.Frame[0] == 99 {
 		t.Fatal("Clone shares frame storage")
+	}
+}
+
+// TestArcadeStacksAreWindows: an arcade frame stack is a window onto the
+// episode's frame strip. Its pixels are those of the env that copied every
+// frame into a fresh stack (a length + CRC32C over 300 Breakout steps, three
+// resets and a strip rollover, pinned at that env); consecutive stacks hold
+// their N−1 shared frames at one address, except across a rollover, where the
+// new strip starts with a copy of them; and every stack is capacity-capped.
+func TestArcadeStacksAreWindows(t *testing.T) {
+	a, _ := NewArcade("Breakout", 9)
+	obs, err := a.Reset()
+	if err != nil {
+		t.Fatal(err)
+	}
+	crc := crc32.New(crc32.MakeTable(crc32.Castagnoli))
+	total := 0
+	record := func(o Obs) {
+		if cap(o.Frame) != len(o.Frame) {
+			t.Fatalf("stack cap %d != len %d", cap(o.Frame), len(o.Frame))
+		}
+		crc.Write(o.Frame)
+		total += len(o.Frame)
+	}
+	record(obs)
+	// An episode's strip opens with frameStack frames and rolls over on
+	// every step that finds it full, which leaves frameStack frames again.
+	const rolloverEvery = stripFrames - frameStack + 1
+	resets, rollovers, episodeSteps := 0, 0, 0
+	for i := 0; i < 300; i++ {
+		next, _, done, err := a.Step(i % 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		record(next)
+		episodeSteps++
+		shared, prev := next.Frame[:stackBytes-frameBytes], obs.Frame[frameBytes:]
+		if episodeSteps%rolloverEvery != 0 {
+			if &shared[0] != &prev[0] {
+				t.Fatalf("step %d: stack does not share its predecessor's frames", i)
+			}
+		} else if &shared[0] == &prev[0] || !bytes.Equal(shared, prev) {
+			t.Fatalf("step %d: stack on a new strip does not start with a copy of its predecessor's frames", i)
+		} else {
+			rollovers++
+		}
+		if obs = next; done {
+			if obs, err = a.Reset(); err != nil {
+				t.Fatal(err)
+			}
+			record(obs)
+			resets++
+			episodeSteps = 0
+		}
+	}
+	if total != 8_580_096 || crc.Sum32() != 0xecc6b6a0 {
+		t.Fatalf("stacks: %d bytes, crc %#08x; want 8580096, 0xecc6b6a0", total, crc.Sum32())
+	}
+	if resets != 3 || rollovers == 0 {
+		t.Fatalf("%d resets, %d strip rollovers; want 3 and at least 1", resets, rollovers)
 	}
 }
 

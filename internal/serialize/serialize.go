@@ -124,7 +124,11 @@ func SizeHint(body any) int {
 	}
 }
 
-// Unmarshal decodes bytes produced by Marshal back into a typed body.
+// Unmarshal decodes bytes produced by Marshal back into a typed body, which
+// shares no memory with data. A rollout's frame stacks are read-only: a
+// shifted stack shares its first N−1 frames with its predecessor, as the
+// arcade games' stacks do (env.Obs.Frame), so a caller that writes one must
+// Clone the observation first.
 func Unmarshal(data []byte) (any, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("empty payload: %w", ErrBadPayload)
@@ -295,10 +299,10 @@ const (
 	obsShifted byte = 4
 )
 
-// maxShiftFrames is the deepest frame stack the codec shifts. A shifted
-// stack decodes to at most this many times the one frame it carries, so a
-// rollout's decoded frames never exceed maxShiftFrames times the frame bytes
-// its payload holds, whatever its header claims.
+// maxShiftFrames is the deepest frame stack the codec shifts. Decoded frame
+// storage is the frame bytes a payload carries whatever the stacks' depth
+// (unmarshalRollout), so this is a plausibility cap only: on the geometry a
+// shifted stack may claim, and on the logical length LogicalLen believes.
 const maxShiftFrames = 16
 
 // shifts reports whether o's frame stack is prev's shifted by one frame: the
@@ -347,8 +351,8 @@ func putObs(dst []byte, o, prev *env.Obs) ([]byte, int) {
 
 // obs decodes one observation, and whether it is a shifted stack, which
 // only a shifted rollout may hold. Its Frame is a view into the payload — of
-// the newest frame alone for a shifted stack: unmarshalRollout rebuilds every
-// stack into one allocation once it knows their total size. A Vec that was
+// the newest frame alone for a shifted stack: unmarshalRollout moves every
+// frame into one allocation once it knows their total size. A Vec that was
 // sent is never nil, even when empty, so it re-marshals as it came.
 func (r *reader) obs(shiftedRollout bool) (o env.Obs, shifted bool) {
 	kind := r.byte()
@@ -444,10 +448,11 @@ const minStepBytes = 1 + 4 + 4 + 4 + 1 + 4 + 4 + 4
 
 // unmarshalRollout decodes a rollout body after its tag. It accepts only what
 // appendRollout writes, so a decoded body re-marshals to the same bytes.
-// Every decoded stack is sized before the one allocation that holds them
-// all: a shifted stack must have a predecessor of its geometry and carry
-// exactly one H×W frame (checkShift), which bounds that allocation by
-// maxShiftFrames times the payload.
+// Every stack is vetted before the one allocation that holds the frame bytes
+// the payload carries: a shifted stack must have a predecessor of its
+// geometry and carry exactly one H×W frame (checkShift). A shifted stack is
+// then a window onto that allocation, sharing its first N−1 frames with its
+// predecessor (the read-only contract on env.Obs.Frame).
 func unmarshalRollout(data []byte, shifted bool) (*rollout.Batch, error) {
 	r := &reader{data: data}
 	var logical uint64
@@ -503,10 +508,11 @@ func unmarshalRollout(data []byte, shifted bool) (*rollout.Batch, error) {
 		return nil, r.err
 	}
 
-	total, elided, prevLen := 0, 0, 0
+	carried, elided, prevLen := 0, 0, 0
 	for i := 0; i <= n; i++ {
 		o := at(i)
 		size := len(o.Frame)
+		carried += size
 		if shifted && isShifted[i] {
 			if i == 0 {
 				return nil, fmt.Errorf("first frame stack is shifted: %w", ErrBadPayload)
@@ -517,32 +523,31 @@ func unmarshalRollout(data []byte, shifted bool) (*rollout.Batch, error) {
 			size = prevLen
 			elided += size - len(o.Frame)
 		}
-		total += size
 		prevLen = size
 	}
 	if shifted && (elided == 0 || logical != uint64(len(data)+1-shiftHeader+elided)) {
 		return nil, fmt.Errorf("shifted rollout of logical length %d, %d bytes elided: %w", logical, elided, ErrBadPayload)
 	}
 
-	// Rebuild the stacks, oldest first, into one backing array (81
-	// allocations of 28 KB each for an Atari rollout otherwise): a shifted
-	// stack is its predecessor's newest N−1 frames, copied from the array,
-	// then the frame it carried. Each stack is capacity-capped so appending
-	// to one reallocates instead of running into its neighbour, and a
-	// zero-length frame stays a non-nil empty one.
-	arena := make([]byte, total)
+	// Move the carried frames, oldest first, into one array (81 allocations
+	// of 28 KB each for an Atari rollout otherwise). A whole stack is
+	// appended; a shifted one appends the frame it carried and becomes the
+	// window that ends there, because its predecessor always ends at the
+	// write cursor. Each stack is capacity-capped so appending to one
+	// reallocates instead of running into its neighbour, and a zero-length
+	// frame stays a non-nil empty one.
+	arena := make([]byte, 0, carried)
 	for i := 0; i <= n; i++ {
 		o := at(i)
 		switch {
 		case shifted && isShifted[i]:
-			p := at(i - 1)
-			kept := copy(arena, p.Frame[len(o.Frame):])
-			copy(arena[kept:], o.Frame)
-			size := len(p.Frame)
-			o.Frame, arena = arena[:size:size], arena[size:]
+			arena = append(arena, o.Frame...)
+			end := len(arena)
+			o.Frame = arena[end-len(at(i-1).Frame) : end : end]
 		case o.Frame != nil:
-			size := copy(arena, o.Frame)
-			o.Frame, arena = arena[:size:size], arena[size:]
+			start := len(arena)
+			arena = append(arena, o.Frame...)
+			o.Frame = arena[start:len(arena):len(arena)]
 			if i > 0 && shifts(at(i-1), o) {
 				return nil, fmt.Errorf("frame stack %d is sent whole but shifts its predecessor: %w", i, ErrBadPayload)
 			}

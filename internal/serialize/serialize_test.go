@@ -12,6 +12,7 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"xingtian/internal/env"
 	"xingtian/internal/lz4"
@@ -475,19 +476,29 @@ func BenchmarkMarshalRollout500Frames(b *testing.B) {
 	}
 }
 
+// BenchmarkUnmarshalRollout decodes 100 steps of random, whole stacks and an
+// 80-step Breakout rollout, whose stacks shift.
 func BenchmarkUnmarshalRollout(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	data, err := Marshal(sampleBatch(rng, 100, true))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Unmarshal(data); err != nil {
+	for _, bc := range []struct {
+		name  string
+		batch *rollout.Batch
+	}{
+		{"random", sampleBatch(rand.New(rand.NewSource(5)), 100, true)},
+		{"breakout", breakoutBatch(b)},
+	} {
+		data, err := Marshal(bc.batch)
+		if err != nil {
 			b.Fatal(err)
 		}
+		b.Run(bc.name, func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Unmarshal(data); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -711,21 +722,77 @@ func TestUnpackIntoUsesBuffer(t *testing.T) {
 	}
 }
 
-// TestUnmarshalRolloutFramesIsolated: decoded frames share one backing
-// array, so each must be capped at its own length — growing one may not
-// write into the next, and writing into one may not change another — and a
-// zero-length frame must stay a non-nil empty one, or the re-marshalled body
-// would change shape. Shifted stacks are rebuilt from their predecessors in
-// that same array and must be just as separate.
-func TestUnmarshalRolloutFramesIsolated(t *testing.T) {
+// checkStacksShareFrames checks the layout unmarshalRollout gives a decoded
+// rollout's frames, and returns how many stacks shift their predecessor.
+// Every stack is capped at its own length. A stack that shifts its
+// predecessor holds its first N−1 frames at the address of the predecessor's
+// last N−1. Together the frames fill one array, oldest first, that holds
+// exactly the frame bytes the payload carried: each whole stack, and each
+// shifted stack's newest frame.
+func checkStacksShareFrames(t testing.TB, b *rollout.Batch) int {
+	t.Helper()
+	obs := make([]*env.Obs, 0, len(b.Steps)+1)
+	for i := range b.Steps {
+		obs = append(obs, &b.Steps[i].Obs)
+	}
+	obs = append(obs, &b.BootstrapObs)
+	addr := func(f []byte) uintptr { return uintptr(unsafe.Pointer(unsafe.SliceData(f))) }
+	var first, end uintptr // where the array starts, and where the frames so far end
+	carried, shared := 0, 0
+	for i, o := range obs {
+		f := o.Frame
+		if cap(f) != len(f) {
+			t.Fatalf("stack %d: cap %d != len %d", i, cap(f), len(f))
+		}
+		if len(f) == 0 {
+			continue // an empty slice's address is not a position in the array
+		}
+		start := addr(f)
+		if i > 0 && shifts(obs[i-1], o) {
+			p, hw := obs[i-1].Frame, len(f)/o.FrameN
+			if &f[0] != &p[hw] {
+				t.Fatalf("stack %d shifts its predecessor but does not share its frames", i)
+			}
+			shared++
+			carried += hw
+			start += uintptr(len(f) - hw)
+		} else {
+			carried += len(f)
+		}
+		if first == 0 {
+			first = start
+		} else if start != end {
+			t.Fatalf("stack %d: its new bytes do not follow the previous stack's", i)
+		}
+		end = addr(f) + uintptr(len(f))
+	}
+	if int(end-first) != carried {
+		t.Fatalf("frames span %d bytes, carried %d", end-first, carried)
+	}
+	return shared
+}
+
+// TestUnmarshalRolloutStacksShareFrames: decoded frames live in one array of
+// exactly the frame bytes the payload carried, and a shifted stack is a
+// window onto it that shares its first N−1 frames with its predecessor
+// (checkStacksShareFrames). Each stack is capped at its own length, so
+// growing one reallocates instead of running into its neighbour, and a
+// zero-length frame stays a non-nil empty one, or the re-marshalled body
+// would change shape.
+func TestUnmarshalRolloutStacksShareFrames(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	random := sampleBatch(rng, 4, true)
 	random.Steps[2].Obs.Frame = []byte{} // encodes as a zero-length frame
-	for name, in := range map[string]*rollout.Batch{
-		"random stacks":  random,
-		"shifted stacks": stackedBatch(rng, 6, 4, true),
+	for _, tc := range []struct {
+		name    string
+		in      *rollout.Batch
+		shifted int
+	}{
+		{"random stacks", random, 0},
+		{"shifted stacks", stackedBatch(rng, 6, 4, true), 6},
+		{"reset mid-rollout", stackedBatch(rng, 8, 4, true, 3), 7},
 	} {
-		data, err := Marshal(in)
+		data, err := Marshal(tc.in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -735,18 +802,12 @@ func TestUnmarshalRolloutFramesIsolated(t *testing.T) {
 		}
 		out := got.(*rollout.Batch)
 		if again, err := Marshal(out); err != nil || !bytes.Equal(again, data) {
-			t.Fatalf("%s: decoded body re-marshals differently (%v)", name, err)
+			t.Fatalf("%s: decoded body re-marshals differently (%v)", tc.name, err)
 		}
-		frames := [][]byte{out.BootstrapObs.Frame}
-		for i := range out.Steps {
-			frames = append(frames, out.Steps[i].Obs.Frame)
+		if n := checkStacksShareFrames(t, out); n != tc.shifted {
+			t.Fatalf("%s: %d stacks share their predecessor's frames, want %d", tc.name, n, tc.shifted)
 		}
-		for i, f := range frames {
-			if cap(f) != len(f) {
-				t.Fatalf("%s: frame %d: cap %d != len %d", name, i, cap(f), len(f))
-			}
-		}
-		if name == "random stacks" {
+		if tc.name == "random stacks" {
 			if f := out.Steps[2].Obs.Frame; f == nil || len(f) != 0 {
 				t.Fatalf("zero-length frame decoded to %v (nil %v), want an empty frame", f, f == nil)
 			}
@@ -754,25 +815,14 @@ func TestUnmarshalRolloutFramesIsolated(t *testing.T) {
 				t.Fatal("vector bootstrap observation grew a frame")
 			}
 		}
-		snapshot := make([][]byte, len(frames))
-		for i, f := range frames {
-			snapshot[i] = bytes.Clone(f)
-		}
-		for i, f := range frames {
+		for i := range out.Steps {
+			f := out.Steps[i].Obs.Frame
 			if len(f) == 0 {
 				continue
 			}
-			f[0], f[len(f)-1] = ^f[0], ^f[len(f)-1]
-			grown := append(f, 0xEE, 0xEE, 0xEE)
-			if &grown[0] == &f[0] {
-				t.Fatalf("%s: append to decoded frame %d did not reallocate", name, i)
+			if grown := append(f, 0xEE); &grown[0] == &f[0] {
+				t.Fatalf("%s: append to decoded frame %d did not reallocate", tc.name, i)
 			}
-			for j, g := range frames {
-				if j != i && !bytes.Equal(g, snapshot[j]) {
-					t.Fatalf("%s: writing decoded frame %d changed frame %d", name, i, j)
-				}
-			}
-			f[0], f[len(f)-1] = ^f[0], ^f[len(f)-1]
 		}
 	}
 }
@@ -967,12 +1017,39 @@ func shiftedBody(h, w, n, steps int, first []byte, carried int) []byte {
 	return append(out, obsNone)
 }
 
+// decodeAllocBound is the most Unmarshal may allocate for rollout body data:
+// the frame and float bytes it carries, which are fewer than its length, one
+// stepAllocBound for each step it declares and a constant.
+func decodeAllocBound(data []byte) uint64 {
+	const stepAllocBound = 256 // the decoded step struct and its small slices' rounding
+	at := 1 + 4 + 8            // the step count: after the tag, explorer ID and weights version
+	if data[0] == tagRolloutShifted {
+		at += shiftHeader
+	}
+	steps := 0
+	if len(data) >= at+4 {
+		steps = min(int(binary.LittleEndian.Uint32(data[at:])), len(data)/minStepBytes)
+	}
+	return uint64(len(data) + stepAllocBound*(steps+1) + 16<<10)
+}
+
+// decodeAllocs unmarshals data and reports how many bytes that allocated.
+func decodeAllocs(data []byte) (any, uint64, error) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	body, err := Unmarshal(data)
+	runtime.ReadMemStats(&after)
+	return body, after.TotalAlloc - before.TotalAlloc, err
+}
+
 // TestRolloutDecodeBoundsAllocation: a shifted stack takes its length from
 // its predecessor, so a small payload could claim a vast decoded rollout. A
 // shift without a predecessor, one that does not carry exactly one H×W frame,
 // one whose predecessor has another length, and one deeper than
 // maxShiftFrames are refused before the frames are allocated; the deepest
-// stacks that are accepted decode within maxShiftFrames times the payload.
+// stacks that are accepted decode into the frame bytes the payload carries.
+// Either way decoding allocates no more than the payload's length plus a
+// constant per step (decodeAllocBound).
 func TestRolloutDecodeBoundsAllocation(t *testing.T) {
 	noPredecessor, err := Marshal(stackedBatch(rand.New(rand.NewSource(1)), 12, 4, false))
 	if err != nil {
@@ -985,15 +1062,12 @@ func TestRolloutDecodeBoundsAllocation(t *testing.T) {
 		"predecessor length":         shiftedBody(6, 7, 4, 8, make([]byte, 3*6*7), 6*7),
 		"deeper than maxShiftFrames": shiftedBody(1, 1, 1<<20, 10_000, make([]byte, 1<<20), 1), // 10 GB decoded
 	} {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		_, err := Unmarshal(raw)
-		runtime.ReadMemStats(&after)
+		_, n, err := decodeAllocs(raw)
 		if !errors.Is(err, ErrBadPayload) {
 			t.Fatalf("%s: Unmarshal = %v, want ErrBadPayload", name, err)
 		}
-		if n := after.TotalAlloc - before.TotalAlloc; n > uint64(8*len(raw)+4096) {
-			t.Fatalf("%s: refusing a %d-byte payload allocated %d bytes", name, len(raw), n)
+		if bound := decodeAllocBound(raw); n > bound {
+			t.Fatalf("%s: refusing a %d-byte payload allocated %d bytes, over %d", name, len(raw), n, bound)
 		}
 	}
 
@@ -1001,25 +1075,23 @@ func TestRolloutDecodeBoundsAllocation(t *testing.T) {
 	raw := shiftedBody(h, w, maxShiftFrames, steps, make([]byte, maxShiftFrames*h*w), h*w)
 	elided := (steps - 1) * (maxShiftFrames - 1) * h * w
 	binary.LittleEndian.PutUint64(raw[1:], uint64(len(raw)-shiftHeader+elided))
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	body, err := Unmarshal(raw)
-	runtime.ReadMemStats(&after)
+	body, n, err := decodeAllocs(raw)
 	if err != nil {
 		t.Fatalf("deepest accepted stacks: %v", err)
 	}
 	if got := body.(*rollout.Batch).Steps[steps-1].Obs.Frame; len(got) != maxShiftFrames*h*w {
 		t.Fatalf("last stack decoded to %d bytes, want %d", len(got), maxShiftFrames*h*w)
 	}
-	if n := after.TotalAlloc - before.TotalAlloc; n > uint64((maxShiftFrames+1)*len(raw)) {
-		t.Fatalf("decoding a %d-byte payload allocated %d bytes, over %d times the payload", len(raw), n, maxShiftFrames+1)
+	if bound := decodeAllocBound(raw); n > bound {
+		t.Fatalf("decoding a %d-byte payload allocated %d bytes, over %d", len(raw), n, bound)
 	}
 }
 
 // FuzzUnmarshalRollout: arbitrary rollout bodies either fail with
 // ErrBadPayload or decode to a rollout that re-marshals to exactly the bytes
 // it came from — never a panic, and never a body the encoder would write
-// differently.
+// differently. Either way decoding allocates within decodeAllocBound, and a
+// decoded rollout's stacks share their frames (checkStacksShareFrames).
 func FuzzUnmarshalRollout(f *testing.F) {
 	rng := rand.New(rand.NewSource(3))
 	var seeds [][]byte
@@ -1047,7 +1119,10 @@ func FuzzUnmarshalRollout(f *testing.F) {
 			tag = tagRolloutShifted
 		}
 		data := append([]byte{tag}, body...)
-		b, err := Unmarshal(data)
+		b, n, err := decodeAllocs(data)
+		if bound := decodeAllocBound(data); n > bound {
+			t.Fatalf("decoding a %d-byte body allocated %d bytes, over %d", len(data), n, bound)
+		}
 		if err != nil {
 			if !errors.Is(err, ErrBadPayload) {
 				t.Fatalf("Unmarshal error %v is not ErrBadPayload", err)
@@ -1061,5 +1136,6 @@ func FuzzUnmarshalRollout(f *testing.F) {
 		if !bytes.Equal(again, data) {
 			t.Fatalf("%d-byte body decodes to a rollout that re-marshals to %d other bytes", len(data), len(again))
 		}
+		checkStacksShareFrames(t, b.(*rollout.Batch))
 	})
 }
