@@ -2,13 +2,19 @@ package lz4
 
 import (
 	"bytes"
+	"math/rand"
 	"strings"
 	"testing"
 )
 
 // FuzzLZ4RoundTrip checks Compress→Decompress is the identity for arbitrary
-// inputs, that compressed output respects CompressBound, and that the
-// byte-at-a-time oracle decodes the block to the same bytes.
+// inputs, that compressed output respects CompressBound, that the
+// byte-at-a-time oracle decodes the block to the same bytes, that Compress
+// emits compressOracle's block byte for byte, and that CompressProbe, at a
+// probe length taken from the input, either gives up or emits that block
+// too. The seeds past the fixed ones put a single mismatch at every offset
+// 0–135 past the first extendBlock boundary of a long match, and end long
+// matches in the last-literals zone at every offset of a block.
 func FuzzLZ4RoundTrip(f *testing.F) {
 	f.Add([]byte(nil))
 	f.Add([]byte("a"))
@@ -17,6 +23,9 @@ func FuzzLZ4RoundTrip(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{1, 2, 3}, 500))
 	f.Add([]byte(strings.Repeat("the quick brown fox jumps over the lazy dog. ", 40)))
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1})
+	for _, src := range longMatchSeeds() {
+		f.Add(src)
+	}
 	f.Fuzz(func(t *testing.T, src []byte) {
 		comp := Compress(nil, src)
 		if len(comp) > CompressBound(len(src)) {
@@ -32,7 +41,50 @@ func FuzzLZ4RoundTrip(f *testing.F) {
 			t.Fatalf("round trip mismatch: n=%d want %d", n, len(src))
 		}
 		checkAgainstOracle(t, comp, len(src))
+
+		want := compressOracle(nil, src)
+		if !bytes.Equal(comp, want) {
+			t.Fatalf("Compress emitted %d bytes, differing from the oracle's %d-byte block", len(comp), len(want))
+		}
+		probe := len(src) / 2
+		if len(src) > 0 {
+			probe = int(src[0]) * len(src) / 255
+		}
+		prefix := []byte("dst")
+		got, ok := CompressProbe(prefix, src, probe)
+		if !bytes.Equal(got[:len(prefix)], prefix) {
+			t.Fatalf("CompressProbe(probe %d) overwrote dst's prefix", probe)
+		}
+		if ok && !bytes.Equal(got[len(prefix):], want) {
+			t.Fatalf("CompressProbe(probe %d) kept a %d-byte block, differing from the oracle's %d bytes",
+				probe, len(got)-len(prefix), len(want))
+		}
 	})
+}
+
+// longMatchSeeds returns inputs whose long match ends at every offset the
+// block compare and the word-wise finish can meet: a 300-byte random run
+// repeated with one byte flipped at each offset 0–135 past the match's
+// first block boundary, and the run repeated up to the end of the input so
+// the last-literals zone cuts the match at every length from one word to a
+// word past the first block.
+func longMatchSeeds() [][]byte {
+	rng := rand.New(rand.NewSource(11))
+	run := make([]byte, 300)
+	rng.Read(run)
+	// The repeat's match covers minMatch plus one word before its first
+	// block compare.
+	boundary := minMatch + 8 + extendBlock
+	var seeds [][]byte
+	for off := 0; off <= 135; off++ {
+		src := append(append([]byte(nil), run...), run...)
+		src[len(run)+boundary+off] ^= 0xFF
+		seeds = append(seeds, src)
+	}
+	for n := boundary - extendBlock; n <= boundary+lastLits+8; n++ {
+		seeds = append(seeds, append(append([]byte(nil), run...), run[:n]...))
+	}
+	return seeds
 }
 
 // FuzzLZ4DecompressCorrupt feeds arbitrary bytes to Decompress with varying

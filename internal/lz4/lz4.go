@@ -11,6 +11,7 @@
 package lz4
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -55,27 +56,50 @@ var tablePool = sync.Pool{New: func() any { return new(hashTable) }}
 // Compress appends the LZ4 block encoding of src to dst and returns the
 // extended buffer. Compressing empty input yields an empty block.
 func Compress(dst, src []byte) []byte {
-	if len(src) == 0 {
-		return dst
-	}
-	if len(src) < mfLimit+1 {
-		return emitFinalLiterals(dst, src)
-	}
-	table := tablePool.Get().(*hashTable)
-	*table = hashTable{}
-	dst = compressBlock(dst, src, table)
-	tablePool.Put(table)
+	dst, _ = CompressProbe(dst, src, len(src))
 	return dst
 }
 
-// compressBlock is Compress for inputs long enough to hold a match, with a
-// zeroed table.
-func compressBlock(dst, src []byte, table *hashTable) []byte {
+// CompressProbe is Compress for a caller that only wants the block if src
+// shrinks: the parse checks itself once, when it has covered probe bytes of
+// src, and gives up — returning false and a dst holding a partial block —
+// unless the bytes it has emitted so far, plus the worst-case encoding of
+// its pending literal run, are fewer than the bytes covered. When it returns
+// true, the block is Compress's byte for byte. A parse that finishes before
+// probe bytes is never checked.
+func CompressProbe(dst, src []byte, probe int) ([]byte, bool) {
+	if len(src) == 0 {
+		return dst, true
+	}
+	if len(src) < mfLimit+1 {
+		return emitFinalLiterals(dst, src), true
+	}
+	table := tablePool.Get().(*hashTable)
+	*table = hashTable{}
+	dst, ok := compressBlock(dst, src, table, probe)
+	tablePool.Put(table)
+	return dst, ok
+}
+
+// extendBlock is the stride of the block compare a match that outlives its
+// first word is extended with; bytes.Equal runs at vector width from there.
+const extendBlock = 128
+
+// compressBlock is CompressProbe for inputs long enough to hold a match,
+// with a zeroed table.
+func compressBlock(dst, src []byte, table *hashTable, probe int) ([]byte, bool) {
+	start := len(dst)
 	anchor := 0 // start of pending literals
 	pos := 0
 	limit := len(src) - mfLimit // last position a match may start at
+	// stop is where the parse pauses to check itself against probe; once
+	// it has (or never will), stop is limit and the check costs nothing.
+	stop := limit
+	if probe <= limit {
+		stop = probe - 1
+	}
 
-	for pos <= limit {
+	for {
 		// Find a match by hashing 4 bytes with adaptive skipping.
 		step := 1
 		searches := 1 << skipTrigger
@@ -92,8 +116,16 @@ func compressBlock(dst, src []byte, table *hashTable) []byte {
 			pos += step
 			step = searches >> skipTrigger
 			searches++
-			if pos > limit {
-				return emitFinalLiterals(dst, src[anchor:])
+			if pos > stop {
+				if stop < limit {
+					if !shrinks(len(dst)-start, pos-anchor, pos) {
+						return dst, false
+					}
+					stop = limit
+				}
+				if pos > limit {
+					return emitFinalLiterals(dst, src[anchor:]), true
+				}
 			}
 		}
 
@@ -103,16 +135,31 @@ func compressBlock(dst, src []byte, table *hashTable) []byte {
 			pos--
 		}
 
-		// Extend forwards eight bytes at a time; the match may not run into
-		// the last-literals zone. The first differing byte of two
-		// little-endian words is the lowest set bit of their XOR.
+		// Extend forwards; the match may not run into the last-literals
+		// zone. The first differing byte of two little-endian words is the
+		// lowest set bit of their XOR. A match that agrees on the word after
+		// its minimum is likely a long one (hundreds of bytes in a frame
+		// rollout), so it is compared in blocks before the word-wise finish;
+		// a shorter one never enters the block loop.
 		matchLen := minMatch
 		maxLen := len(src) - lastLits - pos
+		if matchLen+8 <= maxLen {
+			if x := binary.LittleEndian.Uint64(src[matchPos+matchLen:]) ^ binary.LittleEndian.Uint64(src[pos+matchLen:]); x != 0 {
+				matchLen += bits.TrailingZeros64(x) >> 3
+				maxLen = matchLen // found the end: skip the word and byte tails
+			} else {
+				matchLen += 8
+				for matchLen+extendBlock <= maxLen &&
+					bytes.Equal(src[matchPos+matchLen:matchPos+matchLen+extendBlock], src[pos+matchLen:pos+matchLen+extendBlock]) {
+					matchLen += extendBlock
+				}
+			}
+		}
 		for matchLen+8 <= maxLen {
 			x := binary.LittleEndian.Uint64(src[matchPos+matchLen:]) ^ binary.LittleEndian.Uint64(src[pos+matchLen:])
 			if x != 0 {
 				matchLen += bits.TrailingZeros64(x) >> 3
-				maxLen = matchLen // found the end: skip the byte tail
+				maxLen = matchLen
 				break
 			}
 			matchLen += 8
@@ -130,8 +177,25 @@ func compressBlock(dst, src []byte, table *hashTable) []byte {
 			h := hash4(binary.LittleEndian.Uint32(src[pos-2:]))
 			table[h] = int32(pos - 2 + 1)
 		}
+		if pos > stop {
+			if stop < limit {
+				if !shrinks(len(dst)-start, pos-anchor, pos) {
+					return dst, false
+				}
+				stop = limit
+			}
+			if pos > limit {
+				return emitFinalLiterals(dst, src[anchor:]), true
+			}
+		}
 	}
-	return emitFinalLiterals(dst, src[anchor:])
+}
+
+// shrinks is CompressProbe's check: emitted bytes of block plus a pending
+// run of lits literals, at lits + lits/255 + 1 bytes (token and length bytes
+// included), are fewer than the covered bytes of input they encode.
+func shrinks(emitted, lits, covered int) bool {
+	return emitted+lits+lits/255+1 < covered
 }
 
 // hash4 maps a 4-byte window to a table slot.

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"os"
 	"strings"
@@ -78,6 +79,70 @@ func decompressOracle(dst, src []byte) (int, error) {
 		return 0, fmt.Errorf("block decoded %d of %d bytes: %w", di, len(dst), ErrCorrupt)
 	}
 	return di, nil
+}
+
+// compressOracle is the compressor this package shipped before matches
+// were extended in blocks: word-wise extension, a fresh zeroed table per
+// call, no probe. Compress and every CompressProbe that does not give up
+// must emit its block byte for byte.
+func compressOracle(dst, src []byte) []byte {
+	if len(src) == 0 {
+		return dst
+	}
+	if len(src) < mfLimit+1 {
+		return emitFinalLiterals(dst, src)
+	}
+	table := new(hashTable)
+	anchor := 0
+	pos := 0
+	limit := len(src) - mfLimit
+	for pos <= limit {
+		step := 1
+		searches := 1 << skipTrigger
+		matchPos := -1
+		for {
+			h := hash4(binary.LittleEndian.Uint32(src[pos:]))
+			cand := int(table[h]) - 1
+			table[h] = int32(pos + 1)
+			if cand >= 0 && pos-cand <= maxOffset &&
+				binary.LittleEndian.Uint32(src[cand:]) == binary.LittleEndian.Uint32(src[pos:]) {
+				matchPos = cand
+				break
+			}
+			pos += step
+			step = searches >> skipTrigger
+			searches++
+			if pos > limit {
+				return emitFinalLiterals(dst, src[anchor:])
+			}
+		}
+		for matchPos > 0 && pos > anchor && src[matchPos-1] == src[pos-1] {
+			matchPos--
+			pos--
+		}
+		matchLen := minMatch
+		maxLen := len(src) - lastLits - pos
+		for matchLen+8 <= maxLen {
+			x := binary.LittleEndian.Uint64(src[matchPos+matchLen:]) ^ binary.LittleEndian.Uint64(src[pos+matchLen:])
+			if x != 0 {
+				matchLen += bits.TrailingZeros64(x) >> 3
+				maxLen = matchLen
+				break
+			}
+			matchLen += 8
+		}
+		for matchLen < maxLen && src[matchPos+matchLen] == src[pos+matchLen] {
+			matchLen++
+		}
+		dst = emitSequence(dst, src[anchor:pos], pos-matchPos, matchLen)
+		pos += matchLen
+		anchor = pos
+		if pos <= limit {
+			h := hash4(binary.LittleEndian.Uint32(src[pos-2:]))
+			table[h] = int32(pos - 2 + 1)
+		}
+	}
+	return emitFinalLiterals(dst, src[anchor:])
 }
 
 // errClass folds an error to the sentinel callers can test for.

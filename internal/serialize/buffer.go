@@ -46,6 +46,8 @@
 //     call: it frees it after copying the compressed frame out at exact size,
 //     and equally when compression did not shrink the body. Callers never see
 //     pooled memory.
+//   - appendWeightsDelta owns a delta's entry block and its LZ4 scratch and
+//     frees both (deferred) once the block is copied into the encoding.
 //   - broker.Port.materialize owns the decompression buffer it passes to
 //     Compressor.UnpackInto and frees it (deferred) once Unmarshal has copied
 //     everything out — also when unpacking or decoding fails.

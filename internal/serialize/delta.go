@@ -320,8 +320,18 @@ func appendWeightsDelta(out []byte, d *message.WeightsDeltaPayload) []byte {
 		flags |= deltaFlagQuant
 	}
 
-	// Entry block: count, varint index gaps (sparse), then entry bytes.
-	block := make([]byte, 0, 4+5*d.Entries())
+	// Entry block: count, varint index gaps (sparse), then entry bytes. It
+	// and its compression scratch are pooled, sized so neither grows (the
+	// deferred frees see their final arrays), and copied into out.
+	entryBytes := 4
+	if d.Scale > 0 {
+		entryBytes = 1
+	}
+	if d.Indices != nil {
+		entryBytes += binary.MaxVarintLen32
+	}
+	block := GetBuf(4 + entryBytes*d.Entries())
+	defer FreeBuf(block)
 	block = putU32(block, uint32(d.Entries()))
 	if d.Indices != nil {
 		prev := uint64(0)
@@ -348,8 +358,8 @@ func appendWeightsDelta(out []byte, d *message.WeightsDeltaPayload) []byte {
 	// LZ4 the block when it shrinks — the fixed block codec, applied inside
 	// the payload because deltas rarely reach the outer compressor threshold.
 	if len(block) >= deltaLZ4MinBytes {
-		comp := make([]byte, 0, lz4.CompressBound(len(block)))
-		comp = lz4.Compress(comp, block)
+		comp := lz4.Compress(GetBuf(lz4.CompressBound(len(block))), block)
+		defer FreeBuf(comp)
 		if len(comp) < len(block) {
 			out = append(out, flags|deltaFlagLZ4)
 			out = putU32(out, uint32(len(block)))

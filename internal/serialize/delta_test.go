@@ -373,6 +373,38 @@ func TestApplyDeltaInPlace(t *testing.T) {
 	}
 }
 
+// TestMarshalWeightsDeltaAllocatesNothing: a delta's entry block and its
+// LZ4 scratch are pooled, so encoding any payload kind into a pooled buffer
+// allocates nothing in steady state — LZ4-framed blocks included.
+func TestMarshalWeightsDeltaAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	// Tag, Version, BaseVersion, NumParams and Scale precede the flags.
+	const flagsAt = 1 + 8 + 8 + 4 + 4
+	compressed := 0
+	for _, k := range deltaKinds(t, 2000) {
+		raw, err := MarshalPooled(k.d)
+		if err != nil {
+			t.Fatalf("%s: MarshalPooled: %v", k.name, err)
+		}
+		if raw[flagsAt]&deltaFlagLZ4 != 0 {
+			compressed++
+		}
+		FreeBuf(raw)
+		encode := func() {
+			raw, _ := MarshalPooled(k.d)
+			FreeBuf(raw)
+		}
+		if allocs := testing.AllocsPerRun(50, encode); allocs != 0 {
+			t.Fatalf("%s: MarshalPooled allocates %.0f times per encode, want 0", k.name, allocs)
+		}
+	}
+	if compressed == 0 {
+		t.Fatal("no payload kind took the LZ4 path")
+	}
+}
+
 // TestApplyDeltaErrorLeavesBaseUntouched: every malformed payload is refused
 // before the first write — including one whose only bad index is its last.
 func TestApplyDeltaErrorLeavesBaseUntouched(t *testing.T) {

@@ -752,9 +752,9 @@ const (
 // the LZ4 block of a compressed frame.
 const lz4FrameHeader = 9
 
-// packProbeBytes is the head of a body Pack compresses before the whole: a
-// body whose head does not shrink (a dense float weight snapshot) is framed
-// raw for the price of compressing 64 KiB instead of all of it.
+// packProbeBytes is where Pack's compression checks itself: a body whose
+// first 64 KiB do not shrink (a dense float weight snapshot) is framed raw
+// for the price of compressing 64 KiB instead of all of it.
 const packProbeBytes = 64 << 10
 
 // LogicalLen is the length raw, a body Marshal encoded, would have with
@@ -785,26 +785,24 @@ func FramedLogicalLen(framed []byte) int {
 
 // Pack frames raw bytes for the object store, compressing when raw's logical
 // length (LogicalLen) meets the threshold and compression actually shrinks
-// it — first its head, then the whole. It returns the framed body and whether
-// compression was applied. The result is a fresh allocation of exactly its
-// length (the store keeps it and accounts for it by length); the
-// worst-case-sized compression scratch, which the probe borrows too, is
-// pooled and never escapes.
+// it — first its head (lz4.CompressProbe at packProbeBytes), then the whole,
+// in one pass. It returns the framed body and whether compression was
+// applied. The result is a fresh allocation of exactly its length (the store
+// keeps it and accounts for it by length); the worst-case-sized compression
+// scratch is pooled and never escapes.
 func (c Compressor) Pack(raw []byte) ([]byte, bool) {
 	logical := LogicalLen(raw)
 	PlaneDelay(logical, c.PackNsPerKB)
 	if c.Threshold > 0 && logical >= c.Threshold {
 		scratch := GetBuf(lz4FrameHeader + lz4.CompressBound(len(raw)))
-		if len(raw) <= packProbeBytes || len(lz4.Compress(scratch, raw[:packProbeBytes])) < packProbeBytes {
-			scratch = append(scratch, frameLZ4)
-			scratch = binary.LittleEndian.AppendUint64(scratch, uint64(len(raw)))
-			scratch = lz4.Compress(scratch, raw)
-			if len(scratch) < len(raw)+lz4FrameHeader {
-				out := make([]byte, len(scratch))
-				copy(out, scratch)
-				FreeBuf(scratch)
-				return out, true
-			}
+		scratch = append(scratch, frameLZ4)
+		scratch = binary.LittleEndian.AppendUint64(scratch, uint64(len(raw)))
+		scratch, shrunk := lz4.CompressProbe(scratch, raw, packProbeBytes)
+		if shrunk && len(scratch) < len(raw)+lz4FrameHeader {
+			out := make([]byte, len(scratch))
+			copy(out, scratch)
+			FreeBuf(scratch)
+			return out, true
 		}
 		FreeBuf(scratch)
 	}

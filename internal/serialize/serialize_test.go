@@ -968,6 +968,12 @@ func TestPackProbeDecidesOnTheHead(t *testing.T) {
 	rand.New(rand.NewSource(9)).Read(noise)
 	noisyHead := append(noise, make([]byte, 2<<20)...)
 	for name, raw := range map[string][]byte{"dense weights": denseWeightsBody(t), "noisy head": noisyHead} {
+		// The one-pass parse gives up at the probe, not after the whole
+		// body; its literal run is charged with its length bytes, without
+		// which the dense snapshot's head counts as shrinking.
+		if _, shrunk := lz4.CompressProbe(nil, raw, packProbeBytes); shrunk {
+			t.Fatalf("%s: CompressProbe(%d) ran past the probe; want it to give up", name, packProbeBytes)
+		}
 		framed, compressed := c.Pack(raw)
 		if compressed || len(framed) != len(raw)+1 {
 			t.Fatalf("%s: compressed=%v, %d framed bytes for %d raw; want a raw frame", name, compressed, len(framed), len(raw))
@@ -975,6 +981,23 @@ func TestPackProbeDecidesOnTheHead(t *testing.T) {
 		if out, err := Unpack(framed); err != nil || !bytes.Equal(out, raw) {
 			t.Fatalf("%s: raw frame round trip: %v", name, err)
 		}
+	}
+}
+
+// TestPackFrameRolloutPinned pins the frame the uplink ships for a shifted
+// Breakout rollout — its length and CRC32C as the word-wise compressor
+// produced them — so a change to the LZ4 parse on the production shape
+// fails here, not only on the golden block's unshifted input.
+func TestPackFrameRolloutPinned(t *testing.T) {
+	raw, err := Marshal(breakoutBatch(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	framed, compressed := NewCompressor().Pack(raw)
+	crc := crc32.Checksum(framed, crc32.MakeTable(crc32.Castagnoli))
+	if !compressed || len(framed) != 10_960 || crc != 0xb6f8c56b {
+		t.Fatalf("Pack(breakout rollout, %d bytes) = compressed %v, %d bytes, crc %#08x; want true, 10960, 0xb6f8c56b",
+			len(raw), compressed, len(framed), crc)
 	}
 }
 
