@@ -1,7 +1,10 @@
 package algorithm
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"math"
+	"runtime"
 	"testing"
 
 	"xingtian/internal/env"
@@ -415,5 +418,51 @@ func TestIMPALALearnsCartPole(t *testing.T) {
 		agent, 150, 200)
 	if late < early+20 || late < 80 {
 		t.Fatalf("IMPALA did not learn CartPole: early %.1f -> late %.1f", early, late)
+	}
+}
+
+// trainedIMPALAWeightsCRC is the CRC32C of the weights
+// TestIMPALATrainedWeightsPinned trains, captured before the tensor
+// package's matmul loops moved onto the vector axpy kernel. The kernel is
+// bit-identical to those loops, so the pin must not move with it.
+const trainedIMPALAWeightsCRC = 0x6e679d23
+
+// TestIMPALATrainedWeightsPinned makes "learning is unchanged" a test: a
+// fixed-seed IMPALA learner and explorer alternate rollouts and updates, and
+// the learner's final weights must hash to the pinned CRC bit for bit. The
+// hidden widths 45 and 23 run every tail of the 16- and 4-wide kernel body.
+// The pin holds on amd64 only: other architectures fuse multiply-adds, so
+// their weights differ in the last bits.
+func TestIMPALATrainedWeightsPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("weights pinned on amd64; " + runtime.GOARCH + " fuses multiply-adds")
+	}
+	e := env.NewCartPole(3)
+	spec := SpecFor(e)
+	spec.Hidden = []int{45, 23}
+	im := NewIMPALA(spec, DefaultIMPALAConfig(), 11)
+	agent := NewIMPALAAgent(spec, NewEnvRunner(e, spec), 12)
+	for round := 0; round < 4; round++ {
+		if err := agent.SetWeights(im.Weights()); err != nil {
+			t.Fatalf("SetWeights: %v", err)
+		}
+		b, err := agent.Rollout(48)
+		if err != nil {
+			t.Fatalf("Rollout: %v", err)
+		}
+		for i := 0; i < 5; i++ {
+			im.PrepareData(b)
+			if _, ok, err := im.TryTrain(); !ok || err != nil {
+				t.Fatalf("round %d TryTrain %d: ok=%v err=%v", round, i, ok, err)
+			}
+		}
+	}
+	w := im.Weights().Data
+	buf := make([]byte, 4*len(w))
+	for i, v := range w {
+		binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(v))
+	}
+	if got := crc32.Checksum(buf, crc32.MakeTable(crc32.Castagnoli)); got != trainedIMPALAWeightsCRC {
+		t.Fatalf("trained weights CRC32C = %#08x, want %#08x: learning changed", got, trainedIMPALAWeightsCRC)
 	}
 }

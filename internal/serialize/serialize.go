@@ -850,14 +850,27 @@ func UnpackedLen(framed []byte) int {
 	return int(rawLen)
 }
 
-// lz4FrameRawLen reads the raw length a compressed frame declares.
+// maxLZ4Expansion bounds the raw bytes one byte of an LZ4 block can decode
+// to. A sequence of L literals and a match whose length takes e extension
+// bytes occupies at least L+3+e bytes (token, literals, 2-byte offset,
+// extensions) and decodes to at most L+255e+18 (the 4-byte minimum match,
+// the token's 15, 255 for each 0xFF extension byte and at most 254 for the
+// last): 255× its size with 254L+747 bytes to spare. A final literals-only
+// sequence decodes to fewer bytes than it occupies. So an n-byte block
+// decodes to at most 255·n, and the constant term of the bound is 0. The
+// densest block Compress emits, 4 MiB of zeros, expands 254.8×.
+const maxLZ4Expansion = 255
+
+// lz4FrameRawLen reads the raw length a compressed frame declares, and
+// refuses one its block cannot decode to, so no caller sizes a buffer from
+// a length a few forged bytes claim.
 func lz4FrameRawLen(framed []byte) (uint64, error) {
 	if len(framed) < lz4FrameHeader {
 		return 0, fmt.Errorf("truncated lz4 frame: %w", ErrBadPayload)
 	}
 	rawLen := binary.LittleEndian.Uint64(framed[1:lz4FrameHeader])
-	if rawLen > 1<<32 {
-		return 0, fmt.Errorf("implausible frame size %d: %w", rawLen, ErrBadPayload)
+	if rawLen > 1<<32 || rawLen > maxLZ4Expansion*uint64(len(framed)-lz4FrameHeader) {
+		return 0, fmt.Errorf("implausible frame size %d for a %d-byte block: %w", rawLen, len(framed)-lz4FrameHeader, ErrBadPayload)
 	}
 	return rawLen, nil
 }

@@ -431,6 +431,46 @@ func TestUnpackMalformed(t *testing.T) {
 	}
 }
 
+// TestUnpackBoundsDeclaredLength: an LZ4 frame whose header declares more
+// raw bytes than its block can decode to is refused before anything is
+// allocated for it, and the densest block Pack emits still round-trips.
+func TestUnpackBoundsDeclaredLength(t *testing.T) {
+	forged := binary.LittleEndian.AppendUint64([]byte{frameLZ4}, 1<<30)
+	forged = append(forged, 0x00, 0x00) // 11 bytes claiming 1 GiB
+	if n := UnpackedLen(forged); n != 0 {
+		t.Fatalf("UnpackedLen = %d, want 0", n)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, errUnpack := Unpack(forged)
+	_, errInto := NewCompressor().UnpackInto(nil, forged)
+	runtime.ReadMemStats(&after)
+	for name, err := range map[string]error{"Unpack": errUnpack, "UnpackInto": errInto} {
+		if !errors.Is(err, ErrBadPayload) {
+			t.Fatalf("%s = %v, want ErrBadPayload", name, err)
+		}
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 64<<10 {
+		t.Fatalf("refusing an %d-byte frame allocated %d bytes", len(forged), n)
+	}
+
+	zeros := make([]byte, 4<<20)
+	framed, compressed := NewCompressor().Pack(zeros)
+	if !compressed {
+		t.Fatal("4 MiB of zeros not compressed")
+	}
+	if UnpackedLen(framed) != len(zeros) {
+		t.Fatalf("UnpackedLen = %d, want %d", UnpackedLen(framed), len(zeros))
+	}
+	out, err := Unpack(framed)
+	if err != nil {
+		t.Fatalf("Unpack(4 MiB of zeros, %d-byte frame): %v", len(framed), err)
+	}
+	if !bytes.Equal(out, zeros) {
+		t.Fatal("4 MiB of zeros did not round-trip")
+	}
+}
+
 // TestPropertyRolloutRoundTrip: random batches survive marshal/unmarshal.
 func TestPropertyRolloutRoundTrip(t *testing.T) {
 	f := func(seed int64, steps uint8) bool {

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 )
 
 // Tensor is a dense row-major float32 matrix or vector. A Tensor with
@@ -155,46 +156,61 @@ func MatMul(a, b *Tensor) *Tensor {
 	return out
 }
 
-// matMulInto computes out = a@b with an ikj loop order for cache locality.
+// matMulInto computes out = a@b with an ikj loop order for cache locality:
+// row i of out accumulates a[i][p]·b[p] in ascending p, skipping zero
+// a[i][p], one axpy per term.
 func matMulInto(out, a, b *Tensor) {
 	n, k, m := a.Rows, a.Cols, b.Cols
 	for i := 0; i < n; i++ {
 		arow := a.Data[i*k : (i+1)*k]
 		orow := out.Data[i*m : (i+1)*m]
-		for p := 0; p < k; p++ {
-			av := arow[p]
+		for p, av := range arow {
 			if av == 0 {
 				continue
 			}
-			brow := b.Data[p*m : (p+1)*m]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
+			axpy(orow, b.Data[p*m:(p+1)*m], av)
 		}
 	}
 }
 
+// transposeScratch recycles MatMulTransposeB's copy of bᵀ, so the transpose
+// costs no allocation per call once the pool holds a large enough buffer.
+var transposeScratch = sync.Pool{New: func() any { return new([]float32) }}
+
 // MatMulTransposeB computes a@bᵀ into a new (a.Rows × b.Rows) tensor.
+//
+// Element (i, j) is the dot product of a's row i and b's row j, summed from
+// zero in ascending p with no zero-skip. It is computed as a@(bᵀ) in ikj
+// order through axpy, which adds the same terms to each element in the same
+// order, so the result is the same bit for bit.
 func MatMulTransposeB(a, b *Tensor) *Tensor {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: matmul-T %dx%d @ (%dx%d)T", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	out := New(a.Rows, b.Rows)
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		for j := 0; j < b.Rows; j++ {
-			brow := b.Data[j*b.Cols : (j+1)*b.Cols]
-			var sum float32
-			for p, av := range arow {
-				sum += av * brow[p]
-			}
-			out.Data[i*b.Rows+j] = sum
+	n, k, m := a.Rows, a.Cols, b.Rows
+	out := New(n, m)
+	buf := transposeScratch.Get().(*[]float32)
+	if cap(*buf) < k*m {
+		*buf = make([]float32, k*m)
+	}
+	bt := (*buf)[:k*m]
+	for j := 0; j < m; j++ {
+		for p, bv := range b.Data[j*k : (j+1)*k] {
+			bt[p*m+j] = bv
 		}
 	}
+	for i := 0; i < n; i++ {
+		orow := out.Data[i*m : (i+1)*m]
+		for p, av := range a.Data[i*k : (i+1)*k] {
+			axpy(orow, bt[p*m:(p+1)*m], av)
+		}
+	}
+	transposeScratch.Put(buf)
 	return out
 }
 
-// MatMulTransposeA computes aᵀ@b into a new (a.Cols × b.Cols) tensor.
+// MatMulTransposeA computes aᵀ@b into a new (a.Cols × b.Cols) tensor: for
+// each row r, out row i accumulates a[r][i]·b[r], skipping zero a[r][i].
 func MatMulTransposeA(a, b *Tensor) *Tensor {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("tensor: T-matmul (%dx%d)T @ %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -207,10 +223,7 @@ func MatMulTransposeA(a, b *Tensor) *Tensor {
 			if av == 0 {
 				continue
 			}
-			orow := out.Data[i*b.Cols : (i+1)*b.Cols]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
+			axpy(out.Data[i*b.Cols:(i+1)*b.Cols], brow, av)
 		}
 	}
 	return out
