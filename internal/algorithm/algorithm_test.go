@@ -466,3 +466,28 @@ func TestIMPALATrainedWeightsPinned(t *testing.T) {
 		t.Fatalf("trained weights CRC32C = %#08x, want %#08x: learning changed", got, trainedIMPALAWeightsCRC)
 	}
 }
+
+// BenchmarkIMPALATrain times one TryTrain on a fixed 40-step CartPole batch
+// with the default 64-64 networks (the train-impala-grid learner's step)
+// and reports its allocations.
+func BenchmarkIMPALATrain(b *testing.B) {
+	e := env.NewCartPole(1)
+	spec := SpecFor(e)
+	im := NewIMPALA(spec, DefaultIMPALAConfig(), 1)
+	agent := NewIMPALAAgent(spec, NewEnvRunner(e, spec), 2)
+	if err := agent.SetWeights(im.Weights()); err != nil {
+		b.Fatal(err)
+	}
+	batch, err := agent.Rollout(40)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		im.PrepareData(batch)
+		if _, ok, err := im.TryTrain(); !ok || err != nil {
+			b.Fatalf("TryTrain: ok=%v err=%v", ok, err)
+		}
+	}
+}

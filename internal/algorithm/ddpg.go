@@ -208,6 +208,13 @@ func (d *DDPG) trainOn(batch []replay.Transition) float32 {
 	}
 
 	// Critic targets: r + γ Q'(s', μ'(s')).
+	//
+	// Under the nn.Layer workspace contract a Forward result is the
+	// network's own buffer until its next Forward. The actor outputs are
+	// cloned before they are scaled in place, so the scaling never writes
+	// into a workspace (the actor's Tanh reads its output back in
+	// Backward); q, qPi and dInput are read before their network's next
+	// call.
 	nextAct := d.actorTarget.Forward(next).Clone()
 	nextAct.ScaleInPlace(d.spec.ActionBound)
 	nextQ := d.criticTarget.Forward(concat(next, nextAct))

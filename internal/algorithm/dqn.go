@@ -207,6 +207,10 @@ func (d *DQN) trainOnWeighted(batch []replay.Transition, isWeights []float32) (f
 
 	// Bellman targets from the target network; with Double-DQN the online
 	// network picks the action and the target network scores it.
+	//
+	// Under the nn.Layer workspace contract onlineNext is valid only until
+	// the online network's next Forward (the batch forward below). It is
+	// read only in the targets loop, before that call.
 	nextQ := d.target.Forward(next)
 	var onlineNext *tensor.Tensor
 	if d.cfg.Double {

@@ -57,6 +57,35 @@ type IMPALA struct {
 	queue   []*rollout.Batch
 	dropped int64
 	version int64
+
+	ws impalaWorkspace
+}
+
+// impalaWorkspace holds trainOn's batch tensors and vectors across calls, so
+// a step on a batch shape seen before allocates nothing. Only trainOn (under
+// mu) touches it.
+type impalaWorkspace struct {
+	boot                 tensor.Tensor // header over the bootstrap features
+	x, logp, probs, grad *tensor.Tensor
+	target, vGrad        *tensor.Tensor
+	rho, c, vs           []float32
+}
+
+// resize returns s with length n, reusing its storage when it is large
+// enough. The contents are not cleared.
+func resize(s []float32, n int) []float32 {
+	if cap(s) < n {
+		return make([]float32, n)
+	}
+	return s[:n]
+}
+
+// copyInto returns dst reshaped to src's shape (see tensor.Reuse) holding a
+// copy of src.
+func copyInto(dst, src *tensor.Tensor) *tensor.Tensor {
+	dst = tensor.Reuse(dst, src.Rows, src.Cols)
+	copy(dst.Data, src.Data)
+	return dst
 }
 
 var _ core.Algorithm = (*IMPALA)(nil)
@@ -109,8 +138,13 @@ func (im *IMPALA) TryTrain() (core.TrainResult, bool, error) {
 	if len(im.queue) == 0 {
 		return core.TrainResult{}, false, nil
 	}
+	// Pop by shifting down, so the queue keeps its backing array (and
+	// PrepareData's append does not reallocate) and drops its reference to
+	// the batch it hands out.
 	b := im.queue[0]
-	im.queue = im.queue[1:]
+	n := copy(im.queue, im.queue[1:])
+	im.queue[n] = nil
+	im.queue = im.queue[:n]
 	if len(b.Steps) == 0 {
 		return core.TrainResult{}, false, fmt.Errorf("impala: empty batch from explorer %d", b.ExplorerID)
 	}
@@ -125,9 +159,16 @@ func (im *IMPALA) TryTrain() (core.TrainResult, bool, error) {
 }
 
 // trainOn performs one V-trace actor-critic update (caller holds mu).
+//
+// Under the nn.Layer workspace contract a Forward result lasts only until
+// the same network's next Forward: the bootstrap value is read before the
+// value net's batch Forward, and the logits are copied into logp and probs,
+// which the step keeps.
 func (im *IMPALA) trainOn(b *rollout.Batch) float32 {
 	n := len(b.Steps)
-	x := tensor.New(n, im.spec.FeatureDim)
+	ws := &im.ws
+	ws.x = tensor.Reuse(ws.x, n, im.spec.FeatureDim)
+	x := ws.x
 	for i := range b.Steps {
 		copy(x.Data[i*im.spec.FeatureDim:], im.spec.Featurize(b.Steps[i].Obs))
 	}
@@ -136,24 +177,27 @@ func (im *IMPALA) trainOn(b *rollout.Batch) float32 {
 	// activations the value net caches for Backward.
 	var bootstrap float32
 	if !b.Steps[n-1].Done {
-		bv := im.value.Forward(tensor.FromSlice(1, im.spec.FeatureDim, im.spec.Featurize(b.BootstrapObs)))
-		bootstrap = bv.Data[0]
+		feats := im.spec.Featurize(b.BootstrapObs)
+		ws.boot = tensor.Tensor{Rows: 1, Cols: len(feats), Data: feats}
+		bootstrap = im.value.Forward(&ws.boot).Data[0]
 	}
 
 	// Current-policy log-probs and values.
 	im.policy.ZeroGrads()
 	logits := im.policy.Forward(x)
-	logp := logits.Clone()
+	ws.logp = copyInto(ws.logp, logits)
+	logp := ws.logp
 	logp.LogSoftmaxRows()
-	probs := logits.Clone()
+	ws.probs = copyInto(ws.probs, logits)
+	probs := ws.probs
 	probs.SoftmaxRows()
 
 	im.value.ZeroGrads()
 	v := im.value.Forward(x)
 
 	// Truncated importance weights against the recorded behavior logits.
-	rho := make([]float32, n)
-	c := make([]float32, n)
+	ws.rho, ws.c = resize(ws.rho, n), resize(ws.c, n)
+	rho, c := ws.rho, ws.c
 	for t := 0; t < n; t++ {
 		s := &b.Steps[t]
 		behaviorLP := behaviorLogProb(s.Logits, int(s.Action))
@@ -164,7 +208,8 @@ func (im *IMPALA) trainOn(b *rollout.Batch) float32 {
 
 	// V-trace targets, computed backwards:
 	// vs_t = V_t + δ_t + γ c_t (vs_{t+1} − V_{t+1}).
-	vs := make([]float32, n+1)
+	ws.vs = resize(ws.vs, n+1)
+	vs := ws.vs
 	nextV := bootstrap
 	vs[n] = bootstrap
 	for t := n - 1; t >= 0; t-- {
@@ -181,7 +226,8 @@ func (im *IMPALA) trainOn(b *rollout.Batch) float32 {
 	}
 
 	// Policy gradient with V-trace advantages plus entropy bonus.
-	grad := tensor.New(n, im.spec.NumActions)
+	ws.grad = tensor.Reuse(ws.grad, n, im.spec.NumActions)
+	grad := ws.grad
 	var totalLoss float32
 	scale := 1 / float32(n)
 	for t := 0; t < n; t++ {
@@ -220,12 +266,12 @@ func (im *IMPALA) trainOn(b *rollout.Batch) float32 {
 	im.pOpt.Step(im.policy)
 
 	// Value regression toward the V-trace targets.
-	target := tensor.New(n, 1)
-	copy(target.Data, vs[:n])
-	vGrad := tensor.New(n, 1)
-	vLoss := nn.MSELoss(v, target, vGrad)
-	vGrad.ScaleInPlace(im.cfg.ValueCoef)
-	im.value.Backward(vGrad)
+	ws.target = tensor.Reuse(ws.target, n, 1)
+	copy(ws.target.Data, vs[:n])
+	ws.vGrad = tensor.Reuse(ws.vGrad, n, 1)
+	vLoss := nn.MSELoss(v, ws.target, ws.vGrad)
+	ws.vGrad.ScaleInPlace(im.cfg.ValueCoef)
+	im.value.Backward(ws.vGrad)
 	im.value.ClipGradNorm(40)
 	im.vOpt.Step(im.value)
 
@@ -302,6 +348,11 @@ type IMPALAAgent struct {
 	version int64
 	mirror  weightMirror
 	runner  *EnvRunner
+
+	// x and logp are the per-step policy forward's input header and
+	// log-prob workspace.
+	x    tensor.Tensor
+	logp *tensor.Tensor
 }
 
 var _ core.Agent = (*IMPALAAgent)(nil)
@@ -351,12 +402,14 @@ func (a *IMPALAAgent) EpisodeStats() (int64, float64) { return a.runner.EpisodeS
 // Rollout implements core.Agent.
 func (a *IMPALAAgent) Rollout(n int) (*rollout.Batch, error) {
 	return a.runner.Collect(n, a.version, func(feats []float32) (int, float32, float32, []float32) {
-		x := tensor.FromSlice(1, len(feats), feats)
-		logits := a.policy.Forward(x)
-		logp := logits.Clone()
-		logp.LogSoftmaxRows()
-		action := sampleLogits(a.rng, logp)
+		a.x = tensor.Tensor{Rows: 1, Cols: len(feats), Data: feats}
+		logits := a.policy.Forward(&a.x)
+		a.logp = copyInto(a.logp, logits)
+		a.logp.LogSoftmaxRows()
+		action := sampleLogits(a.rng, a.logp)
+		// The batch keeps the behavior logits, so they are copied out of the
+		// network's workspace.
 		behavior := append([]float32(nil), logits.Data...)
-		return action, 0, logp.At(0, action), behavior
+		return action, 0, a.logp.At(0, action), behavior
 	})
 }

@@ -130,11 +130,8 @@ func (m *weightMirror) applyDelta(d *message.WeightsDeltaPayload, install func([
 // actorCriticWeights flattens a policy and value network into one broadcast
 // payload: [len(policy)] policy weights then value weights.
 func actorCriticWeights(policy, value *nn.Network) []float32 {
-	pw := policy.FlatWeights()
-	vw := value.FlatWeights()
-	out := make([]float32, 0, len(pw)+len(vw))
-	out = append(out, pw...)
-	return append(out, vw...)
+	out := make([]float32, 0, policy.NumParams()+value.NumParams())
+	return value.AppendFlatWeights(policy.AppendFlatWeights(out))
 }
 
 // setActorCriticWeights splits a combined payload back into the two nets. A

@@ -707,6 +707,26 @@ func (s *Session) superviseLearn(sl *learnSlot) {
 			return // transport torn down under us
 		}
 
+		// The budget decides the degrade, not the teardown: count it now, so
+		// a run that reaches its step target (and closes shutdown) while the
+		// teardown below is still waiting still reports the slot degraded.
+		sl.mu.Lock()
+		sl.lastErr = err
+		exhausted := sl.restarts >= int64(s.cfg.MaxLearnerRestarts)
+		if exhausted {
+			sl.degraded = true
+		}
+		sl.mu.Unlock()
+		if exhausted {
+			s.frags.degraded.Add(1)
+			if s.frags.liveReplicas() == 0 {
+				sl.mu.Lock()
+				sl.terminalErr = fmt.Errorf("core: learn replica %d restart budget (%d) exhausted with no live replica left: %w",
+					sl.idx, s.cfg.MaxLearnerRestarts, err)
+				sl.mu.Unlock()
+			}
+		}
+
 		// Tear the incarnation down: Stop closes its receive buffer, then a
 		// drain nudge makes a receiver blocked in Recv observe the closure
 		// (its Put fails). Waiting on RecvDone before building the
@@ -728,22 +748,7 @@ func (s *Session) superviseLearn(sl *learnSlot) {
 			defer s.frags.zombieWG.Done()
 			old.Join()
 		}(frag)
-
-		sl.mu.Lock()
-		sl.lastErr = err
-		exhausted := sl.restarts >= int64(s.cfg.MaxLearnerRestarts)
 		if exhausted {
-			sl.degraded = true
-		}
-		sl.mu.Unlock()
-		if exhausted {
-			s.frags.degraded.Add(1)
-			if s.frags.liveReplicas() == 0 {
-				sl.mu.Lock()
-				sl.terminalErr = fmt.Errorf("core: learn replica %d restart budget (%d) exhausted with no live replica left: %w",
-					sl.idx, s.cfg.MaxLearnerRestarts, err)
-				sl.mu.Unlock()
-			}
 			return
 		}
 

@@ -1,0 +1,17 @@
+package core
+
+// HoldLearnRecv makes learn replica idx's first incarnation keep its
+// receiver thread alive after the receive loop ends, draining the replica's
+// port until the transport closes it. Its RecvDone then closes only when the
+// session stops the transport, which widens every wait on RecvDone to the
+// whole rest of the run. Call between NewSession and Start.
+func (s *Session) HoldLearnRecv(idx int) {
+	l := s.frags.slots[idx].current()
+	l.recvHold = func() {
+		for {
+			if _, err := l.port.Recv(); err != nil {
+				return
+			}
+		}
+	}
+}

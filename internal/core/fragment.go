@@ -465,6 +465,9 @@ type LearnFragment struct {
 	failed   chan struct{}
 	failOne  sync.Once
 	recvDone chan struct{}
+	// recvHold, when set (by tests, before Start), runs on the receiver
+	// thread after its loop ends and before recvDone closes.
+	recvHold func()
 
 	mu      sync.Mutex
 	lastErr error
@@ -612,6 +615,9 @@ func (l *LearnFragment) senderLoop() {
 func (l *LearnFragment) receiverLoop() {
 	defer l.wg.Done()
 	defer close(l.recvDone)
+	if l.recvHold != nil {
+		defer l.recvHold()
+	}
 	for {
 		m, err := l.port.Recv()
 		if err != nil {

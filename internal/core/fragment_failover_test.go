@@ -282,6 +282,49 @@ func TestLearnerFailoverDegradedBudgetZero(t *testing.T) {
 	}
 }
 
+// TestLearnerFailoverDegradeCountedBeforeTeardown: the respawn budget, not
+// the teardown, decides that a dead replica's slot degrades. The dead
+// replica's receiver is held until the transport stops, so the supervisor's
+// teardown wait is still open when the survivor reaches the step target and
+// Stop closes shutdown. The degrade must be counted all the same.
+func TestLearnerFailoverDegradeCountedBeforeTeardown(t *testing.T) {
+	algF, agF := failoverFactories(faultSpec{crashAt: 2})
+	s, err := core.NewSession(core.Config{
+		NumExplorers:       4,
+		RolloutLen:         40,
+		MaxSteps:           3000,
+		MaxDuration:        60 * time.Second,
+		Topology:           core.ReplicatedTopology(2),
+		LearnerFailover:    true,
+		MaxLearnerRestarts: 0,
+		RestartBackoff:     2 * time.Millisecond,
+		HeartbeatEvery:     20 * time.Millisecond,
+	}, algF, agF, 22)
+	if err != nil {
+		t.Fatalf("NewSession: %v", err)
+	}
+	s.HoldLearnRecv(0)
+	s.Start()
+	s.Wait()
+	rep := s.Stop()
+	if err := s.Err(); err != nil {
+		t.Fatalf("session error: %v", err)
+	}
+	if rep.StepsConsumed < 3000 {
+		t.Fatalf("StepsConsumed = %d, want >= 3000", rep.StepsConsumed)
+	}
+	fr := rep.Fragments
+	if fr.Quarantines != 1 {
+		t.Fatalf("Quarantines = %d, want 1", fr.Quarantines)
+	}
+	if fr.Degraded != 1 {
+		t.Fatalf("Degraded = %d, want 1: the degrade waited on the teardown", fr.Degraded)
+	}
+	if leaked := rep.Channel.TotalLeaked(); leaked != 0 {
+		t.Fatalf("TotalLeaked = %d, want 0", leaked)
+	}
+}
+
 // TestLearnerFailoverHungReplicaDetected: a replica that silently wedges
 // inside a training step never errors — only the heartbeat deadline detector
 // can catch it. The detector must quarantine it and the run complete on the

@@ -17,6 +17,12 @@ import (
 
 // Layer is a differentiable network stage. Forward must be called before
 // Backward for the same batch; layers cache activations between the two.
+//
+// Workspace contract: the tensor Forward returns, and the tensor Backward
+// returns, belong to the layer and stay valid only until that layer's next
+// call of the same method, which may overwrite them in place. A caller that
+// needs a result past that point copies it. Layers of different networks
+// never share these buffers.
 type Layer interface {
 	// Forward computes the layer output for a batch (rows = batch size).
 	Forward(x *tensor.Tensor) *tensor.Tensor
@@ -34,6 +40,10 @@ type Dense struct {
 	W, B   *tensor.Tensor
 	dW, dB *tensor.Tensor
 	x      *tensor.Tensor // cached input
+
+	// Workspaces, reshaped per batch: the output, xᵀ@grad before it is
+	// added into dW, and the input gradient.
+	y, xTg, dx *tensor.Tensor
 }
 
 var _ Layer = (*Dense)(nil)
@@ -54,20 +64,23 @@ func NewDense(rng *rand.Rand, in, out int) *Dense {
 // Forward computes x@W + b.
 func (d *Dense) Forward(x *tensor.Tensor) *tensor.Tensor {
 	d.x = x
-	y := tensor.MatMul(x, d.W)
-	y.AddRowVector(d.B)
-	return y
+	d.y = tensor.MatMulInto(d.y, x, d.W)
+	d.y.AddRowVector(d.B)
+	return d.y
 }
 
-// Backward accumulates dW = xᵀ@grad, dB = column sums, returns grad@Wᵀ.
+// Backward accumulates dW += xᵀ@grad and dB += column sums, and returns
+// grad@Wᵀ.
 func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	d.dW.AddInPlace(tensor.MatMulTransposeA(d.x, grad))
+	d.xTg = tensor.MatMulTransposeAInto(d.xTg, d.x, grad)
+	d.dW.AddInPlace(d.xTg)
 	for r := 0; r < grad.Rows; r++ {
 		for c := 0; c < grad.Cols; c++ {
 			d.dB.Data[c] += grad.At(r, c)
 		}
 	}
-	return tensor.MatMulTransposeB(grad, d.W)
+	d.dx = tensor.MatMulTransposeBInto(d.dx, grad, d.W)
+	return d.dx
 }
 
 // Params implements Layer.
@@ -79,6 +92,7 @@ func (d *Dense) Grads() []*tensor.Tensor { return []*tensor.Tensor{d.dW, d.dB} }
 // ReLU is the rectified linear activation.
 type ReLU struct {
 	mask []bool
+	y, g *tensor.Tensor // output and input-gradient workspaces
 }
 
 var _ Layer = (*ReLU)(nil)
@@ -86,33 +100,33 @@ var _ Layer = (*ReLU)(nil)
 // NewReLU returns a ReLU activation layer.
 func NewReLU() *ReLU { return &ReLU{} }
 
-// Forward zeroes negative entries.
+// Forward zeroes entries that are not positive (NaN passes through).
 func (l *ReLU) Forward(x *tensor.Tensor) *tensor.Tensor {
-	y := x.Clone()
-	if cap(l.mask) < len(y.Data) {
-		l.mask = make([]bool, len(y.Data))
+	l.y = tensor.Reuse(l.y, x.Rows, x.Cols)
+	if cap(l.mask) < len(x.Data) {
+		l.mask = make([]bool, len(x.Data))
 	}
-	l.mask = l.mask[:len(y.Data)]
-	for i, v := range y.Data {
+	l.mask = l.mask[:len(x.Data)]
+	for i, v := range x.Data {
 		if v <= 0 {
-			y.Data[i] = 0
-			l.mask[i] = false
+			l.mask[i] = false // l.y.Data[i] stays the +0 Reuse wrote
 		} else {
+			l.y.Data[i] = v
 			l.mask[i] = true
 		}
 	}
-	return y
+	return l.y
 }
 
 // Backward gates the incoming gradient by the forward mask.
 func (l *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	g := grad.Clone()
-	for i := range g.Data {
-		if !l.mask[i] {
-			g.Data[i] = 0
+	l.g = tensor.Reuse(l.g, grad.Rows, grad.Cols)
+	for i, v := range grad.Data {
+		if l.mask[i] {
+			l.g.Data[i] = v
 		}
 	}
-	return g
+	return l.g
 }
 
 // Params implements Layer.
@@ -123,7 +137,7 @@ func (l *ReLU) Grads() []*tensor.Tensor { return nil }
 
 // Tanh is the hyperbolic-tangent activation.
 type Tanh struct {
-	y *tensor.Tensor
+	y, g *tensor.Tensor // output (also Backward's input) and gradient workspaces
 }
 
 var _ Layer = (*Tanh)(nil)
@@ -133,19 +147,20 @@ func NewTanh() *Tanh { return &Tanh{} }
 
 // Forward applies tanh elementwise.
 func (l *Tanh) Forward(x *tensor.Tensor) *tensor.Tensor {
-	y := x.Clone()
-	y.Apply(func(v float32) float32 { return float32(math.Tanh(float64(v))) })
-	l.y = y
-	return y
+	l.y = tensor.Reuse(l.y, x.Rows, x.Cols)
+	for i, v := range x.Data {
+		l.y.Data[i] = float32(math.Tanh(float64(v)))
+	}
+	return l.y
 }
 
 // Backward multiplies by 1 - tanh².
 func (l *Tanh) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	g := grad.Clone()
+	l.g = tensor.Reuse(l.g, grad.Rows, grad.Cols)
 	for i, v := range l.y.Data {
-		g.Data[i] *= 1 - v*v
+		l.g.Data[i] = grad.Data[i] * (1 - v*v)
 	}
-	return g
+	return l.g
 }
 
 // Params implements Layer.

@@ -13,14 +13,24 @@ import (
 var ErrWeightSize = errors.New("nn: flat weights length mismatch")
 
 // Network is a sequential stack of layers with flat-weight export/import
-// for parameter broadcast.
+// for parameter broadcast. Its Forward and Backward results follow the
+// Layer workspace contract: valid until the network's next call of the same
+// method.
 type Network struct {
 	layers []Layer
+	// params and grads are the layers' tensors in layer order, gathered
+	// once: the optimizers and ZeroGrads ask for them every step.
+	params, grads []*tensor.Tensor
 }
 
 // NewNetwork returns a sequential network over the given layers.
 func NewNetwork(layers ...Layer) *Network {
-	return &Network{layers: layers}
+	n := &Network{layers: layers}
+	for _, l := range layers {
+		n.params = append(n.params, l.Params()...)
+		n.grads = append(n.grads, l.Grads()...)
+	}
+	return n
 }
 
 // Forward runs the batch through all layers.
@@ -40,23 +50,14 @@ func (n *Network) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	return grad
 }
 
-// Params returns all learnable tensors in layer order.
-func (n *Network) Params() []*tensor.Tensor {
-	var out []*tensor.Tensor
-	for _, l := range n.layers {
-		out = append(out, l.Params()...)
-	}
-	return out
-}
+// Params returns all learnable tensors in layer order. The slice is the
+// network's own, capacity-limited so an append copies it; do not assign to
+// its elements.
+func (n *Network) Params() []*tensor.Tensor { return n.params[:len(n.params):len(n.params)] }
 
-// Grads returns all gradient tensors aligned with Params.
-func (n *Network) Grads() []*tensor.Tensor {
-	var out []*tensor.Tensor
-	for _, l := range n.layers {
-		out = append(out, l.Grads()...)
-	}
-	return out
-}
+// Grads returns all gradient tensors aligned with Params, under the same
+// terms.
+func (n *Network) Grads() []*tensor.Tensor { return n.grads[:len(n.grads):len(n.grads)] }
 
 // ZeroGrads clears all accumulated gradients.
 func (n *Network) ZeroGrads() {
@@ -77,11 +78,16 @@ func (n *Network) NumParams() int {
 // FlatWeights copies all parameters into one contiguous slice — the payload
 // of a weights-broadcast message.
 func (n *Network) FlatWeights() []float32 {
-	out := make([]float32, 0, n.NumParams())
-	for _, p := range n.Params() {
-		out = append(out, p.Data...)
+	return n.AppendFlatWeights(make([]float32, 0, n.NumParams()))
+}
+
+// AppendFlatWeights appends all parameters to dst in FlatWeights order and
+// returns the extended slice.
+func (n *Network) AppendFlatWeights(dst []float32) []float32 {
+	for _, p := range n.params {
+		dst = append(dst, p.Data...)
 	}
-	return out
+	return dst
 }
 
 // SetFlatWeights loads parameters from a slice produced by FlatWeights on a

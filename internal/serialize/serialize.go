@@ -652,6 +652,17 @@ func sortedKeys[V any](m map[string]V) []string {
 	return keys
 }
 
+// controlEntryMin is the fewest payload bytes one control map entry takes:
+// a 4-byte key length (the key may be empty) and an 8-byte value. Both maps,
+// hyperparams (string → f64) and acks (string → u64), encode that way.
+const controlEntryMin = 4 + 8
+
+// maxEntries is the most control map entries the unread bytes can hold. A
+// declared count above it cannot be honest, so the decoder refuses it before
+// sizing a map by it: the map's allocation stays proportional to the
+// payload.
+func (r *reader) maxEntries() int { return (len(r.data) - r.pos) / controlEntryMin }
+
 func unmarshalControl(data []byte) (*message.ControlPayload, error) {
 	r := &reader{data: data}
 	c := &message.ControlPayload{Kind: message.ControlKind(r.byte())}
@@ -660,7 +671,7 @@ func unmarshalControl(data []byte) (*message.ControlPayload, error) {
 		return nil, r.err
 	}
 	if n > 0 {
-		if n > len(data) {
+		if n > r.maxEntries() {
 			return nil, fmt.Errorf("control hyperparam count %d: %w", n, ErrBadPayload)
 		}
 		c.Hyperparams = make(map[string]float64, n)
@@ -678,7 +689,7 @@ func unmarshalControl(data []byte) (*message.ControlPayload, error) {
 		return nil, r.err
 	}
 	if na > 0 {
-		if na > len(data) {
+		if na > r.maxEntries() {
 			return nil, fmt.Errorf("control ack count %d: %w", na, ErrBadPayload)
 		}
 		c.Acked = make(map[string]int64, na)

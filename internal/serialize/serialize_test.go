@@ -283,6 +283,75 @@ func TestControlRoundTrip(t *testing.T) {
 	}
 }
 
+// TestControlDecodeBoundsAllocation: a control payload's map counts are
+// declared, so a payload that claims far more entries than its bytes hold
+// must be refused before a map is sized by the claim. Each entry takes at
+// least 12 bytes (a 4-byte key length and an 8-byte value), so the decoder
+// allows at most remaining/12. With the count at that bound, the one map it
+// sizes costs a few times the payload: the test allows k·len + c bytes with
+// k = 8 (a pre-sized Go map spends at most ≈ 5.3 bytes per payload byte at
+// 12 bytes per entry) and c = 64 KB. A 1 MB payload declaring just under
+// 2²⁰ hyperparams made the decoder bounded only by the payload length
+// allocate ≈ 56 MB.
+func TestControlDecodeBoundsAllocation(t *testing.T) {
+	const k, c = 8, 64 << 10
+	const size = 1 << 20
+	// forge returns a control payload whose hyperparam count (acks = false)
+	// or ack count (acks = true) is n, padded with zero bytes to size.
+	forge := func(acks bool, n uint32) []byte {
+		out := append(make([]byte, 0, size), tagControl, byte(message.ControlAckSnapshot))
+		if acks {
+			out = binary.LittleEndian.AppendUint32(out, 0)
+		}
+		out = binary.LittleEndian.AppendUint32(out, n)
+		return out[:size]
+	}
+	for _, acks := range []bool{false, true} {
+		head := 2 + 4
+		if acks {
+			head += 4
+		}
+		atBound := uint32((size - head) / 12)
+		for _, n := range []uint32{size - 64, size / 2, 1<<32 - 1, atBound + 1, atBound} {
+			data := forge(acks, n)
+			_, alloc, err := decodeAllocs(data)
+			if n > atBound && !errors.Is(err, ErrBadPayload) {
+				t.Fatalf("acks=%v count=%d: Unmarshal = %v, want ErrBadPayload", acks, n, err)
+			}
+			if alloc > k*size+c {
+				t.Fatalf("acks=%v count=%d: decoding a %d-byte payload allocated %d bytes, bound %d",
+					acks, n, size, alloc, k*size+c)
+			}
+		}
+	}
+
+	// The bound refuses no valid payload: the tightest one, whose entries
+	// are all 12 bytes (an empty key), and a wide one round-trip.
+	tight := &message.ControlPayload{
+		Kind:        message.ControlAckSnapshot,
+		Hyperparams: map[string]float64{"": 1},
+		Acked:       map[string]int64{"": 2},
+	}
+	wide := &message.ControlPayload{Kind: message.ControlAckSnapshot, Hyperparams: map[string]float64{}, Acked: map[string]int64{}, Peer: "learn-1"}
+	for i := 0; i < 500; i++ {
+		wide.Hyperparams[string(rune('a'+i%26))+fmt.Sprint(i)] = float64(i)
+		wide.Acked[fmt.Sprint(i)] = int64(i)
+	}
+	for _, in := range []*message.ControlPayload{tight, wide} {
+		data, err := Marshal(in)
+		if err != nil {
+			t.Fatalf("Marshal: %v", err)
+		}
+		got, err := Unmarshal(data)
+		if err != nil {
+			t.Fatalf("Unmarshal(%d entries): %v", len(in.Hyperparams)+len(in.Acked), err)
+		}
+		if !reflect.DeepEqual(in, got) {
+			t.Fatalf("control round trip = %+v, want %+v", got, in)
+		}
+	}
+}
+
 // TestControlMarshalIsCanonical: equal control payloads marshal to equal
 // bytes whatever order their maps were filled in, so no byte-level
 // comparison, checksum or replay depends on map iteration order.

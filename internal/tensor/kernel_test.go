@@ -177,6 +177,132 @@ func TestAxpyMatchesGeneric(t *testing.T) {
 	}
 }
 
+// TestAxpy4MatchesGeneric holds axpy4 to axpy4Generic and both to four
+// axpyGeneric calls in order, at every length 0…70 and every start offset
+// mod 16 bytes, and checks they write nothing past len(b0). Off amd64 axpy4
+// is axpy4Generic.
+func TestAxpy4MatchesGeneric(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	for n := 0; n <= 70; n++ {
+		for off := 0; off < 4; off++ {
+			for _, special := range []float64{0, 0.1} {
+				var bs [4]*Tensor
+				var as [4]float32
+				for r := range bs {
+					bs[r] = New(1, n+off+r)
+					fillMixed(rng, bs[r], special)
+					as[r] = specials[rng.Intn(len(specials))]
+					if rng.Intn(2) == 0 {
+						as[r] = float32(rng.NormFloat64())
+					}
+				}
+				o := New(1, n+off+3)
+				fillMixed(rng, o, special)
+				b0, b1, b2, b3 := bs[0].Data[off:off+n], bs[1].Data[off:], bs[2].Data[off:], bs[3].Data[off:]
+
+				want := o.Clone()
+				for r, b := range [][]float32{b0, b1, b2, b3} {
+					axpyGeneric(want.Data[off:], b[:n], as[r])
+				}
+				generic := o.Clone()
+				axpy4Generic(generic.Data[off:], b0, b1, b2, b3, as[0], as[1], as[2], as[3])
+				axpy4(o.Data[off:], b0, b1, b2, b3, as[0], as[1], as[2], as[3])
+				for name, got := range map[string]*Tensor{"axpy4Generic": generic, "axpy4": o} {
+					if i, ok := sameBits(got.Data, want.Data); !ok {
+						t.Fatalf("%s n=%d off=%d a=%v: o[%d] = %v, want %v", name, n, off, as, i, got.Data[i], want.Data[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestAxpy4PanicsOnShortOperand(t *testing.T) {
+	long, short := make([]float32, 4), make([]float32, 3)
+	for i, args := range [][5][]float32{
+		{short, long, long, long, long},
+		{long, long, short, long, long},
+		{long, long, long, short, long},
+		{long, long, long, long, short},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("case %d: axpy4 with a short operand did not panic", i)
+				}
+			}()
+			axpy4(args[0], args[1], args[2], args[3], args[4], 1, 1, 1, 1)
+		}()
+	}
+}
+
+// boundaryZeros returns a rows×cols tensor of non-zero values in which row
+// i has exactly min(i, cols) zeros, placed where a group of four
+// consecutive terms starts or ends (columns 3, 0, 7, 4, 11, 8, …, in that
+// order). Its rows' non-zero counts therefore take every remainder mod 4
+// once rows ≥ 4, and the zero-skip drops terms right at the group seams.
+func boundaryZeros(rng *rand.Rand, rows, cols int) *Tensor {
+	t := New(rows, cols)
+	for i := range t.Data {
+		v := float32(rng.NormFloat64())
+		if rng.Intn(8) == 0 {
+			v = specials[2+rng.Intn(len(specials)-2)] // the non-zero specials
+		}
+		if v == 0 {
+			v = 1
+		}
+		t.Data[i] = v
+	}
+	var order []int
+	for g := 0; g < cols; g += 4 {
+		for _, p := range []int{g + 3, g} {
+			if p < cols {
+				order = append(order, p)
+			}
+		}
+	}
+	for g := 0; g < cols; g += 4 {
+		for _, p := range []int{g + 1, g + 2} {
+			if p < cols {
+				order = append(order, p)
+			}
+		}
+	}
+	for i := 0; i < rows; i++ {
+		for _, p := range order[:min(i, cols)] {
+			t.Data[i*cols+p] = 0
+		}
+	}
+	return t
+}
+
+// TestKernelsMatchReferenceGroupRemainders extends the oracle to the
+// grouping axpy4 brings: rows of a (for MatMul) and columns of a (for
+// MatMulTransposeA) whose non-zero counts leave every remainder 0–3, with
+// the zeros at group seams, and inner widths 1…17 for MatMulTransposeB,
+// which groups consecutive terms with no zero-skip. Batches of 31–65 rows
+// cross MatMulTransposeA's row blocks.
+func TestKernelsMatchReferenceGroupRemainders(t *testing.T) {
+	rng := rand.New(rand.NewSource(39))
+	for _, m := range []int{1, 3, 4, 7, 8, 16, 17, 33} {
+		for k := 1; k <= 17; k++ {
+			for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 32, 33, 34, 35, 65} {
+				rowPat := boundaryZeros(rng, n, k)
+				colPat := boundaryZeros(rng, k, n).Transpose()
+				for _, a := range []*Tensor{rowPat, colPat} {
+					bf, bt, ba := New(k, m), New(m, k), New(n, m)
+					for _, x := range []*Tensor{bf, bt, ba} {
+						fillMixed(rng, x, 0.05)
+					}
+					if err := checkKernels(a, bf, bt, ba); err != nil {
+						t.Fatalf("n=%d k=%d m=%d: %v", n, k, m, err)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestAxpyPanicsOnShortOutput(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -146,84 +146,163 @@ func (t *Tensor) AddRowVector(v *Tensor) {
 	}
 }
 
+// Reuse returns t reshaped to rows×cols with every element zero, reusing
+// t's storage when its capacity suffices. A nil t gets a new tensor. It is
+// how a caller keeps one workspace tensor across calls whose shapes vary.
+func Reuse(t *Tensor, rows, cols int) *Tensor {
+	if t == nil {
+		return New(rows, cols)
+	}
+	if rows < 0 || cols < 0 {
+		panic(fmt.Sprintf("tensor: negative shape %dx%d", rows, cols))
+	}
+	if n := rows * cols; cap(t.Data) >= n {
+		t.Data = t.Data[:n]
+		clear(t.Data)
+	} else {
+		t.Data = make([]float32, n)
+	}
+	t.Rows, t.Cols = rows, cols
+	return t
+}
+
+// rowOf returns row p of the row-major matrix d with m columns.
+func rowOf(d []float32, p, m int) []float32 { return d[p*m : (p+1)*m] }
+
 // MatMul computes a@b into a new (a.Rows × b.Cols) tensor.
-func MatMul(a, b *Tensor) *Tensor {
+func MatMul(a, b *Tensor) *Tensor { return MatMulInto(nil, a, b) }
+
+// MatMulInto computes a@b into out, reshaped by Reuse, and returns it. out
+// must not share storage with a or b.
+//
+// It runs in ikj order for cache locality: row i of out accumulates
+// a[i][p]·b[p] in ascending p, skipping zero a[i][p]. The non-zero terms go
+// to axpy4 four at a time and the last one to three to axpy, so every
+// element sums the same terms in the same order as one axpy per term.
+func MatMulInto(out, a, b *Tensor) *Tensor {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: matmul %dx%d @ %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	out := New(a.Rows, b.Cols)
-	matMulInto(out, a, b)
-	return out
-}
-
-// matMulInto computes out = a@b with an ikj loop order for cache locality:
-// row i of out accumulates a[i][p]·b[p] in ascending p, skipping zero
-// a[i][p], one axpy per term.
-func matMulInto(out, a, b *Tensor) {
 	n, k, m := a.Rows, a.Cols, b.Cols
+	out = Reuse(out, n, m)
 	for i := 0; i < n; i++ {
-		arow := a.Data[i*k : (i+1)*k]
-		orow := out.Data[i*m : (i+1)*m]
+		arow := rowOf(a.Data, i, k)
+		orow := rowOf(out.Data, i, m)
+		var ps [4]int
+		g := 0
 		for p, av := range arow {
 			if av == 0 {
 				continue
 			}
-			axpy(orow, b.Data[p*m:(p+1)*m], av)
+			ps[g] = p
+			if g++; g == 4 {
+				axpy4(orow, rowOf(b.Data, ps[0], m), rowOf(b.Data, ps[1], m), rowOf(b.Data, ps[2], m), rowOf(b.Data, ps[3], m),
+					arow[ps[0]], arow[ps[1]], arow[ps[2]], arow[ps[3]])
+				g = 0
+			}
+		}
+		for _, p := range ps[:g] {
+			axpy(orow, rowOf(b.Data, p, m), arow[p])
 		}
 	}
+	return out
 }
 
-// transposeScratch recycles MatMulTransposeB's copy of bᵀ, so the transpose
-// costs no allocation per call once the pool holds a large enough buffer.
+// transposeScratch recycles MatMulTransposeBInto's copy of bᵀ, so the
+// transpose costs no allocation per call once the pool holds a large enough
+// buffer.
 var transposeScratch = sync.Pool{New: func() any { return new([]float32) }}
 
 // MatMulTransposeB computes a@bᵀ into a new (a.Rows × b.Rows) tensor.
+func MatMulTransposeB(a, b *Tensor) *Tensor { return MatMulTransposeBInto(nil, a, b) }
+
+// MatMulTransposeBInto computes a@bᵀ into out, reshaped by Reuse, and
+// returns it. out must not share storage with a or b.
 //
 // Element (i, j) is the dot product of a's row i and b's row j, summed from
 // zero in ascending p with no zero-skip. It is computed as a@(bᵀ) in ikj
-// order through axpy, which adds the same terms to each element in the same
-// order, so the result is the same bit for bit.
-func MatMulTransposeB(a, b *Tensor) *Tensor {
+// order, four consecutive p per axpy4 and the last one to three through
+// axpy, which adds the same terms to each element in the same order, so the
+// result is the same bit for bit.
+func MatMulTransposeBInto(out, a, b *Tensor) *Tensor {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: matmul-T %dx%d @ (%dx%d)T", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	n, k, m := a.Rows, a.Cols, b.Rows
-	out := New(n, m)
+	out = Reuse(out, n, m)
 	buf := transposeScratch.Get().(*[]float32)
 	if cap(*buf) < k*m {
 		*buf = make([]float32, k*m)
 	}
 	bt := (*buf)[:k*m]
 	for j := 0; j < m; j++ {
-		for p, bv := range b.Data[j*k : (j+1)*k] {
+		for p, bv := range rowOf(b.Data, j, k) {
 			bt[p*m+j] = bv
 		}
 	}
 	for i := 0; i < n; i++ {
-		orow := out.Data[i*m : (i+1)*m]
-		for p, av := range a.Data[i*k : (i+1)*k] {
-			axpy(orow, bt[p*m:(p+1)*m], av)
+		orow := rowOf(out.Data, i, m)
+		arow := rowOf(a.Data, i, k)
+		p := 0
+		for ; p+4 <= k; p += 4 {
+			axpy4(orow, rowOf(bt, p, m), rowOf(bt, p+1, m), rowOf(bt, p+2, m), rowOf(bt, p+3, m),
+				arow[p], arow[p+1], arow[p+2], arow[p+3])
+		}
+		for ; p < k; p++ {
+			axpy(orow, rowOf(bt, p, m), arow[p])
 		}
 	}
 	transposeScratch.Put(buf)
 	return out
 }
 
-// MatMulTransposeA computes aᵀ@b into a new (a.Cols × b.Cols) tensor: for
-// each row r, out row i accumulates a[r][i]·b[r], skipping zero a[r][i].
-func MatMulTransposeA(a, b *Tensor) *Tensor {
+// MatMulTransposeA computes aᵀ@b into a new (a.Cols × b.Cols) tensor.
+func MatMulTransposeA(a, b *Tensor) *Tensor { return MatMulTransposeAInto(nil, a, b) }
+
+// transposeABlock is how many rows of a and b MatMulTransposeAInto takes
+// per sweep over the output: the block's column reads of a and its rows of
+// b stay in L1 while every output row takes its terms from them. Unblocked,
+// a 500-row batch through a 1764-wide input layer ran ≈ 1.4× slower than
+// the r-outer loop; at 32 it is faster.
+const transposeABlock = 32
+
+// MatMulTransposeAInto computes aᵀ@b into out, reshaped by Reuse, and
+// returns it. out must not share storage with a or b.
+//
+// Out row i accumulates a[r][i]·b[r] in ascending r, skipping zero a[r][i].
+// The rows r are taken in blocks of transposeABlock; within a block the loop
+// runs over i outside and r inside, so each output row takes the block's
+// terms in one go: the non-zero ones four at a time through axpy4 and the
+// last one to three through axpy. Every element sums the same terms in the
+// same order as an r-outer loop with one axpy per term.
+func MatMulTransposeAInto(out, a, b *Tensor) *Tensor {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("tensor: T-matmul (%dx%d)T @ %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	out := New(a.Cols, b.Cols)
-	for r := 0; r < a.Rows; r++ {
-		arow := a.Data[r*a.Cols : (r+1)*a.Cols]
-		brow := b.Data[r*b.Cols : (r+1)*b.Cols]
-		for i, av := range arow {
-			if av == 0 {
-				continue
+	rows, k, m := a.Rows, a.Cols, b.Cols
+	out = Reuse(out, k, m)
+	for r0 := 0; r0 < rows; r0 += transposeABlock {
+		r1 := min(r0+transposeABlock, rows)
+		for i := 0; i < k; i++ {
+			orow := rowOf(out.Data, i, m)
+			var rs [4]int
+			var as [4]float32
+			g := 0
+			for r := r0; r < r1; r++ {
+				av := a.Data[r*k+i]
+				if av == 0 {
+					continue
+				}
+				rs[g], as[g] = r, av
+				if g++; g == 4 {
+					axpy4(orow, rowOf(b.Data, rs[0], m), rowOf(b.Data, rs[1], m), rowOf(b.Data, rs[2], m), rowOf(b.Data, rs[3], m),
+						as[0], as[1], as[2], as[3])
+					g = 0
+				}
 			}
-			axpy(out.Data[i*b.Cols:(i+1)*b.Cols], brow, av)
+			for j, r := range rs[:g] {
+				axpy(orow, rowOf(b.Data, r, m), as[j])
+			}
 		}
 	}
 	return out
