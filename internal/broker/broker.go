@@ -93,7 +93,7 @@ type Broker struct {
 	stopped    bool
 
 	// materializeHook, when set (by tests, before any traffic), runs inside
-	// Port.materialize while the receiver holds its object-store reference.
+	// Port.Open while the receiver holds its object-store reference.
 	materializeHook func()
 }
 
@@ -687,9 +687,9 @@ func (b *Broker) Stop() {
 
 // Port is a client's attachment to the broker: Send serializes and pushes a
 // message into the shared-memory communicator; Recv blocks on the client's
-// ID queue and materializes the next message. Send runs on the client's
-// sender thread and Recv on its receiver thread, keeping all communication
-// work off the workhorse threads.
+// ID queue and materializes the next message. A receiver that only needs
+// the newest of several queued messages pops headers with NextHeader and
+// Opens the one it uses, Discarding the rest unread.
 type Port struct {
 	broker  *Broker
 	name    string
@@ -775,29 +775,57 @@ func (p *Port) ConsumedAcks() map[string]uint64 { return p.broker.ConsumedAcks()
 // Recv blocks until a message addressed to this client arrives, fetches the
 // body from the object store (releasing the reference), and decodes it.
 func (p *Port) Recv() (*message.Message, error) {
-	h, err := p.idQueue.Get()
+	h, err := p.NextHeader(true)
 	if err != nil {
 		return nil, err
 	}
-	return p.materialize(h)
+	return p.Open(h)
 }
 
 // TryRecv is the non-blocking variant of Recv.
 func (p *Port) TryRecv() (*message.Message, error) {
-	h, err := p.idQueue.TryGet()
+	h, err := p.NextHeader(false)
 	if err != nil {
 		return nil, err
 	}
-	return p.materialize(h)
+	return p.Open(h)
 }
 
-// materialize fetches, decompresses, and decodes a delivered header's body.
-// Once the header has been popped from the ID queue this receiver owns the
-// object-store reference, so it is released on every path — including
-// corrupt bodies that fail to unpack or unmarshal. A compressed body is
-// decompressed into a pooled buffer, freed on the same paths: Unmarshal
-// copies everything it returns out of raw.
-func (p *Port) materialize(h *message.Header) (*message.Message, error) {
+// NextHeader pops the next header addressed to this client and leaves its
+// body in the object store. With block it waits for one; without, an empty
+// queue returns queue.ErrEmpty. Its only error once the client is detached
+// is queue.ErrClosed. The caller owns the header's reference and must hand
+// the header to exactly one of Open or Discard.
+func (p *Port) NextHeader(block bool) (*message.Header, error) {
+	if block {
+		return p.idQueue.Get()
+	}
+	return p.idQueue.TryGet()
+}
+
+// Discard releases a header NextHeader returned without reading its body:
+// the release path for a message a newer one made moot. It charges the
+// receive-side serialization-plane emulation Open would (Compressor.Skip)
+// and counts the body as Superseded, which is not a drop.
+func (p *Port) Discard(h *message.Header) {
+	framed, err := p.broker.store.Get(h.ObjectID)
+	if err != nil {
+		p.broker.health.dropStoreMiss.Add(1)
+		return
+	}
+	p.broker.compressor.Skip(framed)
+	p.broker.release(h.ObjectID)
+	p.broker.health.superseded.Add(1)
+}
+
+// Open materializes a header NextHeader returned: it fetches, decompresses
+// and decodes the body. The receiver owns the object-store reference, so it
+// is released on every path — including corrupt bodies that fail to unpack
+// or unmarshal. Such an error is already counted in the drop taxonomy
+// (StoreMiss or RecvError), so a receive loop skips that message and carries
+// on. A compressed body is decompressed into a pooled buffer, freed on the
+// same paths: Unmarshal copies everything it returns out of raw.
+func (p *Port) Open(h *message.Header) (*message.Message, error) {
 	framed, err := p.broker.store.Get(h.ObjectID)
 	if err != nil {
 		p.broker.health.dropStoreMiss.Add(1)

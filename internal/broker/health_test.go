@@ -10,6 +10,7 @@ import (
 
 	"xingtian/internal/message"
 	"xingtian/internal/objectstore"
+	"xingtian/internal/queue"
 	"xingtian/internal/serialize"
 )
 
@@ -466,4 +467,47 @@ func TestRecvStoreMissSurfacesNotFound(t *testing.T) {
 	if got := b.Metrics().ReleaseErrors; got != 0 {
 		t.Fatalf("ReleaseErrors = %d, want 0 (no release attempted on miss)", got)
 	}
+}
+
+// TestDiscardReleasesAsSuperseded: Discard releases a popped header's body
+// unread and counts it as Superseded, not as a receive or a drop; Open
+// materializes the one the receiver keeps.
+func TestDiscardReleasesAsSuperseded(t *testing.T) {
+	b := singleMachine(t)
+	r, _ := b.Register("r")
+	for v := int64(1); v <= 3; v++ {
+		h := &message.Header{ID: uint64(v), Type: message.TypeWeights, Src: "x", Dst: []string{"r"}}
+		if err := b.InjectRemote(h, packBody(t, &message.WeightsPayload{Version: v, Data: []float32{1}})); err != nil {
+			t.Fatalf("InjectRemote: %v", err)
+		}
+	}
+	var hs []*message.Header
+	for {
+		h, err := r.NextHeader(false)
+		if errors.Is(err, queue.ErrEmpty) {
+			break
+		}
+		if err != nil {
+			t.Fatalf("NextHeader: %v", err)
+		}
+		hs = append(hs, h)
+	}
+	if len(hs) != 3 {
+		t.Fatalf("popped %d headers, want 3", len(hs))
+	}
+	r.Discard(hs[0])
+	r.Discard(hs[1])
+	m, err := r.Open(hs[2])
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	if v := m.Body.(*message.WeightsPayload).Version; v != 3 {
+		t.Fatalf("opened version %d, want 3", v)
+	}
+	snap := b.Metrics()
+	if snap.Superseded != 2 || snap.Receives != 1 || snap.Drops.Total() != 0 {
+		t.Fatalf("superseded=%d receives=%d drops=%d, want 2, 1, 0",
+			snap.Superseded, snap.Receives, snap.Drops.Total())
+	}
+	waitDrained(t, b)
 }

@@ -46,6 +46,8 @@ type health struct {
 
 	releaseErrors atomic.Int64
 
+	superseded atomic.Int64
+
 	delivery *stats.Histogram // send→recv (header creation → materialize)
 }
 
@@ -149,6 +151,10 @@ type MetricsSnapshot struct {
 	ShedBytes int64
 	// ReleaseErrors counts failed object-store releases (double releases).
 	ReleaseErrors int64
+	// Superseded counts bodies receivers released unread with Port.Discard:
+	// weights a newer snapshot made moot, and fenced-out replica pushes.
+	// Each released exactly one reference; none is a drop.
+	Superseded int64
 	// LeakedAtStop is the number of objects live on a stopped broker at
 	// snapshot time (0 while it runs). Stop has drained every queue, so an
 	// object still live is a reference somebody popped and has not released:
@@ -202,6 +208,7 @@ func (b *Broker) Metrics() MetricsSnapshot {
 		},
 		ShedBytes:        h.shedBytes.Load(),
 		ReleaseErrors:    h.releaseErrors.Load(),
+		Superseded:       h.superseded.Load(),
 		HeaderQueueDepth: b.headerQ.Len(),
 		Store:            b.store.Stats(),
 		Delivery: LatencySummary{
@@ -241,8 +248,8 @@ func (b *Broker) VerifyDrained() error {
 // String renders the snapshot human-readably, one logical line per area.
 func (m MetricsSnapshot) String() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "broker[m%d] routed=%d sent=%d recv=%d fwd=%d inj=%d relayed=%d\n",
-		m.MachineID, m.HeadersRouted, m.Sends, m.Receives, m.BodiesForwarded, m.BodiesInjected, m.BodiesRelayed)
+	fmt.Fprintf(&sb, "broker[m%d] routed=%d sent=%d recv=%d superseded=%d fwd=%d inj=%d relayed=%d\n",
+		m.MachineID, m.HeadersRouted, m.Sends, m.Receives, m.Superseded, m.BodiesForwarded, m.BodiesInjected, m.BodiesRelayed)
 	fmt.Fprintf(&sb, "  bytes: in=%s fwd=%s inj=%s relay=%s store=%s (peak %s, %d live)\n",
 		stats.FormatBytes(float64(m.BytesIn)), stats.FormatBytes(float64(m.BytesForwarded)),
 		stats.FormatBytes(float64(m.BytesInjected)), stats.FormatBytes(float64(m.BytesRelayed)),

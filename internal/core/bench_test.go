@@ -85,6 +85,32 @@ func BenchmarkBroadcastAggregate(b *testing.B) {
 	}
 }
 
+// BenchmarkBroadcastFold times the fold of a push backlog on the same
+// replicas and weights as BenchmarkBroadcastAggregate: 8 pushes, alternating
+// between the 2 replicas, queued before the fragment's first receive and
+// committed once (6 released unread, 2 opened, one mean, one broadcast, one
+// echo). Each iteration starts a fresh fragment; queueing is untimed.
+func BenchmarkBroadcastFold(b *testing.B) {
+	spec := algorithm.SpecFor(env.NewCartPole(0))
+	w := algorithm.NewIMPALA(spec, algorithm.DefaultIMPALAConfig(), 1).Weights().Data
+	rig := newIdleAggRig(b, 2, w)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if i > 0 {
+			rig.rebuild(b)
+		}
+		for j := 0; j < 8; j++ {
+			rig.send(b, j%2, w, 0)
+		}
+		rig.waitQueued(b, 8)
+		b.StartTimer()
+		rig.cast.Start()
+		rig.echo(b)
+	}
+}
+
 // BenchmarkFragmentsIMPALA2v1 measures the learn-fragment replication win:
 // the same device-time-bound IMPALA deployment run fused (the seed's single
 // learner) and as a 2-replica fragment topology, reporting the duration

@@ -1141,7 +1141,7 @@ func (s *Session) doStop() *Report {
 	for _, sl := range s.slots {
 		sl.current().Stop()
 	}
-	s.transport.Stop() // closes ID queues, unblocking receiver threads
+	s.transport.Stop() // closes ID queues, unblocking every receive
 	if s.frags != nil {
 		s.frags.join()
 	} else {

@@ -13,16 +13,16 @@ import (
 )
 
 // Explorer is the explorer process of Fig. 2(a): a rollout worker thread
-// produces rollout fragments into the send buffer; the sender thread pushes
-// them into the shared-memory communicator immediately; the receiver thread
-// pulls weights broadcasts into the receive buffer, where the worker applies
-// them between fragments.
+// produces rollout fragments into the send buffer, and the sender thread
+// pushes them into the shared-memory communicator immediately. The receive
+// buffer is the port's ID queue: between fragments the worker drains it,
+// installing only the newest weights snapshot and releasing the ones it
+// superseded unread.
 type Explorer struct {
 	id          int32
 	agent       Agent
 	port        *broker.Port
 	sendBuf     *buffer.Buffer
-	recvBuf     *buffer.Buffer
 	rolloutLen  int
 	maxInflight int
 	learner     string
@@ -37,7 +37,9 @@ type Explorer struct {
 	stepsGenerated int64
 	lastErr        error
 
+	// Touched only by the worker thread.
 	fragmentsSinceWeights int
+	inbox                 []*message.Header
 }
 
 // ExplorerName formats the canonical client name for an explorer ID.
@@ -66,7 +68,6 @@ func NewExplorer(id int32, agent Agent, port *broker.Port, rolloutLen int) *Expl
 		agent:       agent,
 		port:        port,
 		sendBuf:     buffer.New(),
-		recvBuf:     buffer.New(),
 		rolloutLen:  rolloutLen,
 		maxInflight: DefaultMaxInflight,
 		learner:     LearnerName,
@@ -85,11 +86,10 @@ func (e *Explorer) SetMaxInflight(n int) { e.maxInflight = n }
 // to learn replicas. Call before Start.
 func (e *Explorer) SetRolloutDst(name string) { e.learner = name }
 
-// Start launches the three explorer threads.
+// Start launches the explorer's sender and worker threads.
 func (e *Explorer) Start() {
-	e.wg.Add(3)
+	e.wg.Add(2)
 	go e.senderLoop()
-	go e.receiverLoop()
 	go e.workerLoop()
 }
 
@@ -112,22 +112,6 @@ func (e *Explorer) senderLoop() {
 	}
 }
 
-// receiverLoop monitors the explorer's ID queue and copies arriving
-// messages into the local receive buffer immediately.
-func (e *Explorer) receiverLoop() {
-	defer e.wg.Done()
-	for {
-		m, err := e.port.Recv()
-		if err != nil {
-			e.recvBuf.Close()
-			return
-		}
-		if err := e.recvBuf.Put(m); err != nil {
-			return
-		}
-	}
-}
-
 // workerLoop is the rollout worker thread.
 func (e *Explorer) workerLoop() {
 	defer e.wg.Done()
@@ -139,19 +123,16 @@ func (e *Explorer) workerLoop() {
 		default:
 		}
 
-		// Apply any weights waiting in the local receive buffer. Off-policy
-		// agents drain opportunistically; on-policy agents block after
-		// shipping a fragment so every fragment uses the latest parameters.
-		// Note the asymmetry the paper exploits: the *transmission* of the
-		// previous fragment already happened asynchronously on the sender
-		// thread while this worker was still interacting with the
-		// environment.
-		e.mu.Lock()
+		// Apply any weights waiting in the receive queue. Off-policy agents
+		// drain opportunistically; on-policy agents block after shipping a
+		// fragment so every fragment uses the latest parameters. Note the
+		// asymmetry the paper exploits: the *transmission* of the previous
+		// fragment already happened asynchronously on the sender thread
+		// while this worker was still interacting with the environment.
 		mustWait := e.agent.OnPolicy() && e.fragmentsSinceWeights > 0
 		if e.maxInflight > 0 && e.fragmentsSinceWeights >= e.maxInflight {
 			mustWait = true // credit exhausted: wait for a weights broadcast
 		}
-		e.mu.Unlock()
 		if !e.drainReceived(mustWait) {
 			return
 		}
@@ -173,8 +154,8 @@ func (e *Explorer) workerLoop() {
 		if err := e.sendBuf.Put(m); err != nil {
 			return
 		}
-		e.mu.Lock()
 		e.fragmentsSinceWeights++
+		e.mu.Lock()
 		generated := e.stepsGenerated
 		e.mu.Unlock()
 
@@ -196,36 +177,74 @@ func (e *Explorer) workerLoop() {
 	}
 }
 
-// drainReceived applies queued messages. When block is true it waits for at
-// least one message (on-policy synchronization). It returns false when the
-// explorer should shut down.
+// drainReceived applies what waits in the port's ID queue. When block is
+// true it waits until at least one weights-class message has arrived
+// (on-policy synchronization, or credit exhausted), applying controls that
+// arrive meanwhile as they come. It returns false when the explorer should
+// shut down.
 func (e *Explorer) drainReceived(block bool) bool {
-	if block {
+	for {
+		closed := false
 		for {
-			m, err := e.recvBuf.Next()
+			h, err := e.port.NextHeader(false)
 			if err != nil {
-				return false
-			}
-			if !e.apply(m) {
-				return false
-			}
-			if m.Header.Type.WeightsClass() {
+				closed = !errors.Is(err, queue.ErrEmpty)
 				break
 			}
+			e.inbox = append(e.inbox, h)
 		}
-	}
-	for {
-		m, err := e.recvBuf.TryNext()
-		if errors.Is(err, queue.ErrEmpty) {
+		credited, ok := e.applyInbox()
+		if !ok || closed {
+			return false
+		}
+		if credited || !block {
 			return true
 		}
+		h, err := e.port.NextHeader(true)
 		if err != nil {
 			return false
 		}
-		if !e.apply(m) {
-			return false
+		e.inbox = append(e.inbox, h)
+	}
+}
+
+// applyInbox empties the inbox in order. Every weights-class message queued
+// before the newest dense snapshot is discarded unread: SetWeights replaces
+// the whole model, so installing that snapshot alone leaves the agent where
+// installing each message in turn would. Everything else is opened and
+// applied; a body that fails to open is skipped (the broker counts it). Any
+// weights-class message, discarded or not, is a flow-control credit, and
+// credited reports whether one arrived. ok turns false once the explorer
+// should shut down; the headers after that point are opened and dropped,
+// which releases their references.
+func (e *Explorer) applyInbox() (credited, ok bool) {
+	newest := -1
+	for i, h := range e.inbox {
+		if h.Type == message.TypeWeights {
+			newest = i
 		}
 	}
+	ok = true
+	for i, h := range e.inbox {
+		e.inbox[i] = nil
+		if h.Type.WeightsClass() {
+			// Withholding the credit could deadlock an out-of-credit
+			// explorer whose silence stops the learner from ever
+			// broadcasting again.
+			credited = true
+			e.fragmentsSinceWeights = 0
+			if i < newest {
+				e.port.Discard(h)
+				continue
+			}
+		}
+		m, err := e.port.Open(h)
+		if err == nil && ok {
+			ok = e.apply(m)
+		}
+	}
+	e.inbox = e.inbox[:0]
+	return credited, ok
 }
 
 // apply processes one received message; it returns false on shutdown.
@@ -236,9 +255,6 @@ func (e *Explorer) apply(m *message.Message) bool {
 			e.fail(fmt.Errorf("explorer %d set weights: %w", e.id, err))
 			return false
 		}
-		e.mu.Lock()
-		e.fragmentsSinceWeights = 0
-		e.mu.Unlock()
 	case *message.WeightsDeltaPayload:
 		var err error
 		if da, ok := e.agent.(DeltaAgent); ok {
@@ -251,20 +267,14 @@ func (e *Explorer) apply(m *message.Message) bool {
 			// sampling on the current weights. Failing hard here would turn
 			// every restart-induced stale delta into a supervision cycle. The
 			// NACK goes to the delta's Src — the learner in the fused loop,
-			// the broadcast fragment in a fragment topology.
+			// the broadcast fragment in a fragment topology. The credit
+			// stands: the NACK guarantees a dense follow-up.
 			nack := message.New(message.TypeControl, ExplorerName(e.id), []string{m.Header.Src},
 				&message.ControlPayload{Kind: message.ControlWeightsResync})
 			if perr := e.sendBuf.Put(nack); perr != nil {
 				return false
 			}
 		}
-		// Any weights-class message is a flow-control credit, even one that
-		// failed to apply — the NACK guarantees a dense follow-up, and
-		// withholding the credit could deadlock an out-of-credit explorer
-		// whose silence stops the learner from ever broadcasting again.
-		e.mu.Lock()
-		e.fragmentsSinceWeights = 0
-		e.mu.Unlock()
 	case *message.ControlPayload:
 		if body.Kind == message.ControlShutdown {
 			e.stopOne.Do(func() { close(e.stopped) })
@@ -305,18 +315,16 @@ func (e *Explorer) StepsGenerated() int64 {
 // EpisodeStats proxies the agent's episode statistics.
 func (e *Explorer) EpisodeStats() (int64, float64) { return e.agent.EpisodeStats() }
 
-// Stop signals all explorer threads to finish: the worker observes the
-// stopped channel (and the closed receive buffer if it is blocked waiting
-// for weights). The receiver thread unblocks when the broker closes this
-// client's ID queue, so callers must stop the broker before Join.
+// Stop signals the explorer threads to finish: the worker observes the
+// stopped channel between fragments. A worker blocked waiting for weights
+// wakes when the broker closes this client's ID queue, so callers must
+// unregister the port or stop the broker before Join.
 func (e *Explorer) Stop() {
 	e.stopOne.Do(func() { close(e.stopped) })
-	e.recvBuf.Close()
 }
 
-// Join waits for all three explorer threads to exit. Call after Stop and
-// after the owning broker has been stopped (which closes the ID queue the
-// receiver thread blocks on).
+// Join waits for both explorer threads to exit. Call after Stop and after
+// the owning broker has closed this client's ID queue.
 func (e *Explorer) Join() {
 	e.wg.Wait()
 }

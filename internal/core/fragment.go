@@ -130,8 +130,11 @@ func (s *SampleFragment) loop() {
 	defer s.wg.Done()
 	for {
 		m, err := s.port.Recv()
-		if err != nil {
+		if errors.Is(err, queue.ErrClosed) {
 			return // broker stopped
+		}
+		if err != nil {
+			continue // an unreadable body: the broker counted it
 		}
 		switch body := m.Body.(type) {
 		case *message.RolloutBody:
@@ -620,9 +623,12 @@ func (l *LearnFragment) receiverLoop() {
 	}
 	for {
 		m, err := l.port.Recv()
-		if err != nil {
+		if errors.Is(err, queue.ErrClosed) {
 			l.recvBuf.Close()
 			return
+		}
+		if err != nil {
+			continue // an unreadable body: the broker counted it
 		}
 		if m.Header.Type == message.TypeRollout {
 			l.TransHist.Observe(time.Duration(time.Now().UnixNano() - m.Header.CreatedNanos))
@@ -890,6 +896,7 @@ type BroadcastFragment struct {
 	// same order.
 	replicas []replicaPush
 	agg      []float32
+	pushes   []*message.Header // fold's scratch
 
 	// Failover plumbing (§5i). hbTimeout > 0 arms the deadline detector: a
 	// replica whose weight pushes and heartbeats both fall silent for the
@@ -1094,81 +1101,159 @@ func (b *BroadcastFragment) admitPush(src string, epoch int32) bool {
 
 func (b *BroadcastFragment) loop() {
 	defer b.wg.Done()
+	var next *message.Header // a non-push a fold popped, handled next
 	for {
-		m, err := b.port.Recv()
-		if err != nil {
-			return // broker stopped
+		h := next
+		next = nil
+		if h == nil {
+			var err error
+			if h, err = b.port.NextHeader(true); err != nil {
+				return // broker stopped
+			}
 		}
-		switch body := m.Body.(type) {
-		case *message.WeightsPayload:
-			if !b.admitPush(m.Header.Src, m.Header.Round) {
-				continue
-			}
-			if !b.aggregate(m.Header.Src, body) {
+		if h.Type == message.TypeWeights {
+			var ok bool
+			if next, ok = b.fold(h); !ok {
+				if next != nil {
+					_, _ = b.port.Open(next) // releases it
+				}
 				return
 			}
-		case *message.ControlPayload:
-			switch body.Kind {
-			case message.ControlShutdown:
+			continue
+		}
+		m, err := b.port.Open(h)
+		if err != nil {
+			continue // an unreadable body: the broker counted it
+		}
+		body, ok := m.Body.(*message.ControlPayload)
+		if !ok {
+			continue
+		}
+		switch body.Kind {
+		case message.ControlShutdown:
+			return
+		case message.ControlAckSnapshot:
+			b.port.MergeAcked(body.Acked)
+		case message.ControlWeightsResync:
+			b.plane.MarkStale(m.Header.Src)
+		case message.ControlHeartbeat:
+			b.admitPush(m.Header.Src, m.Header.Round)
+		case message.ControlQuarantine:
+			if !b.retireReplica(body.Peer) {
 				return
-			case message.ControlAckSnapshot:
-				b.port.MergeAcked(body.Acked)
-			case message.ControlWeightsResync:
-				b.plane.MarkStale(m.Header.Src)
-			case message.ControlHeartbeat:
-				b.admitPush(m.Header.Src, m.Header.Round)
-			case message.ControlQuarantine:
-				if !b.retireReplica(body.Peer) {
-					return
-				}
-			case message.ControlRejoin:
-				if !b.rejoinReplica(body.Peer, m.Header.Round) {
-					return
-				}
-			case message.ControlTakeover:
-				// A fragment was re-placed after a machine death. A rebuilt
-				// explorer's plane state is marked stale so its next weights
-				// are a dense snapshot; either way the committed model is
-				// re-broadcast — the takeover window may have starved
-				// explorers of flow-control credit, and a standby sampler
-				// re-learns the committed version from the announce that
-				// rides along with every broadcast.
-				if body.Peer != SampleName {
-					b.plane.MarkStale(body.Peer)
-				}
-				if !b.broadcast() {
-					return
-				}
+			}
+		case message.ControlRejoin:
+			if !b.rejoinReplica(body.Peer, m.Header.Round) {
+				return
+			}
+		case message.ControlTakeover:
+			// A fragment was re-placed after a machine death. A rebuilt
+			// explorer's plane state is marked stale so its next weights
+			// are a dense snapshot; either way the committed model is
+			// re-broadcast — the takeover window may have starved
+			// explorers of flow-control credit, and a standby sampler
+			// re-learns the committed version from the announce that
+			// rides along with every broadcast.
+			if body.Peer != SampleName {
+				b.plane.MarkStale(body.Peer)
+			}
+			if !b.broadcast() {
+				return
 			}
 		}
 	}
 }
 
-// aggregate folds one replica push into the committed model: the aggregate
-// is the element-wise mean of every replica's latest weights, summed in
-// replica-name order (lazy aggregation — replicas contribute at their own
-// pace), the global version advances, and the new model is distributed. A
-// lone replica's push is copied, not summed. It returns false when the
-// channel is torn down.
-func (b *BroadcastFragment) aggregate(src string, w *message.WeightsPayload) bool {
-	i, found := b.findReplica(src)
-	if !found {
-		b.replicas = slices.Insert(b.replicas, i, replicaPush{name: src})
+// fold takes the replica push first and every push queued directly behind
+// it, and commits them once. Each push passes admitPush in arrival order,
+// as it would alone; only each replica's newest admitted push is opened,
+// and the rest are discarded unread. The mean reads only each replica's
+// latest push, so the committed model is the one handling the pushes one
+// at a time would reach, minus the intermediate commits nobody used. It
+// returns the first non-push it popped (nil if none) for the loop to
+// handle next, and false when the loop must end.
+func (b *BroadcastFragment) fold(first *message.Header) (*message.Header, bool) {
+	pushes := append(b.pushes[:0], first)
+	var next *message.Header
+	for {
+		h, err := b.port.NextHeader(false)
+		if err != nil {
+			break // empty, or closed: the next blocking pop reports it
+		}
+		if h.Type != message.TypeWeights {
+			next = h
+			break
+		}
+		pushes = append(pushes, h)
 	}
-	b.replicas[i].version = w.Version
-	b.replicas[i].data = w.Data
+	var folded int64
+	opened := false
+	for i, h := range pushes {
+		if b.admitPush(h.Src, h.Round) {
+			folded++
+			continue
+		}
+		b.port.Discard(h) // fenced out: counted in stalePushes
+		pushes[i] = nil
+	}
+	for i, h := range pushes {
+		if h == nil {
+			continue
+		}
+		if slices.ContainsFunc(pushes[i+1:], func(later *message.Header) bool {
+			return later != nil && later.Src == h.Src
+		}) {
+			b.port.Discard(h) // superseded by the replica's later push
+			continue
+		}
+		var w *message.WeightsPayload
+		if m, err := b.port.Open(h); err == nil {
+			w, _ = m.Body.(*message.WeightsPayload)
+		}
+		if w == nil {
+			folded-- // an unreadable body: its replica's previous push stands
+			continue
+		}
+		j, found := b.findReplica(h.Src)
+		if !found {
+			b.replicas = slices.Insert(b.replicas, j, replicaPush{name: h.Src})
+		}
+		b.replicas[j].version = w.Version
+		b.replicas[j].data = w.Data
+		opened = true
+	}
+	clear(pushes)
+	b.pushes = pushes[:0]
+	if !opened {
+		return next, true
+	}
+	return next, b.commit(folded)
+}
+
+// commit folds k replica pushes, already recorded in b.replicas, into the
+// committed model: the aggregate is the element-wise mean of every
+// replica's latest weights, summed in replica-name order (lazy aggregation
+// — replicas contribute at their own pace), and a lone replica's push is
+// copied, not summed. The version and the aggregation count advance by k,
+// the new model is distributed once, and the echo and the checkpoint fire
+// when the count crosses a multiple of their cadence. It returns false
+// when the channel is torn down.
+func (b *BroadcastFragment) commit(k int64) bool {
 	if len(b.replicas) == 1 {
-		b.agg = append(b.agg[:0], w.Data...)
+		b.agg = append(b.agg[:0], b.replicas[0].data...)
 	} else {
-		if len(b.agg) != len(w.Data) {
-			b.fail(fmt.Errorf("broadcast fragment: replica %s pushed %d params, aggregate holds %d",
-				src, len(w.Data), len(b.agg)))
-			return false
+		for _, r := range b.replicas {
+			if len(r.data) != len(b.agg) {
+				b.fail(fmt.Errorf("broadcast fragment: replica %s pushed %d params, aggregate holds %d",
+					r.name, len(r.data), len(b.agg)))
+				return false
+			}
 		}
 		mean(b.agg, b.replicas)
 	}
-	b.version.Add(1)
-	n := b.aggs.Add(1)
+	b.version.Add(k)
+	n := b.aggs.Add(k)
+	crossed := func(every int64) bool { return n/every != (n-k)/every }
 	if !b.broadcast() {
 		return false
 	}
@@ -1180,12 +1265,12 @@ func (b *BroadcastFragment) aggregate(src string, w *message.WeightsPayload) boo
 	// train, so without the echo the two counters drift apart and every
 	// subsequent batch is discarded as stale. The echo is staged before any
 	// explorer's next batch can arrive, so the replica re-syncs first.
-	if n%int64(b.syncEvery) == 0 {
+	if crossed(int64(b.syncEvery)) {
 		if !b.echoAggregate() {
 			return false
 		}
 	}
-	if b.ckptPath != "" && n%b.ckptEvery == 0 {
+	if b.ckptPath != "" && crossed(b.ckptEvery) {
 		if err := b.saveCheckpoint(); err != nil {
 			b.fail(fmt.Errorf("broadcast fragment checkpoint: %w", err))
 			return false

@@ -1,7 +1,7 @@
 // Package core implements XingTian's decentralized computation layer: the
-// explorer and learner processes (workhorse + sender + receiver threads),
-// the controller that manages their life cycle, and the researcher-facing
-// Agent/Algorithm interfaces of the paper's §4.2.
+// explorer and learner processes (workhorse and sender threads, plus the
+// learner's receiver thread), the controller that manages their life cycle,
+// and the researcher-facing Agent/Algorithm interfaces of the paper's §4.2.
 //
 // There is deliberately no task graph and no central scheduler: explorers
 // and the learner are driven purely by the arrival of the data they await

@@ -35,9 +35,9 @@
 //     closed, or no Remote is configured, the router releases that
 //     destination's reference immediately — the drop is counted, never
 //     leaked.
-//   - The receiver (Port.Recv → materialize) owns the reference once the
-//     header is popped from its ID queue and must release it whether or not
-//     decompression/decoding succeeds.
+//   - The receiver (Port.NextHeader) owns the reference once the header is
+//     popped from its ID queue. Port.Open releases it whether or not
+//     decompression/decoding succeeds; Port.Discard releases it unread.
 //   - The forwarder goroutine owns the remote reference and releases it
 //     after Remote.Forward returns, success or failure.
 //   - Broker.Stop drains undelivered headers from closed ID queues and

@@ -842,6 +842,23 @@ func (c Compressor) UnpackInto(buf, framed []byte) ([]byte, error) {
 	return raw, nil
 }
 
+// Skip charges the receive-side emulation UnpackInto would charge for
+// framed, without decoding it: the cost of a body a receiver releases
+// unread. A compressed frame is charged its raw length, which is its
+// logical length for every body but a shifted rollout.
+func (c Compressor) Skip(framed []byte) {
+	if c.unpackNsPerKB() <= 0 {
+		return
+	}
+	n := 0
+	if len(framed) > 0 && framed[0] == frameRaw {
+		n = LogicalLen(framed[1:])
+	} else if rawLen, err := lz4FrameRawLen(framed); err == nil {
+		n = int(rawLen)
+	}
+	PlaneDelay(n, c.unpackNsPerKB())
+}
+
 // Unpack reverses Pack, returning the original serialized body.
 func Unpack(framed []byte) ([]byte, error) {
 	return unpackInto(nil, framed)

@@ -12,6 +12,7 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+	"time"
 	"unsafe"
 
 	"xingtian/internal/env"
@@ -1270,4 +1271,35 @@ func FuzzUnmarshalRollout(f *testing.F) {
 		}
 		checkStacksShareFrames(t, b.(*rollout.Batch))
 	})
+}
+
+// TestSkipChargesUnpackDelay: Skip charges the receive-side plane delay
+// UnpackInto would, for a raw and for a compressed frame, without decoding.
+// At this rate a 64 KiB body costs 20 ms.
+func TestSkipChargesUnpackDelay(t *testing.T) {
+	const want = 20 * time.Millisecond
+	raw := make([]byte, 64<<10) // zeros: compressible
+	c := Compressor{PackNsPerKB: int(8 * int64(want) * 1024 / int64(len(raw)))}
+	rawFrame, _ := Compressor{}.Pack(raw)
+	lz4Frame, compressed := Compressor{Threshold: 1}.Pack(raw)
+	if !compressed {
+		t.Fatal("zeros did not compress")
+	}
+	for _, tc := range []struct {
+		name   string
+		framed []byte
+	}{{"raw", rawFrame}, {"lz4", lz4Frame}} {
+		start := time.Now()
+		c.Skip(tc.framed)
+		if got := time.Since(start); got < want {
+			t.Errorf("%s: Skip charged %v, want at least %v", tc.name, got, want)
+		}
+		start = time.Now()
+		if _, err := c.UnpackInto(nil, tc.framed); err != nil {
+			t.Fatal(err)
+		}
+		if got := time.Since(start); got < want {
+			t.Errorf("%s: UnpackInto charged %v, want at least %v", tc.name, got, want)
+		}
+	}
 }
