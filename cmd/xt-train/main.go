@@ -60,7 +60,6 @@ type fileConfig struct {
 	Topology     string `json:"topology"`
 	Learners     int    `json:"learners"`
 	MaxStaleness int    `json:"max_staleness"`
-	SyncEvery    int    `json:"sync_every"`
 
 	// LearnerRestarts < 0 keeps the fail-fast seed semantics; >= 0 arms
 	// learn-replica failover with that respawn budget (needs -topology
@@ -96,7 +95,6 @@ func topologyFor(fc fileConfig) (core.Topology, error) {
 		return core.Topology{
 			Learners:     n,
 			MaxStaleness: fc.MaxStaleness,
-			SyncEvery:    fc.SyncEvery,
 		}, nil
 	default:
 		return core.Topology{}, fmt.Errorf("unknown topology %q (want fused or replicated)", fc.Topology)
@@ -136,7 +134,6 @@ func run() int {
 		topology   = flag.String("topology", "", `fragment topology: "" or "fused" = seed's single-learner loop, "replicated" = N learn fragments on the dataflow-fragment runtime`)
 		learners   = flag.Int("learners", 1, "learn-fragment replicas (with -topology replicated)")
 		staleness  = flag.Int("staleness", -1, "max sample→learn staleness in weight versions: 0 = strict assignment order, -1 = unbounded (with -topology replicated)")
-		syncEvery  = flag.Int("sync-every", 1, "aggregations between weight echoes back to the learn replicas (with -topology replicated)")
 		lRestarts  = flag.Int("learner-restarts", -1, "learn-replica respawn budget: -1 = fail fast (seed semantics), >= 0 arms quarantine/respawn failover with that budget (needs -topology replicated and >= 2 learners)")
 		heartbeat  = flag.Duration("heartbeat", 0, "learn-replica liveness cadence under -learner-restarts >= 0 (0 = default 25ms; hung-replica deadline is 4 missed beats)")
 		gridWire   = flag.Bool("grid", false, "run the machines over a real TCP loopback fabric grid instead of the simulated network")
@@ -156,8 +153,7 @@ func run() int {
 		CheckpointKeep: *ckptKeep, Resume: *resume,
 		WeightDelta: *wDelta, WeightQuantBits: *wQuant,
 		WeightSkipFactor: *wSkip, WeightTreeFanout: *wTree,
-		Topology: *topology, Learners: *learners,
-		MaxStaleness: *staleness, SyncEvery: *syncEvery,
+		Topology: *topology, Learners: *learners, MaxStaleness: *staleness,
 		LearnerRestarts: *lRestarts, HeartbeatMS: int(heartbeat.Milliseconds()),
 		Grid: *gridWire, MachineFailover: *mFailover, LeaseMS: *leaseMS,
 	}

@@ -10,6 +10,7 @@ package buffer
 
 import (
 	"sync"
+	"time"
 
 	"xingtian/internal/message"
 	"xingtian/internal/queue"
@@ -68,6 +69,16 @@ func (b *Buffer) TakeBody(id uint64) any {
 // Next blocks for the next full message (header + body).
 func (b *Buffer) Next() (*message.Message, error) {
 	h, err := b.NextHeader()
+	if err != nil {
+		return nil, err
+	}
+	return &message.Message{Header: h, Body: b.TakeBody(h.ID)}, nil
+}
+
+// NextTimeout is Next bounded by d: it returns queue.ErrTimeout when no
+// message is staged within d.
+func (b *Buffer) NextTimeout(d time.Duration) (*message.Message, error) {
+	h, err := b.headers.GetTimeout(d)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	"xingtian/internal/message"
 	"xingtian/internal/queue"
@@ -65,6 +66,25 @@ func TestCloseUnblocksAndRejects(t *testing.T) {
 	}
 	if err := b.Put(msg("y")); !errors.Is(err, queue.ErrClosed) {
 		t.Fatalf("Put after Close = %v, want ErrClosed", err)
+	}
+}
+
+func TestNextTimeout(t *testing.T) {
+	b := New()
+	if _, err := b.NextTimeout(time.Millisecond); !errors.Is(err, queue.ErrTimeout) {
+		t.Fatalf("NextTimeout on an empty buffer = %v, want ErrTimeout", err)
+	}
+	in := msg("z")
+	if err := b.Put(in); err != nil {
+		t.Fatalf("Put: %v", err)
+	}
+	out, err := b.NextTimeout(time.Millisecond)
+	if err != nil || out.Header.ID != in.Header.ID || out.Body != "z" {
+		t.Fatalf("NextTimeout = %+v, %v", out, err)
+	}
+	b.Close()
+	if _, err := b.NextTimeout(time.Second); !errors.Is(err, queue.ErrClosed) {
+		t.Fatalf("NextTimeout after Close = %v, want ErrClosed", err)
 	}
 }
 

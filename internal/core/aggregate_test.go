@@ -13,9 +13,9 @@ import (
 )
 
 // aggRig runs a broadcast fragment alone on a one-machine broker: n learn
-// ports push weights, and with SyncEvery 1 every commit (and every retire)
-// is answered by an aggregate echo to each learn port. There are no
-// explorers, and the version announces to the absent sampler are dropped.
+// ports push weights, and every commit (and every retire) is answered by an
+// aggregate echo to each learn port. There are no explorers, and the
+// version announces to the absent sampler are dropped.
 type aggRig struct {
 	br    *broker.Broker
 	cfg   core.BroadcastConfig
@@ -53,7 +53,6 @@ func newIdleAggRig(tb testing.TB, n int, init []float32) *aggRig {
 	}
 	rig.cfg = core.BroadcastConfig{
 		Learners:       names,
-		SyncEvery:      1,
 		InitialWeights: init,
 	}
 	rig.rebuild(tb)
@@ -371,4 +370,30 @@ func TestBroadcastFoldFencesStalePush(t *testing.T) {
 	if got := rig.br.Metrics().Superseded; got != 1 {
 		t.Fatalf("Superseded = %d, want 1 (the fenced push)", got)
 	}
+}
+
+// TestBroadcastFoldOpensOlderPush: with a readable push A1 queued behind
+// an undecodable A2 from the same replica, the fold falls back to A1. It
+// commits A1 once, at one version past the initial one; A2 is counted as a
+// receive error, and nothing is released as superseded.
+func TestBroadcastFoldOpensOlderPush(t *testing.T) {
+	const params = 8
+	rig := newIdleAggRig(t, 1, filled(params, 0))
+	rig.send(t, 0, filled(params, 5), 0)
+	rig.waitQueued(t, 1)
+	inject(t, rig.br, message.New(message.TypeWeights, core.LearnName(0), []string{core.BroadcastName}, nil))
+	rig.waitQueued(t, 2)
+	rig.cast.Start()
+
+	waitUntil(t, 5*time.Second, "A1's echo", func() bool { return rig.learn[0].Pending() == 1 })
+	checkEcho(t, "A1", rig.echoPayload(t), 1, 5)
+	rig.settle(t)
+	if got := rig.cast.Aggregations(); got != 1 {
+		t.Fatalf("Aggregations = %d, want 1", got)
+	}
+	if got := rig.br.Metrics().Superseded; got != 0 {
+		t.Fatalf("Superseded = %d, want 0: A1 was the newest readable push", got)
+	}
+	rig.br.Stop()
+	checkSkipped(t, rig.br)
 }

@@ -558,7 +558,6 @@ func (s *Session) buildFragments(topo Topology, algF AlgorithmFactory) error {
 	caster := NewBroadcastFragment(castPort, BroadcastConfig{
 		Explorers:       explorerNames,
 		Learners:        learnNames,
-		SyncEvery:       topo.SyncEvery,
 		InitialVersion:  initVersion,
 		InitialWeights:  initWeights,
 		WeightPlane:     s.cfg.weightPlane(),

@@ -1,5 +1,15 @@
 package core
 
+import "time"
+
+// PushRetry is a learn replica's idle-wait bound while its push is
+// unanswered.
+const PushRetry = pushRetry
+
+// SetPushRetry replaces a learn replica's idle-wait bound while its push is
+// unanswered. Call before Start.
+func (l *LearnFragment) SetPushRetry(d time.Duration) { l.retryAfter = d }
+
 // HoldLearnRecv makes learn replica idx's first incarnation keep its
 // receiver thread alive after the receive loop ends, draining the replica's
 // port until the transport closes it. Its RecvDone then closes only when the

@@ -408,8 +408,11 @@ func (s *SampleFragment) Join() { s.wg.Wait() }
 // messages arrive, so rollout transmission overlaps training. As a learn
 // replica it trains on whatever the sampler dispatches, pushes post-train
 // weights to the broadcast fragment, and installs the aggregate echoes it
-// receives. The fused topology runs one as the whole learner: it plans the
-// per-explorer weight broadcast itself and a sender thread pushes it out.
+// receives. A replica keeps at most one push unanswered: the broadcaster's
+// echo answers it, and trains in between only mark the replica dirty, so
+// weights the broadcaster would release unread are never sent. The fused
+// topology runs one as the whole learner: it plans the per-explorer weight
+// broadcast itself and a sender thread pushes it out.
 type LearnFragment struct {
 	name         string
 	alg          Algorithm
@@ -440,6 +443,14 @@ type LearnFragment struct {
 	stepsConsumed       atomic.Int64
 	trainIters          atomic.Int64
 	rolloutsSinceUpdate atomic.Int64
+
+	// The replica's push window, touched only by the trainer thread:
+	// unanswered marks a push no echo has answered yet, and dirty marks
+	// weights trained since that push and not yet pushed. retryAfter is
+	// pushRetry; tests may set it before Start.
+	unanswered bool
+	dirty      bool
+	retryAfter time.Duration
 
 	// observeStaleness, when set before Start, is called for every rollout
 	// the replica ingests with the rollout's weights version and the
@@ -487,6 +498,7 @@ func NewLearnFragment(idx int, alg Algorithm, port *broker.Port, numExplorers in
 		port:         port,
 		recvBuf:      buffer.New(),
 		numExplorers: numExplorers,
+		retryAfter:   pushRetry,
 		WaitHist:     stats.NewHistogram(),
 		TransHist:    stats.NewHistogram(),
 		Series:       stats.NewSeries(bucket),
@@ -675,15 +687,19 @@ func (l *LearnFragment) trainerLoop() {
 				}
 			}
 			if ingested == 0 {
-				waitStart := time.Now()
-				l.waiting.Store(true)
-				m, err := l.recvBuf.Next()
-				l.waiting.Store(false)
-				if err != nil {
-					return
+				m, err := l.idleWait()
+				if errors.Is(err, queue.ErrTimeout) {
+					// No echo answered the push within retryAfter: the push
+					// or its echo was lost, fenced, unreadable or died with
+					// the broadcaster's machine. Push the current weights
+					// again, or the window holds every explorer out of
+					// credit and the replica starves.
+					if !l.push() {
+						return
+					}
+					continue
 				}
-				l.WaitHist.Observe(time.Since(waitStart))
-				if !l.ingest(m) {
+				if err != nil || !l.ingest(m) {
 					return
 				}
 			}
@@ -709,6 +725,30 @@ func (l *LearnFragment) trainerLoop() {
 			return
 		}
 	}
+}
+
+// pushRetry bounds a replica's idle wait while its push is unanswered. It
+// is several times the fabric's traced delivery p99 (≈ 20–30 ms on the
+// 4-machine grid), so a push is repeated only when it or its echo is gone.
+const pushRetry = 100 * time.Millisecond
+
+// idleWait blocks the trainer for its next message — the paper's "XingTian
+// Actual Wait" — and, while a push is unanswered, for at most retryAfter.
+func (l *LearnFragment) idleWait() (*message.Message, error) {
+	waitStart := time.Now()
+	l.waiting.Store(true)
+	var m *message.Message
+	var err error
+	if l.unanswered {
+		m, err = l.recvBuf.NextTimeout(l.retryAfter)
+	} else {
+		m, err = l.recvBuf.Next()
+	}
+	l.waiting.Store(false)
+	if err == nil || errors.Is(err, queue.ErrTimeout) {
+		l.WaitHist.Observe(time.Since(waitStart))
+	}
+	return m, err
 }
 
 // drainCap bounds how many messages one trainer cycle ingests before it
@@ -742,10 +782,20 @@ func (l *LearnFragment) ingest(m *message.Message) bool {
 		l.alg.PrepareData(body)
 		l.rolloutsSinceUpdate.Add(1)
 	case *message.WeightsPayload:
-		// Aggregate echo from the broadcast fragment: install it so the
+		// Aggregate echo from the broadcast fragment; it answers the
+		// replica's push. A replica that trained since pushes its weights
+		// first, so the broadcaster folds the newest trained weights before
+		// the echo overwrites them. Then the echo is installed so the
 		// replicas stay within one aggregation of each other. All four zoo
 		// algorithms restore versions; one that cannot just keeps training
 		// on its own parameters.
+		if l.dirty {
+			if !l.push() {
+				return false
+			}
+		} else {
+			l.unanswered = false
+		}
 		if r, okR := l.alg.(WeightsRestorer); okR {
 			if err := r.RestoreWeights(body.Version, body.Data); err != nil {
 				l.fail(fmt.Errorf("%s install aggregate: %w", l.name, err))
@@ -773,25 +823,23 @@ func (l *LearnFragment) ingest(m *message.Message) bool {
 
 // publish hands the algorithm's current weights on and returns false when
 // the channel is torn down. A replica pushes them to the broadcast fragment
-// inline. The fused learner plans the broadcast to targets (nil = every
-// explorer) through its weight plane — dense snapshot, delta against the
-// base each group last got, or a pure version bump — and stages it for the
-// sender thread.
+// inline, unless its previous push is unanswered: then it only marks itself
+// dirty, and the echo that answers the push sends them. The fused learner
+// plans the broadcast to targets (nil = every explorer) through its weight
+// plane — dense snapshot, delta against the base each group last got, or a
+// pure version bump — and stages it for the sender thread.
 func (l *LearnFragment) publish(targets []int32) bool {
-	w := l.alg.Weights()
 	if l.plane == nil {
-		m := message.New(message.TypeWeights, l.name, []string{BroadcastName}, w)
-		m.Header.WeightsVersion = w.Version
-		m.Header.Round = l.epoch
-		if err := l.port.Send(m); err != nil {
-			if !errors.Is(err, queue.ErrClosed) {
-				l.fail(fmt.Errorf("%s push: %w", l.name, err))
-			}
-			return false
+		if l.unanswered {
+			// The answering echo sends these weights, so they count as
+			// handed on: the warm-up refresh starts counting again.
+			l.dirty = true
+			l.rolloutsSinceUpdate.Store(0)
+			return true
 		}
-		l.rolloutsSinceUpdate.Store(0)
-		return true
+		return l.push()
 	}
+	w := l.alg.Weights()
 	if targets == nil {
 		targets = l.explorers
 	}
@@ -809,6 +857,25 @@ func (l *LearnFragment) publish(targets []int32) bool {
 		_ = l.sendBuf.Put(m)
 	}
 	l.rolloutsSinceUpdate.Store(0)
+	return true
+}
+
+// push sends the replica's current weights to the broadcast fragment and
+// leaves the push unanswered. It returns false when the channel is torn
+// down.
+func (l *LearnFragment) push() bool {
+	w := l.alg.Weights()
+	m := message.New(message.TypeWeights, l.name, []string{BroadcastName}, w)
+	m.Header.WeightsVersion = w.Version
+	m.Header.Round = l.epoch
+	if err := l.port.Send(m); err != nil {
+		if !errors.Is(err, queue.ErrClosed) {
+			l.fail(fmt.Errorf("%s push: %w", l.name, err))
+		}
+		return false
+	}
+	l.rolloutsSinceUpdate.Store(0)
+	l.unanswered, l.dirty = true, false
 	return true
 }
 
@@ -882,7 +949,6 @@ type BroadcastFragment struct {
 	explorers []string
 	learnDsts []string
 	plane     *weightplane.Planner
-	syncEvery int
 
 	ckptPath  string
 	ckptEvery int64
@@ -950,8 +1016,6 @@ type BroadcastConfig struct {
 	Explorers []string
 	// Learners lists the learn replica names (aggregate-echo destinations).
 	Learners []string
-	// SyncEvery is the aggregation cadence of replica echoes (>= 1).
-	SyncEvery int
 	// InitialVersion/InitialWeights seed the committed model (the replicas'
 	// shared initialization, or the restored checkpoint).
 	InitialVersion int64
@@ -971,16 +1035,11 @@ func NewBroadcastFragment(port *broker.Port, cfg BroadcastConfig) *BroadcastFrag
 	if every <= 0 {
 		every = 100
 	}
-	sync := cfg.SyncEvery
-	if sync < 1 {
-		sync = 1
-	}
 	b := &BroadcastFragment{
 		port:        port,
 		explorers:   append([]string(nil), cfg.Explorers...),
 		learnDsts:   append([]string(nil), cfg.Learners...),
 		plane:       weightplane.New(cfg.WeightPlane),
-		syncEvery:   sync,
 		ckptPath:    cfg.CheckpointPath,
 		ckptEvery:   every,
 		ckptKeep:    cfg.CheckpointKeep,
@@ -1166,12 +1225,12 @@ func (b *BroadcastFragment) loop() {
 
 // fold takes the replica push first and every push queued directly behind
 // it, and commits them once. Each push passes admitPush in arrival order,
-// as it would alone; only each replica's newest admitted push is opened,
-// and the rest are discarded unread. The mean reads only each replica's
-// latest push, so the committed model is the one handling the pushes one
-// at a time would reach, minus the intermediate commits nobody used. It
-// returns the first non-push it popped (nil if none) for the loop to
-// handle next, and false when the loop must end.
+// as it would alone; only each replica's newest readable admitted push is
+// opened, and its older ones are discarded unread. The mean reads only each
+// replica's latest push, so the committed model is the one handling the
+// pushes one at a time would reach, minus the intermediate commits nobody
+// used. It returns the first non-push it popped (nil if none) for the loop
+// to handle next, and false when the loop must end.
 func (b *BroadcastFragment) fold(first *message.Header) (*message.Header, bool) {
 	pushes := append(b.pushes[:0], first)
 	var next *message.Header
@@ -1196,14 +1255,12 @@ func (b *BroadcastFragment) fold(first *message.Header) (*message.Header, bool) 
 		b.port.Discard(h) // fenced out: counted in stalePushes
 		pushes[i] = nil
 	}
-	for i, h := range pushes {
+	// Newest first: a replica's newest readable push is its contribution
+	// and its older pushes are released unread. An unreadable push is not
+	// folded, and the replica's next older push stands in for it.
+	for i := len(pushes) - 1; i >= 0; i-- {
+		h := pushes[i]
 		if h == nil {
-			continue
-		}
-		if slices.ContainsFunc(pushes[i+1:], func(later *message.Header) bool {
-			return later != nil && later.Src == h.Src
-		}) {
-			b.port.Discard(h) // superseded by the replica's later push
 			continue
 		}
 		var w *message.WeightsPayload
@@ -1211,8 +1268,14 @@ func (b *BroadcastFragment) fold(first *message.Header) (*message.Header, bool) 
 			w, _ = m.Body.(*message.WeightsPayload)
 		}
 		if w == nil {
-			folded-- // an unreadable body: its replica's previous push stands
+			folded--
 			continue
+		}
+		for j, older := range pushes[:i] {
+			if older != nil && older.Src == h.Src {
+				b.port.Discard(older) // superseded by this push
+				pushes[j] = nil
+			}
 		}
 		j, found := b.findReplica(h.Src)
 		if !found {
@@ -1235,9 +1298,9 @@ func (b *BroadcastFragment) fold(first *message.Header) (*message.Header, bool) 
 // replica's latest weights, summed in replica-name order (lazy aggregation
 // — replicas contribute at their own pace), and a lone replica's push is
 // copied, not summed. The version and the aggregation count advance by k,
-// the new model is distributed once, and the echo and the checkpoint fire
-// when the count crosses a multiple of their cadence. It returns false
-// when the channel is torn down.
+// the new model is broadcast and echoed once, and the checkpoint fires when
+// the count crosses a multiple of its cadence. It returns false when the
+// channel is torn down.
 func (b *BroadcastFragment) commit(k int64) bool {
 	if len(b.replicas) == 1 {
 		b.agg = append(b.agg[:0], b.replicas[0].data...)
@@ -1253,24 +1316,23 @@ func (b *BroadcastFragment) commit(k int64) bool {
 	}
 	b.version.Add(k)
 	n := b.aggs.Add(k)
-	crossed := func(every int64) bool { return n/every != (n-k)/every }
 	if !b.broadcast() {
 		return false
 	}
-	// Echo the committed model back to the replicas — even a single one.
-	// The echo is what ties a replica's internal version counter to the
-	// committed version explorers see on their broadcasts: an on-policy
-	// algorithm (PPO) matches incoming batch versions against its own
-	// counter, and a warm-up push bumps the committed version without a
-	// train, so without the echo the two counters drift apart and every
-	// subsequent batch is discarded as stale. The echo is staged before any
-	// explorer's next batch can arrive, so the replica re-syncs first.
-	if crossed(int64(b.syncEvery)) {
-		if !b.echoAggregate() {
-			return false
-		}
+	// Echo the committed model back to the replicas — even a single one —
+	// on every commit. The echo answers each replica's unanswered push, so
+	// it opens the replica's push window. It also ties a replica's internal
+	// version counter to the committed version explorers see on their
+	// broadcasts: an on-policy algorithm (PPO) matches incoming batch
+	// versions against its own counter, and a warm-up push bumps the
+	// committed version without a train, so without the echo the two
+	// counters drift apart and every subsequent batch is discarded as
+	// stale. The echo is staged before any explorer's next batch can
+	// arrive, so the replica re-syncs first.
+	if !b.echoAggregate() {
+		return false
 	}
-	if b.ckptPath != "" && crossed(b.ckptEvery) {
+	if b.ckptPath != "" && n/b.ckptEvery != (n-k)/b.ckptEvery {
 		if err := b.saveCheckpoint(); err != nil {
 			b.fail(fmt.Errorf("broadcast fragment checkpoint: %w", err))
 			return false

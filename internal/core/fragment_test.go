@@ -360,25 +360,28 @@ var fragTopologyCases = []fragTopologyCase{
 		restarts: 3, heartbeat: 500 * time.Millisecond,
 		killMachine: 1, killAfterWrites: 80,
 		check: func(t *testing.T, fr *core.FragmentReport) {
-			if fr.MachineVerdicts != 1 {
-				t.Errorf("MachineVerdicts = %d, want 1", fr.MachineVerdicts)
-			}
 			if fr.LeaseRenewals == 0 {
 				t.Errorf("LeaseRenewals = 0, want > 0")
 			}
-			wantTakeovers := map[string]int64{
-				core.SampleName:      1,
-				core.ExplorerName(1): 1,
-			}
-			for name, want := range wantTakeovers {
-				if got := fr.TakeoverByFragment[name]; got != want {
-					t.Errorf("TakeoverByFragment[%s] = %d, want %d (full map: %v)",
-						name, got, want, fr.TakeoverByFragment)
-				}
-			}
-			if len(fr.TakeoverByFragment) != len(wantTakeovers) {
-				t.Errorf("unexpected extra takeovers: %v", fr.TakeoverByFragment)
-			}
+			checkMachineKill(t, fr, core.SampleName, core.ExplorerName(1))
+		}},
+	// machine-kill-caster-4m kills the broadcaster-hosting machine of the
+	// grid-4m placement (broadcaster + explorer-3): the standby broadcaster
+	// takes over with the replicas' pushes in flight to the dead one, which
+	// only the replicas' push retry repairs.
+	{name: "machine-kill-caster-4m", machines: 4, grid: true, explorers: 4, maxSteps: 8000,
+		topo: core.Topology{
+			Learners:         2,
+			SampleMachine:    0,
+			BroadcastMachine: 3,
+			LearnMachines:    []int{1, 2},
+			MaxStaleness:     core.StalenessUnbounded,
+		},
+		machineFailover: true, leaseEvery: 10 * time.Millisecond,
+		restarts: 3, heartbeat: 500 * time.Millisecond,
+		killMachine: 3, killAfterWrites: 80,
+		check: func(t *testing.T, fr *core.FragmentReport) {
+			checkMachineKill(t, fr, core.BroadcastName, core.ExplorerName(3))
 		}},
 	{name: "machine-kill-learn-4m", machines: 4, grid: true, explorers: 4, maxSteps: 8000,
 		topo: core.Topology{
@@ -392,26 +395,30 @@ var fragTopologyCases = []fragTopologyCase{
 		restarts: 3, heartbeat: 500 * time.Millisecond,
 		killMachine: 2, killAfterWrites: 80,
 		check: func(t *testing.T, fr *core.FragmentReport) {
-			if fr.MachineVerdicts != 1 {
-				t.Errorf("MachineVerdicts = %d, want 1", fr.MachineVerdicts)
-			}
 			if fr.Respawns < 1 {
 				t.Errorf("Respawns = %d, want >= 1 (learn replica re-placed)", fr.Respawns)
 			}
-			wantTakeovers := map[string]int64{
-				core.LearnName(0):    1,
-				core.ExplorerName(2): 1,
-			}
-			for name, want := range wantTakeovers {
-				if got := fr.TakeoverByFragment[name]; got != want {
-					t.Errorf("TakeoverByFragment[%s] = %d, want %d (full map: %v)",
-						name, got, want, fr.TakeoverByFragment)
-				}
-			}
-			if len(fr.TakeoverByFragment) != len(wantTakeovers) {
-				t.Errorf("unexpected extra takeovers: %v", fr.TakeoverByFragment)
-			}
+			checkMachineKill(t, fr, core.LearnName(0), core.ExplorerName(2))
 		}},
+}
+
+// checkMachineKill fails unless the run saw exactly one membership verdict
+// and exactly one takeover of each fragment the dead machine hosted, and of
+// nothing else.
+func checkMachineKill(t *testing.T, fr *core.FragmentReport, hosted ...string) {
+	t.Helper()
+	if fr.MachineVerdicts != 1 {
+		t.Errorf("MachineVerdicts = %d, want 1", fr.MachineVerdicts)
+	}
+	for _, name := range hosted {
+		if got := fr.TakeoverByFragment[name]; got != 1 {
+			t.Errorf("TakeoverByFragment[%s] = %d, want 1 (full map: %v)",
+				name, got, fr.TakeoverByFragment)
+		}
+	}
+	if len(fr.TakeoverByFragment) != len(hosted) {
+		t.Errorf("unexpected extra takeovers: %v", fr.TakeoverByFragment)
+	}
 }
 
 // killerAlgorithm wraps a real algorithm and errors out of TryTrain after a

@@ -373,7 +373,6 @@ func (s *Session) rebuildBroadcaster(dead int) error {
 	next := NewBroadcastFragment(port, BroadcastConfig{
 		Explorers:       explorers,
 		Learners:        s.learnNames(),
-		SyncEvery:       f.topo.SyncEvery,
 		InitialVersion:  version,
 		InitialWeights:  weights,
 		WeightPlane:     s.cfg.weightPlane(),

@@ -43,12 +43,6 @@ type Topology struct {
 	// current weights reach a learn fragment); StalenessUnbounded (-1, or
 	// any negative value) disables the filter. Ignored when fused.
 	MaxStaleness int
-	// SyncEvery makes the broadcast fragment echo the aggregated weights
-	// back to the learn replicas every SyncEvery aggregations (0 = every
-	// aggregation). The echo keeps replicas from drifting apart and pins
-	// each replica's internal version counter to the committed version
-	// explorers see — on-policy algorithms need SyncEvery == 1.
-	SyncEvery int
 }
 
 // ReplicatedTopology returns a fragment topology with n learn replicas on
@@ -98,9 +92,6 @@ func (t Topology) normalized(machines int) (Topology, error) {
 	}
 	if t.MaxStaleness < 0 {
 		t.MaxStaleness = StalenessUnbounded
-	}
-	if t.SyncEvery < 1 {
-		t.SyncEvery = 1
 	}
 	return t, nil
 }
