@@ -419,11 +419,9 @@ type DDPGAgent struct {
 	NoiseStd float64
 
 	version int64
-	mirror  weightMirror
 }
 
 var _ core.Agent = (*DDPGAgent)(nil)
-var _ core.DeltaAgent = (*DDPGAgent)(nil)
 
 // NewDDPGAgent builds an explorer agent for DDPG.
 func NewDDPGAgent(spec ContinuousSpec, runner *ContinuousEnvRunner, seed int64) *DDPGAgent {
@@ -445,17 +443,7 @@ func (a *DDPGAgent) SetWeights(w *message.WeightsPayload) error {
 	if err := a.actor.SetFlatWeights(w.Data); err != nil {
 		return fmt.Errorf("ddpg agent: %w", err)
 	}
-	a.mirror.setDense(w)
 	a.version = w.Version
-	return nil
-}
-
-// ApplyWeightsDelta implements core.DeltaAgent.
-func (a *DDPGAgent) ApplyWeightsDelta(d *message.WeightsDeltaPayload) error {
-	if err := a.mirror.applyDelta(d, a.actor.SetFlatWeights); err != nil {
-		return fmt.Errorf("ddpg agent: %w", err)
-	}
-	a.version = d.Version
 	return nil
 }
 

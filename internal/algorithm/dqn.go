@@ -392,12 +392,10 @@ type DQNAgent struct {
 	epsilonDecay float64
 
 	version int64
-	mirror  weightMirror
 	runner  *EnvRunner
 }
 
 var _ core.Agent = (*DQNAgent)(nil)
-var _ core.DeltaAgent = (*DQNAgent)(nil)
 
 // NewDQNAgent builds an explorer agent for DQN.
 func NewDQNAgent(spec ModelSpec, runner *EnvRunner, seed int64) *DQNAgent {
@@ -421,17 +419,7 @@ func (a *DQNAgent) SetWeights(w *message.WeightsPayload) error {
 	if err := a.net.SetFlatWeights(w.Data); err != nil {
 		return fmt.Errorf("dqn agent: %w", err)
 	}
-	a.mirror.setDense(w)
 	a.version = w.Version
-	return nil
-}
-
-// ApplyWeightsDelta implements core.DeltaAgent.
-func (a *DQNAgent) ApplyWeightsDelta(d *message.WeightsDeltaPayload) error {
-	if err := a.mirror.applyDelta(d, a.net.SetFlatWeights); err != nil {
-		return fmt.Errorf("dqn agent: %w", err)
-	}
-	a.version = d.Version
 	return nil
 }
 

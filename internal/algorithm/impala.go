@@ -346,7 +346,6 @@ type IMPALAAgent struct {
 	rng    *rand.Rand
 
 	version int64
-	mirror  weightMirror
 	runner  *EnvRunner
 
 	// x and logp are the per-step policy forward's input header and
@@ -356,7 +355,6 @@ type IMPALAAgent struct {
 }
 
 var _ core.Agent = (*IMPALAAgent)(nil)
-var _ core.DeltaAgent = (*IMPALAAgent)(nil)
 
 // NewIMPALAAgent builds an explorer agent for IMPALA.
 func NewIMPALAAgent(spec ModelSpec, runner *EnvRunner, seed int64) *IMPALAAgent {
@@ -378,18 +376,7 @@ func (a *IMPALAAgent) SetWeights(w *message.WeightsPayload) error {
 	if err := setActorCriticWeights(a.policy, a.value, w.Data); err != nil {
 		return fmt.Errorf("impala agent: %w", err)
 	}
-	a.mirror.setDense(w)
 	a.version = w.Version
-	return nil
-}
-
-// ApplyWeightsDelta implements core.DeltaAgent.
-func (a *IMPALAAgent) ApplyWeightsDelta(d *message.WeightsDeltaPayload) error {
-	install := func(w []float32) error { return setActorCriticWeights(a.policy, a.value, w) }
-	if err := a.mirror.applyDelta(d, install); err != nil {
-		return fmt.Errorf("impala agent: %w", err)
-	}
-	a.version = d.Version
 	return nil
 }
 

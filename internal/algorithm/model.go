@@ -7,13 +7,10 @@ package algorithm
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"xingtian/internal/env"
-	"xingtian/internal/message"
 	"xingtian/internal/nn"
-	"xingtian/internal/serialize"
 )
 
 // ModelSpec describes the network family for one environment: input width
@@ -75,56 +72,6 @@ func (s ModelSpec) BuildValue(rng *rand.Rand) *nn.Network {
 // BuildQ returns a Q-value network over actions.
 func (s ModelSpec) BuildQ(rng *rand.Rand) *nn.Network {
 	return s.BuildNet(rng, s.NumActions)
-}
-
-// weightMirror is the explorer-side flat shadow of the last applied weight
-// broadcast. Agents keep one so sparse deltas have a base vector to apply
-// against; the mirror version gates deltas whose base the agent never saw
-// (e.g. after a supervised restart rebuilt the agent from scratch).
-//
-// Agents are driven by a single worker thread, so the mirror needs no lock.
-type weightMirror struct {
-	version int64
-	flat    []float32
-}
-
-// mirrorInvalid is the version of a mirror whose vector no longer matches
-// the agent's weights: no delta's base, so every delta is refused (and
-// NACKed) until a dense snapshot re-seeds it.
-const mirrorInvalid = math.MinInt64
-
-// setDense records a full snapshot as the new base.
-func (m *weightMirror) setDense(w *message.WeightsPayload) {
-	m.flat = append(m.flat[:0], w.Data...)
-	m.version = w.Version
-}
-
-// applyDelta advances the mirror by one delta in place, then installs the
-// advanced vector via install (empty version bumps skip the install). A
-// delta that does not apply leaves the mirror unchanged; an install that
-// fails leaves it ahead of the agent, so it is invalidated. Either way the
-// caller can NACK and keep sampling on its current weights.
-func (m *weightMirror) applyDelta(d *message.WeightsDeltaPayload, install func([]float32) error) error {
-	if m.flat == nil {
-		return fmt.Errorf("no weights applied yet, delta base %d unavailable", d.BaseVersion)
-	}
-	if m.version == mirrorInvalid {
-		return fmt.Errorf("mirror invalidated by a failed install, delta base %d unavailable", d.BaseVersion)
-	}
-	if m.version != d.BaseVersion {
-		return fmt.Errorf("mirror at version %d, delta expects base %d", m.version, d.BaseVersion)
-	}
-	if _, err := serialize.ApplyDelta(m.flat, d); err != nil {
-		return err
-	}
-	if d.Entries() > 0 && install != nil {
-		if err := install(m.flat); err != nil {
-			m.version = mirrorInvalid
-			return err
-		}
-	}
-	m.version = d.Version
-	return nil
 }
 
 // actorCriticWeights flattens a policy and value network into one broadcast

@@ -362,12 +362,10 @@ type PPOAgent struct {
 	rng    *rand.Rand
 
 	version int64
-	mirror  weightMirror
 	runner  *EnvRunner
 }
 
 var _ core.Agent = (*PPOAgent)(nil)
-var _ core.DeltaAgent = (*PPOAgent)(nil)
 
 // NewPPOAgent builds an explorer agent for PPO.
 func NewPPOAgent(spec ModelSpec, runner *EnvRunner, seed int64) *PPOAgent {
@@ -389,18 +387,7 @@ func (a *PPOAgent) SetWeights(w *message.WeightsPayload) error {
 	if err := setActorCriticWeights(a.policy, a.value, w.Data); err != nil {
 		return fmt.Errorf("ppo agent: %w", err)
 	}
-	a.mirror.setDense(w)
 	a.version = w.Version
-	return nil
-}
-
-// ApplyWeightsDelta implements core.DeltaAgent.
-func (a *PPOAgent) ApplyWeightsDelta(d *message.WeightsDeltaPayload) error {
-	install := func(w []float32) error { return setActorCriticWeights(a.policy, a.value, w) }
-	if err := a.mirror.applyDelta(d, install); err != nil {
-		return fmt.Errorf("ppo agent: %w", err)
-	}
-	a.version = d.Version
 	return nil
 }
 

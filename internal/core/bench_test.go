@@ -30,15 +30,6 @@ func (d *deviceAlg) TryTrain() (core.TrainResult, bool, error) {
 	return res, ok, err
 }
 
-// RestoreWeights forwards the broadcast fragment's aggregate echo so the
-// wrapped replica tracks the committed version like an unwrapped one.
-func (d *deviceAlg) RestoreWeights(version int64, data []float32) error {
-	if r, ok := d.Algorithm.(core.WeightsRestorer); ok {
-		return r.RestoreWeights(version, data)
-	}
-	return nil
-}
-
 // runFragmentsIMPALA runs one IMPALA deployment under the given topology
 // and returns its wall duration.
 func runFragmentsIMPALA(b *testing.B, topo core.Topology) time.Duration {

@@ -451,15 +451,7 @@ func restoreAlgorithm(alg Algorithm, path string) error {
 	if err != nil {
 		return fmt.Errorf("core: resume: %w", err)
 	}
-	switch a := alg.(type) {
-	case WeightsRestorer:
-		err = a.RestoreWeights(st.Version, st.Weights)
-	case interface{ LoadWeights([]float32) error }:
-		err = a.LoadWeights(st.Weights)
-	default:
-		return fmt.Errorf("core: resume: algorithm %s cannot restore weights", alg.Name())
-	}
-	if err != nil {
+	if err := alg.RestoreWeights(st.Version, st.Weights); err != nil {
 		return fmt.Errorf("core: resume: %w", err)
 	}
 	return nil
@@ -500,11 +492,7 @@ func (s *Session) buildFragments(topo Topology, algF AlgorithmFactory) error {
 				if !ok {
 					continue // replica added since the checkpoint: keeps fresh init
 				}
-				r, okR := alg.(WeightsRestorer)
-				if !okR {
-					return fmt.Errorf("core: resume fragments: algorithm %s cannot restore weights", alg.Name())
-				}
-				if err := r.RestoreWeights(st.Version, st.Weights); err != nil {
+				if err := alg.RestoreWeights(st.Version, st.Weights); err != nil {
 					return fmt.Errorf("core: resume fragment %s: %w", LearnName(i), err)
 				}
 			}
@@ -855,10 +843,8 @@ func (s *Session) respawnLearn(sl *learnSlot, old *LearnFragment) (*LearnFragmen
 				st, ok = byName[BroadcastName]
 			}
 			if ok {
-				if r, okR := alg.(WeightsRestorer); okR {
-					if rerr := r.RestoreWeights(st.Version, st.Weights); rerr != nil {
-						return nil, fmt.Errorf("restore checkpoint: %w", rerr)
-					}
+				if rerr := alg.RestoreWeights(st.Version, st.Weights); rerr != nil {
+					return nil, fmt.Errorf("restore checkpoint: %w", rerr)
 				}
 			}
 		}

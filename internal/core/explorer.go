@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -10,6 +11,7 @@ import (
 	"xingtian/internal/buffer"
 	"xingtian/internal/message"
 	"xingtian/internal/queue"
+	"xingtian/internal/serialize"
 )
 
 // Explorer is the explorer process of Fig. 2(a): a rollout worker thread
@@ -17,7 +19,9 @@ import (
 // pushes them into the shared-memory communicator immediately. The receive
 // buffer is the port's ID queue: between fragments the worker drains it,
 // installing only the newest weights snapshot and releasing the ones it
-// superseded unread.
+// superseded unread. Every install goes through Agent.SetWeights; sparse
+// deltas are first applied to the explorer's own mirror of the agent's
+// weights.
 type Explorer struct {
 	id          int32
 	agent       Agent
@@ -40,6 +44,7 @@ type Explorer struct {
 	// Touched only by the worker thread.
 	fragmentsSinceWeights int
 	inbox                 []*message.Header
+	mirror                weightMirror
 }
 
 // ExplorerName formats the canonical client name for an explorer ID.
@@ -255,14 +260,9 @@ func (e *Explorer) apply(m *message.Message) bool {
 			e.fail(fmt.Errorf("explorer %d set weights: %w", e.id, err))
 			return false
 		}
+		e.mirror.setDense(body)
 	case *message.WeightsDeltaPayload:
-		var err error
-		if da, ok := e.agent.(DeltaAgent); ok {
-			err = da.ApplyWeightsDelta(body)
-		} else {
-			err = fmt.Errorf("agent cannot apply weight deltas")
-		}
-		if err != nil {
+		if err := e.installDelta(body); err != nil {
 			// NACK: ask the broadcast's producer for a dense resync and keep
 			// sampling on the current weights. Failing hard here would turn
 			// every restart-induced stale delta into a supervision cycle. The
@@ -282,6 +282,65 @@ func (e *Explorer) apply(m *message.Message) bool {
 		}
 	}
 	return true
+}
+
+// installDelta advances the mirror by d in place and installs the advanced
+// vector through Agent.SetWeights, empty version bumps included, so the
+// agent's version and its header ack move with every delta. A delta that
+// does not apply leaves the mirror unchanged; a failed install leaves it
+// ahead of the agent, so it is invalidated.
+func (e *Explorer) installDelta(d *message.WeightsDeltaPayload) error {
+	if err := e.mirror.applyDelta(d); err != nil {
+		return err
+	}
+	e.mirror.install = message.WeightsPayload{Version: d.Version, Data: e.mirror.flat}
+	if err := e.agent.SetWeights(&e.mirror.install); err != nil {
+		e.mirror.version = mirrorInvalid
+		return err
+	}
+	return nil
+}
+
+// weightMirror is the explorer's flat shadow of the weights its agent holds,
+// so sparse deltas have a base vector to apply against; the mirror version
+// gates deltas whose base the agent never saw (e.g. after a supervised
+// restart rebuilt the explorer from scratch). Only the worker thread
+// touches it.
+type weightMirror struct {
+	version int64
+	flat    []float32
+	// install is the one payload every delta install hands the agent.
+	install message.WeightsPayload
+}
+
+// mirrorInvalid is the version of a mirror whose vector no longer matches
+// the agent's weights: no delta's base, so every delta is refused (and
+// NACKed) until a dense snapshot re-seeds it.
+const mirrorInvalid = math.MinInt64
+
+// setDense records a full snapshot the agent installed as the new base.
+func (m *weightMirror) setDense(w *message.WeightsPayload) {
+	m.flat = append(m.flat[:0], w.Data...)
+	m.version = w.Version
+}
+
+// applyDelta advances the mirror by one delta in place. A delta that does
+// not apply leaves the mirror unchanged.
+func (m *weightMirror) applyDelta(d *message.WeightsDeltaPayload) error {
+	if m.flat == nil {
+		return fmt.Errorf("no weights applied yet, delta base %d unavailable", d.BaseVersion)
+	}
+	if m.version == mirrorInvalid {
+		return fmt.Errorf("mirror invalidated by a failed install, delta base %d unavailable", d.BaseVersion)
+	}
+	if m.version != d.BaseVersion {
+		return fmt.Errorf("mirror at version %d, delta expects base %d", m.version, d.BaseVersion)
+	}
+	if _, err := serialize.ApplyDelta(m.flat, d); err != nil {
+		return err
+	}
+	m.version = d.Version
+	return nil
 }
 
 func (e *Explorer) fail(err error) {

@@ -44,8 +44,9 @@ var _ core.Algorithm = (*faultyAlgorithm)(nil)
 
 var errTrainBoom = errors.New("train boom")
 
-func (f *faultyAlgorithm) Name() string                 { return "faulty" }
-func (f *faultyAlgorithm) PrepareData(b *rollout.Batch) { f.batches++ }
+func (f *faultyAlgorithm) Name() string                          { return "faulty" }
+func (f *faultyAlgorithm) PrepareData(b *rollout.Batch)          { f.batches++ }
+func (f *faultyAlgorithm) RestoreWeights(int64, []float32) error { return nil }
 func (f *faultyAlgorithm) Weights() *message.WeightsPayload {
 	return &message.WeightsPayload{Data: []float32{1}}
 }
@@ -64,8 +65,9 @@ type countingAlgorithm struct {
 
 var _ core.Algorithm = (*countingAlgorithm)(nil)
 
-func (c *countingAlgorithm) Name() string                 { return "counting" }
-func (c *countingAlgorithm) PrepareData(b *rollout.Batch) { c.pending = append(c.pending, b) }
+func (c *countingAlgorithm) Name() string                          { return "counting" }
+func (c *countingAlgorithm) PrepareData(b *rollout.Batch)          { c.pending = append(c.pending, b) }
+func (c *countingAlgorithm) RestoreWeights(int64, []float32) error { return nil }
 func (c *countingAlgorithm) Weights() *message.WeightsPayload {
 	return &message.WeightsPayload{Data: []float32{1}}
 }

@@ -785,10 +785,8 @@ func (l *LearnFragment) ingest(m *message.Message) bool {
 		// Aggregate echo from the broadcast fragment; it answers the
 		// replica's push. A replica that trained since pushes its weights
 		// first, so the broadcaster folds the newest trained weights before
-		// the echo overwrites them. Then the echo is installed so the
-		// replicas stay within one aggregation of each other. All four zoo
-		// algorithms restore versions; one that cannot just keeps training
-		// on its own parameters.
+		// the echo overwrites them. Then the echo is installed, version and
+		// all, so the replicas stay within one aggregation of each other.
 		if l.dirty {
 			if !l.push() {
 				return false
@@ -796,11 +794,9 @@ func (l *LearnFragment) ingest(m *message.Message) bool {
 		} else {
 			l.unanswered = false
 		}
-		if r, okR := l.alg.(WeightsRestorer); okR {
-			if err := r.RestoreWeights(body.Version, body.Data); err != nil {
-				l.fail(fmt.Errorf("%s install aggregate: %w", l.name, err))
-				return false
-			}
+		if err := l.alg.RestoreWeights(body.Version, body.Data); err != nil {
+			l.fail(fmt.Errorf("%s install aggregate: %w", l.name, err))
+			return false
 		}
 	case *message.ControlPayload:
 		switch body.Kind {

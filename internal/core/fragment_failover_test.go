@@ -40,10 +40,7 @@ func (f *failoverAlgorithm) consumedSteps() int64 {
 	return f.consumed
 }
 
-var (
-	_ core.Algorithm       = (*failoverAlgorithm)(nil)
-	_ core.WeightsRestorer = (*failoverAlgorithm)(nil)
-)
+var _ core.Algorithm = (*failoverAlgorithm)(nil)
 
 func (f *failoverAlgorithm) Name() string { return "failover" }
 

@@ -186,6 +186,46 @@ func TestFragmentTwoLearnerIMPALA(t *testing.T) {
 	}
 }
 
+// restoreCounter is an IMPALA learner that counts the installs reaching it.
+type restoreCounter struct {
+	*algorithm.IMPALA
+	restores *atomic.Int64
+}
+
+func (r restoreCounter) RestoreWeights(version int64, data []float32) error {
+	r.restores.Add(1)
+	return r.IMPALA.RestoreWeights(version, data)
+}
+
+// TestReplicaInstallsEchoThroughWrapper: learn replicas whose algorithms sit
+// behind a wrapper that embeds core.Algorithm and adds nothing still install
+// the broadcaster's aggregate echoes, because RestoreWeights is part of
+// core.Algorithm and the wrapper promotes it.
+func TestReplicaInstallsEchoThroughWrapper(t *testing.T) {
+	algF, agF := quickIMPALAFactories(t)
+	var restores atomic.Int64
+	wrapped := func(seed int64) (core.Algorithm, error) {
+		alg, err := algF(seed)
+		return struct{ core.Algorithm }{restoreCounter{alg.(*algorithm.IMPALA), &restores}}, err
+	}
+	rep, err := core.Run(core.Config{
+		NumExplorers: 2,
+		RolloutLen:   40,
+		MaxSteps:     2000,
+		MaxDuration:  60 * time.Second,
+		Topology:     core.ReplicatedTopology(2),
+	}, wrapped, agF, 12)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if rep.Fragments == nil || rep.Fragments.Aggregations == 0 {
+		t.Fatalf("Fragments = %+v, want aggregations", rep.Fragments)
+	}
+	if n := restores.Load(); n == 0 {
+		t.Fatalf("%d aggregations, but no echo reached the wrapped algorithm", rep.Fragments.Aggregations)
+	}
+}
+
 // TestFragmentStalenessBound is the bounded-staleness property test: for
 // every K, no learn replica may ever observe a rollout more than K weight
 // versions behind the committed version stamped at dispatch; K=0 must
@@ -438,10 +478,7 @@ func (k *killerAlgorithm) PrepareData(b *rollout.Batch)     { k.inner.PrepareDat
 func (k *killerAlgorithm) Weights() *message.WeightsPayload { return k.inner.Weights() }
 
 func (k *killerAlgorithm) RestoreWeights(version int64, data []float32) error {
-	if r, ok := k.inner.(core.WeightsRestorer); ok {
-		return r.RestoreWeights(version, data)
-	}
-	return nil
+	return k.inner.RestoreWeights(version, data)
 }
 
 func (k *killerAlgorithm) TryTrain() (core.TrainResult, bool, error) {

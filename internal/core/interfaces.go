@@ -21,7 +21,12 @@ type Agent interface {
 	// Rollout interacts with the environment for up to n steps and returns
 	// the assembled batch.
 	Rollout(n int) (*rollout.Batch, error)
-	// SetWeights applies a parameter broadcast from the learner.
+	// SetWeights installs a full parameter vector and its version. It is
+	// the only install: the explorer hands it every dense snapshot as
+	// delivered and, for a sparse delta, the vector it reconstructed on its
+	// own mirror of the agent's weights (an empty version bump included).
+	// It copies w.Data, never retains it: the explorer reuses that vector
+	// for the next delta. An error leaves the agent on its previous weights.
 	SetWeights(w *message.WeightsPayload) error
 	// WeightsVersion returns the version currently applied.
 	WeightsVersion() int64
@@ -32,14 +37,6 @@ type Agent interface {
 	// EpisodeStats reports completed episodes and their mean return over
 	// the most recent window.
 	EpisodeStats() (episodes int64, meanReturn float64)
-}
-
-// DeltaAgent is implemented by agents that can advance their parameters by
-// a sparse/quantized delta against the last broadcast they applied. Agents
-// without it (or a delta whose base the agent no longer holds) trigger a
-// ControlWeightsResync NACK and the learner falls back to a dense snapshot.
-type DeltaAgent interface {
-	ApplyWeightsDelta(d *message.WeightsDeltaPayload) error
 }
 
 // TrainResult describes one completed training session.
@@ -71,12 +68,15 @@ type Algorithm interface {
 	TryTrain() (res TrainResult, ok bool, err error)
 	// Weights snapshots the current parameters for broadcast.
 	Weights() *message.WeightsPayload
+	// WeightsRestorer is the only install on the learner side: session
+	// resume, a respawned replica's checkpoint and every aggregate echo a
+	// learn replica receives go through RestoreWeights.
+	WeightsRestorer
 }
 
-// WeightsRestorer is implemented by algorithms that can reinstate a
-// checkpointed snapshot including its version counter. Session resume
-// prefers it; algorithms without it fall back to a plain weights load
-// (versions restart from zero).
+// WeightsRestorer reinstates a parameter vector together with its version
+// counter, so versions continue from a checkpoint or an aggregate instead
+// of restarting from zero. It copies data, never retains it.
 type WeightsRestorer interface {
 	RestoreWeights(version int64, data []float32) error
 }

@@ -88,7 +88,8 @@ func (a *countingAlg) PrepareData(*rollout.Batch) { a.prepared.Add(1) }
 func (a *countingAlg) TryTrain() (core.TrainResult, bool, error) {
 	return core.TrainResult{}, false, nil
 }
-func (a *countingAlg) Weights() *message.WeightsPayload { return &message.WeightsPayload{} }
+func (a *countingAlg) Weights() *message.WeightsPayload      { return &message.WeightsPayload{} }
+func (a *countingAlg) RestoreWeights(int64, []float32) error { return nil }
 
 // TestLearnLoopSkipsUndecodableBody: a learn replica's receiver skips a body
 // that fails to decode and hands the rollout behind it to the algorithm.

@@ -91,8 +91,41 @@ func TestSessionWeightDeltaConvergenceParity(t *testing.T) {
 	}
 }
 
+// TestSessionWeightDeltaWrappedAgent: the ConvergenceParity delta run with
+// every agent behind a wrapper that embeds core.Agent and adds nothing. The
+// explorer applies each delta to its own mirror and installs the result
+// through SetWeights, so the wrapper changes nothing: every delta lands and
+// none is NACKed into a dense resync.
+func TestSessionWeightDeltaWrappedAgent(t *testing.T) {
+	algF, agF := quickDQNFactories(t)
+	wrapped := func(id int32, seed int64) (core.Agent, error) {
+		a, err := agF(id, seed)
+		return struct{ core.Agent }{a}, err
+	}
+	s, err := core.NewSession(core.Config{
+		NumExplorers:    2,
+		RolloutLen:      50,
+		MaxSteps:        3000,
+		MaxDuration:     30 * time.Second,
+		WeightDelta:     true,
+		WeightQuantBits: 8,
+	}, algF, wrapped, 21)
+	if err != nil {
+		t.Fatalf("NewSession: %v", err)
+	}
+	s.Start()
+	s.Wait()
+	s.Stop()
+	if err := s.Err(); err != nil {
+		t.Fatalf("session error: %v", err)
+	}
+	if ps := s.Learner().PlaneStats(); ps.Resyncs != 0 || ps.Delta == 0 {
+		t.Fatalf("wrapped agents: %+v, want deltas and no resyncs", ps)
+	}
+}
+
 // TestSessionWeightDeltaSurvivesRestarts: supervised explorer restarts lose
-// the agent's mirror; the NACK/ack-regression path must resync them with a
+// the explorer's mirror; the NACK/ack-regression path must resync them with a
 // dense snapshot instead of wedging or failing the session.
 func TestSessionWeightDeltaSurvivesRestarts(t *testing.T) {
 	algF, agF := quickDQNFactories(t)

@@ -47,8 +47,9 @@ type rebroadcastAlgorithm struct {
 
 var _ core.Algorithm = (*rebroadcastAlgorithm)(nil)
 
-func (c *rebroadcastAlgorithm) Name() string                 { return "chaos-counting" }
-func (c *rebroadcastAlgorithm) PrepareData(b *rollout.Batch) { c.pending = append(c.pending, b) }
+func (c *rebroadcastAlgorithm) Name() string                          { return "chaos-counting" }
+func (c *rebroadcastAlgorithm) PrepareData(b *rollout.Batch)          { c.pending = append(c.pending, b) }
+func (c *rebroadcastAlgorithm) RestoreWeights(int64, []float32) error { return nil }
 func (c *rebroadcastAlgorithm) Weights() *message.WeightsPayload {
 	return &message.WeightsPayload{Data: []float32{1}}
 }

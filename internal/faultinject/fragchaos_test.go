@@ -26,10 +26,7 @@ type replicaAlgorithm struct {
 	weights []float32
 }
 
-var (
-	_ core.Algorithm       = (*replicaAlgorithm)(nil)
-	_ core.WeightsRestorer = (*replicaAlgorithm)(nil)
-)
+var _ core.Algorithm = (*replicaAlgorithm)(nil)
 
 func (r *replicaAlgorithm) Name() string { return "chaos-replica" }
 

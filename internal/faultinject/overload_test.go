@@ -27,7 +27,8 @@ type slowLearner struct {
 
 var _ core.Algorithm = (*slowLearner)(nil)
 
-func (l *slowLearner) Name() string { return "slow-learner" }
+func (l *slowLearner) Name() string                          { return "slow-learner" }
+func (l *slowLearner) RestoreWeights(int64, []float32) error { return nil }
 
 func (l *slowLearner) PrepareData(b *rollout.Batch) {
 	l.mu.Lock()
