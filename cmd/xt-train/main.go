@@ -15,309 +15,200 @@
 //	  "explorers": 8, "machines": 2, "rollout_len": 500,
 //	  "max_steps": 100000, "seed": 7
 //	}
+//
+// Every core.Config knob is declared once, by the flag, json and help tags
+// on its field; xt-train derives its flags and its JSON keys from those
+// tags. The options struct below declares the few that are not one Config
+// field. README.md's flag table is generated from the same tags.
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
-	"xingtian/internal/algorithm"
 	"xingtian/internal/core"
-	"xingtian/internal/env"
 	"xingtian/internal/fabric"
 	"xingtian/internal/serialize"
 )
 
-// fileConfig is the JSON deployment description.
-type fileConfig struct {
-	Algorithm      string `json:"algorithm"`
-	Environment    string `json:"environment"`
-	Explorers      int    `json:"explorers"`
-	Machines       int    `json:"machines"`
-	RolloutLen     int    `json:"rollout_len"`
-	MaxSteps       int64  `json:"max_steps"`
-	MaxSeconds     int    `json:"max_seconds"`
-	Compress       bool   `json:"compress"`
-	Seed           int64  `json:"seed"`
-	Restarts       int    `json:"restarts"`
-	RestartBackoff int    `json:"restart_backoff_ms"`
-	StoreBudget    int64  `json:"store_budget"`
-	ShedDepth      int    `json:"shed_depth"`
-	Credits        int    `json:"credits"`
-	Checkpoint     string `json:"checkpoint"`
-	CheckpointEvry int64  `json:"checkpoint_every"`
-	CheckpointKeep int    `json:"checkpoint_keep"`
-	Resume         bool   `json:"resume"`
-
-	WeightDelta      bool    `json:"weight_delta"`
-	WeightQuantBits  int     `json:"weight_quant_bits"`
-	WeightSkipFactor float64 `json:"weight_skip_factor"`
-	WeightTreeFanout int     `json:"weight_tree_fanout"`
-
-	Topology     string `json:"topology"`
-	Learners     int    `json:"learners"`
-	MaxStaleness int    `json:"max_staleness"`
-
-	// LearnerRestarts < 0 keeps the fail-fast seed semantics; >= 0 arms
-	// learn-replica failover with that respawn budget (needs -topology
-	// replicated and >= 2 learners). HeartbeatMS tunes the liveness cadence.
-	LearnerRestarts int `json:"learner_restarts"`
-	HeartbeatMS     int `json:"heartbeat_ms"`
-
-	// Grid runs the machines over a real TCP loopback fabric grid instead
-	// of the simulated network. MachineFailover arms §5j whole-machine
-	// fault domains on top of it (needs Grid, >= 2 machines, and a
-	// replicated topology with >= 2 learners); LeaseMS tunes the membership
-	// lease renewal period (0 = transport default, 25ms).
-	Grid            bool `json:"grid"`
-	MachineFailover bool `json:"machine_failover"`
-	LeaseMS         int  `json:"lease_ms"`
+// options are the knobs that are not one core.Config field: what to train
+// and report, and the flags that set several Config fields at once
+// (-topology and -learners set Topology.Learners, -learner-restarts sets
+// LearnerFailover and MaxLearnerRestarts, -grid sets Transport).
+type options struct {
+	Alg             string        `flag:"alg" json:"algorithm" help:"DQN | PPO | IMPALA"`
+	Env             string        `flag:"env" json:"environment" help:"CartPole | BeamRider | Breakout | Qbert | SpaceInvaders"`
+	Seed            int64         `flag:"seed" json:"seed" help:"run seed"`
+	Config          string        `flag:"config" help:"JSON deployment config (overrides flags)"`
+	Metrics         time.Duration `flag:"metrics" help:"log a channel-health summary at this interval (0 = off)"`
+	Report          string        `flag:"report" help:"write a single-line JSON run report (steps, throughput, fragment and machine-failover counters) to this path (\"-\" = stdout)"`
+	Topology        string        `flag:"topology" json:"topology" help:"fragment topology: \"\" or \"fused\" = seed's single-learner loop, \"replicated\" = N learn fragments on the dataflow-fragment runtime"`
+	Learners        int           `flag:"learners" json:"learners" help:"learn-fragment replicas (with -topology replicated)"`
+	LearnerRestarts int           `flag:"learner-restarts" json:"learner_restarts" help:"learn-replica respawn budget: -1 = fail fast (seed semantics), >= 0 arms quarantine/respawn failover with that budget (needs -topology replicated and >= 2 learners)"`
+	Grid            bool          `flag:"grid" json:"grid" help:"run the machines over a real TCP loopback fabric grid instead of the simulated network"`
 }
 
-// topologyFor maps the deployment description onto a core.Topology. The
-// empty string and "fused" keep the seed's single-learner loop; "replicated"
-// opts into the fragment runtime with fc.Learners learn replicas.
-func topologyFor(fc fileConfig) (core.Topology, error) {
-	switch fc.Topology {
-	case "", "fused":
-		if fc.Topology == "" && fc.Learners > 1 {
-			return core.Topology{}, fmt.Errorf("-learners %d needs -topology replicated", fc.Learners)
-		}
-		return core.Topology{}, nil
-	case "replicated":
-		n := fc.Learners
-		if n < 1 {
-			n = 1
-		}
-		return core.Topology{
-			Learners:     n,
-			MaxStaleness: fc.MaxStaleness,
-		}, nil
-	default:
-		return core.Topology{}, fmt.Errorf("unknown topology %q (want fused or replicated)", fc.Topology)
+// defaults returns every flag's default value.
+func defaults() (options, core.Config) {
+	return options{Alg: "DQN", Env: "CartPole", Seed: 1, Learners: 1, LearnerRestarts: -1}, core.Config{
+		NumExplorers: 2, Machines: 1, RolloutLen: 200, MaxSteps: 20_000,
+		MaxDuration: 300 * time.Second, RestartBackoff: 100 * time.Millisecond,
+		WeightQuantBits: 8, Topology: core.Topology{MaxStaleness: core.StalenessUnbounded},
 	}
+}
+
+// parse builds the deployment from args: the flags, then the -config file's
+// keys on top, then the options that set several Config fields.
+func parse(args []string, stderr io.Writer) (options, core.Config, error) {
+	opts, cfg := defaults()
+	fs := flag.NewFlagSet("xt-train", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	ks, settle := bind(fs, &opts, &cfg)
+	if err := fs.Parse(args); err != nil {
+		return opts, cfg, err
+	}
+	settle()
+	if opts.Config != "" {
+		data, err := os.ReadFile(opts.Config)
+		if err != nil {
+			return opts, cfg, fmt.Errorf("read config: %w", err)
+		}
+		if err := overlay(data, ks); err != nil {
+			return opts, cfg, fmt.Errorf("parse config: %w", err)
+		}
+	}
+	switch opts.Topology {
+	case "", "fused":
+		if opts.Topology == "" && opts.Learners > 1 {
+			return opts, cfg, fmt.Errorf("-learners %d needs -topology replicated", opts.Learners)
+		}
+		cfg.Topology = core.Topology{}
+	case "replicated":
+		cfg.Topology.Learners = max(opts.Learners, 1)
+	default:
+		return opts, cfg, fmt.Errorf("unknown topology %q (want fused or replicated)", opts.Topology)
+	}
+	cfg.LearnerFailover = opts.LearnerRestarts >= 0
+	cfg.MaxLearnerRestarts = max(opts.LearnerRestarts, 0)
+	return opts, cfg, nil
 }
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
-	var (
-		algName    = flag.String("alg", "DQN", "DQN | PPO | IMPALA")
-		envName    = flag.String("env", "CartPole", "CartPole | BeamRider | Breakout | Qbert | SpaceInvaders")
-		explorers  = flag.Int("explorers", 2, "parallel explorers")
-		machines   = flag.Int("machines", 1, "simulated machines")
-		rolloutLen = flag.Int("rollout", 200, "steps per rollout message")
-		steps      = flag.Int64("steps", 20_000, "stop after consuming this many steps")
-		seconds    = flag.Int("seconds", 300, "wall-clock limit")
-		compress   = flag.Bool("compress", false, "LZ4 compression above 1 MB")
-		seed       = flag.Int64("seed", 1, "run seed")
-		configPath = flag.String("config", "", "JSON deployment config (overrides flags)")
-		metrics    = flag.Duration("metrics", 0, "log a channel-health summary at this interval (0 = off)")
-		restarts   = flag.Int("restarts", 0, "restart budget per explorer on agent error (0 = fail fast)")
-		restartBk  = flag.Duration("restart-backoff", 100*time.Millisecond, "initial backoff before an explorer restart (doubles per consecutive restart)")
-		storeBdgt  = flag.Int64("store-budget", 0, "per-broker object store byte budget (0 = unbounded); under pressure trajectory pushes shed, model updates always get through")
-		shedDepth  = flag.Int("shed-depth", 0, "destination queue depth past which the oldest droppable messages shed (0 = unbounded)")
-		credits    = flag.Int("credits", 0, "un-acknowledged rollout fragments allowed per explorer (0 = default, <0 = unlimited)")
-		ckptPath   = flag.String("ckpt", "", "checkpoint path (enables periodic DNN parameter saves)")
-		ckptEvery  = flag.Int64("ckpt-every", 0, "training sessions between checkpoints (0 = default 100)")
-		ckptKeep   = flag.Int("ckpt-keep", 0, "retain the last K rotated checkpoints as <ckpt>.N (0 = single overwritten file)")
-		resume     = flag.Bool("resume", false, "restore the newest readable checkpoint at -ckpt before training")
-		wDelta     = flag.Bool("weight-delta", false, "broadcast sparse weight deltas against each explorer's acked version (dense fallback on staleness or NACK)")
-		wQuant     = flag.Int("weight-quant", 8, "delta quantization bits: 8 = int8 steps, 0 = exact float32 (with -weight-delta)")
-		wSkip      = flag.Float64("weight-skip", 0, "skip broadcasts whose relative delta norm is below this factor of the running EMA (0 = never skip)")
-		wTree      = flag.Int("weight-tree", 0, "relay weight broadcasts wider than this through a depth-2 machine tree (0 = star fan-out)")
-		topology   = flag.String("topology", "", `fragment topology: "" or "fused" = seed's single-learner loop, "replicated" = N learn fragments on the dataflow-fragment runtime`)
-		learners   = flag.Int("learners", 1, "learn-fragment replicas (with -topology replicated)")
-		staleness  = flag.Int("staleness", -1, "max sample→learn staleness in weight versions: 0 = strict assignment order, -1 = unbounded (with -topology replicated)")
-		lRestarts  = flag.Int("learner-restarts", -1, "learn-replica respawn budget: -1 = fail fast (seed semantics), >= 0 arms quarantine/respawn failover with that budget (needs -topology replicated and >= 2 learners)")
-		heartbeat  = flag.Duration("heartbeat", 0, "learn-replica liveness cadence under -learner-restarts >= 0 (0 = default 25ms; hung-replica deadline is 4 missed beats)")
-		gridWire   = flag.Bool("grid", false, "run the machines over a real TCP loopback fabric grid instead of the simulated network")
-		mFailover  = flag.Bool("machine-failover", false, "survive whole-machine loss: lease-based membership plus fragment re-placement onto survivors (needs -grid, -machines >= 2, -topology replicated, -learners >= 2)")
-		leaseMS    = flag.Int("lease-ms", 0, "membership lease renewal period in ms under -machine-failover (0 = default 25ms; death verdict after 4 missed renewals with a downed link)")
-		reportPath = flag.String("report", "", `write a single-line JSON run report (steps, throughput, fragment and machine-failover counters) to this path ("-" = stdout)`)
-	)
-	flag.Parse()
-
-	fc := fileConfig{
-		Algorithm: *algName, Environment: *envName,
-		Explorers: *explorers, Machines: *machines, RolloutLen: *rolloutLen,
-		MaxSteps: *steps, MaxSeconds: *seconds, Compress: *compress, Seed: *seed,
-		Restarts: *restarts, RestartBackoff: int(restartBk.Milliseconds()),
-		StoreBudget: *storeBdgt, ShedDepth: *shedDepth, Credits: *credits,
-		Checkpoint: *ckptPath, CheckpointEvry: *ckptEvery,
-		CheckpointKeep: *ckptKeep, Resume: *resume,
-		WeightDelta: *wDelta, WeightQuantBits: *wQuant,
-		WeightSkipFactor: *wSkip, WeightTreeFanout: *wTree,
-		Topology: *topology, Learners: *learners, MaxStaleness: *staleness,
-		LearnerRestarts: *lRestarts, HeartbeatMS: int(heartbeat.Milliseconds()),
-		Grid: *gridWire, MachineFailover: *mFailover, LeaseMS: *leaseMS,
+// run is xt-train on its own arguments and output streams. It returns the
+// exit code: 0 on a clean run, 1 when the run fails or leaks store objects,
+// 2 on a usage error or a configuration Config.Validate rejects.
+func run(args []string, stdout, stderr io.Writer) int {
+	opts, cfg, err := parse(args, stderr)
+	if err == flag.ErrHelp {
+		return 0
 	}
-	if *configPath != "" {
-		data, err := os.ReadFile(*configPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "read config: %v\n", err)
-			return 2
-		}
-		if err := json.Unmarshal(data, &fc); err != nil {
-			fmt.Fprintf(os.Stderr, "parse config: %v\n", err)
-			return 2
-		}
-	}
-
-	algF, agF, err := buildFactories(fc)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	topo, err := topologyFor(fc)
+	algF, agF, err := buildFactories(opts.Alg, opts.Env, cfg.NumExplorers)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	fmt.Printf("training %s on %s: %d explorer(s), %d machine(s), budget %d steps\n",
-		fc.Algorithm, fc.Environment, fc.Explorers, max(fc.Machines, 1), fc.MaxSteps)
-	if fc.Topology == "replicated" {
-		fmt.Printf("  topology: replicated, %d learn fragment(s), max staleness %d\n",
-			max(fc.Learners, 1), fc.MaxStaleness)
-	}
-	if fc.LearnerRestarts >= 0 {
-		if fc.Topology != "replicated" || fc.Learners < 2 {
-			fmt.Fprintln(os.Stderr, "-learner-restarts needs -topology replicated with -learners >= 2 (failover requires a survivor)")
+	if opts.Grid {
+		gopts := fabric.GridOptions{StoreBudget: cfg.StoreBudget, ShedQueueDepth: cfg.ShedQueueDepth,
+			RelayFanout: cfg.WeightTreeFanout}
+		if cfg.Compress {
+			gopts.Compressor = serialize.NewCompressor()
+		}
+		if cfg.Transport, err = fabric.NewGrid(max(cfg.Machines, 1), gopts); err != nil {
+			fmt.Fprintf(stderr, "grid: %v\n", err)
 			return 2
 		}
-		fmt.Printf("  failover: learn-replica respawn budget %d, heartbeat %dms\n",
-			fc.LearnerRestarts, fc.HeartbeatMS)
 	}
-	if fc.LeaseMS != 0 && !fc.MachineFailover {
-		fmt.Fprintln(os.Stderr, "-lease-ms tunes the membership plane and needs -machine-failover")
+	if err := cfg.Validate(); err != nil {
+		if cfg.Transport != nil {
+			cfg.Transport.Stop()
+		}
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	if fc.MachineFailover {
-		// Machine failover is a real-wire feature: the membership plane and
-		// the Kill fence live on the fabric grid, and re-placement needs
-		// both a surviving machine and a surviving learn replica.
-		switch {
-		case !fc.Grid:
-			fmt.Fprintln(os.Stderr, "-machine-failover needs -grid (the membership plane runs on the TCP fabric, not the simulated network)")
-			return 2
-		case fc.Machines < 2:
-			fmt.Fprintln(os.Stderr, "-machine-failover needs -machines >= 2 (re-placement requires a survivor machine)")
-			return 2
-		case fc.Topology != "replicated" || fc.Learners < 2:
-			fmt.Fprintln(os.Stderr, "-machine-failover needs -topology replicated with -learners >= 2 (a dead machine's learn replicas must leave a survivor)")
-			return 2
-		}
-		lease := fc.LeaseMS
-		if lease == 0 {
-			lease = int(fabric.DefaultLeaseEvery.Milliseconds())
-		}
-		fmt.Printf("  machine failover: lease %dms, verdict after 4 missed renewals\n", lease)
+	cfg.MetricsEvery, cfg.MetricsWriter = opts.Metrics, stdout
+
+	fmt.Fprintf(stdout, "training %s on %s: %d explorer(s), %d machine(s), budget %d steps\n",
+		opts.Alg, opts.Env, cfg.NumExplorers, max(cfg.Machines, 1), cfg.MaxSteps)
+	if opts.Topology == "replicated" {
+		fmt.Fprintf(stdout, "  topology: replicated, %d learn fragment(s), max staleness %d\n",
+			cfg.Topology.Learners, cfg.Topology.MaxStaleness)
+	}
+	if cfg.LearnerFailover {
+		fmt.Fprintf(stdout, "  failover: learn-replica respawn budget %d, heartbeat %v\n",
+			cfg.MaxLearnerRestarts, cfg.HeartbeatEvery)
+	}
+	if cfg.MachineFailover {
+		fmt.Fprintf(stdout, "  machine failover: lease %v, verdict after 4 missed renewals\n",
+			cmp.Or(cfg.LeaseEvery, fabric.DefaultLeaseEvery))
 	}
 
-	cfg := core.Config{
-		NumExplorers:        fc.Explorers,
-		RolloutLen:          fc.RolloutLen,
-		MaxSteps:            fc.MaxSteps,
-		MaxDuration:         time.Duration(fc.MaxSeconds) * time.Second,
-		Machines:            fc.Machines,
-		Compress:            fc.Compress,
-		MaxExplorerRestarts: fc.Restarts,
-		RestartBackoff:      time.Duration(fc.RestartBackoff) * time.Millisecond,
-		StoreBudget:         fc.StoreBudget,
-		ShedQueueDepth:      fc.ShedDepth,
-		MaxInflight:         fc.Credits,
-		CheckpointPath:      fc.Checkpoint,
-		CheckpointEvery:     fc.CheckpointEvry,
-		CheckpointKeep:      fc.CheckpointKeep,
-		Resume:              fc.Resume,
-		WeightDelta:         fc.WeightDelta,
-		WeightQuantBits:     fc.WeightQuantBits,
-		WeightSkipFactor:    fc.WeightSkipFactor,
-		WeightTreeFanout:    fc.WeightTreeFanout,
-		Topology:            topo,
-		LearnerFailover:     fc.LearnerRestarts >= 0,
-		MaxLearnerRestarts:  max(fc.LearnerRestarts, 0),
-		HeartbeatEvery:      time.Duration(fc.HeartbeatMS) * time.Millisecond,
-		MachineFailover:     fc.MachineFailover,
-		LeaseEvery:          time.Duration(fc.LeaseMS) * time.Millisecond,
-	}
-	if fc.Grid {
-		opts := fabric.GridOptions{
-			StoreBudget:    fc.StoreBudget,
-			ShedQueueDepth: fc.ShedDepth,
-		}
-		if fc.Compress {
-			opts.Compressor = serialize.NewCompressor()
-		}
-		if fc.WeightTreeFanout > 0 {
-			opts.RelayFanout = fc.WeightTreeFanout
-		}
-		g, gerr := fabric.NewGrid(max(fc.Machines, 1), opts)
-		if gerr != nil {
-			fmt.Fprintf(os.Stderr, "grid: %v\n", gerr)
-			return 2
-		}
-		cfg.Transport = g
-	}
-	if *metrics > 0 {
-		cfg.MetricsEvery = *metrics
-		cfg.MetricsWriter = os.Stdout
-	}
-	report, err := core.Run(cfg, algF, agF, fc.Seed)
+	report, err := core.Run(cfg, algF, agF, opts.Seed)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "run: %v\n", err)
+		fmt.Fprintf(stderr, "run: %v\n", err)
 		return 1
 	}
-	fmt.Printf("done in %v\n", report.Duration.Round(time.Millisecond))
-	fmt.Printf("  steps consumed:   %d (%.0f steps/s)\n", report.StepsConsumed, report.Throughput)
-	fmt.Printf("  train sessions:   %d\n", report.TrainIters)
-	if fr := report.Fragments; fr != nil {
-		fmt.Printf("  fragments:        %d learner(s), %d aggregation(s), committed version %d\n",
-			fr.Learners, fr.Aggregations, fr.CommittedVersion)
-		fmt.Printf("  sample dispatch:  %d rollout(s), %d stale drop(s) (max staleness %d)\n",
-			fr.Dispatched, fr.StaleDrops, fr.MaxStaleness)
-		if fr.Quarantines > 0 || fr.Respawns > 0 || fr.Degraded > 0 {
-			fmt.Printf("  failover:         %d quarantine(s), %d re-dispatch(es), %d respawn(s), %d degraded slot(s)\n",
-				fr.Quarantines, fr.Redispatches, fr.Respawns, fr.Degraded)
-		}
-		if fc.MachineFailover {
-			fmt.Printf("  machine plane:    %d lease renewal(s), %d machine verdict(s), %d takeover(s)\n",
-				fr.LeaseRenewals, fr.MachineVerdicts, fr.Takeovers)
-		}
-	}
-	fmt.Printf("  episodes:         %d (mean return %.2f)\n", report.Episodes, report.MeanReturn)
-	fmt.Printf("  learner wait avg: %v\n", report.MeanWait.Round(time.Microsecond))
-	fmt.Printf("  transmission avg: %v\n", report.MeanTransmission.Round(time.Microsecond))
-	if fc.Restarts > 0 || report.ExplorerRestarts > 0 {
-		fmt.Printf("  explorer restarts: %d (budget exhausted on %d)\n",
-			report.ExplorerRestarts, report.RestartBudgetExhausted)
-		if report.RestartLastError != "" {
-			fmt.Printf("  last handled error: %s\n", report.RestartLastError)
-		}
-	}
-	fmt.Printf("channel health (final):\n")
-	for _, bs := range report.Channel.Brokers {
-		fmt.Printf("  %s\n", bs.Summary())
-	}
-	for _, ws := range report.Channel.Wire {
-		fmt.Printf("  %s\n", ws.String())
-	}
-	if *reportPath != "" {
-		if err := writeRunReport(*reportPath, fc, report); err != nil {
-			fmt.Fprintf(os.Stderr, "write report: %v\n", err)
+	printReport(stdout, cfg, report)
+	if opts.Report != "" {
+		if err := writeRunReport(stdout, opts, cfg, report); err != nil {
+			fmt.Fprintf(stderr, "write report: %v\n", err)
 			return 1
 		}
 	}
 	if leaked := report.Channel.TotalLeaked(); leaked > 0 {
-		fmt.Fprintf(os.Stderr, "WARNING: %d object(s) leaked in the object store at shutdown\n", leaked)
+		fmt.Fprintf(stderr, "WARNING: %d object(s) leaked in the object store at shutdown\n", leaked)
 		return 1
 	}
 	return 0
+}
+
+// printReport writes the human-readable run summary.
+func printReport(w io.Writer, cfg core.Config, report *core.Report) {
+	fmt.Fprintf(w, "done in %v\n", report.Duration.Round(time.Millisecond))
+	fmt.Fprintf(w, "  steps consumed:   %d (%.0f steps/s)\n", report.StepsConsumed, report.Throughput)
+	fmt.Fprintf(w, "  train sessions:   %d\n", report.TrainIters)
+	if fr := report.Fragments; fr != nil {
+		fmt.Fprintf(w, "  fragments:        %d learner(s), %d aggregation(s), committed version %d\n",
+			fr.Learners, fr.Aggregations, fr.CommittedVersion)
+		fmt.Fprintf(w, "  sample dispatch:  %d rollout(s), %d stale drop(s) (max staleness %d)\n",
+			fr.Dispatched, fr.StaleDrops, fr.MaxStaleness)
+		if fr.Quarantines > 0 || fr.Respawns > 0 || fr.Degraded > 0 {
+			fmt.Fprintf(w, "  failover:         %d quarantine(s), %d re-dispatch(es), %d respawn(s), %d degraded slot(s)\n",
+				fr.Quarantines, fr.Redispatches, fr.Respawns, fr.Degraded)
+		}
+		if cfg.MachineFailover {
+			fmt.Fprintf(w, "  machine plane:    %d lease renewal(s), %d machine verdict(s), %d takeover(s)\n",
+				fr.LeaseRenewals, fr.MachineVerdicts, fr.Takeovers)
+		}
+	}
+	fmt.Fprintf(w, "  episodes:         %d (mean return %.2f)\n", report.Episodes, report.MeanReturn)
+	fmt.Fprintf(w, "  learner wait avg: %v\n", report.MeanWait.Round(time.Microsecond))
+	fmt.Fprintf(w, "  transmission avg: %v\n", report.MeanTransmission.Round(time.Microsecond))
+	if cfg.MaxExplorerRestarts > 0 || report.ExplorerRestarts > 0 {
+		fmt.Fprintf(w, "  explorer restarts: %d (budget exhausted on %d)\n",
+			report.ExplorerRestarts, report.RestartBudgetExhausted)
+		if report.RestartLastError != "" {
+			fmt.Fprintf(w, "  last handled error: %s\n", report.RestartLastError)
+		}
+	}
+	fmt.Fprintf(w, "channel health (final):\n")
+	for _, bs := range report.Channel.Brokers {
+		fmt.Fprintf(w, "  %s\n", bs.Summary())
+	}
+	for _, ws := range report.Channel.Wire {
+		fmt.Fprintf(w, "  %s\n", ws.String())
+	}
 }
 
 // runReport is the single-line JSON artifact -report emits: run shape, the
@@ -339,12 +230,13 @@ type runReport struct {
 	Fragments     *core.FragmentReport `json:"fragments,omitempty"`
 }
 
-func writeRunReport(path string, fc fileConfig, report *core.Report) error {
-	out := runReport{
-		Algorithm:     fc.Algorithm,
-		Environment:   fc.Environment,
-		Machines:      max(fc.Machines, 1),
-		Grid:          fc.Grid,
+// writeRunReport writes the -report line to opts.Report ("-" = stdout).
+func writeRunReport(stdout io.Writer, opts options, cfg core.Config, report *core.Report) error {
+	data, err := json.Marshal(runReport{
+		Algorithm:     opts.Alg,
+		Environment:   opts.Env,
+		Machines:      max(cfg.Machines, 1),
+		Grid:          opts.Grid,
 		StepsConsumed: report.StepsConsumed,
 		TrainIters:    report.TrainIters,
 		Throughput:    report.Throughput,
@@ -353,70 +245,14 @@ func writeRunReport(path string, fc fileConfig, report *core.Report) error {
 		MeanReturn:    report.MeanReturn,
 		Leaked:        report.Channel.TotalLeaked(),
 		Fragments:     report.Fragments,
-	}
-	data, err := json.Marshal(out)
+	})
 	if err != nil {
 		return err
 	}
 	data = append(data, '\n')
-	if path == "-" {
-		_, err = os.Stdout.Write(data)
+	if opts.Report == "-" {
+		_, err = stdout.Write(data)
 		return err
 	}
-	return os.WriteFile(path, data, 0o644)
-}
-
-// buildFactories wires the zoo algorithm and agents for the config.
-func buildFactories(fc fileConfig) (core.AlgorithmFactory, core.AgentFactory, error) {
-	probe, err := env.Make(fc.Environment, 0)
-	if err != nil {
-		return nil, nil, err
-	}
-	spec := algorithm.SpecFor(probe)
-
-	mkEnv := func(seed int64) (env.Env, error) { return env.Make(fc.Environment, seed) }
-	switch fc.Algorithm {
-	case "DQN":
-		cfg := algorithm.DefaultDQNConfig()
-		return func(seed int64) (core.Algorithm, error) {
-				return algorithm.NewDQN(spec, cfg, seed), nil
-			}, func(id int32, seed int64) (core.Agent, error) {
-				e, err := mkEnv(seed)
-				if err != nil {
-					return nil, err
-				}
-				return algorithm.NewDQNAgent(spec, algorithm.NewEnvRunner(e, spec), seed), nil
-			}, nil
-	case "PPO":
-		cfg := algorithm.DefaultPPOConfig(fc.Explorers)
-		return func(seed int64) (core.Algorithm, error) {
-				return algorithm.NewPPO(spec, cfg, seed), nil
-			}, func(id int32, seed int64) (core.Agent, error) {
-				e, err := mkEnv(seed)
-				if err != nil {
-					return nil, err
-				}
-				return algorithm.NewPPOAgent(spec, algorithm.NewEnvRunner(e, spec), seed), nil
-			}, nil
-	case "IMPALA":
-		cfg := algorithm.DefaultIMPALAConfig()
-		return func(seed int64) (core.Algorithm, error) {
-				return algorithm.NewIMPALA(spec, cfg, seed), nil
-			}, func(id int32, seed int64) (core.Agent, error) {
-				e, err := mkEnv(seed)
-				if err != nil {
-					return nil, err
-				}
-				return algorithm.NewIMPALAAgent(spec, algorithm.NewEnvRunner(e, spec), seed), nil
-			}, nil
-	default:
-		return nil, nil, fmt.Errorf("unknown algorithm %q (want DQN, PPO, or IMPALA)", fc.Algorithm)
-	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	return os.WriteFile(opts.Report, data, 0o644)
 }

@@ -37,21 +37,31 @@ type Transport interface {
 // Config describes one XingTian deployment, mirroring the paper's
 // configuration file: which machines exist, where the learner lives, how
 // many explorers run, and when training stops.
+//
+// A field's tags make it the one declaration of its deployment knob:
+// `flag` names its command-line flag, `json` its key in a JSON deployment
+// config, and `help` the flag's usage text. A time.Duration knob whose
+// flag or JSON value counts whole units says so: `unit` sets the unit both
+// count, `jsonunit` the unit only the JSON key counts (the flag then takes
+// a Go duration such as "500us"). A field without tags is no knob of its
+// own: library callers set it, and xt-train sets some from flags that
+// each stand for several fields (-topology and -learners, -learner-restarts,
+// -grid, -metrics). Validate checks the cross-field rules.
 type Config struct {
 	// NumExplorers is the total explorer count across all machines.
-	NumExplorers int
+	NumExplorers int `flag:"explorers" json:"explorers" help:"parallel explorers"`
 	// RolloutLen is the number of steps per rollout message.
-	RolloutLen int
+	RolloutLen int `flag:"rollout" json:"rollout_len" help:"steps per rollout message"`
 	// MaxSteps stops the run after the learner consumes this many steps.
-	MaxSteps int64
+	MaxSteps int64 `flag:"steps" json:"max_steps" help:"stop after consuming this many steps"`
 	// MaxDuration stops the run on wall time regardless of progress
 	// (0 = no limit).
-	MaxDuration time.Duration
+	MaxDuration time.Duration `flag:"seconds" json:"max_seconds" unit:"s" help:"wall-clock limit"`
 	// Machines is the deployment width; the learner runs on machine 0 and
 	// explorers are assigned round-robin. Values < 1 mean a single machine.
-	Machines int
+	Machines int `flag:"machines" json:"machines" help:"simulated machines"`
 	// Compress enables the 1 MB-threshold LZ4 compression of the paper.
-	Compress bool
+	Compress bool `flag:"compress" json:"compress" help:"LZ4 compression above 1 MB"`
 	// PlaneNsPerKB emulates a slower serialization plane
 	// (serialize.Compressor.PackNsPerKB); 0 uses the raw Go codec.
 	PlaneNsPerKB int
@@ -66,52 +76,52 @@ type Config struct {
 	SeriesBucket time.Duration
 	// CheckpointPath, when set, periodically saves the learner's DNN
 	// parameters (every CheckpointEvery training sessions; default 100).
-	CheckpointPath  string
-	CheckpointEvery int64
+	CheckpointPath  string `flag:"ckpt" json:"checkpoint" help:"checkpoint path (enables periodic DNN parameter saves)"`
+	CheckpointEvery int64  `flag:"ckpt-every" json:"checkpoint_every" help:"training sessions between checkpoints (0 = default 100)"`
 	// CheckpointKeep > 0 switches saving to a rotation set (path.1, path.2,
 	// …) retaining the last CheckpointKeep checkpoints; 0 keeps the single
 	// overwritten file.
-	CheckpointKeep int
+	CheckpointKeep int `flag:"ckpt-keep" json:"checkpoint_keep" help:"retain the last K rotated checkpoints as <ckpt>.N (0 = single overwritten file)"`
 	// Resume restores the newest readable checkpoint at CheckpointPath
 	// before training starts (no-op when none exists). The restored weights
 	// version seeds the learner's broadcasts, so explorers continue from
 	// the pre-crash sequence.
-	Resume bool
+	Resume bool `flag:"resume" json:"resume" help:"restore the newest readable checkpoint at -ckpt before training"`
 	// StoreBudget bounds each broker's object store (bytes; 0 = unbounded)
 	// and ShedQueueDepth caps destination queues by shedding the oldest
 	// droppable messages — the overload-protection knobs of broker.Config.
 	// Both apply only to the default netsim transport; a caller-supplied
 	// Transport configures its own brokers.
-	StoreBudget    int64
-	ShedQueueDepth int
+	StoreBudget    int64 `flag:"store-budget" json:"store_budget" help:"per-broker object store byte budget (0 = unbounded); under pressure trajectory pushes shed, model updates always get through"`
+	ShedQueueDepth int   `flag:"shed-depth" json:"shed_depth" help:"destination queue depth past which the oldest droppable messages shed (0 = unbounded)"`
 	// MaxInflight bounds un-acknowledged rollout fragments per explorer
 	// (0 = DefaultMaxInflight; < 0 disables flow control).
-	MaxInflight int
+	MaxInflight int `flag:"credits" json:"credits" help:"un-acknowledged rollout fragments allowed per explorer (0 = default, <0 = unlimited)"`
 	// WeightDelta enables the communication-efficient weight plane: the
 	// learner broadcasts sparse deltas against the version each explorer
 	// last acked, with dense-snapshot fallback for stale or NACKed peers.
-	WeightDelta bool
+	WeightDelta bool `flag:"weight-delta" json:"weight_delta" help:"broadcast sparse weight deltas against each explorer's acked version (dense fallback on staleness or NACK)"`
 	// WeightQuantBits quantizes delta steps (8 = int8; 0 = exact float32).
-	WeightQuantBits int
+	WeightQuantBits int `flag:"weight-quant" json:"weight_quant_bits" help:"delta quantization bits: 8 = int8 steps, 0 = exact float32 (with -weight-delta)"`
 	// WeightSkipFactor scales the adaptive skip threshold: updates whose
 	// relative norm falls below WeightSkipFactor × EMA become pure version
 	// bumps (0 disables skipping).
-	WeightSkipFactor float64
+	WeightSkipFactor float64 `flag:"weight-skip" json:"weight_skip_factor" help:"skip broadcasts whose relative delta norm is below this factor of the running EMA (0 = never skip)"`
 	// WeightTreeFanout relays weight-class broadcasts wider than this
 	// through a depth-2 machine tree instead of a star (0 keeps the star).
 	// Applies only to the default netsim transport; a caller-supplied
 	// Transport configures its own brokers.
-	WeightTreeFanout int
+	WeightTreeFanout int `flag:"weight-tree" json:"weight_tree_fanout" help:"relay weight broadcasts wider than this through a depth-2 machine tree (0 = star fan-out)"`
 	// MaxExplorerRestarts is the per-explorer restart budget. 0 keeps the
 	// historical fail-fast semantics: an explorer error surfaces in Err()
 	// and nothing restarts. With a positive budget the session supervises
 	// every explorer, tears a failed one down cleanly (ports unregistered,
 	// queued refs released), and re-creates its agent from the factory.
 	// The learner is never restarted: a learner error always fails fast.
-	MaxExplorerRestarts int
+	MaxExplorerRestarts int `flag:"restarts" json:"restarts" help:"restart budget per explorer on agent error (0 = fail fast)"`
 	// RestartBackoff is the delay before the first restart of a slot;
 	// it doubles per consecutive restart (default 10ms).
-	RestartBackoff time.Duration
+	RestartBackoff time.Duration `flag:"restart-backoff" json:"restart_backoff_ms" jsonunit:"ms" help:"initial backoff before an explorer restart (doubles per consecutive restart)"`
 	// Topology selects how the training loop's dataflow fragments are
 	// replicated and placed. The zero value keeps the fused loop (one
 	// learner on machine 0 that plans its own broadcasts); a
@@ -127,8 +137,9 @@ type Config struct {
 	// survivor mean — and, while MaxLearnerRestarts lasts, respawned from
 	// the latest fragment checkpoint under an exponential backoff. A slot
 	// whose budget runs out degrades the run to permanent N-1; when every
-	// slot has degraded the session fails. Fused topologies and single
-	// replicas keep the historical fail-fast semantics regardless.
+	// slot has degraded the session fails. Validate rejects it with fewer
+	// than 2 replicas (a fused topology or a single replica has no
+	// survivor to fail over to).
 	LearnerFailover bool
 	// MaxLearnerRestarts is the per-replica respawn budget under
 	// LearnerFailover. 0 quarantines without respawning (a failed replica
@@ -137,29 +148,58 @@ type Config struct {
 	// HeartbeatEvery is the replica liveness cadence under LearnerFailover
 	// (default 25ms). The broadcast-side detector deadline is four missed
 	// beats.
-	HeartbeatEvery time.Duration
+	HeartbeatEvery time.Duration `flag:"heartbeat" json:"heartbeat_ms" jsonunit:"ms" help:"learn-replica liveness cadence under -learner-restarts >= 0 (0 = default 25ms; hung-replica deadline is 4 missed beats)"`
 	// MachineFailover arms machine-level fault domains (§5j): the
 	// transport's lease-based membership plane declares a silent machine
 	// dead and the session re-places every fragment it hosted onto
 	// survivors — learn replicas through the §5i respawn path, the sampler
 	// and broadcaster through warm standbys rebuilt from surviving state,
 	// the broker ack ledger, and fragment checkpoints, explorer slots
-	// directly. Requires a Transport implementing MachineFailoverTransport
-	// (fabric.Grid) over >= 2 machines and a fragmented topology with >= 2
-	// replicas. The coordinator (machine 0) hosts the detector; its own
-	// death stays terminal. A zero MaxLearnerRestarts is raised to 1 —
-	// re-placing a learn replica consumes respawn budget.
-	MachineFailover bool
+	// directly. Validate rejects it without a Transport, over fewer than 2
+	// machines, or with fewer than 2 learn replicas, and NewSession rejects
+	// a Transport that does not implement MachineFailoverTransport
+	// (fabric.Grid does). The coordinator (machine 0) hosts the detector;
+	// its own death stays terminal. A zero MaxLearnerRestarts is raised to
+	// 1 — re-placing a learn replica consumes respawn budget.
+	MachineFailover bool `flag:"machine-failover" json:"machine_failover" help:"survive whole-machine loss: lease-based membership plus fragment re-placement onto survivors (needs -grid, -machines >= 2, -topology replicated, -learners >= 2)"`
 	// LeaseEvery is the membership lease renewal period under
 	// MachineFailover (0 = the transport default, 25ms for fabric.Grid). A
 	// machine silent for four consecutive renewals with a corroborating
 	// downed link — or eight regardless of link state — is declared dead.
-	LeaseEvery time.Duration
+	// Validate rejects a nonzero LeaseEvery without MachineFailover.
+	LeaseEvery time.Duration `flag:"lease-ms" json:"lease_ms" unit:"ms" help:"membership lease renewal period in ms under -machine-failover (0 = default 25ms; death verdict after 4 missed renewals with a downed link)"`
 	// MetricsEvery, when > 0 with MetricsWriter set, logs a channel-health
 	// summary line for every broker at this interval while the run waits.
 	MetricsEvery time.Duration
 	// MetricsWriter receives the periodic channel-health summaries.
 	MetricsWriter io.Writer
+}
+
+// The defaults NewSession puts in place of an unset Config.RestartBackoff
+// (the first-restart delay of an explorer or learn slot) and
+// Config.HeartbeatEvery.
+const (
+	defaultRestartBackoff = 10 * time.Millisecond
+	defaultHeartbeatEvery = 25 * time.Millisecond
+)
+
+// Validate checks the cross-field rules of a deployment: a knob that needs
+// another knob, or a deployment shape, to mean anything is rejected rather
+// than silently ignored. NewSession calls it first.
+func (c Config) Validate() error {
+	switch {
+	case c.LearnerFailover && c.Topology.Learners < 2:
+		return fmt.Errorf("core: LearnerFailover needs a fragmented topology with >= 2 learn replicas (failover requires a survivor), got %d", c.Topology.Learners)
+	case c.LeaseEvery != 0 && !c.MachineFailover:
+		return errors.New("core: LeaseEvery tunes the membership plane and needs MachineFailover")
+	case c.MachineFailover && c.Transport == nil:
+		return errors.New("core: MachineFailover needs a Transport with a membership plane (fabric.Grid), not the simulated network")
+	case c.MachineFailover && c.Machines < 2:
+		return fmt.Errorf("core: MachineFailover needs >= 2 machines (re-placement requires a survivor machine), got %d", c.Machines)
+	case c.MachineFailover && c.Topology.Learners < 2:
+		return fmt.Errorf("core: MachineFailover needs a fragmented topology with >= 2 learn replicas (a dead machine's replicas must leave a survivor), got %d", c.Topology.Learners)
+	}
+	return nil
 }
 
 // weightPlane is the weight-plane configuration every broadcast planner
@@ -299,11 +339,23 @@ type Session struct {
 // learner on machine 0, and explorers spread round-robin — the structure of
 // Fig. 2(b), with the learner's machine as the data-transmission center.
 func NewSession(cfg Config, algF AlgorithmFactory, agF AgentFactory, seed int64) (*Session, error) {
+	if err := cfg.Validate(); err != nil {
+		if cfg.Transport != nil {
+			cfg.Transport.Stop()
+		}
+		return nil, err
+	}
 	if cfg.NumExplorers < 1 {
 		cfg.NumExplorers = 1
 	}
 	if cfg.Machines < 1 {
 		cfg.Machines = 1
+	}
+	if cfg.RestartBackoff <= 0 {
+		cfg.RestartBackoff = defaultRestartBackoff
+	}
+	if cfg.HeartbeatEvery <= 0 {
+		cfg.HeartbeatEvery = defaultHeartbeatEvery
 	}
 	if cfg.MachineFailover && cfg.MaxLearnerRestarts < 1 {
 		// A learn replica on a condemned machine is re-placed through the
@@ -406,22 +458,13 @@ func NewSession(cfg Config, algF AlgorithmFactory, agF AgentFactory, seed int64)
 	return s, nil
 }
 
-// armMachineFailover validates the deployment against the §5j requirements
-// and starts the transport's membership plane; verdicts are enqueued for
-// the re-placement engine (started in Start).
+// armMachineFailover checks that the transport has a membership plane (the
+// one §5j requirement Config.Validate cannot see) and starts it; verdicts
+// are enqueued for the re-placement engine (started in Start).
 func (s *Session) armMachineFailover() error {
 	mft, ok := s.transport.(MachineFailoverTransport)
 	if !ok {
 		return fmt.Errorf("core: MachineFailover requires a membership-capable transport (fabric.Grid); got %T", s.transport)
-	}
-	if s.frags == nil {
-		return fmt.Errorf("core: MachineFailover requires a fragmented topology (Topology.Learners >= 2)")
-	}
-	if !s.frags.failover {
-		return fmt.Errorf("core: MachineFailover requires >= 2 learn replicas, got %d", s.frags.topo.Learners)
-	}
-	if mft.Machines() < 2 {
-		return fmt.Errorf("core: MachineFailover needs at least 2 machines, got %d", mft.Machines())
 	}
 	s.mfTransport = mft
 	s.mfDead = make(map[int]bool)
@@ -502,15 +545,10 @@ func (s *Session) buildFragments(topo Topology, algF AlgorithmFactory) error {
 		}
 	}
 
-	// Failover arms only with replicas to fail over to: fused topologies and
-	// single replicas keep the historical fail-fast semantics. Machine
-	// failover implies replica failover — its learn re-placement rides the
-	// same quarantine/respawn path.
-	failover := (s.cfg.LearnerFailover || s.cfg.MachineFailover) && topo.Learners >= 2
-	hbEvery := s.cfg.HeartbeatEvery
-	if hbEvery <= 0 {
-		hbEvery = 25 * time.Millisecond
-	}
+	// Validate guarantees a survivor (>= 2 replicas) whenever either is set.
+	// Machine failover implies replica failover — its learn re-placement
+	// rides the same quarantine/respawn path.
+	failover := s.cfg.LearnerFailover || s.cfg.MachineFailover
 
 	samplePort, err := s.transport.Register(topo.SampleMachine, SampleName)
 	if err != nil {
@@ -526,7 +564,7 @@ func (s *Session) buildFragments(topo Topology, algF AlgorithmFactory) error {
 		}
 		frag := NewLearnFragment(i, algs[i], port, s.cfg.NumExplorers, s.cfg.SeriesBucket)
 		if failover {
-			frag.SetFailover(0, hbEvery)
+			frag.SetFailover(0, s.cfg.HeartbeatEvery)
 		}
 		lslots[i] = &learnSlot{
 			idx:     i,
@@ -562,8 +600,6 @@ func (s *Session) buildFragments(topo Topology, algF AlgorithmFactory) error {
 		sampleMachine: topo.SampleMachine,
 		castMachine:   topo.BroadcastMachine,
 		failover:      failover,
-		maxRestarts:   s.cfg.MaxLearnerRestarts,
-		hbEvery:       hbEvery,
 		maxSteps:      s.cfg.MaxSteps,
 		done:          make(chan struct{}),
 		stopMon:       make(chan struct{}),
@@ -584,7 +620,7 @@ func (s *Session) buildFragments(topo Topology, algF AlgorithmFactory) error {
 				}
 			}
 		}
-		caster.SetFailover(heartbeatMisses*hbEvery, s.frags.suspectFn)
+		caster.SetFailover(heartbeatMisses*s.cfg.HeartbeatEvery, s.frags.suspectFn)
 	}
 	return nil
 }
@@ -662,9 +698,6 @@ func (s *Session) Start() {
 func (s *Session) superviseLearn(sl *learnSlot) {
 	defer s.superWG.Done()
 	backoff := s.cfg.RestartBackoff
-	if backoff <= 0 {
-		backoff = 10 * time.Millisecond
-	}
 	for {
 		frag := sl.current()
 		var err error
@@ -856,7 +889,7 @@ func (s *Session) respawnLearn(sl *learnSlot, old *LearnFragment) (*LearnFragmen
 	sl.mu.Lock()
 	epoch := sl.epoch + 1
 	sl.mu.Unlock()
-	next.SetFailover(epoch, s.frags.hbEvery)
+	next.SetFailover(epoch, s.cfg.HeartbeatEvery)
 	return next, nil
 }
 
@@ -869,9 +902,6 @@ func (s *Session) respawnLearn(sl *learnSlot, old *LearnFragment) (*LearnFragmen
 func (s *Session) supervise(sl *explorerSlot) {
 	defer s.superWG.Done()
 	backoff := s.cfg.RestartBackoff
-	if backoff <= 0 {
-		backoff = 10 * time.Millisecond
-	}
 	for {
 		ex := sl.current()
 		select {

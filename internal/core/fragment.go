@@ -1624,17 +1624,15 @@ type fragRuntime struct {
 	samplerEpoch  int32
 	casterEpoch   int32
 
-	// failover arms replica supervision (LearnerFailover or MachineFailover
-	// with >= 2 replicas); maxRestarts and hbEvery echo the session config,
-	// and suspectFn is the broadcaster's deadline-detector callback — kept
-	// so a standby broadcaster re-arms the identical detector.
-	failover    bool
-	maxRestarts int
-	hbEvery     time.Duration
-	suspectFn   func(name string, epoch int32)
-	respawns    atomic.Int64
-	degraded    atomic.Int64
-	takeovers   atomic.Int64
+	// failover arms replica supervision (LearnerFailover or MachineFailover,
+	// which Config.Validate allows only with >= 2 replicas), and suspectFn
+	// is the broadcaster's deadline-detector callback — kept so a standby
+	// broadcaster re-arms the identical detector.
+	failover  bool
+	suspectFn func(name string, epoch int32)
+	respawns  atomic.Int64
+	degraded  atomic.Int64
+	takeovers atomic.Int64
 	// zombieWG tracks reaper threads joining retired incarnations whose
 	// trainer may be wedged; join() waits for it after the transport stops.
 	zombieWG sync.WaitGroup

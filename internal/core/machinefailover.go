@@ -381,7 +381,7 @@ func (s *Session) rebuildBroadcaster(dead int) error {
 		CheckpointKeep:  s.cfg.CheckpointKeep,
 	})
 	if f.failover {
-		next.SetFailover(heartbeatMisses*f.hbEvery, f.suspectFn)
+		next.SetFailover(heartbeatMisses*s.cfg.HeartbeatEvery, f.suspectFn)
 		epochs := make(map[string]int32, len(f.slots))
 		quarantined := make([]string, 0, len(f.slots))
 		for _, sl := range f.slots {

@@ -42,7 +42,7 @@ type Topology struct {
 	// MaxStaleness. 0 is strict assignment order (only rollouts from the
 	// current weights reach a learn fragment); StalenessUnbounded (-1, or
 	// any negative value) disables the filter. Ignored when fused.
-	MaxStaleness int
+	MaxStaleness int `flag:"staleness" json:"max_staleness" help:"max sample→learn staleness in weight versions: 0 = strict assignment order, -1 = unbounded (with -topology replicated)"`
 }
 
 // ReplicatedTopology returns a fragment topology with n learn replicas on
