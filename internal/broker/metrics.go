@@ -369,8 +369,8 @@ type WireMetrics struct {
 type SupervisionStats struct {
 	// ExplorerRestarts counts successful explorer restarts.
 	ExplorerRestarts int64
-	// BudgetExhausted counts explorer slots that died permanently after
-	// exhausting their restart budget.
+	// BudgetExhausted counts explorer slots that died permanently: their
+	// restart budget ran out or a restart failed.
 	BudgetExhausted int64
 	// LastRestartError is the message of the most recent error that caused
 	// a restart (empty when no restart happened).

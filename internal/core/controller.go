@@ -112,15 +112,15 @@ type Config struct {
 	// Applies only to the default netsim transport; a caller-supplied
 	// Transport configures its own brokers.
 	WeightTreeFanout int `flag:"weight-tree" json:"weight_tree_fanout" help:"relay weight broadcasts wider than this through a depth-2 machine tree (0 = star fan-out)"`
-	// MaxExplorerRestarts is the per-explorer restart budget. 0 keeps the
-	// historical fail-fast semantics: an explorer error surfaces in Err()
-	// and nothing restarts. With a positive budget the session supervises
-	// every explorer, tears a failed one down cleanly (ports unregistered,
-	// queued refs released), and re-creates its agent from the factory.
-	// The learner is never restarted: a learner error always fails fast.
+	// MaxExplorerRestarts is the per-explorer restart budget: a failed
+	// explorer is torn down and re-created from the factory while the
+	// budget lasts, and its last error surfaces in Err() once it is spent.
+	// 0 keeps the historical fail-fast semantics: the first explorer error
+	// surfaces in Err() and nothing restarts. A move off a dead machine
+	// spends none of it.
 	MaxExplorerRestarts int `flag:"restarts" json:"restarts" help:"restart budget per explorer on agent error (0 = fail fast)"`
-	// RestartBackoff is the delay before the first restart of a slot;
-	// it doubles per consecutive restart (default 10ms).
+	// RestartBackoff is the delay before the first restart of an explorer
+	// or learn slot; it doubles per consecutive restart (default 10ms).
 	RestartBackoff time.Duration `flag:"restart-backoff" json:"restart_backoff_ms" jsonunit:"ms" help:"initial backoff before an explorer restart (doubles per consecutive restart)"`
 	// Topology selects how the training loop's dataflow fragments are
 	// replicated and placed. The zero value keeps the fused loop (one
@@ -142,8 +142,9 @@ type Config struct {
 	// survivor to fail over to).
 	LearnerFailover bool
 	// MaxLearnerRestarts is the per-replica respawn budget under
-	// LearnerFailover. 0 quarantines without respawning (a failed replica
-	// immediately degrades its slot).
+	// LearnerFailover or MachineFailover. 0 quarantines without respawning
+	// (a failed replica immediately degrades its slot); a move off a dead
+	// machine spends none.
 	MaxLearnerRestarts int
 	// HeartbeatEvery is the replica liveness cadence under LearnerFailover
 	// (default 25ms). The broadcast-side detector deadline is four missed
@@ -152,15 +153,14 @@ type Config struct {
 	// MachineFailover arms machine-level fault domains (§5j): the
 	// transport's lease-based membership plane declares a silent machine
 	// dead and the session re-places every fragment it hosted onto
-	// survivors — learn replicas through the §5i respawn path, the sampler
-	// and broadcaster through warm standbys rebuilt from surviving state,
-	// the broker ack ledger, and fragment checkpoints, explorer slots
-	// directly. Validate rejects it without a Transport, over fewer than 2
+	// survivors — explorers and learn replicas through their supervisors,
+	// the sampler and broadcaster through warm standbys rebuilt from
+	// surviving state, the broker ack ledger, and fragment checkpoints.
+	// Validate rejects it without a Transport, over fewer than 2
 	// machines, or with fewer than 2 learn replicas, and NewSession rejects
 	// a Transport that does not implement MachineFailoverTransport
 	// (fabric.Grid does). The coordinator (machine 0) hosts the detector;
-	// its own death stays terminal. A zero MaxLearnerRestarts is raised to
-	// 1 — re-placing a learn replica consumes respawn budget.
+	// its own death stays terminal. A re-placement spends no restart budget.
 	MachineFailover bool `flag:"machine-failover" json:"machine_failover" help:"survive whole-machine loss: lease-based membership plus fragment re-placement onto survivors (needs -grid, -machines >= 2, -topology replicated, -learners >= 2)"`
 	// LeaseEvery is the membership lease renewal period under
 	// MachineFailover (0 = the transport default, 25ms for fabric.Grid). A
@@ -176,11 +176,12 @@ type Config struct {
 }
 
 // The defaults NewSession puts in place of an unset Config.RestartBackoff
-// (the first-restart delay of an explorer or learn slot) and
-// Config.HeartbeatEvery.
+// (the first-restart delay of an explorer or learn slot),
+// Config.HeartbeatEvery and, under machine failover, Config.LeaseEvery.
 const (
 	defaultRestartBackoff = 10 * time.Millisecond
 	defaultHeartbeatEvery = 25 * time.Millisecond
+	defaultLeaseEvery     = 25 * time.Millisecond // fabric.DefaultLeaseEvery
 )
 
 // Validate checks the cross-field rules of a deployment: a knob that needs
@@ -238,8 +239,9 @@ type Report struct {
 	StepsGenerated int64
 	// ExplorerRestarts counts explorer restarts performed by supervision.
 	ExplorerRestarts int64
-	// RestartBudgetExhausted counts explorer slots whose restart budget
-	// ran out (their last error surfaces through Err()).
+	// RestartBudgetExhausted counts explorer slots supervision gave up on:
+	// their restart budget ran out or a restart failed (their last error
+	// surfaces through Err()).
 	RestartBudgetExhausted int64
 	// RestartLastError is the most recently recorded explorer failure that
 	// supervision handled ("" if none).
@@ -254,55 +256,13 @@ type Report struct {
 	Fragments *FragmentReport
 }
 
-// explorerSlot is one supervised explorer position: a stable ID/machine/name
-// whose *Explorer incarnation may be replaced after a failure.
-type explorerSlot struct {
-	id int32
-
-	// replaced is nudged (capacity 1) when machine failover installs a
-	// replacement incarnation, waking a supervisor blocked on the retiree.
-	replaced chan struct{}
-	// rebuildMu serializes whole teardown-and-rebuild critical sections
-	// between the slot supervisor and the machine-failover engine, so two
-	// actors never race on the slot's port registration.
-	rebuildMu sync.Mutex
-
-	mu              sync.Mutex
-	machine         int // current home; machine failover may move the slot
-	ex              *Explorer
-	restarts        int64
-	moves           int32 // machine-failover re-placements (takeover epochs)
-	lastErr         error // most recent failure supervision observed
-	terminalErr     error // budget exhaustion or rebuild failure; surfaces in Err
-	budgetExhausted bool
-	// Counters of retired incarnations, folded in when a replacement is
-	// installed (never at teardown, so live sums don't double-count).
-	priorSteps     int64
-	priorEpisodes  int64
-	priorReturnSum float64
-}
-
-// home returns the slot's current machine.
-func (sl *explorerSlot) home() int {
-	sl.mu.Lock()
-	defer sl.mu.Unlock()
-	return sl.machine
-}
-
-// current returns the slot's live explorer.
-func (sl *explorerSlot) current() *Explorer {
-	sl.mu.Lock()
-	defer sl.mu.Unlock()
-	return sl.ex
-}
-
 // Session is a running XingTian deployment under a center controller.
 type Session struct {
 	cfg       Config
 	transport Transport
 	learner   *LearnFragment // fused topology only
 	frags     *fragRuntime   // fragmented topology only
-	slots     []*explorerSlot
+	slots     []*slot[*Explorer]
 	ctrlPort  *broker.Port
 	agF       AgentFactory
 	algF      AlgorithmFactory // retained for learn-replica respawns
@@ -357,11 +317,8 @@ func NewSession(cfg Config, algF AlgorithmFactory, agF AgentFactory, seed int64)
 	if cfg.HeartbeatEvery <= 0 {
 		cfg.HeartbeatEvery = defaultHeartbeatEvery
 	}
-	if cfg.MachineFailover && cfg.MaxLearnerRestarts < 1 {
-		// A learn replica on a condemned machine is re-placed through the
-		// §5i respawn path, which consumes restart budget; machine failover
-		// is meaningless without at least one respawn per slot.
-		cfg.MaxLearnerRestarts = 1
+	if cfg.MachineFailover && cfg.LeaseEvery <= 0 {
+		cfg.LeaseEvery = defaultLeaseEvery
 	}
 	transport := cfg.Transport
 	if transport == nil {
@@ -434,19 +391,20 @@ func NewSession(cfg Config, algF AlgorithmFactory, agF AgentFactory, seed int64)
 	s.nodeStats = make(map[string]*message.StatsPayload)
 	s.takeoverByFrag = make(map[string]int64)
 
+	ek := s.explorerKind()
 	for i := 0; i < cfg.NumExplorers; i++ {
-		machine := i % cfg.Machines
-		ex, err := s.buildExplorer(int32(i), machine)
+		machine, name := i%cfg.Machines, ExplorerName(int32(i))
+		port, err := transport.Register(machine, name)
 		if err != nil {
 			transport.Stop()
 			return nil, err
 		}
-		s.slots = append(s.slots, &explorerSlot{
-			id:       int32(i),
-			machine:  machine,
-			ex:       ex,
-			replaced: make(chan struct{}, 1),
-		})
+		ex, err := s.newExplorer(int32(i), port)
+		if err != nil {
+			transport.Stop()
+			return nil, err
+		}
+		s.slots = append(s.slots, newSlot(ek, i, name, machine, port, ex))
 	}
 
 	if cfg.MachineFailover {
@@ -546,95 +504,79 @@ func (s *Session) buildFragments(topo Topology, algF AlgorithmFactory) error {
 	}
 
 	// Validate guarantees a survivor (>= 2 replicas) whenever either is set.
-	// Machine failover implies replica failover — its learn re-placement
-	// rides the same quarantine/respawn path.
-	failover := s.cfg.LearnerFailover || s.cfg.MachineFailover
-
+	// Machine failover implies replica failover: a dead machine's replicas
+	// move through the same supervisors.
+	f := &fragRuntime{
+		topo:     topo,
+		failover: s.cfg.LearnerFailover || s.cfg.MachineFailover,
+		maxSteps: s.cfg.MaxSteps,
+		done:     make(chan struct{}),
+		stopMon:  make(chan struct{}),
+	}
+	s.frags = f
+	learnNames := make([]string, topo.Learners)
+	for i := range learnNames {
+		learnNames[i] = LearnName(i)
+	}
 	samplePort, err := s.transport.Register(topo.SampleMachine, SampleName)
 	if err != nil {
 		return err
 	}
-	learnNames := make([]string, topo.Learners)
-	lslots := make([]*learnSlot, topo.Learners)
-	for i := range lslots {
-		learnNames[i] = LearnName(i)
+	lk := s.learnKind()
+	for i, alg := range algs {
 		port, err := s.transport.Register(topo.LearnMachines[i], learnNames[i])
 		if err != nil {
 			return err
 		}
-		frag := NewLearnFragment(i, algs[i], port, s.cfg.NumExplorers, s.cfg.SeriesBucket)
-		if failover {
+		frag := NewLearnFragment(i, alg, port, s.cfg.NumExplorers, s.cfg.SeriesBucket)
+		if f.failover {
 			frag.SetFailover(0, s.cfg.HeartbeatEvery)
 		}
-		lslots[i] = &learnSlot{
-			idx:     i,
-			machine: topo.LearnMachines[i],
-			suspect: make(chan int32, 1),
-			frag:    frag,
-		}
+		f.slots = append(f.slots, newSlot(lk, i, learnNames[i], topo.LearnMachines[i], port, frag))
 	}
 	castPort, err := s.transport.Register(topo.BroadcastMachine, BroadcastName)
 	if err != nil {
 		return err
 	}
-	explorerNames := make([]string, s.cfg.NumExplorers)
-	for i := range explorerNames {
-		explorerNames[i] = ExplorerName(int32(i))
+	f.caster = newSlot(s.casterKind(learnNames), 0, BroadcastName, topo.BroadcastMachine, castPort,
+		s.newCaster(castPort, learnNames, initVersion, initWeights))
+	sampler := NewSampleFragment(samplePort, learnNames, topo.MaxStaleness)
+	if f.failover {
+		sampler.SetFailover()
 	}
-	caster := NewBroadcastFragment(castPort, BroadcastConfig{
-		Explorers:       explorerNames,
+	f.sampler = newSlot(s.samplerKind(learnNames), 0, SampleName, topo.SampleMachine, samplePort, sampler)
+	return nil
+}
+
+// newCaster builds a broadcast fragment whose committed model starts at
+// version with weights, its replica deadline detector armed under failover.
+func (s *Session) newCaster(port *broker.Port, learnNames []string, version int64, weights []float32) *BroadcastFragment {
+	explorers := make([]string, s.cfg.NumExplorers)
+	for i := range explorers {
+		explorers[i] = ExplorerName(int32(i))
+	}
+	b := NewBroadcastFragment(port, BroadcastConfig{
+		Explorers:       explorers,
 		Learners:        learnNames,
-		InitialVersion:  initVersion,
-		InitialWeights:  initWeights,
+		InitialVersion:  version,
+		InitialWeights:  weights,
 		WeightPlane:     s.cfg.weightPlane(),
 		CheckpointPath:  s.cfg.CheckpointPath,
 		CheckpointEvery: s.cfg.CheckpointEvery,
 		CheckpointKeep:  s.cfg.CheckpointKeep,
 	})
-	sampler := NewSampleFragment(samplePort, learnNames, topo.MaxStaleness)
-	s.frags = &fragRuntime{
-		topo:          topo,
-		sampler:       sampler,
-		slots:         lslots,
-		caster:        caster,
-		sampleMachine: topo.SampleMachine,
-		castMachine:   topo.BroadcastMachine,
-		failover:      failover,
-		maxSteps:      s.cfg.MaxSteps,
-		done:          make(chan struct{}),
-		stopMon:       make(chan struct{}),
+	if s.frags.failover {
+		b.SetFailover(heartbeatMisses*s.cfg.HeartbeatEvery, s.frags.suspect)
 	}
-	if failover {
-		sampler.SetFailover()
-		byName := make(map[string]*learnSlot, len(lslots))
-		for _, sl := range lslots {
-			byName[LearnName(sl.idx)] = sl
-		}
-		// Retained on the runtime so a standby broadcaster re-arms the
-		// identical deadline detector after a machine takeover.
-		s.frags.suspectFn = func(name string, epoch int32) {
-			if sl, ok := byName[name]; ok {
-				select {
-				case sl.suspect <- epoch:
-				default:
-				}
-			}
-		}
-		caster.SetFailover(heartbeatMisses*s.cfg.HeartbeatEvery, s.frags.suspectFn)
-	}
-	return nil
+	return b
 }
 
-// buildExplorer creates one explorer incarnation: fresh agent from the
-// factory, port registered under the slot's canonical name.
-func (s *Session) buildExplorer(id int32, machine int) (*Explorer, error) {
+// newExplorer creates one explorer incarnation over the slot's port, with a
+// fresh agent from the factory.
+func (s *Session) newExplorer(id int32, port *broker.Port) (*Explorer, error) {
 	agent, err := s.agF(id, s.seed+int64(id)+1)
 	if err != nil {
 		return nil, fmt.Errorf("core: build agent %d: %w", id, err)
-	}
-	port, err := s.transport.Register(machine, ExplorerName(id))
-	if err != nil {
-		return nil, err
 	}
 	ex := NewExplorer(id, agent, port, s.cfg.RolloutLen)
 	if s.cfg.MaxInflight != 0 {
@@ -646,11 +588,38 @@ func (s *Session) buildExplorer(id int32, machine int) (*Explorer, error) {
 	return ex, nil
 }
 
+// explorerKind restarts an explorer over the port its slot keeps: the
+// retiree is stopped, nudged off its port and joined, and the successor
+// gets a fresh agent. Losing an explorer slot fails the run.
+func (s *Session) explorerKind() *slotKind[*Explorer] {
+	return &slotKind[*Explorer]{
+		budget: s.cfg.MaxExplorerRestarts,
+		build: func(id int, _ *Explorer, port *broker.Port, _ int32) (*Explorer, error) {
+			return s.newExplorer(int32(id), port)
+		},
+		retire: func(name string, old *Explorer) bool {
+			old.Stop()
+			nudge(old.port, name)
+			old.Join()
+			return true
+		},
+		fold: func(old *Explorer, prior *tally) {
+			prior.steps += old.StepsGenerated()
+			n, mean := old.EpisodeStats()
+			prior.episodes += n
+			prior.returnSum += mean * float64(n)
+		},
+		fatal:       func() bool { return true },
+		rebroadcast: true,
+		detach:      true,
+	}
+}
+
 // Start launches every process and seeds explorers with the learner's
 // initial weights so all behavior policies begin in sync. The center
 // controller's collector thread starts here too, receiving the periodic
-// statistics messages workhorse threads emit. With a positive restart
-// budget a supervisor thread per explorer slot starts as well.
+// statistics messages workhorse threads emit, and so do the supervisors of
+// the explorer and learn slots that have them.
 func (s *Session) Start() {
 	s.start = time.Now()
 	s.wg.Add(1)
@@ -665,16 +634,14 @@ func (s *Session) Start() {
 	for _, sl := range s.slots {
 		sl.current().Start()
 	}
-	if s.cfg.MaxExplorerRestarts > 0 {
-		for _, sl := range s.slots {
-			s.superWG.Add(1)
-			go s.supervise(sl)
-		}
+	for _, sl := range s.slots {
+		s.superWG.Add(1)
+		go supervise(s, sl)
 	}
 	if s.frags != nil && s.frags.failover {
 		for _, sl := range s.frags.slots {
 			s.superWG.Add(1)
-			go s.superviseLearn(sl)
+			go supervise(s, sl)
 		}
 	}
 	if s.mfTransport != nil {
@@ -683,309 +650,6 @@ func (s *Session) Start() {
 	}
 	if s.frags == nil {
 		s.learner.publish(nil)
-	}
-}
-
-// superviseLearn is the per-slot supervisor of one learn replica: it waits
-// for the incarnation to record an error or for the broadcast fragment's
-// deadline detector to flag it hung, quarantines it (the sampler shrinks its
-// rotation and re-dispatches the un-acked batches; the broadcaster recommits
-// the survivor mean), tears the incarnation down without unregistering its
-// port, and — while the respawn budget lasts — rebuilds the replica from the
-// latest fragment checkpoint at the next incarnation epoch and rejoins it.
-// A slot whose budget runs out degrades to permanent N-1; when the last live
-// slot degrades, the session fails.
-func (s *Session) superviseLearn(sl *learnSlot) {
-	defer s.superWG.Done()
-	backoff := s.cfg.RestartBackoff
-	for {
-		frag := sl.current()
-		var err error
-		select {
-		case <-s.shutdown:
-			return
-		case <-frag.Failed():
-			err = frag.Err()
-		case ep := <-sl.suspect:
-			if ep != sl.curEpoch() {
-				// Stale verdict: the detector condemned an incarnation that
-				// has already been torn down and replaced. The successor is
-				// healthy until its own epoch says otherwise.
-				continue
-			}
-			err = fmt.Errorf("core: learn replica %d missed its heartbeat deadline", sl.idx)
-		}
-		name := LearnName(sl.idx)
-
-		// Quarantine first, so the dataflow reroutes while the incarnation
-		// is still being torn down. The replica's port stays registered —
-		// in-flight echoes to its name must drain as consumed messages, not
-		// privileged drops — and is reused by the next incarnation.
-		qm := message.New(message.TypeControl, ControllerName, []string{SampleName, BroadcastName},
-			&message.ControlPayload{Kind: message.ControlQuarantine, Peer: name})
-		if s.ctrlPort.Send(qm) != nil {
-			return // transport torn down under us
-		}
-
-		// The budget decides the degrade, not the teardown: count it now, so
-		// a run that reaches its step target (and closes shutdown) while the
-		// teardown below is still waiting still reports the slot degraded.
-		sl.mu.Lock()
-		sl.lastErr = err
-		exhausted := sl.restarts >= int64(s.cfg.MaxLearnerRestarts)
-		if exhausted {
-			sl.degraded = true
-		}
-		sl.mu.Unlock()
-		if exhausted {
-			s.frags.degraded.Add(1)
-			if s.frags.liveReplicas() == 0 {
-				sl.mu.Lock()
-				sl.terminalErr = fmt.Errorf("core: learn replica %d restart budget (%d) exhausted with no live replica left: %w",
-					sl.idx, s.cfg.MaxLearnerRestarts, err)
-				sl.mu.Unlock()
-			}
-		}
-
-		// Tear the incarnation down: Stop closes its receive buffer, then a
-		// drain nudge makes a receiver blocked in Recv observe the closure
-		// (its Put fails). Waiting on RecvDone before building the
-		// replacement guarantees the nudge cannot be consumed by the new
-		// incarnation's receiver.
-		frag.Stop()
-		_ = s.ctrlPort.Send(message.New(message.TypeControl, ControllerName, []string{name},
-			&message.ControlPayload{Kind: message.ControlDrain}))
-		select {
-		case <-s.shutdown:
-			return
-		case <-frag.RecvDone():
-		}
-		// The trainer may be wedged inside a training step (the very hang
-		// that tripped the detector); reap it in the background so failover
-		// latency is not hostage to the stall.
-		s.frags.zombieWG.Add(1)
-		go func(old *LearnFragment) {
-			defer s.frags.zombieWG.Done()
-			old.Join()
-		}(frag)
-		if exhausted {
-			return
-		}
-
-		timer := time.NewTimer(backoff)
-		select {
-		case <-s.shutdown:
-			timer.Stop()
-			return
-		case <-timer.C:
-		}
-		backoff *= 2
-
-		homeBefore := sl.home()
-		next, berr := s.respawnLearn(sl, frag)
-		if berr != nil {
-			sl.mu.Lock()
-			sl.degraded = true
-			sl.mu.Unlock()
-			s.frags.degraded.Add(1)
-			if s.frags.liveReplicas() == 0 {
-				sl.mu.Lock()
-				sl.terminalErr = fmt.Errorf("core: respawn learn replica %d: %w", sl.idx, berr)
-				sl.mu.Unlock()
-			}
-			return
-		}
-		sl.mu.Lock()
-		sl.restarts++
-		sl.epoch++
-		epoch := sl.epoch
-		// Fold the retired incarnation's progress exactly when it stops being
-		// sl.frag: stepsConsumed()/report() read priorSteps + frag's counters,
-		// so folding any earlier would double-count the retiree for as long
-		// as (or forever, if the slot degrades) it stays installed.
-		sl.priorSteps += frag.StepsConsumed()
-		sl.priorIters += frag.TrainIters()
-		sl.frag = next
-		sl.mu.Unlock()
-		s.frags.respawns.Add(1)
-		// Discard any suspicion verdict still buffered against the retired
-		// incarnation, so it cannot occupy the slot's capacity-1 channel when
-		// the detector has a genuine verdict on the successor.
-		select {
-		case <-sl.suspect:
-		default:
-		}
-		next.Start()
-		// Rejoin at the new epoch: the sampler re-admits the replica to its
-		// rotation and the broadcaster answers with a dense resync echo.
-		rm := message.New(message.TypeControl, ControllerName, []string{SampleName, BroadcastName},
-			&message.ControlPayload{Kind: message.ControlRejoin, Peer: name})
-		rm.Header.Round = epoch
-		if s.ctrlPort.Send(rm) != nil {
-			return
-		}
-		if to := sl.home(); to != homeBefore {
-			// The respawn re-placed the replica onto a survivor (§5j):
-			// record exactly one takeover for the cross-machine move.
-			s.announceTakeover(name, to, epoch, false)
-		}
-	}
-}
-
-// respawnLearn builds the next incarnation of a learn slot: a fresh
-// algorithm from the retained factory, restored from the replica's state in
-// the latest fragment checkpoint set (falling back to the committed
-// aggregate's state, then to fresh initialization — the rejoin echo resyncs
-// it either way), over the slot's original port. When the slot's home
-// machine has been condemned by a membership verdict the port is re-placed
-// onto a survivor instead (§5j): the old registration died with its broker.
-func (s *Session) respawnLearn(sl *learnSlot, old *LearnFragment) (*LearnFragment, error) {
-	alg, err := s.algF(s.seed)
-	if err != nil {
-		return nil, fmt.Errorf("build algorithm: %w", err)
-	}
-	port := old.port
-	sl.mu.Lock()
-	home := sl.machine
-	sl.mu.Unlock()
-	if s.machineDead(home) {
-		name := LearnName(sl.idx)
-		s.transport.Unregister(home, name)
-		to := s.pickSurvivor()
-		if to < 0 {
-			return nil, fmt.Errorf("no survivor machine for %s", name)
-		}
-		p, rerr := s.transport.Register(to, name)
-		if rerr != nil {
-			return nil, fmt.Errorf("re-place %s on machine %d: %w", name, to, rerr)
-		}
-		port = p
-		sl.mu.Lock()
-		sl.machine = to
-		sl.mu.Unlock()
-	}
-	if s.cfg.CheckpointPath != "" {
-		states, lerr := checkpoint.LoadLatestFragments(s.cfg.CheckpointPath)
-		if lerr == nil {
-			byName := make(map[string]checkpoint.State, len(states))
-			for _, fs := range states {
-				byName[fs.Name] = fs.State
-			}
-			st, ok := byName[LearnName(sl.idx)]
-			if !ok {
-				st, ok = byName[BroadcastName]
-			}
-			if ok {
-				if rerr := alg.RestoreWeights(st.Version, st.Weights); rerr != nil {
-					return nil, fmt.Errorf("restore checkpoint: %w", rerr)
-				}
-			}
-		}
-		// An unreadable checkpoint is a fresh start, not a terminal error:
-		// the rejoin echo installs the committed aggregate regardless.
-	}
-	next := NewLearnFragment(sl.idx, alg, port, s.cfg.NumExplorers, s.cfg.SeriesBucket)
-	next.observeStaleness = old.observeStaleness
-	sl.mu.Lock()
-	epoch := sl.epoch + 1
-	sl.mu.Unlock()
-	next.SetFailover(epoch, s.cfg.HeartbeatEvery)
-	return next, nil
-}
-
-// supervise is the per-slot supervisor thread: it waits for the slot's
-// explorer to record an error, tears the incarnation down cleanly (stop,
-// unregister — which closes the ID queue and releases queued refs — join),
-// and, while the restart budget lasts, re-creates the agent from the
-// factory after an exponential backoff and restarts the slot under its
-// original name. Session shutdown ends supervision on every path.
-func (s *Session) supervise(sl *explorerSlot) {
-	defer s.superWG.Done()
-	backoff := s.cfg.RestartBackoff
-	for {
-		ex := sl.current()
-		select {
-		case <-s.shutdown:
-			return
-		case <-sl.replaced:
-			// Machine failover installed a replacement; supervise it.
-			continue
-		case <-ex.Failed():
-		}
-		err := ex.Err()
-		name := ExplorerName(sl.id)
-
-		// The teardown and the rebuild each run under rebuildMu so they are
-		// atomic against the machine-failover engine's own re-placement; a
-		// current() mismatch inside the critical section means the engine
-		// got there first and this incarnation is already torn down.
-		sl.rebuildMu.Lock()
-		if sl.current() != ex {
-			sl.rebuildMu.Unlock()
-			continue
-		}
-		machine := sl.home()
-		ex.Stop()
-		s.transport.Unregister(machine, name)
-		ex.Join()
-
-		sl.mu.Lock()
-		sl.lastErr = err
-		exhausted := sl.restarts >= int64(s.cfg.MaxExplorerRestarts)
-		if exhausted {
-			sl.budgetExhausted = true
-			sl.terminalErr = fmt.Errorf("core: explorer %d restart budget (%d) exhausted: %w",
-				sl.id, s.cfg.MaxExplorerRestarts, err)
-		}
-		sl.mu.Unlock()
-		sl.rebuildMu.Unlock()
-		if exhausted {
-			return
-		}
-
-		timer := time.NewTimer(backoff)
-		select {
-		case <-s.shutdown:
-			timer.Stop()
-			return
-		case <-timer.C:
-		}
-		backoff *= 2
-
-		sl.rebuildMu.Lock()
-		if sl.current() != ex {
-			sl.rebuildMu.Unlock()
-			continue
-		}
-		next, berr := s.buildExplorer(sl.id, sl.home())
-		if berr != nil {
-			sl.rebuildMu.Unlock()
-			if s.mfTransport != nil {
-				// The home broker may be dying ahead of its machine-death
-				// verdict; the re-placement engine rebuilds the slot on a
-				// survivor and nudges replaced.
-				select {
-				case <-s.shutdown:
-					return
-				case <-sl.replaced:
-					continue
-				}
-			}
-			sl.mu.Lock()
-			sl.terminalErr = fmt.Errorf("core: restart explorer %d: %w", sl.id, berr)
-			sl.mu.Unlock()
-			return
-		}
-		sl.mu.Lock()
-		sl.priorSteps += ex.StepsGenerated()
-		n, mean := ex.EpisodeStats()
-		sl.priorEpisodes += n
-		sl.priorReturnSum += mean * float64(n)
-		sl.ex = next
-		sl.restarts++
-		sl.mu.Unlock()
-		next.Start()
-		sl.rebuildMu.Unlock()
 	}
 }
 
@@ -1087,9 +751,9 @@ func (s *Session) aggregateEpisodes() (int64, float64) {
 	var weighted float64
 	for _, sl := range s.slots {
 		sl.mu.Lock()
-		n, mean := sl.ex.EpisodeStats()
-		episodes += n + sl.priorEpisodes
-		weighted += mean*float64(n) + sl.priorReturnSum
+		n, mean := sl.cur.EpisodeStats()
+		episodes += n + sl.prior.episodes
+		weighted += mean*float64(n) + sl.prior.returnSum
 		sl.mu.Unlock()
 	}
 	if episodes == 0 {
@@ -1103,7 +767,7 @@ func (s *Session) supervisionStats() (restarts, exhausted int64, lastErr string)
 	for _, sl := range s.slots {
 		sl.mu.Lock()
 		restarts += sl.restarts
-		if sl.budgetExhausted {
+		if sl.degraded {
 			exhausted++
 		}
 		if sl.lastErr != nil {
@@ -1134,7 +798,7 @@ func (s *Session) doStop() *Report {
 	// Broadcast shutdown like the center controller.
 	dst := make([]string, 0, len(s.slots)+4)
 	for _, sl := range s.slots {
-		dst = append(dst, ExplorerName(sl.id))
+		dst = append(dst, sl.name)
 	}
 	if s.frags != nil {
 		dst = append(dst, SampleName)
@@ -1167,15 +831,14 @@ func (s *Session) doStop() *Report {
 	}
 	s.wg.Wait() // the controller's collector thread
 
-	// Sweep failures supervision never got to handle (error raced Stop).
+	// Judge failures supervision never got to (the error raced Stop), as
+	// the supervisor would have.
 	for _, sl := range s.slots {
-		ex := sl.current()
-		if err := ex.Err(); err != nil {
-			sl.mu.Lock()
-			if sl.lastErr == nil {
-				sl.lastErr = err
-			}
-			sl.mu.Unlock()
+		sl.mu.Lock()
+		err, degraded := sl.cur.Err(), sl.degraded
+		sl.mu.Unlock()
+		if err != nil && !degraded && !s.machineDead(sl.home()) {
+			judge(sl, err)
 		}
 	}
 
@@ -1183,7 +846,7 @@ func (s *Session) doStop() *Report {
 	var generated int64
 	for _, sl := range s.slots {
 		sl.mu.Lock()
-		generated += sl.ex.StepsGenerated() + sl.priorSteps
+		generated += sl.cur.StepsGenerated() + sl.prior.steps
 		sl.mu.Unlock()
 	}
 	restarts, exhausted, lastErr := s.supervisionStats()
@@ -1279,14 +942,14 @@ func (s *Session) Fragments() (*SampleFragment, []*LearnFragment, *BroadcastFrag
 	if s.frags == nil {
 		return nil, nil, nil
 	}
-	return s.frags.sampler, s.frags.learns(), s.frags.caster
+	return s.frags.sampler.current(), s.frags.learns(), s.frags.caster.current()
 }
 
-// Err returns the first process error observed, if any. A learner error
-// always surfaces. Explorer errors surface directly when supervision is
-// off (MaxExplorerRestarts == 0, the historical fail-fast semantics); with
-// supervision on, only terminal failures — an exhausted restart budget or a
-// failed rebuild — surface, since handled errors were restarted away.
+// Err returns the first process error observed, if any. A fused learner's
+// error always surfaces, and so does a learn replica's without failover. An
+// explorer slot, or a learn slot under failover, surfaces only the error it
+// degraded with, when that fails the run — an exhausted restart budget or a
+// failed restart — since handled errors were restarted away.
 func (s *Session) Err() error {
 	if s.frags != nil {
 		if err := s.frags.err(); err != nil {
@@ -1296,19 +959,7 @@ func (s *Session) Err() error {
 		return err
 	}
 	for _, sl := range s.slots {
-		// Machine failover implies explorer supervision by the engine even
-		// with a zero restart budget: a dead machine's explorer error is
-		// handled by re-placement, not surfaced.
-		if s.cfg.MaxExplorerRestarts > 0 || s.mfTransport != nil {
-			sl.mu.Lock()
-			err := sl.terminalErr
-			sl.mu.Unlock()
-			if err != nil {
-				return err
-			}
-			continue
-		}
-		if err := sl.current().Err(); err != nil {
+		if err := sl.err(); err != nil {
 			return err
 		}
 	}

@@ -205,6 +205,11 @@ func (e *Explorer) drainReceived(block bool) bool {
 		if credited || !block {
 			return true
 		}
+		select {
+		case <-e.stopped:
+			return false // woken by a teardown nudge
+		default:
+		}
 		h, err := e.port.NextHeader(true)
 		if err != nil {
 			return false
@@ -376,8 +381,9 @@ func (e *Explorer) EpisodeStats() (int64, float64) { return e.agent.EpisodeStats
 
 // Stop signals the explorer threads to finish: the worker observes the
 // stopped channel between fragments. A worker blocked waiting for weights
-// wakes when the broker closes this client's ID queue, so callers must
-// unregister the port or stop the broker before Join.
+// wakes on the next message to its port or when the broker closes its ID
+// queue, so callers must send it one (a ControlDrain nudge), unregister the
+// port, or stop the broker before Join.
 func (e *Explorer) Stop() {
 	e.stopOne.Do(func() { close(e.stopped) })
 }

@@ -1558,80 +1558,19 @@ type FragmentReport struct {
 	Plane weightplane.Stats
 }
 
-// learnSlot is the supervised home of one learn replica: the slot outlives
-// every incarnation, carrying the restart budget, the incarnation epoch, and
-// the retired incarnations' accumulated progress.
-type learnSlot struct {
-	idx     int
-	machine int
-	// suspect receives deadline-detector verdicts for this slot (capacity 1;
-	// duplicates collapse). Each verdict carries the epoch of the suspected
-	// incarnation so the supervisor can discard one that raced a respawn.
-	suspect chan int32
-
-	mu          sync.Mutex
-	frag        *LearnFragment
-	epoch       int32
-	restarts    int64
-	degraded    bool
-	lastErr     error
-	terminalErr error
-	// priorSteps/priorIters accumulate the progress of *replaced*
-	// incarnations only: they are folded in at the instant frag is swapped
-	// to the respawn, so a retired incarnation that never gets a successor
-	// (degraded slot, failed respawn, backoff window) keeps contributing
-	// through frag — each incarnation's steps count exactly once.
-	priorSteps int64
-	priorIters int64
-}
-
-// current returns the slot's live incarnation.
-func (sl *learnSlot) current() *LearnFragment {
-	sl.mu.Lock()
-	defer sl.mu.Unlock()
-	return sl.frag
-}
-
-// curEpoch returns the slot's current incarnation epoch.
-func (sl *learnSlot) curEpoch() int32 {
-	sl.mu.Lock()
-	defer sl.mu.Unlock()
-	return sl.epoch
-}
-
-// home returns the slot's current machine (machine failover may move it).
-func (sl *learnSlot) home() int {
-	sl.mu.Lock()
-	defer sl.mu.Unlock()
-	return sl.machine
-}
-
 // fragRuntime is the Session-side scheduler state for a fragment topology.
+// Every fragment sits in a slot; the sampler and broadcaster slots are
+// written only by the machine-failover engine, which may swap a standby in
+// while the monitor, reporters and supervisors keep reading.
 type fragRuntime struct {
-	topo  Topology
-	slots []*learnSlot
-
-	// fragMu guards the singleton-fragment pointers and their placement:
-	// machine failover swaps a standby sampler or broadcaster in while the
-	// monitor, reporters, and supervisors keep reading. sampleMachine and
-	// castMachine track the current homes; samplerEpoch/casterEpoch count
-	// incarnations (takeover fencing, stamped into ControlTakeover).
-	fragMu        sync.Mutex
-	sampler       *SampleFragment
-	caster        *BroadcastFragment
-	sampleMachine int
-	castMachine   int
-	samplerEpoch  int32
-	casterEpoch   int32
+	topo    Topology
+	slots   []*slot[*LearnFragment]
+	sampler *slot[*SampleFragment]
+	caster  *slot[*BroadcastFragment]
 
 	// failover arms replica supervision (LearnerFailover or MachineFailover,
-	// which Config.Validate allows only with >= 2 replicas), and suspectFn
-	// is the broadcaster's deadline-detector callback — kept so a standby
-	// broadcaster re-arms the identical detector.
+	// which Config.Validate allows only with >= 2 replicas).
 	failover  bool
-	suspectFn func(name string, epoch int32)
-	respawns  atomic.Int64
-	degraded  atomic.Int64
 	takeovers atomic.Int64
 	// zombieWG tracks reaper threads joining retired incarnations whose
 	// trainer may be wedged; join() waits for it after the transport stops.
@@ -1640,22 +1579,88 @@ type fragRuntime struct {
 	maxSteps int64
 	done     chan struct{}
 	doneOne  sync.Once
-	monWG    sync.WaitGroup
-	stopMon  chan struct{}
+	// fatal is the machine-failover engine's terminal verdict; the first
+	// one stands.
+	fatal   atomic.Pointer[error]
+	monWG   sync.WaitGroup
+	stopMon chan struct{}
 }
 
-// getSampler returns the live sampler incarnation.
-func (f *fragRuntime) getSampler() *SampleFragment {
-	f.fragMu.Lock()
-	defer f.fragMu.Unlock()
-	return f.sampler
+// learnKind respawns a learn replica over the port its slot keeps — in-flight
+// echoes to its name must drain as consumed messages, not privileged drops.
+// The quarantine reroutes the dataflow first: the sampler shrinks its
+// rotation and re-dispatches the replica's un-acked batches, and the
+// broadcaster recommits the survivor mean. The successor is a fresh
+// algorithm restored from the replica's state in the latest fragment
+// checkpoint set (else the committed aggregate's, else fresh; the rejoin
+// echo resyncs it either way), and rejoins at its epoch. Losing the last
+// live replica fails the run.
+func (s *Session) learnKind() *slotKind[*LearnFragment] {
+	f := s.frags
+	tell := func(kind message.ControlKind) func(string, int32) {
+		return func(name string, epoch int32) {
+			m := message.New(message.TypeControl, ControllerName, []string{SampleName, BroadcastName},
+				&message.ControlPayload{Kind: kind, Peer: name})
+			m.Header.Round = epoch
+			_ = s.ctrlPort.Send(m)
+		}
+	}
+	return &slotKind[*LearnFragment]{
+		budget: s.cfg.MaxLearnerRestarts,
+		build: func(id int, old *LearnFragment, port *broker.Port, epoch int32) (*LearnFragment, error) {
+			alg, err := s.algF(s.seed)
+			if err != nil {
+				return nil, fmt.Errorf("build algorithm: %w", err)
+			}
+			// An unreadable checkpoint is a fresh start, not a terminal error.
+			if st, ok := s.checkpointState(LearnName(id), BroadcastName); ok {
+				if err := alg.RestoreWeights(st.Version, st.Weights); err != nil {
+					return nil, fmt.Errorf("restore checkpoint: %w", err)
+				}
+			}
+			next := NewLearnFragment(id, alg, port, s.cfg.NumExplorers, s.cfg.SeriesBucket)
+			next.observeStaleness = old.observeStaleness
+			next.SetFailover(epoch, s.cfg.HeartbeatEvery)
+			return next, nil
+		},
+		// Stop closes the receive buffer, and the nudge makes a receiver
+		// blocked in Recv observe it. Waiting on RecvDone before building
+		// the successor keeps the nudge from its receiver. The trainer may be
+		// wedged inside a step (the very hang that tripped the detector), so
+		// it is reaped in the background.
+		retire: func(name string, old *LearnFragment) bool {
+			old.Stop()
+			nudge(old.port, name)
+			select {
+			case <-s.shutdown:
+				return false
+			case <-old.RecvDone():
+			}
+			f.zombieWG.Add(1)
+			go func() {
+				defer f.zombieWG.Done()
+				old.Join()
+			}()
+			return true
+		},
+		fold: func(old *LearnFragment, prior *tally) {
+			prior.steps += old.StepsConsumed()
+			prior.iters += old.TrainIters()
+		},
+		leave: tell(message.ControlQuarantine),
+		join:  tell(message.ControlRejoin),
+		fatal: func() bool { return f.liveReplicas() == 0 },
+	}
 }
 
-// getCaster returns the live broadcaster incarnation.
-func (f *fragRuntime) getCaster() *BroadcastFragment {
-	f.fragMu.Lock()
-	defer f.fragMu.Unlock()
-	return f.caster
+// suspect is the broadcaster's deadline-detector callback: it hands the
+// verdict to the replica's slot.
+func (f *fragRuntime) suspect(name string, epoch int32) {
+	for _, sl := range f.slots {
+		if sl.name == name {
+			sl.post(epoch)
+		}
+	}
 }
 
 // learns snapshots the live incarnation of every slot.
@@ -1667,28 +1672,38 @@ func (f *fragRuntime) learns() []*LearnFragment {
 	return out
 }
 
-// liveReplicas counts slots that have not degraded out of the run.
-func (f *fragRuntime) liveReplicas() int {
-	n := 0
+// replicaStates snapshots every learn slot's incarnation epoch and whether
+// it is live or degraded out of the run.
+func (f *fragRuntime) replicaStates() (epochs map[string]int32, live, degraded []string) {
+	epochs = make(map[string]int32, len(f.slots))
 	for _, sl := range f.slots {
 		sl.mu.Lock()
-		if !sl.degraded {
-			n++
+		epochs[sl.name] = sl.epoch
+		if sl.degraded {
+			degraded = append(degraded, sl.name)
+		} else {
+			live = append(live, sl.name)
 		}
 		sl.mu.Unlock()
 	}
-	return n
+	return epochs, live, degraded
+}
+
+// liveReplicas counts slots that have not degraded out of the run.
+func (f *fragRuntime) liveReplicas() int {
+	_, live, _ := f.replicaStates()
+	return len(live)
 }
 
 // start launches every fragment plus the completion monitor (the fragment
 // scheduler's only centralized piece: fragments do not know the global step
 // budget, so the session sums replica consumption and ends the run).
 func (f *fragRuntime) start() {
-	f.getCaster().Start()
+	f.caster.current().Start()
 	for _, l := range f.learns() {
 		l.Start()
 	}
-	f.getSampler().Start()
+	f.sampler.current().Start()
 	f.monWG.Add(1)
 	go f.monitor()
 }
@@ -1706,28 +1721,9 @@ func (f *fragRuntime) monitor() {
 				f.doneOne.Do(func() { close(f.done) })
 				return
 			}
-			if f.failover {
-				// Replica errors are the supervisors' to judge: the run ends
-				// only on a terminal verdict (budget exhausted with no live
-				// replica left, or an unrecoverable respawn).
-				for _, sl := range f.slots {
-					sl.mu.Lock()
-					terminal := sl.terminalErr != nil
-					sl.mu.Unlock()
-					if terminal {
-						f.doneOne.Do(func() { close(f.done) })
-						return
-					}
-				}
-			} else {
-				for _, l := range f.learns() {
-					if l.Err() != nil {
-						f.doneOne.Do(func() { close(f.done) })
-						return
-					}
-				}
-			}
-			if f.getSampler().Err() != nil || f.getCaster().Err() != nil {
+			// Under failover a replica error is its supervisor's to judge:
+			// only a terminal verdict ends the run.
+			if f.err() != nil {
 				f.doneOne.Do(func() { close(f.done) })
 				return
 			}
@@ -1739,7 +1735,7 @@ func (f *fragRuntime) stepsConsumed() int64 {
 	var sum int64
 	for _, sl := range f.slots {
 		sl.mu.Lock()
-		sum += sl.priorSteps + sl.frag.StepsConsumed()
+		sum += sl.prior.steps + sl.cur.StepsConsumed()
 		sl.mu.Unlock()
 	}
 	return sum
@@ -1749,7 +1745,7 @@ func (f *fragRuntime) trainIters() int64 {
 	var sum int64
 	for _, sl := range f.slots {
 		sl.mu.Lock()
-		sum += sl.priorIters + sl.frag.TrainIters()
+		sum += sl.prior.iters + sl.cur.TrainIters()
 		sl.mu.Unlock()
 	}
 	return sum
@@ -1758,25 +1754,22 @@ func (f *fragRuntime) trainIters() int64 {
 // err returns the first fragment error, if any. Under failover a replica
 // error surfaces only when its slot supervisor judged it terminal.
 func (f *fragRuntime) err() error {
+	if e := f.fatal.Load(); e != nil {
+		return *e
+	}
 	for _, sl := range f.slots {
-		sl.mu.Lock()
-		terminal := sl.terminalErr
-		frag := sl.frag
-		sl.mu.Unlock()
-		if f.failover {
-			if terminal != nil {
-				return terminal
-			}
-			continue
+		e := sl.err()
+		if !f.failover {
+			e = sl.current().Err()
 		}
-		if e := frag.Err(); e != nil {
+		if e != nil {
 			return e
 		}
 	}
-	if e := f.getSampler().Err(); e != nil {
+	if e := f.sampler.current().Err(); e != nil {
 		return e
 	}
-	return f.getCaster().Err()
+	return f.caster.current().Err()
 }
 
 // stop signals every fragment to finish; the broker teardown that follows
@@ -1784,7 +1777,7 @@ func (f *fragRuntime) err() error {
 func (f *fragRuntime) stop() {
 	close(f.stopMon)
 	f.doneOne.Do(func() { close(f.done) })
-	f.getCaster().Stop()
+	f.caster.current().Stop()
 	for _, l := range f.learns() {
 		l.Stop()
 	}
@@ -1794,17 +1787,17 @@ func (f *fragRuntime) stop() {
 // reapers still draining retired incarnations.
 func (f *fragRuntime) join() {
 	f.monWG.Wait()
-	f.getSampler().Join()
+	f.sampler.current().Join()
 	for _, l := range f.learns() {
 		l.Join()
 	}
-	f.getCaster().Join()
+	f.caster.current().Join()
 	f.zombieWG.Wait()
 }
 
 // report assembles the fragment-side measurements.
 func (f *fragRuntime) report() *FragmentReport {
-	sampler, caster := f.getSampler(), f.getCaster()
+	sampler, caster := f.sampler.current(), f.caster.current()
 	fr := &FragmentReport{
 		Learners:         f.topo.Learners,
 		MaxStaleness:     f.topo.MaxStaleness,
@@ -1814,16 +1807,19 @@ func (f *fragRuntime) report() *FragmentReport {
 		CommittedVersion: caster.Version(),
 		Quarantines:      caster.Quarantines(),
 		Redispatches:     sampler.Redispatches(),
-		Respawns:         f.respawns.Load(),
-		Degraded:         f.degraded.Load(),
 		Takeovers:        f.takeovers.Load(),
 		StalePushes:      caster.StalePushes(),
 		Plane:            caster.PlaneStats(),
 	}
 	for _, sl := range f.slots {
 		sl.mu.Lock()
-		fr.LearnSteps = append(fr.LearnSteps, sl.priorSteps+sl.frag.StepsConsumed())
-		fr.LearnIters = append(fr.LearnIters, sl.priorIters+sl.frag.TrainIters())
+		fr.LearnSteps = append(fr.LearnSteps, sl.prior.steps+sl.cur.StepsConsumed())
+		fr.LearnIters = append(fr.LearnIters, sl.prior.iters+sl.cur.TrainIters())
+		// Every re-placement, failure or move, starts the next epoch.
+		fr.Respawns += int64(sl.epoch)
+		if sl.degraded {
+			fr.Degraded++
+		}
 		sl.mu.Unlock()
 	}
 	return fr

@@ -348,6 +348,13 @@ type fragTopologyCase struct {
 	leaseEvery      time.Duration
 	killMachine     int
 	killAfterWrites int
+	// Explorer-restart legs: explorerRestarts is MaxExplorerRestarts, and
+	// crashAfter > 0 makes explorer crashExplorer's first incarnation error
+	// after that many rollouts; the run must then report exactly one
+	// explorer restart.
+	explorerRestarts int
+	crashExplorer    int32
+	crashAfter       int
 	// check runs extra per-leg assertions on the fragment report.
 	check func(t *testing.T, fr *core.FragmentReport)
 }
@@ -440,6 +447,26 @@ var fragTopologyCases = []fragTopologyCase{
 			}
 			checkMachineKill(t, fr, core.LearnName(0), core.ExplorerName(2))
 		}},
+	// machine-kill-restart-4m arms explorer restarts beside machine
+	// failover: machine-kill-4m's kill, plus explorer-2 on a surviving
+	// machine crashing once. The crash is restarted in place and spends
+	// budget; the dead machine's explorer moves and spends none, so each
+	// dead fragment still has exactly one takeover.
+	{name: "machine-kill-restart-4m", machines: 4, grid: true, explorers: 4, maxSteps: 8000,
+		topo: core.Topology{
+			Learners:         2,
+			SampleMachine:    1,
+			BroadcastMachine: 3,
+			LearnMachines:    []int{2, 3},
+			MaxStaleness:     core.StalenessUnbounded,
+		},
+		machineFailover: true, leaseEvery: 10 * time.Millisecond,
+		restarts: 3, heartbeat: 500 * time.Millisecond,
+		killMachine: 1, killAfterWrites: 80,
+		explorerRestarts: 2, crashExplorer: 2, crashAfter: 5,
+		check: func(t *testing.T, fr *core.FragmentReport) {
+			checkMachineKill(t, fr, core.SampleName, core.ExplorerName(1))
+		}},
 }
 
 // checkMachineKill fails unless the run saw exactly one membership verdict
@@ -492,6 +519,23 @@ func (k *killerAlgorithm) TryTrain() (core.TrainResult, bool, error) {
 	return res, ok, err
 }
 
+// crashingAgent wraps a real agent and errors out of Rollout after a fixed
+// number of rollouts — the crash vector of the explorer-restart legs.
+type crashingAgent struct {
+	core.Agent
+	after    int
+	rollouts int
+}
+
+var errExplorerKilled = errors.New("injected explorer crash")
+
+func (c *crashingAgent) Rollout(n int) (*rollout.Batch, error) {
+	if c.rollouts++; c.rollouts > c.after {
+		return nil, errExplorerKilled
+	}
+	return c.Agent.Rollout(n)
+}
+
 // fragTopologyReport is the JSON artifact one matrix run writes.
 type fragTopologyReport struct {
 	Topology        string               `json:"topology"`
@@ -527,6 +571,36 @@ func TestFragmentTopologyCI(t *testing.T) {
 	}
 }
 
+// TestMachineKillMoveSpendsNoBudget: a learn replica moved off a dead
+// machine spends no restart budget, so machine-kill-learn-4m survives with a
+// zero respawn budget: the replica is re-placed, not degraded. The
+// heartbeat-first leg gives the replica a heartbeat deadline (4 beats of
+// 50 ms) shorter than the membership deadline (4 leases of 100 ms), so the
+// broadcaster condemns the replica before the machine verdict lands; the
+// supervisor must still judge the loss a move. Its step target is raised so
+// the run outlives the slower verdict.
+func TestMachineKillMoveSpendsNoBudget(t *testing.T) {
+	for _, tc := range fragTopologyCases {
+		if tc.name != "machine-kill-learn-4m" {
+			continue
+		}
+		tc.restarts = 0
+		check := tc.check
+		tc.check = func(t *testing.T, fr *core.FragmentReport) {
+			check(t, fr)
+			if fr.Degraded != 0 {
+				t.Errorf("Degraded = %d, want 0 (a move spends no budget)", fr.Degraded)
+			}
+		}
+		t.Run("verdict-first", func(t *testing.T) { runFragTopologyCase(t, tc) })
+		tc.heartbeat, tc.leaseEvery = 50*time.Millisecond, 100*time.Millisecond
+		tc.maxSteps *= 25
+		t.Run("heartbeat-first", func(t *testing.T) { runFragTopologyCase(t, tc) })
+		return
+	}
+	t.Fatal("fragTopologyCases has no machine-kill-learn-4m leg")
+}
+
 func runFragTopologyCase(t *testing.T, tc fragTopologyCase) {
 	algF, agF := quickIMPALAFactories(t)
 	if tc.killAfter > 0 {
@@ -545,19 +619,33 @@ func runFragTopologyCase(t *testing.T, tc fragTopologyCase) {
 			return alg, nil
 		}
 	}
+	if tc.crashAfter > 0 {
+		// The crashing explorer's first incarnation gets the crash wrapper;
+		// its restarts and every other explorer run clean.
+		base := agF
+		var crashed atomic.Bool
+		agF = func(id int32, seed int64) (core.Agent, error) {
+			agent, err := base(id, seed)
+			if err == nil && id == tc.crashExplorer && crashed.CompareAndSwap(false, true) {
+				return &crashingAgent{Agent: agent, after: tc.crashAfter}, nil
+			}
+			return agent, err
+		}
+	}
 	cfg := core.Config{
-		NumExplorers:       tc.explorers,
-		RolloutLen:         40,
-		MaxSteps:           tc.maxSteps,
-		MaxDuration:        90 * time.Second,
-		Machines:           tc.machines,
-		Topology:           tc.topo,
-		LearnerFailover:    tc.failover,
-		MaxLearnerRestarts: tc.restarts,
-		HeartbeatEvery:     tc.heartbeat,
-		RestartBackoff:     2 * time.Millisecond,
-		MachineFailover:    tc.machineFailover,
-		LeaseEvery:         tc.leaseEvery,
+		NumExplorers:        tc.explorers,
+		RolloutLen:          40,
+		MaxSteps:            tc.maxSteps,
+		MaxDuration:         90 * time.Second,
+		Machines:            tc.machines,
+		Topology:            tc.topo,
+		LearnerFailover:     tc.failover,
+		MaxLearnerRestarts:  tc.restarts,
+		HeartbeatEvery:      tc.heartbeat,
+		RestartBackoff:      2 * time.Millisecond,
+		MachineFailover:     tc.machineFailover,
+		LeaseEvery:          tc.leaseEvery,
+		MaxExplorerRestarts: tc.explorerRestarts,
 	}
 	if tc.grid {
 		opts := fabric.GridOptions{}
@@ -624,6 +712,9 @@ func runFragTopologyCase(t *testing.T, tc fragTopologyCase) {
 		if bm.ReleaseErrors != 0 {
 			t.Fatalf("machine %d ReleaseErrors = %d, want 0", bm.MachineID, bm.ReleaseErrors)
 		}
+	}
+	if tc.crashAfter > 0 && rep.ExplorerRestarts != 1 {
+		t.Errorf("ExplorerRestarts = %d, want 1 (one crash; a move spends no budget)", rep.ExplorerRestarts)
 	}
 	if tc.check != nil {
 		tc.check(t, rep.Fragments)

@@ -5,21 +5,20 @@
 // The transport's membership plane (fabric.Grid leases) declares a machine
 // dead; the engine then fences the machine out with Kill — the condemned
 // incarnation physically cannot drive its old fragments once its broker and
-// links are gone — and re-places every fragment the machine hosted:
+// links are gone — and every slot the machine hosted moves to a survivor
+// through the one re-placement sequence (replace):
 //
-//   - the broadcast fragment rebuilds from the newest of the dead
-//     incarnation's in-memory aggregate and the fragment checkpoint, at a
-//     version bumped past everything any survivor has seen;
-//   - the sample fragment rebuilds from the slot-tracked replica epochs and
-//     the broker ack ledger reconstructed by heartbeats, its staleness fence
-//     recovered from the live broadcaster and the checkpoint;
-//   - learn replicas ride the §5i respawn path — the engine injects a
-//     suspicion verdict and respawnLearn re-places the port because the home
-//     is recorded dead;
-//   - explorer slots are rebuilt directly on a survivor, their retired
-//     counters folded in.
+//   - the broadcast fragment, then the sample fragment, which the engine
+//     re-places itself as warm standbys: the broadcaster from the newest of
+//     the dead incarnation's in-memory aggregate and the fragment
+//     checkpoint, at a version bumped past everything any survivor has
+//     seen; the sampler from the slot-tracked replica epochs and the broker
+//     ack ledger reconstructed by heartbeats, its staleness fence recovered
+//     from the live broadcaster and the checkpoint;
+//   - learn replicas and explorers, whose supervisors the engine hands a
+//     verdict; a move spends no restart budget.
 //
-// Every re-placement is announced with a ControlTakeover carrying the new
+// Every move is announced with a ControlTakeover carrying the new
 // incarnation epoch; the broadcaster answers a takeover with a rebroadcast
 // of the committed model, refilling flow-control credit any explorer burned
 // during the outage. The coordinator machine hosts the controller and the
@@ -30,6 +29,7 @@ import (
 	"fmt"
 	"time"
 
+	"xingtian/internal/broker"
 	"xingtian/internal/checkpoint"
 	"xingtian/internal/message"
 )
@@ -95,9 +95,9 @@ func (s *Session) machineDead(machine int) bool {
 }
 
 // handleMachineDead is one whole-machine failover: fence the machine out,
-// then re-place its fragments in dependency order — broadcaster first (the
-// sampler's rebuilt fence reads its version), then sampler, then learn
-// replicas via their supervisors, then explorer slots.
+// then move its slots in dependency order — broadcaster first (the
+// sampler's rebuilt fence reads its version), then sampler, both here, then
+// learn replicas and explorers through their supervisors.
 func (s *Session) handleMachineDead(machine, epoch int) {
 	s.mfMu.Lock()
 	if s.mfDead[machine] {
@@ -124,75 +124,42 @@ func (s *Session) handleMachineDead(machine, epoch int) {
 	s.mfTransport.Kill(machine)
 
 	f := s.frags
-	f.fragMu.Lock()
-	castDead := f.castMachine == machine
-	sampleDead := f.sampleMachine == machine
-	f.fragMu.Unlock()
-	if castDead {
-		if err := s.rebuildBroadcaster(machine); err != nil {
-			s.failFragments(fmt.Errorf("core: rebuild broadcaster after machine %d death: %w", machine, err))
-			return
-		}
+	err := takeOver(s, f.caster, machine)
+	if err == nil {
+		err = takeOver(s, f.sampler, machine)
 	}
-	if sampleDead {
-		if err := s.rebuildSampler(machine); err != nil {
-			s.failFragments(fmt.Errorf("core: rebuild sampler after machine %d death: %w", machine, err))
-			return
-		}
+	if err != nil {
+		s.failFragments(fmt.Errorf("core: machine %d death: %w", machine, err))
+		return
 	}
-
-	// Learn replicas ride the §5i respawn path: inject a suspicion verdict
-	// at the slot's current epoch; the supervisor quarantines (the sampler
-	// re-dispatches un-acked batches, the broadcaster recommits the
-	// survivor mean) and respawnLearn re-places the port onto a survivor
-	// because the home is now recorded dead.
 	for _, sl := range f.slots {
-		sl.mu.Lock()
-		onDead := sl.machine == machine && !sl.degraded
-		ep := sl.epoch
-		sl.mu.Unlock()
-		if onDead {
-			select {
-			case sl.suspect <- ep:
-			default: // a verdict is already pending for this slot
-			}
-		}
+		sl.condemnOn(machine)
 	}
-
-	// Explorer slots last: the broadcaster and sampler are live again, so a
-	// rebuilt explorer's first rollout has somewhere to go and the takeover
-	// rebroadcast hands it the committed model.
 	for _, sl := range s.slots {
-		sl.mu.Lock()
-		onDead := sl.machine == machine
-		sl.mu.Unlock()
-		if !onDead {
-			continue
-		}
-		if err := s.rebuildExplorer(sl, machine); err != nil {
-			// A lost explorer slot degrades throughput, not safety: record
-			// the failure and keep the run alive on the remaining slots.
-			sl.mu.Lock()
-			if sl.lastErr == nil {
-				sl.lastErr = err
-			}
-			sl.mu.Unlock()
-		}
+		sl.condemnOn(machine)
 	}
 }
 
-// failFragments drives the run to a terminal failure: every learn slot is
-// marked terminal (the monitor and Err surface the verdict) and the done
-// channel closes so Wait returns.
-func (s *Session) failFragments(err error) {
-	for _, sl := range s.frags.slots {
-		sl.mu.Lock()
-		if sl.terminalErr == nil {
-			sl.terminalErr = err
-		}
-		sl.mu.Unlock()
+// takeOver moves an engine-written slot off a dead machine: the dead
+// incarnation's loops ended with its broker, so retiring it joins them, and
+// the standby is built from what survives.
+func takeOver[F fragment](s *Session, sl *slot[F], machine int) error {
+	if sl.home() != machine {
+		return nil
 	}
-	s.frags.doneOne.Do(func() { close(s.frags.done) })
+	sl.kind.retire(sl.name, sl.current())
+	if err := replace(s, sl, false); err != nil {
+		return fmt.Errorf("re-place %s: %w", sl.name, err)
+	}
+	return nil
+}
+
+// failFragments drives the run to a terminal failure: the done channel
+// closes with err as the run's verdict, so Wait returns and Err reports it.
+func (s *Session) failFragments(err error) {
+	f := s.frags
+	f.fatal.CompareAndSwap(nil, &err)
+	f.doneOne.Do(func() { close(f.done) })
 }
 
 // pickSurvivor chooses the least-loaded surviving machine by hosted-fragment
@@ -207,19 +174,13 @@ func (s *Session) pickSurvivor() int {
 		}
 	}
 	f := s.frags
-	f.fragMu.Lock()
-	note(f.sampleMachine)
-	note(f.castMachine)
-	f.fragMu.Unlock()
+	note(f.sampler.home())
+	note(f.caster.home())
 	for _, sl := range f.slots {
-		sl.mu.Lock()
-		note(sl.machine)
-		sl.mu.Unlock()
+		note(sl.home())
 	}
 	for _, sl := range s.slots {
-		sl.mu.Lock()
-		note(sl.machine)
-		sl.mu.Unlock()
+		note(sl.home())
 	}
 	s.mfMu.Lock()
 	defer s.mfMu.Unlock()
@@ -252,9 +213,9 @@ func (s *Session) announceTakeover(name string, machine int, epoch int32, toCast
 	_ = s.ctrlPort.Send(m)
 }
 
-// checkpointState reads one fragment's state from the newest readable
-// fragment checkpoint set (ok = false when none).
-func (s *Session) checkpointState(name string) (checkpoint.State, bool) {
+// checkpointState reads the state of the first of names present in the
+// newest readable fragment checkpoint set (ok = false when none).
+func (s *Session) checkpointState(names ...string) (checkpoint.State, bool) {
 	if s.cfg.CheckpointPath == "" {
 		return checkpoint.State{}, false
 	}
@@ -262,196 +223,76 @@ func (s *Session) checkpointState(name string) (checkpoint.State, bool) {
 	if err != nil {
 		return checkpoint.State{}, false
 	}
-	for _, fs := range states {
-		if fs.Name == name {
-			return fs.State, true
+	for _, name := range names {
+		for _, fs := range states {
+			if fs.Name == name {
+				return fs.State, true
+			}
 		}
 	}
 	return checkpoint.State{}, false
 }
 
-// learnNames returns the canonical replica name list in slot order.
-func (s *Session) learnNames() []string {
-	names := make([]string, len(s.frags.slots))
-	for i := range names {
-		names[i] = LearnName(i)
-	}
-	return names
-}
-
-// rebuildSampler stands a warm-standby sample fragment up on a survivor.
-// The sampler's hard state is reconstructible: replica epochs and the live
-// rotation come from the slots, the consumption ack ledger is rebuilt by the
-// next heartbeats, and the committed-version fence recovers from the live
-// broadcaster and the checkpointed sampler entry — without it a strict
-// staleness bound would re-admit rollouts the dead sampler had outlawed.
-func (s *Session) rebuildSampler(dead int) error {
+// samplerKind re-places the sampler as a warm standby. Its hard state is
+// reconstructible: replica epochs and the live rotation come from the
+// slots, the consumption ack ledger is rebuilt by the next heartbeats, and
+// the committed-version fence recovers from the live broadcaster and the
+// checkpointed sampler entry — without it a strict staleness bound would
+// re-admit rollouts the dead sampler had outlawed. Its takeover makes the
+// broadcaster re-announce the committed version and refill every
+// explorer's credit.
+func (s *Session) samplerKind(learnNames []string) *slotKind[*SampleFragment] {
 	f := s.frags
-	old := f.getSampler()
-	s.transport.Unregister(dead, SampleName)
-	to := s.pickSurvivor()
-	if to < 0 {
-		return fmt.Errorf("no survivor machine for %s", SampleName)
-	}
-	port, err := s.transport.Register(to, SampleName)
-	if err != nil {
-		return err
-	}
-	// The dead incarnation's loop exited when its broker stopped; joining
-	// it makes the swap single-writer.
-	old.Join()
-
-	next := NewSampleFragment(port, s.learnNames(), f.topo.MaxStaleness)
-	if f.failover {
-		next.SetFailover()
-		epochs := make(map[string]int32, len(f.slots))
-		live := make([]string, 0, len(f.slots))
-		for _, sl := range f.slots {
-			sl.mu.Lock()
-			epochs[LearnName(sl.idx)] = sl.epoch
-			if !sl.degraded {
-				live = append(live, LearnName(sl.idx))
+	return &slotKind[*SampleFragment]{
+		build: func(_ int, _ *SampleFragment, port *broker.Port, _ int32) (*SampleFragment, error) {
+			next := NewSampleFragment(port, learnNames, f.topo.MaxStaleness)
+			next.SetFailover()
+			epochs, live, _ := f.replicaStates()
+			next.seedFailoverState(epochs, live)
+			recovered := f.caster.current().Version()
+			if st, ok := s.checkpointState(SampleName); ok && st.Version > recovered {
+				recovered = st.Version
 			}
-			sl.mu.Unlock()
-		}
-		next.seedFailoverState(epochs, live)
+			next.advanceCommitted(recovered)
+			return next, nil
+		},
+		retire: func(_ string, old *SampleFragment) bool {
+			old.Join()
+			return true
+		},
+		rebroadcast: true,
 	}
-	recovered := f.getCaster().Version()
-	if st, ok := s.checkpointState(SampleName); ok && st.Version > recovered {
-		recovered = st.Version
-	}
-	next.advanceCommitted(recovered)
-
-	f.fragMu.Lock()
-	f.sampler = next
-	f.sampleMachine = to
-	f.samplerEpoch++
-	ep := f.samplerEpoch
-	f.fragMu.Unlock()
-	next.Start()
-	// The broadcaster's takeover rebroadcast re-announces the committed
-	// version to the standby and refills every explorer's credit.
-	s.announceTakeover(SampleName, to, ep, true)
-	return nil
 }
 
-// rebuildBroadcaster stands a warm-standby broadcast fragment up on a
-// survivor. The committed model recovers from the newest of the dead
-// incarnation's in-memory aggregate (safe to read once its loop is joined)
-// and the fragment checkpoint; the version is bumped past both — and past
-// the sampler's fence — so every survivor's next comparison sees strictly
-// newer state and a stale-version livelock is impossible.
-func (s *Session) rebuildBroadcaster(dead int) error {
+// casterKind re-places the broadcaster as a warm standby. The committed
+// model recovers from the newest of the dead incarnation's in-memory
+// aggregate (safe to read once retire joined its loop) and the fragment
+// checkpoint; the version is bumped past both — and past the sampler's
+// fence — so every survivor's next comparison sees strictly newer state and
+// a stale-version livelock is impossible. Start broadcasts the recovered
+// model to every explorer, dense: the standby's weight plane has no ack
+// state.
+func (s *Session) casterKind(learnNames []string) *slotKind[*BroadcastFragment] {
 	f := s.frags
-	old := f.getCaster()
-	old.Stop() // detector thread; the recv loop died with the broker
-	s.transport.Unregister(dead, BroadcastName)
-	to := s.pickSurvivor()
-	if to < 0 {
-		return fmt.Errorf("no survivor machine for %s", BroadcastName)
-	}
-	port, err := s.transport.Register(to, BroadcastName)
-	if err != nil {
-		return err
-	}
-	old.Join()
-
-	version := old.Version()
-	weights := append([]float32(nil), old.agg...)
-	if st, ok := s.checkpointState(BroadcastName); ok && st.Version > version {
-		version, weights = st.Version, st.Weights
-	}
-	if c := f.getSampler().Committed(); c > version {
-		version = c
-	}
-	version++
-
-	explorers := make([]string, s.cfg.NumExplorers)
-	for i := range explorers {
-		explorers[i] = ExplorerName(int32(i))
-	}
-	next := NewBroadcastFragment(port, BroadcastConfig{
-		Explorers:       explorers,
-		Learners:        s.learnNames(),
-		InitialVersion:  version,
-		InitialWeights:  weights,
-		WeightPlane:     s.cfg.weightPlane(),
-		CheckpointPath:  s.cfg.CheckpointPath,
-		CheckpointEvery: s.cfg.CheckpointEvery,
-		CheckpointKeep:  s.cfg.CheckpointKeep,
-	})
-	if f.failover {
-		next.SetFailover(heartbeatMisses*s.cfg.HeartbeatEvery, f.suspectFn)
-		epochs := make(map[string]int32, len(f.slots))
-		quarantined := make([]string, 0, len(f.slots))
-		for _, sl := range f.slots {
-			sl.mu.Lock()
-			epochs[LearnName(sl.idx)] = sl.epoch
-			if sl.degraded {
-				quarantined = append(quarantined, LearnName(sl.idx))
+	return &slotKind[*BroadcastFragment]{
+		build: func(_ int, old *BroadcastFragment, port *broker.Port, _ int32) (*BroadcastFragment, error) {
+			version := old.Version()
+			weights := append([]float32(nil), old.agg...)
+			if st, ok := s.checkpointState(BroadcastName); ok && st.Version > version {
+				version, weights = st.Version, st.Weights
 			}
-			sl.mu.Unlock()
-		}
-		next.seedFailoverState(epochs, quarantined)
+			if c := f.sampler.current().Committed(); c > version {
+				version = c
+			}
+			next := s.newCaster(port, learnNames, version+1, weights)
+			epochs, _, degraded := f.replicaStates()
+			next.seedFailoverState(epochs, degraded)
+			return next, nil
+		},
+		retire: func(_ string, old *BroadcastFragment) bool {
+			old.Stop() // the detector thread; the loop died with the broker
+			old.Join()
+			return true
+		},
 	}
-	f.fragMu.Lock()
-	f.caster = next
-	f.castMachine = to
-	f.casterEpoch++
-	ep := f.casterEpoch
-	f.fragMu.Unlock()
-	// Start broadcasts the recovered model to every explorer (dense — the
-	// standby's weight plane has no ack state) and announces the bumped
-	// version to the sampler.
-	next.Start()
-	s.announceTakeover(BroadcastName, to, ep, false)
-	return nil
-}
-
-// rebuildExplorer re-places one explorer slot onto a survivor, folding the
-// retired incarnation's counters. It runs on the engine thread; the slot's
-// rebuildMu serializes it against the slot supervisor's own restart path.
-func (s *Session) rebuildExplorer(sl *explorerSlot, dead int) error {
-	sl.rebuildMu.Lock()
-	defer sl.rebuildMu.Unlock()
-	sl.mu.Lock()
-	old := sl.ex
-	home := sl.machine
-	sl.mu.Unlock()
-	if home != dead {
-		return nil // the supervisor already rebuilt the slot elsewhere
-	}
-	name := ExplorerName(sl.id)
-	old.Stop()
-	s.transport.Unregister(dead, name)
-	old.Join()
-	to := s.pickSurvivor()
-	if to < 0 {
-		return fmt.Errorf("core: no survivor machine for %s", name)
-	}
-	next, err := s.buildExplorer(sl.id, to)
-	if err != nil {
-		return fmt.Errorf("core: re-place %s on machine %d: %w", name, to, err)
-	}
-	var ep int32
-	sl.mu.Lock()
-	sl.priorSteps += old.StepsGenerated()
-	n, mean := old.EpisodeStats()
-	sl.priorEpisodes += n
-	sl.priorReturnSum += mean * float64(n)
-	sl.ex = next
-	sl.machine = to
-	sl.moves++
-	ep = sl.moves
-	sl.mu.Unlock()
-	next.Start()
-	// Nudge the supervisor off the retired incarnation, then announce: the
-	// broadcaster marks the slot stale and rebroadcasts, so the newcomer
-	// gets a dense model and credit-starved peers are refilled.
-	select {
-	case sl.replaced <- struct{}{}:
-	default:
-	}
-	s.announceTakeover(name, to, ep, true)
-	return nil
 }

@@ -230,8 +230,8 @@ const (
 	// at the incarnation epoch carried in Header.Round. The broadcaster
 	// answers with a dense aggregate echo (the RestoreWeights resync path).
 	ControlRejoin
-	// ControlDrain is a teardown nudge addressed to a stopping replica so a
-	// receiver thread blocked on its port observes the closed receive buffer
+	// ControlDrain is a teardown nudge addressed to a stopping replica or
+	// explorer so a thread blocked on its port wakes, sees it was stopped,
 	// and exits. Live incarnations ignore it.
 	ControlDrain
 	// ControlLeaseRenew is a machine's membership lease renewal, sent from
