@@ -249,7 +249,7 @@ func (d *DDPG) trainOn(batch []replay.Transition) float32 {
 	qPi := d.critic.Forward(concat(obs, scaled))
 	dQ := tensor.New(n, 1)
 	dQ.Fill(-1.0 / float32(n)) // maximize Q → descend −Q
-	dInput := d.critic.Backward(dQ)
+	dInput := d.critic.BackwardInput(dQ)
 	d.critic.ZeroGrads() // discard critic grads from the actor pass
 
 	dAct := tensor.New(n, ad)

@@ -23,6 +23,47 @@ import (
 // not run under the spawner's locks, but their internal nesting still
 // contributes edges).
 func runLockorder(m *Module) {
+	edges := lockEdges(m)
+
+	// Strongly connected components over the class graph; any edge inside a
+	// cyclic component is part of a lock-order cycle.
+	adj := make(map[string][]string)
+	for k := range edges {
+		adj[k.from] = append(adj[k.from], k.to)
+	}
+	for _, tos := range adj {
+		sort.Strings(tos)
+	}
+	comp := sccs(adj)
+
+	var keys []lockPair
+	for k := range edges {
+		if comp[k.from] != 0 && comp[k.from] == comp[k.to] {
+			keys = append(keys, k)
+		}
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].from != keys[j].from {
+			return keys[i].from < keys[j].from
+		}
+		return keys[i].to < keys[j].to
+	})
+	for _, k := range keys {
+		e := edges[k]
+		cycle := cycleThrough(adj, comp, k.from, k.to)
+		m.reportf(e.Pos, "lock-order cycle: %s acquired while %s is held (cycle: %s); acquire the classes in the DESIGN.md §5c order or release %s first",
+			e.To, e.From, strings.Join(cycle, " → "), e.From)
+	}
+}
+
+// lockPair is one edge of the lock-acquisition graph: to is locked while
+// from is held.
+type lockPair struct{ from, to string }
+
+// lockEdges returns the module's lock-acquisition graph (see runLockorder),
+// with one representative position per edge, the earliest. It reads the
+// function summaries, so the module's facts must have been collected.
+func lockEdges(m *Module) map[lockPair]LockEdge {
 	sums := m.allSummaries()
 
 	// Transitive acquire closure over the call graph, by fixpoint: the set
@@ -53,10 +94,9 @@ func runLockorder(m *Module) {
 
 	// Edge set: direct nested acquisitions plus held-across-call closure.
 	// One representative position per (from, to) pair, earliest wins.
-	type edge struct{ from, to string }
-	edges := make(map[edge]LockEdge)
+	edges := make(map[lockPair]LockEdge)
 	record := func(e LockEdge) {
-		k := edge{e.From, e.To}
+		k := lockPair{e.From, e.To}
 		if prev, ok := edges[k]; ok && !posBefore(e.Pos, prev.Pos) {
 			return
 		}
@@ -81,35 +121,7 @@ func runLockorder(m *Module) {
 		}
 	}
 
-	// Strongly connected components over the class graph; any edge inside a
-	// cyclic component is part of a lock-order cycle.
-	adj := make(map[string][]string)
-	for k := range edges {
-		adj[k.from] = append(adj[k.from], k.to)
-	}
-	for _, tos := range adj {
-		sort.Strings(tos)
-	}
-	comp := sccs(adj)
-
-	var keys []edge
-	for k := range edges {
-		if comp[k.from] != 0 && comp[k.from] == comp[k.to] {
-			keys = append(keys, k)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].from != keys[j].from {
-			return keys[i].from < keys[j].from
-		}
-		return keys[i].to < keys[j].to
-	})
-	for _, k := range keys {
-		e := edges[k]
-		cycle := cycleThrough(adj, comp, k.from, k.to)
-		m.reportf(e.Pos, "lock-order cycle: %s acquired while %s is held (cycle: %s); acquire the classes in the DESIGN.md §5c order or release %s first",
-			e.To, e.From, strings.Join(cycle, " → "), e.From)
-	}
+	return edges
 }
 
 // posBefore orders two positions file-first for deterministic edge

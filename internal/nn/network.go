@@ -13,20 +13,32 @@ import (
 var ErrWeightSize = errors.New("nn: flat weights length mismatch")
 
 // Network is a sequential stack of layers with flat-weight export/import
-// for parameter broadcast. Its Forward and Backward results follow the
+// for parameter broadcast. Its Forward and BackwardInput results follow the
 // Layer workspace contract: valid until the network's next call of the same
 // method.
 type Network struct {
+	// layers are the stages run, in order: the given layers, with each
+	// Dense directly followed by a ReLU merged into one denseReLU.
 	layers []Layer
 	// params and grads are the layers' tensors in layer order, gathered
 	// once: the optimizers and ZeroGrads ask for them every step.
 	params, grads []*tensor.Tensor
 }
 
-// NewNetwork returns a sequential network over the given layers.
+// NewNetwork returns a sequential network over the given layers. A ReLU
+// directly after a Dense runs inside that Dense's output pass (denseReLU),
+// with the same results bit for bit; that ReLU value is then never called.
 func NewNetwork(layers ...Layer) *Network {
-	n := &Network{layers: layers}
-	for _, l := range layers {
+	n := &Network{}
+	for i := 0; i < len(layers); i++ {
+		l := layers[i]
+		if d, ok := l.(*Dense); ok && i+1 < len(layers) {
+			if _, ok := layers[i+1].(*ReLU); ok {
+				l = denseReLU{d}
+				i++
+			}
+		}
+		n.layers = append(n.layers, l)
 		n.params = append(n.params, l.Params()...)
 		n.grads = append(n.grads, l.Grads()...)
 	}
@@ -42,10 +54,18 @@ func (n *Network) Forward(x *tensor.Tensor) *tensor.Tensor {
 }
 
 // Backward propagates dLoss/dOutput back through all layers, accumulating
-// parameter gradients. It returns dLoss/dInput.
-func (n *Network) Backward(grad *tensor.Tensor) *tensor.Tensor {
+// parameter gradients. It skips dLoss/dInput, the first layer's input
+// gradient: a learner's step never reads it. BackwardInput computes it.
+func (n *Network) Backward(grad *tensor.Tensor) { n.backward(grad, false) }
+
+// BackwardInput is Backward that also computes and returns dLoss/dInput,
+// for a caller that differentiates through the network's input (DDPG's
+// actor update through its critic).
+func (n *Network) BackwardInput(grad *tensor.Tensor) *tensor.Tensor { return n.backward(grad, true) }
+
+func (n *Network) backward(grad *tensor.Tensor, wantInput bool) *tensor.Tensor {
 	for i := len(n.layers) - 1; i >= 0; i-- {
-		grad = n.layers[i].Backward(grad)
+		grad = n.layers[i].Backward(grad, wantInput || i > 0)
 	}
 	return grad
 }

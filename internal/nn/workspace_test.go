@@ -104,3 +104,53 @@ func TestNetworkStepAllocatesNothing(t *testing.T) {
 		t.Fatalf("a warmed forward + backward + step allocates %.0f times, want 0", allocs)
 	}
 }
+
+// TestFusedDenseReLUMatchesLayers pins NewNetwork's Dense+ReLU fusion and
+// the skipped input gradient: a network's output, parameter gradients and
+// BackwardInput's input gradient equal, bit for bit, those of the same
+// layers (same weights) called one by one, and Backward leaves the same
+// parameter gradients. The batch holds -0, negatives, a NaN and an
+// infinity, so pre-activations hit every branch of the ReLU.
+func TestFusedDenseReLUMatchesLayers(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	x, grad := randBatch(rng, 9, 5), randBatch(rng, 9, 3)
+	copy(x.Data, []float32{float32(math.Copysign(0, -1)), -3, 0, float32(math.NaN()), float32(math.Inf(1))})
+
+	layersOf := func() []Layer {
+		r := rand.New(rand.NewSource(46))
+		return []Layer{NewDense(r, 5, 19), NewReLU(), NewDense(r, 19, 7), NewReLU(), NewDense(r, 7, 3), NewTanh(), NewReLU()}
+	}
+	layers := layersOf()
+	y := x
+	for _, l := range layers {
+		y = l.Forward(y)
+	}
+	g := grad
+	for i := len(layers) - 1; i >= 0; i-- {
+		g = layers[i].Backward(g, true)
+	}
+	var wantGrads []float32
+	for _, l := range layers {
+		for _, pg := range l.Grads() {
+			wantGrads = append(wantGrads, pg.Data...)
+		}
+	}
+
+	net := NewNetwork(layersOf()...)
+	requireBits(t, "output", net.Forward(x).Data, y.Data)
+	requireBits(t, "input gradient", net.BackwardInput(grad).Data, g.Data)
+	var got []float32
+	for _, pg := range net.Grads() {
+		got = append(got, pg.Data...)
+	}
+	requireBits(t, "parameter gradients", got, wantGrads)
+
+	net.ZeroGrads()
+	net.Forward(x)
+	net.Backward(grad)
+	got = got[:0]
+	for _, pg := range net.Grads() {
+		got = append(got, pg.Data...)
+	}
+	requireBits(t, "parameter gradients without the input gradient", got, wantGrads)
+}

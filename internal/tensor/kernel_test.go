@@ -340,6 +340,95 @@ func FuzzMatMulKernels(f *testing.F) {
 	})
 }
 
+// refBiasReLU is the bias add and ReLU that MatMulBiasInto fuses, as the
+// separate passes they were: AddRowVector's loop, then the ReLU layer's.
+func refBiasReLU(y, bias *Tensor, relu bool) *Tensor {
+	for r := 0; r < y.Rows; r++ {
+		row := y.Data[r*y.Cols : (r+1)*y.Cols]
+		for c, b := range bias.Data {
+			row[c] += b
+		}
+	}
+	if relu {
+		for i, v := range y.Data {
+			if v <= 0 {
+				y.Data[i] = 0
+			}
+		}
+	}
+	return y
+}
+
+// checkBiasReLU holds MatMulBiasInto, with and without the ReLU and with a
+// nil bias, to refMatMul followed by the separate bias and ReLU passes.
+func checkBiasReLU(a, b, bias *Tensor) error {
+	zero := New(1, b.Cols)
+	for _, c := range []struct {
+		bias *Tensor
+		relu bool
+	}{{bias, false}, {bias, true}, {nil, true}, {nil, false}} {
+		ref := c.bias
+		if ref == nil {
+			ref = zero
+		}
+		want := refBiasReLU(refMatMul(a, b), ref, c.relu)
+		got := MatMulBiasInto(New(3, 3), a, b, c.bias, c.relu)
+		if i, ok := sameBits(got.Data, want.Data); !ok {
+			return fmt.Errorf("bias=%v relu=%v: [%d] = %v (%#08x), want %v (%#08x)", c.bias != nil, c.relu, i,
+				got.Data[i], math.Float32bits(got.Data[i]), want.Data[i], math.Float32bits(want.Data[i]))
+		}
+	}
+	return nil
+}
+
+// TestMatMulBiasReLUMatchesReference holds the fused bias and activation
+// to the separate passes bit for bit, for output widths 1…33 (the narrow
+// scalar loop and every kernel tail) on operands with zeros, signed zeros,
+// NaN, infinities and subnormals, so the sums the ReLU sees include -0
+// and NaN.
+func TestMatMulBiasReLUMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	for m := 1; m <= 33; m++ {
+		for k := 1; k <= 9; k++ {
+			n := 1 + (m+k)%6
+			a, b, bias := New(n, k), New(k, m), New(1, m)
+			for _, x := range []*Tensor{a, b, bias} {
+				fillMixed(rng, x, 0.1)
+			}
+			if err := checkBiasReLU(a, b, bias); err != nil {
+				t.Fatalf("n=%d k=%d m=%d: %v", n, k, m, err)
+			}
+		}
+	}
+}
+
+// FuzzMatMulBiasReLU holds the fused bias and activation pass to the
+// separate passes on arbitrary shapes and float32 bit patterns.
+func FuzzMatMulBiasReLU(f *testing.F) {
+	f.Add(uint8(2), uint8(3), uint8(5), []byte{0x00, 0x00, 0x00, 0x80, 0x00, 0x00, 0x80, 0xbf, 0x00, 0x00, 0xc0, 0x7f})
+	f.Add(uint8(1), uint8(64), uint8(1), []byte{0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80, 0xff})
+	f.Fuzz(func(t *testing.T, n, k, m uint8, data []byte) {
+		dn, dk, dm := 1+int(n)%8, 1+int(k)%72, 1+int(m)%72
+		var next int
+		fill := func(x *Tensor) {
+			for i := range x.Data {
+				if len(data) >= 4 {
+					j := next % (len(data) - 3)
+					x.Data[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[j:]))
+					next += 4
+				}
+			}
+		}
+		a, b, bias := New(dn, dk), New(dk, dm), New(1, dm)
+		for _, x := range []*Tensor{a, b, bias} {
+			fill(x)
+		}
+		if err := checkBiasReLU(a, b, bias); err != nil {
+			t.Fatalf("n=%d k=%d m=%d: %v", dn, dk, dm, err)
+		}
+	})
+}
+
 // benchMatMul times op on an (xr×xc) and a (wr×wc) operand. The shapes
 // below are a learner batch of 41 through a 64-wide hidden layer (forward,
 // input gradient, weight gradient) and an explorer's per-step forward.

@@ -172,40 +172,103 @@ func rowOf(d []float32, p, m int) []float32 { return d[p*m : (p+1)*m] }
 // MatMul computes a@b into a new (a.Rows × b.Cols) tensor.
 func MatMul(a, b *Tensor) *Tensor { return MatMulInto(nil, a, b) }
 
+// narrowCols is the widest output the matmuls accumulate with a scalar
+// loop instead of the axpy kernels: for one to four lanes (a policy or value
+// head) a kernel call costs more than the lanes it adds.
+const narrowCols = 4
+
 // MatMulInto computes a@b into out, reshaped by Reuse, and returns it. out
-// must not share storage with a or b.
+// must not share storage with a or b. It is MatMulBiasInto with no bias and
+// no activation.
+func MatMulInto(out, a, b *Tensor) *Tensor { return MatMulBiasInto(out, a, b, nil, false) }
+
+// MatMulBiasInto computes a@b into out, reshaped by Reuse, then adds bias (a
+// 1×b.Cols row vector; nil adds nothing) to every row and, if relu is set,
+// replaces every element that is not positive by +0 (NaN passes through).
+// It returns out, which must not share storage with a, b or bias.
 //
-// It runs in ikj order for cache locality: row i of out accumulates
-// a[i][p]·b[p] in ascending p, skipping zero a[i][p]. The non-zero terms go
-// to axpy4 four at a time and the last one to three to axpy, so every
-// element sums the same terms in the same order as one axpy per term.
-func MatMulInto(out, a, b *Tensor) *Tensor {
+// The products run in ikj order for cache locality: row i of out
+// accumulates a[i][p]·b[p] in ascending p, skipping zero a[i][p]. The
+// non-zero terms go to axpy4 four at a time and the last one to three to
+// axpy, so every element sums the same terms in the same order as one axpy
+// per term; outputs at most narrowCols wide take the same terms through a
+// scalar loop. Each row then takes its bias and activation in the same pass,
+// while it is in cache: the result is bit for bit that of MatMulInto, then
+// AddRowVector, then a ReLU.
+func MatMulBiasInto(out, a, b, bias *Tensor, relu bool) *Tensor {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: matmul %dx%d @ %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	n, k, m := a.Rows, a.Cols, b.Cols
+	var bv []float32
+	if bias != nil {
+		if bias.Cols != m {
+			panic(fmt.Sprintf("tensor: row vector length %d != cols %d", bias.Cols, m))
+		}
+		bv = bias.Data[:m]
+	}
 	out = Reuse(out, n, m)
 	for i := 0; i < n; i++ {
 		arow := rowOf(a.Data, i, k)
 		orow := rowOf(out.Data, i, m)
-		var ps [4]int
-		g := 0
-		for p, av := range arow {
-			if av == 0 {
-				continue
+		if m <= narrowCols {
+			for p, av := range arow {
+				if av == 0 {
+					continue
+				}
+				for j, x := range rowOf(b.Data, p, m) {
+					orow[j] += av * x
+				}
 			}
-			ps[g] = p
-			if g++; g == 4 {
-				axpy4(orow, rowOf(b.Data, ps[0], m), rowOf(b.Data, ps[1], m), rowOf(b.Data, ps[2], m), rowOf(b.Data, ps[3], m),
-					arow[ps[0]], arow[ps[1]], arow[ps[2]], arow[ps[3]])
-				g = 0
+		} else {
+			var ps [4]int
+			g := 0
+			for p, av := range arow {
+				if av == 0 {
+					continue
+				}
+				ps[g] = p
+				if g++; g == 4 {
+					axpy4(orow, rowOf(b.Data, ps[0], m), rowOf(b.Data, ps[1], m), rowOf(b.Data, ps[2], m), rowOf(b.Data, ps[3], m),
+						arow[ps[0]], arow[ps[1]], arow[ps[2]], arow[ps[3]])
+					g = 0
+				}
+			}
+			for _, p := range ps[:g] {
+				axpy(orow, rowOf(b.Data, p, m), arow[p])
 			}
 		}
-		for _, p := range ps[:g] {
-			axpy(orow, rowOf(b.Data, p, m), arow[p])
-		}
+		biasReLU(orow, bv, relu)
 	}
 	return out
+}
+
+// biasReLU adds bias (when not nil) to row and then, if relu is set, sets
+// every element that is not positive to +0, in one pass: each element is
+// rounded once by the add, as AddRowVector rounds it, and -0, negatives and
+// zeros become +0 while NaN stays, as the ReLU layer has always done.
+func biasReLU(row, bias []float32, relu bool) {
+	switch {
+	case bias != nil && relu:
+		bias = bias[:len(row)]
+		for j, v := range row {
+			if v += bias[j]; v <= 0 {
+				v = 0
+			}
+			row[j] = v
+		}
+	case bias != nil:
+		bias = bias[:len(row)]
+		for j := range row {
+			row[j] += bias[j]
+		}
+	case relu:
+		for j, v := range row {
+			if v <= 0 {
+				row[j] = 0
+			}
+		}
+	}
 }
 
 // transposeScratch recycles MatMulTransposeBInto's copy of bᵀ, so the
@@ -273,14 +336,31 @@ const transposeABlock = 32
 // The rows r are taken in blocks of transposeABlock; within a block the loop
 // runs over i outside and r inside, so each output row takes the block's
 // terms in one go: the non-zero ones four at a time through axpy4 and the
-// last one to three through axpy. Every element sums the same terms in the
-// same order as an r-outer loop with one axpy per term.
+// last one to three through axpy. Outputs at most narrowCols wide run r
+// outside and i inside with a scalar loop, the order of one axpy per term.
+// Every element sums the same terms in the same order as an r-outer loop
+// with one axpy per term.
 func MatMulTransposeAInto(out, a, b *Tensor) *Tensor {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("tensor: T-matmul (%dx%d)T @ %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	rows, k, m := a.Rows, a.Cols, b.Cols
 	out = Reuse(out, k, m)
+	if m <= narrowCols {
+		for r := 0; r < rows; r++ {
+			brow := rowOf(b.Data, r, m)
+			for i, av := range rowOf(a.Data, r, k) {
+				if av == 0 {
+					continue
+				}
+				orow := rowOf(out.Data, i, m)
+				for j, x := range brow {
+					orow[j] += av * x
+				}
+			}
+		}
+		return out
+	}
 	for r0 := 0; r0 < rows; r0 += transposeABlock {
 		r1 := min(r0+transposeABlock, rows)
 		for i := 0; i < k; i++ {
