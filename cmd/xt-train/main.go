@@ -181,10 +181,10 @@ func printReport(w io.Writer, cfg core.Config, report *core.Report) {
 	if fr := report.Fragments; fr != nil {
 		fmt.Fprintf(w, "  fragments:        %d learner(s), %d aggregation(s), committed version %d\n",
 			fr.Learners, fr.Aggregations, fr.CommittedVersion)
-		fmt.Fprintf(w, "  sample dispatch:  %d rollout(s), %d stale drop(s) (max staleness %d)\n",
+		fmt.Fprintf(w, "  dispatch:         %d rollout(s), %d stale drop(s) (max staleness %d)\n",
 			fr.Dispatched, fr.StaleDrops, fr.MaxStaleness)
 		if fr.Quarantines > 0 || fr.Respawns > 0 || fr.Degraded > 0 {
-			fmt.Fprintf(w, "  failover:         %d quarantine(s), %d re-dispatch(es), %d respawn(s), %d degraded slot(s)\n",
+			fmt.Fprintf(w, "  failover:         %d quarantine(s), %d replay(s), %d respawn(s), %d degraded slot(s)\n",
 				fr.Quarantines, fr.Redispatches, fr.Respawns, fr.Degraded)
 		}
 		if cfg.MachineFailover {

@@ -185,6 +185,46 @@ func TestPPOWaitsForAllExplorers(t *testing.T) {
 	}
 }
 
+// TestPPOBatchOrderIsExplorerOrder: two PPO learners fed the same
+// four-explorer batches, arriving in opposite orders, train bit-identical
+// weights. A training iteration gathers one batch per explorer in ascending
+// explorer ID; ranging over the pending map instead gathers them in a
+// random order, which reorders the training set and changes the weights.
+func TestPPOBatchOrderIsExplorerOrder(t *testing.T) {
+	const explorers = 4
+	spec, e := cartpoleSpec(t)
+	learners := []*PPO{NewPPO(spec, DefaultPPOConfig(explorers), 1), NewPPO(spec, DefaultPPOConfig(explorers), 1)}
+	agent := NewPPOAgent(spec, NewEnvRunner(e, spec), 2)
+	for iter := int64(0); iter < 3; iter++ {
+		batches := make([]*rollout.Batch, explorers)
+		for i := range batches {
+			b, err := agent.Rollout(20)
+			if err != nil {
+				t.Fatalf("Rollout: %v", err)
+			}
+			b.ExplorerID, b.WeightsVersion = int32(i), iter
+			batches[i] = b
+		}
+		for n, p := range learners {
+			for i := range batches {
+				if n == 1 {
+					i = explorers - 1 - i
+				}
+				p.PrepareData(batches[i])
+			}
+			if _, ok, err := p.TryTrain(); !ok || err != nil {
+				t.Fatalf("learner %d iteration %d: trained=%v err=%v", n, iter, ok, err)
+			}
+		}
+	}
+	a, b := learners[0].Weights().Data, learners[1].Weights().Data
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			t.Fatalf("weight %d: %g vs %g — the same batches trained different weights", i, a[i], b[i])
+		}
+	}
+}
+
 func TestPPORejectsStaleRollouts(t *testing.T) {
 	spec, e := cartpoleSpec(t)
 	p := NewPPO(spec, DefaultPPOConfig(1), 1)

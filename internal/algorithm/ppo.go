@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"xingtian/internal/core"
@@ -115,8 +116,17 @@ func (p *PPO) TryTrain() (core.TrainResult, bool, error) {
 	if !p.ready() {
 		return core.TrainResult{}, false, nil
 	}
-	batches := make([]*rollout.Batch, 0, p.cfg.NumExplorers)
-	for id, q := range p.pending {
+	// Gather in ascending explorer ID: the map's order is random, and the
+	// batch order decides the training set's, so the same batches must
+	// train the same weights.
+	ids := make([]int32, 0, len(p.pending))
+	for id := range p.pending {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	batches := make([]*rollout.Batch, 0, len(ids))
+	for _, id := range ids {
+		q := p.pending[id]
 		batches = append(batches, q[0])
 		if len(q) == 1 {
 			delete(p.pending, id)

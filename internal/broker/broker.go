@@ -77,12 +77,6 @@ type Broker struct {
 
 	ackMu sync.Mutex
 	acked map[string]int64 // last weights version seen on each source's rollouts
-	// consumed is the consumption-side ack ledger: the highest dispatched
-	// rollout header ID each learn replica has reported ingesting (via
-	// fragment heartbeats). The sample fragment prunes its in-flight
-	// retention ledger against it; everything at or below the acked ID is
-	// safely trained-or-dropped and never needs re-dispatch.
-	consumed map[string]uint64
 
 	mu         sync.Mutex
 	idQueues   map[string]*queue.Queue[*message.Header]
@@ -157,7 +151,6 @@ func New(cfg Config) *Broker {
 		locator:     cfg.Locator,
 		health:      newHealth(),
 		acked:       make(map[string]int64),
-		consumed:    make(map[string]uint64),
 		idQueues:    make(map[string]*queue.Queue[*message.Header]),
 		forwarders:  make(map[int]*queue.Queue[forwardItem]),
 		routerDone:  make(chan struct{}),
@@ -577,20 +570,23 @@ func (b *Broker) noteAck(src string, version int64) {
 	b.ackMu.Unlock()
 }
 
-// MergeAcked folds a forwarded ack-ledger snapshot into this broker's
-// ledger. The fragment runtime uses it when the sample fragment (which sees
-// every rollout) and the broadcast fragment (whose weight plane needs the
-// ledger) sit behind different brokers: the sampler ships periodic
-// ControlAckSnapshot messages and the broadcaster merges them here. Entries
-// overwrite last-value-wins, matching noteAck — a restarted source's version
-// regression must stay visible.
+// MergeAcked folds forwarded acks into this broker's ledger. The fragment
+// runtime uses it because the broadcast fragment, whose weight plane needs
+// the ledger, sees no rollout traffic: each learn replica forwards the acks
+// of the rollouts it ingested, and the broadcaster merges them here. Unlike
+// noteAck, an entry only rises: every replica sees its own share of one
+// explorer's rollouts, so a lower version is an older report, not a
+// restart. (A restarted explorer's first delta fails on its empty mirror,
+// and its NACK forces the dense resync.)
 func (b *Broker) MergeAcked(snap map[string]int64) {
 	if len(snap) == 0 {
 		return
 	}
 	b.ackMu.Lock()
 	for k, v := range snap {
-		b.acked[k] = v
+		if cur, ok := b.acked[k]; !ok || v > cur {
+			b.acked[k] = v
+		}
 	}
 	b.ackMu.Unlock()
 }
@@ -602,35 +598,6 @@ func (b *Broker) AckedWeights() map[string]int64 {
 	defer b.ackMu.Unlock()
 	out := make(map[string]int64, len(b.acked))
 	for k, v := range b.acked {
-		out[k] = v
-	}
-	return out
-}
-
-// MergeConsumed folds consumption acks into the broker's ledger: consumer
-// reports the highest dispatched rollout header ID it has ingested. Unlike
-// the weights ledger this one keeps the maximum, never the last value — IDs
-// are monotonic within the dispatching process and per-destination delivery
-// is ordered, so the high-water mark covers every earlier dispatch, while a
-// late beat from a retired incarnation must not re-open the window.
-func (b *Broker) MergeConsumed(consumer string, lastID uint64) {
-	if consumer == "" {
-		return
-	}
-	b.ackMu.Lock()
-	if lastID > b.consumed[consumer] {
-		b.consumed[consumer] = lastID
-	}
-	b.ackMu.Unlock()
-}
-
-// ConsumedAcks returns a copy of the consumption-ack ledger: the highest
-// ingested dispatch ID per consumer name.
-func (b *Broker) ConsumedAcks() map[string]uint64 {
-	b.ackMu.Lock()
-	defer b.ackMu.Unlock()
-	out := make(map[string]uint64, len(b.consumed))
-	for k, v := range b.consumed {
 		out[k] = v
 	}
 	return out
@@ -759,18 +726,6 @@ func (p *Port) AckedWeights() map[string]int64 { return p.broker.AckedWeights() 
 // MergeAcked folds a forwarded ack-ledger snapshot into the broker's ledger
 // (see Broker.MergeAcked).
 func (p *Port) MergeAcked(snap map[string]int64) { p.broker.MergeAcked(snap) }
-
-// MergeConsumed records a consumer's consumption ack in the broker's ledger
-// (see Broker.MergeConsumed); the sample fragment feeds it from replica
-// heartbeats.
-func (p *Port) MergeConsumed(consumer string, lastID uint64) {
-	p.broker.MergeConsumed(consumer, lastID)
-}
-
-// ConsumedAcks exposes the broker's consumption-ack ledger (see
-// Broker.ConsumedAcks); the sample fragment prunes in-flight rollout
-// retention against it.
-func (p *Port) ConsumedAcks() map[string]uint64 { return p.broker.ConsumedAcks() }
 
 // Recv blocks until a message addressed to this client arrives, fetches the
 // body from the object store (releasing the reference), and decodes it.

@@ -14,8 +14,8 @@ import (
 
 // aggRig runs a broadcast fragment alone on a one-machine broker: n learn
 // ports push weights, and every commit (and every retire) is answered by an
-// aggregate echo to each learn port. There are no explorers, and the
-// version announces to the absent sampler are dropped.
+// aggregate echo to each learn port. There are no explorers unless a test
+// adds them to cfg and rebuilds.
 type aggRig struct {
 	br    *broker.Broker
 	cfg   core.BroadcastConfig
@@ -281,12 +281,16 @@ func checkEcho(t *testing.T, what string, got *message.WeightsPayload, version i
 
 // TestBroadcastFoldCommitsOnce: pushes A1, B1, A2 queued before the
 // fragment's first receive fold into one commit. It sends one broadcast
-// (one version announce, dropped at the absent sampler) and one echo,
-// bit-identical to the name-ordered mean of A2 and B1. The version lands
+// and one echo, bit-identical to the name-ordered mean of A2 and B1. The version lands
 // three past the initial one, Aggregations is 3, and A1 is released unread.
 func TestBroadcastFoldCommitsOnce(t *testing.T) {
 	const params = 64
 	rig := newIdleAggRig(t, 2, filled(params, 0))
+	explorer, err := rig.br.Register(core.ExplorerName(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rig.cfg.Explorers = []string{core.ExplorerName(0)}
 	rig.cfg.InitialVersion = 10
 	rig.rebuild(t)
 	rig.send(t, 0, filled(params, -7), 0) // A1, superseded by A2
@@ -306,8 +310,7 @@ func TestBroadcastFoldCommitsOnce(t *testing.T) {
 	if m.Superseded != 1 {
 		t.Fatalf("Superseded = %d, want 1 (A1)", m.Superseded)
 	}
-	// One announce per broadcast: Start's seed broadcast and the commit's.
-	if got := m.Drops.UnknownDestination; got != 2 {
+	if got := explorer.Pending(); got != 2 {
 		t.Fatalf("%d broadcasts, want 2 (the seed and one commit)", got)
 	}
 	for _, p := range rig.learn {

@@ -108,7 +108,7 @@ func BenchmarkBroadcastFold(b *testing.B) {
 // ratio as "speedup". With training the bottleneck, two learn fragments
 // drain the rollout stream in roughly half the device time, so the ratio
 // should stay above 1; a ratio near 1 means the fragment runtime lost its
-// overlap (e.g. the sampler serializing dispatch behind a slow replica).
+// overlap (e.g. dispatch serialized behind a slow replica).
 func BenchmarkFragmentsIMPALA2v1(b *testing.B) {
 	var ratio float64
 	for i := 0; i < b.N; i++ {

@@ -125,16 +125,16 @@ type Config struct {
 	// Topology selects how the training loop's dataflow fragments are
 	// replicated and placed. The zero value keeps the fused loop (one
 	// learner on machine 0 that plans its own broadcasts); a
-	// fragmented topology (Learners >= 1) runs the sample,
-	// learn, and broadcast fragments as separate processes per the
-	// topology's placement, with the bounded-staleness rule on the
-	// sample→learn edge.
+	// fragmented topology (Learners >= 1) runs the learn and broadcast
+	// fragments as separate processes per the topology's placement,
+	// explorers dispatching to the learn replicas, which apply the
+	// bounded-staleness rule at ingest.
 	Topology Topology
 	// LearnerFailover supervises learn replicas in a fragmented topology
 	// with >= 2 replicas (§5i): a replica that errors or misses its
-	// heartbeat deadline is quarantined — the sampler re-dispatches its
-	// un-acked batches to survivors and the broadcaster recommits the
-	// survivor mean — and, while MaxLearnerRestarts lasts, respawned from
+	// heartbeat deadline is quarantined — explorers replay its un-acked
+	// rollouts to survivors and the broadcaster recommits the survivor
+	// mean — and, while MaxLearnerRestarts lasts, respawned from
 	// the latest fragment checkpoint under an exponential backoff. A slot
 	// whose budget runs out degrades the run to permanent N-1; when every
 	// slot has degraded the session fails. Validate rejects it with fewer
@@ -154,8 +154,8 @@ type Config struct {
 	// transport's lease-based membership plane declares a silent machine
 	// dead and the session re-places every fragment it hosted onto
 	// survivors — explorers and learn replicas through their supervisors,
-	// the sampler and broadcaster through warm standbys rebuilt from
-	// surviving state, the broker ack ledger, and fragment checkpoints.
+	// the broadcaster through a warm standby rebuilt from surviving state
+	// and fragment checkpoints.
 	// Validate rejects it without a Transport, over fewer than 2
 	// machines, or with fewer than 2 learn replicas, and NewSession rejects
 	// a Transport that does not implement MachineFailoverTransport
@@ -460,10 +460,9 @@ func restoreAlgorithm(alg Algorithm, path string) error {
 
 // buildFragments constructs the fragment runtime for a fragmented topology:
 // N algorithm replicas from the same factory and seed (identical
-// initialization, so the broadcast fragment's first aggregate is exact), a
-// sample fragment on its machine, one learn fragment per replica, and the
-// broadcast fragment seeded with the shared initial weights — or the
-// per-fragment checkpoint set when resuming.
+// initialization, so the broadcast fragment's first aggregate is exact), one
+// learn fragment per replica, and the broadcast fragment seeded with the
+// shared initial weights — or the per-fragment checkpoint set when resuming.
 func (s *Session) buildFragments(topo Topology, algF AlgorithmFactory) error {
 	algs := make([]Algorithm, topo.Learners)
 	for i := range algs {
@@ -514,21 +513,14 @@ func (s *Session) buildFragments(topo Topology, algF AlgorithmFactory) error {
 		stopMon:  make(chan struct{}),
 	}
 	s.frags = f
-	learnNames := make([]string, topo.Learners)
-	for i := range learnNames {
-		learnNames[i] = LearnName(i)
-	}
-	samplePort, err := s.transport.Register(topo.SampleMachine, SampleName)
-	if err != nil {
-		return err
-	}
+	learnNames := replicaNames(topo.Learners)
 	lk := s.learnKind()
 	for i, alg := range algs {
 		port, err := s.transport.Register(topo.LearnMachines[i], learnNames[i])
 		if err != nil {
 			return err
 		}
-		frag := NewLearnFragment(i, alg, port, s.cfg.NumExplorers, s.cfg.SeriesBucket)
+		frag := s.newReplica(i, alg, port)
 		if f.failover {
 			frag.SetFailover(0, s.cfg.HeartbeatEvery)
 		}
@@ -540,23 +532,34 @@ func (s *Session) buildFragments(topo Topology, algF AlgorithmFactory) error {
 	}
 	f.caster = newSlot(s.casterKind(learnNames), 0, BroadcastName, topo.BroadcastMachine, castPort,
 		s.newCaster(castPort, learnNames, initVersion, initWeights))
-	sampler := NewSampleFragment(samplePort, learnNames, topo.MaxStaleness)
-	if f.failover {
-		sampler.SetFailover()
-	}
-	f.sampler = newSlot(s.samplerKind(learnNames), 0, SampleName, topo.SampleMachine, samplePort, sampler)
 	return nil
+}
+
+// newReplica builds learn replica id over port, holding its ingest to the
+// topology's staleness bound, counting into the runtime's tallies and
+// forwarding explorer acks to the broadcaster.
+func (s *Session) newReplica(id int, alg Algorithm, port *broker.Port) *LearnFragment {
+	l := NewLearnFragment(id, alg, port, s.cfg.NumExplorers, s.cfg.SeriesBucket)
+	l.maxStale = s.frags.topo.MaxStaleness
+	l.counts = &s.frags.counts
+	l.acked = make(map[string]int64)
+	return l
+}
+
+// explorerNames lists the client names of explorers 0…n-1.
+func explorerNames(n int) []string {
+	names := make([]string, n)
+	for i := range names {
+		names[i] = ExplorerName(int32(i))
+	}
+	return names
 }
 
 // newCaster builds a broadcast fragment whose committed model starts at
 // version with weights, its replica deadline detector armed under failover.
 func (s *Session) newCaster(port *broker.Port, learnNames []string, version int64, weights []float32) *BroadcastFragment {
-	explorers := make([]string, s.cfg.NumExplorers)
-	for i := range explorers {
-		explorers[i] = ExplorerName(int32(i))
-	}
 	b := NewBroadcastFragment(port, BroadcastConfig{
-		Explorers:       explorers,
+		Explorers:       explorerNames(s.cfg.NumExplorers),
 		Learners:        learnNames,
 		InitialVersion:  version,
 		InitialWeights:  weights,
@@ -572,7 +575,10 @@ func (s *Session) newCaster(port *broker.Port, learnNames []string, version int6
 }
 
 // newExplorer creates one explorer incarnation over the slot's port, with a
-// fresh agent from the factory.
+// fresh agent from the factory. In a fragment topology it dispatches to the
+// learn replicas not degraded out of the run, starting its round-robin at
+// its own id; one quarantined but not yet respawned counts as live, and the
+// notices that follow correct it.
 func (s *Session) newExplorer(id int32, port *broker.Port) (*Explorer, error) {
 	agent, err := s.agF(id, s.seed+int64(id)+1)
 	if err != nil {
@@ -582,8 +588,18 @@ func (s *Session) newExplorer(id int32, port *broker.Port) (*Explorer, error) {
 	if s.cfg.MaxInflight != 0 {
 		ex.SetMaxInflight(s.cfg.MaxInflight)
 	}
-	if s.frags != nil {
-		ex.SetRolloutDst(SampleName)
+	if f := s.frags; f != nil {
+		_, live, _ := f.replicaStates()
+		ex.route = dispatch{
+			replicas: replicaNames(f.topo.Learners),
+			live:     live,
+			maxStale: f.topo.MaxStaleness,
+			next:     int(id),
+			counts:   &f.counts,
+		}
+		if f.failover {
+			ex.route.inflight = make(map[string][]inflightRollout)
+		}
 	}
 	return ex, nil
 }
@@ -801,7 +817,6 @@ func (s *Session) doStop() *Report {
 		dst = append(dst, sl.name)
 	}
 	if s.frags != nil {
-		dst = append(dst, SampleName)
 		for i := range s.frags.slots {
 			dst = append(dst, LearnName(i))
 		}
@@ -936,13 +951,13 @@ func (s *Session) ChannelHealth() broker.ClusterHealth {
 func (s *Session) Learner() *LearnFragment { return s.learner }
 
 // Fragments exposes the fragment runtime's pieces for inspection in tests
-// and experiments (sampler, learn replicas, broadcaster). All nil for a
-// fused topology.
-func (s *Session) Fragments() (*SampleFragment, []*LearnFragment, *BroadcastFragment) {
+// and experiments (learn replicas, broadcaster). Both nil for a fused
+// topology.
+func (s *Session) Fragments() ([]*LearnFragment, *BroadcastFragment) {
 	if s.frags == nil {
-		return nil, nil, nil
+		return nil, nil
 	}
-	return s.frags.sampler.current(), s.frags.learns(), s.frags.caster.current()
+	return s.frags.learns(), s.frags.caster.current()
 }
 
 // Err returns the first process error observed, if any. A fused learner's

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"xingtian/internal/broker"
@@ -21,15 +23,16 @@ import (
 // installing only the newest weights snapshot and releasing the ones it
 // superseded unread. Every install goes through Agent.SetWeights; sparse
 // deltas are first applied to the explorer's own mirror of the agent's
-// weights.
+// weights. In a fragment topology the explorer also routes each rollout to
+// a learn replica itself (route).
 type Explorer struct {
 	id          int32
+	name        string
 	agent       Agent
 	port        *broker.Port
 	sendBuf     *buffer.Buffer
 	rolloutLen  int
 	maxInflight int
-	learner     string
 
 	wg      sync.WaitGroup
 	stopped chan struct{}
@@ -45,6 +48,8 @@ type Explorer struct {
 	fragmentsSinceWeights int
 	inbox                 []*message.Header
 	mirror                weightMirror
+	route                 dispatch
+	statsAt               time.Time // when the last statistics message went out
 }
 
 // ExplorerName formats the canonical client name for an explorer ID.
@@ -63,6 +68,11 @@ const ControllerName = "controller"
 // producing rollouts a saturated learner must drop.
 const DefaultMaxInflight = 4
 
+// statsEvery is the least time between two statistics messages of one
+// explorer: the controller keeps only each node's newest, so one per
+// rollout would be wasted frames.
+const statsEvery = 100 * time.Millisecond
+
 // NewExplorer builds an explorer attached to the given broker port.
 func NewExplorer(id int32, agent Agent, port *broker.Port, rolloutLen int) *Explorer {
 	if rolloutLen <= 0 {
@@ -70,12 +80,12 @@ func NewExplorer(id int32, agent Agent, port *broker.Port, rolloutLen int) *Expl
 	}
 	return &Explorer{
 		id:          id,
+		name:        ExplorerName(id),
 		agent:       agent,
 		port:        port,
 		sendBuf:     buffer.New(),
 		rolloutLen:  rolloutLen,
 		maxInflight: DefaultMaxInflight,
-		learner:     LearnerName,
 		stopped:     make(chan struct{}),
 		failed:      make(chan struct{}),
 	}
@@ -84,12 +94,6 @@ func NewExplorer(id int32, agent Agent, port *broker.Port, rolloutLen int) *Expl
 // SetMaxInflight overrides the flow-control window (<= 0 disables it).
 // Call before Start.
 func (e *Explorer) SetMaxInflight(n int) { e.maxInflight = n }
-
-// SetRolloutDst overrides the destination rollout fragments are shipped to
-// (default: the learner). The fragment runtime points explorers at the
-// sample fragment, which applies the bounded-staleness filter and dispatches
-// to learn replicas. Call before Start.
-func (e *Explorer) SetRolloutDst(name string) { e.learner = name }
 
 // Start launches the explorer's sender and worker threads.
 func (e *Explorer) Start() {
@@ -150,36 +154,63 @@ func (e *Explorer) workerLoop() {
 		batch.ExplorerID = e.id
 		e.mu.Lock()
 		e.stepsGenerated += int64(len(batch.Steps))
+		generated := e.stepsGenerated
 		e.mu.Unlock()
-
-		m := message.New(message.TypeRollout, ExplorerName(e.id), []string{e.learner}, batch)
-		// The header ack: brokers ledger this version per source so the
-		// learner's weight plane knows which base each explorer holds.
-		m.Header.WeightsVersion = batch.WeightsVersion
-		if err := e.sendBuf.Put(m); err != nil {
+		if !e.ship(batch) {
 			return
 		}
 		e.fragmentsSinceWeights++
-		e.mu.Lock()
-		generated := e.stepsGenerated
-		e.mu.Unlock()
 
 		// Periodic statistics to the center controller (§3.2.2): workhorse
 		// threads put stats messages into the local send buffer and the
-		// asynchronous channel does the rest.
-		episodes, meanReturn := e.agent.EpisodeStats()
-		stats := &message.StatsPayload{
-			Node:           ExplorerName(e.id),
-			Episodes:       episodes,
-			MeanReturn:     meanReturn,
-			StepsGenerated: generated,
-			UnixNanos:      time.Now().UnixNano(),
-		}
-		if err := e.sendBuf.Put(message.New(message.TypeStats, ExplorerName(e.id),
-			[]string{ControllerName}, stats)); err != nil {
-			return
+		// asynchronous channel does the rest. The first rollout's go out at
+		// once, later ones at most every statsEvery.
+		if now := time.Now(); now.Sub(e.statsAt) >= statsEvery {
+			e.statsAt = now
+			episodes, meanReturn := e.agent.EpisodeStats()
+			if err := e.sendBuf.Put(message.New(message.TypeStats, e.name, []string{ControllerName},
+				&message.StatsPayload{
+					Node:           e.name,
+					Episodes:       episodes,
+					MeanReturn:     meanReturn,
+					StepsGenerated: generated,
+					UnixNanos:      now.UnixNano(),
+				})); err != nil {
+				return
+			}
 		}
 	}
+}
+
+// ship stages one rollout for the sender thread: to the learner when fused,
+// else to the learn replica route picks, kept under failover until that
+// replica acks it. A fragment-topology rollout with no live replica to go
+// to is shed: the slot supervisors decide whether that is terminal, and the
+// explorer's credit refills on the next broadcast. It returns false when
+// the send buffer is closed.
+func (e *Explorer) ship(b *message.RolloutBody) bool {
+	r := &e.route
+	dst := LearnerName
+	if r.replicas != nil {
+		if len(r.live) == 0 {
+			r.counts.staleDrops.Add(1)
+			return true
+		}
+		dst = r.pick(b.WeightsVersion)
+	}
+	m := message.New(message.TypeRollout, e.name, []string{dst}, b)
+	// The header ack: brokers ledger this version per source so the fused
+	// learner's weight plane knows which base each explorer holds, and learn
+	// replicas forward it to the broadcaster's.
+	m.Header.WeightsVersion = b.WeightsVersion
+	if err := e.sendBuf.Put(m); err != nil {
+		return false
+	}
+	if r.replicas != nil {
+		r.counts.dispatched.Add(1)
+		r.retain(dst, m.Header.ID, b)
+	}
+	return true
 }
 
 // drainReceived applies what waits in the port's ID queue. When block is
@@ -243,6 +274,7 @@ func (e *Explorer) applyInbox() (credited, ok bool) {
 			// broadcasting again.
 			credited = true
 			e.fragmentsSinceWeights = 0
+			e.route.seen = max(e.route.seen, h.WeightsVersion)
 			if i < newest {
 				e.port.Discard(h)
 				continue
@@ -274,17 +306,55 @@ func (e *Explorer) apply(m *message.Message) bool {
 			// NACK goes to the delta's Src — the learner in the fused loop,
 			// the broadcast fragment in a fragment topology. The credit
 			// stands: the NACK guarantees a dense follow-up.
-			nack := message.New(message.TypeControl, ExplorerName(e.id), []string{m.Header.Src},
+			nack := message.New(message.TypeControl, e.name, []string{m.Header.Src},
 				&message.ControlPayload{Kind: message.ControlWeightsResync})
 			if perr := e.sendBuf.Put(nack); perr != nil {
 				return false
 			}
 		}
 	case *message.ControlPayload:
-		if body.Kind == message.ControlShutdown {
+		switch body.Kind {
+		case message.ControlShutdown:
 			e.stopOne.Do(func() { close(e.stopped) })
 			return false
+		case message.ControlHeartbeat:
+			if id, ok := body.Acked[e.name]; ok {
+				e.route.ack(m.Header.Src, uint64(id))
+			}
+		case message.ControlQuarantine:
+			return e.quarantine(body.Peer)
+		case message.ControlRejoin:
+			e.route.rejoin(body.Peer)
 		}
+	}
+	return true
+}
+
+// quarantine takes a replica out of the rotation and replays what it has
+// not acked to the survivors, under the staleness bound the replicas apply
+// at ingest: an entry that aged past it while in flight is shed, not
+// replayed. The ack is a beat-carried high-water mark, so a rollout the
+// replica ingested just before it died is replayed too — delivery is
+// at-least-once, which off-policy replicas absorb and the bound caps for
+// on-policy ones. It returns false when the send buffer is closed.
+func (e *Explorer) quarantine(peer string) bool {
+	r := &e.route
+	i := slices.Index(r.live, peer)
+	if i < 0 {
+		return true // fused, or a duplicate quarantine
+	}
+	r.live = slices.Delete(r.live, i, i+1)
+	pend := r.inflight[peer]
+	delete(r.inflight, peer)
+	for _, f := range pend {
+		if r.maxStale >= 0 && r.seen-f.body.WeightsVersion > int64(r.maxStale) {
+			r.counts.staleDrops.Add(1)
+			continue
+		}
+		if !e.ship(f.body) {
+			return false
+		}
+		r.counts.redispatches.Add(1)
 	}
 	return true
 }
@@ -304,6 +374,104 @@ func (e *Explorer) installDelta(d *message.WeightsDeltaPayload) error {
 		return err
 	}
 	return nil
+}
+
+// dispatch is an explorer's half of the fragment dataflow (DESIGN.md §5h,
+// §5i): it picks the learn replica each rollout goes to and, under
+// failover, keeps each replica's un-acked rollouts for replay should the
+// replica be quarantined. Its zero value is the fused topology, where every
+// rollout goes to the learner. Only the worker thread touches it.
+type dispatch struct {
+	replicas []string // every learn replica, in name order
+	live     []string // the rotation: replicas not quarantined, in name order
+	maxStale int
+	next     int
+	// seen is the newest weights version the explorer has received, the
+	// committed version its replays are held to the bound against.
+	seen int64
+	// inflight is nil without failover: the newest inflightCap rollouts
+	// sent to each replica and not yet acked by its beat.
+	inflight map[string][]inflightRollout
+	counts   *dispatchCounts
+}
+
+// inflightCap bounds each per-replica in-flight ring. Rollouts are
+// droppable traffic, so rolling the oldest entry off a full ring loses
+// nothing the channel guarantees.
+const inflightCap = 128
+
+// inflightRollout is one un-acked rollout kept for replay. Bodies are plain
+// Go values (no store references), so keeping one costs memory only.
+type inflightRollout struct {
+	id   uint64
+	body *message.RolloutBody
+}
+
+// dispatchCounts tallies the fragment dataflow's rollouts across every
+// explorer and learn-replica incarnation: sent to a replica (replays
+// included), shed by the staleness bound or for want of a live replica,
+// and replayed off a quarantined replica's ring.
+type dispatchCounts struct {
+	dispatched, staleDrops, redispatches atomic.Int64
+}
+
+// pick routes a rollout produced under weights version v. Strict assignment
+// order (K = 0) routes by version: every rollout of one version reaches the
+// same replica, so an algorithm that trains on one batch per explorer at the
+// current policy (PPO) sees the complete set — per-rollout round-robin would
+// split it and no replica could ever train. Otherwise each explorer
+// round-robins, starting at its own id, which balances load.
+func (r *dispatch) pick(v int64) string {
+	if r.maxStale == 0 {
+		return r.live[int(v)%len(r.live)]
+	}
+	dst := r.live[r.next%len(r.live)]
+	r.next++
+	return dst
+}
+
+// retain keeps a rollout sent to dst until dst's beat acks it (failover
+// only).
+func (r *dispatch) retain(dst string, id uint64, b *message.RolloutBody) {
+	if r.inflight == nil {
+		return
+	}
+	q := append(r.inflight[dst], inflightRollout{id: id, body: b})
+	if len(q) > inflightCap {
+		q = q[1:]
+	}
+	r.inflight[dst] = q
+}
+
+// ack releases the rollouts src has ingested, or shed, up to header ID id.
+// One explorer's IDs rise with time and its deliveries to a replica arrive
+// in order, so the high-water mark covers every earlier one. A retired
+// incarnation's late beat cannot release what its successor was sent: that
+// was sent later, under higher IDs.
+func (r *dispatch) ack(src string, id uint64) {
+	q := r.inflight[src]
+	i := 0
+	for i < len(q) && q[i].id <= id {
+		i++
+	}
+	if i > 0 {
+		r.inflight[src] = q[i:]
+	}
+}
+
+// rejoin returns a respawned replica to the rotation in name order, so K = 0
+// version routing stays the same for a given live set.
+func (r *dispatch) rejoin(peer string) {
+	if r.replicas == nil || slices.Contains(r.live, peer) {
+		return
+	}
+	live := make([]string, 0, len(r.live)+1)
+	for _, n := range r.replicas {
+		if n == peer || slices.Contains(r.live, n) {
+			live = append(live, n)
+		}
+	}
+	r.live = live
 }
 
 // weightMirror is the explorer's flat shadow of the weights its agent holds,

@@ -25,3 +25,7 @@ func (s *Session) HoldLearnRecv(idx int) {
 		}
 	}
 }
+
+// AckedWeights returns the broadcaster's ledger of the weights version each
+// explorer last acked, the one its weight plane plans against.
+func (b *BroadcastFragment) AckedWeights() map[string]int64 { return b.port.AckedWeights() }

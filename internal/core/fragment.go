@@ -1,32 +1,30 @@
 // Dataflow-fragment runtime: the training loop decomposed into
 // independently placeable fragments in the style of MSRL, connected only by
-// the existing queue/store/fabric primitives (broker ports). Four fragment
+// the existing queue/store/fabric primitives (broker ports). Three fragment
 // kinds exist:
 //
-//   - rollout fragments — the explorers, unchanged, pointed at the sample
-//     fragment instead of the learner;
-//   - the replay/sample fragment — receives every rollout, applies the
-//     topology's bounded-staleness rule against the committed weights
-//     version, and dispatches survivors round-robin to the learn replicas;
-//   - learn fragments — one Algorithm replica each, training independently
-//     and pushing post-train weights to the broadcast fragment;
+//   - rollout fragments — the explorers, which push each rollout straight
+//     to a learn replica they pick themselves (explorer.go's dispatch);
+//   - learn fragments — one Algorithm replica each, applying the topology's
+//     bounded-staleness rule at ingest, training independently and pushing
+//     post-train weights to the broadcast fragment;
 //   - the broadcast fragment — aggregates replica weights (element-wise
 //     mean of each replica's latest push), commits a new global version,
 //     plans the weight broadcast to every explorer through the §5g weight
-//     plane, periodically echoes the aggregate back to the replicas so they
-//     do not drift, and owns per-fragment checkpointing.
+//     plane, echoes the aggregate back to the replicas on every commit, and
+//     owns per-fragment checkpointing.
 //
 // Relaxed assignment dependencies: stages never hand-shake. A learn
-// fragment may train on any rollout the sampler dispatched, and the sampler
-// dispatches any rollout at most Topology.MaxStaleness weight versions
-// behind the committed version (0 = strict assignment order, negative =
-// unbounded). The dispatch-time committed version is stamped into the
-// rollout header's BaseVersion so the bound is checkable downstream.
+// fragment trains on any rollout an explorer sent it that is at most
+// Topology.MaxStaleness weight versions behind the committed version of its
+// newest echo (0 = strict assignment order, negative = unbounded).
 package core
 
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -42,377 +40,23 @@ import (
 	"xingtian/internal/weightplane"
 )
 
-// ackSnapshotEvery is the rollout cadence at which the sample fragment
-// forwards its ack ledger to the broadcast fragment. Snapshots are
-// privileged control traffic, so the cadence bounds their rate.
-const ackSnapshotEvery = 4
-
-// inflightCap bounds the sampler's per-replica in-flight retention ring
-// (failover mode only): the newest un-acked dispatches kept for re-dispatch
-// if the replica is quarantined. Rollouts are droppable traffic, so rolling
-// the oldest entry off a full ring loses nothing the channel guarantees.
-const inflightCap = 128
-
 // heartbeatMisses is the deadline multiplier of the broadcast-side health
 // detector: a replica silent for heartbeatMisses consecutive heartbeat
 // intervals is suspected hung and reported for quarantine.
 const heartbeatMisses = 4
 
-// inflightRollout is one un-acked dispatch retained by the sampler for
-// possible re-dispatch. Bodies are plain Go values (no store references), so
-// retention costs memory only.
-type inflightRollout struct {
-	id   uint64
-	ver  int64
-	src  string
-	body *message.RolloutBody
-}
-
-// SampleFragment is the replay/sample stage: the one consumer of raw
-// rollout traffic. It keeps the rollout-carried ack ledger, enforces the
-// bounded-staleness edge, and load-balances dispatch across learn replicas.
-type SampleFragment struct {
-	port      *broker.Port
-	learnDsts []string
-	maxStale  int
-
-	committed atomic.Int64
-	ledger    map[string]int64 // touched only by the recv loop
-	next      int
-	sinceSnap int
-
-	// Failover state (§5i), touched only by the recv loop. live is the
-	// current dispatch rotation (learnDsts minus quarantined replicas),
-	// epochs the incarnation epoch each replica last rejoined at, and
-	// inflight the per-replica un-acked dispatch retention ring.
-	failover bool
-	live     []string
-	epochs   map[string]int32
-	inflight map[string][]inflightRollout
-
-	staleDrops   atomic.Int64
-	dispatched   atomic.Int64
-	redispatches atomic.Int64
-
-	wg      sync.WaitGroup
-	mu      sync.Mutex
-	lastErr error
-}
-
-// NewSampleFragment builds the sample fragment over a broker port.
-func NewSampleFragment(port *broker.Port, learnDsts []string, maxStale int) *SampleFragment {
-	return &SampleFragment{
-		port:      port,
-		learnDsts: append([]string(nil), learnDsts...),
-		live:      append([]string(nil), learnDsts...),
-		maxStale:  maxStale,
-		ledger:    make(map[string]int64),
-	}
-}
-
-// SetFailover arms the sampler's quarantine/re-dispatch machinery: the
-// dispatch rotation shrinks past quarantined replicas and every dispatch is
-// retained (bounded) until the destination's heartbeat acks it. Call before
-// Start.
-func (s *SampleFragment) SetFailover() {
-	s.failover = true
-	s.epochs = make(map[string]int32)
-	s.inflight = make(map[string][]inflightRollout)
-}
-
-// Start launches the sampler's receive/dispatch loop.
-func (s *SampleFragment) Start() {
-	s.wg.Add(1)
-	go s.loop()
-}
-
-func (s *SampleFragment) loop() {
-	defer s.wg.Done()
-	for {
-		m, err := s.port.Recv()
-		if errors.Is(err, queue.ErrClosed) {
-			return // broker stopped
-		}
-		if err != nil {
-			continue // an unreadable body: the broker counted it
-		}
-		switch body := m.Body.(type) {
-		case *message.RolloutBody:
-			if !s.dispatch(m, body) {
-				return
-			}
-		case *message.ControlPayload:
-			switch body.Kind {
-			case message.ControlShutdown:
-				return
-			case message.ControlVersionAnnounce:
-				s.advanceCommitted(m.Header.WeightsVersion)
-			case message.ControlHeartbeat:
-				s.handleHeartbeat(m.Header.Src, m.Header.Round, body.LastRolloutID)
-			case message.ControlQuarantine:
-				if !s.quarantine(body.Peer) {
-					return
-				}
-			case message.ControlRejoin:
-				s.rejoin(body.Peer, m.Header.Round)
-			}
-		}
-	}
-}
-
-// handleHeartbeat folds one replica liveness beat into the broker's
-// consumption-ack ledger and prunes the replica's in-flight retention ring:
-// IDs are monotonic within this process and per-destination delivery is
-// ordered, so everything at or below the acked ID is consumed (or shed by
-// the replica) and never needs re-dispatch. Beats from retired incarnations
-// (stale epoch) are ignored — a zombie's ack must not release batches its
-// replacement never saw.
-func (s *SampleFragment) handleHeartbeat(src string, epoch int32, lastID uint64) {
-	if !s.failover || s.epochs[src] != epoch {
-		return
-	}
-	s.port.MergeConsumed(src, lastID)
-	acked := s.port.ConsumedAcks()[src]
-	q := s.inflight[src]
-	keep := q[:0]
-	for _, e := range q {
-		if e.id > acked {
-			keep = append(keep, e)
-		}
-	}
-	s.inflight[src] = keep
-}
-
-// quarantine retires a replica from the dispatch rotation and re-dispatches
-// its retained un-acked batches to the survivors, subject to the same
-// bounded-staleness rule as first dispatch (an entry that aged past the
-// bound while in flight is shed, not replayed). Duplicate training is
-// possible — the ack is a heartbeat-carried high-water mark, so a batch the
-// replica trained on just before dying is replayed at-least-once — which
-// off-policy replicas absorb and the staleness bound caps for on-policy
-// ones. It returns false when the channel is torn down mid-redispatch.
-func (s *SampleFragment) quarantine(peer string) bool {
-	if !s.failover {
-		return true
-	}
-	live := s.live[:0]
-	found := false
-	for _, n := range s.live {
-		if n == peer {
-			found = true
-			continue
-		}
-		live = append(live, n)
-	}
-	s.live = live
-	if !found {
-		return true // duplicate quarantine: already retired
-	}
-	pend := s.inflight[peer]
-	delete(s.inflight, peer)
-	c := s.committed.Load()
-	for _, e := range pend {
-		if s.maxStale >= 0 && c-e.ver > int64(s.maxStale) {
-			s.staleDrops.Add(1)
-			continue
-		}
-		if len(s.live) == 0 {
-			// No survivors to replay onto; the slot supervisors decide
-			// whether that is terminal. Account the batch as shed.
-			s.staleDrops.Add(1)
-			continue
-		}
-		if !s.forward(e.src, e.ver, c, e.body) {
-			return false
-		}
-		s.redispatches.Add(1)
-	}
-	return true
-}
-
-// rejoin restores a respawned replica to the dispatch rotation at its new
-// incarnation epoch.
-func (s *SampleFragment) rejoin(peer string, epoch int32) {
-	if !s.failover {
-		return
-	}
-	// Record the new incarnation epoch even when the peer is already in the
-	// rotation: a standby sampler's seeded epochs may predate a respawn that
-	// raced the machine takeover, and the rejoin is the authoritative epoch
-	// record either way (a stale entry would fence out the live replica's
-	// heartbeats and its in-flight ring would never prune).
-	s.epochs[peer] = epoch
-	for _, n := range s.live {
-		if n == peer {
-			return // duplicate rejoin
-		}
-	}
-	// Preserve the canonical replica order so K=0 version-routing stays
-	// deterministic for a fixed live set.
-	old := s.live
-	live := make([]string, 0, len(old)+1)
-	for _, n := range s.learnDsts {
-		if n == peer || s.contains(old, n) {
-			live = append(live, n)
-		}
-	}
-	s.live = live
-	s.epochs[peer] = epoch
-	s.inflight[peer] = nil
-}
-
-// seedFailoverState primes a standby sampler (machine takeover) before
-// Start: the slot-tracked incarnation epochs fence retired incarnations'
-// late traffic, and the live rotation excludes replicas already degraded
-// out of the run. Transiently-quarantined replicas may appear live here —
-// their supervisor's ControlRejoin re-synchronizes the epoch, and the
-// bounded in-flight ring absorbs any dispatch to a not-yet-respawned
-// replica. Call after SetFailover.
-func (s *SampleFragment) seedFailoverState(epochs map[string]int32, live []string) {
-	for n, ep := range epochs {
-		s.epochs[n] = ep
-	}
-	s.live = append([]string(nil), live...)
-}
-
-func (s *SampleFragment) contains(names []string, want string) bool {
-	for _, n := range names {
-		if n == want {
-			return true
-		}
-	}
-	return false
-}
-
-// dispatch applies the bounded-staleness rule to one rollout and forwards
-// the survivors. It returns false when the channel is torn down.
-func (s *SampleFragment) dispatch(m *message.Message, body *message.RolloutBody) bool {
-	v := m.Header.WeightsVersion
-	src := m.Header.Src
-	s.ledger[src] = v
-	c := s.committed.Load()
-	if s.maxStale >= 0 && c-v > int64(s.maxStale) {
-		// The rollout is older than the edge allows: shed it here. The
-		// explorer's credit is unharmed — broadcasts reach every explorer,
-		// so the spent fragment is refilled by the next weights message.
-		s.staleDrops.Add(1)
-	} else if len(s.live) == 0 {
-		// Every replica is quarantined; the supervisors decide whether the
-		// run is terminal. Shed rather than wedge the rollout path.
-		s.staleDrops.Add(1)
-	} else if !s.forward(src, v, c, body) {
-		return false
-	}
-	s.sinceSnap++
-	if s.sinceSnap >= ackSnapshotEvery {
-		s.sinceSnap = 0
-		snap := make(map[string]int64, len(s.ledger))
-		for k, ver := range s.ledger {
-			snap[k] = ver
-		}
-		sm := message.New(message.TypeControl, SampleName, []string{BroadcastName},
-			&message.ControlPayload{Kind: message.ControlAckSnapshot, Acked: snap})
-		if err := s.port.Send(sm); err != nil {
-			if !errors.Is(err, queue.ErrClosed) {
-				s.fail(fmt.Errorf("sample fragment ack snapshot: %w", err))
-			}
-			return false
-		}
-	}
-	return true
-}
-
-// forward routes one surviving rollout to a live learn replica and, in
-// failover mode, retains it in the destination's in-flight ring until a
-// heartbeat acks it. It returns false when the channel is torn down.
-func (s *SampleFragment) forward(src string, v, c int64, body *message.RolloutBody) bool {
-	// Strict assignment order (K=0) routes by version: every rollout of
-	// one weights version reaches the same replica, so algorithms that
-	// train on one batch per explorer at the current policy (PPO) see
-	// the complete synchronous set — per-rollout round-robin would split
-	// it and no replica could ever train. Relaxed edges (K != 0) keep
-	// round-robin, which balances load without regard to version.
-	var dst string
-	if s.maxStale == 0 {
-		dst = s.live[int(v)%len(s.live)]
-	} else {
-		dst = s.live[s.next%len(s.live)]
-		s.next++
-	}
-	fm := message.New(message.TypeRollout, src, []string{dst}, body)
-	fm.Header.WeightsVersion = v
-	fm.Header.BaseVersion = c // dispatch-time committed version, for the bound's audit
-	if err := s.port.Send(fm); err != nil {
-		if !errors.Is(err, queue.ErrClosed) {
-			s.fail(fmt.Errorf("sample fragment dispatch: %w", err))
-		}
-		return false
-	}
-	s.dispatched.Add(1)
-	if s.failover {
-		q := append(s.inflight[dst], inflightRollout{id: fm.Header.ID, ver: v, src: src, body: body})
-		if len(q) > inflightCap {
-			q = q[1:]
-		}
-		s.inflight[dst] = q
-	}
-	return true
-}
-
-// advanceCommitted raises the committed version monotonically — announces
-// can arrive out of order across machines and a regression would re-open
-// the staleness window.
-func (s *SampleFragment) advanceCommitted(v int64) {
-	for {
-		cur := s.committed.Load()
-		if v <= cur || s.committed.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
-func (s *SampleFragment) fail(err error) {
-	s.mu.Lock()
-	if s.lastErr == nil {
-		s.lastErr = err
-	}
-	s.mu.Unlock()
-}
-
-// Err returns the first error the sampler hit, if any.
-func (s *SampleFragment) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastErr
-}
-
-// StaleDrops reports rollouts shed by the bounded-staleness filter.
-func (s *SampleFragment) StaleDrops() int64 { return s.staleDrops.Load() }
-
-// Dispatched reports rollouts forwarded to learn fragments.
-func (s *SampleFragment) Dispatched() int64 { return s.dispatched.Load() }
-
-// Redispatches reports quarantined replicas' un-acked batches replayed to
-// surviving replicas.
-func (s *SampleFragment) Redispatches() int64 { return s.redispatches.Load() }
-
-// Committed reports the newest committed weights version the sampler knows.
-func (s *SampleFragment) Committed() int64 { return s.committed.Load() }
-
-// Join waits for the sampler's loop after the broker has been stopped.
-func (s *SampleFragment) Join() { s.wg.Wait() }
-
 // LearnFragment is the learner process of Fig. 2(a): the trainer thread
 // consumes rollouts from the local receive buffer and trains whenever the
 // algorithm is ready, while the receiver thread keeps that buffer filled as
 // messages arrive, so rollout transmission overlaps training. As a learn
-// replica it trains on whatever the sampler dispatches, pushes post-train
-// weights to the broadcast fragment, and installs the aggregate echoes it
-// receives. A replica keeps at most one push unanswered: the broadcaster's
-// echo answers it, and trains in between only mark the replica dirty, so
-// weights the broadcaster would release unread are never sent. The fused
-// topology runs one as the whole learner: it plans the per-explorer weight
-// broadcast itself and a sender thread pushes it out.
+// replica it trains on what explorers send it within the staleness bound,
+// pushes post-train weights to the broadcast fragment, and installs the
+// aggregate echoes it receives. A replica keeps at most one push
+// unanswered: the broadcaster's echo answers it, and trains in between only
+// mark the replica dirty, so weights the broadcaster would release unread
+// are never sent. The fused topology runs one as the whole learner: it
+// plans the per-explorer weight broadcast itself and a sender thread pushes
+// it out.
 type LearnFragment struct {
 	name         string
 	alg          Algorithm
@@ -447,16 +91,28 @@ type LearnFragment struct {
 	// The replica's push window, touched only by the trainer thread:
 	// unanswered marks a push no echo has answered yet, and dirty marks
 	// weights trained since that push and not yet pushed. retryAfter is
-	// pushRetry; tests may set it before Start.
+	// pushRetry; tests may set it before Start. acked is the weights
+	// version of the newest rollout ingested from each explorer (nil when
+	// fused: the learner's broker sees the rollouts). A snapshot of it,
+	// ackSent, rides ahead of a push when ackNew: an explorer is new, or
+	// ackSlack versions past its last snapshot.
 	unanswered bool
 	dirty      bool
 	retryAfter time.Duration
+	acked      map[string]int64
+	ackSent    map[string]int64
+	ackNew     bool
 
-	// observeStaleness, when set before Start, is called for every rollout
-	// the replica ingests with the rollout's weights version and the
-	// committed version stamped at dispatch — the audit hook the bounded-
-	// staleness property tests use.
-	observeStaleness func(rolloutVer, dispatchVer int64)
+	// The staleness bound, applied by the trainer thread at ingest: a
+	// rollout more than maxStale versions behind committed, the version of
+	// the newest echo, is shed and counted (maxStale < 0 disables it).
+	// observeStaleness, when set before Start, is called with the weights
+	// version and the committed version of every rollout the bound lets
+	// through — the audit hook the bounded-staleness property tests use.
+	maxStale         int
+	committed        int64
+	counts           *dispatchCounts
+	observeStaleness func(rolloutVer, committedVer int64)
 
 	// Failover plumbing (§5i). epoch is the incarnation number stamped into
 	// every outbound push and heartbeat (Header.Round) so peers can discard
@@ -465,13 +121,17 @@ type LearnFragment struct {
 	// trainer blocked on input — together the liveness evidence: a beat is
 	// sent only while the trainer progresses or idles at the receive buffer,
 	// so a trainer wedged inside a training step falls silent and trips the
-	// broadcast-side deadline detector. lastRollout is the newest dispatched
-	// rollout ID ingested, carried on beats as the consumption ack.
-	epoch       int32
-	hbEvery     time.Duration
-	activity    atomic.Int64
-	waiting     atomic.Bool
-	lastRollout atomic.Uint64
+	// broadcast-side deadline detector. ingested maps each explorer to the
+	// newest rollout header ID ingested from it, carried on beats as the ack
+	// explorers release their in-flight rings by; beatDsts are the
+	// broadcaster and every explorer.
+	epoch    int32
+	hbEvery  time.Duration
+	activity atomic.Int64
+	waiting  atomic.Bool
+	beatDsts []string
+	ackMu    sync.Mutex
+	ingested map[string]int64
 
 	wg       sync.WaitGroup
 	stopped  chan struct{}
@@ -499,6 +159,8 @@ func NewLearnFragment(idx int, alg Algorithm, port *broker.Port, numExplorers in
 		recvBuf:      buffer.New(),
 		numExplorers: numExplorers,
 		retryAfter:   pushRetry,
+		maxStale:     StalenessUnbounded,
+		counts:       &dispatchCounts{},
 		WaitHist:     stats.NewHistogram(),
 		TransHist:    stats.NewHistogram(),
 		Series:       stats.NewSeries(bucket),
@@ -533,6 +195,8 @@ func newFusedLearner(alg Algorithm, port *broker.Port, cfg Config) *LearnFragmen
 func (l *LearnFragment) SetFailover(epoch int32, hbEvery time.Duration) {
 	l.epoch = epoch
 	l.hbEvery = hbEvery
+	l.beatDsts = append([]string{BroadcastName}, explorerNames(l.numExplorers)...)
+	l.ingested = make(map[string]int64)
 }
 
 // Failed is closed when the replica records an error (never on a clean
@@ -546,7 +210,7 @@ func (l *LearnFragment) RecvDone() <-chan struct{} { return l.recvDone }
 
 // SetStalenessObserver installs the per-rollout staleness audit hook. Call
 // before Start.
-func (l *LearnFragment) SetStalenessObserver(fn func(rolloutVer, dispatchVer int64)) {
+func (l *LearnFragment) SetStalenessObserver(fn func(rolloutVer, committedVer int64)) {
 	l.observeStaleness = fn
 }
 
@@ -567,13 +231,13 @@ func (l *LearnFragment) Start() {
 }
 
 // heartbeatLoop piggybacks liveness on the control plane: every hbEvery it
-// sends a ControlHeartbeat to the sampler and broadcaster — but only when the
-// trainer either made progress since the last beat or is parked at the
-// receive buffer waiting for input. A trainer wedged *inside* a training step
-// is neither, so the replica falls silent and the broadcaster's deadline
-// detector quarantines it. Each beat carries the newest dispatched rollout ID
-// ingested, which the sampler folds into the broker's consumption ledger to
-// prune its in-flight window.
+// sends a ControlHeartbeat to the broadcaster and the explorers — but only
+// when the trainer either made progress since the last beat or is parked at
+// the receive buffer waiting for input. A trainer wedged *inside* a training
+// step is neither, so the replica falls silent and the broadcaster's
+// deadline detector quarantines it. Each beat carries, per explorer, the
+// newest rollout ID ingested from it, which the explorer prunes its
+// in-flight ring by.
 func (l *LearnFragment) heartbeatLoop() {
 	defer l.wg.Done()
 	tick := time.NewTicker(l.hbEvery)
@@ -590,20 +254,18 @@ func (l *LearnFragment) heartbeatLoop() {
 			continue
 		}
 		lastSeen = act
-		m := message.New(message.TypeControl, l.name, []string{SampleName, BroadcastName}, &message.ControlPayload{
-			Kind:          message.ControlHeartbeat,
-			Peer:          l.name,
-			LastRolloutID: l.lastRollout.Load(),
+		l.ackMu.Lock()
+		ids := maps.Clone(l.ingested)
+		l.ackMu.Unlock()
+		m := message.New(message.TypeControl, l.name, l.beatDsts, &message.ControlPayload{
+			Kind:  message.ControlHeartbeat,
+			Peer:  l.name,
+			Acked: ids,
 		})
 		m.Header.Round = l.epoch
-		if err := l.port.Send(m); err != nil {
-			// Only a closed channel ends the beat silently; any other send
-			// failure is surfaced through fail() so the supervisor sees the
-			// real cause instead of a deadline-detector quarantine of a
-			// replica that merely stopped beating.
-			if !errors.Is(err, queue.ErrClosed) {
-				l.fail(fmt.Errorf("%s heartbeat: %w", l.name, err))
-			}
+		// A failed beat is the replica's error, so the supervisor sees the
+		// real cause, not a quarantine of a replica that stopped beating.
+		if !l.send(m, "heartbeat") {
 			return
 		}
 	}
@@ -615,13 +277,7 @@ func (l *LearnFragment) senderLoop() {
 	defer l.wg.Done()
 	for {
 		m, err := l.sendBuf.Next()
-		if err != nil {
-			return
-		}
-		if err := l.port.Send(m); err != nil {
-			if !errors.Is(err, queue.ErrClosed) {
-				l.fail(fmt.Errorf("%s send: %w", l.name, err))
-			}
+		if err != nil || !l.send(m, "send") {
 			return
 		}
 	}
@@ -727,6 +383,12 @@ func (l *LearnFragment) trainerLoop() {
 	}
 }
 
+// ackSlack is how far an explorer's ack may move before a replica forwards
+// it: a quarter of the weight plane's stale gap, so a forwarded ack is never
+// old enough to force a dense resync, at a snapshot per ackSlack versions
+// rather than one per push.
+const ackSlack = weightplane.DefaultStaleGap / 4
+
 // pushRetry bounds a replica's idle wait while its push is unanswered. It
 // is several times the fabric's traced delivery p99 (≈ 20–30 ms on the
 // 4-machine grid), so a push is repeated only when it or its echo is gone.
@@ -775,10 +437,29 @@ func (l *LearnFragment) drainNonBlocking() int {
 func (l *LearnFragment) ingest(m *message.Message) bool {
 	switch body := m.Body.(type) {
 	case *message.RolloutBody:
-		if l.observeStaleness != nil {
-			l.observeStaleness(m.Header.WeightsVersion, m.Header.BaseVersion)
+		if l.acked != nil {
+			v := m.Header.WeightsVersion
+			l.acked[m.Header.Src] = v
+			if sent, ok := l.ackSent[m.Header.Src]; !ok || v-sent >= ackSlack {
+				l.ackNew = true
+			}
 		}
-		l.lastRollout.Store(m.Header.ID)
+		if l.ingested != nil {
+			l.ackMu.Lock()
+			l.ingested[m.Header.Src] = int64(m.Header.ID)
+			l.ackMu.Unlock()
+		}
+		v := m.Header.WeightsVersion
+		if l.maxStale >= 0 && l.committed-v > int64(l.maxStale) {
+			// Older than the bound allows: shed it, acked all the same. The
+			// explorer's credit is unharmed — broadcasts reach every
+			// explorer, so the next weights message refills it.
+			l.counts.staleDrops.Add(1)
+			return true
+		}
+		if l.observeStaleness != nil {
+			l.observeStaleness(v, l.committed)
+		}
 		l.alg.PrepareData(body)
 		l.rolloutsSinceUpdate.Add(1)
 	case *message.WeightsPayload:
@@ -798,6 +479,10 @@ func (l *LearnFragment) ingest(m *message.Message) bool {
 			l.fail(fmt.Errorf("%s install aggregate: %w", l.name, err))
 			return false
 		}
+		// Echoes reorder only across a broadcaster takeover, and the
+		// standby starts above every version a survivor saw: the largest
+		// is the newest.
+		l.committed = max(l.committed, body.Version)
 	case *message.ControlPayload:
 		switch body.Kind {
 		case message.ControlShutdown:
@@ -860,18 +545,35 @@ func (l *LearnFragment) publish(targets []int32) bool {
 // leaves the push unanswered. It returns false when the channel is torn
 // down.
 func (l *LearnFragment) push() bool {
+	if l.ackNew {
+		snap := maps.Clone(l.acked)
+		if !l.send(message.New(message.TypeControl, l.name, []string{BroadcastName},
+			&message.ControlPayload{Kind: message.ControlAckSnapshot, Acked: snap}), "ack snapshot") {
+			return false
+		}
+		l.ackSent, l.ackNew = snap, false
+	}
 	w := l.alg.Weights()
 	m := message.New(message.TypeWeights, l.name, []string{BroadcastName}, w)
 	m.Header.WeightsVersion = w.Version
 	m.Header.Round = l.epoch
-	if err := l.port.Send(m); err != nil {
-		if !errors.Is(err, queue.ErrClosed) {
-			l.fail(fmt.Errorf("%s push: %w", l.name, err))
-		}
+	if !l.send(m, "push") {
 		return false
 	}
 	l.rolloutsSinceUpdate.Store(0)
 	l.unanswered, l.dirty = true, false
+	return true
+}
+
+// send sends m and returns false when the channel is torn down; any other
+// failure is the replica's error.
+func (l *LearnFragment) send(m *message.Message, what string) bool {
+	if err := l.port.Send(m); err != nil {
+		if !errors.Is(err, queue.ErrClosed) {
+			l.fail(fmt.Errorf("%s %s: %w", l.name, what, err))
+		}
+		return false
+	}
 	return true
 }
 
@@ -938,8 +640,7 @@ func (l *LearnFragment) Join() { l.wg.Wait() }
 
 // BroadcastFragment aggregates replica weights into the committed model and
 // plans its distribution: weight-plane broadcasts to every explorer,
-// aggregate echoes to the replicas, version announces to the sampler, and
-// per-fragment checkpoints.
+// aggregate echoes to the replicas, and per-fragment checkpoints.
 type BroadcastFragment struct {
 	port      *broker.Port
 	explorers []string
@@ -1202,16 +903,12 @@ func (b *BroadcastFragment) loop() {
 				return
 			}
 		case message.ControlTakeover:
-			// A fragment was re-placed after a machine death. A rebuilt
-			// explorer's plane state is marked stale so its next weights
-			// are a dense snapshot; either way the committed model is
-			// re-broadcast — the takeover window may have starved
-			// explorers of flow-control credit, and a standby sampler
-			// re-learns the committed version from the announce that
-			// rides along with every broadcast.
-			if body.Peer != SampleName {
-				b.plane.MarkStale(body.Peer)
-			}
+			// An explorer was re-placed after a machine death. Its plane
+			// state is marked stale so its next weights are a dense
+			// snapshot, and the committed model is re-broadcast: the
+			// takeover window may have starved explorers of flow-control
+			// credit.
+			b.plane.MarkStale(body.Peer)
 			if !b.broadcast() {
 				return
 			}
@@ -1328,6 +1025,12 @@ func (b *BroadcastFragment) commit(k int64) bool {
 	if !b.echoAggregate() {
 		return false
 	}
+	// Yield. Go runs goroutines a hand-off wakes ahead of those the network
+	// wakes, so a replica and an explorer sharing the broadcaster's process
+	// could otherwise trade echoes, pushes and credit among themselves and
+	// keep every remote push, rollout and lease renewal of that process
+	// waiting. The yield queues the broadcaster behind them.
+	runtime.Gosched()
 	if b.ckptPath != "" && n/b.ckptEvery != (n-k)/b.ckptEvery {
 		if err := b.saveCheckpoint(); err != nil {
 			b.fail(fmt.Errorf("broadcast fragment checkpoint: %w", err))
@@ -1346,7 +1049,7 @@ func (b *BroadcastFragment) findReplica(name string) (int, bool) {
 }
 
 // broadcast plans and sends the committed model to every explorer through
-// the weight plane, then announces the committed version to the sampler.
+// the weight plane.
 func (b *BroadcastFragment) broadcast() bool {
 	v := b.version.Load()
 	for _, o := range b.plane.Plan(b.agg, v, b.explorers, b.port.AckedWeights()) {
@@ -1357,10 +1060,7 @@ func (b *BroadcastFragment) broadcast() bool {
 			return false
 		}
 	}
-	am := message.New(message.TypeControl, BroadcastName, []string{SampleName},
-		&message.ControlPayload{Kind: message.ControlVersionAnnounce})
-	am.Header.WeightsVersion = v
-	return b.send(am)
+	return true
 }
 
 // retireReplica drops a quarantined replica's contribution from the
@@ -1442,16 +1142,11 @@ func (b *BroadcastFragment) echoAggregate() bool {
 }
 
 // saveCheckpoint persists the per-fragment checkpoint set: the committed
-// aggregate, the sampler's committed-version fence (its dispatch ledger and
-// in-flight ring cover droppable traffic only and are reconstructed from
-// heartbeats), plus each replica's last pushed weights.
+// aggregate plus each replica's last pushed weights.
 func (b *BroadcastFragment) saveCheckpoint() error {
 	states := []checkpoint.FragmentState{{
 		Name:  BroadcastName,
 		State: checkpoint.State{Version: b.version.Load(), Weights: append([]float32(nil), b.agg...)},
-	}, {
-		Name:  SampleName,
-		State: checkpoint.State{Version: b.version.Load()},
 	}}
 	for _, name := range b.learnDsts {
 		if i, ok := b.findReplica(name); ok {
@@ -1522,8 +1217,9 @@ type FragmentReport struct {
 	// Topology echoes the normalized topology the run used.
 	Learners     int
 	MaxStaleness int
-	// StaleDrops counts rollouts shed by the bounded-staleness filter and
-	// Dispatched the rollouts that reached a learn replica.
+	// StaleDrops counts rollouts shed by the staleness bound (or for want
+	// of a live replica) and Dispatched the rollouts explorers
+	// sent to a learn replica, replays included.
 	StaleDrops int64
 	Dispatched int64
 	// Aggregations counts broadcast-fragment aggregation rounds and
@@ -1535,7 +1231,8 @@ type FragmentReport struct {
 	LearnSteps []int64
 	LearnIters []int64
 	// Failover counters (§5i): Quarantines is replicas retired from the
-	// aggregate, Redispatches the un-acked batches replayed to survivors,
+	// aggregate, Redispatches the un-acked rollouts explorers replayed to
+	// survivors,
 	// Respawns the restarted incarnations, Degraded the slots that exhausted
 	// their restart budget and run permanently N-1, and StalePushes the
 	// fenced-out traffic from retired incarnations.
@@ -1559,14 +1256,15 @@ type FragmentReport struct {
 }
 
 // fragRuntime is the Session-side scheduler state for a fragment topology.
-// Every fragment sits in a slot; the sampler and broadcaster slots are
-// written only by the machine-failover engine, which may swap a standby in
-// while the monitor, reporters and supervisors keep reading.
+// Every fragment sits in a slot; the broadcaster slot is written only by
+// the machine-failover engine, which may swap a standby in while the
+// monitor, reporters and supervisors keep reading.
 type fragRuntime struct {
-	topo    Topology
-	slots   []*slot[*LearnFragment]
-	sampler *slot[*SampleFragment]
-	caster  *slot[*BroadcastFragment]
+	topo   Topology
+	slots  []*slot[*LearnFragment]
+	caster *slot[*BroadcastFragment]
+	// counts tallies every explorer's and replica's dispatch outcomes.
+	counts dispatchCounts
 
 	// failover arms replica supervision (LearnerFailover or MachineFailover,
 	// which Config.Validate allows only with >= 2 replicas).
@@ -1588,8 +1286,8 @@ type fragRuntime struct {
 
 // learnKind respawns a learn replica over the port its slot keeps — in-flight
 // echoes to its name must drain as consumed messages, not privileged drops.
-// The quarantine reroutes the dataflow first: the sampler shrinks its
-// rotation and re-dispatches the replica's un-acked batches, and the
+// The quarantine reroutes the dataflow first: every explorer shrinks its
+// rotation and replays the replica's un-acked rollouts, and the
 // broadcaster recommits the survivor mean. The successor is a fresh
 // algorithm restored from the replica's state in the latest fragment
 // checkpoint set (else the committed aggregate's, else fresh; the rejoin
@@ -1597,9 +1295,10 @@ type fragRuntime struct {
 // live replica fails the run.
 func (s *Session) learnKind() *slotKind[*LearnFragment] {
 	f := s.frags
+	dsts := append(explorerNames(s.cfg.NumExplorers), BroadcastName)
 	tell := func(kind message.ControlKind) func(string, int32) {
 		return func(name string, epoch int32) {
-			m := message.New(message.TypeControl, ControllerName, []string{SampleName, BroadcastName},
+			m := message.New(message.TypeControl, ControllerName, dsts,
 				&message.ControlPayload{Kind: kind, Peer: name})
 			m.Header.Round = epoch
 			_ = s.ctrlPort.Send(m)
@@ -1618,7 +1317,7 @@ func (s *Session) learnKind() *slotKind[*LearnFragment] {
 					return nil, fmt.Errorf("restore checkpoint: %w", err)
 				}
 			}
-			next := NewLearnFragment(id, alg, port, s.cfg.NumExplorers, s.cfg.SeriesBucket)
+			next := s.newReplica(id, alg, port)
 			next.observeStaleness = old.observeStaleness
 			next.SetFailover(epoch, s.cfg.HeartbeatEvery)
 			return next, nil
@@ -1703,7 +1402,6 @@ func (f *fragRuntime) start() {
 	for _, l := range f.learns() {
 		l.Start()
 	}
-	f.sampler.current().Start()
 	f.monWG.Add(1)
 	go f.monitor()
 }
@@ -1766,9 +1464,6 @@ func (f *fragRuntime) err() error {
 			return e
 		}
 	}
-	if e := f.sampler.current().Err(); e != nil {
-		return e
-	}
 	return f.caster.current().Err()
 }
 
@@ -1787,7 +1482,6 @@ func (f *fragRuntime) stop() {
 // reapers still draining retired incarnations.
 func (f *fragRuntime) join() {
 	f.monWG.Wait()
-	f.sampler.current().Join()
 	for _, l := range f.learns() {
 		l.Join()
 	}
@@ -1797,16 +1491,16 @@ func (f *fragRuntime) join() {
 
 // report assembles the fragment-side measurements.
 func (f *fragRuntime) report() *FragmentReport {
-	sampler, caster := f.sampler.current(), f.caster.current()
+	caster := f.caster.current()
 	fr := &FragmentReport{
 		Learners:         f.topo.Learners,
 		MaxStaleness:     f.topo.MaxStaleness,
-		StaleDrops:       sampler.StaleDrops(),
-		Dispatched:       sampler.Dispatched(),
+		StaleDrops:       f.counts.staleDrops.Load(),
+		Dispatched:       f.counts.dispatched.Load(),
 		Aggregations:     caster.Aggregations(),
 		CommittedVersion: caster.Version(),
 		Quarantines:      caster.Quarantines(),
-		Redispatches:     sampler.Redispatches(),
+		Redispatches:     f.counts.redispatches.Load(),
 		Takeovers:        f.takeovers.Load(),
 		StalePushes:      caster.StalePushes(),
 		Plane:            caster.PlaneStats(),

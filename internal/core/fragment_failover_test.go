@@ -346,7 +346,7 @@ func TestLearnerFailoverHungReplicaDetected(t *testing.T) {
 
 	// The wedged replica produces no error — detection must come from the
 	// heartbeat deadline alone.
-	_, _, caster := s.Fragments()
+	_, caster := s.Fragments()
 	waitUntil(t, 10*time.Second, "the hung replica to be quarantined", func() bool {
 		return caster.Quarantines() >= 1
 	})
@@ -393,7 +393,7 @@ func TestStopDuringLearnerFailoverReturnsPromptly(t *testing.T) {
 
 	// Wait until the failure has been quarantined — the supervisor records
 	// it on the broadcaster before entering the backoff sleep.
-	_, _, caster := s.Fragments()
+	_, caster := s.Fragments()
 	waitUntil(t, 10*time.Second, "the crashed replica to be quarantined", func() bool {
 		return caster.Quarantines() >= 1
 	})

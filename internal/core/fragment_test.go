@@ -59,7 +59,7 @@ func TestFragmentFusedCompatTopology(t *testing.T) {
 		if s.Learner() == nil {
 			t.Fatal("fused topology must run the legacy Learner")
 		}
-		if sampler, _, _ := s.Fragments(); sampler != nil {
+		if learns, _ := s.Fragments(); learns != nil {
 			t.Fatal("fused topology must not build the fragment runtime")
 		}
 		s.Start()
@@ -116,7 +116,7 @@ func TestFragmentRuntimeAllAlgorithms(t *testing.T) {
 			// fragment is ever scheduled; its queued weight pushes are still
 			// in flight. Wait for the first aggregation so the assertion
 			// checks wiring, not goroutine scheduling.
-			_, _, caster := s.Fragments()
+			_, caster := s.Fragments()
 			waitUntil(t, 10*time.Second, "first aggregation", func() bool {
 				return caster.Aggregations() > 0
 			})
@@ -131,7 +131,7 @@ func TestFragmentRuntimeAllAlgorithms(t *testing.T) {
 				t.Fatal("fragmented run must report fragment measurements")
 			}
 			if rep.Fragments.Dispatched == 0 {
-				t.Fatal("sampler dispatched nothing")
+				t.Fatal("explorers dispatched nothing")
 			}
 			if rep.Fragments.Aggregations == 0 {
 				t.Fatal("broadcast fragment never aggregated")
@@ -248,7 +248,7 @@ func TestFragmentStalenessBound(t *testing.T) {
 			var observed atomic.Int64
 			var mu sync.Mutex
 			var violations []string
-			_, learns, _ := s.Fragments()
+			learns, _ := s.Fragments()
 			for i, l := range learns {
 				i := i
 				l.SetStalenessObserver(func(rolloutVer, dispatchVer int64) {
@@ -285,8 +285,8 @@ func TestFragmentStalenessBound(t *testing.T) {
 	}
 }
 
-// TestFragmentStrictOrderOnPolicy: under strict assignment order (K=0) the
-// sampler routes by version — every rollout of one weights version reaches
+// TestFragmentStrictOrderOnPolicy: under strict assignment order (K=0)
+// explorers route by version — every rollout of one weights version reaches
 // the same replica — so an on-policy algorithm that trains on one batch per
 // explorer at the current policy (PPO) still assembles its complete
 // synchronous set under replication. Per-rollout round-robin would split the
@@ -364,7 +364,6 @@ var fragTopologyCases = []fragTopologyCase{
 	{name: "impala-2l", machines: 1, explorers: 4, maxSteps: 3000, topo: core.ReplicatedTopology(2)},
 	{name: "grid-4m", machines: 4, grid: true, explorers: 4, maxSteps: 2000, topo: core.Topology{
 		Learners:         2,
-		SampleMachine:    0,
 		BroadcastMachine: 3,
 		LearnMachines:    []int{1, 2},
 		MaxStaleness:     core.StalenessUnbounded,
@@ -392,13 +391,15 @@ var fragTopologyCases = []fragTopologyCase{
 	// 2-learner IMPALA loses one entire non-coordinator machine mid-run to
 	// a seeded write-count trigger. The run must still reach the step
 	// target with exactly one membership verdict and exactly one takeover
-	// per fragment the dead machine hosted. machine-kill-4m kills the
-	// sampler-hosting machine (sampler + explorer-1); machine-kill-learn-4m
-	// kills a learn-hosting machine (learn replica 0 + explorer-2).
-	{name: "machine-kill-4m", machines: 4, grid: true, explorers: 4, maxSteps: 8000,
+	// per fragment the dead machine hosted, so the target keeps the run
+	// going well past the verdict (4 leases of 10 ms) and the moves: at
+	// ≈ 250 k steps/s, 80 000 steps last ≈ 300 ms.
+	// machine-kill-4m kills machine 1, where only explorer-1 runs;
+	// machine-kill-learn-4m kills a learn-hosting machine (learn replica 0
+	// + explorer-2).
+	{name: "machine-kill-4m", machines: 4, grid: true, explorers: 4, maxSteps: 80000,
 		topo: core.Topology{
 			Learners:         2,
-			SampleMachine:    1,
 			BroadcastMachine: 3,
 			LearnMachines:    []int{2, 3},
 			MaxStaleness:     core.StalenessUnbounded,
@@ -410,16 +411,15 @@ var fragTopologyCases = []fragTopologyCase{
 			if fr.LeaseRenewals == 0 {
 				t.Errorf("LeaseRenewals = 0, want > 0")
 			}
-			checkMachineKill(t, fr, core.SampleName, core.ExplorerName(1))
+			checkMachineKill(t, fr, core.ExplorerName(1))
 		}},
 	// machine-kill-caster-4m kills the broadcaster-hosting machine of the
 	// grid-4m placement (broadcaster + explorer-3): the standby broadcaster
 	// takes over with the replicas' pushes in flight to the dead one, which
 	// only the replicas' push retry repairs.
-	{name: "machine-kill-caster-4m", machines: 4, grid: true, explorers: 4, maxSteps: 8000,
+	{name: "machine-kill-caster-4m", machines: 4, grid: true, explorers: 4, maxSteps: 80000,
 		topo: core.Topology{
 			Learners:         2,
-			SampleMachine:    0,
 			BroadcastMachine: 3,
 			LearnMachines:    []int{1, 2},
 			MaxStaleness:     core.StalenessUnbounded,
@@ -430,10 +430,9 @@ var fragTopologyCases = []fragTopologyCase{
 		check: func(t *testing.T, fr *core.FragmentReport) {
 			checkMachineKill(t, fr, core.BroadcastName, core.ExplorerName(3))
 		}},
-	{name: "machine-kill-learn-4m", machines: 4, grid: true, explorers: 4, maxSteps: 8000,
+	{name: "machine-kill-learn-4m", machines: 4, grid: true, explorers: 4, maxSteps: 80000,
 		topo: core.Topology{
 			Learners:         2,
-			SampleMachine:    1,
 			BroadcastMachine: 3,
 			LearnMachines:    []int{2, 3},
 			MaxStaleness:     core.StalenessUnbounded,
@@ -451,11 +450,11 @@ var fragTopologyCases = []fragTopologyCase{
 	// failover: machine-kill-4m's kill, plus explorer-2 on a surviving
 	// machine crashing once. The crash is restarted in place and spends
 	// budget; the dead machine's explorer moves and spends none, so each
-	// dead fragment still has exactly one takeover.
-	{name: "machine-kill-restart-4m", machines: 4, grid: true, explorers: 4, maxSteps: 8000,
+	// dead fragment still has exactly one takeover. The restart waits out
+	// the membership plane's verdict window first (2 × 4 leases of 10 ms).
+	{name: "machine-kill-restart-4m", machines: 4, grid: true, explorers: 4, maxSteps: 80000,
 		topo: core.Topology{
 			Learners:         2,
-			SampleMachine:    1,
 			BroadcastMachine: 3,
 			LearnMachines:    []int{2, 3},
 			MaxStaleness:     core.StalenessUnbounded,
@@ -465,7 +464,7 @@ var fragTopologyCases = []fragTopologyCase{
 		killMachine: 1, killAfterWrites: 80,
 		explorerRestarts: 2, crashExplorer: 2, crashAfter: 5,
 		check: func(t *testing.T, fr *core.FragmentReport) {
-			checkMachineKill(t, fr, core.SampleName, core.ExplorerName(1))
+			checkMachineKill(t, fr, core.ExplorerName(1))
 		}},
 }
 
@@ -594,7 +593,7 @@ func TestMachineKillMoveSpendsNoBudget(t *testing.T) {
 		}
 		t.Run("verdict-first", func(t *testing.T) { runFragTopologyCase(t, tc) })
 		tc.heartbeat, tc.leaseEvery = 50*time.Millisecond, 100*time.Millisecond
-		tc.maxSteps *= 25
+		tc.maxSteps *= 3
 		t.Run("heartbeat-first", func(t *testing.T) { runFragTopologyCase(t, tc) })
 		return
 	}
@@ -788,7 +787,7 @@ func TestFragmentCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resumed NewSession: %v", err)
 	}
-	_, _, caster := s.Fragments()
+	_, caster := s.Fragments()
 	if got := caster.Version(); got != saved.Version {
 		t.Fatalf("resumed committed version = %d, want %d", got, saved.Version)
 	}

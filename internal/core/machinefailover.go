@@ -8,21 +8,18 @@
 // links are gone — and every slot the machine hosted moves to a survivor
 // through the one re-placement sequence (replace):
 //
-//   - the broadcast fragment, then the sample fragment, which the engine
-//     re-places itself as warm standbys: the broadcaster from the newest of
-//     the dead incarnation's in-memory aggregate and the fragment
-//     checkpoint, at a version bumped past everything any survivor has
-//     seen; the sampler from the slot-tracked replica epochs and the broker
-//     ack ledger reconstructed by heartbeats, its staleness fence recovered
-//     from the live broadcaster and the checkpoint;
+//   - the broadcast fragment, which the engine re-places itself as a warm
+//     standby from the newest of the dead incarnation's in-memory aggregate
+//     and the fragment checkpoint, at a version bumped past everything any
+//     survivor has seen;
 //   - learn replicas and explorers, whose supervisors the engine hands a
 //     verdict; a move spends no restart budget.
 //
 // Every move is announced with a ControlTakeover carrying the new
-// incarnation epoch; the broadcaster answers a takeover with a rebroadcast
-// of the committed model, refilling flow-control credit any explorer burned
-// during the outage. The coordinator machine hosts the controller and the
-// membership detector; its death is terminal by design.
+// incarnation epoch; the broadcaster answers an explorer's takeover with a
+// rebroadcast of the committed model, refilling flow-control credit any
+// explorer burned during the outage. The coordinator machine hosts the
+// controller and the membership detector; its death is terminal by design.
 package core
 
 import (
@@ -95,9 +92,8 @@ func (s *Session) machineDead(machine int) bool {
 }
 
 // handleMachineDead is one whole-machine failover: fence the machine out,
-// then move its slots in dependency order — broadcaster first (the
-// sampler's rebuilt fence reads its version), then sampler, both here, then
-// learn replicas and explorers through their supervisors.
+// then move its slots — the broadcaster here, then learn replicas and
+// explorers through their supervisors.
 func (s *Session) handleMachineDead(machine, epoch int) {
 	s.mfMu.Lock()
 	if s.mfDead[machine] {
@@ -123,14 +119,15 @@ func (s *Session) handleMachineDead(machine, epoch int) {
 	// old fragments (or ack, push, or renew) while standbys rebuild.
 	s.mfTransport.Kill(machine)
 
+	// The broadcaster's loops ended with its broker, so retiring it joins
+	// them, and the standby is built from what survives.
 	f := s.frags
-	err := takeOver(s, f.caster, machine)
-	if err == nil {
-		err = takeOver(s, f.sampler, machine)
-	}
-	if err != nil {
-		s.failFragments(fmt.Errorf("core: machine %d death: %w", machine, err))
-		return
+	if c := f.caster; c.home() == machine {
+		c.kind.retire(c.name, c.current())
+		if err := replace(s, c, false); err != nil {
+			s.failFragments(fmt.Errorf("core: machine %d death: re-place %s: %w", machine, c.name, err))
+			return
+		}
 	}
 	for _, sl := range f.slots {
 		sl.condemnOn(machine)
@@ -138,20 +135,6 @@ func (s *Session) handleMachineDead(machine, epoch int) {
 	for _, sl := range s.slots {
 		sl.condemnOn(machine)
 	}
-}
-
-// takeOver moves an engine-written slot off a dead machine: the dead
-// incarnation's loops ended with its broker, so retiring it joins them, and
-// the standby is built from what survives.
-func takeOver[F fragment](s *Session, sl *slot[F], machine int) error {
-	if sl.home() != machine {
-		return nil
-	}
-	sl.kind.retire(sl.name, sl.current())
-	if err := replace(s, sl, false); err != nil {
-		return fmt.Errorf("re-place %s: %w", sl.name, err)
-	}
-	return nil
 }
 
 // failFragments drives the run to a terminal failure: the done channel
@@ -163,8 +146,8 @@ func (s *Session) failFragments(err error) {
 }
 
 // pickSurvivor chooses the least-loaded surviving machine by hosted-fragment
-// count (sampler, broadcaster, learn replicas, explorer slots), lowest ID on
-// ties. Returns -1 when nothing survives.
+// count (broadcaster, learn replicas, explorer slots), lowest ID on ties.
+// Returns -1 when nothing survives.
 func (s *Session) pickSurvivor() int {
 	n := s.mfTransport.Machines()
 	load := make([]int, n)
@@ -174,7 +157,6 @@ func (s *Session) pickSurvivor() int {
 		}
 	}
 	f := s.frags
-	note(f.sampler.home())
 	note(f.caster.home())
 	for _, sl := range f.slots {
 		note(sl.home())
@@ -233,45 +215,13 @@ func (s *Session) checkpointState(names ...string) (checkpoint.State, bool) {
 	return checkpoint.State{}, false
 }
 
-// samplerKind re-places the sampler as a warm standby. Its hard state is
-// reconstructible: replica epochs and the live rotation come from the
-// slots, the consumption ack ledger is rebuilt by the next heartbeats, and
-// the committed-version fence recovers from the live broadcaster and the
-// checkpointed sampler entry — without it a strict staleness bound would
-// re-admit rollouts the dead sampler had outlawed. Its takeover makes the
-// broadcaster re-announce the committed version and refill every
-// explorer's credit.
-func (s *Session) samplerKind(learnNames []string) *slotKind[*SampleFragment] {
-	f := s.frags
-	return &slotKind[*SampleFragment]{
-		build: func(_ int, _ *SampleFragment, port *broker.Port, _ int32) (*SampleFragment, error) {
-			next := NewSampleFragment(port, learnNames, f.topo.MaxStaleness)
-			next.SetFailover()
-			epochs, live, _ := f.replicaStates()
-			next.seedFailoverState(epochs, live)
-			recovered := f.caster.current().Version()
-			if st, ok := s.checkpointState(SampleName); ok && st.Version > recovered {
-				recovered = st.Version
-			}
-			next.advanceCommitted(recovered)
-			return next, nil
-		},
-		retire: func(_ string, old *SampleFragment) bool {
-			old.Join()
-			return true
-		},
-		rebroadcast: true,
-	}
-}
-
 // casterKind re-places the broadcaster as a warm standby. The committed
 // model recovers from the newest of the dead incarnation's in-memory
 // aggregate (safe to read once retire joined its loop) and the fragment
-// checkpoint; the version is bumped past both — and past the sampler's
-// fence — so every survivor's next comparison sees strictly newer state and
-// a stale-version livelock is impossible. Start broadcasts the recovered
-// model to every explorer, dense: the standby's weight plane has no ack
-// state.
+// checkpoint; the version is bumped past both, so every survivor's next
+// comparison sees strictly newer state and a stale-version livelock is
+// impossible. Start broadcasts the recovered model to every explorer,
+// dense: the standby's weight plane has no ack state.
 func (s *Session) casterKind(learnNames []string) *slotKind[*BroadcastFragment] {
 	f := s.frags
 	return &slotKind[*BroadcastFragment]{
@@ -280,9 +230,6 @@ func (s *Session) casterKind(learnNames []string) *slotKind[*BroadcastFragment] 
 			weights := append([]float32(nil), old.agg...)
 			if st, ok := s.checkpointState(BroadcastName); ok && st.Version > version {
 				version, weights = st.Version, st.Weights
-			}
-			if c := f.sampler.current().Committed(); c > version {
-				version = c
 			}
 			next := s.newCaster(port, learnNames, version+1, weights)
 			epochs, _, degraded := f.replicaStates()

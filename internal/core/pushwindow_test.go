@@ -79,11 +79,11 @@ func (a *pushRecorder) settled(trains int, idle func() bool) bool {
 		a.events[len(a.events)-1] == "idle" && idle()
 }
 
-// pushRig runs one learn replica on a one-machine broker, fed by a sampler
-// port, pushing to a broadcaster port the test reads and answers.
+// pushRig runs one learn replica on a one-machine broker, fed by an
+// explorer port, pushing to a broadcaster port the test reads and answers.
 type pushRig struct {
 	br    *broker.Broker
-	src   *broker.Port // the sampler's
+	src   *broker.Port // an explorer's
 	cast  *broker.Port // the broadcaster's
 	learn *broker.Port
 	alg   *pushRecorder
@@ -97,7 +97,7 @@ func newPushRig(t *testing.T, retry time.Duration) *pushRig {
 	for _, reg := range []struct {
 		port **broker.Port
 		name string
-	}{{&r.src, core.SampleName}, {&r.cast, core.BroadcastName}, {&r.learn, core.LearnName(0)}} {
+	}{{&r.src, core.ExplorerName(0)}, {&r.cast, core.BroadcastName}, {&r.learn, core.LearnName(0)}} {
 		if *reg.port, err = r.br.Register(reg.name); err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +124,7 @@ func (r *pushRig) stop() {
 func (r *pushRig) rollouts(t *testing.T, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		m := message.New(message.TypeRollout, core.SampleName, []string{core.LearnName(0)}, testRollout())
+		m := message.New(message.TypeRollout, core.ExplorerName(0), []string{core.LearnName(0)}, testRollout())
 		if err := r.src.Send(m); err != nil {
 			t.Fatal(err)
 		}

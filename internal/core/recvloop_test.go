@@ -50,36 +50,6 @@ func testRollout() *message.RolloutBody {
 	return &rollout.Batch{Steps: []rollout.Step{{Reward: 1}}}
 }
 
-// TestSampleLoopSkipsUndecodableBody: a body that fails to decode ends
-// neither the sampler's loop nor its dispatch; the rollout behind it is
-// dispatched.
-func TestSampleLoopSkipsUndecodableBody(t *testing.T) {
-	br := broker.New(broker.Config{})
-	port, err := br.Register(core.SampleName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	learn, err := br.Register(core.LearnName(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := core.NewSampleFragment(port, []string{core.LearnName(0)}, core.StalenessUnbounded)
-	s.Start()
-	inject(t, br, message.New(message.TypeRollout, core.ExplorerName(0), []string{core.SampleName}, nil))
-	inject(t, br, message.New(message.TypeRollout, core.ExplorerName(0), []string{core.SampleName}, testRollout()))
-	waitUntil(t, 5*time.Second, "the rollout's dispatch", func() bool { return learn.Pending() == 1 })
-	m, err := learn.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := m.Body.(*message.RolloutBody); !ok {
-		t.Fatalf("learn replica received %T, want the rollout", m.Body)
-	}
-	br.Stop()
-	s.Join()
-	checkSkipped(t, br)
-}
-
 // countingAlg is an Algorithm that only counts the rollouts it ingests.
 type countingAlg struct{ prepared atomic.Int64 }
 
@@ -102,8 +72,8 @@ func TestLearnLoopSkipsUndecodableBody(t *testing.T) {
 	alg := &countingAlg{}
 	l := core.NewLearnFragment(0, alg, port, 1<<20, 0)
 	l.Start()
-	inject(t, br, message.New(message.TypeRollout, core.SampleName, []string{core.LearnName(0)}, nil))
-	inject(t, br, message.New(message.TypeRollout, core.SampleName, []string{core.LearnName(0)}, testRollout()))
+	inject(t, br, message.New(message.TypeRollout, core.ExplorerName(0), []string{core.LearnName(0)}, nil))
+	inject(t, br, message.New(message.TypeRollout, core.ExplorerName(0), []string{core.LearnName(0)}, testRollout()))
 	waitUntil(t, 5*time.Second, "the rollout to reach the algorithm", func() bool {
 		return alg.prepared.Load() == 1
 	})

@@ -27,7 +27,7 @@ type tally struct {
 	returnSum              float64
 }
 
-// slotKind is everything one kind of slot (explorer, learn replica, sampler,
+// slotKind is everything one kind of slot (explorer, learn replica,
 // broadcaster) differs in. The supervisor loop and the re-placement sequence
 // call these and never ask which kind they hold; a nil hook does nothing.
 type slotKind[F fragment] struct {
@@ -59,8 +59,8 @@ type slotKind[F fragment] struct {
 // outlives every incarnation and carries the port registration, the home
 // machine, the incarnation epoch, the budget spent, the verdict on it and the
 // progress of replaced incarnations. Explorer and learn slots are written
-// only by their supervisor, the sampler and broadcaster only by the
-// machine-failover engine.
+// only by their supervisor, the broadcaster only by the machine-failover
+// engine.
 type slot[F fragment] struct {
 	id   int
 	name string

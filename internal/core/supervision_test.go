@@ -298,7 +298,7 @@ func TestDegradedExplorerDetached(t *testing.T) {
 				if l := s.Learner(); l != nil {
 					return l.TrainIters()
 				}
-				_, learns, _ := s.Fragments()
+				learns, _ := s.Fragments()
 				for _, l := range learns {
 					n += l.TrainIters()
 				}

@@ -32,7 +32,7 @@ func TestConfigValidate(t *testing.T) {
 	machineKill := core.Config{
 		NumExplorers: 4, RolloutLen: 40, MaxSteps: 8000, MaxDuration: 90 * time.Second,
 		Machines: 4, Transport: grid(),
-		Topology: core.Topology{Learners: 2, SampleMachine: 1, BroadcastMachine: 3,
+		Topology: core.Topology{Learners: 2, BroadcastMachine: 3,
 			LearnMachines: []int{2, 3}, MaxStaleness: core.StalenessUnbounded},
 		MaxLearnerRestarts: 3, HeartbeatEvery: 500 * time.Millisecond,
 		RestartBackoff: 2 * time.Millisecond, MachineFailover: true, LeaseEvery: 10 * time.Millisecond,

@@ -773,25 +773,39 @@ func (n *Node) redialLoop(p *peerConn) {
 // installReconnected flushes the retry queue over the fresh conn and, on
 // success, installs it as the peer's live connection and restarts the read
 // loop. The flush happens under p.mu so no new Forward write interleaves
-// with (or overtakes) a retried frame.
+// with (or overtakes) a retried frame. It is one write: a link that resets
+// again within a few writes still gets a full queue through, where a write
+// per frame would fail the flush every time.
 func (n *Node) installReconnected(p *peerConn, conn net.Conn) bool {
 	p.mu.Lock()
-	pending := p.retry
-	p.retry = nil
-	flushed := 0
-	for _, frame := range pending {
+	var batch []byte
+	for _, frame := range p.retry {
+		batch = append(batch, frame...)
+	}
+	var written int
+	var err error
+	if len(batch) > 0 {
 		//lint:ignore lockhold retry flush must complete before the peer reopens for Forward writes; p.mu serializes exactly this
-		if _, err := conn.Write(frame); err != nil {
-			// Put the unflushed tail back and let the caller retry the dial.
-			p.retry = pending[flushed:]
-			p.mu.Unlock()
-			_ = conn.Close()
-			return false
+		written, err = conn.Write(batch)
+	}
+	// The frames wholly written are flushed; the rest stay queued for the
+	// next dial.
+	flushed := 0
+	for _, frame := range p.retry {
+		if written < len(frame) {
+			break
 		}
+		written -= len(frame)
 		flushed++
 		n.retriedFrames.Add(1)
 		n.framesSent.Add(1)
 		n.bytesSent.Add(int64(len(frame)))
+	}
+	p.retry = p.retry[flushed:]
+	if err != nil {
+		p.mu.Unlock()
+		_ = conn.Close()
+		return false
 	}
 	p.conn = conn
 	p.state = stateConnected

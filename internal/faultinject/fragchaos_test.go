@@ -111,7 +111,6 @@ func TestChaosFragmentTopology(t *testing.T) {
 		MaxDuration:  60 * time.Second,
 		Topology: core.Topology{
 			Learners:         2,
-			SampleMachine:    0,
 			BroadcastMachine: 0,
 			LearnMachines:    []int{1, 2},
 			MaxStaleness:     core.StalenessUnbounded,

@@ -204,31 +204,29 @@ const (
 	// failed to apply (stale base after a restart, corrupt payload), so the
 	// learner must fall back to a dense snapshot for that explorer.
 	ControlWeightsResync
-	// ControlAckSnapshot carries a sample fragment's rollout-carried
-	// weights-version ledger to the broadcast fragment, whose broker may
-	// never see rollout traffic directly (the fragments can live on
-	// different machines). The snapshot rides in ControlPayload.Acked.
+	// ControlAckSnapshot carries a learn replica's rollout-carried
+	// weights-version ledger, the version of the newest rollout it ingested
+	// from each explorer, to the broadcast fragment, whose broker sees no
+	// rollout traffic. The snapshot rides in ControlPayload.Acked.
 	ControlAckSnapshot
-	// ControlVersionAnnounce tells the sample fragment which weights
-	// version the broadcast fragment last committed; the version itself
-	// travels in Header.WeightsVersion. The sampler's bounded-staleness
-	// filter measures rollout age against it.
-	ControlVersionAnnounce
-	// ControlHeartbeat is a learn replica's liveness beat to the sample and
-	// broadcast fragments. Header.Src names the replica, Header.Round its
-	// incarnation epoch, and ControlPayload.LastRolloutID the newest
-	// dispatched rollout the replica has ingested — the consumption ack the
-	// sampler prunes its in-flight ledger with.
+	// Unused, so the kinds below keep their wire values.
+	_
+	// ControlHeartbeat is a learn replica's liveness beat to the broadcast
+	// fragment and the explorers. Header.Src names the replica, Header.Round
+	// its incarnation epoch, and ControlPayload.Acked maps each explorer to
+	// the newest rollout header ID the replica has ingested from it — the
+	// ack the explorer prunes its in-flight ring with.
 	ControlHeartbeat
-	// ControlQuarantine tells the sample and broadcast fragments to retire
-	// the replica named in ControlPayload.Peer: the sampler stops
-	// dispatching to it (re-dispatching its un-acked in-flight batches to
-	// survivors) and the broadcaster drops it from aggregation.
+	// ControlQuarantine tells the explorers and the broadcast fragment to
+	// retire the replica named in ControlPayload.Peer: explorers stop
+	// dispatching to it (replaying their un-acked rollouts to survivors)
+	// and the broadcaster drops it from aggregation.
 	ControlQuarantine
 	// ControlRejoin reverses a quarantine after a supervised respawn: the
 	// replica named in ControlPayload.Peer rejoins dispatch and aggregation
-	// at the incarnation epoch carried in Header.Round. The broadcaster
-	// answers with a dense aggregate echo (the RestoreWeights resync path).
+	// (the broadcaster's fencing at the incarnation epoch carried in
+	// Header.Round). The broadcaster answers with a dense aggregate echo
+	// (the RestoreWeights resync path).
 	ControlRejoin
 	// ControlDrain is a teardown nudge addressed to a stopping replica or
 	// explorer so a thread blocked on its port wakes, sees it was stopped,
@@ -248,10 +246,10 @@ const (
 	// ControlTakeover announces that the fragment named in
 	// ControlPayload.Peer has been re-placed onto the machine in
 	// ControlPayload.Machine at the new incarnation epoch in Header.Round.
-	// Sent to the controller port for audit counting; sampler and explorer
-	// takeovers are additionally sent to the broadcast fragment, which
-	// re-broadcasts dense weights so rebuilt (or credit-starved) peers
-	// resynchronize with the committed version space.
+	// Sent to the controller port for audit counting; explorer takeovers
+	// are additionally sent to the broadcast fragment, which re-broadcasts
+	// dense weights so rebuilt (or credit-starved) peers resynchronize with
+	// the committed version space.
 	ControlTakeover
 )
 
@@ -260,15 +258,14 @@ type ControlPayload struct {
 	Kind ControlKind
 	// Hyperparams is set for ControlSetHyperparams (PBT mutation).
 	Hyperparams map[string]float64
-	// Acked is set for ControlAckSnapshot: the last weights version seen on
-	// each source's rollout traffic, keyed by source name.
+	// Acked is keyed by explorer name. For ControlAckSnapshot it holds the
+	// weights version of the newest rollout ingested from each explorer;
+	// for ControlHeartbeat, the header ID of the newest rollout the replica
+	// has ingested from each explorer this incarnation.
 	Acked map[string]int64
 	// Peer names the learn replica a ControlQuarantine/ControlRejoin (and,
 	// redundantly with Header.Src, a ControlHeartbeat) concerns.
 	Peer string
-	// LastRolloutID is set for ControlHeartbeat: the highest dispatched
-	// rollout header ID the replica has ingested this incarnation.
-	LastRolloutID uint64
 	// Machine is set for membership traffic: the renewing machine for
 	// ControlLeaseRenew, the dead machine for ControlMachineDead, and the
 	// fragment's new home for ControlTakeover.

@@ -638,7 +638,6 @@ func appendControl(out []byte, c *message.ControlPayload) []byte {
 		out = putU64(out, uint64(c.Acked[k]))
 	}
 	out = putString(out, c.Peer)
-	out = putU64(out, c.LastRolloutID)
 	out = putU64(out, uint64(int64(c.Machine)))
 	return out
 }
@@ -703,7 +702,6 @@ func unmarshalControl(data []byte) (*message.ControlPayload, error) {
 		}
 	}
 	c.Peer = r.str()
-	c.LastRolloutID = r.u64()
 	c.Machine = int(int64(r.u64()))
 	if r.err != nil {
 		return nil, r.err
