@@ -343,23 +343,21 @@ type WireMetrics struct {
 	// RetriedFrames counts frames delivered from the per-peer retry queue
 	// after a reconnect.
 	RetriedFrames int64
-	// DroppedRetry counts retry-queued frames abandoned when a peer's
-	// redial budget ran out (the link went down permanently).
+	// DroppedRetry counts retry-queued frames abandoned: evicted by a newer
+	// frame from a full queue, or dropped when a peer's redial budget ran
+	// out (the link went down permanently).
 	DroppedRetry int64
-	// CreditStalls counts sends that had to wait for the receiver to
-	// replenish the peer link's credit window (slow-receiver pressure).
-	CreditStalls int64
-	// StallTimeouts counts peer connections torn down because a credit
-	// stall outlasted the stall timeout (a stuck receiver).
-	StallTimeouts int64
-	// AcksSent / AcksReceived count credit-replenishing ack frames.
-	AcksSent     int64
-	AcksReceived int64
 	// DroppedInject counts frames discarded by fault injection (test rigs
 	// only; always zero in production).
 	DroppedInject int64
-	// StalledPeers is a gauge: peers currently blocked on credit.
-	StalledPeers int
+	// AcksSent is always 0: the fabric's wire is one-way and sends no acks.
+	// It stays only because the benchmark's fabric.acks_sent row reads it;
+	// the benchmark change that drops that row deletes the field.
+	AcksSent int64
+	// CreditStalls is always 0: the fabric has no credit window to stall
+	// on. It stays only because the benchmark's fabric.credit_stalls row
+	// reads it; the benchmark change that drops that row deletes the field.
+	CreditStalls int64
 }
 
 // SupervisionStats summarizes the session's explorer supervision layer:
@@ -389,15 +387,6 @@ type ClusterHealth struct {
 	Supervision SupervisionStats
 }
 
-// TotalDrops sums drops across all brokers.
-func (c ClusterHealth) TotalDrops() int64 {
-	var n int64
-	for _, b := range c.Brokers {
-		n += b.Drops.Total()
-	}
-	return n
-}
-
 // TotalLeaked sums objects still live at stop across all brokers.
 func (c ClusterHealth) TotalLeaked() int64 {
 	var n int64
@@ -414,10 +403,6 @@ func (w WireMetrics) String() string {
 		w.CorruptStreams, w.CorruptFrames, w.Reconnects, w.RedialFailures, w.RetriedFrames, w.DroppedRetry)
 	if w.DroppedInject > 0 {
 		s += fmt.Sprintf(" droppedInject=%d", w.DroppedInject)
-	}
-	if w.AcksSent > 0 || w.AcksReceived > 0 || w.CreditStalls > 0 || w.StallTimeouts > 0 {
-		s += fmt.Sprintf(" credits: stalls=%d stallTimeouts=%d acksSent=%d acksRecv=%d stalledPeers=%d",
-			w.CreditStalls, w.StallTimeouts, w.AcksSent, w.AcksReceived, w.StalledPeers)
 	}
 	return s
 }

@@ -699,25 +699,9 @@ func (s *Session) collectStats() {
 	}
 }
 
-// TakeoverStats snapshots machine-failover progress while the session runs:
-// membership death verdicts fired and per-fragment takeover counts the
-// controller has observed. Zero and nil when MachineFailover is off.
-func (s *Session) TakeoverStats() (verdicts int64, byFragment map[string]int64) {
-	if s.mfTransport == nil {
-		return 0, nil
-	}
-	_, verdicts = s.mfTransport.MembershipStats()
-	s.statsMu.Lock()
-	defer s.statsMu.Unlock()
-	byFragment = make(map[string]int64, len(s.takeoverByFrag))
-	for k, v := range s.takeoverByFrag {
-		byFragment[k] = v
-	}
-	return verdicts, byFragment
-}
-
 // ControllerStats snapshots the latest statistics message per node, as
-// collected by the center controller.
+// collected by the center controller. Only TestControllerCollectsStats
+// calls it, to read the statistics pipeline end to end.
 func (s *Session) ControllerStats() map[string]message.StatsPayload {
 	s.statsMu.Lock()
 	defer s.statsMu.Unlock()

@@ -209,7 +209,8 @@ func (l *LearnFragment) Failed() <-chan struct{} { return l.failed }
 func (l *LearnFragment) RecvDone() <-chan struct{} { return l.recvDone }
 
 // SetStalenessObserver installs the per-rollout staleness audit hook. Call
-// before Start.
+// before Start. Only tests install one: TestFragmentStalenessBound and
+// TestReplicaIngestStalenessBound audit every ingested rollout through it.
 func (l *LearnFragment) SetStalenessObserver(fn func(rolloutVer, committedVer int64)) {
 	l.observeStaleness = fn
 }

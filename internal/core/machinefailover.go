@@ -103,8 +103,8 @@ func (s *Session) handleMachineDead(machine, epoch int) {
 	s.mfDead[machine] = true
 	s.mfMu.Unlock()
 
-	// Record the verdict on the controller's own stats channel so live
-	// polls (TakeoverStats) and the final report agree on what was seen.
+	// Record the verdict on the controller's own stats channel so the
+	// final report counts what was seen.
 	dm := message.New(message.TypeControl, ControllerName, []string{ControllerName},
 		&message.ControlPayload{Kind: message.ControlMachineDead, Machine: machine})
 	dm.Header.Round = int32(epoch)
@@ -179,10 +179,10 @@ func (s *Session) pickSurvivor() int {
 }
 
 // announceTakeover records one fragment re-placement on the control plane.
-// The controller counts it (TakeoverStats, FragmentReport); when the
-// broadcaster is addressed too it marks the fragment's weight-plane state
-// stale and rebroadcasts the committed model — re-seeding the newcomer and
-// refilling the flow-control credit explorers burned during the outage.
+// The controller counts it (FragmentReport); when the broadcaster is
+// addressed too it marks the fragment's weight-plane state stale and
+// rebroadcasts the committed model — re-seeding the newcomer and refilling
+// the flow-control credit explorers burned during the outage.
 func (s *Session) announceTakeover(name string, machine int, epoch int32, toCaster bool) {
 	s.frags.takeovers.Add(1)
 	dsts := []string{ControllerName}

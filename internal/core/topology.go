@@ -55,7 +55,9 @@ type Topology struct {
 
 // ReplicatedTopology returns a fragment topology with n learn replicas on
 // machine 0 and an unbounded staleness edge — the multi-learner scaling
-// configuration.
+// configuration. Only tests build it (the fragment, failover, supervision
+// and validation tests and bench_test.go); xt-train and the benchmark set
+// Topology's fields directly.
 func ReplicatedTopology(n int) Topology {
 	return Topology{Learners: n, MaxStaleness: StalenessUnbounded}
 }

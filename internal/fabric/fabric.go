@@ -11,19 +11,10 @@
 // reaches serialize — the connection is torn down into the redial path and
 // the event is counted as Metrics.CorruptFrames.
 //
-// # Credit-based flow control
-//
-// With SetCreditPolicy each dialed link carries a window of un-acked wire
-// bytes: the receiving side answers every data frame with an 8-byte ack
-// frame (bit 31 of the length word set, low bits carrying the acked bytes),
-// and a Forward that would overrun the window waits for acks. A sender can
-// therefore never push more bytes in flight than the receiver has granted —
-// a slow receiver backpressures the sender's forwarder queue instead of
-// filling kernel socket buffers without bound. A wait that outlasts the
-// stall timeout declares the receiver stuck, tears the link down into the
-// reconnect state machine (slow-receiver detection, visible as
-// Metrics.StallTimeouts and the per-peer PeerStalled state), and lets the
-// frame retry after the redial.
+// The wire is one-way: a frame is one vectored write on the dialed side and
+// one read on the accepted side, with no reply. Bytes in flight between two
+// machines are bounded by TCP's own window, the explorers' in-flight credit
+// and the capped retry queue below.
 //
 // # Fault tolerance
 //
@@ -32,11 +23,13 @@
 // and starts a redial loop with exponential backoff; frames that fail
 // mid-flight (and frames forwarded while backing off) are copied into a
 // small bounded per-peer retry queue and written once after the reconnect,
-// so a transient link loss retries rather than silently drops. When the
-// redial budget is exhausted the peer goes down permanently: queued frames
-// are dropped, and further Forwards fail fast. Transient accepts are
-// reported to the broker as ErrForwardRetrying so its drop taxonomy
-// distinguishes retried transfers from permanent drops.
+// so a transient link loss retries rather than silently drops. A full queue
+// evicts its oldest frame to take the newest, so an outage keeps the latest
+// traffic, the newest weights among it. When the redial budget is exhausted
+// the peer goes down permanently: queued frames are dropped, and further
+// Forwards fail fast. Transient accepts are reported to the broker as
+// ErrForwardRetrying so its drop taxonomy distinguishes retried transfers
+// from permanent drops.
 //
 // Delivery semantics across a reconnect are at-most-once: a frame accepted
 // for retry is written exactly once after the redial succeeds, but frames
@@ -65,24 +58,12 @@ import (
 // length prefixes before allocating.
 const MaxFrameSize = 1 << 30
 
-// ackFlag marks an 8-byte credit-ack frame: data frames are bounded by
-// MaxFrameSize (1 GiB), so bit 31 of the length word is never set by a
-// legitimate data frame and distinguishes the two on the wire. The low 31
-// bits of an ack's first word carry the acknowledged wire bytes; the second
-// word is zero (acks have no header or body).
-const ackFlag = 1 << 31
-
 // crcLen is the size of the CRC32C frame trailer covering header+body.
 const crcLen = 4
 
 // castagnoliTable is the CRC32C polynomial table (hardware-accelerated on
 // amd64/arm64) used for the frame-integrity trailer.
 var castagnoliTable = crc32.MakeTable(crc32.Castagnoli)
-
-// DefaultStallTimeout bounds how long a Forward waits for the receiver to
-// replenish the credit window before the link is declared stalled and torn
-// down into the reconnect state machine.
-const DefaultStallTimeout = 2 * time.Second
 
 // ErrNoRoute is returned when forwarding to a machine with no connection.
 var ErrNoRoute = errors.New("fabric: no route to machine")
@@ -100,8 +81,9 @@ const DefaultRedialBackoff = 25 * time.Millisecond
 // retryQueueCap bounds the per-peer retry queue. The queue only covers
 // frames caught mid-outage, not general buffering — flow control upstream
 // (explorer credits) keeps in-flight counts small, so a short queue is
-// enough and a full one degrades to a counted drop instead of unbounded
-// memory growth.
+// enough. A full queue drops its oldest frame (counted in DroppedRetry) to
+// take the newest, because in an outage the newest frames (the latest
+// weights among them) are the ones worth delivering.
 const retryQueueCap = 32
 
 // wireHeader is the gob-encoded subset of message.Header that crosses the
@@ -130,8 +112,6 @@ type Node struct {
 	connWrap       func(net.Conn) net.Conn
 	redialAttempts int
 	redialBackoff  time.Duration
-	creditWindow   int64
-	stallTimeout   time.Duration
 
 	mu       sync.Mutex
 	peers    map[int]*peerConn
@@ -150,10 +130,6 @@ type Node struct {
 	redialFailures atomic.Int64
 	retriedFrames  atomic.Int64
 	droppedRetry   atomic.Int64
-	creditStalls   atomic.Int64
-	stallTimeouts  atomic.Int64
-	acksSent       atomic.Int64
-	acksReceived   atomic.Int64
 
 	wg sync.WaitGroup
 }
@@ -184,26 +160,15 @@ type Metrics struct {
 	// RetriedFrames counts frames delivered from the retry queue after a
 	// reconnect.
 	RetriedFrames int64
-	// DroppedRetry counts retry-queued frames abandoned when a peer's
-	// redial budget ran out.
+	// DroppedRetry counts retry-queued frames abandoned: evicted by a newer
+	// frame from a full queue, or dropped when a peer's redial budget ran
+	// out.
 	DroppedRetry int64
-	// CreditStalls counts Forwards that had to wait for the receiver to
-	// replenish the peer link's credit window.
-	CreditStalls int64
-	// StallTimeouts counts peer connections torn down because a credit
-	// stall outlasted the stall timeout (slow-receiver detection).
-	StallTimeouts int64
-	// AcksSent / AcksReceived count 8-byte credit-ack frames written for
-	// received data frames and decoded from peers.
-	AcksSent     int64
-	AcksReceived int64
-	// StalledPeers is a gauge: peers currently waiting on credit.
-	StalledPeers int
 }
 
 // Metrics snapshots the node's wire counters.
 func (n *Node) Metrics() Metrics {
-	m := Metrics{
+	return Metrics{
 		FramesSent:     n.framesSent.Load(),
 		FramesReceived: n.framesReceived.Load(),
 		BytesSent:      n.bytesSent.Load(),
@@ -215,25 +180,7 @@ func (n *Node) Metrics() Metrics {
 		RedialFailures: n.redialFailures.Load(),
 		RetriedFrames:  n.retriedFrames.Load(),
 		DroppedRetry:   n.droppedRetry.Load(),
-		CreditStalls:   n.creditStalls.Load(),
-		StallTimeouts:  n.stallTimeouts.Load(),
-		AcksSent:       n.acksSent.Load(),
-		AcksReceived:   n.acksReceived.Load(),
 	}
-	n.mu.Lock()
-	peers := make([]*peerConn, 0, len(n.peers))
-	for _, p := range n.peers {
-		peers = append(peers, p)
-	}
-	n.mu.Unlock()
-	for _, p := range peers {
-		p.mu.Lock()
-		if p.stalled {
-			m.StalledPeers++
-		}
-		p.mu.Unlock()
-	}
-	return m
 }
 
 // Wire converts the snapshot into the transport-neutral shape ClusterHealth
@@ -251,25 +198,15 @@ func (m Metrics) Wire(machineID int) broker.WireMetrics {
 		RedialFailures: m.RedialFailures,
 		RetriedFrames:  m.RetriedFrames,
 		DroppedRetry:   m.DroppedRetry,
-		CreditStalls:   m.CreditStalls,
-		StallTimeouts:  m.StallTimeouts,
-		AcksSent:       m.AcksSent,
-		AcksReceived:   m.AcksReceived,
 		DroppedInject:  m.DroppedInject,
-		StalledPeers:   m.StalledPeers,
 	}
 }
 
 // String renders the snapshot human-readably.
 func (m Metrics) String() string {
-	s := fmt.Sprintf("fabric frames: sent=%d recv=%d bytes: sent=%d recv=%d corrupt=%d corruptFrames=%d droppedInject=%d reconnects=%d redialFail=%d retried=%d droppedRetry=%d",
+	return fmt.Sprintf("fabric frames: sent=%d recv=%d bytes: sent=%d recv=%d corrupt=%d corruptFrames=%d droppedInject=%d reconnects=%d redialFail=%d retried=%d droppedRetry=%d",
 		m.FramesSent, m.FramesReceived, m.BytesSent, m.BytesReceived, m.CorruptStreams,
 		m.CorruptFrames, m.DroppedInject, m.Reconnects, m.RedialFailures, m.RetriedFrames, m.DroppedRetry)
-	if m.AcksSent > 0 || m.AcksReceived > 0 || m.CreditStalls > 0 {
-		s += fmt.Sprintf(" credits: stalls=%d stallTimeouts=%d acksSent=%d acksRecv=%d stalledPeers=%d",
-			m.CreditStalls, m.StallTimeouts, m.AcksSent, m.AcksReceived, m.StalledPeers)
-	}
-	return s
 }
 
 var _ broker.Remote = (*Node)(nil)
@@ -289,10 +226,7 @@ const (
 )
 
 // peerConn is one dialed peer link and its reconnect state. All fields are
-// guarded by mu; conn is nil except in stateConnected. creditCh is a
-// capacity-1 wakeup channel: grantCredit sends into it without blocking and
-// a stalled Forward re-checks the window after each wakeup, so a stale
-// token costs one spurious loop iteration, never a lost grant.
+// guarded by mu; conn is nil except in stateConnected.
 type peerConn struct {
 	machine int
 	addr    string
@@ -302,11 +236,6 @@ type peerConn struct {
 	state     connState
 	retry     [][]byte // complete wire frames awaiting reconnect
 	redialing bool
-
-	window   int64 // credit window in wire bytes; 0 disables flow control
-	inflight int64 // bytes written but not yet acked by the receiver
-	stalled  bool  // a Forward is currently waiting on credit
-	creditCh chan struct{}
 }
 
 // Listen starts a fabric node accepting peer connections on addr
@@ -322,7 +251,6 @@ func Listen(machineID int, addr string) (*Node, error) {
 		done:           make(chan struct{}),
 		redialAttempts: DefaultRedialAttempts,
 		redialBackoff:  DefaultRedialBackoff,
-		stallTimeout:   DefaultStallTimeout,
 		peers:          make(map[int]*peerConn),
 		accepted:       make(map[net.Conn]struct{}),
 	}
@@ -353,25 +281,6 @@ func (n *Node) SetRedialPolicy(attempts int, backoff time.Duration) {
 	}
 	if backoff > 0 {
 		n.redialBackoff = backoff
-	}
-}
-
-// SetCreditPolicy enables credit-based flow control on links dialed after
-// the call: each peer link may carry at most window un-acked wire bytes;
-// the receiver replenishes the window with an 8-byte ack frame per received
-// data frame. A Forward that cannot reserve credit waits; if the wait
-// outlasts stallTimeout the link is declared stalled and torn down into the
-// reconnect state machine (the frame retries after the redial). window 0
-// (the default) disables flow control; stallTimeout <= 0 keeps the current
-// timeout. Call before Connect.
-func (n *Node) SetCreditPolicy(window int64, stallTimeout time.Duration) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if window >= 0 {
-		n.creditWindow = window
-	}
-	if stallTimeout > 0 {
-		n.stallTimeout = stallTimeout
 	}
 }
 
@@ -431,17 +340,13 @@ func (n *Node) Connect(peerMachine int, addr string) error {
 		return fmt.Errorf("fabric connect to machine %d: %w", peerMachine, err)
 	}
 	conn = n.wrap(conn)
-	p := &peerConn{
-		machine: peerMachine, addr: addr, conn: conn, state: stateConnected,
-		creditCh: make(chan struct{}, 1),
-	}
+	p := &peerConn{machine: peerMachine, addr: addr, conn: conn, state: stateConnected}
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
 		_ = conn.Close()
 		return errors.New("fabric: node closed")
 	}
-	p.window = n.creditWindow
 	old := n.peers[peerMachine]
 	n.peers[peerMachine] = p
 	n.mu.Unlock()
@@ -459,7 +364,9 @@ func (n *Node) Connect(peerMachine int, addr string) error {
 		old.mu.Unlock()
 		n.droppedRetry.Add(int64(dropped))
 	}
-	// The dialed connection is bidirectional: read replies too.
+	// Nothing legitimate arrives on a dialed connection, but its reader is
+	// how a dialer notices the peer closing the link (EOF → connLost →
+	// redial) before its next write.
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
@@ -521,10 +428,6 @@ func (n *Node) Forward(srcMachine, dstMachine int, h *message.Header, framed []b
 	// out in a single writev, so a frame is never interleaved with another
 	// sender's bytes and the connection mutex is held for one syscall.
 	total := int64(len(hdr) + len(framed) + crcLen)
-	if err := n.waitCredit(peer, total); err != nil {
-		serialize.FreeBuf(hdr)
-		return err
-	}
 	bufs := net.Buffers{hdr, framed, trailer[:]}
 	peer.mu.Lock()
 	switch peer.state {
@@ -542,7 +445,7 @@ func (n *Node) Forward(srcMachine, dstMachine int, h *message.Header, framed []b
 		// for post-reconnect retry (it may have been partially written; the
 		// receiver's framing discards a truncated tail when the conn dies),
 		// tear the conn down, and start the redial loop.
-		queued := peer.enqueueRetryLocked(hdr, framed, trailer[:])
+		n.droppedRetry.Add(peer.enqueueRetryLocked(hdr, framed, trailer[:]))
 		_ = peer.conn.Close()
 		peer.conn = nil
 		peer.state = stateBackingOff
@@ -553,22 +456,14 @@ func (n *Node) Forward(srcMachine, dstMachine int, h *message.Header, framed []b
 		if spawn {
 			n.spawnRedial(peer)
 		}
-		if queued {
-			return fmt.Errorf("fabric write to machine %d failed (%v): %w",
-				dstMachine, werr, broker.ErrForwardRetrying)
-		}
-		n.droppedRetry.Add(1)
-		return fmt.Errorf("fabric write (retry queue full): %w", werr)
+		return fmt.Errorf("fabric write to machine %d failed (%v): %w",
+			dstMachine, werr, broker.ErrForwardRetrying)
 	case stateBackingOff:
-		queued := peer.enqueueRetryLocked(hdr, framed, trailer[:])
+		n.droppedRetry.Add(peer.enqueueRetryLocked(hdr, framed, trailer[:]))
 		peer.mu.Unlock()
 		serialize.FreeBuf(hdr)
-		if queued {
-			return fmt.Errorf("fabric: machine %d reconnecting: %w",
-				dstMachine, broker.ErrForwardRetrying)
-		}
-		n.droppedRetry.Add(1)
-		return fmt.Errorf("fabric: machine %d reconnecting, retry queue full", dstMachine)
+		return fmt.Errorf("fabric: machine %d reconnecting: %w",
+			dstMachine, broker.ErrForwardRetrying)
 	default: // stateDown
 		peer.mu.Unlock()
 		serialize.FreeBuf(hdr)
@@ -576,121 +471,24 @@ func (n *Node) Forward(srcMachine, dstMachine int, h *message.Header, framed []b
 	}
 }
 
-// waitCredit reserves need wire bytes of the peer's credit window before a
-// Forward write, blocking while the window is exhausted. The wait happens
-// with no lock held (the queue.GetTimeout pattern): check-and-reserve under
-// p.mu, then sleep on the capacity-1 credit channel. A frame larger than
-// the whole window is admitted alone (inflight == 0) so oversized weights
-// broadcasts cannot deadlock the link. When the wait outlasts the stall
-// timeout the link is torn down into the reconnect state machine and the
-// caller proceeds — its state switch then queues the frame for retry.
-func (n *Node) waitCredit(p *peerConn, need int64) error {
-	for {
-		p.mu.Lock()
-		if p.window <= 0 || p.state != stateConnected {
-			// Flow control disabled, or the state switch below handles the
-			// non-connected path (retry queue / fail fast).
-			p.mu.Unlock()
-			return nil
-		}
-		if p.inflight == 0 || p.inflight+need <= p.window {
-			p.inflight += need
-			p.stalled = false
-			p.mu.Unlock()
-			return nil
-		}
-		p.stalled = true
-		p.mu.Unlock()
-		n.creditStalls.Add(1)
-		timer := time.NewTimer(n.stallTimeout)
-		select {
-		case <-p.creditCh:
-			timer.Stop()
-		case <-timer.C:
-			// Slow-receiver detection: the peer sat on our frames past the
-			// stall timeout. Tear the link down; the redial loop owns
-			// recovery and the caller's frame goes to the retry queue.
-			n.stallTimeouts.Add(1)
-			n.tearDownStalled(p)
-			return nil
-		case <-n.done:
-			timer.Stop()
-			p.mu.Lock()
-			p.stalled = false
-			p.mu.Unlock()
-			return errors.New("fabric: node closed")
-		}
-	}
-}
-
-// grantCredit returns acked wire bytes to the peer's window (ack received)
-// and wakes a stalled Forward. The clamp at zero absorbs acks for frames
-// whose reservation was wiped by a reconnect.
-func (n *Node) grantCredit(p *peerConn, acked int64) {
-	p.mu.Lock()
-	p.inflight -= acked
-	if p.inflight < 0 {
-		p.inflight = 0
-	}
-	p.mu.Unlock()
-	select {
-	case p.creditCh <- struct{}{}:
-	default:
-	}
-}
-
-// tearDownStalled closes a peer link whose receiver stopped acking and
-// hands it to the reconnect state machine. The credit reservation is wiped:
-// whatever was on the wire died with the connection.
-func (n *Node) tearDownStalled(p *peerConn) {
-	p.mu.Lock()
-	if p.state != stateConnected {
-		p.mu.Unlock()
-		return // a write failure or Stop got here first
-	}
-	if p.conn != nil {
-		_ = p.conn.Close()
-		p.conn = nil
-	}
-	p.state = stateBackingOff
-	p.inflight = 0
-	p.stalled = false
-	spawn := !p.redialing
-	p.redialing = true
-	p.mu.Unlock()
-	if spawn {
-		n.spawnRedial(p)
-	}
-}
-
-// PeerStalled reports whether a Forward to the machine is currently waiting
-// on credit (slow-receiver pressure on that link).
-func (n *Node) PeerStalled(machine int) bool {
-	n.mu.Lock()
-	p := n.peers[machine]
-	n.mu.Unlock()
-	if p == nil {
-		return false
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.stalled
-}
-
 // enqueueRetryLocked copies one wire frame (prefix+header+body+checksum)
 // into the bounded retry queue. The copy is required: hdr is pooled and
 // framed belongs to the object store; both outlive this call only through
-// the copy. Caller holds p.mu. Reports whether the frame fit.
-func (p *peerConn) enqueueRetryLocked(hdr, framed, trailer []byte) bool {
+// the copy. A full queue drops its oldest frame to make room. Caller holds
+// p.mu. Reports how many frames were dropped (0 or 1).
+func (p *peerConn) enqueueRetryLocked(hdr, framed, trailer []byte) int64 {
+	var evicted int64
 	if len(p.retry) >= retryQueueCap {
-		return false
+		p.retry[0] = nil
+		p.retry = p.retry[1:]
+		evicted = 1
 	}
 	frame := make([]byte, 0, len(hdr)+len(framed)+len(trailer))
 	frame = append(frame, hdr...)
 	frame = append(frame, framed...)
 	frame = append(frame, trailer...)
 	p.retry = append(p.retry, frame)
-	return true
+	return evicted
 }
 
 // connLost moves a peer whose read loop died to backing-off and ensures a
@@ -810,10 +608,6 @@ func (n *Node) installReconnected(p *peerConn, conn net.Conn) bool {
 	p.conn = conn
 	p.state = stateConnected
 	p.redialing = false
-	// Fresh connection, fresh window: reservations for frames that died
-	// with the old conn must not strangle the new one.
-	p.inflight = 0
-	p.stalled = false
 	p.mu.Unlock()
 	n.reconnects.Add(1)
 	n.mu.Lock()
@@ -835,8 +629,9 @@ func (n *Node) installReconnected(p *peerConn, conn net.Conn) bool {
 // The frame payload lives in a pooled buffer: InjectRemote copies the body
 // into this machine's object store and gob decoding copies the header
 // fields, so the buffer goes back to the pool at the end of each iteration.
-// For dialed connections (p != nil) a read failure reports the lost conn to
-// the reconnect state machine.
+// Frames arrive only on accepted connections; on a dialed connection
+// (p != nil) the loop is there to see the peer close the link, and a read
+// failure reports the lost conn to the reconnect state machine.
 func (n *Node) readLoop(conn net.Conn, p *peerConn) {
 	defer func() {
 		_ = conn.Close()
@@ -851,20 +646,6 @@ func (n *Node) readLoop(conn net.Conn, p *peerConn) {
 		}
 		frameLen := binary.BigEndian.Uint32(prefix[0:])
 		hdrLen := binary.BigEndian.Uint32(prefix[4:])
-		if frameLen&ackFlag != 0 {
-			// 8-byte credit ack: no header, no body. Acks arrive on dialed
-			// connections (the receiver replies on the conn the data came in
-			// on) and replenish that peer's window.
-			if hdrLen != 0 {
-				n.corruptStreams.Add(1)
-				return
-			}
-			n.acksReceived.Add(1)
-			if p != nil {
-				n.grantCredit(p, int64(frameLen&^ackFlag))
-			}
-			continue
-		}
 		if frameLen > MaxFrameSize || hdrLen+4+crcLen > frameLen {
 			n.corruptStreams.Add(1)
 			return // corrupt stream
@@ -918,21 +699,6 @@ func (n *Node) readLoop(conn net.Conn, p *peerConn) {
 			n.droppedInject.Add(1)
 		}
 		serialize.FreeBuf(payload)
-		if p == nil {
-			// Replenish the sender's credit window for the full wire size of
-			// this frame (prefix + payload). Only the accepted side acks:
-			// this readLoop goroutine is the sole writer on an accepted
-			// conn, so the 8-byte ack never interleaves with another write.
-			// Ack even after a broker-side refusal — the wire bytes were
-			// consumed either way, which is what the window meters. A write
-			// error needs no handling here: the next read fails too, and
-			// teardown runs through the normal lost-conn path.
-			var ack [8]byte
-			binary.BigEndian.PutUint32(ack[0:], uint32(int64(len(prefix)+len(payload)))|ackFlag)
-			if _, err := conn.Write(ack[:]); err == nil {
-				n.acksSent.Add(1)
-			}
-		}
 	}
 }
 

@@ -35,12 +35,6 @@ type GridOptions struct {
 	// traffic on every broker (see broker.Config.RelayFanout); zero keeps
 	// star fan-out.
 	RelayFanout int
-	// CreditWindow enables credit-based flow control on every mesh link
-	// (bytes in flight per peer; zero disables). StallTimeout bounds how
-	// long a Forward waits on credit before the link is torn down (zero
-	// keeps DefaultStallTimeout).
-	CreditWindow int64
-	StallTimeout time.Duration
 }
 
 // Grid is a real-TCP deployment of N machines on loopback: one fabric Node
@@ -83,9 +77,6 @@ func NewGrid(n int, opts GridOptions) (*Grid, error) {
 			node.SetConnWrapper(opts.ConnWrapper)
 		}
 		node.SetRedialPolicy(opts.RedialAttempts, opts.RedialBackoff)
-		if opts.CreditWindow > 0 {
-			node.SetCreditPolicy(opts.CreditWindow, opts.StallTimeout)
-		}
 		b := broker.New(broker.Config{
 			MachineID:      i,
 			Compressor:     opts.Compressor,

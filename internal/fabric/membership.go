@@ -152,17 +152,6 @@ func (g *Grid) StartMembership(coordinator int, every time.Duration, misses int,
 	return nil
 }
 
-// StopMembership tears the lease plane down (renewers, sink, detector).
-// Safe to call when membership was never started; Grid.Stop calls it too.
-func (g *Grid) StopMembership() {
-	g.mu.Lock()
-	m := g.member
-	g.mu.Unlock()
-	if m != nil {
-		m.stop()
-	}
-}
-
 // MembershipStats reports the lease plane's counters: renewals received by
 // the coordinator and machine-death verdicts fired. Zero when membership
 // was never started.

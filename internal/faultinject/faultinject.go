@@ -18,9 +18,8 @@
 //   - netsim: Injector satisfies netsim.FaultHook, adding latency spikes to
 //     simulated transfers.
 //   - core: Injector.NewAgentFault hands each explorer incarnation a
-//     deterministic crash schedule for its Rollout loop; NewCrash and
-//     NewStall/NewStallAfter do the same for learn replicas (one-shot
-//     errors and silent hangs inside a training step).
+//     deterministic crash schedule for its Rollout loop; NewCrash does the
+//     same for learn replicas (a one-shot error inside a training step).
 //
 // All counters are process-global within one Injector, so a schedule like
 // "reset every 40th write" interleaves deterministically across connections
@@ -61,15 +60,6 @@ type Config struct {
 	// LatencySpike is the injected delay per spike (default 5ms when
 	// LatencySpikeEveryN is set).
 	LatencySpike time.Duration
-	// StallAfterCalls arms each Stall handle built by NewStall: the handle's
-	// first incarnation hangs once, for StallDuration, after this many
-	// guarded calls. A stall is the silent failure mode — the caller blocks
-	// instead of erroring, which is what heartbeat deadline detectors exist
-	// to catch.
-	StallAfterCalls int
-	// StallDuration is the injected hang per stall (default 250ms when
-	// StallAfterCalls is set).
-	StallDuration time.Duration
 }
 
 // Injector is a seeded fault source. It is safe for concurrent use.
@@ -86,7 +76,6 @@ type Injector struct {
 	corruptions    atomic.Int64
 	spikes         atomic.Int64
 	agentFaults    atomic.Int64
-	stalls         atomic.Int64
 	machineKills   atomic.Int64
 	partitionDrops atomic.Int64
 
@@ -101,21 +90,17 @@ func New(cfg Config) *Injector {
 	if cfg.LatencySpikeEveryN > 0 && cfg.LatencySpike <= 0 {
 		cfg.LatencySpike = 5 * time.Millisecond
 	}
-	if cfg.StallAfterCalls > 0 && cfg.StallDuration <= 0 {
-		cfg.StallDuration = 250 * time.Millisecond
-	}
 	return &Injector{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
 }
 
 // Stats reports how many faults of each class the injector has fired.
 type Stats struct {
-	// ConnResets, Corruptions, LatencySpikes, AgentFaults, and Stalls count
-	// fired faults per class.
+	// ConnResets, Corruptions, LatencySpikes and AgentFaults count fired
+	// faults per class.
 	ConnResets    int64
 	Corruptions   int64
 	LatencySpikes int64
 	AgentFaults   int64
-	Stalls        int64
 	// MachineKills counts fired whole-machine kill faults; PartitionDrops
 	// counts frames blackholed by armed asymmetric partitions.
 	MachineKills   int64
@@ -132,7 +117,6 @@ func (i *Injector) Stats() Stats {
 		Corruptions:    i.corruptions.Load(),
 		LatencySpikes:  i.spikes.Load(),
 		AgentFaults:    i.agentFaults.Load(),
-		Stalls:         i.stalls.Load(),
 		MachineKills:   i.machineKills.Load(),
 		PartitionDrops: i.partitionDrops.Load(),
 		Writes:         i.writes.Load(),
@@ -142,8 +126,8 @@ func (i *Injector) Stats() Stats {
 
 // String renders the snapshot human-readably.
 func (s Stats) String() string {
-	return fmt.Sprintf("faults: resets=%d corruptions=%d spikes=%d agent=%d stalls=%d kills=%d partitionDrops=%d (writes=%d transfers=%d)",
-		s.ConnResets, s.Corruptions, s.LatencySpikes, s.AgentFaults, s.Stalls, s.MachineKills, s.PartitionDrops, s.Writes, s.Transfers)
+	return fmt.Sprintf("faults: resets=%d corruptions=%d spikes=%d agent=%d kills=%d partitionDrops=%d (writes=%d transfers=%d)",
+		s.ConnResets, s.Corruptions, s.LatencySpikes, s.AgentFaults, s.MachineKills, s.PartitionDrops, s.Writes, s.Transfers)
 }
 
 // TransferDelay implements netsim.FaultHook: every Nth simulated transfer
@@ -171,7 +155,8 @@ func (i *Injector) WrapConn(conn net.Conn) net.Conn {
 // WrapConnFor returns a conn wrapper that tags every wrapped connection
 // with the wrapping machine's ID, so direction-aware faults can match the
 // (from, to) orientation of a link. Shaped for
-// fabric.GridOptions.ConnWrapperFor.
+// fabric.GridOptions.ConnWrapperFor; TestMembershipAsymmetricPartition
+// (fabric) and TestFragmentTopologyCI's machine-kill legs (core) use it.
 func (i *Injector) WrapConnFor(machine int) func(net.Conn) net.Conn {
 	return func(conn net.Conn) net.Conn {
 		return &faultConn{Conn: conn, inj: i, src: machine}
@@ -195,7 +180,8 @@ type MachineKill struct {
 // writes across the deployment. The schedule is deterministic for a fixed
 // write interleaving (and the fired-fault *count* is deterministic
 // regardless); the kill callback severs the victim's conns and stops its
-// broker. Arm before traffic flows.
+// broker. Arm before traffic flows. TestFragmentTopologyCI's machine-kill
+// legs (core) arm it.
 func (i *Injector) NewMachineKill(afterWrites int, kill func()) *MachineKill {
 	mk := &MachineKill{inj: i, after: int64(afterWrites), kill: kill}
 	for {
@@ -211,7 +197,8 @@ func (i *Injector) NewMachineKill(afterWrites int, kill func()) *MachineKill {
 	}
 }
 
-// Fired reports whether the kill has been triggered.
+// Fired reports whether the kill has been triggered (TestFragmentTopologyCI
+// checks it).
 func (mk *MachineKill) Fired() bool { return mk.fired.Load() }
 
 // Partition is an armed asymmetric link fault: once the deployment-wide
@@ -233,6 +220,7 @@ type Partition struct {
 // untagged or tagged source) toward toAddr are blackholed after the given
 // deployment-wide write count. Requires conns wrapped via WrapConnFor for a
 // specific `from` to tag the direction. Arm before traffic flows.
+// TestMembershipAsymmetricPartition (fabric) arms and heals one.
 func (i *Injector) NewPartition(from int, toAddr string, afterWrites int) *Partition {
 	p := &Partition{inj: i, from: from, toAddr: toAddr, after: int64(afterWrites)}
 	for {
@@ -248,7 +236,8 @@ func (i *Injector) NewPartition(from int, toAddr string, afterWrites int) *Parti
 	}
 }
 
-// Heal lifts the partition: subsequent writes flow again.
+// Heal lifts the partition: subsequent writes flow again
+// (TestMembershipAsymmetricPartition).
 func (p *Partition) Heal() { p.healed.Store(true) }
 
 // Drops reports how many writes this partition has blackholed.
@@ -330,9 +319,9 @@ func (i *Injector) NewAgentFault() *AgentFault {
 }
 
 // NewCrash returns a one-shot crash schedule firing after n guarded calls,
-// independent of the config-driven agent schedule. Chaos tests use it to
-// kill one specific learn replica after a fixed number of trains while the
-// explorer schedules run their own counts.
+// independent of the config-driven agent schedule. TestChaosFragmentTopology
+// uses it to kill one specific learn replica after a fixed number of trains
+// while the explorer schedules run their own counts.
 func (i *Injector) NewCrash(n int) *AgentFault {
 	return &AgentFault{inj: i, failAfter: n}
 }
@@ -356,71 +345,4 @@ func (f *AgentFault) ShouldFail() bool {
 		return true
 	}
 	return false
-}
-
-// Stall is a one-shot hang schedule: the guarded call after the configured
-// count blocks for the seeded duration instead of proceeding, and the handle
-// never fires again. Unlike AgentFault the caller does not error — the hang
-// is silent, which is exactly the failure mode a heartbeat deadline detector
-// must catch (a replica wedged inside a training step, a remote call that
-// never returns).
-type Stall struct {
-	inj       *Injector
-	after     int
-	dur       time.Duration
-	onStalled func() // test hook, observed just before the hang begins
-
-	mu    sync.Mutex
-	calls int
-	fired bool
-}
-
-// NewStall returns a hang schedule armed from Config.StallAfterCalls and
-// Config.StallDuration. Call once per guarded site; pass the handle across
-// incarnations so a restarted replica runs clean.
-func (i *Injector) NewStall() *Stall {
-	return &Stall{inj: i, after: i.cfg.StallAfterCalls, dur: i.cfg.StallDuration}
-}
-
-// NewStallAfter returns a hang schedule with an explicit call count and
-// duration, independent of the config-driven schedule.
-func (i *Injector) NewStallAfter(n int, d time.Duration) *Stall {
-	if d <= 0 {
-		d = 250 * time.Millisecond
-	}
-	return &Stall{inj: i, after: n, dur: d}
-}
-
-// OnStalled installs a hook invoked right before the injected hang starts
-// (for tests that need to observe the exact stall window). Call before the
-// handle is shared.
-func (st *Stall) OnStalled(fn func()) { st.onStalled = fn }
-
-// MaybeStall blocks the calling goroutine for the seeded duration when the
-// schedule says this call is the one that hangs; it reports whether the
-// stall fired on this call.
-func (st *Stall) MaybeStall() bool {
-	if st == nil || st.after <= 0 {
-		return false
-	}
-	st.mu.Lock()
-	if st.fired {
-		st.mu.Unlock()
-		return false
-	}
-	st.calls++
-	due := st.calls > st.after
-	if due {
-		st.fired = true
-	}
-	st.mu.Unlock()
-	if !due {
-		return false
-	}
-	st.inj.stalls.Add(1)
-	if st.onStalled != nil {
-		st.onStalled()
-	}
-	time.Sleep(st.dur)
-	return true
 }

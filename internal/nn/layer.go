@@ -1,6 +1,6 @@
-// Package nn is a from-scratch neural-network library: feed-forward and
-// convolutional layers with reverse-mode differentiation, standard
-// optimizers, and flat-weight export/import.
+// Package nn is a from-scratch neural-network library: feed-forward layers
+// with reverse-mode differentiation, standard optimizers, and flat-weight
+// export/import.
 //
 // It is the DNN substrate for the DRL algorithm zoo. The flat-weight codec
 // (Network.FlatWeights / SetFlatWeights) is what travels in XingTian's
@@ -8,7 +8,6 @@
 package nn
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -210,136 +209,3 @@ func (l *Tanh) Params() []*tensor.Tensor { return nil }
 
 // Grads implements Layer.
 func (l *Tanh) Grads() []*tensor.Tensor { return nil }
-
-// Conv2D is a 2-D convolution over row-major (C,H,W)-flattened inputs,
-// implemented via im2col. Used by the arcade-game networks on small frames.
-type Conv2D struct {
-	InC, InH, InW        int
-	OutC, Kernel, Stride int
-	OutH, OutW           int
-	W, B                 *tensor.Tensor // W is (OutC × InC*K*K)
-	dW, dB               *tensor.Tensor
-	cols                 *tensor.Tensor // cached im2col of the last batch
-	batch                int
-}
-
-var _ Layer = (*Conv2D)(nil)
-
-// NewConv2D returns a convolution layer. Input rows are flattened
-// (inC, inH, inW) volumes; output rows are flattened (outC, outH, outW).
-func NewConv2D(rng *rand.Rand, inC, inH, inW, outC, kernel, stride int) *Conv2D {
-	outH := (inH-kernel)/stride + 1
-	outW := (inW-kernel)/stride + 1
-	if outH <= 0 || outW <= 0 {
-		panic(fmt.Sprintf("nn: conv output %dx%d not positive", outH, outW))
-	}
-	w := tensor.New(outC, inC*kernel*kernel)
-	w.XavierInit(rng, inC*kernel*kernel, outC)
-	return &Conv2D{
-		InC: inC, InH: inH, InW: inW,
-		OutC: outC, Kernel: kernel, Stride: stride,
-		OutH: outH, OutW: outW,
-		W:  w,
-		B:  tensor.New(1, outC),
-		dW: tensor.New(outC, inC*kernel*kernel),
-		dB: tensor.New(1, outC),
-	}
-}
-
-// OutSize returns the flattened output width per example.
-func (l *Conv2D) OutSize() int { return l.OutC * l.OutH * l.OutW }
-
-// Forward performs the convolution for a batch of flattened volumes.
-func (l *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
-	if x.Cols != l.InC*l.InH*l.InW {
-		panic(fmt.Sprintf("nn: conv input width %d, want %d", x.Cols, l.InC*l.InH*l.InW))
-	}
-	l.batch = x.Rows
-	patches := l.OutH * l.OutW
-	k2 := l.InC * l.Kernel * l.Kernel
-	cols := tensor.New(x.Rows*patches, k2)
-	for n := 0; n < x.Rows; n++ {
-		img := x.Data[n*x.Cols : (n+1)*x.Cols]
-		for oy := 0; oy < l.OutH; oy++ {
-			for ox := 0; ox < l.OutW; ox++ {
-				rowIdx := (n*patches + oy*l.OutW + ox) * k2
-				col := cols.Data[rowIdx : rowIdx+k2]
-				i := 0
-				for c := 0; c < l.InC; c++ {
-					base := c * l.InH * l.InW
-					for ky := 0; ky < l.Kernel; ky++ {
-						src := base + (oy*l.Stride+ky)*l.InW + ox*l.Stride
-						copy(col[i:i+l.Kernel], img[src:src+l.Kernel])
-						i += l.Kernel
-					}
-				}
-			}
-		}
-	}
-	l.cols = cols
-	// (batch*patches × k2) @ (k2 × OutC) -> then rearrange to (batch × OutC*patches).
-	prod := tensor.MatMulTransposeB(cols, l.W) // rows: batch*patches, cols: OutC
-	out := tensor.New(x.Rows, l.OutSize())
-	for n := 0; n < x.Rows; n++ {
-		for p := 0; p < patches; p++ {
-			for oc := 0; oc < l.OutC; oc++ {
-				out.Data[n*l.OutSize()+oc*patches+p] = prod.Data[(n*patches+p)*l.OutC+oc] + l.B.Data[oc]
-			}
-		}
-	}
-	return out
-}
-
-// Backward accumulates weight/bias gradients and, if wantInput is set,
-// returns the input gradient.
-func (l *Conv2D) Backward(grad *tensor.Tensor, wantInput bool) *tensor.Tensor {
-	patches := l.OutH * l.OutW
-	k2 := l.InC * l.Kernel * l.Kernel
-	// Rearrange grad (batch × OutC*patches) into (batch*patches × OutC).
-	g := tensor.New(l.batch*patches, l.OutC)
-	for n := 0; n < l.batch; n++ {
-		for oc := 0; oc < l.OutC; oc++ {
-			for p := 0; p < patches; p++ {
-				v := grad.Data[n*l.OutSize()+oc*patches+p]
-				g.Data[(n*patches+p)*l.OutC+oc] = v
-				l.dB.Data[oc] += v
-			}
-		}
-	}
-	// dW (OutC × k2) += gᵀ @ cols.
-	l.dW.AddInPlace(tensor.MatMulTransposeA(g, l.cols))
-	if !wantInput {
-		return nil
-	}
-	// dCols (batch*patches × k2) = g @ W.
-	dCols := tensor.MatMul(g, l.W)
-	// Scatter dCols back to input layout.
-	dx := tensor.New(l.batch, l.InC*l.InH*l.InW)
-	for n := 0; n < l.batch; n++ {
-		img := dx.Data[n*dx.Cols : (n+1)*dx.Cols]
-		for oy := 0; oy < l.OutH; oy++ {
-			for ox := 0; ox < l.OutW; ox++ {
-				rowIdx := (n*patches + oy*l.OutW + ox) * k2
-				col := dCols.Data[rowIdx : rowIdx+k2]
-				i := 0
-				for c := 0; c < l.InC; c++ {
-					base := c * l.InH * l.InW
-					for ky := 0; ky < l.Kernel; ky++ {
-						dst := base + (oy*l.Stride+ky)*l.InW + ox*l.Stride
-						for kx := 0; kx < l.Kernel; kx++ {
-							img[dst+kx] += col[i]
-							i++
-						}
-					}
-				}
-			}
-		}
-	}
-	return dx
-}
-
-// Params implements Layer.
-func (l *Conv2D) Params() []*tensor.Tensor { return []*tensor.Tensor{l.W, l.B} }
-
-// Grads implements Layer.
-func (l *Conv2D) Grads() []*tensor.Tensor { return []*tensor.Tensor{l.dW, l.dB} }

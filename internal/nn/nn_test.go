@@ -95,60 +95,6 @@ func TestReLUGradCheck(t *testing.T) {
 	numericalGradCheck(t, net, x, mseTo(target), 2e-2)
 }
 
-func TestConv2DGradCheck(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	conv := NewConv2D(rng, 2, 6, 6, 3, 3, 1)
-	net := NewNetwork(conv, NewReLU(), NewDense(rng, conv.OutSize(), 2))
-	x := tensor.New(2, 2*6*6)
-	x.Randn(rng, 1)
-	target := tensor.New(2, 2)
-	target.Randn(rng, 1)
-	numericalGradCheck(t, net, x, mseTo(target), 3e-2)
-}
-
-func TestConv2DOutputShape(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	conv := NewConv2D(rng, 1, 8, 8, 4, 3, 2)
-	if conv.OutH != 3 || conv.OutW != 3 {
-		t.Fatalf("conv out %dx%d, want 3x3", conv.OutH, conv.OutW)
-	}
-	x := tensor.New(2, 64)
-	x.Randn(rng, 1)
-	y := conv.Forward(x)
-	if y.Rows != 2 || y.Cols != conv.OutSize() {
-		t.Fatalf("Forward shape = %dx%d, want 2x%d", y.Rows, y.Cols, conv.OutSize())
-	}
-}
-
-func TestSoftmaxCrossEntropyGradCheck(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	net := NewNetwork(NewDense(rng, 4, 3))
-	x := tensor.New(5, 4)
-	x.Randn(rng, 1)
-	labels := []int{0, 2, 1, 1, 0}
-	lossFn := func(y *tensor.Tensor) (float32, *tensor.Tensor) {
-		grad := tensor.New(y.Rows, y.Cols)
-		loss := SoftmaxCrossEntropy(y, labels, grad)
-		return loss, grad
-	}
-	numericalGradCheck(t, net, x, lossFn, 2e-2)
-}
-
-func TestHuberGradCheck(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	net := NewNetwork(NewDense(rng, 3, 2))
-	x := tensor.New(6, 3)
-	x.Randn(rng, 2)
-	target := tensor.New(6, 2)
-	target.Randn(rng, 2)
-	lossFn := func(y *tensor.Tensor) (float32, *tensor.Tensor) {
-		grad := tensor.New(y.Rows, y.Cols)
-		loss := HuberLoss(y, target, grad, 1.0)
-		return loss, grad
-	}
-	numericalGradCheck(t, net, x, lossFn, 2e-2)
-}
-
 func TestFlatWeightsRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	a := NewNetwork(NewDense(rng, 4, 8), NewReLU(), NewDense(rng, 8, 2))
@@ -201,7 +147,6 @@ func TestClipGradNorm(t *testing.T) {
 
 func TestOptimizersReduceLoss(t *testing.T) {
 	opts := map[string]func() Optimizer{
-		"sgd":      func() Optimizer { return NewSGD(0.05, 0.9) },
 		"adam":     func() Optimizer { return NewAdam(0.01) },
 		"rms_prop": func() Optimizer { return NewRMSProp(0.01) },
 	}

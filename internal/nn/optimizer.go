@@ -13,40 +13,6 @@ type Optimizer interface {
 	Step(n *Network)
 }
 
-// SGD is plain stochastic gradient descent with optional momentum.
-type SGD struct {
-	LR       float32
-	Momentum float32
-	velocity [][]float32
-}
-
-var _ Optimizer = (*SGD)(nil)
-
-// NewSGD returns an SGD optimizer.
-func NewSGD(lr, momentum float32) *SGD {
-	return &SGD{LR: lr, Momentum: momentum}
-}
-
-// Step implements Optimizer.
-func (o *SGD) Step(n *Network) {
-	params := n.Params()
-	grads := n.Grads()
-	if o.velocity == nil {
-		o.velocity = make([][]float32, len(params))
-		for i, p := range params {
-			o.velocity[i] = make([]float32, len(p.Data))
-		}
-	}
-	for i, p := range params {
-		g := grads[i]
-		v := o.velocity[i]
-		for j := range p.Data {
-			v[j] = o.Momentum*v[j] - o.LR*g.Data[j]
-			p.Data[j] += v[j]
-		}
-	}
-}
-
 // Adam is the Adam optimizer (Kingma & Ba, 2015).
 //
 // Its update, per parameter p with gradient g and moments m and v at step
@@ -219,56 +185,6 @@ func MSELoss(pred, target, gradOut *tensor.Tensor) float32 {
 		d := pred.Data[i] - target.Data[i]
 		loss += d * d
 		gradOut.Data[i] = 2 * d / n
-	}
-	return loss / n
-}
-
-// HuberLoss returns the mean Huber (smooth-L1) loss with threshold delta and
-// writes the gradient into gradOut.
-func HuberLoss(pred, target, gradOut *tensor.Tensor, delta float32) float32 {
-	n := float32(len(pred.Data))
-	var loss float32
-	for i := range pred.Data {
-		d := pred.Data[i] - target.Data[i]
-		abs := d
-		if abs < 0 {
-			abs = -abs
-		}
-		if abs <= delta {
-			loss += 0.5 * d * d
-			gradOut.Data[i] = d / n
-		} else {
-			loss += delta * (abs - 0.5*delta)
-			if d > 0 {
-				gradOut.Data[i] = delta / n
-			} else {
-				gradOut.Data[i] = -delta / n
-			}
-		}
-	}
-	return loss / n
-}
-
-// SoftmaxCrossEntropy computes mean cross-entropy between logits and integer
-// labels, writing dLoss/dLogits into gradOut. It returns the loss.
-func SoftmaxCrossEntropy(logits *tensor.Tensor, labels []int, gradOut *tensor.Tensor) float32 {
-	probs := logits.Clone()
-	probs.SoftmaxRows()
-	n := float32(logits.Rows)
-	var loss float32
-	for r := 0; r < logits.Rows; r++ {
-		p := probs.At(r, labels[r])
-		if p < 1e-12 {
-			p = 1e-12
-		}
-		loss -= float32(math.Log(float64(p)))
-		for c := 0; c < logits.Cols; c++ {
-			g := probs.At(r, c)
-			if c == labels[r] {
-				g -= 1
-			}
-			gradOut.Set(r, c, g/n)
-		}
 	}
 	return loss / n
 }

@@ -108,7 +108,7 @@ var ErrBudget = errors.New("objectstore: byte budget exhausted")
 type ID uint64
 
 // Stats is a snapshot of store occupancy counters. Store.Stats aggregates
-// the per-shard counters; ShardStats exposes them individually.
+// the per-shard counters.
 type Stats struct {
 	// Objects is the number of live objects.
 	Objects int
@@ -129,8 +129,8 @@ type Stats struct {
 	ReleaseErrors int64
 
 	// The remaining fields describe the store-wide byte budget. They are
-	// filled only by the aggregate Stats() snapshot (ShardStats leaves them
-	// zero — budgets are global, not per shard).
+	// filled only by the aggregate Stats() snapshot (a shard's snapshot
+	// leaves them zero — budgets are global, not per shard).
 
 	// Budget is the configured byte budget (0 = unbounded).
 	Budget int64
@@ -494,16 +494,6 @@ func (s *Store) Stats() Stats {
 	out.Backpressure = s.pressured.Load()
 	out.BackpressureEnters = s.bpEnters.Load()
 	out.BudgetRejects = s.budgetRejects.Load()
-	return out
-}
-
-// ShardStats returns one Stats snapshot per shard, indexed by shard number.
-// Summing them field-wise yields Stats().
-func (s *Store) ShardStats() []Stats {
-	out := make([]Stats, len(s.shards))
-	for i := range s.shards {
-		out[i] = s.shards[i].snapshot()
-	}
 	return out
 }
 

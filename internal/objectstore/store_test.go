@@ -392,9 +392,9 @@ func TestConcurrentBroadcastAcrossShards(t *testing.T) {
 }
 
 // TestPropertyShardStatsSumToGlobal checks the aggregation invariant: for
-// any operation sequence, Stats() equals the field-wise sum of ShardStats()
-// and matches a model of the old single-mutex store's counters (PeakBytes
-// is an upper bound on the model's global high-water mark).
+// any operation sequence, Stats() equals the field-wise sum of the shards'
+// snapshots and matches a model of the old single-mutex store's counters
+// (PeakBytes is an upper bound on the model's global high-water mark).
 func TestPropertyShardStatsSumToGlobal(t *testing.T) {
 	f := func(ops []uint16) bool {
 		s := NewSharded(8)
@@ -435,10 +435,10 @@ func TestPropertyShardStatsSumToGlobal(t *testing.T) {
 		model.Bytes = modelBytes
 		got := s.Stats()
 		var sum Stats
-		for _, st := range s.ShardStats() {
-			sum.add(st)
+		for i := range s.shards {
+			sum.add(s.shards[i].snapshot())
 		}
-		// The budget fields are store-global: ShardStats leaves them zero,
+		// The budget fields are store-global: shard snapshots leave them zero,
 		// so clear them on a copy before the field-wise comparison. The
 		// serial workload makes the exact global peak equal the model's.
 		perShard := got

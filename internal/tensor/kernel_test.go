@@ -115,9 +115,9 @@ func checkKernels(a, bf, bt, ba *Tensor) error {
 		name      string
 		got, want *Tensor
 	}{
-		{"MatMul", MatMul(a, bf), refMatMul(a, bf)},
-		{"MatMulTransposeB", MatMulTransposeB(a, bt), refMatMulTransposeB(a, bt)},
-		{"MatMulTransposeA", MatMulTransposeA(a, ba), refMatMulTransposeA(a, ba)},
+		{"MatMul", MatMulInto(nil, a, bf), refMatMul(a, bf)},
+		{"MatMulTransposeB", MatMulTransposeBInto(nil, a, bt), refMatMulTransposeB(a, bt)},
+		{"MatMulTransposeA", MatMulTransposeAInto(nil, a, ba), refMatMulTransposeA(a, ba)},
 	} {
 		if c.got.Rows != c.want.Rows || c.got.Cols != c.want.Cols {
 			return fmt.Errorf("%s shape %dx%d, want %dx%d", c.name, c.got.Rows, c.got.Cols, c.want.Rows, c.want.Cols)
@@ -432,18 +432,22 @@ func FuzzMatMulBiasReLU(f *testing.F) {
 // benchMatMul times op on an (xr×xc) and a (wr×wc) operand. The shapes
 // below are a learner batch of 41 through a 64-wide hidden layer (forward,
 // input gradient, weight gradient) and an explorer's per-step forward.
-func benchMatMul(b *testing.B, xr, xc, wr, wc int, op func(x, w *Tensor) *Tensor) {
+func benchMatMul(b *testing.B, xr, xc, wr, wc int, op func(out, x, w *Tensor) *Tensor) {
 	rng := rand.New(rand.NewSource(37))
 	x, w := New(xr, xc), New(wr, wc)
 	x.Randn(rng, 1)
 	w.Randn(rng, 1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = op(x, w)
+		_ = op(nil, x, w)
 	}
 }
 
-func BenchmarkMatMul41x64(b *testing.B)           { benchMatMul(b, 41, 64, 64, 64, MatMul) }
-func BenchmarkMatMulTransposeB41x64(b *testing.B) { benchMatMul(b, 41, 64, 64, 64, MatMulTransposeB) }
-func BenchmarkMatMulTransposeA41x64(b *testing.B) { benchMatMul(b, 41, 64, 41, 64, MatMulTransposeA) }
-func BenchmarkMatMul1x64(b *testing.B)            { benchMatMul(b, 1, 64, 64, 64, MatMul) }
+func BenchmarkMatMul41x64(b *testing.B) { benchMatMul(b, 41, 64, 64, 64, MatMulInto) }
+func BenchmarkMatMulTransposeB41x64(b *testing.B) {
+	benchMatMul(b, 41, 64, 64, 64, MatMulTransposeBInto)
+}
+func BenchmarkMatMulTransposeA41x64(b *testing.B) {
+	benchMatMul(b, 41, 64, 41, 64, MatMulTransposeAInto)
+}
+func BenchmarkMatMul1x64(b *testing.B) { benchMatMul(b, 1, 64, 64, 64, MatMulInto) }

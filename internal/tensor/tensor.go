@@ -72,7 +72,9 @@ func (t *Tensor) Fill(v float32) {
 	}
 }
 
-// Randn fills the tensor with N(0, std²) samples from rng.
+// Randn fills the tensor with N(0, std²) samples from rng. Only tests call
+// it: the nn gradient checks and workspace tests and the tensor kernel tests
+// and benchmarks draw their operands with it.
 func (t *Tensor) Randn(rng *rand.Rand, std float64) {
 	for i := range t.Data {
 		t.Data[i] = float32(rng.NormFloat64() * std)
@@ -102,34 +104,10 @@ func (t *Tensor) AddInPlace(b *Tensor) {
 	}
 }
 
-// SubInPlace subtracts b elementwise from t.
-func (t *Tensor) SubInPlace(b *Tensor) {
-	sameShape(t, b)
-	for i, v := range b.Data {
-		t.Data[i] -= v
-	}
-}
-
-// MulInPlace multiplies t elementwise by b.
-func (t *Tensor) MulInPlace(b *Tensor) {
-	sameShape(t, b)
-	for i, v := range b.Data {
-		t.Data[i] *= v
-	}
-}
-
 // ScaleInPlace multiplies every element by s.
 func (t *Tensor) ScaleInPlace(s float32) {
 	for i := range t.Data {
 		t.Data[i] *= s
-	}
-}
-
-// AddScaled adds s*b into t (axpy).
-func (t *Tensor) AddScaled(b *Tensor, s float32) {
-	sameShape(t, b)
-	for i, v := range b.Data {
-		t.Data[i] += s * v
 	}
 }
 
@@ -168,9 +146,6 @@ func Reuse(t *Tensor, rows, cols int) *Tensor {
 
 // rowOf returns row p of the row-major matrix d with m columns.
 func rowOf(d []float32, p, m int) []float32 { return d[p*m : (p+1)*m] }
-
-// MatMul computes a@b into a new (a.Rows × b.Cols) tensor.
-func MatMul(a, b *Tensor) *Tensor { return MatMulInto(nil, a, b) }
 
 // narrowCols is the widest output the matmuls accumulate with a scalar
 // loop instead of the axpy kernels: for one to four lanes (a policy or value
@@ -276,9 +251,6 @@ func biasReLU(row, bias []float32, relu bool) {
 // buffer.
 var transposeScratch = sync.Pool{New: func() any { return new([]float32) }}
 
-// MatMulTransposeB computes a@bᵀ into a new (a.Rows × b.Rows) tensor.
-func MatMulTransposeB(a, b *Tensor) *Tensor { return MatMulTransposeBInto(nil, a, b) }
-
 // MatMulTransposeBInto computes a@bᵀ into out, reshaped by Reuse, and
 // returns it. out must not share storage with a or b.
 //
@@ -318,9 +290,6 @@ func MatMulTransposeBInto(out, a, b *Tensor) *Tensor {
 	transposeScratch.Put(buf)
 	return out
 }
-
-// MatMulTransposeA computes aᵀ@b into a new (a.Cols × b.Cols) tensor.
-func MatMulTransposeA(a, b *Tensor) *Tensor { return MatMulTransposeAInto(nil, a, b) }
 
 // transposeABlock is how many rows of a and b MatMulTransposeAInto takes
 // per sweep over the output: the block's column reads of a and its rows of
@@ -388,7 +357,9 @@ func MatMulTransposeAInto(out, a, b *Tensor) *Tensor {
 	return out
 }
 
-// Transpose returns a new transposed tensor.
+// Transpose returns a new transposed tensor. Only tests call it:
+// TestKernelsMatchReferenceGroupRemainders builds column patterns with it,
+// and the MatMulTranspose tests use it as their explicit reference.
 func (t *Tensor) Transpose() *Tensor {
 	out := New(t.Cols, t.Rows)
 	for r := 0; r < t.Rows; r++ {
@@ -474,17 +445,6 @@ func (t *Tensor) LogSoftmaxRows() {
 		lse := maxV + float32(math.Log(sum))
 		for c := range row {
 			row[c] -= lse
-		}
-	}
-}
-
-// ClipInPlace clamps every element into [lo, hi].
-func (t *Tensor) ClipInPlace(lo, hi float32) {
-	for i, v := range t.Data {
-		if v < lo {
-			t.Data[i] = lo
-		} else if v > hi {
-			t.Data[i] = hi
 		}
 	}
 }
