@@ -58,7 +58,7 @@ func defaults() (options, core.Config) {
 	return options{Alg: "DQN", Env: "CartPole", Seed: 1, Learners: 1, LearnerRestarts: -1}, core.Config{
 		NumExplorers: 2, Machines: 1, RolloutLen: 200, MaxSteps: 20_000,
 		MaxDuration: 300 * time.Second, RestartBackoff: 100 * time.Millisecond,
-		WeightQuantBits: 8, Topology: core.Topology{MaxStaleness: core.StalenessUnbounded},
+		Topology: core.Topology{MaxStaleness: core.StalenessUnbounded},
 	}
 }
 

@@ -37,8 +37,8 @@ func TestFlagDefaultsGolden(t *testing.T) {
 	if body != string(want) {
 		t.Errorf("PrintDefaults differs from testdata/flags.golden:\n%s", body)
 	}
-	if n := strings.Count("\n"+body, "\n  -"); n != 33 {
-		t.Errorf("%d flags, want 33", n)
+	if n := strings.Count("\n"+body, "\n  -"); n != 31 {
+		t.Errorf("%d flags, want 31", n)
 	}
 }
 
@@ -52,8 +52,9 @@ func writeConfig(t *testing.T, body string) string {
 }
 
 // TestJSONConfig loads a config that sets every key xt-train has ever read,
-// plus the removed sync_every and a key nobody declares, and compares the
-// result with the Config the key-by-key mapping of the JSON record gives.
+// plus the removed sync_every, weight_delta and weight_quant_bits and a key
+// nobody declares, and compares the result with the Config the key-by-key
+// mapping of the JSON record gives.
 func TestJSONConfig(t *testing.T) {
 	path := writeConfig(t, `{
 		"algorithm": "IMPALA", "environment": "BeamRider", "seed": 7,
@@ -78,7 +79,7 @@ func TestJSONConfig(t *testing.T) {
 		MaxExplorerRestarts: 3, RestartBackoff: 250 * time.Millisecond,
 		StoreBudget: 1 << 20, ShedQueueDepth: 16, MaxInflight: 4,
 		CheckpointPath: "run.ckpt", CheckpointEvery: 50, CheckpointKeep: 2, Resume: true,
-		WeightDelta: true, WeightQuantBits: 0, WeightSkipFactor: 0.1, WeightTreeFanout: 2,
+		WeightSkipFactor: 0.1, WeightTreeFanout: 2,
 		Topology:        core.Topology{Learners: 2, MaxStaleness: 3},
 		LearnerFailover: true, MaxLearnerRestarts: 2, HeartbeatEvery: 50 * time.Millisecond,
 		MachineFailover: true, LeaseEvery: 10 * time.Millisecond,
@@ -98,7 +99,7 @@ func TestJSONConfig(t *testing.T) {
 func TestJSONConfigKeepsFlags(t *testing.T) {
 	path := writeConfig(t, `{"machines": 3, "topology": "fused", "max_staleness": 5, "algorithm": "PPO"}`)
 	opts, cfg, err := parse([]string{"-explorers", "7", "-restart-backoff", "500us",
-		"-heartbeat", "1500us", "-weight-quant", "0", "-seconds", "9", "-config", path}, io.Discard)
+		"-heartbeat", "1500us", "-seconds", "9", "-config", path}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestJSONConfigKeepsFlags(t *testing.T) {
 		t.Errorf("options = %+v, want %+v", opts, want)
 	}
 	_, wantCfg := defaults()
-	wantCfg.NumExplorers, wantCfg.Machines, wantCfg.WeightQuantBits = 7, 3, 0
+	wantCfg.NumExplorers, wantCfg.Machines = 7, 3
 	wantCfg.RestartBackoff, wantCfg.HeartbeatEvery = 500*time.Microsecond, 1500*time.Microsecond
 	wantCfg.MaxDuration, wantCfg.Topology = 9*time.Second, core.Topology{}
 	if !reflect.DeepEqual(cfg, wantCfg) {

@@ -277,8 +277,8 @@ func TestIMPALAQueueBound(t *testing.T) {
 		b.ExplorerID = int32(i)
 		im.PrepareData(b)
 	}
-	if im.Dropped() != 3 {
-		t.Fatalf("Dropped = %d, want 3", im.Dropped())
+	if len(im.queue) != 3 {
+		t.Fatalf("%d batches queued, want 3", len(im.queue))
 	}
 	// The survivors are the newest three.
 	res, ok, _ := im.TryTrain()

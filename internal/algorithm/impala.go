@@ -55,7 +55,6 @@ type IMPALA struct {
 
 	mu      sync.Mutex
 	queue   []*rollout.Batch
-	dropped int64
 	version int64
 
 	ws impalaWorkspace
@@ -119,15 +118,7 @@ func (im *IMPALA) PrepareData(b *rollout.Batch) {
 	if len(im.queue) > im.cfg.MaxQueue {
 		drop := len(im.queue) - im.cfg.MaxQueue
 		im.queue = append(im.queue[:0], im.queue[drop:]...)
-		im.dropped += int64(drop)
 	}
-}
-
-// Dropped reports batches discarded due to learner saturation.
-func (im *IMPALA) Dropped() int64 {
-	im.mu.Lock()
-	defer im.mu.Unlock()
-	return im.dropped
 }
 
 // TryTrain implements core.Algorithm: one session per queued batch,

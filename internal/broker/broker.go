@@ -810,5 +810,8 @@ func (p *Port) Open(h *message.Header) (*message.Message, error) {
 }
 
 // Pending reports how many undelivered headers wait in this client's ID
-// queue.
+// queue. No program reads it; it is the queue-depth seam of the tests in
+// broker_test.go, backpressure_test.go, fabric's wire_test.go and core's
+// aggregate_test.go, dispatch_test.go, explorer_test.go, pushwindow_test.go
+// and recvloop_test.go.
 func (p *Port) Pending() int { return p.idQueue.Len() }

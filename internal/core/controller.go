@@ -97,12 +97,6 @@ type Config struct {
 	// MaxInflight bounds un-acknowledged rollout fragments per explorer
 	// (0 = DefaultMaxInflight; < 0 disables flow control).
 	MaxInflight int `flag:"credits" json:"credits" help:"un-acknowledged rollout fragments allowed per explorer (0 = default, <0 = unlimited)"`
-	// WeightDelta enables the communication-efficient weight plane: the
-	// learner broadcasts sparse deltas against the version each explorer
-	// last acked, with dense-snapshot fallback for stale or NACKed peers.
-	WeightDelta bool `flag:"weight-delta" json:"weight_delta" help:"broadcast sparse weight deltas against each explorer's acked version (dense fallback on staleness or NACK)"`
-	// WeightQuantBits quantizes delta steps (8 = int8; 0 = exact float32).
-	WeightQuantBits int `flag:"weight-quant" json:"weight_quant_bits" help:"delta quantization bits: 8 = int8 steps, 0 = exact float32 (with -weight-delta)"`
 	// WeightSkipFactor scales the adaptive skip threshold: updates whose
 	// relative norm falls below WeightSkipFactor × EMA become pure version
 	// bumps (0 disables skipping).
@@ -173,6 +167,9 @@ type Config struct {
 	MetricsEvery time.Duration
 	// MetricsWriter receives the periodic channel-health summaries.
 	MetricsWriter io.Writer
+	// denseWeights broadcasts a dense snapshot every time. Only the
+	// convergence-parity test sets it (export_test.go), for its dense arm.
+	denseWeights bool
 }
 
 // The defaults NewSession puts in place of an unset Config.RestartBackoff
@@ -203,12 +200,12 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// weightPlane is the weight-plane configuration every broadcast planner
-// (the fused learner's or the broadcast fragment's) is built with.
+// weightPlane is the configuration of every broadcast planner (the fused
+// learner's or the broadcast fragment's): int8 deltas, dense as the resync.
 func (c Config) weightPlane() weightplane.Config {
 	return weightplane.Config{
-		Enabled:    c.WeightDelta,
-		QuantBits:  c.WeightQuantBits,
+		Enabled:    !c.denseWeights,
+		QuantBits:  serialize.QuantInt8,
 		SkipFactor: c.WeightSkipFactor,
 	}
 }

@@ -1,6 +1,8 @@
 package core_test
 
 import (
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -9,6 +11,7 @@ import (
 	"xingtian/internal/core"
 	"xingtian/internal/env"
 	"xingtian/internal/fabric"
+	"xingtian/internal/message"
 	"xingtian/internal/rollout"
 )
 
@@ -106,16 +109,14 @@ func TestFragmentFramesPerTrainedRollout(t *testing.T) {
 	}
 }
 
-// TestFragmentWeightDeltaAcks: with the delta weight plane on the grid-4m
+// TestFragmentWeightDeltaAcks: with the default weight plane on the grid-4m
 // placement, every explorer's ack reaches the broadcaster's planner, and in
 // steady state the planner is never forced to a dense resync: the only
-// dense snapshots are the seed broadcast's, one per explorer.
+// dense snapshots seed each destination once — the four explorers at
+// Start, the two replicas at the first commit.
 func TestFragmentWeightDeltaAcks(t *testing.T) {
 	algF, agF := quickIMPALAFactories(t)
-	r := newGrid4m(t, algF, agF, 100_000, 42, func(cfg *core.Config) {
-		cfg.WeightDelta = true
-		cfg.WeightQuantBits = 8
-	})
+	r := newGrid4m(t, algF, agF, 100_000, 42, nil)
 	_, caster := r.session.Fragments()
 	r.session.Start()
 	r.session.Wait()
@@ -131,8 +132,108 @@ func TestFragmentWeightDeltaAcks(t *testing.T) {
 		}
 	}
 	ps := rep.Fragments.Plane
-	if ps.Resyncs != 0 || ps.Dense != 4 || ps.Delta == 0 {
-		t.Fatalf("plane %+v, want no resyncs, 4 dense (the seed broadcast) and deltas", ps)
+	if ps.Resyncs != 0 || ps.Dense != 6 || ps.Delta == 0 {
+		t.Fatalf("plane %+v, want no resyncs, 6 dense (4 explorers, 2 replicas) and deltas", ps)
+	}
+}
+
+// echoLog records, per learn replica, the kinds of weights body it received
+// in order: 'D' dense, 'd' delta; the filter keeps every message unless drop
+// says otherwise.
+type echoLog struct {
+	mu    sync.Mutex
+	kinds [2][]byte
+}
+
+func (e *echoLog) filter(idx int, drop func(seen []byte) bool) func(*message.Message) bool {
+	return func(m *message.Message) bool {
+		kind := byte('d')
+		switch m.Body.(type) {
+		case *message.WeightsPayload:
+			kind = 'D'
+		case *message.WeightsDeltaPayload:
+		default:
+			return true
+		}
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		if drop != nil && drop(e.kinds[idx]) {
+			e.kinds[idx] = append(e.kinds[idx], 'x')
+			return false
+		}
+		e.kinds[idx] = append(e.kinds[idx], kind)
+		return true
+	}
+}
+
+func (e *echoLog) String(idx int) string {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return string(e.kinds[idx])
+}
+
+// TestFragmentReplicaMirrorInstallsDeltas: on the grid-4m placement a learn
+// replica's first echo is dense and every later one is a delta its mirror
+// applies — no NACK, so no resync.
+func TestFragmentReplicaMirrorInstallsDeltas(t *testing.T) {
+	algF, agF := quickIMPALAFactories(t)
+	r := newGrid4m(t, algF, agF, 60_000, 43, nil)
+	var log echoLog
+	for i := 0; i < 2; i++ {
+		r.session.FilterLearnRecv(i, log.filter(i, nil))
+	}
+	r.session.Start()
+	r.session.Wait()
+	rep := r.session.Stop()
+	if err := r.session.Err(); err != nil {
+		t.Fatalf("session error: %v", err)
+	}
+	for i := 0; i < 2; i++ {
+		got := log.String(i)
+		if len(got) < 2 || got[0] != 'D' || strings.Count(got, "D") != 1 {
+			t.Errorf("%s received %.80q, want one dense echo, then deltas only", core.LearnName(i), got)
+		}
+	}
+	if ps := rep.Fragments.Plane; ps.Resyncs != 0 {
+		t.Fatalf("plane %+v, want no resyncs", ps)
+	}
+}
+
+// TestFragmentReplicaMirrorResyncsLostEcho: learn-1 loses its first delta
+// echo. The next delta does not apply to its mirror, so it NACKs; the
+// broadcaster's next plan sends learn-1 — and only learn-1 — one dense
+// resync, after which its deltas apply again and the run reaches its step
+// target.
+func TestFragmentReplicaMirrorResyncsLostEcho(t *testing.T) {
+	algF, agF := quickIMPALAFactories(t)
+	r := newGrid4m(t, algF, agF, 60_000, 44, nil)
+	var log echoLog
+	r.session.FilterLearnRecv(0, log.filter(0, nil))
+	r.session.FilterLearnRecv(1, log.filter(1, func(seen []byte) bool { return string(seen) == "D" }))
+	r.session.Start()
+	r.session.Wait()
+	rep := r.session.Stop()
+	if err := r.session.Err(); err != nil {
+		t.Fatalf("session error: %v", err)
+	}
+	if rep.StepsConsumed < 60_000 {
+		t.Fatalf("StepsConsumed = %d, want >= 60000", rep.StepsConsumed)
+	}
+	if got := log.String(0); strings.Count(got, "D") != 1 {
+		t.Errorf("learn-0 received %.80q, want its one seed dense only", got)
+	}
+	// Seed dense, the lost delta, deltas that no longer apply (NACKed),
+	// the one dense resync, then deltas that apply again.
+	got := log.String(1)
+	t.Logf("learn-1's first bodies: %.40s", got)
+	resync := strings.LastIndexByte(got, 'D')
+	if !strings.HasPrefix(got, "Dx") || strings.Count(got, "D") != 2 || !strings.Contains(got[resync:], "d") {
+		t.Errorf("learn-1 received %.80q, want D x d… D d…: one dense resync, then deltas", got)
+	}
+	// The NACK is the only resync, and its dense goes to learn-1 alone: six
+	// seeds (four explorers, two replicas) and one resync.
+	if ps := rep.Fragments.Plane; ps.Resyncs != 1 || ps.Dense != 7 {
+		t.Fatalf("plane %+v, want 1 resync and 7 dense", ps)
 	}
 }
 

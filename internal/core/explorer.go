@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -13,7 +12,6 @@ import (
 	"xingtian/internal/buffer"
 	"xingtian/internal/message"
 	"xingtian/internal/queue"
-	"xingtian/internal/serialize"
 )
 
 // Explorer is the explorer process of Fig. 2(a): a rollout worker thread
@@ -472,48 +470,6 @@ func (r *dispatch) rejoin(peer string) {
 		}
 	}
 	r.live = live
-}
-
-// weightMirror is the explorer's flat shadow of the weights its agent holds,
-// so sparse deltas have a base vector to apply against; the mirror version
-// gates deltas whose base the agent never saw (e.g. after a supervised
-// restart rebuilt the explorer from scratch). Only the worker thread
-// touches it.
-type weightMirror struct {
-	version int64
-	flat    []float32
-	// install is the one payload every delta install hands the agent.
-	install message.WeightsPayload
-}
-
-// mirrorInvalid is the version of a mirror whose vector no longer matches
-// the agent's weights: no delta's base, so every delta is refused (and
-// NACKed) until a dense snapshot re-seeds it.
-const mirrorInvalid = math.MinInt64
-
-// setDense records a full snapshot the agent installed as the new base.
-func (m *weightMirror) setDense(w *message.WeightsPayload) {
-	m.flat = append(m.flat[:0], w.Data...)
-	m.version = w.Version
-}
-
-// applyDelta advances the mirror by one delta in place. A delta that does
-// not apply leaves the mirror unchanged.
-func (m *weightMirror) applyDelta(d *message.WeightsDeltaPayload) error {
-	if m.flat == nil {
-		return fmt.Errorf("no weights applied yet, delta base %d unavailable", d.BaseVersion)
-	}
-	if m.version == mirrorInvalid {
-		return fmt.Errorf("mirror invalidated by a failed install, delta base %d unavailable", d.BaseVersion)
-	}
-	if m.version != d.BaseVersion {
-		return fmt.Errorf("mirror at version %d, delta expects base %d", m.version, d.BaseVersion)
-	}
-	if _, err := serialize.ApplyDelta(m.flat, d); err != nil {
-		return err
-	}
-	m.version = d.Version
-	return nil
 }
 
 func (e *Explorer) fail(err error) {

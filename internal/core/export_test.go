@@ -1,6 +1,10 @@
 package core
 
-import "time"
+import (
+	"time"
+
+	"xingtian/internal/message"
+)
 
 // PushRetry is a learn replica's idle-wait bound while its push is
 // unanswered.
@@ -29,3 +33,18 @@ func (s *Session) HoldLearnRecv(idx int) {
 // AckedWeights returns the broadcaster's ledger of the weights version each
 // explorer last acked, the one its weight plane plans against.
 func (b *BroadcastFragment) AckedWeights() map[string]int64 { return b.port.AckedWeights() }
+
+// DenseWeights returns cfg with the weight plane's deltas off, so every
+// broadcast is a dense snapshot: the dense arm of
+// TestSessionWeightDeltaConvergenceParity.
+func DenseWeights(cfg Config) Config {
+	cfg.denseWeights = true
+	return cfg
+}
+
+// FilterLearnRecv hands fn every message learn replica idx's first
+// incarnation receives, on its receiver thread; a message fn rejects is
+// lost. Call between NewSession and Start.
+func (s *Session) FilterLearnRecv(idx int, fn func(*message.Message) bool) {
+	s.frags.slots[idx].current().recvFilter = fn
+}

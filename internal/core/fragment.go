@@ -10,9 +10,9 @@
 //     post-train weights to the broadcast fragment;
 //   - the broadcast fragment — aggregates replica weights (element-wise
 //     mean of each replica's latest push), commits a new global version,
-//     plans the weight broadcast to every explorer through the §5g weight
-//     plane, echoes the aggregate back to the replicas on every commit, and
-//     owns per-fragment checkpointing.
+//     plans it through the §5g weight plane to every explorer and every
+//     live replica in one plan (the replicas' copy is the echo), and owns
+//     per-fragment checkpointing.
 //
 // Relaxed assignment dependencies: stages never hand-shake. A learn
 // fragment trains on any rollout an explorer sent it that is at most
@@ -51,7 +51,8 @@ const heartbeatMisses = 4
 // messages arrive, so rollout transmission overlaps training. As a learn
 // replica it trains on what explorers send it within the staleness bound,
 // pushes post-train weights to the broadcast fragment, and installs the
-// aggregate echoes it receives. A replica keeps at most one push
+// aggregate echoes it receives — dense, or a delta applied to its weight
+// mirror, like an explorer's broadcast. A replica keeps at most one push
 // unanswered: the broadcaster's echo answers it, and trains in between only
 // mark the replica dirty, so weights the broadcaster would release unread
 // are never sent. The fused topology runs one as the whole learner: it
@@ -102,6 +103,10 @@ type LearnFragment struct {
 	acked      map[string]int64
 	ackSent    map[string]int64
 	ackNew     bool
+	// mirror is the committed model the echoes advance; nackAt is when the
+	// replica last NACKed a delta that did not apply.
+	mirror weightMirror
+	nackAt time.Time
 
 	// The staleness bound, applied by the trainer thread at ingest: a
 	// rollout more than maxStale versions behind committed, the version of
@@ -139,9 +144,11 @@ type LearnFragment struct {
 	failed   chan struct{}
 	failOne  sync.Once
 	recvDone chan struct{}
-	// recvHold, when set (by tests, before Start), runs on the receiver
-	// thread after its loop ends and before recvDone closes.
-	recvHold func()
+	// Tests may set these before Start: recvHold runs on the receiver thread
+	// after its loop ends and before recvDone closes; recvFilter sees every
+	// message received and loses those it rejects.
+	recvHold   func()
+	recvFilter func(*message.Message) bool
 
 	mu      sync.Mutex
 	lastErr error
@@ -296,8 +303,8 @@ func (l *LearnFragment) receiverLoop() {
 			l.recvBuf.Close()
 			return
 		}
-		if err != nil {
-			continue // an unreadable body: the broker counted it
+		if err != nil || (l.recvFilter != nil && !l.recvFilter(m)) {
+			continue // an unreadable body (the broker counted it), or lost
 		}
 		if m.Header.Type == message.TypeRollout {
 			l.TransHist.Observe(time.Duration(time.Now().UnixNano() - m.Header.CreatedNanos))
@@ -464,26 +471,20 @@ func (l *LearnFragment) ingest(m *message.Message) bool {
 		l.alg.PrepareData(body)
 		l.rolloutsSinceUpdate.Add(1)
 	case *message.WeightsPayload:
-		// Aggregate echo from the broadcast fragment; it answers the
-		// replica's push. A replica that trained since pushes its weights
-		// first, so the broadcaster folds the newest trained weights before
-		// the echo overwrites them. Then the echo is installed, version and
-		// all, so the replicas stay within one aggregation of each other.
-		if l.dirty {
-			if !l.push() {
-				return false
+		l.mirror.setDense(body)
+		return l.installEcho()
+	case *message.WeightsDeltaPayload:
+		if l.mirror.applyDelta(body) != nil {
+			// NACK, at most once per retryAfter, so the next plan is dense.
+			// The push stays unanswered: pushRetry covers a lost NACK.
+			if time.Since(l.nackAt) < l.retryAfter {
+				return true
 			}
-		} else {
-			l.unanswered = false
+			l.nackAt = time.Now()
+			return l.send(message.New(message.TypeControl, l.name, []string{m.Header.Src},
+				&message.ControlPayload{Kind: message.ControlWeightsResync}), "resync request")
 		}
-		if err := l.alg.RestoreWeights(body.Version, body.Data); err != nil {
-			l.fail(fmt.Errorf("%s install aggregate: %w", l.name, err))
-			return false
-		}
-		// Echoes reorder only across a broadcaster takeover, and the
-		// standby starts above every version a survivor saw: the largest
-		// is the newest.
-		l.committed = max(l.committed, body.Version)
+		return l.installEcho()
 	case *message.ControlPayload:
 		switch body.Kind {
 		case message.ControlShutdown:
@@ -500,6 +501,28 @@ func (l *LearnFragment) ingest(m *message.Message) bool {
 			l.plane.MarkStale(m.Header.Src)
 		}
 	}
+	return true
+}
+
+// installEcho installs the mirror an aggregate echo just advanced, version
+// and all; the echo answers the replica's push. A replica that trained since
+// pushes first, so the broadcaster folds its newest weights before the echo
+// overwrites them. It returns false on shutdown.
+func (l *LearnFragment) installEcho() bool {
+	if l.dirty {
+		if !l.push() {
+			return false
+		}
+	} else {
+		l.unanswered = false
+	}
+	if err := l.alg.RestoreWeights(l.mirror.version, l.mirror.flat); err != nil {
+		l.fail(fmt.Errorf("%s install aggregate: %w", l.name, err))
+		return false
+	}
+	// Echoes reorder only across a broadcaster takeover, and the standby
+	// starts above every version a survivor saw: the largest is the newest.
+	l.committed = max(l.committed, l.mirror.version)
 	return true
 }
 
@@ -640,8 +663,8 @@ func (l *LearnFragment) Stop() {
 func (l *LearnFragment) Join() { l.wg.Wait() }
 
 // BroadcastFragment aggregates replica weights into the committed model and
-// plans its distribution: weight-plane broadcasts to every explorer,
-// aggregate echoes to the replicas, and per-fragment checkpoints.
+// plans its distribution — one weight-plane plan per commit over every
+// explorer and every live replica — and saves per-fragment checkpoints.
 type BroadcastFragment struct {
 	port      *broker.Port
 	explorers []string
@@ -712,7 +735,7 @@ func mean(dst []float32, replicas []replicaPush) {
 type BroadcastConfig struct {
 	// Explorers lists every explorer client name (broadcast destinations).
 	Explorers []string
-	// Learners lists the learn replica names (aggregate-echo destinations).
+	// Learners lists the learn replica names (the echo destinations).
 	Learners []string
 	// InitialVersion/InitialWeights seed the committed model (the replicas'
 	// shared initialization, or the restored checkpoint).
@@ -775,11 +798,11 @@ func (b *BroadcastFragment) seedFailoverState(epochs map[string]int32, quarantin
 	}
 }
 
-// Start broadcasts the initial committed model (seeding every explorer's
-// behavior policy, as the fused loop does on Session.Start) and launches
-// the aggregation loop.
+// Start broadcasts the initial committed model to the explorers (seeding
+// every behavior policy, as the fused loop does on Session.Start; a
+// replica's first echo is its seed) and launches the aggregation loop.
 func (b *BroadcastFragment) Start() {
-	b.broadcast()
+	b.broadcast(b.explorers)
 	b.wg.Add(1)
 	go b.loop()
 	if b.hbTimeout > 0 {
@@ -910,7 +933,7 @@ func (b *BroadcastFragment) loop() {
 			// takeover window may have starved explorers of flow-control
 			// credit.
 			b.plane.MarkStale(body.Peer)
-			if !b.broadcast() {
+			if !b.broadcast(b.explorers) {
 				return
 			}
 		}
@@ -992,9 +1015,9 @@ func (b *BroadcastFragment) fold(first *message.Header) (*message.Header, bool) 
 // replica's latest weights, summed in replica-name order (lazy aggregation
 // — replicas contribute at their own pace), and a lone replica's push is
 // copied, not summed. The version and the aggregation count advance by k,
-// the new model is broadcast and echoed once, and the checkpoint fires when
-// the count crosses a multiple of its cadence. It returns false when the
-// channel is torn down.
+// the new model is planned once to every explorer and live replica, and the
+// checkpoint fires when the count crosses a multiple of its cadence. It
+// returns false when the channel is torn down.
 func (b *BroadcastFragment) commit(k int64) bool {
 	if len(b.replicas) == 1 {
 		b.agg = append(b.agg[:0], b.replicas[0].data...)
@@ -1010,20 +1033,13 @@ func (b *BroadcastFragment) commit(k int64) bool {
 	}
 	b.version.Add(k)
 	n := b.aggs.Add(k)
-	if !b.broadcast() {
-		return false
-	}
-	// Echo the committed model back to the replicas — even a single one —
-	// on every commit. The echo answers each replica's unanswered push, so
-	// it opens the replica's push window. It also ties a replica's internal
-	// version counter to the committed version explorers see on their
-	// broadcasts: an on-policy algorithm (PPO) matches incoming batch
-	// versions against its own counter, and a warm-up push bumps the
-	// committed version without a train, so without the echo the two
-	// counters drift apart and every subsequent batch is discarded as
-	// stale. The echo is staged before any explorer's next batch can
-	// arrive, so the replica re-syncs first.
-	if !b.echoAggregate() {
+	// The replicas' share of the plan, even a lone replica's, is the echo:
+	// it answers each one's unanswered push, opening its push window, and
+	// ties its version counter to the committed version explorers see (PPO
+	// matches batch versions against its own counter, and a warm-up push
+	// bumps the committed version without a train). It is staged before any
+	// explorer's next batch can arrive, so the replica re-syncs first.
+	if !b.broadcast(b.everyone()) {
 		return false
 	}
 	// Yield. Go runs goroutines a hand-off wakes ahead of those the network
@@ -1049,11 +1065,11 @@ func (b *BroadcastFragment) findReplica(name string) (int, bool) {
 	})
 }
 
-// broadcast plans and sends the committed model to every explorer through
-// the weight plane.
-func (b *BroadcastFragment) broadcast() bool {
+// broadcast plans and sends the committed model to dsts through the weight
+// plane: each message one step of its canonical reconstruction chain.
+func (b *BroadcastFragment) broadcast(dsts []string) bool {
 	v := b.version.Load()
-	for _, o := range b.plane.Plan(b.agg, v, b.explorers, b.port.AckedWeights()) {
+	for _, o := range b.plane.Plan(b.agg, v, dsts, b.port.AckedWeights()) {
 		m := message.New(o.Type, BroadcastName, o.Dsts, o.Body)
 		m.Header.WeightsVersion = v
 		m.Header.BaseVersion = o.BaseVersion
@@ -1066,9 +1082,9 @@ func (b *BroadcastFragment) broadcast() bool {
 
 // retireReplica drops a quarantined replica's contribution from the
 // committed model: its last push leaves the element-wise mean, the survivor
-// mean is recommitted at a fresh version, and the correction is broadcast so
-// explorers and surviving replicas converge on the post-failure aggregate.
-// It returns false when the channel is torn down.
+// mean is recommitted at a fresh version, and the correction is planned to
+// explorers and surviving replicas. It returns false when the channel is
+// torn down.
 func (b *BroadcastFragment) retireReplica(peer string) bool {
 	b.seenMu.Lock()
 	dup := b.quarantined[peer]
@@ -1091,14 +1107,11 @@ func (b *BroadcastFragment) retireReplica(peer string) bool {
 	// checkpointable state a respawned replica restores from.
 	b.version.Add(1)
 	b.plane.NoteCorrection()
-	if !b.broadcast() {
-		return false
-	}
-	return b.echoAggregate()
+	return b.broadcast(b.everyone())
 }
 
 // rejoinReplica readmits a respawned replica at its new incarnation epoch
-// and answers with a dense resync echo so the newcomer installs the current
+// and plans it a dense resync echo, so the newcomer installs the current
 // committed model before its first push. It returns false when the channel
 // is torn down.
 func (b *BroadcastFragment) rejoinReplica(peer string, epoch int32) bool {
@@ -1108,38 +1121,22 @@ func (b *BroadcastFragment) rejoinReplica(peer string, epoch int32) bool {
 	b.epochs[peer] = epoch
 	b.lastSeen[peer] = time.Now()
 	b.seenMu.Unlock()
-	m := message.New(message.TypeWeights, BroadcastName, []string{peer},
-		&message.WeightsPayload{Version: b.version.Load(), Data: append([]float32(nil), b.agg...)})
-	m.Header.WeightsVersion = b.version.Load()
-	return b.send(m)
+	b.plane.MarkStale(peer)
+	return b.broadcast([]string{peer})
 }
 
-// liveLearnDsts returns the replicas currently in the echo set.
-func (b *BroadcastFragment) liveLearnDsts() []string {
-	if b.hbTimeout <= 0 {
-		return b.learnDsts
-	}
+// everyone returns every weights destination of a commit: the explorers,
+// then the replicas, less the quarantined ones under failover.
+func (b *BroadcastFragment) everyone() []string {
+	dsts := slices.Clone(b.explorers)
 	b.seenMu.Lock()
 	defer b.seenMu.Unlock()
-	live := make([]string, 0, len(b.learnDsts))
 	for _, name := range b.learnDsts {
-		if !b.quarantined[name] {
-			live = append(live, name)
+		if b.hbTimeout <= 0 || !b.quarantined[name] {
+			dsts = append(dsts, name)
 		}
 	}
-	return live
-}
-
-// echoAggregate sends the committed model back to every live learn replica.
-func (b *BroadcastFragment) echoAggregate() bool {
-	dsts := b.liveLearnDsts()
-	if len(dsts) == 0 {
-		return true
-	}
-	m := message.New(message.TypeWeights, BroadcastName, dsts,
-		&message.WeightsPayload{Version: b.version.Load(), Data: append([]float32(nil), b.agg...)})
-	m.Header.WeightsVersion = b.version.Load()
-	return b.send(m)
+	return dsts
 }
 
 // saveCheckpoint persists the per-fragment checkpoint set: the committed

@@ -44,7 +44,7 @@ func TestConfigValidate(t *testing.T) {
 	}{
 		{"zero value", core.Config{}, ""},
 		{"fused default", core.Config{NumExplorers: 2, Machines: 1, RolloutLen: 200, MaxSteps: 20_000,
-			MaxDuration: 300 * time.Second, RestartBackoff: 100 * time.Millisecond, WeightQuantBits: 8}, ""},
+			MaxDuration: 300 * time.Second, RestartBackoff: 100 * time.Millisecond}, ""},
 		{"benchmark train-impala-grid", benchmark, ""},
 		{"machine-kill leg", machineKill, ""},
 		{"learner failover over 2 replicas", core.Config{Topology: core.ReplicatedTopology(2),

@@ -9,8 +9,8 @@ import (
 )
 
 // TestSessionWeightDeltaEndToEnd: a full multi-machine session with the
-// delta plane and relay tree on must train normally — deltas applied in
-// sequence, zero privileged drops, refcount-clean shutdown.
+// relay tree on must train normally — deltas applied in sequence, zero
+// privileged drops, refcount-clean shutdown.
 func TestSessionWeightDeltaEndToEnd(t *testing.T) {
 	algF, agF := quickDQNFactories(t)
 	s, err := core.NewSession(core.Config{
@@ -20,8 +20,6 @@ func TestSessionWeightDeltaEndToEnd(t *testing.T) {
 		MaxSteps:         2000,
 		MaxDuration:      30 * time.Second,
 		Net:              netsim.Config{Bandwidth: 1 << 30, TimeScale: 1},
-		WeightDelta:      true,
-		WeightQuantBits:  8,
 		WeightTreeFanout: 1,
 	}, algF, agF, 11)
 	if err != nil {
@@ -58,7 +56,8 @@ func TestSessionWeightDeltaEndToEnd(t *testing.T) {
 
 // TestSessionWeightDeltaConvergenceParity: with the same seed, the delta
 // plane must not change what the learner trains on — returns stay in family
-// with the dense run (both reach episodes and comparable mean return).
+// with a run that broadcasts dense snapshots only (both reach episodes and
+// comparable mean return).
 func TestSessionWeightDeltaConvergenceParity(t *testing.T) {
 	run := func(delta bool) *core.Report {
 		algF, agF := quickDQNFactories(t)
@@ -68,9 +67,8 @@ func TestSessionWeightDeltaConvergenceParity(t *testing.T) {
 			MaxSteps:     3000,
 			MaxDuration:  30 * time.Second,
 		}
-		if delta {
-			cfg.WeightDelta = true
-			cfg.WeightQuantBits = 8
+		if !delta {
+			cfg = core.DenseWeights(cfg)
 		}
 		rep, err := core.Run(cfg, algF, agF, 21)
 		if err != nil {
@@ -91,6 +89,30 @@ func TestSessionWeightDeltaConvergenceParity(t *testing.T) {
 	}
 }
 
+// TestSessionWeightDeltaIsTheDefault: a fused session with the default
+// Config broadcasts deltas.
+func TestSessionWeightDeltaIsTheDefault(t *testing.T) {
+	algF, agF := quickDQNFactories(t)
+	s, err := core.NewSession(core.Config{
+		NumExplorers: 2,
+		RolloutLen:   50,
+		MaxSteps:     3000,
+		MaxDuration:  30 * time.Second,
+	}, algF, agF, 21)
+	if err != nil {
+		t.Fatalf("NewSession: %v", err)
+	}
+	s.Start()
+	s.Wait()
+	s.Stop()
+	if err := s.Err(); err != nil {
+		t.Fatalf("session error: %v", err)
+	}
+	if ps := s.Learner().PlaneStats(); ps.Delta == 0 || ps.Resyncs != 0 {
+		t.Fatalf("default plane %+v, want deltas and no resyncs", ps)
+	}
+}
+
 // TestSessionWeightDeltaWrappedAgent: the ConvergenceParity delta run with
 // every agent behind a wrapper that embeds core.Agent and adds nothing. The
 // explorer applies each delta to its own mirror and installs the result
@@ -103,12 +125,10 @@ func TestSessionWeightDeltaWrappedAgent(t *testing.T) {
 		return struct{ core.Agent }{a}, err
 	}
 	s, err := core.NewSession(core.Config{
-		NumExplorers:    2,
-		RolloutLen:      50,
-		MaxSteps:        3000,
-		MaxDuration:     30 * time.Second,
-		WeightDelta:     true,
-		WeightQuantBits: 8,
+		NumExplorers: 2,
+		RolloutLen:   50,
+		MaxSteps:     3000,
+		MaxDuration:  30 * time.Second,
 	}, algF, wrapped, 21)
 	if err != nil {
 		t.Fatalf("NewSession: %v", err)
@@ -134,8 +154,6 @@ func TestSessionWeightDeltaSurvivesRestarts(t *testing.T) {
 		RolloutLen:          40,
 		MaxSteps:            1_000_000, // bounded by wall time
 		MaxDuration:         700 * time.Millisecond,
-		WeightDelta:         true,
-		WeightQuantBits:     8,
 		MaxExplorerRestarts: 3,
 	}, algF, agF, 31)
 	if err != nil {

@@ -385,8 +385,8 @@ func TestEpisodeTracker(t *testing.T) {
 	if tr.MeanReturn(0) <= 0 {
 		t.Fatalf("MeanReturn = %v, want positive", tr.MeanReturn(0))
 	}
-	if got := tr.MeanReturn(1); got != tr.Returns()[2] {
-		t.Fatalf("MeanReturn(1) = %v, want last episode %v", got, tr.Returns()[2])
+	if got := tr.MeanReturn(1); got != tr.returns[2] {
+		t.Fatalf("MeanReturn(1) = %v, want last episode %v", got, tr.returns[2])
 	}
 }
 

@@ -70,8 +70,3 @@ func (e *EpisodeTracker) MeanReturn(n int) float64 {
 	}
 	return sum / float64(len(e.returns)-start)
 }
-
-// Returns exposes a copy of all completed episode returns.
-func (e *EpisodeTracker) Returns() []float64 {
-	return append([]float64(nil), e.returns...)
-}

@@ -37,7 +37,9 @@ type Settings struct {
 	ChannelHealth bool
 }
 
-// DefaultSettings returns the standard 10×-compressed configuration.
+// DefaultSettings returns the standard 10×-compressed configuration. No
+// program calls it; the root bench_test.go and experiments_test.go build
+// their settings from it.
 func DefaultSettings() Settings {
 	return Settings{Scale: 10, PlaneNsPerKB: 1440}
 }

@@ -9,11 +9,12 @@ import (
 	"xingtian/internal/stats"
 )
 
-// RunWeightPlane measures the communication-efficient weight plane: the
-// same DQN/CartPole deployment run with dense star broadcasts and with
-// sparse int8 deltas over the relay tree. Returns must stay in family while
-// the learner machine's cross-machine egress — dominated by weight
-// broadcasts once rollouts flow inbound — drops.
+// RunWeightPlane measures the weight plane every session runs: int8 deltas
+// of one canonical chain, dense only as the resync, here over the relay
+// tree, on a DQN/CartPole deployment. It reports the learner machine's
+// cross-machine egress — dominated by weight broadcasts once rollouts flow
+// inbound — beside the computed egress of a dense star: every planned
+// destination off the learner's machine sent the full float32 vector.
 func RunWeightPlane(s Settings, w io.Writer) error {
 	s = s.normalized()
 
@@ -25,82 +26,62 @@ func RunWeightPlane(s Settings, w io.Writer) error {
 	if s.Explorers > 0 {
 		explorers = s.Explorers
 	}
+	const machines = 3
 
-	type outcome struct {
-		rep   *core.Report
-		plane string
-	}
-	run := func(delta bool) (outcome, error) {
-		algF, agF, err := factoriesLight("DQN", "CartPole", explorers)
-		if err != nil {
-			return outcome{}, err
-		}
-		cfg := core.Config{
-			NumExplorers: explorers,
-			RolloutLen:   50,
-			MaxSteps:     steps,
-			MaxDuration:  2 * time.Minute,
-			Machines:     3,
-			Net:          s.Net(),
-		}
-		if delta {
-			cfg.WeightDelta = true
-			cfg.WeightQuantBits = 8
-			cfg.WeightTreeFanout = 1
-		}
-		sess, err := core.NewSession(cfg, algF, agF, 7)
-		if err != nil {
-			return outcome{}, err
-		}
-		sess.Start()
-		sess.Wait()
-		rep := sess.Stop()
-		if err := sess.Err(); err != nil {
-			return outcome{}, err
-		}
-		ps := sess.Learner().PlaneStats()
-		return outcome{
-			rep:   rep,
-			plane: fmt.Sprintf("dense %d / delta %d / skipped %d / resyncs %d", ps.Dense, ps.Delta, ps.Empty, ps.Resyncs),
-		}, nil
-	}
-
-	dense, err := run(false)
+	algF, agF, err := factoriesLight("DQN", "CartPole", explorers)
 	if err != nil {
-		return fmt.Errorf("weightplane dense: %w", err)
+		return err
 	}
-	delta, err := run(true)
+	sess, err := core.NewSession(core.Config{
+		NumExplorers:     explorers,
+		RolloutLen:       50,
+		MaxSteps:         steps,
+		MaxDuration:      2 * time.Minute,
+		Machines:         machines,
+		Net:              s.Net(),
+		WeightTreeFanout: 1,
+	}, algF, agF, 7)
 	if err != nil {
-		return fmt.Errorf("weightplane delta: %w", err)
+		return err
+	}
+	sess.Start()
+	sess.Wait()
+	rep := sess.Stop()
+	if err := sess.Err(); err != nil {
+		return fmt.Errorf("weightplane: %w", err)
 	}
 
-	egress := func(o outcome) int64 {
-		for _, b := range o.rep.Channel.Brokers {
-			if b.MachineID == 0 {
-				return b.BytesForwarded
-			}
+	var egress int64
+	for _, b := range rep.Channel.Brokers {
+		if b.MachineID == 0 {
+			egress = b.BytesForwarded
 		}
-		return 0
 	}
-	row := func(label string, o outcome) Row {
-		return Row{Label: label, Values: []string{
-			fmt.Sprintf("%d", o.rep.StepsConsumed),
-			fmt.Sprintf("%.1f", o.rep.MeanReturn),
-			stats.FormatBytes(float64(egress(o))),
-			o.plane,
-		}}
-	}
+	// Explorer i runs on machine i mod machines, so this share of every
+	// broadcast's destinations is off the learner's machine.
+	remote := explorers - (explorers+machines-1)/machines
+	ps := sess.Learner().PlaneStats()
+	planned := ps.Dense + ps.Delta + ps.Empty
+	params := len(sess.Learner().Algorithm().Weights().Data)
+	denseStar := float64(planned) * float64(remote) / float64(explorers) * 4 * float64(params)
+
 	t := &Table{
-		Title:   "Weight plane: dense star vs int8 deltas over the relay tree",
-		Columns: []string{"steps", "mean return", "learner egress", "planner decisions"},
+		Title:   "Weight plane: int8 deltas over the relay tree",
+		Columns: []string{"steps", "mean return", "learner egress", "dense star (computed)", "planner decisions"},
 	}
-	t.Rows = append(t.Rows, row("dense", dense), row("delta+tree", delta))
-	if de, dd := egress(dense), egress(delta); dd > 0 {
-		t.Rows = append(t.Rows, Row{Label: "egress ratio", Values: []string{"", "", fmt.Sprintf("%.1fx", float64(de)/float64(dd)), ""}})
+	t.Rows = append(t.Rows, Row{Label: "delta+tree", Values: []string{
+		fmt.Sprintf("%d", rep.StepsConsumed),
+		fmt.Sprintf("%.1f", rep.MeanReturn),
+		stats.FormatBytes(float64(egress)),
+		stats.FormatBytes(denseStar),
+		fmt.Sprintf("dense %d / delta %d / skipped %d / resyncs %d", ps.Dense, ps.Delta, ps.Empty, ps.Resyncs),
+	}})
+	if egress > 0 {
+		t.Rows = append(t.Rows, Row{Label: "egress ratio", Values: []string{"", "", "", fmt.Sprintf("%.1fx", denseStar/float64(egress)), ""}})
 	}
 	t.Notes = append(t.Notes,
-		"same seed and step budget; returns may differ by async scheduling, not by policy quality",
 		"learner egress counts machine-0 cross-machine body bytes: weight broadcasts plus shutdown control",
+		fmt.Sprintf("dense star is computed, not run: %d planned destinations × %d/%d off machine 0 × 4 B × %d params", planned, remote, explorers, params),
 	)
 	t.Fprint(w)
 	return nil

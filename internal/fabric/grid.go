@@ -203,13 +203,6 @@ func (g *Grid) Kill(machineID int) {
 	g.nodes[machineID].Stop()
 }
 
-// Killed reports whether a machine has been expelled via Kill.
-func (g *Grid) Killed(machineID int) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.killed[machineID]
-}
-
 // Stop shuts down the membership plane, then brokers (draining forwarders
 // onto still-open links), then the fabric nodes. Idempotent.
 func (g *Grid) Stop() {

@@ -53,8 +53,11 @@ func TestMembershipVerdictOnKill(t *testing.T) {
 	})
 
 	g.Kill(1)
-	if !g.Killed(1) {
-		t.Fatal("Killed(1) = false after Kill")
+	g.mu.Lock()
+	killed := g.killed[1]
+	g.mu.Unlock()
+	if !killed {
+		t.Fatal("machine 1 not marked killed after Kill")
 	}
 	waitFor(t, 5*time.Second, "death verdict for machine 1", func() bool {
 		_, verdicts := g.MembershipStats()

@@ -163,14 +163,6 @@ func (p *Pass) reportAs(analyzer string, pos token.Pos, format string, args ...a
 	})
 }
 
-// RunAnalyzers executes the full suite plus directive validation on one
-// package and returns the surviving (non-suppressed) findings sorted by
-// position. It is the single-package convenience form of Module.Run: the
-// module analyzers run too, seeing exactly this package.
-func (p *Pass) RunAnalyzers() []Finding {
-	return NewModule([]*Pass{p}).Run()
-}
-
 // ---------------------------------------------------------------------------
 // Shared type-identification helpers.
 //

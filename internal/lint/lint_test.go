@@ -177,7 +177,7 @@ func checkWants(t *testing.T, findings []Finding, wants []want) {
 func runGolden(t *testing.T, name string) {
 	t.Helper()
 	pass := loadTestPackage(t, name)
-	findings := pass.RunAnalyzers()
+	findings := NewModule([]*Pass{pass}).Run()
 	checkWants(t, findings, collectWants(t, pass.Fset, pass.Files))
 }
 
@@ -231,7 +231,7 @@ func TestDirectiveValidationGolden(t *testing.T) { runGolden(t, "directives") }
 // above silence it completely.
 func TestSuppressedGolden(t *testing.T) {
 	pass := loadTestPackage(t, "suppressed")
-	if findings := pass.RunAnalyzers(); len(findings) != 0 {
+	if findings := NewModule([]*Pass{pass}).Run(); len(findings) != 0 {
 		for _, f := range findings {
 			t.Errorf("finding survived a well-formed suppression: %s", f)
 		}
@@ -251,11 +251,11 @@ func TestFindingString(t *testing.T) {
 	}
 }
 
-// TestFindingsSorted: RunAnalyzers output is deterministic — sorted by file,
+// TestFindingsSorted: Module.Run output is deterministic — sorted by file,
 // line, analyzer.
 func TestFindingsSorted(t *testing.T) {
 	pass := loadTestPackage(t, "lockhold")
-	findings := pass.RunAnalyzers()
+	findings := NewModule([]*Pass{pass}).Run()
 	if len(findings) < 2 {
 		t.Fatalf("expected multiple findings, got %d", len(findings))
 	}

@@ -239,19 +239,6 @@ func WithBudget(budget int64) Option {
 	}
 }
 
-// WithWatermarks overrides the backpressure watermarks as fractions of the
-// budget (0 < low <= high <= 1). It only has an effect combined with
-// WithBudget; out-of-range values keep the defaults.
-func WithWatermarks(high, low float64) Option {
-	return func(s *Store) {
-		if s.budget <= 0 || high <= 0 || high > 1 || low <= 0 || low > high {
-			return
-		}
-		s.highMark = int64(float64(s.budget) * high)
-		s.lowMark = int64(float64(s.budget) * low)
-	}
-}
-
 // DefaultShards is the shard count used by New: the smallest power of two
 // covering the machine's CPUs, clamped to [8, 128] so that small hosts
 // still spread broadcast traffic and huge hosts don't pay for hundreds of
@@ -276,8 +263,8 @@ func ceilPow2(n int) int {
 	return p
 }
 
-// New returns an empty store with DefaultShards shards. Options (WithBudget,
-// WithWatermarks — budget first) bound the store; none keeps it unbounded.
+// New returns an empty store with DefaultShards shards. WithBudget bounds
+// the store; without it the store is unbounded.
 func New(opts ...Option) *Store {
 	return NewSharded(DefaultShards(), opts...)
 }
@@ -307,9 +294,6 @@ func (s *Store) Budget() int64 { return s.budget }
 // crossed the high watermark and have not yet fallen back to the low one.
 // Always false for unbounded stores.
 func (s *Store) Pressured() bool { return s.pressured.Load() }
-
-// NumShards reports the store's shard count.
-func (s *Store) NumShards() int { return len(s.shards) }
 
 // shardFor selects the shard owning id.
 func (s *Store) shardFor(id ID) *shard {

@@ -276,13 +276,13 @@ func TestNewShardedRoundsUpToPowerOfTwo(t *testing.T) {
 	for _, tc := range []struct{ in, want int }{
 		{0, 1}, {1, 1}, {2, 2}, {3, 4}, {5, 8}, {8, 8}, {9, 16},
 	} {
-		if got := NewSharded(tc.in).NumShards(); got != tc.want {
-			t.Errorf("NewSharded(%d).NumShards() = %d, want %d", tc.in, got, tc.want)
+		if got := len(NewSharded(tc.in).shards); got != tc.want {
+			t.Errorf("NewSharded(%d) has %d shards, want %d", tc.in, got, tc.want)
 		}
 	}
-	n := New().NumShards()
+	n := len(New().shards)
 	if n < 8 || n > 128 || n&(n-1) != 0 {
-		t.Fatalf("New().NumShards() = %d, want a power of two in [8, 128]", n)
+		t.Fatalf("New() has %d shards, want a power of two in [8, 128]", n)
 	}
 }
 
@@ -578,18 +578,6 @@ func TestBudgetBackpressureLifecycle(t *testing.T) {
 	}
 	if st := s.Stats(); st.BackpressureEnters != 1 {
 		t.Fatalf("BackpressureEnters = %d, want exactly 1 episode", st.BackpressureEnters)
-	}
-}
-
-func TestBudgetWatermarkOverride(t *testing.T) {
-	s := New(WithBudget(1000), WithWatermarks(0.5, 0.2))
-	if _, err := s.TryPut(make([]byte, 600), 1); !errors.Is(err, ErrBudget) {
-		t.Fatalf("TryPut 600 with high=500 = %v, want ErrBudget", err)
-	}
-	// Invalid fractions keep the defaults.
-	s2 := New(WithBudget(1000), WithWatermarks(2.0, -1))
-	if _, err := s2.TryPut(make([]byte, 600), 1); err != nil {
-		t.Fatalf("TryPut 600 with default high=850: %v", err)
 	}
 }
 

@@ -271,10 +271,3 @@ func (q *Queue[T]) Close() {
 	q.wakeAll()
 	q.notFull.Broadcast()
 }
-
-// Closed reports whether Close has been called.
-func (q *Queue[T]) Closed() bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.closed
-}

@@ -143,8 +143,8 @@ func TestCloseIdempotent(t *testing.T) {
 	q := New[int]()
 	q.Close()
 	q.Close()
-	if !q.Closed() {
-		t.Fatal("Closed() = false after Close")
+	if !q.closed {
+		t.Fatal("queue not closed after Close")
 	}
 }
 

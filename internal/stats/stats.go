@@ -1,7 +1,6 @@
 // Package stats provides the measurement utilities behind the paper's
-// evaluation figures: throughput meters (rollout steps consumed per second),
-// latency histograms and CDFs (Fig. 8(c)), and time-bucketed series
-// (the throughput timelines of Figs. 8–10).
+// evaluation figures: latency histograms and CDFs (Fig. 8(c)) and
+// time-bucketed series (the throughput timelines of Figs. 8–10).
 package stats
 
 import (
@@ -11,44 +10,6 @@ import (
 	"sync"
 	"time"
 )
-
-// Meter counts events and bytes over wall time.
-type Meter struct {
-	mu      sync.Mutex
-	start   time.Time
-	events  int64
-	bytes   int64
-	started bool
-}
-
-// NewMeter returns an idle meter; the clock starts at the first Add.
-func NewMeter() *Meter { return &Meter{} }
-
-// Add records n events carrying the given total bytes.
-func (m *Meter) Add(n int, bytes int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if !m.started {
-		m.start = time.Now()
-		m.started = true
-	}
-	m.events += int64(n)
-	m.bytes += bytes
-}
-
-// Snapshot returns totals and rates since the first Add.
-func (m *Meter) Snapshot() (events, bytes int64, perSec, bytesPerSec float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if !m.started {
-		return 0, 0, 0, 0
-	}
-	elapsed := time.Since(m.start).Seconds()
-	if elapsed <= 0 {
-		elapsed = 1e-9
-	}
-	return m.events, m.bytes, float64(m.events) / elapsed, float64(m.bytes) / elapsed
-}
 
 // Histogram collects duration samples for percentile and CDF reporting.
 // An unbounded histogram (NewHistogram) keeps every sample; a bounded one
@@ -130,23 +91,6 @@ func (h *Histogram) Percentile(p float64) time.Duration {
 		rank = len(sorted) - 1
 	}
 	return sorted[rank]
-}
-
-// FractionBelow returns the fraction of samples strictly below d — the CDF
-// evaluated at d, e.g. Fig. 8(c)'s "96.61% of waits are under 20 ms".
-func (h *Histogram) FractionBelow(d time.Duration) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.samples) == 0 {
-		return 0
-	}
-	n := 0
-	for _, s := range h.samples {
-		if s < d {
-			n++
-		}
-	}
-	return float64(n) / float64(len(h.samples))
 }
 
 // CDF returns (value, cumulative fraction) points for plotting.

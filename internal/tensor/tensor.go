@@ -449,13 +449,6 @@ func (t *Tensor) LogSoftmaxRows() {
 	}
 }
 
-// Apply replaces every element x with f(x).
-func (t *Tensor) Apply(f func(float32) float32) {
-	for i, v := range t.Data {
-		t.Data[i] = f(v)
-	}
-}
-
 // Norm returns the L2 norm of all elements.
 func (t *Tensor) Norm() float32 {
 	var s float64
@@ -463,39 +456,4 @@ func (t *Tensor) Norm() float32 {
 		s += float64(v) * float64(v)
 	}
 	return float32(math.Sqrt(s))
-}
-
-// GatherRows returns a new tensor whose rows are t's rows at the given
-// indices.
-func (t *Tensor) GatherRows(indices []int) *Tensor {
-	out := New(len(indices), t.Cols)
-	for i, idx := range indices {
-		copy(out.Data[i*t.Cols:(i+1)*t.Cols], t.Data[idx*t.Cols:(idx+1)*t.Cols])
-	}
-	return out
-}
-
-// OneHot returns an n×classes tensor with row i set at labels[i].
-func OneHot(labels []int, classes int) *Tensor {
-	out := New(len(labels), classes)
-	for i, l := range labels {
-		out.Data[i*classes+l] = 1
-	}
-	return out
-}
-
-// Stack concatenates equal-width row vectors into one matrix.
-func Stack(rows []*Tensor) *Tensor {
-	if len(rows) == 0 {
-		return New(0, 0)
-	}
-	cols := rows[0].Cols
-	out := New(len(rows), cols)
-	for i, r := range rows {
-		if r.Rows != 1 || r.Cols != cols {
-			panic(fmt.Sprintf("tensor: stack row %d has shape %dx%d, want 1x%d", i, r.Rows, r.Cols, cols))
-		}
-		copy(out.Data[i*cols:(i+1)*cols], r.Data)
-	}
-	return out
 }

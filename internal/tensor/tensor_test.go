@@ -207,56 +207,6 @@ func TestLogSoftmaxConsistentWithSoftmax(t *testing.T) {
 	}
 }
 
-func TestClipApply(t *testing.T) {
-	m := FromSlice(1, 4, []float32{-5, 0.5, 2, 100})
-	m.Apply(func(x float32) float32 { return min(max(x, 0), 1) })
-	want := []float32{0, 0.5, 1, 1}
-	for i, w := range want {
-		if m.Data[i] != w {
-			t.Fatalf("Clip[%d] = %v, want %v", i, m.Data[i], w)
-		}
-	}
-	m.Apply(func(x float32) float32 { return x * 2 })
-	if m.Data[1] != 1 {
-		t.Fatalf("Apply: %v", m.Data)
-	}
-}
-
-func TestGatherRows(t *testing.T) {
-	m := FromSlice(3, 2, []float32{1, 2, 3, 4, 5, 6})
-	g := m.GatherRows([]int{2, 0, 2})
-	want := []float32{5, 6, 1, 2, 5, 6}
-	for i, w := range want {
-		if g.Data[i] != w {
-			t.Fatalf("GatherRows[%d] = %v, want %v", i, g.Data[i], w)
-		}
-	}
-}
-
-func TestOneHot(t *testing.T) {
-	oh := OneHot([]int{1, 0, 2}, 3)
-	want := []float32{0, 1, 0, 1, 0, 0, 0, 0, 1}
-	for i, w := range want {
-		if oh.Data[i] != w {
-			t.Fatalf("OneHot[%d] = %v, want %v", i, oh.Data[i], w)
-		}
-	}
-}
-
-func TestStack(t *testing.T) {
-	rows := []*Tensor{
-		FromSlice(1, 2, []float32{1, 2}),
-		FromSlice(1, 2, []float32{3, 4}),
-	}
-	s := Stack(rows)
-	if s.Rows != 2 || s.Cols != 2 || s.At(1, 0) != 3 {
-		t.Fatalf("Stack = %+v", s)
-	}
-	if empty := Stack(nil); empty.Rows != 0 {
-		t.Fatalf("Stack(nil).Rows = %d", empty.Rows)
-	}
-}
-
 func TestXavierInitBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	m := New(64, 64)

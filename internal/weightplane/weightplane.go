@@ -26,10 +26,14 @@ import (
 // Config tunes the planner. The zero value disables the delta plane
 // entirely (every broadcast is a dense star send).
 type Config struct {
-	// Enabled turns on delta planning.
+	// Enabled turns on delta planning. Every core session plans with it
+	// on; it stays a field because benchmark/downlink.go builds its
+	// planner from this Config.
 	Enabled bool
 	// QuantBits selects delta quantization: 8 for int8 steps, 0 for exact
-	// float32 deltas.
+	// float32 deltas. Every core session plans int8 steps; it stays a
+	// field because benchmark/downlink.go builds its planner from this
+	// Config.
 	QuantBits int
 	// SkipFactor scales the adaptive skip threshold: a broadcast whose
 	// relative delta norm falls below SkipFactor × EMA(recent norms) is
