@@ -464,14 +464,15 @@ func TestIMPALALearnsCartPole(t *testing.T) {
 
 // trainedIMPALAWeightsCRC is the CRC32C of the weights
 // TestIMPALATrainedWeightsPinned trains, captured before the tensor
-// package's matmul loops moved onto the vector axpy kernel. The kernel is
-// bit-identical to those loops, so the pin must not move with it.
+// package's matmul loops moved onto vector kernels. The kernels are
+// bit-identical to those loops, so the pin must not move with them.
 const trainedIMPALAWeightsCRC = 0x6e679d23
 
 // TestIMPALATrainedWeightsPinned makes "learning is unchanged" a test: a
 // fixed-seed IMPALA learner and explorer alternate rollouts and updates, and
 // the learner's final weights must hash to the pinned CRC bit for bit. The
-// hidden widths 45 and 23 run every tail of the 16- and 4-wide kernel body.
+// hidden widths 45 and 23 run the row kernel's 8-lane chunks and scalar
+// tails.
 // The pin holds on amd64 only: other architectures fuse multiply-adds, so
 // their weights differ in the last bits.
 func TestIMPALATrainedWeightsPinned(t *testing.T) {

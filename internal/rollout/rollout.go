@@ -35,9 +35,6 @@ type Batch struct {
 	BootstrapObs env.Obs
 }
 
-// NumSteps returns the number of rollout steps in the batch.
-func (b *Batch) NumSteps() int { return len(b.Steps) }
-
 // SizeBytes estimates the logical size of the batch — observation payloads,
 // every frame stack whole, plus fixed per-step fields and behavior logits. A
 // rollout whose frame stacks shift goes on the wire smaller (see

@@ -7,13 +7,6 @@ import (
 	"xingtian/internal/env"
 )
 
-func TestNumSteps(t *testing.T) {
-	b := &Batch{Steps: make([]Step, 7)}
-	if b.NumSteps() != 7 {
-		t.Fatalf("NumSteps = %d", b.NumSteps())
-	}
-}
-
 func TestSizeBytesVectorObs(t *testing.T) {
 	b := &Batch{
 		Steps: []Step{

@@ -1,15 +1,18 @@
 package tensor
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"runtime"
 	"testing"
 )
 
-// The three reference functions are the scalar matmul loops the axpy
-// kernel replaced, kept verbatim as the oracle the kernels must match bit
+// The three reference functions are the scalar matmul loops the vector
+// kernels replaced, kept verbatim as the oracle the kernels must match bit
 // for bit.
 
 func refMatMul(a, b *Tensor) *Tensor {
@@ -93,6 +96,14 @@ var specials = []float32{
 	math.MaxFloat32, -math.MaxFloat32 / 3, 1e19, -1e-19,
 }
 
+// decades are the scales fillMixed draws its normals at, 10⁻⁴ … 10⁴.
+var decades = func() (d [9]float64) {
+	for i := range d {
+		d[i] = math.Pow(10, float64(i-4))
+	}
+	return d
+}()
+
 // fillMixed fills t with normals, a share of zeros (so the zero-skips run)
 // and, at rate special, values drawn from specials.
 func fillMixed(rng *rand.Rand, t *Tensor, special float64) {
@@ -103,136 +114,214 @@ func fillMixed(rng *rand.Rand, t *Tensor, special float64) {
 		case r < special+0.15:
 			t.Data[i] = 0
 		default:
-			t.Data[i] = float32(rng.NormFloat64() * math.Pow(10, float64(rng.Intn(9)-4)))
+			t.Data[i] = float32(rng.NormFloat64() * decades[rng.Intn(len(decades))])
 		}
 	}
 }
 
 // checkKernels runs the three matmuls on (n×k)@(k×m), (n×k)@(m×k)ᵀ and
-// (n×k)ᵀ@(n×m), built from a, bf, bt and ba, against their references.
-func checkKernels(a, bf, bt, ba *Tensor) error {
-	for _, c := range []struct {
-		name      string
-		got, want *Tensor
+// (n×k)ᵀ@(n×m), built from a, bf, bt and ba, on every rowAcc path, against
+// their references.
+func checkKernels(a, bf, bt, ba *Tensor) (err error) {
+	cases := []struct {
+		name string
+		op   func() *Tensor
+		want *Tensor
 	}{
-		{"MatMul", MatMulInto(nil, a, bf), refMatMul(a, bf)},
-		{"MatMulTransposeB", MatMulTransposeBInto(nil, a, bt), refMatMulTransposeB(a, bt)},
-		{"MatMulTransposeA", MatMulTransposeAInto(nil, a, ba), refMatMulTransposeA(a, ba)},
-	} {
-		if c.got.Rows != c.want.Rows || c.got.Cols != c.want.Cols {
-			return fmt.Errorf("%s shape %dx%d, want %dx%d", c.name, c.got.Rows, c.got.Cols, c.want.Rows, c.want.Cols)
+		{"MatMul", func() *Tensor { return MatMulInto(nil, a, bf) }, refMatMul(a, bf)},
+		{"MatMulTransposeB", func() *Tensor { return MatMulTransposeBInto(nil, a, bt) }, refMatMulTransposeB(a, bt)},
+		{"MatMulTransposeA", func() *Tensor { return MatMulTransposeAInto(nil, a, ba) }, refMatMulTransposeA(a, ba)},
+	}
+	eachPath(func(path string) {
+		for _, c := range cases {
+			if err == nil {
+				err = compareTensors(path+" "+c.name, c.op(), c.want)
+			}
 		}
-		if i, ok := sameBits(c.got.Data, c.want.Data); !ok {
-			return fmt.Errorf("%s[%d] = %v (%#08x), want %v (%#08x)", c.name, i,
-				c.got.Data[i], math.Float32bits(c.got.Data[i]), c.want.Data[i], math.Float32bits(c.want.Data[i]))
-		}
+	})
+	return err
+}
+
+// compareTensors reports the first element where got and want differ in
+// shape or bits (sameBits).
+func compareTensors(name string, got, want *Tensor) error {
+	if got.Rows != want.Rows || got.Cols != want.Cols {
+		return fmt.Errorf("%s shape %dx%d, want %dx%d", name, got.Rows, got.Cols, want.Rows, want.Cols)
+	}
+	if i, ok := sameBits(got.Data, want.Data); !ok {
+		return fmt.Errorf("%s[%d] = %v (%#08x), want %v (%#08x)", name, i,
+			got.Data[i], math.Float32bits(got.Data[i]), want.Data[i], math.Float32bits(want.Data[i]))
 	}
 	return nil
 }
 
+// eachPath runs f once on every rowAcc path this machine has, the AVX
+// kernel (when the CPU has it) and then the portable loop, and restores
+// the chosen path.
+func eachPath(f func(path string)) {
+	saved := useAVX
+	defer func() { useAVX = saved }()
+	if saved {
+		f("avx")
+	}
+	useAVX = false
+	f("portable")
+}
+
+// kernelWidths are the output widths the matmul oracles sweep: every width
+// 1…80, so every residue mod 8 with and without a 64-lane chunk before it
+// (64 + 8 + 7 = 79), then two 64-lane chunks ± 1 and with 8-lane tails.
+var kernelWidths = func() []int {
+	var ms []int
+	for m := 1; m <= 80; m++ {
+		ms = append(ms, m)
+	}
+	return append(ms, 127, 128, 129, 136, 143)
+}()
+
 // TestKernelsMatchReference holds the three matmuls to their scalar loops
-// bit for bit, for every output width 1…70 (every residue mod 16, so every
-// tail of the kernel runs) against every inner dimension 1…70.
+// bit for bit, on both rowAcc paths, for every kernel width against every
+// inner dimension 1…70 with batches of 1…5 rows, and then against batches
+// of 31, 32, 33 and 65 rows, which end MatMulTransposeA's row blocks just
+// before, at and after a block edge.
 func TestKernelsMatchReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(35))
 	rates := []float64{0, 0.01, 0.2}
-	for m := 1; m <= 70; m++ {
+	rng := rand.New(rand.NewSource(35))
+	check := func(n, k, m int) {
+		special := rates[(m+k+n)%len(rates)]
+		a, bf, bt, ba := New(n, k), New(k, m), New(m, k), New(n, m)
+		for _, x := range []*Tensor{a, bf, bt, ba} {
+			fillMixed(rng, x, special)
+		}
+		if err := checkKernels(a, bf, bt, ba); err != nil {
+			t.Fatalf("n=%d k=%d m=%d special=%v: %v", n, k, m, special, err)
+		}
+	}
+	for _, m := range kernelWidths {
 		for k := 1; k <= 70; k++ {
-			n := 1 + (3*m+k)%5
-			special := rates[(m+k)%len(rates)]
-			a, bf, bt, ba := New(n, k), New(k, m), New(m, k), New(n, m)
-			for _, x := range []*Tensor{a, bf, bt, ba} {
-				fillMixed(rng, x, special)
-			}
-			if err := checkKernels(a, bf, bt, ba); err != nil {
-				t.Fatalf("n=%d k=%d m=%d special=%v: %v", n, k, m, special, err)
+			check(1+(3*m+k)%5, k, m)
+		}
+		for _, k := range []int{1, 5, 17} {
+			for _, n := range []int{31, 32, 33, 65} {
+				check(n, k, m)
 			}
 		}
 	}
 }
 
-// TestAxpyMatchesGeneric holds axpy to axpyGeneric directly, at every
-// length 0…70 and every start offset mod 16 bytes, and checks it writes
-// nothing past len(b). Off amd64 axpy is axpyGeneric.
-func TestAxpyMatchesGeneric(t *testing.T) {
+// TestRowAccMatchesPortable holds rowAcc to rowAccGeneric directly, for
+// every width 0…150, unit and wider strides of a and b, every start offset
+// of o mod 32 bytes, with and without the zero-skip, the bias and the
+// ReLU. On the portable path the two are one loop.
+func TestRowAccMatchesPortable(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
-	for n := 0; n <= 70; n++ {
-		for off := 0; off < 4; off++ {
-			for _, special := range []float64{0, 0.1} {
-				b, o := New(1, n+off), New(1, n+off+3)
-				fillMixed(rng, b, special)
-				fillMixed(rng, o, special)
-				a := specials[rng.Intn(len(specials))]
-				if rng.Intn(2) == 0 {
-					a = float32(rng.NormFloat64())
+	eachPath(func(path string) {
+		for m := 0; m <= 150; m++ {
+			for flags := 0; flags < 8; flags++ {
+				skip, relu, withBias := flags&1 != 0, flags&2 != 0, flags&4 != 0
+				n := 1 + rng.Intn(12)
+				astride, bstride := 1+rng.Intn(3), m+rng.Intn(3)
+				off := rng.Intn(8)
+				a, b := New(1, (n-1)*astride+1), New(1, (n-1)*bstride+m)
+				o, bias := New(1, off+m), New(1, m)
+				for _, x := range []*Tensor{a, b, o, bias} {
+					fillMixed(rng, x, 0.1)
+				}
+				var bv []float32
+				if withBias {
+					bv = bias.Data
 				}
 				want := o.Clone()
-				axpyGeneric(want.Data[off:], b.Data[off:], a)
-				axpy(o.Data[off:], b.Data[off:], a)
+				rowAccGeneric(want.Data[off:], a.Data, b.Data, bv, n, astride, bstride, relu, skip)
+				rowAcc(o.Data[off:], a.Data, b.Data, bv, n, astride, bstride, relu, skip)
 				if i, ok := sameBits(o.Data, want.Data); !ok {
-					t.Fatalf("n=%d off=%d a=%v: o[%d] = %v, want %v", n, off, a, i, o.Data[i], want.Data[i])
+					t.Fatalf("%s m=%d n=%d strides=%d,%d skip=%v relu=%v bias=%v: o[%d] = %v, want %v",
+						path, m, n, astride, bstride, skip, relu, withBias, i, o.Data[i], want.Data[i])
 				}
 			}
 		}
-	}
+	})
 }
 
-// TestAxpy4MatchesGeneric holds axpy4 to axpy4Generic and both to four
-// axpyGeneric calls in order, at every length 0…70 and every start offset
-// mod 16 bytes, and checks they write nothing past len(b0). Off amd64 axpy4
-// is axpy4Generic.
-func TestAxpy4MatchesGeneric(t *testing.T) {
-	rng := rand.New(rand.NewSource(38))
-	for n := 0; n <= 70; n++ {
-		for off := 0; off < 4; off++ {
-			for _, special := range []float64{0, 0.1} {
-				var bs [4]*Tensor
-				var as [4]float32
-				for r := range bs {
-					bs[r] = New(1, n+off+r)
-					fillMixed(rng, bs[r], special)
-					as[r] = specials[rng.Intn(len(specials))]
-					if rng.Intn(2) == 0 {
-						as[r] = float32(rng.NormFloat64())
-					}
+// TestRowAccWritesNothingPastOutput runs rowAcc on a window of a larger
+// buffer, for every width 0…150 and every flag, and checks that every
+// element outside the window keeps its guard value.
+func TestRowAccWritesNothingPastOutput(t *testing.T) {
+	const pad = 72
+	guard := math.Float32frombits(0x7fc0dead)
+	rng := rand.New(rand.NewSource(40))
+	eachPath(func(path string) {
+		for m := 0; m <= 150; m++ {
+			for flags := 0; flags < 4; flags++ {
+				const n = 5
+				a, b, bias := New(1, n), New(n, m), New(1, m)
+				for _, x := range []*Tensor{a, b, bias} {
+					fillMixed(rng, x, 0)
 				}
-				o := New(1, n+off+3)
-				fillMixed(rng, o, special)
-				b0, b1, b2, b3 := bs[0].Data[off:off+n], bs[1].Data[off:], bs[2].Data[off:], bs[3].Data[off:]
-
-				want := o.Clone()
-				for r, b := range [][]float32{b0, b1, b2, b3} {
-					axpyGeneric(want.Data[off:], b[:n], as[r])
+				buf := make([]float32, pad+m+pad)
+				for i := range buf {
+					buf[i] = guard
 				}
-				generic := o.Clone()
-				axpy4Generic(generic.Data[off:], b0, b1, b2, b3, as[0], as[1], as[2], as[3])
-				axpy4(o.Data[off:], b0, b1, b2, b3, as[0], as[1], as[2], as[3])
-				for name, got := range map[string]*Tensor{"axpy4Generic": generic, "axpy4": o} {
-					if i, ok := sameBits(got.Data, want.Data); !ok {
-						t.Fatalf("%s n=%d off=%d a=%v: o[%d] = %v, want %v", name, n, off, as, i, got.Data[i], want.Data[i])
+				clear(buf[pad : pad+m])
+				rowAcc(buf[pad:pad+m], a.Data, b.Data, bias.Data, n, 1, m, flags&2 != 0, flags&1 != 0)
+				for i, v := range buf {
+					if (i < pad || i >= pad+m) && math.Float32bits(v) != math.Float32bits(guard) {
+						t.Fatalf("%s m=%d flags=%d: wrote buf[%d] = %v outside o = buf[%d:%d]", path, m, flags, i, v, pad, pad+m)
 					}
 				}
 			}
 		}
-	}
+	})
 }
 
-func TestAxpy4PanicsOnShortOperand(t *testing.T) {
-	long, short := make([]float32, 4), make([]float32, 3)
-	for i, args := range [][5][]float32{
-		{short, long, long, long, long},
-		{long, long, short, long, long},
-		{long, long, long, short, long},
-		{long, long, long, long, short},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("case %d: axpy4 with a short operand did not panic", i)
-				}
+func TestRowAccPanicsOnShortOperand(t *testing.T) {
+	const n, m = 4, 16
+	long := make([]float32, n*m)
+	eachPath(func(path string) {
+		for i, args := range [][3][]float32{
+			{long[:n-1], long, long[:m]},   // a
+			{long, long[:n*m-1], long[:m]}, // b
+			{long, long, long[:m-1]},       // bias
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("%s case %d: rowAcc with a short operand did not panic", path, i)
+					}
+				}()
+				rowAcc(make([]float32, m), args[0], args[1], args[2], n, 1, m, true, true)
 			}()
-			axpy4(args[0], args[1], args[2], args[3], args[4], 1, 1, 1, 1)
-		}()
+		}
+	})
+}
+
+// TestKernelPath says which rowAcc path this test binary runs. On
+// linux/amd64 it fails when /proc/cpuinfo lists avx but the probe chose
+// the portable loop, so a CI runner that tests only the fallback shows.
+func TestKernelPath(t *testing.T) {
+	path := "portable"
+	if useAVX {
+		path = "avx"
+	}
+	t.Logf("rowAcc path: %s (%s/%s)", path, runtime.GOOS, runtime.GOARCH)
+	if runtime.GOOS != "linux" || runtime.GOARCH != "amd64" {
+		return
+	}
+	info, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		t.Skipf("no /proc/cpuinfo: %v", err)
+	}
+	for _, line := range bytes.Split(info, []byte("\n")) {
+		name, flags, ok := bytes.Cut(line, []byte(":"))
+		if !ok || string(bytes.TrimSpace(name)) != "flags" {
+			continue
+		}
+		for _, f := range bytes.Fields(flags) {
+			if string(f) == "avx" && !useAVX {
+				t.Fatal("/proc/cpuinfo lists avx, but the probe chose the portable loop")
+			}
+		}
+		return
 	}
 }
 
@@ -276,15 +365,15 @@ func boundaryZeros(rng *rand.Rand, rows, cols int) *Tensor {
 	return t
 }
 
-// TestKernelsMatchReferenceGroupRemainders extends the oracle to the
-// grouping axpy4 brings: rows of a (for MatMul) and columns of a (for
-// MatMulTransposeA) whose non-zero counts leave every remainder 0–3, with
-// the zeros at group seams, and inner widths 1…17 for MatMulTransposeB,
-// which groups consecutive terms with no zero-skip. Batches of 31–65 rows
+// TestKernelsMatchReferenceGroupRemainders extends the oracle, on both
+// rowAcc paths, to rows of a (for MatMul) and columns of a (for
+// MatMulTransposeA) with every count of zeros from none up to all of them,
+// placed first at the edges of groups of four, and to inner widths 1…17
+// for MatMulTransposeB, which has no zero-skip. Batches of 31–65 rows
 // cross MatMulTransposeA's row blocks.
 func TestKernelsMatchReferenceGroupRemainders(t *testing.T) {
 	rng := rand.New(rand.NewSource(39))
-	for _, m := range []int{1, 3, 4, 7, 8, 16, 17, 33} {
+	for _, m := range []int{1, 3, 4, 7, 8, 16, 17, 33, 64, 79} {
 		for k := 1; k <= 17; k++ {
 			for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 32, 33, 34, 35, 65} {
 				rowPat := boundaryZeros(rng, n, k)
@@ -303,23 +392,16 @@ func TestKernelsMatchReferenceGroupRemainders(t *testing.T) {
 	}
 }
 
-func TestAxpyPanicsOnShortOutput(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("axpy with len(o) < len(b) did not panic")
-		}
-	}()
-	axpy(make([]float32, 3), make([]float32, 4), 1)
-}
-
-// FuzzMatMulKernels holds the three matmuls to their scalar loops on
-// arbitrary shapes and arbitrary float32 bit patterns.
+// FuzzMatMulKernels holds the three matmuls to their scalar loops on both
+// rowAcc paths, on arbitrary shapes up to 150 columns wide and arbitrary
+// float32 bit patterns.
 func FuzzMatMulKernels(f *testing.F) {
 	f.Add(uint8(3), uint8(5), uint8(17), []byte{0x00, 0x00, 0x80, 0x7f, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80, 0x3f})
 	f.Add(uint8(1), uint8(64), uint8(64), []byte{0xff, 0xff, 0x7f, 0x7f, 0x00, 0x00, 0x00, 0x80})
 	f.Add(uint8(2), uint8(1), uint8(70), []byte{0x00, 0x00, 0xc0, 0x7f})
+	f.Add(uint8(4), uint8(9), uint8(142), []byte{0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xc0, 0x7f, 0x00, 0x00, 0x80, 0xbf})
 	f.Fuzz(func(t *testing.T, n, k, m uint8, data []byte) {
-		dn, dk, dm := 1+int(n)%8, 1+int(k)%72, 1+int(m)%72
+		dn, dk, dm := 1+int(n)%8, 1+int(k)%72, 1+int(m)%150
 		var next int
 		fill := func(x *Tensor) {
 			for i := range x.Data {
@@ -341,7 +423,8 @@ func FuzzMatMulKernels(f *testing.F) {
 }
 
 // refBiasReLU is the bias add and ReLU that MatMulBiasInto fuses, as the
-// separate passes they were: AddRowVector's loop, then the ReLU layer's.
+// separate passes they were: a bias loop over every row, then the ReLU
+// layer's.
 func refBiasReLU(y, bias *Tensor, relu bool) *Tensor {
 	for r := 0; r < y.Rows; r++ {
 		row := y.Data[r*y.Cols : (r+1)*y.Cols]
@@ -360,8 +443,9 @@ func refBiasReLU(y, bias *Tensor, relu bool) *Tensor {
 }
 
 // checkBiasReLU holds MatMulBiasInto, with and without the ReLU and with a
-// nil bias, to refMatMul followed by the separate bias and ReLU passes.
-func checkBiasReLU(a, b, bias *Tensor) error {
+// nil bias, on every rowAcc path, to refMatMul followed by the separate
+// bias and ReLU passes.
+func checkBiasReLU(a, b, bias *Tensor) (err error) {
 	zero := New(1, b.Cols)
 	for _, c := range []struct {
 		bias *Tensor
@@ -372,23 +456,24 @@ func checkBiasReLU(a, b, bias *Tensor) error {
 			ref = zero
 		}
 		want := refBiasReLU(refMatMul(a, b), ref, c.relu)
-		got := MatMulBiasInto(New(3, 3), a, b, c.bias, c.relu)
-		if i, ok := sameBits(got.Data, want.Data); !ok {
-			return fmt.Errorf("bias=%v relu=%v: [%d] = %v (%#08x), want %v (%#08x)", c.bias != nil, c.relu, i,
-				got.Data[i], math.Float32bits(got.Data[i]), want.Data[i], math.Float32bits(want.Data[i]))
-		}
+		eachPath(func(path string) {
+			if err == nil {
+				name := fmt.Sprintf("%s bias=%v relu=%v", path, c.bias != nil, c.relu)
+				err = compareTensors(name, MatMulBiasInto(New(3, 3), a, b, c.bias, c.relu), want)
+			}
+		})
 	}
-	return nil
+	return err
 }
 
 // TestMatMulBiasReLUMatchesReference holds the fused bias and activation
-// to the separate passes bit for bit, for output widths 1…33 (the narrow
-// scalar loop and every kernel tail) on operands with zeros, signed zeros,
-// NaN, infinities and subnormals, so the sums the ReLU sees include -0
-// and NaN.
+// to the separate passes bit for bit, on both rowAcc paths, for every
+// kernel width (the scalar loop, both vector chunks and the tail) on
+// operands with zeros, signed zeros, NaN, infinities and subnormals, so
+// the sums the ReLU sees include -0 and NaN.
 func TestMatMulBiasReLUMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
-	for m := 1; m <= 33; m++ {
+	for _, m := range kernelWidths {
 		for k := 1; k <= 9; k++ {
 			n := 1 + (m+k)%6
 			a, b, bias := New(n, k), New(k, m), New(1, m)
@@ -402,13 +487,15 @@ func TestMatMulBiasReLUMatchesReference(t *testing.T) {
 	}
 }
 
-// FuzzMatMulBiasReLU holds the fused bias and activation pass to the
-// separate passes on arbitrary shapes and float32 bit patterns.
+// FuzzMatMulBiasReLU holds the fused bias and activation to the separate
+// passes on both rowAcc paths, on arbitrary shapes up to 150 columns wide
+// and float32 bit patterns.
 func FuzzMatMulBiasReLU(f *testing.F) {
 	f.Add(uint8(2), uint8(3), uint8(5), []byte{0x00, 0x00, 0x00, 0x80, 0x00, 0x00, 0x80, 0xbf, 0x00, 0x00, 0xc0, 0x7f})
 	f.Add(uint8(1), uint8(64), uint8(1), []byte{0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80, 0xff})
+	f.Add(uint8(3), uint8(7), uint8(78), []byte{0x00, 0x00, 0x00, 0x80, 0x00, 0x00, 0xc0, 0x7f, 0x00, 0x00, 0x80, 0x3f})
 	f.Fuzz(func(t *testing.T, n, k, m uint8, data []byte) {
-		dn, dk, dm := 1+int(n)%8, 1+int(k)%72, 1+int(m)%72
+		dn, dk, dm := 1+int(n)%8, 1+int(k)%72, 1+int(m)%150
 		var next int
 		fill := func(x *Tensor) {
 			for i := range x.Data {
@@ -429,17 +516,21 @@ func FuzzMatMulBiasReLU(f *testing.F) {
 	})
 }
 
-// benchMatMul times op on an (xr×xc) and a (wr×wc) operand. The shapes
-// below are a learner batch of 41 through a 64-wide hidden layer (forward,
-// input gradient, weight gradient) and an explorer's per-step forward.
+// benchMatMul times op on an (xr×xc) and a (wr×wc) operand, writing into
+// one output tensor across iterations as the nn layers do. The shapes below
+// are a learner batch of 41 through a 64-wide hidden layer (forward, input
+// gradient, weight gradient), an explorer's per-step forward, and the
+// weight gradient of a 1764-wide frame input layer over a batch of 500.
 func benchMatMul(b *testing.B, xr, xc, wr, wc int, op func(out, x, w *Tensor) *Tensor) {
 	rng := rand.New(rand.NewSource(37))
 	x, w := New(xr, xc), New(wr, wc)
 	x.Randn(rng, 1)
 	w.Randn(rng, 1)
+	out := op(nil, x, w)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = op(nil, x, w)
+		out = op(out, x, w)
 	}
 }
 
@@ -451,3 +542,6 @@ func BenchmarkMatMulTransposeA41x64(b *testing.B) {
 	benchMatMul(b, 41, 64, 41, 64, MatMulTransposeAInto)
 }
 func BenchmarkMatMul1x64(b *testing.B) { benchMatMul(b, 1, 64, 64, 64, MatMulInto) }
+func BenchmarkMatMulTransposeA500x1764(b *testing.B) {
+	benchMatMul(b, 500, 1764, 500, 64, MatMulTransposeAInto)
+}

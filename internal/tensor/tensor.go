@@ -111,19 +111,6 @@ func (t *Tensor) ScaleInPlace(s float32) {
 	}
 }
 
-// AddRowVector adds the 1×Cols vector v to every row of t (bias add).
-func (t *Tensor) AddRowVector(v *Tensor) {
-	if v.Cols != t.Cols {
-		panic(fmt.Sprintf("tensor: row vector length %d != cols %d", v.Cols, t.Cols))
-	}
-	for r := 0; r < t.Rows; r++ {
-		row := t.Data[r*t.Cols : (r+1)*t.Cols]
-		for c, b := range v.Data[:t.Cols] {
-			row[c] += b
-		}
-	}
-}
-
 // Reuse returns t reshaped to rows×cols with every element zero, reusing
 // t's storage when its capacity suffices. A nil t gets a new tensor. It is
 // how a caller keeps one workspace tensor across calls whose shapes vary.
@@ -147,9 +134,9 @@ func Reuse(t *Tensor, rows, cols int) *Tensor {
 // rowOf returns row p of the row-major matrix d with m columns.
 func rowOf(d []float32, p, m int) []float32 { return d[p*m : (p+1)*m] }
 
-// narrowCols is the widest output the matmuls accumulate with a scalar
-// loop instead of the axpy kernels: for one to four lanes (a policy or value
-// head) a kernel call costs more than the lanes it adds.
+// narrowCols is the widest output MatMulTransposeAInto accumulates with an
+// r-outer scalar loop: for one to four lanes (a policy or value head) a
+// rowAcc call per output row per block costs more than the lanes it adds.
 const narrowCols = 4
 
 // MatMulInto computes a@b into out, reshaped by Reuse, and returns it. out
@@ -162,14 +149,10 @@ func MatMulInto(out, a, b *Tensor) *Tensor { return MatMulBiasInto(out, a, b, ni
 // replaces every element that is not positive by +0 (NaN passes through).
 // It returns out, which must not share storage with a, b or bias.
 //
-// The products run in ikj order for cache locality: row i of out
-// accumulates a[i][p]·b[p] in ascending p, skipping zero a[i][p]. The
-// non-zero terms go to axpy4 four at a time and the last one to three to
-// axpy, so every element sums the same terms in the same order as one axpy
-// per term; outputs at most narrowCols wide take the same terms through a
-// scalar loop. Each row then takes its bias and activation in the same pass,
-// while it is in cache: the result is bit for bit that of MatMulInto, then
-// AddRowVector, then a ReLU.
+// Row i of out is one rowAcc: it accumulates a[i][p]·b[p] in ascending p,
+// skipping zero a[i][p], then takes its bias and activation as it is
+// stored. The result is bit for bit that of the scalar ikj loop, then a
+// bias pass, then a ReLU pass.
 func MatMulBiasInto(out, a, b, bias *Tensor, relu bool) *Tensor {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: matmul %dx%d @ %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -184,66 +167,9 @@ func MatMulBiasInto(out, a, b, bias *Tensor, relu bool) *Tensor {
 	}
 	out = Reuse(out, n, m)
 	for i := 0; i < n; i++ {
-		arow := rowOf(a.Data, i, k)
-		orow := rowOf(out.Data, i, m)
-		if m <= narrowCols {
-			for p, av := range arow {
-				if av == 0 {
-					continue
-				}
-				for j, x := range rowOf(b.Data, p, m) {
-					orow[j] += av * x
-				}
-			}
-		} else {
-			var ps [4]int
-			g := 0
-			for p, av := range arow {
-				if av == 0 {
-					continue
-				}
-				ps[g] = p
-				if g++; g == 4 {
-					axpy4(orow, rowOf(b.Data, ps[0], m), rowOf(b.Data, ps[1], m), rowOf(b.Data, ps[2], m), rowOf(b.Data, ps[3], m),
-						arow[ps[0]], arow[ps[1]], arow[ps[2]], arow[ps[3]])
-					g = 0
-				}
-			}
-			for _, p := range ps[:g] {
-				axpy(orow, rowOf(b.Data, p, m), arow[p])
-			}
-		}
-		biasReLU(orow, bv, relu)
+		rowAcc(rowOf(out.Data, i, m), rowOf(a.Data, i, k), b.Data, bv, k, 1, m, relu, true)
 	}
 	return out
-}
-
-// biasReLU adds bias (when not nil) to row and then, if relu is set, sets
-// every element that is not positive to +0, in one pass: each element is
-// rounded once by the add, as AddRowVector rounds it, and -0, negatives and
-// zeros become +0 while NaN stays, as the ReLU layer has always done.
-func biasReLU(row, bias []float32, relu bool) {
-	switch {
-	case bias != nil && relu:
-		bias = bias[:len(row)]
-		for j, v := range row {
-			if v += bias[j]; v <= 0 {
-				v = 0
-			}
-			row[j] = v
-		}
-	case bias != nil:
-		bias = bias[:len(row)]
-		for j := range row {
-			row[j] += bias[j]
-		}
-	case relu:
-		for j, v := range row {
-			if v <= 0 {
-				row[j] = 0
-			}
-		}
-	}
 }
 
 // transposeScratch recycles MatMulTransposeBInto's copy of bᵀ, so the
@@ -255,10 +181,9 @@ var transposeScratch = sync.Pool{New: func() any { return new([]float32) }}
 // returns it. out must not share storage with a or b.
 //
 // Element (i, j) is the dot product of a's row i and b's row j, summed from
-// zero in ascending p with no zero-skip. It is computed as a@(bᵀ) in ikj
-// order, four consecutive p per axpy4 and the last one to three through
-// axpy, which adds the same terms to each element in the same order, so the
-// result is the same bit for bit.
+// zero in ascending p with no zero-skip. It is computed as a@(bᵀ), one
+// rowAcc per row of a over a pooled copy of bᵀ, which adds the same terms
+// to each element in the same order, so the result is the same bit for bit.
 func MatMulTransposeBInto(out, a, b *Tensor) *Tensor {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: matmul-T %dx%d @ (%dx%d)T", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -276,16 +201,7 @@ func MatMulTransposeBInto(out, a, b *Tensor) *Tensor {
 		}
 	}
 	for i := 0; i < n; i++ {
-		orow := rowOf(out.Data, i, m)
-		arow := rowOf(a.Data, i, k)
-		p := 0
-		for ; p+4 <= k; p += 4 {
-			axpy4(orow, rowOf(bt, p, m), rowOf(bt, p+1, m), rowOf(bt, p+2, m), rowOf(bt, p+3, m),
-				arow[p], arow[p+1], arow[p+2], arow[p+3])
-		}
-		for ; p < k; p++ {
-			axpy(orow, rowOf(bt, p, m), arow[p])
-		}
+		rowAcc(rowOf(out.Data, i, m), rowOf(a.Data, i, k), bt, nil, k, 1, m, false, false)
 	}
 	transposeScratch.Put(buf)
 	return out
@@ -302,13 +218,11 @@ const transposeABlock = 32
 // returns it. out must not share storage with a or b.
 //
 // Out row i accumulates a[r][i]·b[r] in ascending r, skipping zero a[r][i].
-// The rows r are taken in blocks of transposeABlock; within a block the loop
-// runs over i outside and r inside, so each output row takes the block's
-// terms in one go: the non-zero ones four at a time through axpy4 and the
-// last one to three through axpy. Outputs at most narrowCols wide run r
-// outside and i inside with a scalar loop, the order of one axpy per term.
-// Every element sums the same terms in the same order as an r-outer loop
-// with one axpy per term.
+// The rows r are taken in blocks of transposeABlock; within a block each
+// output row is one rowAcc over the block's rows, reading a's column i
+// strided. Outputs at most narrowCols wide run r outside and i inside with
+// a scalar loop. Every element sums the same terms in the same order as an
+// r-outer loop with one scalar pass per term.
 func MatMulTransposeAInto(out, a, b *Tensor) *Tensor {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("tensor: T-matmul (%dx%d)T @ %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -333,25 +247,7 @@ func MatMulTransposeAInto(out, a, b *Tensor) *Tensor {
 	for r0 := 0; r0 < rows; r0 += transposeABlock {
 		r1 := min(r0+transposeABlock, rows)
 		for i := 0; i < k; i++ {
-			orow := rowOf(out.Data, i, m)
-			var rs [4]int
-			var as [4]float32
-			g := 0
-			for r := r0; r < r1; r++ {
-				av := a.Data[r*k+i]
-				if av == 0 {
-					continue
-				}
-				rs[g], as[g] = r, av
-				if g++; g == 4 {
-					axpy4(orow, rowOf(b.Data, rs[0], m), rowOf(b.Data, rs[1], m), rowOf(b.Data, rs[2], m), rowOf(b.Data, rs[3], m),
-						as[0], as[1], as[2], as[3])
-					g = 0
-				}
-			}
-			for j, r := range rs[:g] {
-				axpy(orow, rowOf(b.Data, r, m), as[j])
-			}
+			rowAcc(rowOf(out.Data, i, m), a.Data[r0*k+i:], b.Data[r0*m:], nil, r1-r0, k, m, false, true)
 		}
 	}
 	return out

@@ -79,18 +79,6 @@ func TestShapeMismatchPanics(t *testing.T) {
 	New(1, 3).AddInPlace(New(2, 3))
 }
 
-func TestAddRowVector(t *testing.T) {
-	m := FromSlice(2, 3, []float32{1, 2, 3, 4, 5, 6})
-	bias := FromSlice(1, 3, []float32{10, 20, 30})
-	m.AddRowVector(bias)
-	want := []float32{11, 22, 33, 14, 25, 36}
-	for i, w := range want {
-		if m.Data[i] != w {
-			t.Fatalf("AddRowVector[%d] = %v, want %v", i, m.Data[i], w)
-		}
-	}
-}
-
 func TestMatMul(t *testing.T) {
 	a := FromSlice(2, 3, []float32{1, 2, 3, 4, 5, 6})
 	b := FromSlice(3, 2, []float32{7, 8, 9, 10, 11, 12})
