@@ -120,8 +120,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if opts.Grid {
-		gopts := fabric.GridOptions{StoreBudget: cfg.StoreBudget, ShedQueueDepth: cfg.ShedQueueDepth,
-			RelayFanout: cfg.WeightTreeFanout}
+		gopts := fabric.GridOptions{StoreBudget: cfg.StoreBudget, ShedQueueDepth: cfg.ShedQueueDepth}
 		if cfg.Compress {
 			gopts.Compressor = serialize.NewCompressor()
 		}

@@ -37,8 +37,8 @@ func TestFlagDefaultsGolden(t *testing.T) {
 	if body != string(want) {
 		t.Errorf("PrintDefaults differs from testdata/flags.golden:\n%s", body)
 	}
-	if n := strings.Count("\n"+body, "\n  -"); n != 31 {
-		t.Errorf("%d flags, want 31", n)
+	if n := strings.Count("\n"+body, "\n  -"); n != 30 {
+		t.Errorf("%d flags, want 30", n)
 	}
 }
 
@@ -52,7 +52,8 @@ func writeConfig(t *testing.T, body string) string {
 }
 
 // TestJSONConfig loads a config that sets every key xt-train has ever read,
-// plus the removed sync_every, weight_delta and weight_quant_bits and a key
+// plus the removed sync_every, weight_delta, weight_quant_bits and
+// weight_tree_fanout and a key
 // nobody declares, and compares the result with the Config the key-by-key
 // mapping of the JSON record gives.
 func TestJSONConfig(t *testing.T) {
@@ -79,9 +80,9 @@ func TestJSONConfig(t *testing.T) {
 		MaxExplorerRestarts: 3, RestartBackoff: 250 * time.Millisecond,
 		StoreBudget: 1 << 20, ShedQueueDepth: 16, MaxInflight: 4,
 		CheckpointPath: "run.ckpt", CheckpointEvery: 50, CheckpointKeep: 2, Resume: true,
-		WeightSkipFactor: 0.1, WeightTreeFanout: 2,
-		Topology:        core.Topology{Learners: 2, MaxStaleness: 3},
-		LearnerFailover: true, MaxLearnerRestarts: 2, HeartbeatEvery: 50 * time.Millisecond,
+		WeightSkipFactor: 0.1,
+		Topology:         core.Topology{Learners: 2, MaxStaleness: 3},
+		LearnerFailover:  true, MaxLearnerRestarts: 2, HeartbeatEvery: 50 * time.Millisecond,
 		MachineFailover: true, LeaseEvery: 10 * time.Millisecond,
 	}
 	if !reflect.DeepEqual(cfg, wantCfg) {

@@ -462,50 +462,59 @@ func TestIMPALALearnsCartPole(t *testing.T) {
 	}
 }
 
-// trainedIMPALAWeightsCRC is the CRC32C of the weights
-// TestIMPALATrainedWeightsPinned trains, captured before the tensor
-// package's matmul loops moved onto vector kernels. The kernels are
-// bit-identical to those loops, so the pin must not move with them.
-const trainedIMPALAWeightsCRC = 0x6e679d23
+// trainedIMPALAWeightsCRCs are the CRC32C of the weights
+// TestIMPALATrainedWeightsPinned trains, by hidden-layer widths. The 45-23
+// pin was captured before the tensor package's matmul loops moved onto
+// vector kernels; the kernels are bit-identical to those loops, so it must
+// not move with them.
+var trainedIMPALAWeightsCRCs = []struct {
+	hidden []int
+	crc    uint32
+}{
+	{[]int{45, 23}, 0x6e679d23},
+	{[]int{79, 64}, 0x2a464f9f},
+}
 
 // TestIMPALATrainedWeightsPinned makes "learning is unchanged" a test: a
 // fixed-seed IMPALA learner and explorer alternate rollouts and updates, and
 // the learner's final weights must hash to the pinned CRC bit for bit. The
 // hidden widths 45 and 23 run the row kernel's 8-lane chunks and scalar
-// tails.
+// tails; 79 and 64 run its 64-lane chunk too.
 // The pin holds on amd64 only: other architectures fuse multiply-adds, so
 // their weights differ in the last bits.
 func TestIMPALATrainedWeightsPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("weights pinned on amd64; " + runtime.GOARCH + " fuses multiply-adds")
 	}
-	e := env.NewCartPole(3)
-	spec := SpecFor(e)
-	spec.Hidden = []int{45, 23}
-	im := NewIMPALA(spec, DefaultIMPALAConfig(), 11)
-	agent := NewIMPALAAgent(spec, NewEnvRunner(e, spec), 12)
-	for round := 0; round < 4; round++ {
-		if err := agent.SetWeights(im.Weights()); err != nil {
-			t.Fatalf("SetWeights: %v", err)
-		}
-		b, err := agent.Rollout(48)
-		if err != nil {
-			t.Fatalf("Rollout: %v", err)
-		}
-		for i := 0; i < 5; i++ {
-			im.PrepareData(b)
-			if _, ok, err := im.TryTrain(); !ok || err != nil {
-				t.Fatalf("round %d TryTrain %d: ok=%v err=%v", round, i, ok, err)
+	for _, pin := range trainedIMPALAWeightsCRCs {
+		e := env.NewCartPole(3)
+		spec := SpecFor(e)
+		spec.Hidden = pin.hidden
+		im := NewIMPALA(spec, DefaultIMPALAConfig(), 11)
+		agent := NewIMPALAAgent(spec, NewEnvRunner(e, spec), 12)
+		for round := 0; round < 4; round++ {
+			if err := agent.SetWeights(im.Weights()); err != nil {
+				t.Fatalf("SetWeights: %v", err)
+			}
+			b, err := agent.Rollout(48)
+			if err != nil {
+				t.Fatalf("Rollout: %v", err)
+			}
+			for i := 0; i < 5; i++ {
+				im.PrepareData(b)
+				if _, ok, err := im.TryTrain(); !ok || err != nil {
+					t.Fatalf("hidden %v round %d TryTrain %d: ok=%v err=%v", pin.hidden, round, i, ok, err)
+				}
 			}
 		}
-	}
-	w := im.Weights().Data
-	buf := make([]byte, 4*len(w))
-	for i, v := range w {
-		binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(v))
-	}
-	if got := crc32.Checksum(buf, crc32.MakeTable(crc32.Castagnoli)); got != trainedIMPALAWeightsCRC {
-		t.Fatalf("trained weights CRC32C = %#08x, want %#08x: learning changed", got, trainedIMPALAWeightsCRC)
+		w := im.Weights().Data
+		buf := make([]byte, 4*len(w))
+		for i, v := range w {
+			binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(v))
+		}
+		if got := crc32.Checksum(buf, crc32.MakeTable(crc32.Castagnoli)); got != pin.crc {
+			t.Fatalf("hidden %v: trained weights CRC32C = %#08x, want %#08x: learning changed", pin.hidden, got, pin.crc)
+		}
 	}
 }
 

@@ -35,8 +35,6 @@ package broker
 import (
 	"errors"
 	"fmt"
-	"math"
-	"sort"
 	"sync"
 	"time"
 
@@ -65,15 +63,14 @@ type Remote interface {
 
 // Broker is one machine's communication hub.
 type Broker struct {
-	machineID   int
-	store       *objectstore.Store
-	headerQ     *queue.Queue[*message.Header]
-	compressor  serialize.Compressor
-	remote      Remote
-	locator     Locator
-	health      *health
-	shedDepth   int
-	relayFanout int
+	machineID  int
+	store      *objectstore.Store
+	headerQ    *queue.Queue[*message.Header]
+	compressor serialize.Compressor
+	remote     Remote
+	locator    Locator
+	health     *health
+	shedDepth  int
 
 	ackMu sync.Mutex
 	acked map[string]int64 // last weights version seen on each source's rollouts
@@ -130,30 +127,23 @@ type Config struct {
 	// a destination queue reaches this depth, independent of the byte
 	// budget; 0 disables depth-based shedding.
 	ShedQueueDepth int
-	// RelayFanout enables depth-2 tree routing for weight-class broadcasts:
-	// when a weights/weights-delta message targets more than RelayFanout
-	// remote machines, the router partitions them into √n relay groups and
-	// sends each group's frame once, to its relay machine, which forwards it
-	// onward (one hop, bounded by Header.RelayHops). 0 keeps star fan-out.
-	RelayFanout int
 }
 
 // New starts a broker and its router goroutine.
 func New(cfg Config) *Broker {
 	b := &Broker{
-		machineID:   cfg.MachineID,
-		store:       objectstore.New(objectstore.WithBudget(cfg.StoreBudget)),
-		headerQ:     queue.New[*message.Header](),
-		shedDepth:   cfg.ShedQueueDepth,
-		relayFanout: cfg.RelayFanout,
-		compressor:  cfg.Compressor,
-		remote:      cfg.Remote,
-		locator:     cfg.Locator,
-		health:      newHealth(),
-		acked:       make(map[string]int64),
-		idQueues:    make(map[string]*queue.Queue[*message.Header]),
-		forwarders:  make(map[int]*queue.Queue[forwardItem]),
-		routerDone:  make(chan struct{}),
+		machineID:  cfg.MachineID,
+		store:      objectstore.New(objectstore.WithBudget(cfg.StoreBudget)),
+		headerQ:    queue.New[*message.Header](),
+		shedDepth:  cfg.ShedQueueDepth,
+		compressor: cfg.Compressor,
+		remote:     cfg.Remote,
+		locator:    cfg.Locator,
+		health:     newHealth(),
+		acked:      make(map[string]int64),
+		idQueues:   make(map[string]*queue.Queue[*message.Header]),
+		forwarders: make(map[int]*queue.Queue[forwardItem]),
+		routerDone: make(chan struct{}),
 	}
 	b.wg.Add(1)
 	go func() {
@@ -291,8 +281,9 @@ func (b *Broker) route() {
 			}
 		}
 
-		groups := b.relayGroups(h, remotes)
-		for _, g := range groups {
+		// Star fan-out: one frame per remote machine, addressed only to
+		// that machine's clients.
+		for machine, names := range remotes {
 			framed, err := b.store.Get(h.ObjectID)
 			if err != nil {
 				b.health.dropStoreMiss.Add(1)
@@ -303,14 +294,13 @@ func (b *Broker) route() {
 				b.release(h.ObjectID)
 				continue
 			}
-			fh := *h // shallow copy; Dst narrowed to the target group
-			fh.Dst = g.names
-			fh.RelayHops = g.hops
+			fh := *h // shallow copy; Dst narrowed to this machine's clients
+			fh.Dst = names
 			// Hand the transfer to the per-destination forwarder: transfers
 			// to one machine stay ordered (so newer weights never lose to
 			// older ones), while transfers to different machines — and all
 			// local routing — overlap, the paper's aggressive push.
-			fq := b.forwarder(g.machine)
+			fq := b.forwarder(machine)
 			if fq == nil {
 				b.health.dropQueueClosed.Add(1)
 				b.release(h.ObjectID)
@@ -324,64 +314,7 @@ func (b *Broker) route() {
 				b.release(h.ObjectID)
 			}
 		}
-		// route pinned one reference per remote machine; tree routing
-		// consumes one per relay group, so the folded-away machines' pins
-		// must be returned here to keep the refcount ledger balanced.
-		for i := len(groups); i < len(remotes); i++ {
-			b.release(h.ObjectID)
-		}
 	}
-}
-
-// relayGroup is one cross-machine transfer unit: the frame goes to machine,
-// addressed to names, with hops relay forwards remaining.
-type relayGroup struct {
-	machine int
-	names   []string
-	hops    uint8
-}
-
-// relayGroups maps the per-machine destination split to transfer units.
-// Star routing (the default) yields one group per machine with no relay
-// budget. For weight-class broadcasts wider than RelayFanout, machines are
-// partitioned into ⌈√n⌉ groups: the first machine of each group relays the
-// frame to the rest, cutting root egress from n frames to √n at the cost of
-// one extra hop of latency for relayed leaves.
-func (b *Broker) relayGroups(h *message.Header, remotes map[int][]string) []relayGroup {
-	if len(remotes) == 0 {
-		return nil
-	}
-	if b.relayFanout <= 0 || len(remotes) <= b.relayFanout || !h.Type.WeightsClass() {
-		out := make([]relayGroup, 0, len(remotes))
-		for machine, names := range remotes {
-			out = append(out, relayGroup{machine: machine, names: names})
-		}
-		return out
-	}
-	machines := make([]int, 0, len(remotes))
-	for m := range remotes {
-		machines = append(machines, m)
-	}
-	sort.Ints(machines) // deterministic grouping keeps per-leaf paths stable
-	n := len(machines)
-	numGroups := int(math.Ceil(math.Sqrt(float64(n))))
-	per := (n + numGroups - 1) / numGroups
-	out := make([]relayGroup, 0, numGroups)
-	for start := 0; start < n; start += per {
-		end := start + per
-		if end > n {
-			end = n
-		}
-		g := relayGroup{machine: machines[start]}
-		for _, m := range machines[start:end] {
-			g.names = append(g.names, remotes[m]...)
-		}
-		if end-start > 1 {
-			g.hops = 1
-		}
-		out = append(out, g)
-	}
-	return out
 }
 
 // shouldShed reports whether drop-oldest shedding should run against a
@@ -474,30 +407,13 @@ func (b *Broker) forwarder(machine int) *queue.Queue[forwardItem] {
 
 // InjectRemote accepts a message forwarded from another machine's broker:
 // the framed body enters this machine's object store and the header is
-// dispatched to local ID queues, one private Header copy per receiver. When
-// the header still names destinations on other machines and carries relay
-// budget (tree-routed broadcasts), this broker forwards the frame onward,
-// acting as an interior node of the broadcast tree. It implements the
-// receiving half of Remote.Forward.
+// dispatched to local ID queues, one private Header copy per receiver. It
+// implements the receiving half of Remote.Forward.
 func (b *Broker) InjectRemote(h *message.Header, framed []byte) error {
 	if h.Type == message.TypeRollout {
 		b.noteAck(h.Src, h.WeightsVersion)
 	}
-	local, remotes := b.localRemoteSplit(h.Dst)
-	var relay map[int][]string
-	if len(remotes) > 0 {
-		if h.RelayHops > 0 && b.remote != nil {
-			relay = remotes
-		} else {
-			// No relay budget left (or no transport): these names are
-			// unreachable from here. A correctly built depth-2 tree never
-			// produces this, so count it loudly rather than lose it silently.
-			for _, names := range remotes {
-				b.health.dropRelayExpired.Add(int64(len(names)))
-			}
-		}
-	}
-	refs := len(local) + len(relay)
+	refs := len(h.Dst)
 	if refs == 0 {
 		return nil
 	}
@@ -505,14 +421,24 @@ func (b *Broker) InjectRemote(h *message.Header, framed []byte) error {
 	id, err := b.admit(h.Type, body, refs)
 	if err != nil {
 		// Budget refusal: the trajectory is shed at this machine's door, one
-		// declined destination reference per local receiver. No store
-		// reference was created, so there is nothing to release.
+		// declined destination reference per receiver. No store reference
+		// was created, so there is nothing to release.
 		b.health.dropStoreBudget.Add(int64(refs))
 		b.health.shedBytes.Add(int64(len(body)))
 		return nil
 	}
 	b.health.bodiesInjected.Add(1)
 	b.health.bytesInjected.Add(int64(len(body)))
+	local, remotes := b.localRemoteSplit(h.Dst)
+	for _, names := range remotes {
+		// Every frame makes one hop, to the machine the sender located. A
+		// name the locator has since moved elsewhere (fragment re-placement
+		// mid-flight) is unreachable from here.
+		b.health.dropUnknownDst.Add(int64(len(names)))
+		for range names {
+			b.release(id)
+		}
+	}
 	for _, name := range local {
 		q := b.idQueue(name)
 		if q == nil {
@@ -526,33 +452,10 @@ func (b *Broker) InjectRemote(h *message.Header, framed []byte) error {
 		nh := *h // per-receiver copy: receivers must not alias
 		nh.ObjectID = id
 		nh.Dst = []string{name}
-		nh.RelayHops = 0
 		if err := q.Put(&nh); err != nil {
 			b.health.dropQueueClosed.Add(1)
 			b.release(id)
 		}
-	}
-	for machine, names := range relay {
-		nh := *h // per-hop copy with the remaining leaf set and budget
-		nh.ObjectID = id
-		nh.Dst = names
-		nh.RelayHops = h.RelayHops - 1
-		fq := b.forwarder(machine)
-		if fq == nil {
-			b.health.dropQueueClosed.Add(1)
-			b.release(id)
-			continue
-		}
-		if h.Type.Droppable() {
-			b.shedOldestForward(fq)
-		}
-		if fq.Put(forwardItem{header: &nh, framed: body, objID: id}) != nil {
-			b.health.dropQueueClosed.Add(1)
-			b.release(id)
-			continue
-		}
-		b.health.bodiesRelayed.Add(1)
-		b.health.bytesRelayed.Add(int64(len(body)))
 	}
 	return nil
 }

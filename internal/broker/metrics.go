@@ -23,11 +23,9 @@ type health struct {
 	receives        atomic.Int64
 	bodiesForwarded atomic.Int64
 	bodiesInjected  atomic.Int64
-	bodiesRelayed   atomic.Int64
 	bytesIn         atomic.Int64
 	bytesForwarded  atomic.Int64
 	bytesInjected   atomic.Int64
-	bytesRelayed    atomic.Int64
 
 	dropUnknownDst   atomic.Int64
 	dropQueueClosed  atomic.Int64
@@ -38,7 +36,6 @@ type health struct {
 	dropShutdown     atomic.Int64
 	dropShedOldest   atomic.Int64
 	dropStoreBudget  atomic.Int64
-	dropRelayExpired atomic.Int64
 
 	shedBytes atomic.Int64
 
@@ -60,7 +57,8 @@ func newHealth() *health {
 // channel accounts for every body it declines to deliver.
 type DropCounts struct {
 	// UnknownDestination counts references dropped because no client with
-	// the destination name is registered on this machine.
+	// the destination name is registered on this machine, or because an
+	// injected frame names a client the locator now places elsewhere.
 	UnknownDestination int64
 	// QueueClosed counts references dropped because the destination's ID
 	// queue (or a forwarder/header queue) was closed mid-flight.
@@ -86,18 +84,13 @@ type DropCounts struct {
 	// reason these never created a store reference, so there was nothing to
 	// release — the body was refused at the door.
 	StoreBudget int64
-	// RelayExpired counts remote destination names that arrived at a broker
-	// with no relay budget left (Header.RelayHops == 0) or no transport —
-	// unreachable leaves of a malformed broadcast tree. Like StoreBudget,
-	// no reference was ever created for these.
-	RelayExpired int64
 }
 
 // Total sums all drop reasons.
 func (d DropCounts) Total() int64 {
 	return d.UnknownDestination + d.QueueClosed + d.NoRemote +
 		d.ForwardError + d.RecvError + d.StoreMiss + d.ShutdownDrained +
-		d.ShedOldest + d.StoreBudget + d.RelayExpired
+		d.ShedOldest + d.StoreBudget
 }
 
 // LatencySummary condenses the send→recv latency histogram.
@@ -127,16 +120,11 @@ type MetricsSnapshot struct {
 	// of and into this broker.
 	BodiesForwarded int64
 	BodiesInjected  int64
-	// BodiesRelayed counts injected bodies this broker forwarded onward as
-	// an interior node of a broadcast tree.
-	BodiesRelayed int64
 	// BytesIn is body bytes entering the store via local sends;
-	// BytesForwarded / BytesInjected are cross-machine body bytes;
-	// BytesRelayed are injected bytes re-forwarded by the broadcast tree.
+	// BytesForwarded / BytesInjected are cross-machine body bytes.
 	BytesIn        int64
 	BytesForwarded int64
 	BytesInjected  int64
-	BytesRelayed   int64
 
 	// ForwardRetried counts transfers whose Remote.Forward reported a
 	// transient failure (ErrForwardRetrying): the transport queued its own
@@ -188,11 +176,9 @@ func (b *Broker) Metrics() MetricsSnapshot {
 		Receives:        h.receives.Load(),
 		BodiesForwarded: h.bodiesForwarded.Load(),
 		BodiesInjected:  h.bodiesInjected.Load(),
-		BodiesRelayed:   h.bodiesRelayed.Load(),
 		BytesIn:         h.bytesIn.Load(),
 		BytesForwarded:  h.bytesForwarded.Load(),
 		BytesInjected:   h.bytesInjected.Load(),
-		BytesRelayed:    h.bytesRelayed.Load(),
 		ForwardRetried:  h.forwardRetried.Load(),
 		Drops: DropCounts{
 			UnknownDestination: h.dropUnknownDst.Load(),
@@ -204,7 +190,6 @@ func (b *Broker) Metrics() MetricsSnapshot {
 			ShutdownDrained:    h.dropShutdown.Load(),
 			ShedOldest:         h.dropShedOldest.Load(),
 			StoreBudget:        h.dropStoreBudget.Load(),
-			RelayExpired:       h.dropRelayExpired.Load(),
 		},
 		ShedBytes:        h.shedBytes.Load(),
 		ReleaseErrors:    h.releaseErrors.Load(),
@@ -248,17 +233,17 @@ func (b *Broker) VerifyDrained() error {
 // String renders the snapshot human-readably, one logical line per area.
 func (m MetricsSnapshot) String() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "broker[m%d] routed=%d sent=%d recv=%d superseded=%d fwd=%d inj=%d relayed=%d\n",
-		m.MachineID, m.HeadersRouted, m.Sends, m.Receives, m.Superseded, m.BodiesForwarded, m.BodiesInjected, m.BodiesRelayed)
-	fmt.Fprintf(&sb, "  bytes: in=%s fwd=%s inj=%s relay=%s store=%s (peak %s, %d live)\n",
+	fmt.Fprintf(&sb, "broker[m%d] routed=%d sent=%d recv=%d superseded=%d fwd=%d inj=%d\n",
+		m.MachineID, m.HeadersRouted, m.Sends, m.Receives, m.Superseded, m.BodiesForwarded, m.BodiesInjected)
+	fmt.Fprintf(&sb, "  bytes: in=%s fwd=%s inj=%s store=%s (peak %s, %d live)\n",
 		stats.FormatBytes(float64(m.BytesIn)), stats.FormatBytes(float64(m.BytesForwarded)),
-		stats.FormatBytes(float64(m.BytesInjected)), stats.FormatBytes(float64(m.BytesRelayed)),
+		stats.FormatBytes(float64(m.BytesInjected)),
 		stats.FormatBytes(float64(m.Store.Bytes)),
 		stats.FormatBytes(float64(m.Store.PeakBytes)), m.Store.Objects)
-	fmt.Fprintf(&sb, "  drops: total=%d unknownDst=%d queueClosed=%d noRemote=%d fwdErr=%d fwdRetried=%d recvErr=%d storeMiss=%d shutdown=%d shedOldest=%d storeBudget=%d relayExpired=%d releaseErr=%d leakedAtStop=%d\n",
+	fmt.Fprintf(&sb, "  drops: total=%d unknownDst=%d queueClosed=%d noRemote=%d fwdErr=%d fwdRetried=%d recvErr=%d storeMiss=%d shutdown=%d shedOldest=%d storeBudget=%d releaseErr=%d leakedAtStop=%d\n",
 		m.Drops.Total(), m.Drops.UnknownDestination, m.Drops.QueueClosed, m.Drops.NoRemote,
 		m.Drops.ForwardError, m.ForwardRetried, m.Drops.RecvError, m.Drops.StoreMiss, m.Drops.ShutdownDrained,
-		m.Drops.ShedOldest, m.Drops.StoreBudget, m.Drops.RelayExpired, m.ReleaseErrors, m.LeakedAtStop)
+		m.Drops.ShedOldest, m.Drops.StoreBudget, m.ReleaseErrors, m.LeakedAtStop)
 	if m.Store.Budget > 0 || m.ShedBytes > 0 {
 		fmt.Fprintf(&sb, "  backpressure: budget=%s peakLive=%s pressured=%v enters=%d rejects=%d shedBytes=%s\n",
 			stats.FormatBytes(float64(m.Store.Budget)), stats.FormatBytes(float64(m.Store.PeakLiveBytes)),

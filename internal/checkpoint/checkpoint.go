@@ -3,8 +3,11 @@
 // the checkpoints of the DNNs periodically to restore DNN parameters after
 // failure".
 //
-// Files are written atomically (temp file + rename) so a crash mid-write
-// never corrupts the latest good checkpoint.
+// Every checkpoint is a fragment set: named parameter snapshots in one file.
+// The fused learner saves a one-member set; a fragmented topology saves the
+// broadcast fragment's aggregate plus each learn replica's weights. Files
+// are written atomically (temp file + rename) so a crash mid-write never
+// corrupts the latest good checkpoint.
 package checkpoint
 
 import (
@@ -24,12 +27,12 @@ import (
 // ErrCorrupt is returned when a checkpoint file fails validation.
 var ErrCorrupt = errors.New("checkpoint: corrupt file")
 
-// ErrNoCheckpoint is returned by LoadLatest when no restorable checkpoint
-// exists at the path — neither a rotation member nor a bare file.
+// ErrNoCheckpoint is returned by LoadLatestFragments when no restorable
+// checkpoint exists at the path — neither a rotation member nor a bare file.
 var ErrNoCheckpoint = errors.New("checkpoint: no checkpoint found")
 
-// magic identifies checkpoint files.
-const magic = 0x58544350 // "XTCP"
+// magic identifies fragment-set checkpoint files.
+const magic = 0x58544653 // "XTFS"
 
 // State is a restorable parameter snapshot.
 type State struct {
@@ -39,18 +42,35 @@ type State struct {
 	Weights []float32
 }
 
-// Save writes the state to path atomically.
-func Save(path string, s State) error {
-	buf := make([]byte, 0, 24+4*len(s.Weights))
+// FragmentState is one named fragment's parameter snapshot inside a
+// fragment-set checkpoint, keyed by canonical fragment name.
+type FragmentState struct {
+	Name  string
+	State State
+}
+
+// SaveFragments writes the named states to path atomically as one
+// fragment-set file, so a restore always sees a mutually consistent set.
+func SaveFragments(path string, states []FragmentState) error {
+	size := 12
+	for _, fs := range states {
+		size += 4 + len(fs.Name) + 12 + 4*len(fs.State.Weights)
+	}
+	buf := make([]byte, 0, size+4)
 	buf = binary.LittleEndian.AppendUint32(buf, magic)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(s.Version))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s.Weights)))
-	for _, w := range s.Weights {
-		buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(w))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(states)))
+	for _, fs := range states {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(fs.Name)))
+		buf = append(buf, fs.Name...)
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(fs.State.Version))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(fs.State.Weights)))
+		for _, w := range fs.State.Weights {
+			buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(w))
+		}
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 	if err := writeAtomic(path, buf); err != nil {
-		return fmt.Errorf("checkpoint save: %w", err)
+		return fmt.Errorf("checkpoint save fragments: %w", err)
 	}
 	return nil
 }
@@ -75,18 +95,12 @@ func writeAtomic(path string, buf []byte) error {
 	return err
 }
 
-// SaveRotating writes the state as the next member of a rotation set:
-// path.1, path.2, … ascending, where a larger suffix is always newer. After
-// the write, members beyond the newest keep are pruned. keep < 1 is treated
-// as 1. Each member is written with Save's atomic temp-file + rename, so a
-// crash mid-save leaves every older member intact.
-func SaveRotating(path string, s State, keep int) error {
-	return saveRotating(path, keep, func(member string) error { return Save(member, s) })
-}
-
-// saveRotating writes the next member of path's rotation set with save, then
-// prunes all but the newest keep members.
-func saveRotating(path string, keep int, save func(member string) error) error {
+// SaveFragmentsRotating writes the states as the next member of a rotation
+// set: path.1, path.2, … ascending, where a larger suffix is always newer.
+// After the write, members beyond the newest keep are pruned; keep < 1 is
+// treated as 1. Each member is written with SaveFragments' atomic temp-file
+// + rename, so a crash mid-save leaves every older member intact.
+func SaveFragmentsRotating(path string, states []FragmentState, keep int) error {
 	if keep < 1 {
 		keep = 1
 	}
@@ -98,7 +112,7 @@ func saveRotating(path string, keep int, save func(member string) error) error {
 	if len(members) > 0 {
 		next = members[len(members)-1] + 1
 	}
-	if err := save(memberPath(path, next)); err != nil {
+	if err := SaveFragments(memberPath(path, next), states); err != nil {
 		return err
 	}
 	members = append(members, next)
@@ -109,43 +123,86 @@ func saveRotating(path string, keep int, save func(member string) error) error {
 	return nil
 }
 
-// LoadLatest restores the newest readable checkpoint at path: rotation
-// members (path.N) newest-first, then the bare path itself. Corrupt or
-// unreadable members are skipped — a torn write of the newest checkpoint
-// must not block restoring from an older good one. ErrNoCheckpoint means
-// nothing restorable exists.
-func LoadLatest(path string) (State, error) {
-	var s State
-	err := loadNewest(path, func(file string) (err error) {
-		s, err = Load(file)
-		return err
-	})
-	return s, err
+// LoadFragments reads and validates one fragment-set checkpoint file.
+func LoadFragments(path string) ([]FragmentState, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint load fragments: %w", err)
+	}
+	if len(data) < 12 {
+		return nil, fmt.Errorf("file too short: %w", ErrCorrupt)
+	}
+	body, sum := data[:len(data)-4], binary.LittleEndian.Uint32(data[len(data)-4:])
+	if crc32.ChecksumIEEE(body) != sum {
+		return nil, fmt.Errorf("checksum mismatch: %w", ErrCorrupt)
+	}
+	if binary.LittleEndian.Uint32(body) != magic {
+		return nil, fmt.Errorf("bad magic: %w", ErrCorrupt)
+	}
+	count := int(binary.LittleEndian.Uint32(body[4:]))
+	off := 8
+	need := func(n int) bool { return off+n <= len(body) }
+	states := make([]FragmentState, 0, count)
+	for i := 0; i < count; i++ {
+		if !need(4) {
+			return nil, fmt.Errorf("truncated name length: %w", ErrCorrupt)
+		}
+		nl := int(binary.LittleEndian.Uint32(body[off:]))
+		off += 4
+		if nl > len(body)-off {
+			return nil, fmt.Errorf("truncated name: %w", ErrCorrupt)
+		}
+		name := string(body[off : off+nl])
+		off += nl
+		if !need(12) {
+			return nil, fmt.Errorf("truncated state header: %w", ErrCorrupt)
+		}
+		version := int64(binary.LittleEndian.Uint64(body[off:]))
+		off += 8
+		nw := int(binary.LittleEndian.Uint32(body[off:]))
+		off += 4
+		if nw > (len(body)-off)/4 {
+			return nil, fmt.Errorf("truncated weights: %w", ErrCorrupt)
+		}
+		weights := make([]float32, nw)
+		for j := range weights {
+			weights[j] = math.Float32frombits(binary.LittleEndian.Uint32(body[off+4*j:]))
+		}
+		off += 4 * nw
+		states = append(states, FragmentState{Name: name, State: State{Version: version, Weights: weights}})
+	}
+	if off != len(body) {
+		return nil, fmt.Errorf("trailing bytes: %w", ErrCorrupt)
+	}
+	return states, nil
 }
 
-// loadNewest calls load on path's rotation members newest-first, then on the
-// bare path, and stops at the first success. A concurrent rotating save can
-// prune every member of one listing before it is read, so when nothing loads
-// the members are listed again; ErrNoCheckpoint is returned only once two
-// consecutive listings are equal.
-func loadNewest(path string, load func(file string) error) error {
+// LoadLatestFragments restores the newest readable fragment-set checkpoint
+// at path: rotation members (path.N) newest-first, then the bare path
+// itself. Corrupt or unreadable files are skipped — a torn write of the
+// newest checkpoint must not block restoring from an older good one.
+// ErrNoCheckpoint means nothing restorable exists. A concurrent rotating
+// save can prune every member of one listing before it is read, so when
+// nothing loads the members are listed again; ErrNoCheckpoint is returned
+// only once two consecutive listings are equal.
+func LoadLatestFragments(path string) ([]FragmentState, error) {
 	members, err := rotationMembers(path)
 	for err == nil {
 		for i := len(members) - 1; i >= 0; i-- {
-			if load(memberPath(path, members[i])) == nil {
-				return nil
+			if states, lerr := LoadFragments(memberPath(path, members[i])); lerr == nil {
+				return states, nil
 			}
 		}
-		if load(path) == nil {
-			return nil
+		if states, lerr := LoadFragments(path); lerr == nil {
+			return states, nil
 		}
 		var again []int
 		if again, err = rotationMembers(path); err == nil && slices.Equal(again, members) {
-			return fmt.Errorf("%s: %w", path, ErrNoCheckpoint)
+			return nil, fmt.Errorf("%s: %w", path, ErrNoCheckpoint)
 		}
 		members = again
 	}
-	return fmt.Errorf("checkpoint load: %w", err)
+	return nil, fmt.Errorf("checkpoint load: %w", err)
 }
 
 // memberPath names rotation member n of path.
@@ -179,32 +236,4 @@ func rotationMembers(path string) ([]int, error) {
 	}
 	sort.Ints(members)
 	return members, nil
-}
-
-// Load reads and validates a checkpoint.
-func Load(path string) (State, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return State{}, fmt.Errorf("checkpoint load: %w", err)
-	}
-	if len(data) < 20 {
-		return State{}, fmt.Errorf("file too short: %w", ErrCorrupt)
-	}
-	body, sum := data[:len(data)-4], binary.LittleEndian.Uint32(data[len(data)-4:])
-	if crc32.ChecksumIEEE(body) != sum {
-		return State{}, fmt.Errorf("checksum mismatch: %w", ErrCorrupt)
-	}
-	if binary.LittleEndian.Uint32(body) != magic {
-		return State{}, fmt.Errorf("bad magic: %w", ErrCorrupt)
-	}
-	version := int64(binary.LittleEndian.Uint64(body[4:]))
-	n := int(binary.LittleEndian.Uint32(body[12:]))
-	if len(body) != 16+4*n {
-		return State{}, fmt.Errorf("length mismatch: %w", ErrCorrupt)
-	}
-	weights := make([]float32, n)
-	for i := range weights {
-		weights[i] = math.Float32frombits(binary.LittleEndian.Uint32(body[16+4*i:]))
-	}
-	return State{Version: version, Weights: weights}, nil
 }

@@ -8,21 +8,41 @@ import (
 	"testing/quick"
 )
 
+// oneState is the fused learner's checkpoint shape: a one-member set.
+func oneState(version int64, weights ...float32) []FragmentState {
+	return []FragmentState{{Name: "learner", State: State{Version: version, Weights: weights}}}
+}
+
+// latestVersion loads the newest readable set at path and returns its one
+// member's version.
+func latestVersion(t *testing.T, path string) int64 {
+	t.Helper()
+	got, err := LoadLatestFragments(path)
+	if err != nil {
+		t.Fatalf("LoadLatestFragments: %v", err)
+	}
+	if len(got) != 1 {
+		t.Fatalf("LoadLatestFragments = %d states, want 1", len(got))
+	}
+	return got[0].State.Version
+}
+
 func TestSaveLoadRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "model.ckpt")
-	in := State{Version: 42, Weights: []float32{1.5, -2.25, 0, 3e8}}
-	if err := Save(path, in); err != nil {
-		t.Fatalf("Save: %v", err)
+	in := oneState(42, 1.5, -2.25, 0, 3e8)
+	if err := SaveFragments(path, in); err != nil {
+		t.Fatalf("SaveFragments: %v", err)
 	}
-	out, err := Load(path)
+	out, err := LoadFragments(path)
 	if err != nil {
-		t.Fatalf("Load: %v", err)
+		t.Fatalf("LoadFragments: %v", err)
 	}
-	if out.Version != in.Version || len(out.Weights) != len(in.Weights) {
-		t.Fatalf("Load = %+v", out)
+	if len(out) != 1 || out[0].Name != "learner" || out[0].State.Version != 42 ||
+		len(out[0].State.Weights) != len(in[0].State.Weights) {
+		t.Fatalf("LoadFragments = %+v", out)
 	}
-	for i := range in.Weights {
-		if in.Weights[i] != out.Weights[i] {
+	for i, w := range in[0].State.Weights {
+		if out[0].State.Weights[i] != w {
 			t.Fatalf("weight %d mismatch", i)
 		}
 	}
@@ -30,18 +50,18 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 
 func TestSaveOverwritesAtomically(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "model.ckpt")
-	if err := Save(path, State{Version: 1, Weights: []float32{1}}); err != nil {
-		t.Fatalf("Save: %v", err)
+	if err := SaveFragments(path, oneState(1, 1)); err != nil {
+		t.Fatalf("SaveFragments: %v", err)
 	}
-	if err := Save(path, State{Version: 2, Weights: []float32{2, 3}}); err != nil {
-		t.Fatalf("Save overwrite: %v", err)
+	if err := SaveFragments(path, oneState(2, 2, 3)); err != nil {
+		t.Fatalf("SaveFragments overwrite: %v", err)
 	}
-	out, err := Load(path)
+	out, err := LoadFragments(path)
 	if err != nil {
-		t.Fatalf("Load: %v", err)
+		t.Fatalf("LoadFragments: %v", err)
 	}
-	if out.Version != 2 || len(out.Weights) != 2 {
-		t.Fatalf("Load after overwrite = %+v", out)
+	if len(out) != 1 || out[0].State.Version != 2 || len(out[0].State.Weights) != 2 {
+		t.Fatalf("LoadFragments after overwrite = %+v", out)
 	}
 	// No stray temp files.
 	entries, err := os.ReadDir(filepath.Dir(path))
@@ -54,26 +74,26 @@ func TestSaveOverwritesAtomically(t *testing.T) {
 }
 
 func TestLoadMissing(t *testing.T) {
-	if _, err := Load(filepath.Join(t.TempDir(), "nope.ckpt")); err == nil {
-		t.Fatal("Load missing file did not error")
+	if _, err := LoadFragments(filepath.Join(t.TempDir(), "nope.ckpt")); err == nil {
+		t.Fatal("LoadFragments missing file did not error")
 	}
 }
 
 func TestLoadCorrupt(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "model.ckpt")
-	if err := Save(path, State{Version: 7, Weights: []float32{1, 2, 3}}); err != nil {
+	if err := SaveFragments(path, oneState(7, 1, 2, 3)); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[8] ^= 0xFF // flip a version byte; checksum must catch it
+	data[len(data)-8] ^= 0xFF // flip a weight byte; checksum must catch it
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(path); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Load corrupt = %v, want ErrCorrupt", err)
+	if _, err := LoadFragments(path); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("LoadFragments corrupt = %v, want ErrCorrupt", err)
 	}
 }
 
@@ -82,8 +102,8 @@ func TestLoadTruncated(t *testing.T) {
 	if err := os.WriteFile(path, []byte{1, 2, 3}, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(path); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Load truncated = %v, want ErrCorrupt", err)
+	if _, err := LoadFragments(path); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("LoadFragments truncated = %v, want ErrCorrupt", err)
 	}
 }
 
@@ -91,8 +111,8 @@ func TestSaveRotatingKeepsLastK(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "model.ckpt")
 	const keep = 3
 	for v := int64(1); v <= 5; v++ {
-		if err := SaveRotating(path, State{Version: v, Weights: []float32{float32(v)}}, keep); err != nil {
-			t.Fatalf("SaveRotating v%d: %v", v, err)
+		if err := SaveFragmentsRotating(path, oneState(v, float32(v)), keep); err != nil {
+			t.Fatalf("SaveFragmentsRotating v%d: %v", v, err)
 		}
 	}
 	entries, err := os.ReadDir(filepath.Dir(path))
@@ -112,19 +132,15 @@ func TestSaveRotatingKeepsLastK(t *testing.T) {
 			t.Fatalf("%s still exists after pruning", gone)
 		}
 	}
-	out, err := LoadLatest(path)
-	if err != nil {
-		t.Fatalf("LoadLatest: %v", err)
-	}
-	if out.Version != 5 {
-		t.Fatalf("LoadLatest version = %d, want 5", out.Version)
+	if v := latestVersion(t, path); v != 5 {
+		t.Fatalf("LoadLatestFragments version = %d, want 5", v)
 	}
 }
 
 func TestLoadLatestSkipsCorrupt(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "model.ckpt")
 	for v := int64(1); v <= 3; v++ {
-		if err := SaveRotating(path, State{Version: v, Weights: []float32{float32(v)}}, 5); err != nil {
+		if err := SaveFragmentsRotating(path, oneState(v, float32(v)), 5); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -134,60 +150,51 @@ func TestLoadLatestSkipsCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[8] ^= 0xFF
+	data[len(data)-8] ^= 0xFF
 	if err := os.WriteFile(newest, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	out, err := LoadLatest(path)
-	if err != nil {
-		t.Fatalf("LoadLatest with corrupt newest: %v", err)
-	}
-	if out.Version != 2 {
-		t.Fatalf("LoadLatest version = %d, want 2 (newest good member)", out.Version)
+	if v := latestVersion(t, path); v != 2 {
+		t.Fatalf("LoadLatestFragments version = %d, want 2 (newest good member)", v)
 	}
 }
 
 func TestLoadLatestBarePathFallback(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "model.ckpt")
-	if err := Save(path, State{Version: 11, Weights: []float32{1}}); err != nil {
+	if err := SaveFragments(path, oneState(11, 1)); err != nil {
 		t.Fatal(err)
 	}
-	out, err := LoadLatest(path)
-	if err != nil {
-		t.Fatalf("LoadLatest bare path: %v", err)
-	}
-	if out.Version != 11 {
-		t.Fatalf("LoadLatest version = %d, want 11", out.Version)
+	if v := latestVersion(t, path); v != 11 {
+		t.Fatalf("LoadLatestFragments version = %d, want 11", v)
 	}
 }
 
 func TestLoadLatestNoCheckpoint(t *testing.T) {
-	if _, err := LoadLatest(filepath.Join(t.TempDir(), "model.ckpt")); !errors.Is(err, ErrNoCheckpoint) {
-		t.Fatalf("LoadLatest empty dir = %v, want ErrNoCheckpoint", err)
+	if _, err := LoadLatestFragments(filepath.Join(t.TempDir(), "model.ckpt")); !errors.Is(err, ErrNoCheckpoint) {
+		t.Fatalf("LoadLatestFragments empty dir = %v, want ErrNoCheckpoint", err)
 	}
 	// A missing directory is also "no checkpoint", not an error.
-	if _, err := LoadLatest(filepath.Join(t.TempDir(), "sub", "model.ckpt")); !errors.Is(err, ErrNoCheckpoint) {
-		t.Fatalf("LoadLatest missing dir = %v, want ErrNoCheckpoint", err)
+	if _, err := LoadLatestFragments(filepath.Join(t.TempDir(), "sub", "model.ckpt")); !errors.Is(err, ErrNoCheckpoint) {
+		t.Fatalf("LoadLatestFragments missing dir = %v, want ErrNoCheckpoint", err)
 	}
 }
 
-// TestPropertyRoundTrip: arbitrary states survive the disk round trip.
+// TestPropertyRoundTrip: arbitrary named states survive the disk round trip.
 func TestPropertyRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	i := 0
-	f := func(version int64, weights []float32) bool {
-		i++
-		path := filepath.Join(dir, "w.ckpt")
-		if err := Save(path, State{Version: version, Weights: weights}); err != nil {
+	path := filepath.Join(t.TempDir(), "w.ckpt")
+	f := func(name string, version int64, weights []float32) bool {
+		in := []FragmentState{{Name: name, State: State{Version: version, Weights: weights}}}
+		if err := SaveFragments(path, in); err != nil {
 			return false
 		}
-		out, err := Load(path)
-		if err != nil || out.Version != version || len(out.Weights) != len(weights) {
+		out, err := LoadFragments(path)
+		if err != nil || len(out) != 1 || out[0].Name != name || out[0].State.Version != version ||
+			len(out[0].State.Weights) != len(weights) {
 			return false
 		}
-		for j := range weights {
+		for j, w := range weights {
 			// NaN != NaN; compare bit patterns via == only for non-NaN.
-			if weights[j] == weights[j] && out.Weights[j] != weights[j] {
+			if w == w && out[0].State.Weights[j] != w {
 				return false
 			}
 		}

@@ -1,8 +1,10 @@
 package checkpoint
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -85,12 +87,19 @@ func TestFragmentsCorruptionDetected(t *testing.T) {
 	}
 }
 
-// TestFragmentsPlainCheckpointRejected: a fragment-set loader pointed at a
-// single-state checkpoint (different magic) must fail cleanly, not
-// misparse it.
+// TestFragmentsPlainCheckpointRejected: a single-state checkpoint written by
+// an earlier build ("XTCP" magic, version 1, one weight, CRC) must fail
+// cleanly, not misparse as a fragment set.
 func TestFragmentsPlainCheckpointRejected(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "plain.ckpt")
-	if err := Save(path, State{Version: 1, Weights: []float32{1}}); err != nil {
+	plain := []byte{
+		0x50, 0x43, 0x54, 0x58, // magic "XTCP"
+		1, 0, 0, 0, 0, 0, 0, 0, // version 1
+		1, 0, 0, 0, // one weight
+		0x00, 0x00, 0x80, 0x3f, // 1.0
+	}
+	plain = binary.LittleEndian.AppendUint32(plain, crc32.ChecksumIEEE(plain))
+	if err := os.WriteFile(path, plain, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := LoadFragments(path); !errors.Is(err, ErrCorrupt) {
@@ -154,61 +163,41 @@ func TestLoadLatestFragmentsMissing(t *testing.T) {
 // every successful load returns a complete, internally consistent snapshot
 // from some finished rotation member (all fragments from the same save, the
 // broadcaster's version matching its weights) — and must never report
-// ErrNoCheckpoint because the saver pruned every member it listed. The
-// single-state SaveRotating/LoadLatest pair shares the rotation code and is
-// held to the same contract.
+// ErrNoCheckpoint because the saver pruned every member it listed.
 func TestFragmentsLoadRacingSave(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		save func(path string, v int64) error
-		// load fails on a missing or inconsistent snapshot.
-		load func(path string) error
-	}{
-		{"fragments", saveFragmentsVersion, loadFragmentsConsistent},
-		{"single", func(path string, v int64) error {
-			return SaveRotating(path, State{Version: v, Weights: []float32{float32(v), float32(v)}}, 3)
-		}, func(path string) error {
-			s, err := LoadLatest(path)
-			if err == nil && (len(s.Weights) != 2 || s.Weights[0] != float32(s.Version)) {
-				err = fmt.Errorf("v%d carries weights %v", s.Version, s.Weights)
-			}
-			return err
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "racing.ckpt")
-			if err := tc.save(path, 1); err != nil {
-				t.Fatal(err)
-			}
+	t.Run("fragments", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "racing.ckpt")
+		if err := saveFragmentsVersion(path, 1); err != nil {
+			t.Fatal(err)
+		}
 
-			stop := make(chan struct{})
-			saverDone := make(chan error, 1)
-			go func() {
-				var err error
-				for v := int64(2); ; v++ {
-					select {
-					case <-stop:
-						saverDone <- err
-						return
-					default:
-					}
-					if serr := tc.save(path, v); serr != nil && err == nil {
-						err = serr
-					}
+		stop := make(chan struct{})
+		saverDone := make(chan error, 1)
+		go func() {
+			var err error
+			for v := int64(2); ; v++ {
+				select {
+				case <-stop:
+					saverDone <- err
+					return
+				default:
 				}
-			}()
-
-			for i := 0; i < 200; i++ {
-				if err := tc.load(path); err != nil {
-					t.Fatalf("load %d: %v", i, err)
+				if serr := saveFragmentsVersion(path, v); serr != nil && err == nil {
+					err = serr
 				}
 			}
-			close(stop)
-			if err := <-saverDone; err != nil {
-				t.Fatalf("saver: %v", err)
+		}()
+
+		for i := 0; i < 200; i++ {
+			if err := loadFragmentsConsistent(path); err != nil {
+				t.Fatalf("load %d: %v", i, err)
 			}
-		})
-	}
+		}
+		close(stop)
+		if err := <-saverDone; err != nil {
+			t.Fatalf("saver: %v", err)
+		}
+	})
 }
 
 // saveFragmentsVersion saves rotation member v of a two-fragment set.

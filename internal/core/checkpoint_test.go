@@ -26,10 +26,14 @@ func TestLearnerCheckpoints(t *testing.T) {
 	if rep.TrainIters < 10 {
 		t.Fatalf("TrainIters = %d, want >= 10 for a checkpoint", rep.TrainIters)
 	}
-	st, err := checkpoint.Load(path)
+	states, err := checkpoint.LoadFragments(path)
 	if err != nil {
 		t.Fatalf("Load checkpoint: %v", err)
 	}
+	if len(states) != 1 || states[0].Name != core.LearnerName {
+		t.Fatalf("checkpoint holds %d states, want one named %q", len(states), core.LearnerName)
+	}
+	st := states[0].State
 	if len(st.Weights) == 0 {
 		t.Fatal("checkpoint has no weights")
 	}
@@ -68,10 +72,11 @@ func TestSessionResumeRestoresVersion(t *testing.T) {
 	if _, err := core.Run(cfg, algF, agF, 9); err != nil {
 		t.Fatalf("first Run: %v", err)
 	}
-	st, err := checkpoint.LoadLatest(path)
+	states, err := checkpoint.LoadLatestFragments(path)
 	if err != nil {
 		t.Fatalf("LoadLatest after rotating run: %v", err)
 	}
+	st := states[0].State
 	if st.Version <= 0 {
 		t.Fatalf("checkpoint version = %d, want > 0", st.Version)
 	}

@@ -101,11 +101,6 @@ type Config struct {
 	// relative norm falls below WeightSkipFactor × EMA become pure version
 	// bumps (0 disables skipping).
 	WeightSkipFactor float64 `flag:"weight-skip" json:"weight_skip_factor" help:"skip broadcasts whose relative delta norm is below this factor of the running EMA (0 = never skip)"`
-	// WeightTreeFanout relays weight-class broadcasts wider than this
-	// through a depth-2 machine tree instead of a star (0 keeps the star).
-	// Applies only to the default netsim transport; a caller-supplied
-	// Transport configures its own brokers.
-	WeightTreeFanout int `flag:"weight-tree" json:"weight_tree_fanout" help:"relay weight broadcasts wider than this through a depth-2 machine tree (0 = star fan-out)"`
 	// MaxExplorerRestarts is the per-explorer restart budget: a failed
 	// explorer is torn down and re-created from the factory while the
 	// budget lasts, and its last error surfaces in Err() once it is spent.
@@ -330,7 +325,6 @@ func NewSession(cfg Config, algF AlgorithmFactory, agF AgentFactory, seed int64)
 				Compressor:     comp,
 				StoreBudget:    cfg.StoreBudget,
 				ShedQueueDepth: cfg.ShedQueueDepth,
-				RelayFanout:    cfg.WeightTreeFanout,
 			}
 			if _, err := cluster.AddBrokerCfg(m, bcfg); err != nil {
 				cluster.Stop()
@@ -365,11 +359,9 @@ func NewSession(cfg Config, algF AlgorithmFactory, agF AgentFactory, seed int64)
 			transport.Stop()
 			return nil, fmt.Errorf("core: build algorithm: %w", err)
 		}
-		if cfg.Resume && cfg.CheckpointPath != "" {
-			if err := restoreAlgorithm(alg, cfg.CheckpointPath); err != nil {
-				transport.Stop()
-				return nil, err
-			}
+		if _, err := s.resume([]string{LearnerName}, []Algorithm{alg}); err != nil {
+			transport.Stop()
+			return nil, err
 		}
 		learnerPort, err := transport.Register(0, LearnerName)
 		if err != nil {
@@ -438,21 +430,34 @@ func (s *Session) armMachineFailover() error {
 	return nil
 }
 
-// restoreAlgorithm reinstates the newest readable checkpoint at path into
-// the algorithm before training starts. A missing checkpoint is a fresh
-// start, not an error; a checkpoint that exists but cannot be applied is.
-func restoreAlgorithm(alg Algorithm, path string) error {
-	st, err := checkpoint.LoadLatest(path)
+// resume, when the session resumes, reads the newest readable fragment
+// checkpoint set at CheckpointPath and restores algs[i] from the state saved
+// under names[i]; a name the set lacks (a replica added since the save)
+// keeps its fresh initialization. It returns the set by name: nil when not
+// resuming or when nothing is saved (a fresh start, not an error).
+func (s *Session) resume(names []string, algs []Algorithm) (map[string]checkpoint.State, error) {
+	if !s.cfg.Resume || s.cfg.CheckpointPath == "" {
+		return nil, nil
+	}
+	states, err := checkpoint.LoadLatestFragments(s.cfg.CheckpointPath)
 	if errors.Is(err, checkpoint.ErrNoCheckpoint) {
-		return nil
+		return nil, nil
 	}
 	if err != nil {
-		return fmt.Errorf("core: resume: %w", err)
+		return nil, fmt.Errorf("core: resume: %w", err)
 	}
-	if err := alg.RestoreWeights(st.Version, st.Weights); err != nil {
-		return fmt.Errorf("core: resume: %w", err)
+	byName := make(map[string]checkpoint.State, len(states))
+	for _, fs := range states {
+		byName[fs.Name] = fs.State
 	}
-	return nil
+	for i, alg := range algs {
+		if st, ok := byName[names[i]]; ok {
+			if err := alg.RestoreWeights(st.Version, st.Weights); err != nil {
+				return nil, fmt.Errorf("core: resume %s: %w", names[i], err)
+			}
+		}
+	}
+	return byName, nil
 }
 
 // buildFragments constructs the fragment runtime for a fragmented topology:
@@ -470,33 +475,15 @@ func (s *Session) buildFragments(topo Topology, algF AlgorithmFactory) error {
 		algs[i] = alg
 	}
 
+	learnNames := replicaNames(topo.Learners)
+	saved, err := s.resume(learnNames, algs)
+	if err != nil {
+		return err
+	}
 	w0 := algs[0].Weights()
 	initVersion, initWeights := w0.Version, w0.Data
-	if s.cfg.Resume && s.cfg.CheckpointPath != "" {
-		states, err := checkpoint.LoadLatestFragments(s.cfg.CheckpointPath)
-		switch {
-		case errors.Is(err, checkpoint.ErrNoCheckpoint):
-			// Fresh start.
-		case err != nil:
-			return fmt.Errorf("core: resume fragments: %w", err)
-		default:
-			byName := make(map[string]checkpoint.State, len(states))
-			for _, fs := range states {
-				byName[fs.Name] = fs.State
-			}
-			for i, alg := range algs {
-				st, ok := byName[LearnName(i)]
-				if !ok {
-					continue // replica added since the checkpoint: keeps fresh init
-				}
-				if err := alg.RestoreWeights(st.Version, st.Weights); err != nil {
-					return fmt.Errorf("core: resume fragment %s: %w", LearnName(i), err)
-				}
-			}
-			if st, ok := byName[BroadcastName]; ok {
-				initVersion, initWeights = st.Version, st.Weights
-			}
-		}
+	if st, ok := saved[BroadcastName]; ok {
+		initVersion, initWeights = st.Version, st.Weights
 	}
 
 	// Validate guarantees a survivor (>= 2 replicas) whenever either is set.
@@ -510,7 +497,6 @@ func (s *Session) buildFragments(topo Topology, algF AlgorithmFactory) error {
 		stopMon:  make(chan struct{}),
 	}
 	s.frags = f
-	learnNames := replicaNames(topo.Learners)
 	lk := s.learnKind()
 	for i, alg := range algs {
 		port, err := s.transport.Register(topo.LearnMachines[i], learnNames[i])

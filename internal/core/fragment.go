@@ -602,15 +602,15 @@ func (l *LearnFragment) send(m *message.Message, what string) bool {
 }
 
 // saveCheckpoint persists the fused learner's DNN parameters (the paper's
-// §4.2 fault tolerance): one overwritten file, or a rotation set of
-// ckptKeep members.
+// §4.2 fault tolerance) as a one-member fragment set named after the
+// learner: one overwritten file, or a rotation set of ckptKeep members.
 func (l *LearnFragment) saveCheckpoint() error {
 	w := l.alg.Weights()
-	st := checkpoint.State{Version: w.Version, Weights: w.Data}
+	states := []checkpoint.FragmentState{{Name: l.name, State: checkpoint.State{Version: w.Version, Weights: w.Data}}}
 	if l.ckptKeep > 0 {
-		return checkpoint.SaveRotating(l.ckptPath, st, l.ckptKeep)
+		return checkpoint.SaveFragmentsRotating(l.ckptPath, states, l.ckptKeep)
 	}
-	return checkpoint.Save(l.ckptPath, st)
+	return checkpoint.SaveFragments(l.ckptPath, states)
 }
 
 func (l *LearnFragment) fail(err error) {

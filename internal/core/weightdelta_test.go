@@ -8,19 +8,18 @@ import (
 	"xingtian/internal/netsim"
 )
 
-// TestSessionWeightDeltaEndToEnd: a full multi-machine session with the
-// relay tree on must train normally — deltas applied in sequence, zero
+// TestSessionWeightDeltaEndToEnd: a full multi-machine session must train
+// normally — deltas applied in sequence, zero
 // privileged drops, refcount-clean shutdown.
 func TestSessionWeightDeltaEndToEnd(t *testing.T) {
 	algF, agF := quickDQNFactories(t)
 	s, err := core.NewSession(core.Config{
-		NumExplorers:     4,
-		Machines:         3,
-		RolloutLen:       40,
-		MaxSteps:         2000,
-		MaxDuration:      30 * time.Second,
-		Net:              netsim.Config{Bandwidth: 1 << 30, TimeScale: 1},
-		WeightTreeFanout: 1,
+		NumExplorers: 4,
+		Machines:     3,
+		RolloutLen:   40,
+		MaxSteps:     2000,
+		MaxDuration:  30 * time.Second,
+		Net:          netsim.Config{Bandwidth: 1 << 30, TimeScale: 1},
 	}, algF, agF, 11)
 	if err != nil {
 		t.Fatalf("NewSession: %v", err)
@@ -45,11 +44,11 @@ func TestSessionWeightDeltaEndToEnd(t *testing.T) {
 		t.Fatalf("TotalLeaked = %d, want 0", leaked)
 	}
 	// Shutdown legitimately drains queues; what the weight plane must never
-	// produce is an unreachable tree leaf, a corrupt body, or a lost ref.
+	// produce is a corrupt body or a lost ref.
 	for _, b := range rep.Channel.Brokers {
-		if b.Drops.RelayExpired != 0 || b.Drops.RecvError != 0 || b.Drops.StoreMiss != 0 {
-			t.Fatalf("machine %d: relayExpired=%d recvError=%d storeMiss=%d",
-				b.MachineID, b.Drops.RelayExpired, b.Drops.RecvError, b.Drops.StoreMiss)
+		if b.Drops.RecvError != 0 || b.Drops.StoreMiss != 0 {
+			t.Fatalf("machine %d: recvError=%d storeMiss=%d",
+				b.MachineID, b.Drops.RecvError, b.Drops.StoreMiss)
 		}
 	}
 }

@@ -10,8 +10,8 @@ import (
 )
 
 // RunWeightPlane measures the weight plane every session runs: int8 deltas
-// of one canonical chain, dense only as the resync, here over the relay
-// tree, on a DQN/CartPole deployment. It reports the learner machine's
+// of one canonical chain, dense only as the resync, broadcast as a star (one
+// frame per remote machine), on a DQN/CartPole deployment. It reports the learner machine's
 // cross-machine egress — dominated by weight broadcasts once rollouts flow
 // inbound — beside the computed egress of a dense star: every planned
 // destination off the learner's machine sent the full float32 vector.
@@ -33,13 +33,12 @@ func RunWeightPlane(s Settings, w io.Writer) error {
 		return err
 	}
 	sess, err := core.NewSession(core.Config{
-		NumExplorers:     explorers,
-		RolloutLen:       50,
-		MaxSteps:         steps,
-		MaxDuration:      2 * time.Minute,
-		Machines:         machines,
-		Net:              s.Net(),
-		WeightTreeFanout: 1,
+		NumExplorers: explorers,
+		RolloutLen:   50,
+		MaxSteps:     steps,
+		MaxDuration:  2 * time.Minute,
+		Machines:     machines,
+		Net:          s.Net(),
 	}, algF, agF, 7)
 	if err != nil {
 		return err
@@ -66,10 +65,10 @@ func RunWeightPlane(s Settings, w io.Writer) error {
 	denseStar := float64(planned) * float64(remote) / float64(explorers) * 4 * float64(params)
 
 	t := &Table{
-		Title:   "Weight plane: int8 deltas over the relay tree",
+		Title:   "Weight plane: int8 deltas over a star",
 		Columns: []string{"steps", "mean return", "learner egress", "dense star (computed)", "planner decisions"},
 	}
-	t.Rows = append(t.Rows, Row{Label: "delta+tree", Values: []string{
+	t.Rows = append(t.Rows, Row{Label: "delta star", Values: []string{
 		fmt.Sprintf("%d", rep.StepsConsumed),
 		fmt.Sprintf("%.1f", rep.MeanReturn),
 		stats.FormatBytes(float64(egress)),

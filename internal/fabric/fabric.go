@@ -98,7 +98,6 @@ type wireHeader struct {
 	CreatedNanos   int64
 	WeightsVersion int64
 	BaseVersion    int64
-	RelayHops      uint8
 	Round          int32
 	SrcMachine     int
 }
@@ -397,7 +396,6 @@ func (n *Node) Forward(srcMachine, dstMachine int, h *message.Header, framed []b
 		CreatedNanos:   h.CreatedNanos,
 		WeightsVersion: h.WeightsVersion,
 		BaseVersion:    h.BaseVersion,
-		RelayHops:      h.RelayHops,
 		Round:          h.Round,
 		SrcMachine:     srcMachine,
 	}
@@ -683,7 +681,6 @@ func (n *Node) readLoop(conn net.Conn, p *peerConn) {
 			CreatedNanos:   wh.CreatedNanos,
 			WeightsVersion: wh.WeightsVersion,
 			BaseVersion:    wh.BaseVersion,
-			RelayHops:      wh.RelayHops,
 			Round:          wh.Round,
 		}
 		n.framesReceived.Add(1)

@@ -31,10 +31,6 @@ type GridOptions struct {
 	// oldest droppable messages. Both follow broker.Config semantics.
 	StoreBudget    int64
 	ShedQueueDepth int
-	// RelayFanout enables depth-2 broadcast-tree routing for weight-class
-	// traffic on every broker (see broker.Config.RelayFanout); zero keeps
-	// star fan-out.
-	RelayFanout int
 }
 
 // Grid is a real-TCP deployment of N machines on loopback: one fabric Node
@@ -84,7 +80,6 @@ func NewGrid(n int, opts GridOptions) (*Grid, error) {
 			Locator:        g,
 			StoreBudget:    opts.StoreBudget,
 			ShedQueueDepth: opts.ShedQueueDepth,
-			RelayFanout:    opts.RelayFanout,
 		})
 		node.AttachBroker(b)
 		g.nodes = append(g.nodes, node)

@@ -11,8 +11,8 @@ import (
 
 // runTypeswitch enforces that every `switch` over message.Type either lists
 // all declared constants of the type or carries a deliberate default clause.
-// The message taxonomy routes everything — droppability, weights-class relay
-// fan-out, drop accounting — so a new message class added to the enum must
+// The message taxonomy routes everything — droppability, weights-class
+// credits, drop accounting — so a new message class added to the enum must
 // be a compile-visible decision at every classification site, not a silent
 // fall-through into "not droppable" or "not weights".
 //

@@ -51,8 +51,8 @@ func (t Type) String() string {
 }
 
 // WeightsClass reports whether messages of this type carry learner weights
-// (dense snapshots or deltas) — the traffic the weight plane plans, the
-// explorer credit window counts as credits, and the broadcast tree relays.
+// (dense snapshots or deltas) — the traffic the weight plane plans and the
+// explorer credit window counts as credits.
 // The switch is deliberately exhaustive with no default: adding a message
 // type must force a decision here (xt-lint's typeswitch analyzer enforces it).
 func (t Type) WeightsClass() bool {
@@ -74,8 +74,8 @@ func (t Type) WeightsClass() bool {
 // privileged class may hold store references past the budget's high
 // watermark, so its volume must stay small — which is exactly why
 // high-frequency telemetry is in the droppable class.
-// Exhaustive by design, like WeightsClass: the shed paths in broker and the
-// relay tree consult this, so a new type must be classified explicitly.
+// Exhaustive by design, like WeightsClass: the shed paths in broker consult
+// this, so a new type must be classified explicitly.
 func (t Type) Droppable() bool {
 	switch t {
 	case TypeRollout, TypeDummy, TypeStats:
@@ -112,11 +112,6 @@ type Header struct {
 	// BaseVersion annotates weights-delta messages with the version the
 	// delta applies on top of.
 	BaseVersion int64
-	// RelayHops is the remaining relay budget for tree-routed broadcasts: a
-	// broker receiving a remote-bound destination list forwards it onward
-	// only while RelayHops > 0, decrementing per hop. Zero (the default)
-	// means star routing.
-	RelayHops uint8
 	// Round annotates dummy-benchmark messages with their round index,
 	// fragment heartbeat/weights traffic with the sending replica's
 	// incarnation epoch (so a respawned replica's peers can discard a
