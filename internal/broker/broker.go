@@ -661,6 +661,15 @@ func (p *Port) NextHeader(block bool) (*message.Header, error) {
 	return p.idQueue.TryGet()
 }
 
+// NextHeaderWithin is the blocking NextHeader, but for d > 0 it waits at
+// most d: a queue still empty then returns queue.ErrTimeout.
+func (p *Port) NextHeaderWithin(d time.Duration) (*message.Header, error) {
+	if d <= 0 {
+		return p.idQueue.Get()
+	}
+	return p.idQueue.GetTimeout(d)
+}
+
 // Discard releases a header NextHeader returned without reading its body:
 // the release path for a message a newer one made moot. It charges the
 // receive-side serialization-plane emulation Open would (Compressor.Skip)

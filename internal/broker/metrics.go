@@ -332,6 +332,9 @@ type WireMetrics struct {
 	// frame from a full queue, or dropped when a peer's redial budget ran
 	// out (the link went down permanently).
 	DroppedRetry int64
+	// SupersededRetry counts retry-queued weights frames a newer weights
+	// frame to the same destinations replaced (moot, not dropped).
+	SupersededRetry int64
 	// DroppedInject counts frames discarded by fault injection (test rigs
 	// only; always zero in production).
 	DroppedInject int64
@@ -383,9 +386,10 @@ func (c ClusterHealth) TotalLeaked() int64 {
 
 // String renders the wire snapshot human-readably.
 func (w WireMetrics) String() string {
-	s := fmt.Sprintf("wire[m%d] frames: sent=%d recv=%d bytes: sent=%d recv=%d corrupt=%d corruptFrames=%d reconnects=%d redialFail=%d retried=%d droppedRetry=%d",
+	s := fmt.Sprintf("wire[m%d] frames: sent=%d recv=%d bytes: sent=%d recv=%d corrupt=%d corruptFrames=%d reconnects=%d redialFail=%d retried=%d droppedRetry=%d supersededRetry=%d",
 		w.MachineID, w.FramesSent, w.FramesReceived, w.BytesSent, w.BytesReceived,
-		w.CorruptStreams, w.CorruptFrames, w.Reconnects, w.RedialFailures, w.RetriedFrames, w.DroppedRetry)
+		w.CorruptStreams, w.CorruptFrames, w.Reconnects, w.RedialFailures, w.RetriedFrames, w.DroppedRetry,
+		w.SupersededRetry)
 	if w.DroppedInject > 0 {
 		s += fmt.Sprintf(" droppedInject=%d", w.DroppedInject)
 	}

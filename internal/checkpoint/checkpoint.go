@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
@@ -27,8 +28,8 @@ import (
 // ErrCorrupt is returned when a checkpoint file fails validation.
 var ErrCorrupt = errors.New("checkpoint: corrupt file")
 
-// ErrNoCheckpoint is returned by LoadLatestFragments when no restorable
-// checkpoint exists at the path — neither a rotation member nor a bare file.
+// ErrNoCheckpoint is returned by LoadLatestFragments when no checkpoint
+// file exists at the path — neither a rotation member nor a bare file.
 var ErrNoCheckpoint = errors.New("checkpoint: no checkpoint found")
 
 // magic identifies fragment-set checkpoint files.
@@ -180,29 +181,45 @@ func LoadFragments(path string) ([]FragmentState, error) {
 // LoadLatestFragments restores the newest readable fragment-set checkpoint
 // at path: rotation members (path.N) newest-first, then the bare path
 // itself. Corrupt or unreadable files are skipped — a torn write of the
-// newest checkpoint must not block restoring from an older good one.
-// ErrNoCheckpoint means nothing restorable exists. A concurrent rotating
-// save can prune every member of one listing before it is read, so when
-// nothing loads the members are listed again; ErrNoCheckpoint is returned
-// only once two consecutive listings are equal.
+// newest checkpoint must not block restoring from an older good one — but
+// when every file there fails, the error names the newest and wraps its
+// failure (ErrCorrupt for a file that fails validation). ErrNoCheckpoint
+// means no file exists. A concurrent rotating save can prune every member
+// of one listing before it is read, so when nothing loads the members are
+// listed again; the load gives up only once two consecutive listings are
+// equal.
 func LoadLatestFragments(path string) ([]FragmentState, error) {
 	members, err := rotationMembers(path)
 	for err == nil {
-		for i := len(members) - 1; i >= 0; i-- {
-			if states, lerr := LoadFragments(memberPath(path, members[i])); lerr == nil {
+		var newest error // the newest existing file's failure
+		for _, p := range append(memberPaths(path, members), path) {
+			states, lerr := LoadFragments(p)
+			if lerr == nil {
 				return states, nil
 			}
-		}
-		if states, lerr := LoadFragments(path); lerr == nil {
-			return states, nil
+			if newest == nil && !errors.Is(lerr, fs.ErrNotExist) {
+				newest = fmt.Errorf("%s: %w", p, lerr)
+			}
 		}
 		var again []int
 		if again, err = rotationMembers(path); err == nil && slices.Equal(again, members) {
+			if newest != nil {
+				return nil, newest
+			}
 			return nil, fmt.Errorf("%s: %w", path, ErrNoCheckpoint)
 		}
 		members = again
 	}
 	return nil, fmt.Errorf("checkpoint load: %w", err)
+}
+
+// memberPaths names path's rotation members, newest first.
+func memberPaths(path string, members []int) []string {
+	out := make([]string, 0, len(members)+1)
+	for i := len(members) - 1; i >= 0; i-- {
+		out = append(out, memberPath(path, members[i]))
+	}
+	return out
 }
 
 // memberPath names rotation member n of path.

@@ -2,8 +2,10 @@ package checkpoint
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -166,6 +168,43 @@ func TestLoadLatestBarePathFallback(t *testing.T) {
 	}
 	if v := latestVersion(t, path); v != 11 {
 		t.Fatalf("LoadLatestFragments version = %d, want 11", v)
+	}
+}
+
+// TestLoadLatestGarbageIsCorrupt: a file at the path that is no checkpoint
+// is reported, not taken for a fresh start: the error wraps ErrCorrupt and
+// names the file.
+func TestLoadLatestGarbageIsCorrupt(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "model.ckpt")
+	if err := os.WriteFile(path, []byte("garbage\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := LoadLatestFragments(path)
+	if !errors.Is(err, ErrCorrupt) || errors.Is(err, ErrNoCheckpoint) || !strings.Contains(err.Error(), path) {
+		t.Fatalf("LoadLatestFragments over garbage = %v, want ErrCorrupt naming %s", err, path)
+	}
+}
+
+// TestLoadLatestAllCorruptNamesNewest: when every member of a rotation
+// fails validation, the error wraps ErrCorrupt and names the newest member.
+func TestLoadLatestAllCorruptNamesNewest(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "model.ckpt")
+	for v := int64(1); v <= 3; v++ {
+		if err := SaveFragmentsRotating(path, oneState(v, float32(v)), 5); err != nil {
+			t.Fatal(err)
+		}
+		member := fmt.Sprintf("%s.%d", path, v)
+		data, err := os.ReadFile(member)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(member, data[:len(data)-1], 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err := LoadLatestFragments(path)
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), path+".3") {
+		t.Fatalf("LoadLatestFragments over a corrupt rotation = %v, want ErrCorrupt naming %s.3", err, path)
 	}
 }
 

@@ -1,7 +1,10 @@
 package core_test
 
 import (
+	"errors"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -111,4 +114,47 @@ func TestSessionResumeFreshStart(t *testing.T) {
 		t.Fatalf("NewSession with nothing to resume: %v", err)
 	}
 	s.Stop()
+}
+
+// TestSessionResumeRefusesCorruptCheckpoint: Resume over a garbage file at
+// the checkpoint path fails NewSession with ErrCorrupt instead of silently
+// starting fresh.
+func TestSessionResumeRefusesCorruptCheckpoint(t *testing.T) {
+	algF, agF := quickDQNFactories(t)
+	path := filepath.Join(t.TempDir(), "garbage.ckpt")
+	if err := os.WriteFile(path, []byte("garbage\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.Config{NumExplorers: 1, RolloutLen: 50, MaxSteps: 100, CheckpointPath: path, Resume: true}
+	s, err := core.NewSession(cfg, algF, agF, 3)
+	if err == nil {
+		s.Stop()
+	}
+	if !errors.Is(err, checkpoint.ErrCorrupt) {
+		t.Fatalf("NewSession resuming a garbage file = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestSessionResumeRefusesForeignCheckpoint: a fused Resume from a readable
+// fragment set that holds no learner state fails NewSession instead of
+// silently starting fresh.
+func TestSessionResumeRefusesForeignCheckpoint(t *testing.T) {
+	algF, agF := quickDQNFactories(t)
+	path := filepath.Join(t.TempDir(), "fragments.ckpt")
+	set := []checkpoint.FragmentState{
+		{Name: core.BroadcastName, State: checkpoint.State{Version: 7}},
+		{Name: core.LearnName(0), State: checkpoint.State{Version: 7}},
+	}
+	if err := checkpoint.SaveFragments(path, set); err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.Config{NumExplorers: 1, RolloutLen: 50, MaxSteps: 100, CheckpointPath: path, Resume: true}
+	s, err := core.NewSession(cfg, algF, agF, 3)
+	if err == nil {
+		s.Stop()
+		t.Fatal("a fused NewSession resumed from a fragment set without the learner's state")
+	}
+	if !strings.Contains(err.Error(), core.LearnerName) {
+		t.Fatalf("NewSession error %q does not name the state it looked for", err)
+	}
 }

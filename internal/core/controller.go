@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"time"
 
@@ -94,9 +95,10 @@ type Config struct {
 	// Transport configures its own brokers.
 	StoreBudget    int64 `flag:"store-budget" json:"store_budget" help:"per-broker object store byte budget (0 = unbounded); under pressure trajectory pushes shed, model updates always get through"`
 	ShedQueueDepth int   `flag:"shed-depth" json:"shed_depth" help:"destination queue depth past which the oldest droppable messages shed (0 = unbounded)"`
-	// MaxInflight bounds un-acknowledged rollout fragments per explorer
-	// (0 = DefaultMaxInflight; < 0 disables flow control).
-	MaxInflight int `flag:"credits" json:"credits" help:"un-acknowledged rollout fragments allowed per explorer (0 = default, <0 = unlimited)"`
+	// MaxInflight is W, the rollouts an explorer may have un-acked at each
+	// learner it routes to; that learner's ack alone makes room (0 =
+	// DefaultMaxInflight; < 0 = no window, and no replay under failover).
+	MaxInflight int `flag:"credits" json:"credits" help:"rollouts an explorer may have un-acked at each learner (0 = default, <0 = unlimited)"`
 	// WeightSkipFactor scales the adaptive skip threshold: updates whose
 	// relative norm falls below WeightSkipFactor × EMA become pure version
 	// bumps (0 disables skipping).
@@ -433,8 +435,9 @@ func (s *Session) armMachineFailover() error {
 // resume, when the session resumes, reads the newest readable fragment
 // checkpoint set at CheckpointPath and restores algs[i] from the state saved
 // under names[i]; a name the set lacks (a replica added since the save)
-// keeps its fresh initialization. It returns the set by name: nil when not
-// resuming or when nothing is saved (a fresh start, not an error).
+// keeps its fresh initialization, but a set with none of names is an error.
+// It returns the set by name: nil when not resuming or when no checkpoint
+// file exists (a fresh start, not an error).
 func (s *Session) resume(names []string, algs []Algorithm) (map[string]checkpoint.State, error) {
 	if !s.cfg.Resume || s.cfg.CheckpointPath == "" {
 		return nil, nil
@@ -449,6 +452,9 @@ func (s *Session) resume(names []string, algs []Algorithm) (map[string]checkpoin
 	byName := make(map[string]checkpoint.State, len(states))
 	for _, fs := range states {
 		byName[fs.Name] = fs.State
+	}
+	if !slices.ContainsFunc(names, func(n string) bool { _, ok := byName[n]; return ok }) {
+		return nil, fmt.Errorf("core: resume: checkpoint %s holds no state named %v", s.cfg.CheckpointPath, names)
 	}
 	for i, alg := range algs {
 		if st, ok := byName[names[i]]; ok {
@@ -522,7 +528,7 @@ func (s *Session) buildFragments(topo Topology, algF AlgorithmFactory) error {
 // topology's staleness bound, counting into the runtime's tallies and
 // forwarding explorer acks to the broadcaster.
 func (s *Session) newReplica(id int, alg Algorithm, port *broker.Port) *LearnFragment {
-	l := NewLearnFragment(id, alg, port, s.cfg.NumExplorers, s.cfg.SeriesBucket)
+	l := NewLearnFragment(id, alg, port, s.cfg.MaxInflight, s.cfg.SeriesBucket)
 	l.maxStale = s.frags.topo.MaxStaleness
 	l.counts = &s.frags.counts
 	l.acked = make(map[string]int64)
@@ -568,21 +574,13 @@ func (s *Session) newExplorer(id int32, port *broker.Port) (*Explorer, error) {
 		return nil, fmt.Errorf("core: build agent %d: %w", id, err)
 	}
 	ex := NewExplorer(id, agent, port, s.cfg.RolloutLen)
-	if s.cfg.MaxInflight != 0 {
-		ex.SetMaxInflight(s.cfg.MaxInflight)
-	}
+	ex.SetMaxInflight(s.cfg.MaxInflight)
 	if f := s.frags; f != nil {
 		_, live, _ := f.replicaStates()
-		ex.route = dispatch{
-			replicas: replicaNames(f.topo.Learners),
-			live:     live,
-			maxStale: f.topo.MaxStaleness,
-			next:     int(id),
-			counts:   &f.counts,
-		}
-		if f.failover {
-			ex.route.inflight = make(map[string][]inflightRollout)
-		}
+		r := &ex.route
+		r.replicas, r.live = replicaNames(f.topo.Learners), live
+		r.maxStale, r.next = f.topo.MaxStaleness, int(id)
+		r.failover, r.counts = f.failover, &f.counts
 	}
 	return ex, nil
 }

@@ -14,19 +14,13 @@ import (
 )
 
 // dispatchExplorer builds explorer id, not started, dispatching to two learn
-// replicas under staleness bound k; failover arms its in-flight rings.
+// replicas under staleness bound k; failover keeps expired rollouts for
+// replay.
 func dispatchExplorer(id int32, k int, failover bool) *Explorer {
 	e := NewExplorer(id, &recordingAgent{}, nil, 1)
-	e.route = dispatch{
-		replicas: replicaNames(2),
-		live:     replicaNames(2),
-		maxStale: k,
-		next:     int(id),
-		counts:   &dispatchCounts{},
-	}
-	if failover {
-		e.route.inflight = make(map[string][]inflightRollout)
-	}
+	r := &e.route
+	r.replicas, r.live = replicaNames(2), replicaNames(2)
+	r.maxStale, r.next, r.failover = k, int(id), failover
 	return e
 }
 
@@ -85,7 +79,7 @@ func TestExplorerRoutesByVersionAtK0(t *testing.T) {
 }
 
 // TestExplorerQuarantineReplay: when a replica is quarantined, the explorer
-// replays to the survivor every rollout the replica's beats have not acked —
+// replays to the survivor every rollout the replica has not acked —
 // at least once — except those the staleness bound now sheds; acked ones are
 // not replayed. Rejoin restores the rotation.
 func TestExplorerQuarantineReplay(t *testing.T) {
@@ -104,10 +98,10 @@ func TestExplorerQuarantineReplay(t *testing.T) {
 			toL0 = append(toL0, m)
 		}
 	}
-	// learn-0 beats once: it has ingested its first two rollouts.
-	beat := message.New(message.TypeControl, LearnName(0), []string{ExplorerName(0)}, &message.ControlPayload{
-		Kind: message.ControlHeartbeat, Acked: map[string]int64{ExplorerName(0): int64(toL0[1].Header.ID)}})
-	e.apply(beat)
+	// learn-0 acks once: it has taken its first two rollouts.
+	ack := message.New(message.TypeControl, LearnName(0), []string{ExplorerName(0)}, &message.ControlPayload{
+		Kind: message.ControlRolloutAck, Acked: map[string]int64{ExplorerName(0): int64(toL0[1].Header.ID)}})
+	e.apply(ack)
 	// The bound moves on while the rest are in flight: version 7 (4 behind
 	// 11) and 8 (3 behind) are now past it.
 	e.route.seen = 11
@@ -144,7 +138,7 @@ func TestExplorerQuarantineReplay(t *testing.T) {
 	if c.dispatched.Load() != int64(len(versions)+len(want)) {
 		t.Fatalf("dispatched = %d, want %d", c.dispatched.Load(), len(versions)+len(want))
 	}
-	if e.route.inflight[LearnName(0)] != nil {
+	if e.route.lanes[LearnName(0)] != nil {
 		t.Fatal("the quarantined replica's ring survived")
 	}
 	// A duplicate quarantine replays nothing; a rejoin restores the order.
@@ -275,7 +269,7 @@ func TestExplorerStatsAreRateLimited(t *testing.T) {
 		ports[name] = p
 	}
 	e := NewExplorer(0, &pacedAgent{every: time.Millisecond}, ports[ExplorerName(0)], 1)
-	e.SetMaxInflight(0)
+	e.SetMaxInflight(-1)
 	start := time.Now()
 	e.Start()
 	time.Sleep(350 * time.Millisecond)

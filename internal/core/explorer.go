@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -21,16 +22,15 @@ import (
 // installing only the newest weights snapshot and releasing the ones it
 // superseded unread. Every install goes through Agent.SetWeights; sparse
 // deltas are first applied to the explorer's own mirror of the agent's
-// weights. In a fragment topology the explorer also routes each rollout to
-// a learn replica itself (route).
+// weights. The explorer routes each rollout itself (route), to the fused
+// learner or a learn replica, at most a window ahead of that learner's acks.
 type Explorer struct {
-	id          int32
-	name        string
-	agent       Agent
-	port        *broker.Port
-	sendBuf     *buffer.Buffer
-	rolloutLen  int
-	maxInflight int
+	id         int32
+	name       string
+	agent      Agent
+	port       *broker.Port
+	sendBuf    *buffer.Buffer
+	rolloutLen int
 
 	wg      sync.WaitGroup
 	stopped chan struct{}
@@ -42,12 +42,13 @@ type Explorer struct {
 	stepsGenerated int64
 	lastErr        error
 
-	// Touched only by the worker thread.
-	fragmentsSinceWeights int
-	inbox                 []*message.Header
-	mirror                weightMirror
-	route                 dispatch
-	statsAt               time.Time // when the last statistics message went out
+	// Touched only by the worker thread. awaitingVersion holds an on-policy
+	// agent after each rollout until the next weights message arrives.
+	awaitingVersion bool
+	inbox           []*message.Header
+	mirror          weightMirror
+	route           dispatch
+	statsAt         time.Time // when the last statistics message went out
 }
 
 // ExplorerName formats the canonical client name for an explorer ID.
@@ -59,11 +60,10 @@ const LearnerName = "learner"
 // ControllerName is the canonical client name of the center controller.
 const ControllerName = "controller"
 
-// DefaultMaxInflight bounds un-acknowledged rollout fragments per explorer.
-// Weight broadcasts act as credits: the paper's channel pushes aggressively
-// but its shared-memory store is finite, which imposes exactly this kind of
-// flow control. Without it a fast explorer would burn CPU and memory
-// producing rollouts a saturated learner must drop.
+// DefaultMaxInflight is W, the rollouts an explorer may have un-acked at each
+// learner; only that learner's ack makes room. The paper's channel pushes
+// every rollout at once, but its store is finite: the window bounds what
+// waits for each learner, so a slow one holds its rollouts back, unqueued.
 const DefaultMaxInflight = 4
 
 // statsEvery is the least time between two statistics messages of one
@@ -77,21 +77,28 @@ func NewExplorer(id int32, agent Agent, port *broker.Port, rolloutLen int) *Expl
 		rolloutLen = 200
 	}
 	return &Explorer{
-		id:          id,
-		name:        ExplorerName(id),
-		agent:       agent,
-		port:        port,
-		sendBuf:     buffer.New(),
-		rolloutLen:  rolloutLen,
-		maxInflight: DefaultMaxInflight,
-		stopped:     make(chan struct{}),
-		failed:      make(chan struct{}),
+		id:         id,
+		name:       ExplorerName(id),
+		agent:      agent,
+		port:       port,
+		sendBuf:    buffer.New(),
+		rolloutLen: rolloutLen,
+		route: dispatch{
+			replicas: []string{LearnerName},
+			live:     []string{LearnerName},
+			maxStale: StalenessUnbounded,
+			window:   DefaultMaxInflight,
+			lanes:    make(map[string]*lane),
+			counts:   &dispatchCounts{},
+		},
+		stopped: make(chan struct{}),
+		failed:  make(chan struct{}),
 	}
 }
 
-// SetMaxInflight overrides the flow-control window (<= 0 disables it).
-// Call before Start.
-func (e *Explorer) SetMaxInflight(n int) { e.maxInflight = n }
+// SetMaxInflight sets the window at each learner, as Config.MaxInflight
+// does: 0 = DefaultMaxInflight, < 0 = no window. Call before Start.
+func (e *Explorer) SetMaxInflight(n int) { e.route.window = cmp.Or(n, DefaultMaxInflight) }
 
 // Start launches the explorer's sender and worker threads.
 func (e *Explorer) Start() {
@@ -130,17 +137,11 @@ func (e *Explorer) workerLoop() {
 		default:
 		}
 
-		// Apply any weights waiting in the receive queue. Off-policy agents
-		// drain opportunistically; on-policy agents block after shipping a
-		// fragment so every fragment uses the latest parameters. Note the
-		// asymmetry the paper exploits: the *transmission* of the previous
-		// fragment already happened asynchronously on the sender thread
-		// while this worker was still interacting with the environment.
-		mustWait := e.agent.OnPolicy() && e.fragmentsSinceWeights > 0
-		if e.maxInflight > 0 && e.fragmentsSinceWeights >= e.maxInflight {
-			mustWait = true // credit exhausted: wait for a weights broadcast
-		}
-		if !e.drainReceived(mustWait) {
+		// Apply what waits in the receive queue, waiting while no rollout
+		// may be made. Note the asymmetry the paper exploits: the
+		// *transmission* of the previous fragment already happened on the
+		// sender thread while this worker interacted with the environment.
+		if !e.drainReceived() {
 			return
 		}
 
@@ -157,7 +158,7 @@ func (e *Explorer) workerLoop() {
 		if !e.ship(batch) {
 			return
 		}
-		e.fragmentsSinceWeights++
+		e.awaitingVersion = e.agent.OnPolicy() // on-policy sync
 
 		// Periodic statistics to the center controller (§3.2.2): workhorse
 		// threads put stats messages into the local send buffer and the
@@ -180,22 +181,18 @@ func (e *Explorer) workerLoop() {
 	}
 }
 
-// ship stages one rollout for the sender thread: to the learner when fused,
-// else to the learn replica route picks, kept under failover until that
-// replica acks it. A fragment-topology rollout with no live replica to go
-// to is shed: the slot supervisors decide whether that is terminal, and the
-// explorer's credit refills on the next broadcast. It returns false when
-// the send buffer is closed.
+// ship stages one rollout for the sender thread to the learner route picks,
+// keeping it in that learner's window until acked. A rollout with no live
+// replica to go to is shed: the slot supervisors decide whether that is
+// terminal. It returns false when the send buffer is closed.
 func (e *Explorer) ship(b *message.RolloutBody) bool {
 	r := &e.route
-	dst := LearnerName
-	if r.replicas != nil {
-		if len(r.live) == 0 {
-			r.counts.staleDrops.Add(1)
-			return true
-		}
-		dst = r.pick(b.WeightsVersion)
+	if len(r.live) == 0 {
+		r.counts.staleDrops.Add(1)
+		return true
 	}
+	dst := r.peek(b.WeightsVersion)
+	r.next++
 	m := message.New(message.TypeRollout, e.name, []string{dst}, b)
 	// The header ack: brokers ledger this version per source so the fused
 	// learner's weight plane knows which base each explorer holds, and learn
@@ -204,19 +201,16 @@ func (e *Explorer) ship(b *message.RolloutBody) bool {
 	if err := e.sendBuf.Put(m); err != nil {
 		return false
 	}
-	if r.replicas != nil {
-		r.counts.dispatched.Add(1)
-		r.retain(dst, m.Header.ID, b)
-	}
+	r.counts.dispatched.Add(1)
+	r.retain(dst, m.Header.ID, b)
 	return true
 }
 
-// drainReceived applies what waits in the port's ID queue. When block is
-// true it waits until at least one weights-class message has arrived
-// (on-policy synchronization, or credit exhausted), applying controls that
-// arrive meanwhile as they come. It returns false when the explorer should
-// shut down.
-func (e *Explorer) drainReceived(block bool) bool {
+// drainReceived applies what waits in the port's ID queue, then goes on
+// applying what arrives while the next rollout may not be made: an
+// on-policy agent awaits a newer version, or its learner's window is full
+// (until it expires). It returns false when the explorer should shut down.
+func (e *Explorer) drainReceived() bool {
 	for {
 		closed := false
 		for {
@@ -227,11 +221,11 @@ func (e *Explorer) drainReceived(block bool) bool {
 			}
 			e.inbox = append(e.inbox, h)
 		}
-		credited, ok := e.applyInbox()
-		if !ok || closed {
+		if !e.applyInbox() || closed {
 			return false
 		}
-		if credited || !block {
+		wait := e.route.room(e.agent.WeightsVersion())
+		if wait == 0 && !e.awaitingVersion {
 			return true
 		}
 		select {
@@ -239,7 +233,10 @@ func (e *Explorer) drainReceived(block bool) bool {
 			return false // woken by a teardown nudge
 		default:
 		}
-		h, err := e.port.NextHeader(true)
+		h, err := e.port.NextHeaderWithin(wait) // 0: until weights arrive
+		if errors.Is(err, queue.ErrTimeout) {
+			continue
+		}
 		if err != nil {
 			return false
 		}
@@ -252,11 +249,12 @@ func (e *Explorer) drainReceived(block bool) bool {
 // the whole model, so installing that snapshot alone leaves the agent where
 // installing each message in turn would. Everything else is opened and
 // applied; a body that fails to open is skipped (the broker counts it). Any
-// weights-class message, discarded or not, is a flow-control credit, and
-// credited reports whether one arrived. ok turns false once the explorer
-// should shut down; the headers after that point are opened and dropped,
-// which releases their references.
-func (e *Explorer) applyInbox() (credited, ok bool) {
+// weights-class message, discarded or not, ends an on-policy agent's wait
+// for a newer version (a delta that fails to apply is NACKed, which
+// guarantees a dense follow-up). ok turns false once the explorer should
+// shut down; the headers after that point are opened and dropped, which
+// releases their references.
+func (e *Explorer) applyInbox() (ok bool) {
 	newest := -1
 	for i, h := range e.inbox {
 		if h.Type == message.TypeWeights {
@@ -267,11 +265,7 @@ func (e *Explorer) applyInbox() (credited, ok bool) {
 	for i, h := range e.inbox {
 		e.inbox[i] = nil
 		if h.Type.WeightsClass() {
-			// Withholding the credit could deadlock an out-of-credit
-			// explorer whose silence stops the learner from ever
-			// broadcasting again.
-			credited = true
-			e.fragmentsSinceWeights = 0
+			e.awaitingVersion = false
 			e.route.seen = max(e.route.seen, h.WeightsVersion)
 			if i < newest {
 				e.port.Discard(h)
@@ -284,7 +278,7 @@ func (e *Explorer) applyInbox() (credited, ok bool) {
 		}
 	}
 	e.inbox = e.inbox[:0]
-	return credited, ok
+	return ok
 }
 
 // apply processes one received message; it returns false on shutdown.
@@ -302,8 +296,7 @@ func (e *Explorer) apply(m *message.Message) bool {
 			// sampling on the current weights. Failing hard here would turn
 			// every restart-induced stale delta into a supervision cycle. The
 			// NACK goes to the delta's Src — the learner in the fused loop,
-			// the broadcast fragment in a fragment topology. The credit
-			// stands: the NACK guarantees a dense follow-up.
+			// the broadcast fragment in a fragment topology.
 			nack := message.New(message.TypeControl, e.name, []string{m.Header.Src},
 				&message.ControlPayload{Kind: message.ControlWeightsResync})
 			if perr := e.sendBuf.Put(nack); perr != nil {
@@ -315,7 +308,7 @@ func (e *Explorer) apply(m *message.Message) bool {
 		case message.ControlShutdown:
 			e.stopOne.Do(func() { close(e.stopped) })
 			return false
-		case message.ControlHeartbeat:
+		case message.ControlRolloutAck:
 			if id, ok := body.Acked[e.name]; ok {
 				e.route.ack(m.Header.Src, uint64(id))
 			}
@@ -331,10 +324,10 @@ func (e *Explorer) apply(m *message.Message) bool {
 // quarantine takes a replica out of the rotation and replays what it has
 // not acked to the survivors, under the staleness bound the replicas apply
 // at ingest: an entry that aged past it while in flight is shed, not
-// replayed. The ack is a beat-carried high-water mark, so a rollout the
-// replica ingested just before it died is replayed too — delivery is
-// at-least-once, which off-policy replicas absorb and the bound caps for
-// on-policy ones. It returns false when the send buffer is closed.
+// replayed. Acks are coalesced, so a rollout the replica took just before
+// it died is replayed too — delivery is at-least-once, which off-policy
+// replicas absorb and the bound caps for on-policy ones. It returns false
+// when the send buffer is closed.
 func (e *Explorer) quarantine(peer string) bool {
 	r := &e.route
 	i := slices.Index(r.live, peer)
@@ -342,8 +335,11 @@ func (e *Explorer) quarantine(peer string) bool {
 		return true // fused, or a duplicate quarantine
 	}
 	r.live = slices.Delete(r.live, i, i+1)
-	pend := r.inflight[peer]
-	delete(r.inflight, peer)
+	var pend []inflightRollout
+	if l := r.lanes[peer]; l != nil {
+		pend = l.ring
+	}
+	delete(r.lanes, peer)
 	for _, f := range pend {
 		if r.maxStale >= 0 && r.seen-f.body.WeightsVersion > int64(r.maxStale) {
 			r.counts.staleDrops.Add(1)
@@ -374,93 +370,125 @@ func (e *Explorer) installDelta(d *message.WeightsDeltaPayload) error {
 	return nil
 }
 
-// dispatch is an explorer's half of the fragment dataflow (DESIGN.md §5h,
-// §5i): it picks the learn replica each rollout goes to and, under
-// failover, keeps each replica's un-acked rollouts for replay should the
-// replica be quarantined. Its zero value is the fused topology, where every
-// rollout goes to the learner. Only the worker thread touches it.
+// dispatch is an explorer's half of the dataflow (DESIGN.md §5h, §5i): it
+// picks the learner each rollout goes to and holds the window at each. Only
+// the worker thread touches it.
 type dispatch struct {
-	replicas []string // every learn replica, in name order
-	live     []string // the rotation: replicas not quarantined, in name order
+	replicas []string // every learner, in name order
+	live     []string // the rotation: learners not quarantined, in name order
 	maxStale int
 	next     int
 	// seen is the newest weights version the explorer has received, the
 	// committed version its replays are held to the bound against.
 	seen int64
-	// inflight is nil without failover: the newest inflightCap rollouts
-	// sent to each replica and not yet acked by its beat.
-	inflight map[string][]inflightRollout
+	// window is W, the rollouts each learner may have un-acked (< 0: no
+	// window, and nothing is kept); failover keeps expired ones for replay.
+	window   int
+	failover bool
+	lanes    map[string]*lane
 	counts   *dispatchCounts
 }
 
-// inflightCap bounds each per-replica in-flight ring. Rollouts are
-// droppable traffic, so rolling the oldest entry off a full ring loses
-// nothing the channel guarantees.
+// lane is the window at one learner: its un-acked rollouts, oldest first,
+// the first lost of them expired and kept only for a replay. since is the
+// later of its last ack and the last send into an empty window.
+type lane struct {
+	ring  []inflightRollout
+	lost  int
+	since time.Time
+}
+
+// inflightCap bounds a ring under failover, which keeps expired rollouts;
+// rolling a droppable rollout off loses nothing the channel guarantees.
 const inflightCap = 128
 
-// inflightRollout is one un-acked rollout kept for replay. Bodies are plain
-// Go values (no store references), so keeping one costs memory only.
+// inflightRollout is one un-acked rollout. Bodies are plain Go values (no
+// store references), so keeping one costs memory only.
 type inflightRollout struct {
 	id   uint64
 	body *message.RolloutBody
 }
 
-// dispatchCounts tallies the fragment dataflow's rollouts across every
-// explorer and learn-replica incarnation: sent to a replica (replays
-// included), shed by the staleness bound or for want of a live replica,
-// and replayed off a quarantined replica's ring.
+// dispatchCounts tallies the rollouts of every explorer and learn-replica
+// incarnation: sent (replays included), shed by the staleness bound or for
+// want of a live replica, and replayed off a quarantined replica's ring.
 type dispatchCounts struct {
 	dispatched, staleDrops, redispatches atomic.Int64
 }
 
-// pick routes a rollout produced under weights version v. Strict assignment
-// order (K = 0) routes by version: every rollout of one version reaches the
-// same replica, so an algorithm that trains on one batch per explorer at the
-// current policy (PPO) sees the complete set — per-rollout round-robin would
-// split it and no replica could ever train. Otherwise each explorer
-// round-robins, starting at its own id, which balances load.
-func (r *dispatch) pick(v int64) string {
+// peek names the learner a rollout of weights version v goes to. Strict
+// assignment order (K = 0) routes by version: every rollout of one version
+// reaches the same replica, so an algorithm that trains on one batch per
+// explorer at the current policy (PPO) sees the complete set — per-rollout
+// round-robin would split it and no replica could ever train. Otherwise each
+// explorer round-robins, starting at its own id, which balances load.
+func (r *dispatch) peek(v int64) string {
 	if r.maxStale == 0 {
 		return r.live[int(v)%len(r.live)]
 	}
-	dst := r.live[r.next%len(r.live)]
-	r.next++
-	return dst
+	return r.live[r.next%len(r.live)]
 }
 
-// retain keeps a rollout sent to dst until dst's beat acks it (failover
-// only).
+// retain keeps a rollout sent to dst in dst's window until dst acks it.
 func (r *dispatch) retain(dst string, id uint64, b *message.RolloutBody) {
-	if r.inflight == nil {
+	if r.window < 0 {
 		return
 	}
-	q := append(r.inflight[dst], inflightRollout{id: id, body: b})
-	if len(q) > inflightCap {
-		q = q[1:]
+	l := r.lanes[dst]
+	if l == nil {
+		l = &lane{}
+		r.lanes[dst] = l
 	}
-	r.inflight[dst] = q
+	if len(l.ring) == l.lost {
+		l.since = time.Now()
+	}
+	if l.ring = append(l.ring, inflightRollout{id: id, body: b}); len(l.ring) > inflightCap {
+		l.ring, l.lost = slices.Delete(l.ring, 0, 1), max(0, l.lost-1)
+	}
 }
 
-// ack releases the rollouts src has ingested, or shed, up to header ID id.
-// One explorer's IDs rise with time and its deliveries to a replica arrive
-// in order, so the high-water mark covers every earlier one. A retired
-// incarnation's late beat cannot release what its successor was sent: that
-// was sent later, under higher IDs.
+// ack releases the rollouts src has taken, or shed, up to header ID id. One
+// explorer's IDs rise with time and its deliveries to a learner arrive in
+// order, so the high-water mark covers every earlier one, those the channel
+// dropped included. A retired incarnation's late ack cannot release what its
+// successor was sent: that was sent later, under higher IDs.
 func (r *dispatch) ack(src string, id uint64) {
-	q := r.inflight[src]
-	i := 0
-	for i < len(q) && q[i].id <= id {
-		i++
+	if l := r.lanes[src]; l != nil {
+		i := 0
+		for i < len(l.ring) && l.ring[i].id <= id {
+			i++
+		}
+		l.ring, l.lost, l.since = slices.Delete(l.ring, 0, i), max(0, l.lost-i), time.Now()
 	}
-	if i > 0 {
-		r.inflight[src] = q[i:]
+}
+
+// room returns 0 when the learner a rollout of weights version v goes to
+// has space in its window, else how long until it may. A full window that
+// no ack has moved for pushRetry has lost its rollouts in the channel (a
+// budget decline, a shed, an outage eviction) with no later delivery left
+// to be acked, so they expire, leaving the ring unless failover keeps them.
+func (r *dispatch) room(v int64) time.Duration {
+	if r.window < 0 || len(r.live) == 0 {
+		return 0
 	}
+	l := r.lanes[r.peek(v)]
+	if l == nil || len(l.ring)-l.lost < r.window {
+		return 0
+	}
+	if wait := time.Until(l.since.Add(pushRetry)); wait > 0 {
+		return wait
+	}
+	l.lost = len(l.ring)
+	if !r.failover {
+		l.ring, l.lost = slices.Delete(l.ring, 0, l.lost), 0
+	}
+	return 0
 }
 
 // rejoin returns a respawned replica to the rotation in name order, so K = 0
 // version routing stays the same for a given live set.
 func (r *dispatch) rejoin(peer string) {
-	if r.replicas == nil || slices.Contains(r.live, peer) {
+	if slices.Contains(r.live, peer) {
 		return
 	}
 	live := make([]string, 0, len(r.live)+1)
@@ -505,7 +533,7 @@ func (e *Explorer) EpisodeStats() (int64, float64) { return e.agent.EpisodeStats
 
 // Stop signals the explorer threads to finish: the worker observes the
 // stopped channel between fragments. A worker blocked waiting for weights
-// wakes on the next message to its port or when the broker closes its ID
+// or window room wakes on the next message to its port or when the broker closes its ID
 // queue, so callers must send it one (a ControlDrain nudge), unregister the
 // port, or stop the broker before Join.
 func (e *Explorer) Stop() {

@@ -58,8 +58,9 @@ func delta(base, v int64) *message.Message {
 		Version: v, BaseVersion: base, NumParams: 1, Values: []float32{1}})
 }
 
-// drainOnce queues msgs for an out-of-credit explorer over agent, runs one
-// blocking drain and returns the explorer after stopping its broker.
+// drainOnce queues msgs for an explorer over agent that awaits a newer
+// version, runs one blocking drain and returns the explorer after stopping
+// its broker.
 func drainOnce(t *testing.T, agent Agent, msgs ...*message.Message) (*Explorer, broker.MetricsSnapshot) {
 	t.Helper()
 	br := broker.New(broker.Config{})
@@ -68,13 +69,10 @@ func drainOnce(t *testing.T, agent Agent, msgs ...*message.Message) (*Explorer, 
 		t.Fatal(err)
 	}
 	e := NewExplorer(0, agent, port, 1)
-	e.fragmentsSinceWeights = e.maxInflight
+	e.awaitingVersion = true
 	queueFor(t, br, msgs...)
-	if !e.drainReceived(true) {
+	if !e.drainReceived() {
 		t.Fatal("drain reported shutdown")
-	}
-	if e.fragmentsSinceWeights != 0 {
-		t.Fatalf("credit not reset: %d fragments since weights", e.fragmentsSinceWeights)
 	}
 	if n := port.Pending(); n != 0 {
 		t.Fatalf("%d headers left queued", n)
@@ -90,7 +88,7 @@ func drainOnce(t *testing.T, agent Agent, msgs ...*message.Message) (*Explorer, 
 // TestExplorerInstallsNewestSnapshot: one drain over [dense v1, delta
 // v1→v2, stats, dense v3, delta v3→v4] installs v3, then v4 rebuilt on the
 // explorer's mirror, and nothing else; it releases v1 and v1→v2 unread,
-// opens the stats message in its place, and resets the credit. A delta on
+// opens the stats message in its place. A delta on
 // a base the mirror does not hold is NACKed to its source and installs
 // nothing.
 func TestExplorerInstallsNewestSnapshot(t *testing.T) {

@@ -48,3 +48,11 @@ func DenseWeights(cfg Config) Config {
 func (s *Session) FilterLearnRecv(idx int, fn func(*message.Message) bool) {
 	s.frags.slots[idx].current().recvFilter = fn
 }
+
+// DrainCap is the most messages one trainer cycle takes off its receive
+// buffer.
+const DrainCap = drainCap
+
+// LearnPending reports how many messages wait in learn replica idx's port
+// queue for its receiver thread.
+func (s *Session) LearnPending(idx int) int { return s.frags.slots[idx].current().port.Pending() }

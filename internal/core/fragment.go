@@ -21,10 +21,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"maps"
-	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -59,11 +59,10 @@ const heartbeatMisses = 4
 // plans the per-explorer weight broadcast itself and a sender thread pushes
 // it out.
 type LearnFragment struct {
-	name         string
-	alg          Algorithm
-	port         *broker.Port
-	recvBuf      *buffer.Buffer
-	numExplorers int
+	name    string
+	alg     Algorithm
+	port    *broker.Port
+	recvBuf *buffer.Buffer
 
 	// Fused-learner state (newFusedLearner); all zero for a replica, which
 	// makes each a no-op. plane and explorers plan the broadcast, sendBuf
@@ -85,9 +84,12 @@ type LearnFragment struct {
 	TransHist *stats.Histogram
 	Series    *stats.Series
 
-	stepsConsumed       atomic.Int64
-	trainIters          atomic.Int64
-	rolloutsSinceUpdate atomic.Int64
+	stepsConsumed atomic.Int64
+	trainIters    atomic.Int64
+
+	// The rollout ack (ackRollout), touched only by the trainer thread.
+	ackEvery int
+	taken    map[string]int
 
 	// The replica's push window, touched only by the trainer thread:
 	// unanswered marks a push no echo has answered yet, and dirty marks
@@ -126,17 +128,11 @@ type LearnFragment struct {
 	// trainer blocked on input — together the liveness evidence: a beat is
 	// sent only while the trainer progresses or idles at the receive buffer,
 	// so a trainer wedged inside a training step falls silent and trips the
-	// broadcast-side deadline detector. ingested maps each explorer to the
-	// newest rollout header ID ingested from it, carried on beats as the ack
-	// explorers release their in-flight rings by; beatDsts are the
-	// broadcaster and every explorer.
+	// broadcast-side deadline detector.
 	epoch    int32
 	hbEvery  time.Duration
 	activity atomic.Int64
 	waiting  atomic.Bool
-	beatDsts []string
-	ackMu    sync.Mutex
-	ingested map[string]int64
 
 	wg       sync.WaitGroup
 	stopped  chan struct{}
@@ -155,25 +151,27 @@ type LearnFragment struct {
 }
 
 // NewLearnFragment builds learn replica idx around an algorithm and port.
-func NewLearnFragment(idx int, alg Algorithm, port *broker.Port, numExplorers int, bucket time.Duration) *LearnFragment {
+// window is the explorers' window at it, as Config.MaxInflight gives it.
+func NewLearnFragment(idx int, alg Algorithm, port *broker.Port, window int, bucket time.Duration) *LearnFragment {
 	if bucket <= 0 {
 		bucket = time.Second
 	}
 	return &LearnFragment{
-		name:         LearnName(idx),
-		alg:          alg,
-		port:         port,
-		recvBuf:      buffer.New(),
-		numExplorers: numExplorers,
-		retryAfter:   pushRetry,
-		maxStale:     StalenessUnbounded,
-		counts:       &dispatchCounts{},
-		WaitHist:     stats.NewHistogram(),
-		TransHist:    stats.NewHistogram(),
-		Series:       stats.NewSeries(bucket),
-		stopped:      make(chan struct{}),
-		failed:       make(chan struct{}),
-		recvDone:     make(chan struct{}),
+		name:       LearnName(idx),
+		alg:        alg,
+		port:       port,
+		recvBuf:    buffer.New(),
+		ackEvery:   (max(cmp.Or(window, DefaultMaxInflight), 0) + 1) / 2,
+		taken:      make(map[string]int),
+		retryAfter: pushRetry,
+		maxStale:   StalenessUnbounded,
+		counts:     &dispatchCounts{},
+		WaitHist:   stats.NewHistogram(),
+		TransHist:  stats.NewHistogram(),
+		Series:     stats.NewSeries(bucket),
+		stopped:    make(chan struct{}),
+		failed:     make(chan struct{}),
+		recvDone:   make(chan struct{}),
 	}
 }
 
@@ -181,7 +179,7 @@ func NewLearnFragment(idx int, alg Algorithm, port *broker.Port, numExplorers in
 // LearnerName that broadcasts to every explorer through its own weight
 // plane, checkpoints its algorithm, and stops at cfg.MaxSteps.
 func newFusedLearner(alg Algorithm, port *broker.Port, cfg Config) *LearnFragment {
-	l := NewLearnFragment(0, alg, port, cfg.NumExplorers, cfg.SeriesBucket)
+	l := NewLearnFragment(0, alg, port, cfg.MaxInflight, cfg.SeriesBucket)
 	l.name = LearnerName
 	l.plane = weightplane.New(cfg.weightPlane())
 	l.explorers = make([]int32, cfg.NumExplorers)
@@ -202,8 +200,6 @@ func newFusedLearner(alg Algorithm, port *broker.Port, cfg Config) *LearnFragmen
 func (l *LearnFragment) SetFailover(epoch int32, hbEvery time.Duration) {
 	l.epoch = epoch
 	l.hbEvery = hbEvery
-	l.beatDsts = append([]string{BroadcastName}, explorerNames(l.numExplorers)...)
-	l.ingested = make(map[string]int64)
 }
 
 // Failed is closed when the replica records an error (never on a clean
@@ -239,13 +235,11 @@ func (l *LearnFragment) Start() {
 }
 
 // heartbeatLoop piggybacks liveness on the control plane: every hbEvery it
-// sends a ControlHeartbeat to the broadcaster and the explorers — but only
-// when the trainer either made progress since the last beat or is parked at
-// the receive buffer waiting for input. A trainer wedged *inside* a training
-// step is neither, so the replica falls silent and the broadcaster's
-// deadline detector quarantines it. Each beat carries, per explorer, the
-// newest rollout ID ingested from it, which the explorer prunes its
-// in-flight ring by.
+// sends a ControlHeartbeat to the broadcaster — but only when the trainer
+// either made progress since the last beat or is parked at the receive
+// buffer waiting for input. A trainer wedged *inside* a training step is
+// neither, so the replica falls silent and the broadcaster's deadline
+// detector quarantines it.
 func (l *LearnFragment) heartbeatLoop() {
 	defer l.wg.Done()
 	tick := time.NewTicker(l.hbEvery)
@@ -262,14 +256,8 @@ func (l *LearnFragment) heartbeatLoop() {
 			continue
 		}
 		lastSeen = act
-		l.ackMu.Lock()
-		ids := maps.Clone(l.ingested)
-		l.ackMu.Unlock()
-		m := message.New(message.TypeControl, l.name, l.beatDsts, &message.ControlPayload{
-			Kind:  message.ControlHeartbeat,
-			Peer:  l.name,
-			Acked: ids,
-		})
+		m := message.New(message.TypeControl, l.name, []string{BroadcastName},
+			&message.ControlPayload{Kind: message.ControlHeartbeat})
 		m.Header.Round = l.epoch
 		// A failed beat is the replica's error, so the supervisor sees the
 		// real cause, not a quarantine of a replica that stopped beating.
@@ -340,24 +328,14 @@ func (l *LearnFragment) trainerLoop() {
 			return
 		}
 		if !ok {
-			// Warm-up credit refresh: explorers spend credit per rollout and
-			// refill on weights-class messages, so a learner that cannot
-			// train yet (e.g. DQN below TrainStart) must keep re-issuing its
-			// current weights or the deployment can wedge with every
-			// explorer out of credit.
-			if l.rolloutsSinceUpdate.Load() >= int64(l.numExplorers) {
-				if !l.publish(nil) {
-					return
-				}
-			}
 			if ingested == 0 {
 				m, err := l.idleWait()
 				if errors.Is(err, queue.ErrTimeout) {
 					// No echo answered the push within retryAfter: the push
 					// or its echo was lost, fenced, unreadable or died with
 					// the broadcaster's machine. Push the current weights
-					// again, or the window holds every explorer out of
-					// credit and the replica starves.
+					// again, or the push window stays shut and the replica's
+					// training never reaches the committed model.
 					if !l.push() {
 						return
 					}
@@ -445,6 +423,9 @@ func (l *LearnFragment) drainNonBlocking() int {
 func (l *LearnFragment) ingest(m *message.Message) bool {
 	switch body := m.Body.(type) {
 	case *message.RolloutBody:
+		if !l.ackRollout(m.Header) {
+			return false
+		}
 		if l.acked != nil {
 			v := m.Header.WeightsVersion
 			l.acked[m.Header.Src] = v
@@ -452,16 +433,9 @@ func (l *LearnFragment) ingest(m *message.Message) bool {
 				l.ackNew = true
 			}
 		}
-		if l.ingested != nil {
-			l.ackMu.Lock()
-			l.ingested[m.Header.Src] = int64(m.Header.ID)
-			l.ackMu.Unlock()
-		}
 		v := m.Header.WeightsVersion
 		if l.maxStale >= 0 && l.committed-v > int64(l.maxStale) {
-			// Older than the bound allows: shed it, acked all the same. The
-			// explorer's credit is unharmed — broadcasts reach every
-			// explorer, so the next weights message refills it.
+			// Older than the bound allows: shed it, acked all the same.
 			l.counts.staleDrops.Add(1)
 			return true
 		}
@@ -469,7 +443,6 @@ func (l *LearnFragment) ingest(m *message.Message) bool {
 			l.observeStaleness(v, l.committed)
 		}
 		l.alg.PrepareData(body)
-		l.rolloutsSinceUpdate.Add(1)
 	case *message.WeightsPayload:
 		l.mirror.setDense(body)
 		return l.installEcho()
@@ -504,6 +477,21 @@ func (l *LearnFragment) ingest(m *message.Message) bool {
 	return true
 }
 
+// ackRollout counts a rollout taken off the receive buffer against its
+// explorer and, once ackEvery = ⌈W/2⌉ have been taken since the last ack,
+// acks the explorer this one's header ID, which makes room in its window (a
+// window of W always fills to ⌈W/2⌉ taken or expires). It returns false on
+// shutdown.
+func (l *LearnFragment) ackRollout(h *message.Header) bool {
+	l.taken[h.Src]++
+	if l.ackEvery == 0 || l.taken[h.Src] < l.ackEvery {
+		return true
+	}
+	l.taken[h.Src] = 0
+	return l.send(message.New(message.TypeControl, l.name, []string{h.Src},
+		&message.ControlPayload{Kind: message.ControlRolloutAck, Acked: map[string]int64{h.Src: int64(h.ID)}}), "rollout ack")
+}
+
 // installEcho installs the mirror an aggregate echo just advanced, version
 // and all; the echo answers the replica's push. A replica that trained since
 // pushes first, so the broadcaster folds its newest weights before the echo
@@ -536,10 +524,8 @@ func (l *LearnFragment) installEcho() bool {
 func (l *LearnFragment) publish(targets []int32) bool {
 	if l.plane == nil {
 		if l.unanswered {
-			// The answering echo sends these weights, so they count as
-			// handed on: the warm-up refresh starts counting again.
+			// The answering echo sends these weights.
 			l.dirty = true
-			l.rolloutsSinceUpdate.Store(0)
 			return true
 		}
 		return l.push()
@@ -561,7 +547,6 @@ func (l *LearnFragment) publish(targets []int32) bool {
 		m.Header.BaseVersion = o.BaseVersion
 		_ = l.sendBuf.Put(m)
 	}
-	l.rolloutsSinceUpdate.Store(0)
 	return true
 }
 
@@ -584,7 +569,6 @@ func (l *LearnFragment) push() bool {
 	if !l.send(m, "push") {
 		return false
 	}
-	l.rolloutsSinceUpdate.Store(0)
 	l.unanswered, l.dirty = true, false
 	return true
 }
@@ -927,13 +911,10 @@ func (b *BroadcastFragment) loop() {
 				return
 			}
 		case message.ControlTakeover:
-			// An explorer was re-placed after a machine death. Its plane
-			// state is marked stale so its next weights are a dense
-			// snapshot, and the committed model is re-broadcast: the
-			// takeover window may have starved explorers of flow-control
-			// credit.
+			// An explorer was re-placed after a machine death: its fresh
+			// agent gets the committed model, dense.
 			b.plane.MarkStale(body.Peer)
-			if !b.broadcast(b.explorers) {
+			if !b.broadcast([]string{body.Peer}) {
 				return
 			}
 		}
@@ -1036,18 +1017,12 @@ func (b *BroadcastFragment) commit(k int64) bool {
 	// The replicas' share of the plan, even a lone replica's, is the echo:
 	// it answers each one's unanswered push, opening its push window, and
 	// ties its version counter to the committed version explorers see (PPO
-	// matches batch versions against its own counter, and a warm-up push
+	// matches batch versions against its own counter, and a retried push
 	// bumps the committed version without a train). It is staged before any
 	// explorer's next batch can arrive, so the replica re-syncs first.
 	if !b.broadcast(b.everyone()) {
 		return false
 	}
-	// Yield. Go runs goroutines a hand-off wakes ahead of those the network
-	// wakes, so a replica and an explorer sharing the broadcaster's process
-	// could otherwise trade echoes, pushes and credit among themselves and
-	// keep every remote push, rollout and lease renewal of that process
-	// waiting. The yield queues the broadcaster behind them.
-	runtime.Gosched()
 	if b.ckptPath != "" && n/b.ckptEvery != (n-k)/b.ckptEvery {
 		if err := b.saveCheckpoint(); err != nil {
 			b.fail(fmt.Errorf("broadcast fragment checkpoint: %w", err))

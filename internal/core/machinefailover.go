@@ -16,9 +16,8 @@
 //     verdict; a move spends no restart budget.
 //
 // Every move is announced with a ControlTakeover carrying the new
-// incarnation epoch; the broadcaster answers an explorer's takeover with a
-// rebroadcast of the committed model, refilling flow-control credit any
-// explorer burned during the outage. The coordinator machine hosts the
+// incarnation epoch; the broadcaster answers an explorer's takeover by
+// sending it the committed model, dense. The coordinator machine hosts the
 // controller and the membership detector; its death is terminal by design.
 package core
 
@@ -180,9 +179,8 @@ func (s *Session) pickSurvivor() int {
 
 // announceTakeover records one fragment re-placement on the control plane.
 // The controller counts it (FragmentReport); when the broadcaster is
-// addressed too it marks the fragment's weight-plane state stale and
-// rebroadcasts the committed model — re-seeding the newcomer and refilling
-// the flow-control credit explorers burned during the outage.
+// addressed too it marks the fragment's weight-plane state stale and sends
+// it the committed model, re-seeding the newcomer.
 func (s *Session) announceTakeover(name string, machine int, epoch int32, toCaster bool) {
 	s.frags.takeovers.Add(1)
 	dsts := []string{ControllerName}

@@ -102,7 +102,7 @@ func newPushRig(t *testing.T, retry time.Duration) *pushRig {
 			t.Fatal(err)
 		}
 	}
-	// numExplorers is out of reach, so no warm-up push interferes.
+	// The window is out of reach, so no rollout ack reaches explorer-0's port.
 	r.frag = core.NewLearnFragment(0, r.alg, r.learn, 1<<20, 0)
 	if retry > 0 {
 		r.frag.SetPushRetry(retry)

@@ -13,7 +13,7 @@
 //
 // The wire is one-way: a frame is one vectored write on the dialed side and
 // one read on the accepted side, with no reply. Bytes in flight between two
-// machines are bounded by TCP's own window, the explorers' in-flight credit
+// machines are bounded by TCP's own window, the explorers' rollout windows
 // and the capped retry queue below.
 //
 // # Fault tolerance
@@ -45,6 +45,7 @@ import (
 	"hash/crc32"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -79,11 +80,11 @@ const DefaultRedialAttempts = 8
 const DefaultRedialBackoff = 25 * time.Millisecond
 
 // retryQueueCap bounds the per-peer retry queue. The queue only covers
-// frames caught mid-outage, not general buffering — flow control upstream
-// (explorer credits) keeps in-flight counts small, so a short queue is
-// enough. A full queue drops its oldest frame (counted in DroppedRetry) to
-// take the newest, because in an outage the newest frames (the latest
-// weights among them) are the ones worth delivering.
+// frames caught mid-outage, not general buffering, so a short queue is
+// enough. Weights are latest-wins in it (a newer weights frame replaces the
+// queued one it makes moot), and a full queue evicts its oldest data frame
+// (counted in DroppedRetry) to take the newest: in an outage the newest
+// frames, and the latest weights above all, are the ones worth delivering.
 const retryQueueCap = 32
 
 // wireHeader is the gob-encoded subset of message.Header that crosses the
@@ -118,17 +119,18 @@ type Node struct {
 	broker   *broker.Broker
 	closed   bool
 
-	framesSent     atomic.Int64
-	framesReceived atomic.Int64
-	bytesSent      atomic.Int64
-	bytesReceived  atomic.Int64
-	corruptStreams atomic.Int64
-	corruptFrames  atomic.Int64
-	droppedInject  atomic.Int64
-	reconnects     atomic.Int64
-	redialFailures atomic.Int64
-	retriedFrames  atomic.Int64
-	droppedRetry   atomic.Int64
+	framesSent      atomic.Int64
+	framesReceived  atomic.Int64
+	bytesSent       atomic.Int64
+	bytesReceived   atomic.Int64
+	corruptStreams  atomic.Int64
+	corruptFrames   atomic.Int64
+	droppedInject   atomic.Int64
+	reconnects      atomic.Int64
+	redialFailures  atomic.Int64
+	retriedFrames   atomic.Int64
+	droppedRetry    atomic.Int64
+	supersededRetry atomic.Int64
 
 	wg sync.WaitGroup
 }
@@ -163,22 +165,27 @@ type Metrics struct {
 	// frame from a full queue, or dropped when a peer's redial budget ran
 	// out.
 	DroppedRetry int64
+	// SupersededRetry counts retry-queued weights frames replaced by a newer
+	// weights frame from the same source to the same destinations. They are
+	// moot, not lost, so DroppedRetry does not count them.
+	SupersededRetry int64
 }
 
 // Metrics snapshots the node's wire counters.
 func (n *Node) Metrics() Metrics {
 	return Metrics{
-		FramesSent:     n.framesSent.Load(),
-		FramesReceived: n.framesReceived.Load(),
-		BytesSent:      n.bytesSent.Load(),
-		BytesReceived:  n.bytesReceived.Load(),
-		CorruptStreams: n.corruptStreams.Load(),
-		CorruptFrames:  n.corruptFrames.Load(),
-		DroppedInject:  n.droppedInject.Load(),
-		Reconnects:     n.reconnects.Load(),
-		RedialFailures: n.redialFailures.Load(),
-		RetriedFrames:  n.retriedFrames.Load(),
-		DroppedRetry:   n.droppedRetry.Load(),
+		FramesSent:      n.framesSent.Load(),
+		FramesReceived:  n.framesReceived.Load(),
+		BytesSent:       n.bytesSent.Load(),
+		BytesReceived:   n.bytesReceived.Load(),
+		CorruptStreams:  n.corruptStreams.Load(),
+		CorruptFrames:   n.corruptFrames.Load(),
+		DroppedInject:   n.droppedInject.Load(),
+		Reconnects:      n.reconnects.Load(),
+		RedialFailures:  n.redialFailures.Load(),
+		RetriedFrames:   n.retriedFrames.Load(),
+		DroppedRetry:    n.droppedRetry.Load(),
+		SupersededRetry: n.supersededRetry.Load(),
 	}
 }
 
@@ -186,26 +193,28 @@ func (n *Node) Metrics() Metrics {
 // carries.
 func (m Metrics) Wire(machineID int) broker.WireMetrics {
 	return broker.WireMetrics{
-		MachineID:      machineID,
-		FramesSent:     m.FramesSent,
-		FramesReceived: m.FramesReceived,
-		BytesSent:      m.BytesSent,
-		BytesReceived:  m.BytesReceived,
-		CorruptStreams: m.CorruptStreams,
-		CorruptFrames:  m.CorruptFrames,
-		Reconnects:     m.Reconnects,
-		RedialFailures: m.RedialFailures,
-		RetriedFrames:  m.RetriedFrames,
-		DroppedRetry:   m.DroppedRetry,
-		DroppedInject:  m.DroppedInject,
+		MachineID:       machineID,
+		FramesSent:      m.FramesSent,
+		FramesReceived:  m.FramesReceived,
+		BytesSent:       m.BytesSent,
+		BytesReceived:   m.BytesReceived,
+		CorruptStreams:  m.CorruptStreams,
+		CorruptFrames:   m.CorruptFrames,
+		Reconnects:      m.Reconnects,
+		RedialFailures:  m.RedialFailures,
+		RetriedFrames:   m.RetriedFrames,
+		DroppedRetry:    m.DroppedRetry,
+		SupersededRetry: m.SupersededRetry,
+		DroppedInject:   m.DroppedInject,
 	}
 }
 
 // String renders the snapshot human-readably.
 func (m Metrics) String() string {
-	return fmt.Sprintf("fabric frames: sent=%d recv=%d bytes: sent=%d recv=%d corrupt=%d corruptFrames=%d droppedInject=%d reconnects=%d redialFail=%d retried=%d droppedRetry=%d",
+	return fmt.Sprintf("fabric frames: sent=%d recv=%d bytes: sent=%d recv=%d corrupt=%d corruptFrames=%d droppedInject=%d reconnects=%d redialFail=%d retried=%d droppedRetry=%d supersededRetry=%d",
 		m.FramesSent, m.FramesReceived, m.BytesSent, m.BytesReceived, m.CorruptStreams,
-		m.CorruptFrames, m.DroppedInject, m.Reconnects, m.RedialFailures, m.RetriedFrames, m.DroppedRetry)
+		m.CorruptFrames, m.DroppedInject, m.Reconnects, m.RedialFailures, m.RetriedFrames, m.DroppedRetry,
+		m.SupersededRetry)
 }
 
 var _ broker.Remote = (*Node)(nil)
@@ -233,8 +242,17 @@ type peerConn struct {
 	mu        sync.Mutex
 	conn      net.Conn
 	state     connState
-	retry     [][]byte // complete wire frames awaiting reconnect
+	retry     []retryFrame // complete wire frames awaiting reconnect, oldest first
 	redialing bool
+}
+
+// retryFrame is one complete wire frame awaiting a reconnect, with the type
+// and addressing its latest-wins replacement and its eviction go by.
+type retryFrame struct {
+	bytes []byte
+	typ   message.Type
+	src   string
+	dst   []string
 }
 
 // Listen starts a fabric node accepting peer connections on addr
@@ -443,7 +461,7 @@ func (n *Node) Forward(srcMachine, dstMachine int, h *message.Header, framed []b
 		// for post-reconnect retry (it may have been partially written; the
 		// receiver's framing discards a truncated tail when the conn dies),
 		// tear the conn down, and start the redial loop.
-		n.droppedRetry.Add(peer.enqueueRetryLocked(hdr, framed, trailer[:]))
+		n.enqueueRetryLocked(peer, h, hdr, framed, trailer[:])
 		_ = peer.conn.Close()
 		peer.conn = nil
 		peer.state = stateBackingOff
@@ -457,7 +475,7 @@ func (n *Node) Forward(srcMachine, dstMachine int, h *message.Header, framed []b
 		return fmt.Errorf("fabric write to machine %d failed (%v): %w",
 			dstMachine, werr, broker.ErrForwardRetrying)
 	case stateBackingOff:
-		n.droppedRetry.Add(peer.enqueueRetryLocked(hdr, framed, trailer[:]))
+		n.enqueueRetryLocked(peer, h, hdr, framed, trailer[:])
 		peer.mu.Unlock()
 		serialize.FreeBuf(hdr)
 		return fmt.Errorf("fabric: machine %d reconnecting: %w",
@@ -470,23 +488,49 @@ func (n *Node) Forward(srcMachine, dstMachine int, h *message.Header, framed []b
 }
 
 // enqueueRetryLocked copies one wire frame (prefix+header+body+checksum)
-// into the bounded retry queue. The copy is required: hdr is pooled and
-// framed belongs to the object store; both outlive this call only through
-// the copy. A full queue drops its oldest frame to make room. Caller holds
-// p.mu. Reports how many frames were dropped (0 or 1).
-func (p *peerConn) enqueueRetryLocked(hdr, framed, trailer []byte) int64 {
-	var evicted int64
+// of message h into p's bounded retry queue. The copy is required: hdr is
+// pooled and framed belongs to the object store; both outlive this call
+// only through the copy. A weights frame replaces the queued weights frame
+// from the same source to the same destinations: the newer one makes it
+// moot. A full queue evicts its oldest frame of the lowest class queued:
+// data first, then control, weights only when nothing else is queued.
+// Caller holds p.mu.
+func (n *Node) enqueueRetryLocked(p *peerConn, h *message.Header, hdr, framed, trailer []byte) {
+	if h.Type.WeightsClass() {
+		if i := slices.IndexFunc(p.retry, func(f retryFrame) bool {
+			return f.typ.WeightsClass() && f.src == h.Src && slices.Equal(f.dst, h.Dst)
+		}); i >= 0 {
+			p.retry = slices.Delete(p.retry, i, i+1)
+			n.supersededRetry.Add(1)
+		}
+	}
 	if len(p.retry) >= retryQueueCap {
-		p.retry[0] = nil
-		p.retry = p.retry[1:]
-		evicted = 1
+		victim := 0
+		for i, f := range p.retry {
+			if evictionClass(f.typ) < evictionClass(p.retry[victim].typ) {
+				victim = i
+			}
+		}
+		p.retry = slices.Delete(p.retry, victim, victim+1)
+		n.droppedRetry.Add(1)
 	}
 	frame := make([]byte, 0, len(hdr)+len(framed)+len(trailer))
 	frame = append(frame, hdr...)
 	frame = append(frame, framed...)
 	frame = append(frame, trailer...)
-	p.retry = append(p.retry, frame)
-	return evicted
+	p.retry = append(p.retry, retryFrame{bytes: frame, typ: h.Type, src: h.Src, dst: slices.Clone(h.Dst)})
+}
+
+// evictionClass orders a full retry queue's victims: droppable data (0)
+// before control (1) before weights (2).
+func evictionClass(t message.Type) int {
+	switch {
+	case t.WeightsClass():
+		return 2
+	case t.Droppable():
+		return 0
+	}
+	return 1
 }
 
 // connLost moves a peer whose read loop died to backing-off and ensures a
@@ -576,7 +620,7 @@ func (n *Node) installReconnected(p *peerConn, conn net.Conn) bool {
 	p.mu.Lock()
 	var batch []byte
 	for _, frame := range p.retry {
-		batch = append(batch, frame...)
+		batch = append(batch, frame.bytes...)
 	}
 	var written int
 	var err error
@@ -588,14 +632,14 @@ func (n *Node) installReconnected(p *peerConn, conn net.Conn) bool {
 	// next dial.
 	flushed := 0
 	for _, frame := range p.retry {
-		if written < len(frame) {
+		if written < len(frame.bytes) {
 			break
 		}
-		written -= len(frame)
+		written -= len(frame.bytes)
 		flushed++
 		n.retriedFrames.Add(1)
 		n.framesSent.Add(1)
-		n.bytesSent.Add(int64(len(frame)))
+		n.bytesSent.Add(int64(len(frame.bytes)))
 	}
 	p.retry = p.retry[flushed:]
 	if err != nil {

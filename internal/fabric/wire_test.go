@@ -88,12 +88,10 @@ func (c *breakConn) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
-// TestRetryQueueKeepsNewestFrames: an outage longer than the retry queue
-// keeps its newest frames. Forward 8 more frames than the queue holds to a
-// backing-off peer; every Forward is accepted as a retry, the 8 oldest are
-// evicted and counted, and after the redial the receiver gets the newest
-// retryQueueCap frames in order, the last one included.
-func TestRetryQueueKeepsNewestFrames(t *testing.T) {
+// newOutageLink connects node 0 to node 1 through a breakWrites link that
+// redials every millisecond, and registers client "b" on node 1's broker.
+func newOutageLink(t *testing.T) (*Node, *broker.Port, *breakWrites) {
+	t.Helper()
 	node0, err := Listen(0, "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("Listen 0: %v", err)
@@ -102,10 +100,10 @@ func TestRetryQueueKeepsNewestFrames(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Listen 1: %v", err)
 	}
-	defer node0.Stop()
-	defer node1.Stop()
+	t.Cleanup(node0.Stop)
+	t.Cleanup(node1.Stop)
 	b1 := broker.New(broker.Config{MachineID: 1, Locator: StaticLocator{"b": 1}})
-	defer b1.Stop()
+	t.Cleanup(b1.Stop)
 	node1.AttachBroker(b1)
 	port, err := b1.Register("b")
 	if err != nil {
@@ -117,6 +115,16 @@ func TestRetryQueueKeepsNewestFrames(t *testing.T) {
 	if err := node0.Connect(1, node1.Addr()); err != nil {
 		t.Fatalf("Connect: %v", err)
 	}
+	return node0, port, link
+}
+
+// TestRetryQueueKeepsNewestFrames: an outage longer than the retry queue
+// keeps its newest frames. Forward 8 more frames than the queue holds to a
+// backing-off peer; every Forward is accepted as a retry, the 8 oldest are
+// evicted and counted, and after the redial the receiver gets the newest
+// retryQueueCap frames in order, the last one included.
+func TestRetryQueueKeepsNewestFrames(t *testing.T) {
+	node0, port, link := newOutageLink(t)
 
 	const evicted = 8
 	const frames = retryQueueCap + evicted
@@ -149,5 +157,56 @@ func TestRetryQueueKeepsNewestFrames(t *testing.T) {
 	})
 	if m := node0.Metrics(); m.DroppedRetry != evicted {
 		t.Fatalf("DroppedRetry = %d, want %d", m.DroppedRetry, evicted)
+	}
+}
+
+// TestRetryQueueKeepsWeightsFrames: weights are latest-wins in the retry
+// queue and outlast data. During an outage node 0 queues a weights frame, a
+// newer one from the same source to the same destination, one from another
+// source, then 40 rollout frames. The newer weights frame replaces the older
+// (superseded, not dropped); the queue, full, evicts the 10 oldest rollouts
+// and never a weights frame; after the redial both weights frames arrive,
+// then the newest 30 rollouts in order.
+func TestRetryQueueKeepsWeightsFrames(t *testing.T) {
+	node0, port, link := newOutageLink(t)
+	link.broken.Store(true)
+	forward := func(typ message.Type, src string, round int) {
+		t.Helper()
+		h := &message.Header{ID: uint64(round + 1), Type: typ, Src: src, Dst: []string{"b"}, Round: int32(round)}
+		if err := node0.Forward(0, 1, h, []byte{byte(round)}); !errors.Is(err, broker.ErrForwardRetrying) {
+			t.Fatalf("Forward %d = %v, want ErrForwardRetrying", round, err)
+		}
+	}
+	forward(message.TypeWeights, "learner", 100)
+	forward(message.TypeWeightsDelta, "learner", 101)
+	forward(message.TypeWeights, "broadcaster", 102)
+	const rollouts = 40
+	for i := 0; i < rollouts; i++ {
+		forward(message.TypeRollout, "a", i)
+	}
+	link.broken.Store(false)
+
+	waitFor(t, 10*time.Second, "the retried frames to arrive", func() bool {
+		return port.Pending() == retryQueueCap
+	})
+	want := []int32{101, 102}
+	for i := rollouts - (retryQueueCap - 2); i < rollouts; i++ {
+		want = append(want, int32(i))
+	}
+	for _, round := range want {
+		h, err := port.NextHeader(false)
+		if err != nil {
+			t.Fatalf("NextHeader for frame %d: %v", round, err)
+		}
+		if h.Round != round {
+			t.Fatalf("got frame %d, want %d", h.Round, round)
+		}
+		port.Discard(h)
+	}
+	waitFor(t, 5*time.Second, "the flush to be counted", func() bool {
+		return node0.Metrics().RetriedFrames == retryQueueCap
+	})
+	if m := node0.Metrics(); m.DroppedRetry != 10 || m.SupersededRetry != 1 {
+		t.Fatalf("DroppedRetry = %d, SupersededRetry = %d, want 10 and 1", m.DroppedRetry, m.SupersededRetry)
 	}
 }

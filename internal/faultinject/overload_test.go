@@ -123,7 +123,7 @@ func overloadCluster(t *testing.T, inj *faultinject.Injector, budget int64, shed
 }
 
 // TestOverloadSlowLearnerBoundedStore pins a slow learner behind latency
-// spikes while uncredited explorers flood it, and proves the overload
+// spikes while explorers with no window flood it, and proves the overload
 // protections hold end to end: training still reaches its step target, the
 // exact live-byte peak of every store stays within the budget, trajectory
 // sheds are the ONLY drops (model updates all get through), and every shed
@@ -161,7 +161,7 @@ func TestOverloadSlowLearnerBoundedStore(t *testing.T) {
 		RolloutLen:   50,
 		MaxSteps:     maxSteps,
 		MaxDuration:  30 * time.Second,
-		MaxInflight:  -1, // no explorer credit: nothing upstream slows the flood
+		MaxInflight:  -1, // no rollout window: nothing upstream slows the flood
 	}, algF, agF, 1)
 	if err != nil {
 		t.Fatalf("NewSession: %v", err)

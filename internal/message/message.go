@@ -51,8 +51,9 @@ func (t Type) String() string {
 }
 
 // WeightsClass reports whether messages of this type carry learner weights
-// (dense snapshots or deltas) — the traffic the weight plane plans and the
-// explorer credit window counts as credits.
+// (dense snapshots or deltas) — the traffic the weight plane plans, the
+// fabric's outage queue keeps latest-wins, and an on-policy explorer waits
+// for.
 // The switch is deliberately exhaustive with no default: adding a message
 // type must force a decision here (xt-lint's typeswitch analyzer enforces it).
 func (t Type) WeightsClass() bool {
@@ -150,8 +151,7 @@ type WeightsPayload struct {
 //   - exact:     Scale == 0 and Values holds raw float32 deltas.
 //   - empty:     no entries at all — a pure version bump for a broadcast
 //     whose delta norm fell below the skip threshold. It still flows as a
-//     privileged message because weights traffic doubles as flow-control
-//     credit for on-policy explorers.
+//     privileged message: an on-policy explorer waits for the new version.
 type WeightsDeltaPayload struct {
 	Version     int64
 	BaseVersion int64
@@ -204,13 +204,15 @@ const (
 	// from each explorer, to the broadcast fragment, whose broker sees no
 	// rollout traffic. The snapshot rides in ControlPayload.Acked.
 	ControlAckSnapshot
-	// Unused, so the kinds below keep their wire values.
-	_
+	// ControlRolloutAck is a learner's (fused or replica) rollout ack to one
+	// explorer: ControlPayload.Acked maps the explorer to the header ID of
+	// the newest rollout the learner has taken off its receive buffer from
+	// it. The ack releases every un-acked rollout up to that ID from the
+	// explorer's window at that learner.
+	ControlRolloutAck
 	// ControlHeartbeat is a learn replica's liveness beat to the broadcast
-	// fragment and the explorers. Header.Src names the replica, Header.Round
-	// its incarnation epoch, and ControlPayload.Acked maps each explorer to
-	// the newest rollout header ID the replica has ingested from it — the
-	// ack the explorer prunes its in-flight ring with.
+	// fragment. Header.Src names the replica and Header.Round its
+	// incarnation epoch.
 	ControlHeartbeat
 	// ControlQuarantine tells the explorers and the broadcast fragment to
 	// retire the replica named in ControlPayload.Peer: explorers stop
@@ -242,9 +244,8 @@ const (
 	// ControlPayload.Peer has been re-placed onto the machine in
 	// ControlPayload.Machine at the new incarnation epoch in Header.Round.
 	// Sent to the controller port for audit counting; explorer takeovers
-	// are additionally sent to the broadcast fragment, which re-broadcasts
-	// dense weights so rebuilt (or credit-starved) peers resynchronize with
-	// the committed version space.
+	// are additionally sent to the broadcast fragment, which sends the
+	// rebuilt explorer the committed model, dense.
 	ControlTakeover
 )
 
@@ -255,11 +256,11 @@ type ControlPayload struct {
 	Hyperparams map[string]float64
 	// Acked is keyed by explorer name. For ControlAckSnapshot it holds the
 	// weights version of the newest rollout ingested from each explorer;
-	// for ControlHeartbeat, the header ID of the newest rollout the replica
-	// has ingested from each explorer this incarnation.
+	// for ControlRolloutAck, the header ID of the newest rollout taken from
+	// the one explorer it is addressed to.
 	Acked map[string]int64
-	// Peer names the learn replica a ControlQuarantine/ControlRejoin (and,
-	// redundantly with Header.Src, a ControlHeartbeat) concerns.
+	// Peer names the learn replica a ControlQuarantine/ControlRejoin
+	// concerns, and the fragment a ControlTakeover re-placed.
 	Peer string
 	// Machine is set for membership traffic: the renewing machine for
 	// ControlLeaseRenew, the dead machine for ControlMachineDead, and the
