@@ -478,13 +478,15 @@ var trainedIMPALAWeightsCRCs = []struct {
 // TestIMPALATrainedWeightsPinned makes "learning is unchanged" a test: a
 // fixed-seed IMPALA learner and explorer alternate rollouts and updates, and
 // the learner's final weights must hash to the pinned CRC bit for bit. The
-// hidden widths 45 and 23 run the row kernel's 8-lane chunks and scalar
-// tails; 79 and 64 run its 64-lane chunk too.
-// The pin holds on amd64 only: other architectures fuse multiply-adds, so
-// their weights differ in the last bits.
+// hidden widths 45 and 23 run the row kernel's 32- and 8-lane chunks and
+// masked tails; 79 and 64 run its 64-lane chunk too; the 2- and 1-wide
+// heads run as their transposes. On amd64 with AVX that is the vector
+// kernel; on 386 it is the portable loops, which must hash the same.
+// Other architectures fuse multiply-adds, so their weights differ in the
+// last bits.
 func TestIMPALATrainedWeightsPinned(t *testing.T) {
-	if runtime.GOARCH != "amd64" {
-		t.Skip("weights pinned on amd64; " + runtime.GOARCH + " fuses multiply-adds")
+	if runtime.GOARCH != "amd64" && runtime.GOARCH != "386" {
+		t.Skip("weights pinned on amd64 and 386; " + runtime.GOARCH + " fuses multiply-adds")
 	}
 	for _, pin := range trainedIMPALAWeightsCRCs {
 		e := env.NewCartPole(3)

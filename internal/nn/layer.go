@@ -84,12 +84,7 @@ func (d *Dense) forward(x *tensor.Tensor, relu bool) *tensor.Tensor {
 func (d *Dense) Backward(grad *tensor.Tensor, wantInput bool) *tensor.Tensor {
 	d.xTg = tensor.MatMulTransposeAInto(d.xTg, d.x, grad)
 	d.dW.AddInPlace(d.xTg)
-	db := d.dB.Data[:grad.Cols]
-	for r := 0; r < grad.Rows; r++ {
-		for c, v := range grad.Data[r*grad.Cols : (r+1)*grad.Cols] {
-			db[c] += v
-		}
-	}
+	d.dB.AddRowsInPlace(grad)
 	if !wantInput {
 		return nil
 	}
@@ -131,22 +126,8 @@ func (l *ReLU) Backward(grad *tensor.Tensor, wantInput bool) *tensor.Tensor {
 	if !wantInput {
 		return nil
 	}
-	l.g = gateReLU(l.g, grad, l.y)
+	l.g = tensor.GateReLUInto(l.g, grad, l.y)
 	return l.g
-}
-
-// gateReLU returns dst, reshaped by Reuse, holding grad where y (a ReLU's
-// output) is positive or NaN, and +0 where y is +0. A ReLU's output is +0
-// exactly where its input was not positive, so y is its own mask.
-func gateReLU(dst, grad, y *tensor.Tensor) *tensor.Tensor {
-	dst = tensor.Reuse(dst, grad.Rows, grad.Cols)
-	ys := y.Data[:len(grad.Data)]
-	for i, v := range grad.Data {
-		if !(ys[i] <= 0) {
-			dst.Data[i] = v
-		}
-	}
-	return dst
 }
 
 // denseReLU is a Dense and the ReLU after it, run as one Network stage. The
@@ -163,7 +144,7 @@ func (l denseReLU) Forward(x *tensor.Tensor) *tensor.Tensor { return l.forward(x
 
 // Backward implements Layer.
 func (l denseReLU) Backward(grad *tensor.Tensor, wantInput bool) *tensor.Tensor {
-	l.gated = gateReLU(l.gated, grad, l.y)
+	l.gated = tensor.GateReLUInto(l.gated, grad, l.y)
 	return l.Dense.Backward(l.gated, wantInput)
 }
 

@@ -325,6 +325,185 @@ func TestKernelPath(t *testing.T) {
 	}
 }
 
+// TestNarrowShapesMatchReference holds the three matmuls and the fused
+// bias and ReLU to their scalar loops on both paths, for every width
+// m = 1…9 (the transposed narrow outputs, 8 lanes, and a masked lane past
+// them) by every row count 1…17 (one-row calls, one 8-row group, and two
+// with leftovers) by inner dimensions 1, 2, 7, 8, 9 and 64. A fifth of
+// both operands are specials (±0, ±Inf, NaN, subnormals), so the per-lane
+// zero-skip meets NaN and -0 sums and the masked chunk meets every
+// remainder.
+func TestNarrowShapesMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	for m := 1; m <= 9; m++ {
+		for n := 1; n <= 17; n++ {
+			for _, k := range []int{1, 2, 7, 8, 9, 64} {
+				a, bf, bt, ba, bias := New(n, k), New(k, m), New(m, k), New(n, m), New(1, m)
+				for _, x := range []*Tensor{a, bf, bt, ba, bias} {
+					fillMixed(rng, x, 0.2)
+				}
+				if err := checkKernels(a, bf, bt, ba); err != nil {
+					t.Fatalf("n=%d k=%d m=%d: %v", n, k, m, err)
+				}
+				if err := checkBiasReLU(a, bf, bias); err != nil {
+					t.Fatalf("n=%d k=%d m=%d: %v", n, k, m, err)
+				}
+			}
+		}
+	}
+}
+
+// TestLaneAccMatchesPortable holds laneAcc to laneAccGeneric directly, for
+// every width 0…150, unit and wider strides of a and b and every start
+// offset of o mod 32 bytes, and checks that neither writes outside o. On
+// the portable path the two are one loop.
+func TestLaneAccMatchesPortable(t *testing.T) {
+	const pad = 8
+	guard := math.Float32frombits(0x7fc0dead)
+	rng := rand.New(rand.NewSource(47))
+	eachPath(func(path string) {
+		for m := 0; m <= 150; m++ {
+			n := 1 + rng.Intn(12)
+			astride, bstride := 1+rng.Intn(3), m+rng.Intn(3)
+			off := rng.Intn(8)
+			a, b, o := New(1, (n-1)*astride+1), New(1, (n-1)*bstride+m), New(1, pad+off+m+pad)
+			for _, x := range []*Tensor{a, b, o} {
+				fillMixed(rng, x, 0.2)
+			}
+			for i := range o.Data {
+				if i < pad+off || i >= pad+off+m {
+					o.Data[i] = guard
+				}
+			}
+			want := o.Clone()
+			laneAccGeneric(want.Data[pad+off:pad+off+m], a.Data, b.Data, n, astride, bstride)
+			laneAcc(o.Data[pad+off:pad+off+m], a.Data, b.Data, n, astride, bstride)
+			if i, ok := sameBits(o.Data, want.Data); !ok {
+				t.Fatalf("%s m=%d n=%d strides=%d,%d: o[%d] = %v, want %v",
+					path, m, n, astride, bstride, i, o.Data[i], want.Data[i])
+			}
+		}
+	})
+}
+
+// TestTransposeIntoMatchesTranspose holds transposeInto, on both paths, to
+// Transpose for every shape up to 19×19 and around the 8×8 blocks of a
+// 64-wide layer, and checks that it writes nothing past rows·cols.
+func TestTransposeIntoMatchesTranspose(t *testing.T) {
+	guard := math.Float32frombits(0x7fc0dead)
+	sizes := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 40, 63, 64, 65}
+	rng := rand.New(rand.NewSource(48))
+	eachPath(func(path string) {
+		for _, rows := range sizes {
+			for _, cols := range sizes {
+				src := New(rows, cols)
+				fillMixed(rng, src, 0.1)
+				dst := make([]float32, rows*cols+8)
+				for i := range dst {
+					dst[i] = guard
+				}
+				transposeInto(dst, src.Data, rows, cols)
+				want := append(src.Transpose().Data, guard, guard, guard, guard, guard, guard, guard, guard)
+				for i, v := range dst {
+					if math.Float32bits(v) != math.Float32bits(want[i]) {
+						t.Fatalf("%s %dx%d: dst[%d] = %#08x, want %#08x", path, rows, cols, i,
+							math.Float32bits(v), math.Float32bits(want[i]))
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestGradientSumsMatchScalarLoops holds AddInPlace and AddRowsInPlace, on
+// both paths, to the scalar loops they replaced (t[i] += b[i], and
+// t[c] += b[r][c] over ascending r), for every width 1…80 and 1…17 rows of
+// operands with specials.
+func TestGradientSumsMatchScalarLoops(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	eachPath(func(path string) {
+		for m := 1; m <= 80; m++ {
+			rows := 1 + m%17
+			acc, b, grad := New(rows, m), New(rows, m), New(rows, m)
+			dB := New(1, m)
+			for _, x := range []*Tensor{acc, b, grad, dB} {
+				fillMixed(rng, x, 0.2)
+			}
+			want := acc.Clone()
+			for i, v := range b.Data {
+				want.Data[i] += v
+			}
+			acc.AddInPlace(b)
+			if err := compareTensors(path+" AddInPlace", acc, want); err != nil {
+				t.Fatalf("m=%d: %v", m, err)
+			}
+			want = dB.Clone()
+			for r := 0; r < rows; r++ {
+				for c, v := range grad.Data[r*m : (r+1)*m] {
+					want.Data[c] += v
+				}
+			}
+			dB.AddRowsInPlace(grad)
+			if err := compareTensors(path+" AddRowsInPlace", dB, want); err != nil {
+				t.Fatalf("m=%d rows=%d: %v", m, rows, err)
+			}
+		}
+	})
+}
+
+func TestAddRowsInPlacePanicsOnShapeMismatch(t *testing.T) {
+	for _, dst := range []*Tensor{New(1, 4), New(2, 3)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%dx%d row sums of a 5x3 did not panic", dst.Rows, dst.Cols)
+				}
+			}()
+			dst.AddRowsInPlace(New(5, 3))
+		}()
+	}
+}
+
+// TestGateReLUIntoMatchesScalarLoop holds GateReLUInto, on both paths, to
+// the scalar loop it replaced for every length 0…70 (each 32-lane block
+// and masked remainder) on operands with specials, written into a reused
+// tensor full of garbage: it must write every element and none past the
+// shape.
+func TestGateReLUIntoMatchesScalarLoop(t *testing.T) {
+	guard := math.Float32frombits(0x7fc0dead)
+	rng := rand.New(rand.NewSource(50))
+	eachPath(func(path string) {
+		for n := 0; n <= 70; n++ {
+			grad, y := New(1, n), New(1, n)
+			fillMixed(rng, grad, 0.2)
+			fillMixed(rng, y, 0.3)
+			want := New(1, n)
+			for i, v := range grad.Data {
+				if !(y.Data[i] <= 0) {
+					want.Data[i] = v
+				}
+			}
+			out := New(1, n+8)
+			for i := range out.Data {
+				out.Data[i] = guard
+			}
+			got := GateReLUInto(out, grad, y)
+			if got.Rows != 1 || got.Cols != n {
+				t.Fatalf("%s n=%d: shape %dx%d", path, n, got.Rows, got.Cols)
+			}
+			for i, v := range got.Data[:n+8] {
+				w := guard
+				if i < n {
+					w = want.Data[i]
+				}
+				if math.Float32bits(v) != math.Float32bits(w) {
+					t.Fatalf("%s n=%d: out[%d] = %#08x, want %#08x", path, n, i, math.Float32bits(v), math.Float32bits(w))
+				}
+			}
+		}
+	})
+}
+
 // boundaryZeros returns a rows×cols tensor of non-zero values in which row
 // i has exactly min(i, cols) zeros, placed where a group of four
 // consecutive terms starts or ends (columns 3, 0, 7, 4, 11, 8, …, in that
@@ -393,15 +572,16 @@ func TestKernelsMatchReferenceGroupRemainders(t *testing.T) {
 }
 
 // FuzzMatMulKernels holds the three matmuls to their scalar loops on both
-// rowAcc paths, on arbitrary shapes up to 150 columns wide and arbitrary
-// float32 bit patterns.
+// rowAcc paths, on arbitrary shapes up to 150 columns wide and 17 rows
+// (a full 8-row group of the narrow outputs' transposed lanes, and more)
+// and arbitrary float32 bit patterns.
 func FuzzMatMulKernels(f *testing.F) {
 	f.Add(uint8(3), uint8(5), uint8(17), []byte{0x00, 0x00, 0x80, 0x7f, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80, 0x3f})
 	f.Add(uint8(1), uint8(64), uint8(64), []byte{0xff, 0xff, 0x7f, 0x7f, 0x00, 0x00, 0x00, 0x80})
 	f.Add(uint8(2), uint8(1), uint8(70), []byte{0x00, 0x00, 0xc0, 0x7f})
 	f.Add(uint8(4), uint8(9), uint8(142), []byte{0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xc0, 0x7f, 0x00, 0x00, 0x80, 0xbf})
 	f.Fuzz(func(t *testing.T, n, k, m uint8, data []byte) {
-		dn, dk, dm := 1+int(n)%8, 1+int(k)%72, 1+int(m)%150
+		dn, dk, dm := 1+int(n)%17, 1+int(k)%72, 1+int(m)%150
 		var next int
 		fill := func(x *Tensor) {
 			for i := range x.Data {
@@ -544,4 +724,31 @@ func BenchmarkMatMulTransposeA41x64(b *testing.B) {
 func BenchmarkMatMul1x64(b *testing.B) { benchMatMul(b, 1, 64, 64, 64, MatMulInto) }
 func BenchmarkMatMulTransposeA500x1764(b *testing.B) {
 	benchMatMul(b, 500, 1764, 500, 64, MatMulTransposeAInto)
+}
+
+// benchHead times op on the shapes of a learner's 2- or 1-wide head over a
+// batch of 40: x is a 64-wide hidden layer's ReLU output, so about half of
+// its elements are zero and the zero-skips see the data they see in a step.
+func benchHead(b *testing.B, xr, xc, wr, wc int, op func(out, x, w *Tensor) *Tensor) {
+	rng := rand.New(rand.NewSource(45))
+	x, w := New(xr, xc), New(wr, wc)
+	x.Randn(rng, 1)
+	w.Randn(rng, 1)
+	for i, v := range x.Data {
+		x.Data[i] = max(v, 0)
+	}
+	out := op(nil, x, w)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out = op(out, x, w)
+	}
+}
+
+func BenchmarkMatMul40x64x2(b *testing.B) { benchHead(b, 40, 64, 64, 2, MatMulInto) }
+func BenchmarkMatMulTransposeA40x64x2(b *testing.B) {
+	benchHead(b, 40, 64, 40, 2, MatMulTransposeAInto)
+}
+func BenchmarkMatMulTransposeA40x64x1(b *testing.B) {
+	benchHead(b, 40, 64, 40, 1, MatMulTransposeAInto)
 }

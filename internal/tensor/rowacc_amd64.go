@@ -4,9 +4,22 @@ package tensor
 // the SSE and AVX register state, in rowacc_amd64.s.
 func cpuHasAVX() bool
 
-// rowAccAVX is rowAcc's kernel on len(o) columns, a multiple of 8, in
-// rowacc_amd64.s. rowAcc has checked that a and b hold every element it
-// reads and that bias, if not nil, is len(o) long.
+// rowAccAVX is rowAcc's kernel (and, with skipB, laneAcc's) on every
+// column of o, in rowacc_amd64.s. flags holds skipA, reluOut and skipB.
+// The caller has checked that a and b hold every element it reads and that
+// bias, if not nil, is len(o) long.
 //
 //go:noescape
-func rowAccAVX(o, a, b, bias []float32, n, astride, bstride int, relu, skip bool)
+func rowAccAVX(o, a, b, bias []float32, n, astride, bstride, flags int)
+
+// gateReLUAVX is gateReLU's kernel, in rowacc_amd64.s; g and y are len(o)
+// long.
+//
+//go:noescape
+func gateReLUAVX(o, g, y []float32)
+
+// transposeAVX is transposeInto's kernel on the whole 8×8 blocks, in
+// rowacc_amd64.s; dst and src are rows·cols long.
+//
+//go:noescape
+func transposeAVX(dst, src []float32, rows, cols int)

@@ -96,12 +96,22 @@ func sameShape(a, b *Tensor) {
 	}
 }
 
-// AddInPlace adds b elementwise into t.
+// AddInPlace adds b elementwise into t. It is one rowAcc term, t += 1·b,
+// which is bit for bit t += b.
 func (t *Tensor) AddInPlace(b *Tensor) {
 	sameShape(t, b)
-	for i, v := range b.Data {
-		t.Data[i] += v
+	rowAcc(t.Data, unit, b.Data, nil, 1, 0, 0, false, false)
+}
+
+// AddRowsInPlace adds every row of b into the 1×b.Cols row vector t, in
+// ascending row order: the bias gradient's column sums. It is one rowAcc
+// over b's rows with the unit term, which is bit for bit the scalar loop
+// t[c] += b[r][c] over ascending r.
+func (t *Tensor) AddRowsInPlace(b *Tensor) {
+	if t.Rows != 1 || t.Cols != b.Cols {
+		panic(fmt.Sprintf("tensor: row sums of %dx%d into %dx%d", b.Rows, b.Cols, t.Rows, t.Cols))
 	}
+	rowAcc(t.Data, unit, b.Data, nil, b.Rows, 0, b.Cols, false, false)
 }
 
 // ScaleInPlace multiplies every element by s.
@@ -131,13 +141,35 @@ func Reuse(t *Tensor, rows, cols int) *Tensor {
 	return t
 }
 
+// reshape is Reuse without the clear, for a caller that writes every
+// element: t's old contents stay in the storage it reuses.
+func reshape(t *Tensor, rows, cols int) *Tensor {
+	if t == nil || cap(t.Data) < rows*cols {
+		return Reuse(t, rows, cols)
+	}
+	t.Data = t.Data[:rows*cols]
+	t.Rows, t.Cols = rows, cols
+	return t
+}
+
+// GateReLUInto sets out, reshaped to grad's shape, to grad where y (a
+// ReLU's output, at least as long) is positive or NaN and to +0 where y is
+// not positive (±0 or negative), and returns it. A ReLU's output is +0
+// exactly where its input was not positive, so y is its own mask. With AVX
+// it is a compare and a mask per 8 lanes, with no branch.
+func GateReLUInto(out, grad, y *Tensor) *Tensor {
+	out = reshape(out, grad.Rows, grad.Cols)
+	gateReLU(out.Data, grad.Data, y.Data)
+	return out
+}
+
 // rowOf returns row p of the row-major matrix d with m columns.
 func rowOf(d []float32, p, m int) []float32 { return d[p*m : (p+1)*m] }
 
-// narrowCols is the widest output MatMulTransposeAInto accumulates with an
-// r-outer scalar loop: for one to four lanes (a policy or value head) a
-// rowAcc call per output row per block costs more than the lanes it adds.
-const narrowCols = 4
+// narrow is the widest output the matmuls with a zero-skip compute as its
+// transpose: under one vector's 8 lanes, a row of the output fills too few
+// lanes, so the lanes run over the output's other dimension instead.
+const narrow = 7
 
 // MatMulInto computes a@b into out, reshaped by Reuse, and returns it. out
 // must not share storage with a or b. It is MatMulBiasInto with no bias and
@@ -151,8 +183,9 @@ func MatMulInto(out, a, b *Tensor) *Tensor { return MatMulBiasInto(out, a, b, ni
 //
 // Row i of out is one rowAcc: it accumulates a[i][p]·b[p] in ascending p,
 // skipping zero a[i][p], then takes its bias and activation as it is
-// stored. The result is bit for bit that of the scalar ikj loop, then a
-// bias pass, then a ReLU pass.
+// stored. An output at most narrow columns wide over 8 rows or more runs
+// as its transpose instead (matMulNarrow). Either way the result is bit
+// for bit that of the scalar ikj loop, then a bias pass, then a ReLU pass.
 func MatMulBiasInto(out, a, b, bias *Tensor, relu bool) *Tensor {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: matmul %dx%d @ %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -165,6 +198,9 @@ func MatMulBiasInto(out, a, b, bias *Tensor, relu bool) *Tensor {
 		}
 		bv = bias.Data[:m]
 	}
+	if m <= narrow && n >= 8 && k > 0 {
+		return matMulNarrow(out, a, b, bv, relu)
+	}
 	out = Reuse(out, n, m)
 	for i := 0; i < n; i++ {
 		rowAcc(rowOf(out.Data, i, m), rowOf(a.Data, i, k), b.Data, bv, k, 1, m, relu, true)
@@ -172,10 +208,76 @@ func MatMulBiasInto(out, a, b, bias *Tensor, relu bool) *Tensor {
 	return out
 }
 
-// transposeScratch recycles MatMulTransposeBInto's copy of bᵀ, so the
-// transpose costs no allocation per call once the pool holds a large enough
-// buffer.
+// matMulNarrow is MatMulBiasInto for a narrow output. Row j of outᵀ is one
+// laneAcc of b's column j against a pooled copy of aᵀ, its lanes over the
+// rows of a: lane i accumulates b[p][j]·a[i][p] in ascending p, passing over
+// zero a[i][p], the same terms in the same order as row i's rowAcc. The
+// bias and the ReLU follow the full reduction, as outᵀ is copied into out.
+func matMulNarrow(out, a, b *Tensor, bias []float32, relu bool) *Tensor {
+	n, k, m := a.Rows, a.Cols, b.Cols
+	buf := scratch(k*n + m*n)
+	at, ot := (*buf)[:k*n], (*buf)[k*n:k*n+m*n]
+	transposeInto(at, a.Data, n, k)
+	clear(ot)
+	for j := 0; j < m; j++ {
+		laneAcc(rowOf(ot, j, n), b.Data[j:], at, k, m, n)
+	}
+	out = reshape(out, n, m)
+	for j := 0; j < m; j++ {
+		for i, v := range rowOf(ot, j, n) {
+			if bias != nil {
+				v += bias[j]
+			}
+			if relu && v <= 0 {
+				v = 0
+			}
+			out.Data[i*m+j] = v
+		}
+	}
+	transposeScratch.Put(buf)
+	return out
+}
+
+// transposeScratch recycles the matmuls' transposed copies (bᵀ, aᵀ, outᵀ),
+// so a transpose costs no allocation per call once the pool holds a large
+// enough buffer.
 var transposeScratch = sync.Pool{New: func() any { return new([]float32) }}
+
+// scratch returns a pooled buffer of at least n elements; the caller puts
+// it back in transposeScratch.
+func scratch(n int) *[]float32 {
+	buf := transposeScratch.Get().(*[]float32)
+	if cap(*buf) < n {
+		*buf = make([]float32, n)
+	}
+	return buf
+}
+
+// transposeInto writes the transpose of the rows×cols matrix src into dst.
+// With AVX the whole 8×8 blocks go through transposeAVX and the loop below
+// copies the edges: the last rows mod 8 rows, and the last cols mod 8
+// columns of the others.
+func transposeInto(dst, src []float32, rows, cols int) {
+	n := rows * cols
+	if n == 0 {
+		return
+	}
+	dst, src = dst[:n], src[:n]
+	r8, c8 := 0, 0
+	if useAVX {
+		transposeAVX(dst, src, rows, cols)
+		r8, c8 = rows&^7, cols&^7
+	}
+	for r := 0; r < rows; r++ {
+		c := 0
+		if r < r8 {
+			c = c8
+		}
+		for ; c < cols; c++ {
+			dst[c*rows+r] = src[r*cols+c]
+		}
+	}
+}
 
 // MatMulTransposeBInto computes a@bᵀ into out, reshaped by Reuse, and
 // returns it. out must not share storage with a or b.
@@ -190,16 +292,9 @@ func MatMulTransposeBInto(out, a, b *Tensor) *Tensor {
 	}
 	n, k, m := a.Rows, a.Cols, b.Rows
 	out = Reuse(out, n, m)
-	buf := transposeScratch.Get().(*[]float32)
-	if cap(*buf) < k*m {
-		*buf = make([]float32, k*m)
-	}
+	buf := scratch(k * m)
 	bt := (*buf)[:k*m]
-	for j := 0; j < m; j++ {
-		for p, bv := range rowOf(b.Data, j, k) {
-			bt[p*m+j] = bv
-		}
-	}
+	transposeInto(bt, b.Data, m, k)
 	for i := 0; i < n; i++ {
 		rowAcc(rowOf(out.Data, i, m), rowOf(a.Data, i, k), bt, nil, k, 1, m, false, false)
 	}
@@ -220,30 +315,29 @@ const transposeABlock = 32
 // Out row i accumulates a[r][i]·b[r] in ascending r, skipping zero a[r][i].
 // The rows r are taken in blocks of transposeABlock; within a block each
 // output row is one rowAcc over the block's rows, reading a's column i
-// strided. Outputs at most narrowCols wide run r outside and i inside with
-// a scalar loop. Every element sums the same terms in the same order as an
-// r-outer loop with one scalar pass per term.
+// strided. An output at most narrow columns wide runs as its transpose:
+// row j of outᵀ is one laneAcc of b's column j against a's rows, read
+// whole, with lanes over i and the zero-skip per lane, into a pooled outᵀ.
+// Every element sums the same terms in the same order as an r-outer loop
+// with one scalar pass per term.
 func MatMulTransposeAInto(out, a, b *Tensor) *Tensor {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("tensor: T-matmul (%dx%d)T @ %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	rows, k, m := a.Rows, a.Cols, b.Cols
-	out = Reuse(out, k, m)
-	if m <= narrowCols {
-		for r := 0; r < rows; r++ {
-			brow := rowOf(b.Data, r, m)
-			for i, av := range rowOf(a.Data, r, k) {
-				if av == 0 {
-					continue
-				}
-				orow := rowOf(out.Data, i, m)
-				for j, x := range brow {
-					orow[j] += av * x
-				}
-			}
+	if m <= narrow && rows > 0 {
+		buf := scratch(m * k)
+		ot := (*buf)[:m*k]
+		clear(ot)
+		for j := 0; j < m; j++ {
+			laneAcc(rowOf(ot, j, k), b.Data[j:], a.Data, rows, m, k)
 		}
+		out = reshape(out, k, m)
+		transposeInto(out.Data, ot, m, k)
+		transposeScratch.Put(buf)
 		return out
 	}
+	out = Reuse(out, k, m)
 	for r0 := 0; r0 < rows; r0 += transposeABlock {
 		r1 := min(r0+transposeABlock, rows)
 		for i := 0; i < k; i++ {
