@@ -9,6 +9,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"xingtian/internal/lz4"
 	"xingtian/internal/message"
@@ -36,14 +38,17 @@ func EncodeDelta(base, cur []float32, baseVersion, version int64, quantBits int)
 
 // EncodeDeltaInto is EncodeDelta that also writes into recon, when recon is
 // non-nil, the vector ApplyDelta(base, d) leaves in a copy of base — bit for
-// bit, without allocating it. recon must have len(base) and share no memory
-// with base or cur. The planner's canonical chain step is this one call.
+// bit, without allocating it. recon must have len(base) and either be base
+// itself, which then advances in place once both sweeps have read it, or
+// share no memory with base or cur. On an error recon is left as it was.
+// The planner's canonical chain step is this one call.
 //
 // The int8 path is two sweeps over (base, cur): the largest |Δ|, then the
 // quantization, which skips the divide and the round for every |Δ| below
 // half a step (the common case: most of a chain step's Δs are the previous
-// step's rounding residue). The reconstruction copies base and applies the
-// payload exactly as ApplyDelta does.
+// step's rounding residue). On amd64 both are SSE2 kernels. The
+// reconstruction copies base, unless it is base, and applies the payload
+// exactly as ApplyDelta does.
 func EncodeDeltaInto(base, cur, recon []float32, baseVersion, version int64, quantBits int) (*message.WeightsDeltaPayload, error) {
 	if len(base) != len(cur) {
 		return nil, fmt.Errorf("serialize: delta over mismatched vectors (%d vs %d): %w", len(base), len(cur), ErrBadPayload)
@@ -65,7 +70,9 @@ func EncodeDeltaInto(base, cur, recon []float32, baseVersion, version int64, qua
 		return nil, fmt.Errorf("serialize: unsupported quantBits %d: %w", quantBits, ErrBadPayload)
 	}
 	if recon != nil {
-		copy(recon, base)
+		if len(recon) > 0 && &recon[0] != &base[0] {
+			copy(recon, base)
+		}
 		addDelta(recon, d) // d was built for this shape: nothing to check
 	}
 	return d, nil
@@ -78,6 +85,16 @@ const (
 	infBits uint32 = 0x7f800000
 )
 
+// int8Gather is encodeInt8's reused scratch: the sweep gathers its kept
+// entries here and copies them out at their final length, so a delta body
+// owns its entries and allocates no more than it keeps.
+var int8Gather = sync.Pool{New: func() any { return new(gatherBuf) }}
+
+type gatherBuf struct {
+	idx []uint32
+	q   []int8
+}
+
 func encodeInt8(d *message.WeightsDeltaPayload, base, cur []float32) {
 	maxAbs := maxAbsDelta(base, cur)
 	if maxAbs == 0 {
@@ -89,8 +106,9 @@ func encodeInt8(d *message.WeightsDeltaPayload, base, cur []float32) {
 	// quotient is at most ½ and rounds to even 0: skipping it is exact, for a
 	// subnormal scale too. NaN magnitudes are never below half.
 	half := math.Float32bits(scale / 2)
-	idx := make([]uint32, 0, len(cur)/8)
-	q := make([]int8, 0, len(cur)/8)
+	g := int8Gather.Get().(*gatherBuf)
+	defer int8Gather.Put(g)
+	idx, q := g.idx[:0], g.q[:0]
 	base = base[:len(cur)]
 	for i := 0; ; i++ {
 		if i = nextAtLeast(base, cur, i, half); i == len(cur) {
@@ -108,6 +126,7 @@ func encodeInt8(d *message.WeightsDeltaPayload, base, cur []float32) {
 		idx = append(idx, uint32(i))
 		q = append(q, int8(step))
 	}
+	g.idx, g.q = idx, q
 	if len(q) == 0 {
 		d.Scale = 0
 		return
@@ -121,27 +140,17 @@ func encodeInt8(d *message.WeightsDeltaPayload, base, cur []float32) {
 		}
 		d.Q = dq
 	} else {
-		d.Indices = idx
-		d.Q = q
+		d.Indices = slices.Clone(idx)
+		d.Q = slices.Clone(q)
 	}
 }
 
 // nextAtLeast returns the first index from i on whose |cur−base| magnitude
-// bits are at least half, or len(cur). It is the quantize sweep's hot loop,
-// kept apart from the appends so its state stays in registers.
+// bits are at least half, or len(cur). skipBelow walks the blocks; the loop
+// here checks the lane it stops at and the tail it leaves.
 func nextAtLeast(base, cur []float32, i int, half uint32) int {
 	base = base[:len(cur)]
-	for ; i+4 <= len(cur); i += 4 {
-		c, b := cur[i:i+4:i+4], base[i:i+4:i+4]
-		a0 := math.Float32bits(c[0]-b[0]) &^ signBit
-		a1 := math.Float32bits(c[1]-b[1]) &^ signBit
-		a2 := math.Float32bits(c[2]-b[2]) &^ signBit
-		a3 := math.Float32bits(c[3]-b[3]) &^ signBit
-		if max(a0, a1, a2, a3) >= half {
-			break
-		}
-	}
-	for ; i < len(cur); i++ {
+	for i = skipBelow(base, cur, i, half); i < len(cur); i++ {
 		if math.Float32bits(cur[i]-base[i])&^signBit >= half {
 			return i
 		}
@@ -150,23 +159,16 @@ func nextAtLeast(base, cur []float32, i int, half uint32) int {
 }
 
 // maxAbsDelta returns the largest |cur[i]−base[i]|, NaNs ignored. The sweep
-// compares magnitude bits, so it has no data-dependent branch; a NaN shows up
-// as a maximum above +Inf and costs one more, filtering sweep.
+// compares magnitude bits, so it has no data-dependent branch: maxAbsBits
+// takes the 16-lane blocks and the loop here the tail. A NaN shows up as a
+// maximum above +Inf and costs one more, filtering sweep.
 func maxAbsDelta(base, cur []float32) float32 {
 	base = base[:len(cur)]
-	var m0, m1, m2, m3 uint32
-	i := 0
-	for ; i+4 <= len(cur); i += 4 {
-		c, b := cur[i:i+4:i+4], base[i:i+4:i+4]
-		m0 = max(m0, math.Float32bits(c[0]-b[0])&^signBit)
-		m1 = max(m1, math.Float32bits(c[1]-b[1])&^signBit)
-		m2 = max(m2, math.Float32bits(c[2]-b[2])&^signBit)
-		m3 = max(m3, math.Float32bits(c[3]-b[3])&^signBit)
+	n := len(cur) &^ 15
+	m := maxAbsBits(base[:n], cur[:n])
+	for i := n; i < len(cur); i++ {
+		m = max(m, math.Float32bits(cur[i]-base[i])&^signBit)
 	}
-	for ; i < len(cur); i++ {
-		m0 = max(m0, math.Float32bits(cur[i]-base[i])&^signBit)
-	}
-	m := max(m0, m1, m2, m3)
 	if m > infBits {
 		m = 0
 		for i, c := range cur {
@@ -393,7 +395,7 @@ func unmarshalWeightsDelta(data []byte) (*message.WeightsDeltaPayload, error) {
 		// An LZ4 sequence decodes to fewer than 255 bytes per byte it takes
 		// (a match-length byte adds at most 255), so a larger rawLen could
 		// only fail to decompress: refuse it before allocating for it.
-		if rawLen < 0 || rawLen > 4+9*int(uint32(d.NumParams)) || rawLen > 255*len(comp) {
+		if rawLen < 0 || int64(rawLen) > 4+9*int64(uint32(d.NumParams)) || int64(rawLen) > 255*int64(len(comp)) {
 			return nil, fmt.Errorf("implausible delta block size %d: %w", rawLen, ErrBadPayload)
 		}
 		scratch := GetBuf(rawLen)
@@ -461,7 +463,7 @@ func unmarshalWeightsDelta(data []byte) (*message.WeightsDeltaPayload, error) {
 		br.pos += entries
 	} else {
 		d.Scale = 0
-		if br.pos+4*entries > len(block) {
+		if entries > (len(block)-br.pos)/4 {
 			return nil, fmt.Errorf("truncated delta entries: %w", ErrBadPayload)
 		}
 		if entries > 0 {

@@ -589,6 +589,29 @@ func FuzzEncodeDeltaInto(f *testing.F) {
 	// |Δ| exactly at scale/2 (scale = 1), and at odd/even half steps.
 	add([]float32{0, 0, 0, 0, 0, 0, 0}, []float32{127, 0.5, -0.5, 1.5, 2.5, -2.5, 0.49999997})
 
+	// Vectors long enough for the SSE2 sweeps' 16- and 8-lane blocks, with
+	// each special inside the first block, on a block's last lane (15) and
+	// in the tail the Go loops finish. Parameters are -1, 0 and 1 moved by
+	// at most ½, one by 127, so the scale is 1 and half a step is ½ (the
+	// scale is +Inf beside an infinite Δ).
+	specialLanes := []struct{ base, cur float32 }{
+		{0, nan}, {2, inf}, {-1, -inf}, {negZero, 0}, {0, tiny}, {1, 1.5}, {-1, -1.5},
+	}
+	for _, n := range []int{16, 37, 70} {
+		for _, at := range []int{3, 15, n - 2} {
+			for _, sp := range specialLanes {
+				base, cur := make([]float32, n), make([]float32, n)
+				for j := range cur {
+					base[j] = float32(j%3 - 1)
+					cur[j] = base[j] + float32(j%5-2)*0.25
+				}
+				cur[(at+n/2)%n] = base[(at+n/2)%n] + 127
+				base[at], cur[at] = sp.base, sp.cur
+				add(base, cur)
+			}
+		}
+	}
+
 	f.Fuzz(func(t *testing.T, rawBase, rawCur []byte) {
 		n := min(len(rawBase), len(rawCur), 4*4096) / 4
 		base, cur := bytesFloats(rawBase, n), bytesFloats(rawCur, n)
@@ -617,6 +640,94 @@ func TestEncodeDeltaIntoChainMatchesOracle(t *testing.T) {
 		label := fmt.Sprintf("version %d", v)
 		checkKernel(t, label, recon, cur, QuantNone)
 		recon = checkKernel(t, label, recon, cur, QuantInt8)
+	}
+}
+
+// maxAbsDeltaScalar and nextAtLeastScalar are the two int8 sweeps as
+// one-lane loops: the definitions maxAbsDelta and nextAtLeast, with their
+// block kernels, must match.
+func maxAbsDeltaScalar(base, cur []float32) float32 {
+	var m uint32
+	for i := range cur {
+		if a := math.Float32bits(cur[i]-base[i]) &^ signBit; a <= infBits {
+			m = max(m, a)
+		}
+	}
+	return math.Float32frombits(m)
+}
+
+func nextAtLeastScalar(base, cur []float32, i int, half uint32) int {
+	for ; i < len(cur); i++ {
+		if math.Float32bits(cur[i]-base[i])&^signBit >= half {
+			return i
+		}
+	}
+	return i
+}
+
+// TestDeltaSweepsMatchScalar holds both sweeps to their scalar loops, for
+// every length 0…70 (each block and tail of the 16-lane max and the 8-lane
+// scan), every position of the first lane at or above half a step, and
+// every start index. Parameters are ±0, so each Δ is exactly the lane's
+// value; below half are ±0, a subnormal and values just under ½, at or
+// above it ½ itself, ±Inf, NaN and the largest finite. Half a step is ½,
+// then 0 (keeps every lane) and +Inf's bits (keeps only ±Inf and NaN).
+// Then random vectors with specials, and nonzero parameters, run the same
+// comparison.
+func TestDeltaSweepsMatchScalar(t *testing.T) {
+	negZero := float32(math.Copysign(0, -1))
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	below := []float32{0, negZero, 0.49999997, -0.25, math.Float32frombits(1), -1e-30}
+	above := []float32{0.5, -0.5, 3, inf, -inf, nan, -math.MaxFloat32}
+	const halfStep = 0x3f000000 // ½
+	check := func(label string, base, cur []float32) {
+		t.Helper()
+		if got, want := maxAbsDelta(base, cur), maxAbsDeltaScalar(base, cur); math.Float32bits(got) != math.Float32bits(want) {
+			t.Fatalf("%s: maxAbsDelta = %#x, scalar %#x", label, math.Float32bits(got), math.Float32bits(want))
+		}
+		for _, half := range []uint32{halfStep, 0, infBits} {
+			for i := 0; i <= len(cur); i++ {
+				if got, want := nextAtLeast(base, cur, i, half), nextAtLeastScalar(base, cur, i, half); got != want {
+					t.Fatalf("%s, half %#x, from %d: nextAtLeast = %d, scalar %d", label, half, i, got, want)
+				}
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(12))
+	for n := 0; n <= 70; n++ {
+		for k := 0; k <= n; k++ { // the first lane kept; n for none
+			base, cur := make([]float32, n), make([]float32, n)
+			for j := range cur {
+				if rng.Intn(2) == 0 {
+					base[j] = negZero
+				}
+				switch {
+				case j < k:
+					cur[j] = below[rng.Intn(len(below))]
+				case j == k:
+					cur[j] = above[rng.Intn(len(above))]
+				case rng.Intn(2) == 0:
+					cur[j] = below[rng.Intn(len(below))]
+				default:
+					cur[j] = above[rng.Intn(len(above))]
+				}
+			}
+			if got := nextAtLeastScalar(base, cur, 0, halfStep); got != k {
+				t.Fatalf("n=%d: first kept lane %d, built for %d", n, got, k)
+			}
+			check(fmt.Sprintf("n=%d, first kept %d", n, k), base, cur)
+		}
+		for trial := 0; trial < 20; trial++ {
+			base, cur := randVec(rng, n), randVec(rng, n)
+			for _, v := range [][]float32{base, cur} {
+				for j := range v {
+					if rng.Intn(6) == 0 {
+						v[j] = append(below, above...)[rng.Intn(len(below)+len(above))]
+					}
+				}
+			}
+			check(fmt.Sprintf("n=%d, random trial %d", n, trial), base, cur)
+		}
 	}
 }
 

@@ -236,7 +236,7 @@ func (r *reader) byte() byte {
 // payload, so it must not outlive the call that was handed the payload.
 func (r *reader) view() []byte {
 	n := int(r.u32())
-	if r.err != nil || n < 0 || r.pos+n > len(r.data) {
+	if r.err != nil || n < 0 || n > len(r.data)-r.pos {
 		r.fail()
 		return nil
 	}
@@ -249,7 +249,7 @@ func (r *reader) str() string { return string(r.view()) }
 
 func (r *reader) f32s() []float32 {
 	n := int(r.u32())
-	if r.err != nil || n < 0 || r.pos+4*n > len(r.data) {
+	if r.err != nil || n < 0 || n > (len(r.data)-r.pos)/4 {
 		r.fail()
 		return nil
 	}
@@ -669,8 +669,8 @@ func unmarshalControl(data []byte) (*message.ControlPayload, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	if n > 0 {
-		if n > r.maxEntries() {
+	if n != 0 {
+		if n < 0 || n > r.maxEntries() {
 			return nil, fmt.Errorf("control hyperparam count %d: %w", n, ErrBadPayload)
 		}
 		c.Hyperparams = make(map[string]float64, n)
@@ -687,8 +687,8 @@ func unmarshalControl(data []byte) (*message.ControlPayload, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	if na > 0 {
-		if na > r.maxEntries() {
+	if na != 0 {
+		if na < 0 || na > r.maxEntries() {
 			return nil, fmt.Errorf("control ack count %d: %w", na, ErrBadPayload)
 		}
 		c.Acked = make(map[string]int64, na)

@@ -504,6 +504,41 @@ func TestGateReLUIntoMatchesScalarLoop(t *testing.T) {
 	})
 }
 
+// TestScaleInPlaceMatchesScalarLoop holds ScaleInPlace, on both paths, to
+// the scalar loop it replaced for every length 0…70 (each 32-lane block
+// and masked remainder) on operands with specials, by every special scale
+// and a normal one, NaN payloads included; the elements past the tensor's
+// length in its storage must stay untouched.
+func TestScaleInPlaceMatchesScalarLoop(t *testing.T) {
+	guard := math.Float32frombits(0x7fc0dead)
+	rng := rand.New(rand.NewSource(51))
+	scales := append([]float32{-0.37, math.Float32frombits(0x7fc00bad)}, specials...)
+	eachPath(func(path string) {
+		for n := 0; n <= 70; n++ {
+			for _, s := range scales {
+				src := New(1, n)
+				fillMixed(rng, src, 0.2)
+				want := make([]float32, n+8)
+				for i := range want {
+					want[i] = guard
+				}
+				copy(want, src.Data)
+				for i := range want[:n] {
+					want[i] *= s
+				}
+				got := append(src.Clone().Data, want[n:]...)
+				(&Tensor{Rows: 1, Cols: n, Data: got[:n]}).ScaleInPlace(s)
+				for i := range want {
+					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+						t.Fatalf("%s n=%d scale %#08x: element %d = %#08x, want %#08x", path, n,
+							math.Float32bits(s), i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+					}
+				}
+			}
+		}
+	})
+}
+
 // boundaryZeros returns a rows×cols tensor of non-zero values in which row
 // i has exactly min(i, cols) zeros, placed where a group of four
 // consecutive terms starts or ends (columns 3, 0, 7, 4, 11, 8, …, in that

@@ -18,6 +18,11 @@ func rowAccAVX(o, a, b, bias []float32, n, astride, bstride, flags int)
 //go:noescape
 func gateReLUAVX(o, g, y []float32)
 
+// scaleAVX is ScaleInPlace's kernel, in rowacc_amd64.s.
+//
+//go:noescape
+func scaleAVX(o []float32, s float32)
+
 // transposeAVX is transposeInto's kernel on the whole 8×8 blocks, in
 // rowacc_amd64.s; dst and src are rows·cols long.
 //

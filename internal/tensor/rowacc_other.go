@@ -13,6 +13,10 @@ func gateReLUAVX(o, g, y []float32) {
 	panic("tensor: no AVX kernel on this architecture")
 }
 
+func scaleAVX(o []float32, s float32) {
+	panic("tensor: no AVX kernel on this architecture")
+}
+
 func transposeAVX(dst, src []float32, rows, cols int) {
 	panic("tensor: no AVX kernel on this architecture")
 }

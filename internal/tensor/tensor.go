@@ -114,8 +114,13 @@ func (t *Tensor) AddRowsInPlace(b *Tensor) {
 	rowAcc(t.Data, unit, b.Data, nil, b.Rows, 0, b.Cols, false, false)
 }
 
-// ScaleInPlace multiplies every element by s.
+// ScaleInPlace multiplies every element by s, each product rounded once.
+// With AVX it runs scaleAVX, one VMULPS per 8 lanes.
 func (t *Tensor) ScaleInPlace(s float32) {
+	if useAVX {
+		scaleAVX(t.Data, s)
+		return
+	}
 	for i := range t.Data {
 		t.Data[i] *= s
 	}

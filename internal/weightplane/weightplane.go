@@ -90,7 +90,8 @@ type ringEntry struct {
 // Ring vectors are planner-private: no Outbound body aliases one (a dense
 // body is a copy, a delta body owns its entries), so a vector prune drops —
 // and no surviving entry shares — becomes the next version's reconstruction
-// buffer instead of garbage.
+// buffer instead of garbage, and the newest vector becomes the next
+// version's in place when no destination outside that plan can hold it.
 type Planner struct {
 	cfg Config
 
@@ -101,7 +102,6 @@ type Planner struct {
 	prevAcked map[string]int64 // per-destination high-water acked version
 	stale     map[string]bool  // NACKed or restart-suspected destinations
 	lastVer   int64            // version of the newest ring entry
-	prevChain int64            // base version the newest chain delta applies to
 	emaNorm   float64
 	stats     Stats
 }
@@ -181,13 +181,18 @@ func (p *Planner) Plan(cur []float32, version int64, dsts []string, acked map[st
 		}
 	}
 
-	recon, chainDelta := p.advanceChain(cur, version)
+	recon, chainDelta := p.advanceChain(cur, version, dsts)
+	// onChain is a base the chain delta applies to. Its ring entry may be
+	// retired already (advanced in place): its destinations need only the
+	// delta.
+	onChain := func(base int64) bool { return chainDelta != nil && base == chainDelta.BaseVersion }
 
 	var denseDsts []string
 	deltaByBase := make(map[int64][]string)
 	for _, d := range dsts {
 		base, sentBefore := p.lastSent[d]
 		_, haveBase := p.lookup(base)
+		haveBase = haveBase || onChain(base)
 		ackedV, haveAck := acked[d]
 		switch {
 		case p.stale[d] || !sentBefore || !haveBase:
@@ -220,7 +225,7 @@ func (p *Planner) Plan(cur []float32, version int64, dsts []string, acked map[st
 		group := deltaByBase[base]
 		var body *message.WeightsDeltaPayload
 		switch {
-		case base == p.prevChainBase(version) && chainDelta != nil:
+		case onChain(base):
 			body = chainDelta
 		case base == version:
 			// Warm-up re-broadcast of the current version: pure bump.
@@ -265,7 +270,9 @@ func (p *Planner) Plan(cur []float32, version int64, dsts []string, acked map[st
 // returns the canonical vector and the chain delta from the previous
 // broadcast version (nil when this is the first broadcast or shapes
 // changed). An update the adaptive threshold skips is an empty chain delta.
-func (p *Planner) advanceChain(cur []float32, version int64) (recon []float32, chainDelta *message.WeightsDeltaPayload) {
+// When no destination outside dsts can still need the previous vector, it
+// becomes version's in place and its old entry is retired.
+func (p *Planner) advanceChain(cur []float32, version int64, dsts []string) (recon []float32, chainDelta *message.WeightsDeltaPayload) {
 	if r, ok := p.lookup(version); ok && p.lastVer == version {
 		// Re-broadcast of an already-planned version (learner warm-up).
 		return r, nil
@@ -287,7 +294,6 @@ func (p *Planner) advanceChain(cur []float32, version int64) (recon []float32, c
 			chainDelta = &message.WeightsDeltaPayload{
 				Version: version, BaseVersion: p.lastVer, NumParams: int32(len(cur)),
 			}
-			p.prevChain = p.lastVer
 			p.lastVer = version
 			return prev, chainDelta
 		}
@@ -300,24 +306,44 @@ func (p *Planner) advanceChain(cur []float32, version int64) (recon []float32, c
 		}
 	}
 
-	recon = p.vector(len(cur))
+	inPlace := p.soleHolder(prev, dsts)
+	recon = prev
+	if !inPlace {
+		recon = p.vector(len(cur))
+	}
 	d, err := serialize.EncodeDeltaInto(prev, cur, recon, p.lastVer, version, p.cfg.QuantBits)
-	if err != nil {
+	switch {
+	case err != nil: // EncodeDeltaInto wrote nothing: prev is intact
+		if inPlace {
+			recon = p.vector(len(cur))
+		}
 		copy(recon, cur)
+	case inPlace:
+		p.ring = slices.DeleteFunc(p.ring, func(e ringEntry) bool { return e.version == p.lastVer })
 	}
 	p.store(version, recon)
-	p.prevChain = p.lastVer
 	p.lastVer = version
 	return recon, d
 }
 
-// prevChainBase returns the base version the chain delta for version was
-// encoded against.
-func (p *Planner) prevChainBase(version int64) int64 {
-	if p.lastVer == version {
-		return p.prevChain
+// soleHolder reports whether the plan for dsts moves past prev, lastVer's
+// vector, every destination that may hold it: each one last sent lastVer is
+// in dsts, and no other ring entry (a skipped version's) shares prev.
+func (p *Planner) soleHolder(prev []float32, dsts []string) bool {
+	if len(prev) == 0 {
+		return false
 	}
-	return -1
+	for d, sent := range p.lastSent {
+		if sent == p.lastVer && !slices.Contains(dsts, d) {
+			return false
+		}
+	}
+	for _, e := range p.ring {
+		if e.version != p.lastVer && len(e.vec) > 0 && &e.vec[0] == &prev[0] {
+			return false
+		}
+	}
+	return true
 }
 
 // lookup returns the ring's reconstruction for version.

@@ -430,3 +430,61 @@ func bodyBits(body any) any {
 	}
 	return body
 }
+
+// TestPlannerAdvancesInPlaceWhenSoleHolder: a chain step writes the new
+// reconstruction over the previous one (the same backing array, under the
+// new version only) exactly when the plan moves every destination that may
+// hold the previous one past it, and copies otherwise: for a producer-only
+// broadcast that leaves destinations on the previous version, and when a
+// skipped version still shares the previous vector with a straggler's
+// entry. Every plan equals the reference planner's.
+func TestPlannerAdvancesInPlaceWhenSoleHolder(t *testing.T) {
+	cfg := Config{Enabled: true, QuantBits: serialize.QuantInt8, SkipFactor: 0.5}
+	p, ref := New(cfg), newRefPlanner(cfg)
+	rng := rand.New(rand.NewSource(9))
+	w := step(rng, make([]float32, 600), 1)
+	all := []string{"a", "b", "c"}
+	for _, tc := range []struct {
+		dsts    []string
+		skip    bool // a negligible update the threshold skips
+		inPlace bool
+	}{
+		{dsts: all},                                    // v1: the first broadcast, dense
+		{dsts: all, inPlace: true},                     // v2: every destination on v1
+		{dsts: all[:1]},                                // v3: producer only; b and c stay on v2
+		{dsts: all, inPlace: true},                     // v4: only a holds v3; b and c get exact deltas from v2
+		{dsts: all[:2], skip: true},                    // v5: skipped, sharing v4's vector; c stays on v4
+		{dsts: all[:2]},                                // v6: v4's entry for c shares v5's vector
+		{dsts: all, inPlace: true},                     // v7: v6 is a and b's alone
+		{dsts: []string{"c", "b", "a"}, inPlace: true}, // v8: order does not matter
+	} {
+		v := p.lastVer + 1
+		if tc.skip {
+			w[rng.Intn(len(w))] += 1e-7
+		} else {
+			w = step(rng, w, 0.02)
+		}
+		lastVer := p.lastVer
+		prev, _ := p.lookup(lastVer)
+		emptyBefore := p.Stats().Empty
+		got := p.Plan(w, v, tc.dsts, nil)
+		sameOutbounds(t, v, got, ref.Plan(w, v, tc.dsts, nil))
+		if tc.skip != (p.Stats().Empty > emptyBefore) {
+			t.Fatalf("version %d: skipped=%v, want %v", v, !tc.skip, tc.skip)
+		}
+		recon, ok := p.lookup(v)
+		if !ok {
+			t.Fatalf("version %d: no ring entry", v)
+		}
+		aliased := len(prev) > 0 && &recon[0] == &prev[0]
+		if tc.skip {
+			continue // a skipped version shares its predecessor's vector by design
+		}
+		if aliased != tc.inPlace {
+			t.Fatalf("version %d: advanced in place = %v, want %v", v, aliased, tc.inPlace)
+		}
+		if _, kept := p.lookup(lastVer); tc.inPlace && kept {
+			t.Fatalf("version %d: the entry of version %d survived an in-place advance", v, lastVer)
+		}
+	}
+}
